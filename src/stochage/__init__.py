@@ -27,7 +27,7 @@ from .rescale import (RescaleConstants, RescaledCoefficients,
                       forward_transform, rescale_constants)
 from .solver import (SolveReport, SolverConfig, StepResult, TruncationGuard,
                      picard_step_solve, solve_rescaled, truncate_argument)
-from .oracle import solve_direct
+from .oracle import solve_direct, solve_direct_batch
 from .estimates import (CheckRow, EstimateConstants, apriori_check,
                         compute_constants, constants_for_run,
                         dependence_check, weak_residual_random,

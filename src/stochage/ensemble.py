@@ -3,9 +3,12 @@
 Every ensemble path gets its own Brownian bundle whose seed derives from
 ``(base_seed, path_index)`` through numpy's ``SeedSequence`` spawning, so
 re-running any subset of paths reproduces identical noise regardless of
-worker scheduling.  Aggregation happens in path order in the parent
-process, which makes the whole artifact tree a deterministic function of
-the configuration.
+worker scheduling.  Paths are handed out in contiguous chunks whose size
+depends only on the grid (see :data:`CHUNK_BYTES`); the direct route
+marches a chunk as one array, the rescaled route solves its paths one at a
+time.  Aggregation happens in path order in the parent process, which
+makes the whole artifact tree a deterministic function of the
+configuration.
 """
 
 from __future__ import annotations
@@ -17,16 +20,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, NonconvergenceError, StochageError
+from .errors import ConfigurationError, StochageError
 from .fileio import ensure_dir, save_field, write_series_csv
-from .grid import l2_norm, weighted_population
+from .grid import Grid, l2_norm, weighted_population
 from .model import PopulationModel
 from .noise import BrownianBundle, coarsen, evaluate_noise, sample_bundle
-from .oracle import solve_direct
+from .oracle import solve_direct, solve_direct_batch
 from .rescale import forward_transform
 from .solver import SolveReport, SolverConfig, solve_rescaled
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
+
+# Byte budget of one chunk's state array.  Bigger chunks spread the direct
+# march's per-step overhead over more paths but hold more paths in memory
+# at once; 128 KiB is 7 paths of models/sample1d.ini.
+CHUNK_BYTES = 128 * 1024
 
 _SOLVERS = ("rescaled", "direct")
 
@@ -58,11 +66,29 @@ def path_seed(base_seed: int, index: int) -> int:
     return int(np.random.SeedSequence(base_seed, spawn_key=(index,)).generate_state(1)[0])
 
 
-@functools.lru_cache(maxsize=8)
 def _cached_model(path: str, coarsen_factor: int):
+    """Parsed model file, cached on its content hash and the coarsening
+    factor, so a file edited during the process is parsed again."""
+    import hashlib  # deferred: it loads OpenSSL, a cost `import stochage` need not pay
+
+    try:
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read model file {path}: {exc}") from exc
+    return _parse_model(digest, coarsen_factor, str(path))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_model(digest: str, coarsen_factor: int, path: str):
     from .modelfile import parse_model
 
     return parse_model(path, coarsen=coarsen_factor)
+
+
+def path_chunks(n_paths: int, grid: Grid) -> list[range]:
+    """Contiguous path ranges of at most :data:`CHUNK_BYTES` of state each."""
+    size = max(1, CHUNK_BYTES // (8 * int(np.prod(grid.field_shape))))
+    return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
 def density_final(report: SolveReport, model: PopulationModel,
@@ -95,45 +121,72 @@ def mass_series(report: SolveReport, model: PopulationModel,
     return out
 
 
-def _run_one_path(args) -> dict:
-    (model_path, coarse, base_seed, index, solvers, stride, out_dir,
+def _solve_paths(name: str, model: PopulationModel, bundles: list,
+                 config: SolverConfig) -> list:
+    """One route's reports for a chunk of paths; a failed path gives its
+    error instead.
+
+    The direct route marches the chunk as one array.  Should that march
+    fail, the chunk is solved again path by path, so the failure stays
+    with the path that caused it.  A configuration error ends the run.
+    """
+    if name == "direct":
+        try:
+            return solve_direct_batch(model, bundles, config)
+        except ConfigurationError:
+            raise
+        except StochageError:
+            pass
+    solve = solve_rescaled if name == "rescaled" else solve_direct
+    out = []
+    for bundle in bundles:
+        try:
+            out.append(solve(model, bundle, config))
+        except ConfigurationError:
+            raise
+        except StochageError as exc:
+            out.append(exc)
+    return out
+
+
+def _run_chunk(args) -> list[dict]:
+    (model_path, coarse, base_seed, indices, solvers, stride, out_dir,
      master_n_t, save_snapshots) = args
     model, cfg = _cached_model(model_path, coarse)
     cfg_local = SolverConfig(**{**cfg.__dict__})
     cfg_local.snapshot_stride = stride
-    seed = path_seed(base_seed, index)
-    master = sample_bundle(seed, model.noise.n_modes, master_n_t,
-                           model.grid.T)
-    bundle = coarsen(master, master_n_t // model.grid.n_t)
-    result = {"index": index, "seed": seed, "solvers": {}}
+    results, bundles = [], []
+    for index in indices:
+        seed = path_seed(base_seed, index)
+        master = sample_bundle(seed, model.noise.n_modes, master_n_t,
+                               model.grid.T)
+        bundles.append(coarsen(master, master_n_t // model.grid.n_t))
+        results.append({"index": index, "seed": seed, "solvers": {}})
     for name in solvers:
-        entry: dict = {"status": "converged"}
-        try:
-            if name == "rescaled":
-                report = solve_rescaled(model, bundle, cfg_local)
-            else:
-                report = solve_direct(model, bundle, cfg_local)
-        except (NonconvergenceError, StochageError) as exc:
-            entry["status"] = f"failed: {exc}"
+        reports = _solve_paths(name, model, bundles, cfg_local)
+        for result, bundle, report in zip(results, bundles, reports):
+            index = result["index"]
+            entry: dict = {"status": "converged"}
             result["solvers"][name] = entry
-            continue
-        p_final = density_final(report, model, bundle)
-        entry.update(
-            final=p_final,
-            final_l2=l2_norm(p_final, model.grid),
-            mass=mass_series(report, model, bundle),
-            mass_indices=report.snapshot_indices,
-            picard_max=int(report.picard_iterations.max()) if len(report.picard_iterations) else 0,
-            truncations=report.guard.activations if report.guard else 0,
-        )
-        if out_dir is not None and save_snapshots:
-            save_field(Path(out_dir) / f"path_{index:05d}_{name}.bin", p_final)
-            write_series_csv(
-                Path(out_dir) / f"path_{index:05d}_{name}.csv",
-                {"t": report.times, "l2_norm": report.l2_series,
-                 "u_value": report.u_series, "births": report.births_series})
-        result["solvers"][name] = entry
-    return result
+            if isinstance(report, StochageError):
+                entry["status"] = f"failed: {report}"
+                continue
+            p_final = density_final(report, model, bundle)
+            entry.update(
+                final=p_final,
+                final_l2=l2_norm(p_final, model.grid),
+                mass=mass_series(report, model, bundle),
+                mass_indices=report.snapshot_indices,
+                picard_max=int(report.picard_iterations.max()) if len(report.picard_iterations) else 0,
+                truncations=report.guard.activations if report.guard else 0,
+            )
+            if out_dir is not None and save_snapshots:
+                save_field(Path(out_dir) / f"path_{index:05d}_{name}.bin", p_final)
+                write_series_csv(
+                    Path(out_dir) / f"path_{index:05d}_{name}.csv",
+                    {"t": report.times, "l2_norm": report.l2_series,
+                     "u_value": report.u_series, "births": report.births_series})
+    return results
 
 
 @dataclass
@@ -160,8 +213,9 @@ class RunResult:
 def run(config: RunConfig) -> RunResult:
     """Execute the ensemble and aggregate statistics deterministically.
 
-    Per-path work may run in a process pool; the reduction always happens
-    in path order so repeated runs produce byte-identical artifacts.
+    Chunks of paths may run in a process pool; the reduction always
+    happens in path order so repeated runs produce byte-identical
+    artifacts.
     """
     solvers = config.solvers()
     coarse = 2 ** config.level
@@ -170,14 +224,15 @@ def run(config: RunConfig) -> RunResult:
     out_dir = str(ensure_dir(config.out_dir)) if config.out_dir else None
     save_snaps = config.snapshot_stride > 0
 
-    args = [(config.model_path, coarse, config.base_seed, m, solvers,
+    args = [(config.model_path, coarse, config.base_seed, chunk, solvers,
              config.snapshot_stride, out_dir, model_master.grid.n_t, save_snaps)
-            for m in range(config.n_paths)]
+            for chunk in path_chunks(config.n_paths, model.grid)]
     if config.workers > 1 and config.n_paths > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_run_one_path, args))
+            chunks = list(pool.map(_run_chunk, args))
     else:
-        results = [_run_one_path(a) for a in args]
+        chunks = [_run_chunk(a) for a in args]
+    results = [res for chunk in chunks for res in chunk]
 
     stats = EnsembleStats(n_paths=config.n_paths)
     acc: dict = {}

@@ -82,6 +82,11 @@ class Grid:
     def field_shape(self) -> tuple[int, ...]:
         return (self.n_a + 1, *self.n_x)
 
+    def rows(self, index) -> tuple:
+        """Index selecting age rows ``index`` (an int or a slice) of a field
+        array, with or without leading path axes."""
+        return (Ellipsis, index) + (slice(None),) * self.dim
+
     @cached_property
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.n_t + 1)
@@ -239,29 +244,45 @@ class SubDomain:
 
 
 def _as_values(f, grid: Grid | None) -> tuple[np.ndarray, Grid]:
+    """Values and grid of a field, or of a stack of fields with leading
+    (path) axes."""
     if isinstance(f, Field):
         return f.values, f.grid
     if grid is None:
         raise ConfigurationError("a grid is required when passing a bare array")
     arr = np.asarray(f, dtype=float)
-    if arr.shape != grid.field_shape:
+    if arr.shape[max(arr.ndim - grid.dim - 1, 0):] != grid.field_shape:
         raise InvalidFieldError(
             f"array shape {arr.shape} does not match grid {grid.field_shape}"
         )
     return arr, grid
 
 
+def _field_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Sum over the age and space axes, one entry per leading (path) index."""
+    return np.sum(values, axis=tuple(range(-grid.dim - 1, 0)))
+
+
+def _scalar_or_stack(x):
+    """A Python float for one field, the array for a stack of fields."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 def l2_norm(f, grid: Grid | None = None) -> float:
     """Discrete L2 norm over age and space.
 
     Trapezoid in age, midpoint in space:
-    ``sqrt(sum f^2 * w_age * dx^d)``.  Zero iff the field vanishes.
+    ``sqrt(sum f^2 * w_age * dx^d)``.  Zero iff the field vanishes.  A stack
+    of fields (leading path axes) gives one norm per field.
     """
     vals, grid = _as_values(f, grid)
-    if not np.all(np.isfinite(vals)):
-        raise InvalidFieldError("field contains non-finite entries")
     w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
-    return float(np.sqrt(np.sum(vals * vals * w) * grid.cell_volume))
+    total = _field_sum(vals * vals * w, grid)
+    # the weights are positive, so a non-finite entry makes its sum
+    # non-finite; only then is the field scanned
+    if not np.all(np.isfinite(total)) and not np.all(np.isfinite(vals)):
+        raise InvalidFieldError("field contains non-finite entries")
+    return _scalar_or_stack(np.sqrt(total * grid.cell_volume))
 
 
 def weighted_population(f, weight, region: SubDomain | None = None,
@@ -269,19 +290,20 @@ def weighted_population(f, weight, region: SubDomain | None = None,
     """Weighted total population ``int weight * f`` over age and a sub-box.
 
     ``weight`` is either an array on the grid or a callable ``(a, *x)``.
-    ``region=None`` integrates over the whole box.
+    ``region=None`` integrates over the whole box.  A stack of fields
+    (leading path axes) gives one value per field.
     """
     vals, grid = _as_values(f, grid)
     if callable(weight):
-        w = np.broadcast_to(weight(grid.age_mesh, *grid.space_meshes), grid.field_shape)
-    else:
-        w = np.broadcast_to(np.asarray(weight, dtype=float), grid.field_shape)
+        weight = weight(grid.age_mesh, *grid.space_meshes)
+    w = np.asarray(weight, dtype=float)
+    if w.shape != grid.field_shape:
+        w = np.broadcast_to(w, grid.field_shape)
     age_w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     integrand = w * vals * age_w
     if region is not None:
-        sl = (slice(None),) + region.cell_slices(grid)
-        integrand = integrand[sl]
-    return float(np.sum(integrand) * grid.cell_volume)
+        integrand = integrand[(Ellipsis, slice(None)) + region.cell_slices(grid)]
+    return _scalar_or_stack(_field_sum(integrand, grid) * grid.cell_volume)
 
 
 @dataclass(frozen=True)
@@ -350,15 +372,19 @@ def forward_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """One-sided spatial difference quotients per dimension (face values)."""
     out = []
     for axis, d in enumerate(grid.dx):
-        ax = 1 + axis
-        out.append(np.diff(values, axis=ax) / d)
+        ax = values.ndim - grid.dim + axis
+        hi = (slice(None),) * ax + (slice(1, None),)
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        out.append((values[hi] - values[lo]) / d)
     return out
 
+
 def gradient_energy(f, grid: Grid | None = None) -> float:
-    """Squared L2 norm of the forward-difference spatial gradient."""
+    """Squared L2 norm of the forward-difference spatial gradient (one per
+    field for a stack of fields)."""
     vals, grid = _as_values(f, grid)
     age_w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     total = 0.0
     for diff in forward_differences(vals, grid):
-        total += float(np.sum(diff * diff * age_w) * grid.cell_volume)
-    return total
+        total += _field_sum(diff * diff * age_w, grid) * grid.cell_volume
+    return _scalar_or_stack(total)

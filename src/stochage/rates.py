@@ -8,7 +8,10 @@ the population argument ``r``, so the declared metadata in
 
 A rate is called as ``rate(t, a, x, r)`` where ``a`` and the entries of
 ``x`` are broadcastable arrays (age nodes against cell centers, or the
-coordinates of boundary faces) and ``r`` is a scalar.
+coordinates of boundary faces) and ``r`` is a scalar or a 1-d array of
+per-path population values.  With an array ``r`` a rate that depends on
+``r`` returns one field per path (a leading path axis); the families that
+ignore ``r`` return a single field, which broadcasts across paths.
 """
 
 from __future__ import annotations
@@ -54,11 +57,13 @@ class LogisticRate:
         return abs(self.amp) * abs(self.slope) / 4.0
 
     def __call__(self, t, a, x, r):
-        z = self.slope * (float(r) - self.center)
+        r = np.asarray(r, dtype=float)
+        z = self.slope * (r - self.center)
         # clip keeps exp() in range; the logistic saturates well before 500
         val = self.base + self.amp / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
         shape = np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x))
-        return np.full(shape, val)
+        return np.broadcast_to(val.reshape(r.shape + (1,) * len(shape)),
+                               r.shape + shape)
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,11 @@ class ProductRate:
 
 @dataclass(frozen=True)
 class CustomRate:
-    """Escape hatch for tests: explicit callable with declared metadata."""
+    """Escape hatch for tests: explicit callable with declared metadata.
+
+    ``fn`` sees one scalar ``r`` at a time; an array of per-path values is
+    evaluated path by path.
+    """
 
     fn: object
     sup: float
@@ -139,6 +148,8 @@ class CustomRate:
         return float(self.lipschitz_fn(R))
 
     def __call__(self, t, a, x, r):
+        if np.ndim(r):
+            return np.stack([self(t, a, x, float(v)) for v in r])
         out = np.asarray(self.fn(t, a, x, r), dtype=float)
         shape = np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x))
         return np.broadcast_to(out, shape).copy()
@@ -269,10 +280,16 @@ def validate_rates(rates: VitalRates, grid: Grid, sample_budget: int = 512,
     return RateValidationReport(n_samples=n_pts * n_pts, violations=violations)
 
 
-def evaluate_on_grid(rate, grid: Grid, t: float, r: float) -> np.ndarray:
-    """Rate values on the full age-space grid at one (t, r)."""
-    out = rate(t, grid.age_mesh, grid.space_meshes, r)
-    return np.broadcast_to(np.asarray(out, dtype=float), grid.field_shape)
+def evaluate_on_grid(rate, grid: Grid, t: float, r) -> np.ndarray:
+    """Rate values on the full age-space grid at one ``t``.
+
+    ``r`` is a scalar or a 1-d array of per-path values; in the second case
+    a rate that depends on ``r`` gives a leading path axis and one that
+    does not gives a single field.
+    """
+    out = np.asarray(rate(t, grid.age_mesh, grid.space_meshes, r), dtype=float)
+    shape = out.shape[:max(out.ndim - grid.dim - 1, 0)] + grid.field_shape
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def evaluate_gamma(rates: VitalRates, grid: Grid) -> np.ndarray:

@@ -90,6 +90,14 @@ class RescaledCoefficients:
             raise ConfigurationError(
                 f"bundle has {bundle.n_paths} paths but the noise spec has "
                 f"{model.noise.n_modes} amplitudes")
+        # alpha passes through unchanged only when every amplitude has zero
+        # normal derivative on the boundary; otherwise the answer is wrong
+        if not model.noise.neumann_compatible:
+            raise ConfigurationError(
+                "the rescaled route needs noise amplitudes with zero normal "
+                "derivative on the boundary (cosine, age-polynomial or "
+                "constant modes); use the direct route for other modes")
+        model.noise.check_neumann(grid)
         self.model = model
         self.grid = grid
         self.bundle = bundle

@@ -37,31 +37,63 @@ from .rescale import RescaledCoefficients, build_coefficients
 logger = logging.getLogger(__name__)
 
 
+def _thomas_factor(lower, diag: np.ndarray, upper) -> tuple:
+    """Forward-elimination coefficients of tridiagonal systems.
+
+    The solve axis leads: row ``i`` of ``lower``, ``diag`` and ``upper``
+    holds the entries of equation ``i`` of every system.  ``lower[0]`` and
+    ``upper[-1]`` are ignored.  The coefficients depend on the matrix
+    only, so one factorization serves every right side with its shape.
+    Returns the rows of ``lower``, of the eliminated upper diagonal and of
+    the pivots.
+    """
+    n = diag.shape[0]
+    cp = np.zeros(np.broadcast_shapes(np.shape(lower), diag.shape, np.shape(upper)))
+    denom = np.empty_like(cp)
+    denom[0] = diag[0]
+    cp[0] = upper[0] / diag[0]
+    for i in range(1, n):
+        denom[i] = diag[i] - lower[i] * cp[i - 1]
+        if i < n - 1:
+            cp[i] = upper[i] / denom[i]
+    return list(lower), list(cp), list(denom)
+
+
+def _thomas_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
+    """Forward and back sweeps for a factor of :func:`_thomas_factor`.
+
+    ``rhs`` has the solve axis leading and is overwritten with the
+    solution; its trailing axes broadcast against the factor's systems.
+    The arithmetic is the textbook Thomas algorithm operation for
+    operation: for systems with positive diagonal, nonpositive
+    off-diagonals and nonnegative right side every step combines
+    nonnegative quantities, so the solution is nonnegative exactly in
+    floating point.  That property is why this is hand-rolled instead of
+    calling a pivoting solver.
+    """
+    lower, cp, denom = factor
+    x = list(rhs if rhs.ndim > 1 else rhs[:, None])   # row views into rhs
+    x[0] /= denom[0]
+    for i in range(1, len(x)):
+        x[i] -= lower[i] * x[i - 1]
+        x[i] /= denom[i]
+    for i in range(len(x) - 2, -1, -1):
+        x[i] -= cp[i] * x[i + 1]
+    return rhs
+
+
 def tridiagonal_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
                       rhs: np.ndarray) -> np.ndarray:
     """Thomas algorithm over a batch of independent systems (last axis).
 
-    ``lower[..., 0]`` and ``upper[..., -1]`` are ignored.  For systems with
-    positive diagonal, nonpositive off-diagonals, and nonnegative right
-    side, every arithmetic operation combines nonnegative quantities, so
-    the solution is nonnegative exactly in floating point.  That property
-    is why this is hand-rolled instead of calling a pivoting solver.
+    ``lower[..., 0]`` and ``upper[..., -1]`` are ignored.  This is
+    :func:`_thomas_factor` followed by :func:`_thomas_solve`, so it keeps
+    their exact nonnegativity.
     """
-    n = rhs.shape[-1]
-    cp = np.zeros_like(rhs)
-    dp = np.zeros_like(rhs)
-    cp[..., 0] = upper[..., 0] / diag[..., 0]
-    dp[..., 0] = rhs[..., 0] / diag[..., 0]
-    for i in range(1, n):
-        denom = diag[..., i] - lower[..., i] * cp[..., i - 1]
-        if i < n - 1:
-            cp[..., i] = upper[..., i] / denom
-        dp[..., i] = (rhs[..., i] - lower[..., i] * dp[..., i - 1]) / denom
-    x = np.empty_like(rhs)
-    x[..., n - 1] = dp[..., n - 1]
-    for i in range(n - 2, -1, -1):
-        x[..., i] = dp[..., i] - cp[..., i] * x[..., i + 1]
-    return x
+    lower, diag, upper, rhs = (np.moveaxis(np.asarray(a, dtype=float), -1, 0)
+                               for a in (lower, diag, upper, rhs))
+    factor = _thomas_factor(lower, diag, upper)
+    return np.moveaxis(_thomas_solve(factor, rhs.copy()), 0, -1)
 
 
 def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
@@ -75,20 +107,22 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
     operation.  ``g1`` may be ``None`` (no rescaling terms) and ``g2`` may
     be ``None`` or all-zero to skip the spatial advection.
 
-    Returns the new values and the advection CFL number actually used
-    (0 when there is no advection; nonnegativity needs CFL <= 1).
+    ``values`` and the rate fields may carry leading path axes.  Returns
+    the new values and the advection CFL number actually used (0 when
+    there is no advection; nonnegativity needs CFL <= 1).
     """
     rate = mu_s if g1 is None else g1 + mu_s
     decay = np.exp(-rate * dt)
     out = np.zeros_like(values)
+    older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
     if grid.aligned:
-        out[1:] = values[:-1] * decay[:-1]
+        out[older] = values[younger] * decay[younger]
     else:
         c = dt / grid.da
         if c > 1.0 + 1e-12:
             raise ConfigurationError(
                 f"unaligned transport needs dt <= da, got dt/da = {c:.3g}")
-        out[1:] = ((1.0 - c) * values[1:] + c * values[:-1]) * decay[1:]
+        out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay[older]
     cfl = 0.0
     if g2 is not None and any(np.any(comp) for comp in g2):
         for axis, comp in enumerate(g2):
@@ -96,7 +130,7 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
             cp = np.maximum(c, 0.0)
             cm = np.maximum(-c, 0.0)
             cfl = max(cfl, float(np.max(cp + cm)))
-            ax = 1 + axis
+            ax = out.ndim - grid.dim + axis
             lo = np.concatenate([np.take(out, [0], axis=ax),
                                  np.take(out, range(out.shape[ax] - 1), axis=ax)], axis=ax)
             hi = np.concatenate([np.take(out, range(1, out.shape[ax]), axis=ax),
@@ -111,60 +145,94 @@ def renewal_row(values: np.ndarray, m_values: np.ndarray, grid: Grid) -> np.ndar
     Inside a time step the transported field arrives with a zeroed
     age-zero row, so the row being produced does not feed itself; the
     omitted trapezoid weight there is ``da / 2``, first order like the
-    splitting.
+    splitting.  Leading path axes of ``values`` carry through.
     """
     w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
-    return (w * m_values * values).sum(axis=0)
+    return (w * m_values * values).sum(axis=-grid.dim - 1)
 
 
-def _sweep(vals: np.ndarray, axis: int, alpha_lo, alpha_hi, k_lo, k_hi,
-           dx: float, dt: float) -> np.ndarray:
-    """One implicit diffusion sweep along a spatial axis with Robin faces.
+def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float,
+                  paths: tuple = ()) -> tuple:
+    """Factor of the implicit sweep matrices along an axis of ``n`` cells.
 
     Ghost closure ``ghost = interior - dx (alpha v + k)`` keeps the matrix
-    an M-matrix for ``alpha >= 0``.
+    an M-matrix for ``alpha >= 0``.  There is one system per entry of the
+    face data ``alpha_lo``/``alpha_hi``, repeated over the leading ``paths``
+    shape so that the solve's rows need no broadcasting.
     """
-    arr = np.moveaxis(vals, axis, -1)
-    a_lo = np.broadcast_to(alpha_lo, arr.shape[:-1])
-    a_hi = np.broadcast_to(alpha_hi, arr.shape[:-1])
-    q_lo = np.broadcast_to(k_lo, arr.shape[:-1])
-    q_hi = np.broadcast_to(k_hi, arr.shape[:-1])
-    n = arr.shape[-1]
+    a_lo, a_hi = np.broadcast_arrays(np.asarray(alpha_lo, dtype=float),
+                                     np.asarray(alpha_hi, dtype=float))
+    a_lo, a_hi = (np.broadcast_to(a, paths + a.shape) for a in (a_lo, a_hi))
     r = dt / dx ** 2
-    diag = np.ones(arr.shape)
+    diag = np.ones((n,) + a_lo.shape)
     if n > 1:
         diag += 2.0 * r
-        diag[..., 0] -= r
-        diag[..., -1] -= r
-    diag[..., 0] += dt * a_lo / dx
-    diag[..., -1] += dt * a_hi / dx
-    lower = np.full(arr.shape, -r)
-    upper = np.full(arr.shape, -r)
-    lower[..., 0] = 0.0
-    upper[..., -1] = 0.0
-    rhs = arr.copy()
-    rhs[..., 0] -= dt * q_lo / dx
-    rhs[..., -1] -= dt * q_hi / dx
-    out = tridiagonal_solve(lower, diag, upper, rhs)
-    return np.moveaxis(out, -1, axis)
+        diag[0] -= r
+        diag[-1] -= r
+    diag[0] += dt * a_lo / dx
+    diag[-1] += dt * a_hi / dx
+    off = np.full((n,) + (1,) * a_lo.ndim, -r)
+    return _thomas_factor(off, diag, off)
+
+
+class DiffusionFactors:
+    """Factorizations of the diffusion sweeps, kept across time steps.
+
+    The sweep matrices depend only on the step, the spacing and the Robin
+    coefficient on the faces.  :meth:`get` returns the stored factors while
+    those are unchanged and refactors as soon as one of them changes, so a
+    time-dependent coefficient stays exact.  One instance serves one march.
+    """
+
+    def __init__(self):
+        self._key = None
+        self._alpha: dict = {}
+        self._factors: list = []
+
+    def get(self, alpha: dict, grid: Grid, dt: float, paths: tuple = ()) -> list:
+        """One factor per spatial axis for the face coefficients ``alpha``,
+        shaped for states with the leading ``paths`` shape."""
+        key = (dt, grid.n_x, grid.dx, paths)
+        if key != self._key or any(not np.array_equal(a, self._alpha[f])
+                                   for f, a in alpha.items()):
+            self._factors = [
+                _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
+                              grid.n_x[axis], grid.dx[axis], dt, paths)
+                for axis in range(grid.dim)]
+            self._key = key
+            self._alpha = {f: np.array(a) for f, a in alpha.items()}
+        return self._factors
+
+
+def _sweep(vals: np.ndarray, axis: int, factor: tuple, k_lo, k_hi,
+           dx: float, dt: float) -> np.ndarray:
+    """One implicit diffusion sweep along array axis ``axis`` with Robin
+    faces; ``factor`` comes from :func:`_robin_factor`."""
+    rhs = np.moveaxis(vals, axis, 0).copy()
+    rhs[0] -= dt * k_lo / dx
+    rhs[-1] -= dt * k_hi / dx
+    return np.moveaxis(_thomas_solve(factor, rhs), 0, axis)
 
 
 def diffusion_substep(values: np.ndarray, alpha: dict, k: dict, grid: Grid,
-                      dt: float) -> np.ndarray:
+                      dt: float, factors: DiffusionFactors | None = None) -> np.ndarray:
     """Backward-Euler diffusion with Robin flux on every boundary face.
 
-    The leading axis of ``values`` is a batch of age levels; ``alpha`` and
-    ``k`` map each :class:`Face` to data with the same batch length.  In
-    two dimensions the x and y sweeps are applied in sequence (first-order
-    direction splitting); each sweep is unconditionally positivity
-    preserving when ``k <= 0`` contributions are absent.
+    ``values`` holds a batch of age levels times space, optionally behind
+    leading path axes; ``alpha`` and ``k`` map each :class:`Face` to data
+    over the same age levels.  ``factors`` keeps the factorization across
+    calls; without it the matrices are factored afresh.  In two dimensions
+    the x and y sweeps are applied in sequence (first-order direction
+    splitting); each sweep is unconditionally positivity preserving when
+    ``k <= 0`` contributions are absent.
     """
+    if factors is None:
+        factors = DiffusionFactors()
+    paths = values.shape[:values.ndim - grid.dim - 1]
     out = values
-    for axis in range(grid.dim):
-        lo = Face(axis, 0)
-        hi = Face(axis, 1)
-        out = _sweep(out, 1 + axis, alpha[lo], alpha[hi], k[lo], k[hi],
-                     grid.dx[axis], dt)
+    for axis, factor in enumerate(factors.get(alpha, grid, dt, paths)):
+        out = _sweep(out, values.ndim - grid.dim + axis, factor,
+                     k[Face(axis, 0)], k[Face(axis, 1)], grid.dx[axis], dt)
     return out
 
 
@@ -300,7 +368,8 @@ class StepResult:
 def picard_step_solve(y: np.ndarray, t_index: int,
                       coeffs: RescaledCoefficients, gamma_vals: np.ndarray,
                       region, guard: TruncationGuard | None,
-                      config: SolverConfig) -> StepResult:
+                      config: SolverConfig,
+                      factors: DiffusionFactors | None = None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
     Each iterate clips the candidate new-time state onto the guard ball,
@@ -310,8 +379,12 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     candidates differ by less than ``picard_tol`` relative to the current
     one; with an infinite tolerance the first iterate is returned, and a
     model whose rates ignore the functional converges on iteration one.
+    ``factors`` carries the diffusion factorization across iterates and
+    steps.
     """
     grid = coeffs.grid
+    if factors is None:
+        factors = DiffusionFactors()
     g1 = coeffs.g1(t_index)
     g2 = coeffs.g2(t_index)
     alpha = coeffs.alpha_faces(t_index)
@@ -332,7 +405,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         if config.include_diffusion:
             v[1:] = diffusion_substep(
                 v[1:], {f: a[1:] for f, a in alpha.items()},
-                {f: q[1:] for f, q in k.items()}, grid, grid.dt)
+                {f: q[1:] for f, q in k.items()}, grid, grid.dt, factors)
         cfl_max = max(cfl_max, cfl)
         diff = l2_norm(v - zeta, grid)
         if prev_diff is not None and prev_diff > 0:
@@ -373,6 +446,7 @@ def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,
     picard_counts = np.zeros(n_t, dtype=int)
     ratios = np.full(n_t, np.nan)
     cfl_max = 0.0
+    factors = DiffusionFactors()
 
     def record(i: int, state: np.ndarray, u_val: float):
         series["l2"][i] = l2_norm(state, grid)
@@ -390,7 +464,7 @@ def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,
 
     for n in range(n_t):
         step = picard_step_solve(y, n + 1, coeffs, gamma_vals, model.region,
-                                 guard, config)
+                                 guard, config, factors)
         y = step.state
         picard_counts[n] = step.iterations
         ratios[n] = step.contraction_ratio

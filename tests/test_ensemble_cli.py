@@ -1,3 +1,4 @@
+import dataclasses
 import filecmp
 from pathlib import Path
 
@@ -6,9 +7,12 @@ import pytest
 
 import stochage as sa
 from stochage.cli import main
-from stochage.ensemble import RunConfig, convergence_study, path_seed, run
+from stochage.ensemble import (RunConfig, _cached_model, convergence_study,
+                               path_chunks, path_seed, run)
 from stochage.errors import ConfigurationError
-from stochage.fileio import load_field
+from stochage.fileio import load_field, write_series_csv
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 NOISY_MODEL = """
 [grid]
@@ -158,6 +162,121 @@ class TestRun:
         result = run(cfg)
         assert result.exit_code == 1
         assert result.stats.failures == 2
+
+
+class TestChunks:
+    def test_chunks_cover_paths_in_order(self, grid1d):
+        chunks = path_chunks(100, grid1d)
+        assert [m for c in chunks for m in c] == list(range(100))
+        assert len({len(c) for c in chunks[:-1]}) == 1
+        assert path_chunks(3, grid1d) == [range(0, 3)]
+
+    @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
+    def test_per_path_outputs_match_one_path_solves(self, name, tmp_path):
+        # nine paths make two chunks with a ragged second one on both sample
+        # models; sample2d's functional integrates over a sub-box
+        path = str(MODELS / f"{name}.ini")
+        model, cfg = _cached_model(path, 1)
+        chunks = path_chunks(9, model.grid)
+        assert len(chunks) == 2 and len(chunks[1]) < len(chunks[0])
+        out = tmp_path / "ens"
+        run(RunConfig(model_path=path, solver="direct", n_paths=9, base_seed=4,
+                      out_dir=str(out), snapshot_stride=1))
+        cfg = dataclasses.replace(cfg, snapshot_stride=1)
+        for m in range(9):
+            bundle = sa.sample_bundle(path_seed(4, m), model.noise.n_modes,
+                                      model.grid.n_t, model.grid.T)
+            rep = sa.solve_direct(model, bundle, cfg)
+            assert (load_field(out / f"path_{m:05d}_direct.bin").tobytes()
+                    == rep.final.tobytes())
+            write_series_csv(tmp_path / "one.csv", {
+                "t": rep.times, "l2_norm": rep.l2_series,
+                "u_value": rep.u_series, "births": rep.births_series})
+            assert ((out / f"path_{m:05d}_direct.csv").read_bytes()
+                    == (tmp_path / "one.csv").read_bytes())
+
+    def test_path_output_independent_of_chunking(self, tmp_path):
+        path = str(MODELS / "sample1d.ini")
+        trees = []
+        for n in (3, 9):
+            out = tmp_path / f"n{n}"
+            run(RunConfig(model_path=path, solver="direct", n_paths=n,
+                          base_seed=6, out_dir=str(out), snapshot_stride=1))
+            trees.append(tree_bytes(out))
+        for m in range(3):
+            for ext in ("bin", "csv"):
+                key = Path(f"path_{m:05d}_direct.{ext}")
+                assert trees[0][key] == trees[1][key]
+
+
+    def test_pool_over_chunks_matches_serial(self, tmp_path):
+        # two chunks spread over two worker processes
+        path = str(MODELS / "sample1d.ini")
+        trees = []
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            run(RunConfig(model_path=path, solver="direct", n_paths=9,
+                          base_seed=8, out_dir=str(out), snapshot_stride=1,
+                          workers=workers))
+            trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+
+    def test_failed_direct_path_stays_with_its_path(self, grid1d):
+        # fertility turns NaN once a path's population passes a threshold
+        # that only some paths reach; the chunk's march fails as a whole,
+        # so the chunk is solved path by path and only those paths fail
+        from conftest import build_model, linear_rates
+        from stochage.ensemble import _solve_paths
+        from stochage.rates import CustomRate
+
+        def model_with(m0):
+            rates = dataclasses.replace(linear_rates(), m0=m0,
+                                        gamma=sa.ConstantRate(1.0))
+            return build_model(grid1d, rates=rates,
+                               amplitudes=(sa.constant_amplitude(0.8, 1),))
+
+        cfg = sa.SolverConfig(snapshot_stride=0)
+        bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in range(6)]
+        peaks = [rep.u_series.max() for rep in
+                 sa.solve_direct_batch(model_with(sa.ConstantRate(0.6)), bundles, cfg)]
+        cut = float(np.median(peaks))
+        model = model_with(CustomRate(
+            fn=lambda t, a, x, r: np.nan if r > cut else 0.6, sup=0.6))
+        out = _solve_paths("direct", model, bundles, cfg)
+        failed = [isinstance(r, sa.StochageError) for r in out]
+        assert 0 < sum(failed) < len(out)
+        for rep, bundle, bad in zip(out, bundles, failed):
+            if not bad:
+                assert rep.final.tobytes() == sa.solve_direct(model, bundle, cfg).final.tobytes()
+
+
+SINE_MODEL = NOISY_MODEL.replace("mu1 = cosine:0.2:1", "mu1 = sine:0.2:1")
+
+
+class TestModelBoundary:
+    def test_sine_amplitude_rejected_on_rescaled_route(self, tmp_path):
+        # the rescaled route keeps alpha unchanged, which is only valid for
+        # amplitudes with zero normal derivative; the direct route has no
+        # such restriction
+        p = tmp_path / "sine.ini"
+        p.write_text(SINE_MODEL)
+        args = ["run", "--model", str(p), "--paths", "2"]
+        assert main(args + ["--out", str(tmp_path / "r"), "--solver", "rescaled"]) == 3
+        assert main(args + ["--out", str(tmp_path / "d"), "--solver", "direct"]) == 0
+
+    def test_edited_model_file_is_parsed_again(self, tmp_path):
+        p = tmp_path / "m.ini"
+        p.write_text(NOISY_MODEL)
+        first = run(RunConfig(model_path=str(p), solver="direct", n_paths=2,
+                              out_dir=str(tmp_path / "a")))
+        p.write_text(NOISY_MODEL.replace("t_final = 0.5", "t_final = 0.25"))
+        second = run(RunConfig(model_path=str(p), solver="direct", n_paths=2,
+                               out_dir=str(tmp_path / "b")))
+        assert first.exit_code == second.exit_code == 0
+        t1 = (tmp_path / "a" / "totals_direct.csv").read_text().splitlines()
+        t2 = (tmp_path / "b" / "totals_direct.csv").read_text().splitlines()
+        assert t1[-1].startswith("0.5,") and t2[-1].startswith("0.25,")
+        assert _cached_model(str(p), 1)[0].grid.T == 0.25
 
 
 class TestConvergenceStudy:

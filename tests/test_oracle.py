@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ import stochage as sa
 from stochage.ensemble import fit_order
 from stochage.noise import coarsen
 from stochage.oracle import _DirectContext, em_step
+from stochage.rates import CustomRate
 
-from conftest import build_model, linear_rates, smooth_p0
+from conftest import build_model, linear_rates, logistic_rates, smooth_p0
 
 
 def gbm_model(n_t, p0_value=2.0):
@@ -133,12 +136,14 @@ class TestSolveDirect:
                                 p0=smooth_p0(grid, decay=2.0, ripple=0.3))
         det = sa.solve_direct(det_model, sa.sample_bundle(0, 1, n_t, grid.T),
                               sa.SolverConfig(snapshot_stride=0)).final
+        cfg = sa.SolverConfig(snapshot_stride=0)
         for M, z in ((100, 3.3), (1000, 3.3)):
-            finals = np.zeros((M,) + grid.field_shape)
-            for m in range(M):
-                b = sa.sample_bundle(7000 + m, 1, n_t, grid.T)
-                finals[m] = sa.solve_direct(model, b,
-                                            sa.SolverConfig(snapshot_stride=0)).final
+            bundles = [sa.sample_bundle(7000 + m, 1, n_t, grid.T) for m in range(M)]
+            finals = np.stack([rep.final for rep in
+                               sa.solve_direct_batch(model, bundles, cfg)])
+            for m in range(50):
+                one = sa.solve_direct(model, bundles[m], cfg).final
+                assert finals[m].tobytes() == one.tobytes()
             mean = finals.mean(axis=0)
             half = z * finals.std(axis=0, ddof=1) / np.sqrt(M)
             # probe a handful of interior cells
@@ -151,3 +156,82 @@ class TestSolveDirect:
         rep = sa.solve_direct(linear_model, bundle, sa.SolverConfig())
         assert rep.variable == "p"
         assert rep.solver == "direct"
+
+
+def same_report(a, b) -> bool:
+    """Bitwise equality of every field of two solve reports."""
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if isinstance(x, np.ndarray):
+            if x.shape != y.shape or x.tobytes() != y.tobytes():
+                return False
+        elif x != y and not (isinstance(x, float) and x != x and y != y):
+            return False
+    return True
+
+
+def strong_custom_model(grid):
+    """r-dependent custom fertility, a time-dependent Robin coefficient and
+    noise strong enough to trip the overshoot flag on some paths."""
+    rates = sa.VitalRates(
+        mu_s=sa.LogisticRate(0.1, 0.5, 2.0, 0.5),
+        m0=CustomRate(fn=lambda t, a, x, r: 0.5 + 0.1 * np.tanh(r) + 0 * a, sup=0.6),
+        gamma=sa.ConstantRate(1.0), k0=sa.ConstantRate(0.05),
+        alpha0=CustomRate(fn=lambda t, a, x, r: 0.1 + t + 0 * a, sup=1.0))
+    return build_model(grid, rates=rates,
+                       amplitudes=(sa.cosine_amplitude(2.0, (1,), (1.0,)),
+                                   sa.constant_amplitude(1.5, 1)))
+
+
+def bundles_for(model, seeds):
+    g = model.grid
+    return [sa.sample_bundle(s, model.noise.n_modes, g.n_t, g.T) for s in seeds]
+
+
+class TestSolveDirectBatch:
+    @pytest.fixture(params=["logistic1d", "logistic2d", "custom"])
+    def model(self, request, grid1d, grid2d):
+        if request.param == "logistic1d":
+            return build_model(grid1d, rates=logistic_rates(),
+                               amplitudes=(sa.cosine_amplitude(0.2, (1,), (1.0,)),
+                                           sa.age_polynomial_amplitude((0.1, 0.1), 1)))
+        if request.param == "logistic2d":
+            model = build_model(grid2d, rates=logistic_rates(),
+                                amplitudes=(sa.cosine_amplitude(0.2, (1, 1),
+                                                                grid2d.extent),))
+            return dataclasses.replace(model, region=sa.SubDomain((0.0, 0.0), (0.5, 1.0)))
+        return strong_custom_model(grid1d)
+
+    def test_each_path_matches_one_path_march(self, model):
+        cfg = sa.SolverConfig(snapshot_stride=3)
+        bundles = bundles_for(model, range(20, 29))
+        batch = sa.solve_direct_batch(model, bundles, cfg)
+        assert len(batch) == len(bundles)
+        for rep, bundle in zip(batch, bundles):
+            assert same_report(rep, sa.solve_direct(model, bundle, cfg))
+
+    def test_result_independent_of_batch(self, model):
+        # a path's report does not depend on its neighbours or its position
+        cfg = sa.SolverConfig(snapshot_stride=1)
+        bundles = bundles_for(model, range(40, 48))
+        whole = sa.solve_direct_batch(model, bundles, cfg)
+        part = sa.solve_direct_batch(model, bundles[5:2:-1], cfg)
+        for rep, j in zip(part, (5, 4, 3)):
+            assert same_report(rep, whole[j])
+
+    def test_overshoot_counted_per_path(self, grid1d):
+        model = strong_custom_model(grid1d)
+        bundles = bundles_for(model, range(8))
+        batch = sa.solve_direct_batch(model, bundles, sa.SolverConfig())
+        counts = [rep.noise_factor_warnings for rep in batch]
+        assert max(counts) > 0 and min(counts) < max(counts)
+        assert counts == [sa.solve_direct(model, b).noise_factor_warnings
+                          for b in bundles]
+
+    def test_bundle_checks(self, linear_model):
+        grid = linear_model.grid
+        good = sa.sample_bundle(0, 1, grid.n_t, grid.T)
+        short = sa.sample_bundle(1, 1, grid.n_t // 2, grid.T)
+        with pytest.raises(sa.ConfigurationError):
+            sa.solve_direct_batch(linear_model, [good, short])
+        assert sa.solve_direct_batch(linear_model, []) == []

@@ -46,6 +46,37 @@ class TestFamilies:
         assert r.lipschitz(5.0) == pytest.approx(2.0 * 0.25)
 
 
+class TestPathVector:
+    @pytest.mark.parametrize("rate", [
+        sa.ConstantRate(0.4),
+        sa.LogisticRate(0.1, 0.5, 2.0, 0.5),
+        sa.AgeProfileRate((0.0, 0.5, 1.0), (0.2, 1.0, 0.1)),
+        sa.AgeWindowRate(0.25, 0.75, 2.0),
+        sa.ProductRate(sa.AgeWindowRate(0.0, 0.6, 2.0),
+                       sa.LogisticRate(0.2, -0.1, 3.0, 1.0)),
+        CustomRate(fn=lambda t, a, x, r: 0.3 + 0.1 * np.tanh(r) * a + 0 * x[0],
+                   sup=0.4),
+    ], ids=lambda r: type(r).__name__)
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_vector_u_matches_scalar_calls(self, rate, dim, grid1d, grid2d):
+        # one evaluation per path, stacked, is the batched evaluation bit for bit
+        grid = grid1d if dim == 1 else grid2d
+        u = np.array([-3.7, 0.0, 0.5, 1e-3, 2.25, 40.0])
+        batched = evaluate_on_grid(rate, grid, 0.3, u)
+        serial = [evaluate_on_grid(rate, grid, 0.3, float(v)) for v in u]
+        full = np.broadcast_to(batched, u.shape + grid.field_shape)
+        for j, one in enumerate(serial):
+            assert one.shape == grid.field_shape
+            assert full[j].tobytes() == np.ascontiguousarray(one).tobytes()
+
+    def test_u_free_families_broadcast(self, grid1d):
+        u = np.linspace(0.0, 1.0, 5)
+        for rate in (sa.ConstantRate(1.0), sa.AgeWindowRate(0.2, 0.4, 1.0)):
+            assert evaluate_on_grid(rate, grid1d, 0.0, u).shape == grid1d.field_shape
+        logistic = evaluate_on_grid(sa.LogisticRate(0.1, 0.5, 2.0), grid1d, 0.0, u)
+        assert logistic.shape == (5,) + grid1d.field_shape
+
+
 class TestValidateRates:
     def test_constant_within_bounds_passes(self, grid1d):
         rates = sa.VitalRates(mu_s=sa.ConstantRate(0.5))

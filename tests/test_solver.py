@@ -6,7 +6,8 @@ import stochage as sa
 from stochage.errors import (ConfigurationError, InsufficientDataError,
                              NonconvergenceError)
 from stochage.grid import Face, boundary_faces
-from stochage.solver import (TruncationGuard, diffusion_substep, renewal_row,
+from stochage.solver import (DiffusionFactors, TruncationGuard,
+                             diffusion_substep, renewal_row,
                              transport_reaction_substep, tridiagonal_solve,
                              truncate_argument)
 
@@ -186,6 +187,36 @@ class TestDiffusion:
         out = diffusion_substep(vals, zero_faces(grid), zero_faces(grid),
                                 grid, grid.dt)
         assert np.array_equal(out, vals)
+
+
+class TestDiffusionFactors:
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_kept_factors_match_fresh_ones(self, dim, grid1d, grid2d):
+        # a kept factorization gives the bits of a fresh one, and a change
+        # of the Robin coefficient (as a time-dependent alpha0 makes) is
+        # picked up on the next call
+        grid = grid1d if dim == 1 else grid2d
+        rng = np.random.default_rng(3)
+        factors = DiffusionFactors()
+        k = {f: 0.1 * rng.random(z.shape) for f, z in zero_faces(grid).items()}
+        for step, a in enumerate((0.2, 0.2, 0.7, 0.2)):
+            alpha = {f: np.full_like(z, a) for f, z in zero_faces(grid).items()}
+            vals = rng.random((3,) + grid.field_shape)
+            kept = diffusion_substep(vals, alpha, k, grid, grid.dt, factors)
+            fresh = diffusion_substep(vals, alpha, k, grid, grid.dt)
+            assert kept.tobytes() == np.ascontiguousarray(fresh).tobytes(), step
+            for j in range(3):
+                one = diffusion_substep(vals[j], alpha, k, grid, grid.dt)
+                assert kept[j].tobytes() == np.ascontiguousarray(one).tobytes()
+
+    def test_refactors_only_on_change(self, grid1d):
+        factors = DiffusionFactors()
+        alpha = {f: np.full_like(z, 0.2) for f, z in zero_faces(grid1d).items()}
+        first = factors.get(alpha, grid1d, grid1d.dt)
+        assert factors.get(dict(alpha), grid1d, grid1d.dt) is first
+        alpha[Face(0, 1)] = alpha[Face(0, 1)] + 0.1
+        assert factors.get(alpha, grid1d, grid1d.dt) is not first
+        assert factors.get(alpha, grid1d, grid1d.dt / 2) is not first
 
 
 class TestRenewal:
