@@ -22,9 +22,8 @@ from .noise import (Amplitude, BrownianBundle, NoiseSpec,
 from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, InitialData,
                     LogisticRate, ProductRate, VitalRates, initial_field,
                     validate_rates)
-from .rescale import (RescaleConstants, RescaledCoefficients,
-                      backward_transform, build_coefficients,
-                      forward_transform, rescale_constants)
+from .rescale import (RescaledCoefficients, backward_transform,
+                      forward_transform)
 from .solver import (SolveReport, SolverConfig, StepResult, TruncationGuard,
                      picard_step_solve, solve_rescaled, truncate_argument)
 from .oracle import solve_direct, solve_direct_batch

@@ -11,6 +11,7 @@ configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -22,7 +23,6 @@ from .errors import ConfigurationError, StochageError
 from .fileio import (ensure_dir, save_bundle, save_field, write_check_report,
                      write_series_csv)
 from .grid import l2_norm
-from .noise import coarsen, sample_bundle
 from .oracle import solve_direct
 from .solver import solve_rescaled
 
@@ -78,32 +78,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args, solver: str, n_paths: int, workers: int) -> int:
+def _cmd_run(args) -> int:
     config = ens.RunConfig(
-        model_path=args.model, solver=solver, level=args.level,
-        n_paths=n_paths, base_seed=args.seed, out_dir=args.out,
-        snapshot_stride=args.stride, workers=workers)
+        model_path=args.model, solver=args.solver, level=args.level,
+        n_paths=args.paths, base_seed=args.seed, out_dir=args.out,
+        snapshot_stride=args.stride, workers=args.workers)
     result = ens.run(config)
     if getattr(args, "save_bundle", False):
-        model, _ = ens._cached_model(args.model, 2 ** args.level)
-        master, _ = ens._cached_model(args.model, 1)
-        bundle = coarsen(
-            sample_bundle(ens.path_seed(args.seed, 0), model.noise.n_modes,
-                          master.grid.n_t, master.grid.T),
-            master.grid.n_t // model.grid.n_t)
-        save_bundle(Path(args.out) / "bundle_path00000.bin", bundle)
+        save_bundle(Path(args.out) / "bundle_path00000.bin",
+                    ens.path_bundle(args.model, args.level, args.seed, 0))
     return result.exit_code
 
 
 def _cmd_compare(args) -> int:
-    import dataclasses
-
     model, cfg = ens._cached_model(args.model, 2 ** args.level)
-    master, _ = ens._cached_model(args.model, 1)
-    bundle = coarsen(
-        sample_bundle(ens.path_seed(args.seed, 0), model.noise.n_modes,
-                      master.grid.n_t, master.grid.T),
-        master.grid.n_t // model.grid.n_t)
+    bundle = ens.path_bundle(args.model, args.level, args.seed, 0)
     cfg = dataclasses.replace(cfg, snapshot_stride=args.stride if args.stride else 0)
     rep_r = solve_rescaled(model, bundle, cfg)
     rep_d = solve_direct(model, bundle, cfg)
@@ -131,15 +120,10 @@ def _cmd_convergence(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    import dataclasses
-
-    from .modelfile import parse_model
     from .rates import validate_rates
 
-    model, cfg = parse_model(args.model)
-    master_n_t = model.grid.n_t
-    bundle = sample_bundle(ens.path_seed(args.seed, 0), model.noise.n_modes,
-                           master_n_t, model.grid.T)
+    model, cfg = ens._cached_model(args.model, 1)
+    bundle = ens.path_bundle(args.model, 0, args.seed, 0)
     cfg = dataclasses.replace(cfg, snapshot_stride=1)
     report = solve_rescaled(model, bundle, cfg)
     consts = estimates.constants_for_run(model, bundle, c0=cfg.c0, c1=cfg.c1)
@@ -168,9 +152,9 @@ def _cmd_check(args) -> int:
 
     # weak residual decreases under one refinement of the stored run
     res_fine = estimates.weak_residual_random(report, model, bundle).max_abs
-    coarse_model, coarse_cfg = parse_model(args.model, coarsen=2)
+    coarse_model, coarse_cfg = ens._cached_model(args.model, 2)
     coarse_cfg = dataclasses.replace(coarse_cfg, snapshot_stride=1)
-    coarse_bundle = coarsen(bundle, 2)
+    coarse_bundle = ens.path_bundle(args.model, 1, args.seed, 0)
     rep_c = solve_rescaled(coarse_model, coarse_bundle, coarse_cfg)
     res_coarse = estimates.weak_residual_random(rep_c, coarse_model,
                                                 coarse_bundle).max_abs
@@ -183,17 +167,14 @@ def _cmd_check(args) -> int:
 
 
 def _perturbed_model(model, delta: float):
-    from .model import PopulationModel
-    from .rates import InitialData
     from .grid import Field
+    from .rates import InitialData
 
     bump = Field.from_function(
         model.grid, lambda a, *x: delta * np.exp(-((a - 0.3 * model.grid.a_max)
                                                    / (0.2 * model.grid.a_max)) ** 2))
     p0 = Field(model.initial.p0.values + bump.values, model.grid)
-    return PopulationModel(grid=model.grid, rates=model.rates,
-                           noise=model.noise, initial=InitialData(p0),
-                           region=model.region)
+    return dataclasses.replace(model, initial=InitialData(p0))
 
 
 def main(argv=None) -> int:
@@ -203,10 +184,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        if args.command == "run":
-            return _cmd_run(args, args.solver, args.paths, args.workers)
-        if args.command == "ensemble":
-            return _cmd_run(args, args.solver, args.paths, args.workers)
+        if args.command in ("run", "ensemble"):
+            return _cmd_run(args)
         if args.command == "compare":
             return _cmd_compare(args)
         if args.command == "convergence":

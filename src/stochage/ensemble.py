@@ -13,16 +13,18 @@ configuration.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigurationError, StochageError
 from .fileio import ensure_dir, save_field, write_series_csv
-from .grid import Grid, l2_norm, weighted_population
+from .grid import Field, Grid, l2_norm, weighted_population
 from .model import PopulationModel
 from .noise import BrownianBundle, coarsen, evaluate_noise, sample_bundle
 from .oracle import solve_direct, solve_direct_batch
@@ -51,7 +53,12 @@ class RunConfig:
     out_dir: str | None = None
     snapshot_stride: int = 0
     workers: int = 1
-    checks: bool = False
+
+    def __post_init__(self):
+        if self.n_paths < 1 or self.snapshot_stride < 0 or self.base_seed < 0:
+            raise ConfigurationError(
+                f"need paths >= 1, stride >= 0 and seed >= 0; got paths "
+                f"{self.n_paths}, stride {self.snapshot_stride}, seed {self.base_seed}")
 
     def solvers(self) -> tuple[str, ...]:
         if self.solver == "both":
@@ -63,6 +70,8 @@ class RunConfig:
 
 def path_seed(base_seed: int, index: int) -> int:
     """Derived seed for one ensemble path (documented, stable scheme)."""
+    if base_seed < 0:
+        raise ConfigurationError(f"a seed must be nonnegative, got {base_seed}")
     return int(np.random.SeedSequence(base_seed, spawn_key=(index,)).generate_state(1)[0])
 
 
@@ -83,6 +92,17 @@ def _parse_model(digest: str, coarsen_factor: int, path: str):
     from .modelfile import parse_model
 
     return parse_model(path, coarsen=coarsen_factor)
+
+
+def path_bundle(model_path: str, level: int, base_seed: int,
+                index: int) -> BrownianBundle:
+    """Brownian bundle of ensemble path ``index`` at coarsening ``level``:
+    sampled on the master grid from :func:`path_seed`, then coarsened."""
+    master, _ = _cached_model(model_path, 1)
+    model, _ = _cached_model(model_path, 2 ** level)
+    bundle = sample_bundle(path_seed(base_seed, index), master.noise.n_modes,
+                           master.grid.n_t, master.grid.T)
+    return coarsen(bundle, master.grid.n_t // model.grid.n_t)
 
 
 def path_chunks(n_paths: int, grid: Grid) -> list[range]:
@@ -106,8 +126,7 @@ def density_at(report: SolveReport, model: PopulationModel,
     if report.variable == "p":
         return vals
     nf = evaluate_noise(model.noise, bundle, t_index, model.grid)
-    w = np.exp(nf.value)
-    return w * vals
+    return forward_transform(Field(vals, model.grid), nf.value).values
 
 
 def mass_series(report: SolveReport, model: PopulationModel,
@@ -149,21 +168,15 @@ def _solve_paths(name: str, model: PopulationModel, bundles: list,
     return out
 
 
-def _run_chunk(args) -> list[dict]:
-    (model_path, coarse, base_seed, indices, solvers, stride, out_dir,
-     master_n_t, save_snapshots) = args
-    model, cfg = _cached_model(model_path, coarse)
-    cfg_local = SolverConfig(**{**cfg.__dict__})
-    cfg_local.snapshot_stride = stride
-    results, bundles = [], []
-    for index in indices:
-        seed = path_seed(base_seed, index)
-        master = sample_bundle(seed, model.noise.n_modes, master_n_t,
-                               model.grid.T)
-        bundles.append(coarsen(master, master_n_t // model.grid.n_t))
-        results.append({"index": index, "seed": seed, "solvers": {}})
-    for name in solvers:
-        reports = _solve_paths(name, model, bundles, cfg_local)
+def _run_chunk(config: RunConfig, indices: range, out_dir: str | None) -> list[dict]:
+    model, cfg = _cached_model(config.model_path, 2 ** config.level)
+    cfg = dataclasses.replace(cfg, snapshot_stride=config.snapshot_stride)
+    bundles = [path_bundle(config.model_path, config.level, config.base_seed, index)
+               for index in indices]
+    results = [{"index": index, "seed": bundle.seed, "solvers": {}}
+               for index, bundle in zip(indices, bundles)]
+    for name in config.solvers():
+        reports = _solve_paths(name, model, bundles, cfg)
         for result, bundle, report in zip(results, bundles, reports):
             index = result["index"]
             entry: dict = {"status": "converged"}
@@ -180,7 +193,7 @@ def _run_chunk(args) -> list[dict]:
                 picard_max=int(report.picard_iterations.max()) if len(report.picard_iterations) else 0,
                 truncations=report.guard.activations if report.guard else 0,
             )
-            if out_dir is not None and save_snapshots:
+            if out_dir is not None and config.snapshot_stride > 0:
                 save_field(Path(out_dir) / f"path_{index:05d}_{name}.bin", p_final)
                 write_series_csv(
                     Path(out_dir) / f"path_{index:05d}_{name}.csv",
@@ -218,20 +231,15 @@ def run(config: RunConfig) -> RunResult:
     artifacts.
     """
     solvers = config.solvers()
-    coarse = 2 ** config.level
-    model_master, _ = _cached_model(config.model_path, 1)
-    model, _ = _cached_model(config.model_path, coarse)
+    model, _ = _cached_model(config.model_path, 2 ** config.level)
     out_dir = str(ensure_dir(config.out_dir)) if config.out_dir else None
-    save_snaps = config.snapshot_stride > 0
 
-    args = [(config.model_path, coarse, config.base_seed, chunk, solvers,
-             config.snapshot_stride, out_dir, model_master.grid.n_t, save_snaps)
-            for chunk in path_chunks(config.n_paths, model.grid)]
+    ranges = path_chunks(config.n_paths, model.grid)
     if config.workers > 1 and config.n_paths > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            chunks = list(pool.map(_run_chunk, args))
+            chunks = list(pool.map(_run_chunk, repeat(config), ranges, repeat(out_dir)))
     else:
-        chunks = [_run_chunk(a) for a in args]
+        chunks = [_run_chunk(config, r, out_dir) for r in ranges]
     results = [res for chunk in chunks for res in chunk]
 
     stats = EnsembleStats(n_paths=config.n_paths)
@@ -361,8 +369,7 @@ def convergence_study(model_path: str, levels: int, seed: int = 0,
         factor = 2 ** lev
         model, _ = _cached_model(model_path, factor)
         bundle = coarsen(master, factor)
-        cfg = SolverConfig(**{**base_cfg.__dict__})
-        cfg.snapshot_stride = 0
+        cfg = dataclasses.replace(base_cfg, snapshot_stride=0)
         rep_r = solve_rescaled(model, bundle, cfg)
         rep_d = solve_direct(model, bundle, cfg)
         p_r = density_final(rep_r, model, bundle)

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import (Face, Grid, boundary_faces, face_measure, face_meshes,
+from .grid import (Face, Grid, boundary_faces, face_measure, face_shape,
                    gradient_energy, l2_norm, weighted_population)
 from .model import PopulationModel
-from .noise import BrownianBundle
-from .rates import VitalRates, evaluate_gamma, evaluate_on_grid
-from .rescale import RescaledCoefficients, build_coefficients
+from .noise import AmplitudeGrids, BrownianBundle
+from .rates import VitalRates, evaluate_gamma, evaluate_on_faces, evaluate_on_grid
+from .rescale import RescaledCoefficients
 
 
 # ---------------------------------------------------------------------------
@@ -104,7 +104,7 @@ def constants_for_run(model: PopulationModel,
     if coeffs is None:
         if bundle is None:
             raise ConfigurationError("either a bundle or coefficients are required")
-        coeffs = build_coefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, bundle)
     sups = coeffs.coefficient_sups()
     return compute_constants(
         model.rates, c0=c0, c1=c1, g1_sup=sups.g1_sup, g2_sup=sups.g2_sup,
@@ -139,14 +139,14 @@ def apriori_check(report, consts: EstimateConstants) -> np.ndarray:
     left = sq + _cumtrapz(report.exit_trace_series, dt) \
         + _cumtrapz(sq + report.gradient_energy_series, dt)
     right = consts.c_est * (sq[0] + _cumtrapz(report.k_norm_sq_series, dt))
-    margins = np.empty_like(left)
-    for i, (l, r) in enumerate(zip(left, right)):
-        if r > 0:
-            margins[i] = l / r
-        else:
-            margins[i] = 0.0 if l <= 1e-300 else np.inf
-    report.apriori_margin = margins
-    return margins
+    return np.array([_ratio(l, r) for l, r in zip(left, right)])
+
+
+def _ratio(left: float, right: float) -> float:
+    """``left / right``, counting a zero-over-zero as 0 (a pass)."""
+    if right > 0:
+        return left / right
+    return 0.0 if left <= 1e-300 else np.inf
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +206,8 @@ def dependence_check(report1, report2, consts1: EstimateConstants,
                          + cbar * (g1_diff_sup ** 2 + g2_diff_sup ** 2
                                    + alpha_diff_sup ** 2)
                          + k_diff_sq_integral)
-    if right > 0:
-        ratio = left / right
-    else:
-        ratio = 0.0 if left <= 1e-300 else np.inf
-    return DependenceResult(difference_energy=left, data_energy=right, ratio=ratio)
+    return DependenceResult(difference_energy=left, data_energy=right,
+                            ratio=_ratio(left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +252,12 @@ class TestFunction:
             self.A = self.A * xm ** d
             self.A_a = self.A_a * xm ** d
         self.face_values = {}
-        for face in boundary_faces(grid):
-            ages, coords = face_meshes(grid, face)
+        for face, (ages, coords) in grid.boundary_meshes.items():
             val = (ages / grid.a_max) ** deg_a if deg_a else np.asarray(1.0)
             for axis, d in enumerate(deg_x):
                 c = coords[axis] / grid.extent[axis]
                 val = val * np.asarray(c, dtype=float) ** d
-            shape = (grid.n_a + 1,) + tuple(
-                m for ax, m in enumerate(grid.n_x) if ax != face.axis)
-            self.face_values[face] = np.broadcast_to(val, shape)
+            self.face_values[face] = np.broadcast_to(val, face_shape(grid, face))
 
     def phi(self, t: float) -> float:
         s = t / self.grid.T
@@ -338,7 +332,7 @@ def weak_residual_random(report, model: PopulationModel,
     traj = report.trajectory  # raises when stored with stride > 1
     grid = report.grid
     if coeffs is None:
-        coeffs = build_coefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, bundle)
     gamma_vals = evaluate_gamma(model.rates, grid)
     psis = build_test_functions(grid, n_psi)
     tw = _time_weights(grid.n_t, grid.dt)
@@ -404,8 +398,6 @@ def weak_residual_stochastic(report, model: PopulationModel,
         raise ConfigurationError("the stochastic residual expects a density report")
     traj = report.trajectory
     grid = report.grid
-    from .noise import AmplitudeGrids
-
     amp = AmplitudeGrids(model.noise, grid)
     gamma_vals = evaluate_gamma(model.rates, grid)
     psis = [p for p in build_test_functions(grid, 64) if p.q_t == 0][:n_psi]
@@ -424,6 +416,8 @@ def weak_residual_stochastic(report, model: PopulationModel,
         m0 = evaluate_on_grid(model.rates.m0, grid, t, u_val)
         grads = _cell_gradients(p, grid)
         renewal_inner = np.sum(aw * m0 * p, axis=0)
+        alpha = evaluate_on_faces(model.rates.alpha0, grid, t)
+        k = evaluate_on_faces(model.rates.k0, grid, t)
         for j, psi in enumerate(psis):
             bulk = -p * psi.A_a + mu_s * p * psi.A
             for ax in range(grid.dim):
@@ -432,11 +426,8 @@ def weak_residual_stochastic(report, model: PopulationModel,
             val += np.sum(p[-1] * psi.A[-1]) * vol
             val -= np.sum(renewal_inner * psi.A[0]) * vol
             for face in boundary_faces(grid):
-                ages, coords = face_meshes(grid, face)
-                a0 = model.rates.alpha0(t, ages, coords, 0.0)
-                k0 = model.rates.k0(t, ages, coords, 0.0)
                 fv = psi.face_values[face]
-                contrib = (np.asarray(a0) * _face_trace(p, face) + np.asarray(k0)) * fv
+                contrib = (alpha[face] * _face_trace(p, face) + k[face]) * fv
                 wv = grid.age_weights.reshape((-1,) + (1,) * (contrib.ndim - 1))
                 val += float(np.sum(contrib * wv)) * face_measure(grid, face)
             res[j] += val * tw[i]

@@ -132,8 +132,15 @@ class Grid:
     def box_volume(self) -> float:
         return float(np.prod(self.extent))
 
+    @cached_property
+    def boundary_meshes(self) -> dict:
+        """:func:`face_meshes` of every boundary face, built once per grid."""
+        return {face: face_meshes(self, face) for face in boundary_faces(self)}
+
     def coarsen_time(self, factor: int) -> "Grid":
         """Grid with n_t (and n_a in aligned mode) divided by ``factor``."""
+        if factor < 1:
+            raise ConfigurationError(f"coarsening factor must be at least 1, got {factor}")
         if factor == 1:
             return self
         if self.n_t % factor:
@@ -186,9 +193,6 @@ class Field:
             fn(grid.age_mesh, *grid.space_meshes), grid.field_shape
         )
         return cls(vals, grid)
-
-    def with_values(self, values) -> "Field":
-        return Field(values, self.grid)
 
     def __add__(self, other: "Field") -> "Field":
         self._check_same_grid(other)
@@ -315,10 +319,6 @@ class Face:
 
     def coordinate(self, grid: Grid) -> float:
         return 0.0 if self.side == 0 else grid.extent[self.axis]
-
-    def normal_sign(self) -> float:
-        """Sign of the outward normal component along ``axis``."""
-        return -1.0 if self.side == 0 else 1.0
 
 
 def boundary_faces(grid: Grid) -> tuple[Face, ...]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, boundary_faces, face_meshes
+from .grid import Field, Grid, face_shape
 
 
 @dataclass(frozen=True)
@@ -148,8 +148,7 @@ class NoiseSpec:
         """
         worst = 0.0
         for amp in self.amplitudes:
-            for face in boundary_faces(grid):
-                ages, coords = face_meshes(grid, face)
+            for face, (ages, coords) in grid.boundary_meshes.items():
                 g = np.asarray(amp.grad[face.axis](ages, *coords), dtype=float)
                 mag = float(np.max(np.abs(g))) if g.size else 0.0
                 if amp.neumann_compatible and mag > tol:
@@ -185,13 +184,11 @@ class AmplitudeGrids:
                 self.gradients[axis][j] = np.broadcast_to(
                     amp.grad[axis](am, *xm), grid.field_shape)
         self.face_values = {}
-        for face in boundary_faces(grid):
-            ages, coords = face_meshes(grid, face)
-            fshape = (n, grid.n_a + 1) + tuple(
-                m for ax, m in enumerate(grid.n_x) if ax != face.axis)
-            vals = np.zeros(fshape)
+        for face, (ages, coords) in grid.boundary_meshes.items():
+            fshape = face_shape(grid, face)
+            vals = np.zeros((n,) + fshape)
             for j, amp in enumerate(spec.amplitudes):
-                vals[j] = np.broadcast_to(amp.fn(ages, *coords), fshape[1:])
+                vals[j] = np.broadcast_to(amp.fn(ages, *coords), fshape)
             self.face_values[face] = vals
 
 
@@ -228,10 +225,6 @@ class BrownianBundle:
     def n_t(self) -> int:
         return self.increments.shape[1]
 
-    @property
-    def horizon(self) -> float:
-        return self.dt * self.n_t
-
 
 def sample_bundle(seed: int, n_paths: int, n_t: int, T: float) -> BrownianBundle:
     """Sample i.i.d. Gaussian increments, one reproducible stream per path.
@@ -239,6 +232,8 @@ def sample_bundle(seed: int, n_paths: int, n_t: int, T: float) -> BrownianBundle
     Path ``j`` draws from ``SeedSequence(seed, spawn_key=(j,))``, so any
     subset of paths can be regenerated independently of worker scheduling.
     """
+    if seed < 0:
+        raise ConfigurationError(f"a seed must be nonnegative, got {seed}")
     if n_t < 2:
         raise ConfigurationError("a bundle needs at least 2 time steps")
     if n_paths < 1:

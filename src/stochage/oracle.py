@@ -32,29 +32,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import (Grid, boundary_faces, boundary_norm_sq, face_meshes,
-                   gradient_energy, l2_norm, weighted_population)
+from .grid import Grid, weighted_population
 from .model import PopulationModel
 from .noise import AmplitudeGrids, BrownianBundle, ito_correction
-from .rates import evaluate_gamma, evaluate_on_grid
-from .solver import (DiffusionFactors, SolveReport, SolverConfig,
-                     _snapshot_indices, diffusion_substep, renewal_row,
-                     transport_reaction_substep)
+from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
+from .solver import (DiffusionFactors, SolveReport, SolverConfig, StepResult,
+                     _march, _split_step)
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class _DirectContext:
-    """Pre-sampled amplitude values, boundary meshes and the diffusion
-    factorization for one march."""
+    """Pre-sampled amplitude values and the diffusion factorization for
+    one march."""
 
     model: PopulationModel
     grid: Grid
     amp_values: np.ndarray          # (N, *field_shape)
     mu: np.ndarray                  # Ito correction (1/2) sum_j mu_j^2
     gamma: np.ndarray
-    face_mesh: dict
     factors: DiffusionFactors = field(default_factory=DiffusionFactors)
 
     @classmethod
@@ -63,17 +60,10 @@ class _DirectContext:
         grids = AmplitudeGrids(model.noise, grid)
         return cls(model=model, grid=grid, amp_values=grids.values,
                    mu=ito_correction(model.noise, grid, grids).values,
-                   gamma=evaluate_gamma(model.rates, grid),
-                   face_mesh={f: face_meshes(grid, f) for f in boundary_faces(grid)})
+                   gamma=evaluate_gamma(model.rates, grid))
 
     def boundary(self, rate, t: float) -> dict:
-        out = {}
-        for f, (ages, coords) in self.face_mesh.items():
-            vals = np.asarray(rate(t, ages, coords, 0.0), dtype=float)
-            shape = (self.grid.n_a + 1,) + tuple(
-                n for ax, n in enumerate(self.grid.n_x) if ax != f.axis)
-            out[f] = vals if vals.shape == shape else np.broadcast_to(vals, shape)
-        return out
+        return evaluate_on_faces(rate, self.grid, t)
 
 
 def _shock(increments: np.ndarray, ctx: _DirectContext, dt: float,
@@ -118,18 +108,12 @@ def em_step(p: np.ndarray, increments: np.ndarray, ctx: _DirectContext,
     """
     model, grid = ctx.model, ctx.grid
     mu_s = evaluate_on_grid(model.rates.mu_s, grid, t_new, u_prev)
-    v, cfl = transport_reaction_substep(p, None, mu_s, None, grid, dt)
     m0 = evaluate_on_grid(model.rates.m0, grid, t_new, u_prev)
-    v[grid.rows(0)] = renewal_row(v, m0, grid)
+    faces = None
     if include_diffusion:
-        if alpha is None:
-            alpha = ctx.boundary(model.rates.alpha0, t_new)
-        if k0 is None:
-            k0 = ctx.boundary(model.rates.k0, t_new)
-        inner = grid.rows(np.s_[1:])
-        v[inner] = diffusion_substep(
-            v[inner], {f: a[1:] for f, a in alpha.items()},
-            {f: q[1:] for f, q in k0.items()}, grid, dt, ctx.factors)
+        faces = (ctx.boundary(model.rates.alpha0, t_new) if alpha is None else alpha,
+                 ctx.boundary(model.rates.k0, t_new) if k0 is None else k0)
+    v, cfl = _split_step(p, None, mu_s, None, m0, faces, grid, dt, ctx.factors)
     shock = _shock(increments, ctx, dt, scheme)
     overshoot = bool(shock.size) and bool(shock.max() > 1.0 or shock.min() < -1.0)
     v *= 1.0 + shock
@@ -158,69 +142,36 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
     batch it is solved in.
     """
     config = config or SolverConfig()
-    grid = model.grid
     for bundle in bundles:
-        if bundle.n_t != grid.n_t or abs(bundle.dt - grid.dt) > 1e-12 * grid.dt:
-            raise ConfigurationError(
-                f"bundle grid (n_t={bundle.n_t}) does not match the model grid "
-                f"(n_t={grid.n_t})")
-        if bundle.n_paths != model.noise.n_modes:
-            raise ConfigurationError("bundle paths do not match the noise modes")
+        model.check_bundle(bundle)
     if not bundles:
         return []
     ctx = _DirectContext.build(model)
-    n_p, n_t = len(bundles), grid.n_t
+    grid, rates = model.grid, model.rates
+    n_p = len(bundles)
     # (P, N, n_t): a step reads a strided column per path, like a one-path
     # march does, which keeps the noise contraction batch-independent
     increments = np.stack([b.increments for b in bundles])
-    p = np.repeat(model.initial.p0.values[None], n_p, axis=0)
-    indices = _snapshot_indices(n_t, config.snapshot_stride)
-    snapshots = np.empty((n_p, len(indices)) + grid.field_shape)
-    series = {name: np.zeros((n_p, n_t + 1)) for name in
-              ("l2", "grad", "exit", "births", "u", "k_sq")}
-    warnings = np.zeros(n_p, dtype=int)
-    space = tuple(range(1, grid.dim + 1))
-    vol = grid.cell_volume
 
-    def record(i: int, state: np.ndarray, u_val: np.ndarray, k0_faces: dict):
-        series["l2"][:, i] = l2_norm(state, grid)
-        series["grad"][:, i] = gradient_energy(state, grid)
-        series["exit"][:, i] = np.sum(state[grid.rows(-1)] ** 2, axis=space) * vol
-        series["births"][:, i] = np.sum(state[grid.rows(0)], axis=space) * vol
-        series["u"][:, i] = u_val
-        series["k_sq"][:, i] = boundary_norm_sq(k0_faces, grid)
-        pos = np.searchsorted(indices, i)
-        if pos < len(indices) and indices[pos] == i:
-            snapshots[:, pos] = state
-
-    u_prev = weighted_population(p, ctx.gamma, model.region, grid)
-    record(0, p, u_prev, ctx.boundary(model.rates.k0, 0.0))
-    for n in range(n_t):
-        t_new = grid.times[n + 1]
-        alpha = ctx.boundary(model.rates.alpha0, t_new)
-        k0 = ctx.boundary(model.rates.k0, t_new)
-        p, _, overshoot = em_step(p, increments[:, :, n], ctx, t_new, u_prev,
-                                  grid.dt, config.include_diffusion,
-                                  alpha=alpha, k0=k0, scheme=config.scheme)
+    def step(t_index: int, p: np.ndarray, u_prev: np.ndarray) -> StepResult:
+        t_new = grid.times[t_index]
+        dbeta = increments[:, :, t_index - 1]
+        k0 = ctx.boundary(rates.k0, t_new)
+        p, cfl, overshoot = em_step(p, dbeta, ctx, t_new, u_prev, grid.dt,
+                                    config.include_diffusion,
+                                    alpha=ctx.boundary(rates.alpha0, t_new),
+                                    k0=k0, scheme=config.scheme)
         if overshoot:
-            shock = _shock(increments[:, :, n], ctx, grid.dt, config.scheme)
-            warnings += np.max(np.abs(shock).reshape(n_p, -1), axis=1) > 1.0
-        u_prev = weighted_population(p, ctx.gamma, model.region, grid)
-        record(n + 1, p, u_prev, k0)
-    for count in warnings[warnings > 0]:
-        logger.warning(
-            "explicit noise factor departed from 1 by more than 1 on %d of %d "
-            "steps; the time step is too large for the sampled noise",
-            count, n_t)
+            shock = _shock(dbeta, ctx, grid.dt, config.scheme)
+            overshoot = np.max(np.abs(shock).reshape(n_p, -1), axis=1) > 1.0
+        return StepResult(p, weighted_population(p, ctx.gamma, model.region, grid),
+                          k0, cfl=cfl, overshoot=overshoot)
 
-    return [SolveReport(
-        solver="direct", variable="p", grid=grid, times=grid.times,
-        stride=config.snapshot_stride, snapshot_indices=indices,
-        snapshots=snapshots[j], final=p[j],
-        l2_series=series["l2"][j], gradient_energy_series=series["grad"][j],
-        exit_trace_series=series["exit"][j], births_series=series["births"][j],
-        u_series=series["u"][j], k_norm_sq_series=series["k_sq"][j],
-        picard_iterations=np.zeros(n_t, dtype=int),
-        contraction_ratios=np.full(n_t, np.nan),
-        guard=None, cfl_max=0.0, noise_factor_warnings=int(warnings[j]),
-        status="converged") for j in range(n_p)]
+    reports = _march(model, n_p, ctx.gamma, step, config, "direct", "p")
+    for report in reports:
+        if report.noise_factor_warnings:
+            logger.warning(
+                "explicit noise factor departed from 1 by more than 1 on %d of %d "
+                "steps; the time step is too large for the sampled noise",
+                report.noise_factor_warnings, grid.n_t)
+    return reports

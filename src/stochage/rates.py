@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigurationError, InvalidFieldError
-from .grid import Field, Grid
+from .grid import Field, Grid, face_shape
 
 
 @dataclass(frozen=True)
@@ -290,6 +290,17 @@ def evaluate_on_grid(rate, grid: Grid, t: float, r) -> np.ndarray:
     out = np.asarray(rate(t, grid.age_mesh, grid.space_meshes, r), dtype=float)
     shape = out.shape[:max(out.ndim - grid.dim - 1, 0)] + grid.field_shape
     return out if out.shape == shape else np.broadcast_to(out, shape)
+
+
+def evaluate_on_faces(rate, grid: Grid, t: float) -> dict:
+    """Rate values (``r = 0``) of :func:`~stochage.grid.face_shape` on every
+    boundary face at one ``t``; the twin of :func:`evaluate_on_grid`."""
+    out = {}
+    for face, (ages, coords) in grid.boundary_meshes.items():
+        vals = np.asarray(rate(t, ages, coords, 0.0), dtype=float)
+        shape = face_shape(grid, face)
+        out[face] = vals if vals.shape == shape else np.broadcast_to(vals, shape)
+    return out
 
 
 def evaluate_gamma(rates: VitalRates, grid: Grid) -> np.ndarray:

@@ -27,12 +27,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError, NonconvergenceError
-from .grid import (Face, Field, Grid, boundary_faces, boundary_norm_sq,
-                   gradient_energy, l2_norm, weighted_population)
+from .grid import (Face, Field, Grid, boundary_norm_sq, gradient_energy,
+                   l2_norm, weighted_population)
 from .model import PopulationModel
 from .noise import BrownianBundle
-from .rates import evaluate_gamma
-from .rescale import RescaledCoefficients, build_coefficients
+from .rates import evaluate_gamma, evaluate_on_faces
+from .rescale import RescaledCoefficients
 
 logger = logging.getLogger(__name__)
 
@@ -236,6 +236,27 @@ def diffusion_substep(values: np.ndarray, alpha: dict, k: dict, grid: Grid,
     return out
 
 
+def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, g2, m: np.ndarray,
+                faces: tuple | None, grid: Grid, dt: float,
+                factors: DiffusionFactors) -> tuple[np.ndarray, float]:
+    """The linear substeps of one time step, shared by both routes.
+
+    Transport with decay, the renewal row from the fertility ``m``, then,
+    unless ``faces`` is ``None``, diffusion of the ages > 0 with the Robin
+    data ``faces = (alpha, k)``.  Returns the new state (leading path axes
+    carry through) and the advection CFL number.
+    """
+    v, cfl = transport_reaction_substep(state, g1, mu_s, g2, grid, dt)
+    v[grid.rows(0)] = renewal_row(v, m, grid)
+    if faces is not None:
+        alpha, k = faces
+        inner = grid.rows(np.s_[1:])
+        v[inner] = diffusion_substep(
+            v[inner], {f: a[1:] for f, a in alpha.items()},
+            {f: q[1:] for f, q in k.items()}, grid, dt, factors)
+    return v, cfl
+
+
 @dataclass
 class TruncationGuard:
     """Radial clipping of the rate argument at a norm radius.
@@ -290,6 +311,8 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("milstein", "em"):
             raise ConfigurationError(f"unknown direct-route scheme {self.scheme!r}")
+        if self.snapshot_stride < 0:
+            raise ConfigurationError(f"snapshot stride must be >= 0, got {self.snapshot_stride}")
 
 
 @dataclass
@@ -315,8 +338,6 @@ class SolveReport:
     guard: TruncationGuard | None
     cfl_max: float
     noise_factor_warnings: int = 0
-    status: str = "converged"
-    apriori_margin: np.ndarray | None = None
 
     @property
     def trajectory(self) -> np.ndarray:
@@ -358,11 +379,79 @@ def _auto_guard(model: PopulationModel, coeffs: RescaledCoefficients,
 
 @dataclass
 class StepResult:
+    """One time step of either route: the new state, its population
+    functional and the Robin datum ``k`` on the faces, then diagnostics
+    whose defaults are the direct route's (no fixed point, no advection).
+    ``overshoot`` flags per path a noise factor more than 1 away from 1."""
+
     state: np.ndarray
-    iterations: int
-    contraction_ratio: float
-    cfl: float
-    u_value: float
+    u_value: float | np.ndarray
+    k_faces: dict
+    iterations: int = 0
+    contraction_ratio: float = np.nan
+    cfl: float = 0.0
+    overshoot: int | np.ndarray = 0
+
+
+def _march(model: PopulationModel, n_paths: int | None, gamma: np.ndarray, step,
+           config: SolverConfig, solver: str, variable: str,
+           guard: TruncationGuard | None = None) -> list[SolveReport]:
+    """The time loop of both routes; one report per path.
+
+    The noise vanishes at time zero, so both routes start from the initial
+    density (one field, or ``n_paths`` of them on a leading path axis), its
+    population functional with weight ``gamma`` and the Robin datum ``k0``.
+    ``step(t_index, state, u_value)`` returns the :class:`StepResult` at
+    time node ``t_index``.
+    """
+    grid = model.grid
+    n_t = grid.n_t
+    p0 = model.initial.p0.values
+    state = p0.copy() if n_paths is None else np.repeat(p0[None], n_paths, axis=0)
+    u_value = weighted_population(state, gamma, model.region, grid)
+    paths = state.shape[:state.ndim - grid.dim - 1]
+    indices = _snapshot_indices(n_t, config.snapshot_stride)
+    snapshots = np.empty(paths + (len(indices),) + grid.field_shape)
+    series = {name: np.zeros(paths + (n_t + 1,)) for name in
+              ("l2", "grad", "exit", "births", "u", "k_sq")}
+    iterations = np.zeros(n_t, dtype=int)
+    ratios = np.full(n_t, np.nan)
+    cfl_max = 0.0
+    warnings = np.zeros(paths, dtype=int)
+    space = tuple(range(-grid.dim, 0))
+    vol = grid.cell_volume
+
+    def record(i: int, state: np.ndarray, u_value, k_faces: dict):
+        series["l2"][..., i] = l2_norm(state, grid)
+        series["grad"][..., i] = gradient_energy(state, grid)
+        series["exit"][..., i] = np.sum(state[grid.rows(-1)] ** 2, axis=space) * vol
+        series["births"][..., i] = np.sum(state[grid.rows(0)], axis=space) * vol
+        series["u"][..., i] = u_value
+        series["k_sq"][..., i] = boundary_norm_sq(k_faces, grid)
+        pos = np.searchsorted(indices, i)
+        if pos < len(indices) and indices[pos] == i:
+            snapshots[(Ellipsis, pos) + (slice(None),) * (grid.dim + 1)] = state
+
+    record(0, state, u_value, evaluate_on_faces(model.rates.k0, grid, 0.0))
+    for n in range(n_t):
+        result = step(n + 1, state, u_value)
+        state, u_value = result.state, result.u_value
+        iterations[n] = result.iterations
+        ratios[n] = result.contraction_ratio
+        cfl_max = max(cfl_max, result.cfl)
+        warnings += result.overshoot
+        record(n + 1, state, u_value, result.k_faces)
+
+    return [SolveReport(
+        solver=solver, variable=variable, grid=grid, times=grid.times,
+        stride=config.snapshot_stride, snapshot_indices=indices,
+        snapshots=snapshots[j], final=state[j],
+        l2_series=series["l2"][j], gradient_energy_series=series["grad"][j],
+        exit_trace_series=series["exit"][j], births_series=series["births"][j],
+        u_series=series["u"][j], k_norm_sq_series=series["k_sq"][j],
+        picard_iterations=iterations, contraction_ratios=ratios,
+        guard=guard, cfl_max=cfl_max, noise_factor_warnings=int(warnings[j]))
+        for j in np.ndindex(paths)]
 
 
 def picard_step_solve(y: np.ndarray, t_index: int,
@@ -387,8 +476,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         factors = DiffusionFactors()
     g1 = coeffs.g1(t_index)
     g2 = coeffs.g2(t_index)
-    alpha = coeffs.alpha_faces(t_index)
     k = coeffs.k_faces(t_index)
+    faces = (coeffs.alpha_faces(t_index), k) if config.include_diffusion else None
     exp_w = coeffs.exp_w(t_index)
 
     zeta = y
@@ -400,12 +489,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
         mu_s = coeffs.mu_s_values(t_index, u_val)
         m = coeffs.m_values(t_index, u_val)
-        v, cfl = transport_reaction_substep(y, g1, mu_s, g2, grid, grid.dt)
-        v[0] = renewal_row(v, m, grid)
-        if config.include_diffusion:
-            v[1:] = diffusion_substep(
-                v[1:], {f: a[1:] for f, a in alpha.items()},
-                {f: q[1:] for f, q in k.items()}, grid, grid.dt, factors)
+        v, cfl = _split_step(y, g1, mu_s, g2, m, faces, grid, grid.dt, factors)
         cfl_max = max(cfl_max, cfl)
         diff = l2_norm(v - zeta, grid)
         if prev_diff is not None and prev_diff > 0:
@@ -413,8 +497,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         prev_diff = diff
         if diff <= config.picard_tol * max(1.0, l2_norm(zeta, grid)):
             u_final = weighted_population(exp_w * v, gamma_vals, region, grid)
-            return StepResult(state=v, iterations=it, contraction_ratio=ratio,
-                              cfl=cfl_max, u_value=u_final)
+            return StepResult(state=v, u_value=u_final, k_faces=k, iterations=it,
+                              contraction_ratio=ratio, cfl=cfl_max)
         zeta = v
     raise NonconvergenceError(t_index - 1, config.picard_max_iter,
                               ratio if np.isfinite(ratio) else np.inf)
@@ -431,59 +515,14 @@ def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,
     """
     config = config or SolverConfig()
     grid = model.grid
-    coeffs = build_coefficients(model, bundle)
+    coeffs = RescaledCoefficients(model, bundle)
     gamma_vals = evaluate_gamma(model.rates, grid)
     guard = (TruncationGuard(radius=config.truncation_radius)
              if config.truncation_radius is not None
              else _auto_guard(model, coeffs, config))
-
-    y = model.initial.p0.values.copy()
-    n_t = grid.n_t
-    indices = _snapshot_indices(n_t, config.snapshot_stride)
-    snapshots = np.empty((len(indices),) + grid.field_shape)
-    series = {name: np.zeros(n_t + 1) for name in
-              ("l2", "grad", "exit", "births", "u", "k_sq")}
-    picard_counts = np.zeros(n_t, dtype=int)
-    ratios = np.full(n_t, np.nan)
-    cfl_max = 0.0
     factors = DiffusionFactors()
-
-    def record(i: int, state: np.ndarray, u_val: float):
-        series["l2"][i] = l2_norm(state, grid)
-        series["grad"][i] = gradient_energy(state, grid)
-        series["exit"][i] = float(np.sum(state[-1] ** 2)) * grid.cell_volume
-        series["births"][i] = float(np.sum(state[0])) * grid.cell_volume
-        series["u"][i] = u_val
-        series["k_sq"][i] = _boundary_k_sq(coeffs, i)
-        pos = np.searchsorted(indices, i)
-        if pos < len(indices) and indices[pos] == i:
-            snapshots[pos] = state
-
-    u0 = weighted_population(coeffs.exp_w(0) * y, gamma_vals, model.region, grid)
-    record(0, y, u0)
-
-    for n in range(n_t):
-        step = picard_step_solve(y, n + 1, coeffs, gamma_vals, model.region,
-                                 guard, config, factors)
-        y = step.state
-        picard_counts[n] = step.iterations
-        ratios[n] = step.contraction_ratio
-        cfl_max = max(cfl_max, step.cfl)
-        record(n + 1, y, step.u_value)
-
-    return SolveReport(
-        solver="rescaled", variable="y", grid=grid, times=grid.times,
-        stride=config.snapshot_stride, snapshot_indices=indices,
-        snapshots=snapshots, final=y,
-        l2_series=series["l2"], gradient_energy_series=series["grad"],
-        exit_trace_series=series["exit"], births_series=series["births"],
-        u_series=series["u"], k_norm_sq_series=series["k_sq"],
-        picard_iterations=picard_counts, contraction_ratios=ratios,
-        guard=guard, cfl_max=cfl_max,
-        status="converged")
-
-
-def _boundary_k_sq(coeffs: RescaledCoefficients, t_index: int) -> float:
-    grid = coeffs.grid
-    return boundary_norm_sq(
-        {f: coeffs.k_face(f, t_index) for f in boundary_faces(grid)}, grid)
+    return _march(
+        model, None, gamma_vals,
+        lambda t_index, y, _: picard_step_solve(
+            y, t_index, coeffs, gamma_vals, model.region, guard, config, factors),
+        config, "rescaled", "y", guard)[0]

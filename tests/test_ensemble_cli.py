@@ -364,3 +364,19 @@ class TestCli:
                      "--solver", "direct"])
         assert code == 0
         assert (tmp_path / "e" / "totals_direct.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--paths", "0"],
+        ["ensemble", "--paths", "-3"],
+        ["ensemble", "--seed", "-1"],
+        ["check", "--seed", "-1"],
+        ["convergence", "--seed", "-1"],
+        ["compare", "--level", "-1"],
+        ["compare", "--stride", "-2"],
+        ["run", "--stride", "-2"],
+    ])
+    def test_out_of_range_input_is_config_error(self, noisy_model_path, tmp_path,
+                                                argv):
+        out = tmp_path / "o"
+        assert main(argv + ["--model", noisy_model_path, "--out", str(out)]) == 3
+        assert not out.exists() or not any(out.iterdir())

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -54,10 +57,20 @@ class TestAprioriCheck:
     def test_margins_below_one(self, grid1d):
         model, bundle, rep = solved_pair(grid1d)
         consts = sa.constants_for_run(model, bundle)
+        before = {f.name: copy.deepcopy(getattr(rep, f.name))
+                  for f in dataclasses.fields(rep)}
         margins = sa.apriori_check(rep, consts)
         assert margins.shape == (grid1d.n_t + 1,)
         assert np.all(margins <= 1.0)
-        assert rep.apriori_margin is margins
+        # the check is pure: every field of the report is bitwise unchanged
+        for name, value in before.items():
+            now = getattr(rep, name)
+            assert type(now) is type(value), name
+            if isinstance(value, np.ndarray):
+                assert now.dtype == value.dtype and now.shape == value.shape, name
+                assert now.tobytes() == value.tobytes(), name
+            else:
+                assert now == value, name
 
     def test_zero_data_zero_margin(self, grid1d):
         p0 = sa.InitialData(sa.Field.zeros(grid1d))

@@ -40,6 +40,8 @@ class TestGrid:
         assert g.n_a == grid1d.n_a // 2  # aligned grid coarsens age too
         with pytest.raises(ConfigurationError):
             grid1d.coarsen_time(5)
+        with pytest.raises(ConfigurationError):
+            grid1d.coarsen_time(0)
 
 
 class TestField:

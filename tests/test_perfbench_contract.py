@@ -3,8 +3,11 @@
 ``perfbench/tracer.py`` wraps package functions and methods by name from
 outside the package and reads ``em_step``'s overshoot flag as one truth
 value.  A refactor that renames a hooked name or changes that flag would
-break a traced benchmark run; this test makes it fail the suite instead.
-The tracer module is loaded from its file and not modified.
+break a traced benchmark run; these tests make it fail the suite instead.
+So does a change that silently moves a per-layer metric: a public time
+loop or split step would take their time out of the march metrics, and a
+bypassed ``k_face`` would zero its per-node count.  The tracer module is
+loaded from its file and not modified.
 """
 
 import dataclasses
@@ -62,7 +65,7 @@ def same(a, b) -> bool:
 def test_traced_direct_route_is_bitwise_and_restorable(tmp_path):
     originals = {
         "solve_direct": sa.solve_direct, "em_step": oracle.em_step,
-        "diffusion_substep": oracle.diffusion_substep,
+        "diffusion_substep": solver.diffusion_substep,
         "build": vars(oracle._DirectContext)["build"],
         "logistic": rates.LogisticRate.__call__,
         "amplitude_grids": noise.AmplitudeGrids.__init__,
@@ -91,10 +94,35 @@ def test_traced_direct_route_is_bitwise_and_restorable(tmp_path):
         assert calls.get(name, 0) > 0, name
     restored = {
         "solve_direct": sa.solve_direct, "em_step": oracle.em_step,
-        "diffusion_substep": oracle.diffusion_substep,
+        "diffusion_substep": solver.diffusion_substep,
         "build": vars(oracle._DirectContext)["build"],
         "logistic": rates.LogisticRate.__call__,
         "amplitude_grids": noise.AmplitudeGrids.__init__,
         "sweep": solver._sweep, "cached_model": ensemble._cached_model,
     }
     assert all(restored[k] is v for k, v in originals.items())
+
+
+def test_traced_rescaled_route_is_bitwise_and_keeps_layer_metrics():
+    tracer_module = load_tracer()
+    model, cfg = ensemble._cached_model(MODEL, 4)
+    bundle = sa.sample_bundle(5, model.noise.n_modes, model.grid.n_t, model.grid.T)
+    plain = sa.solve_rescaled(model, bundle, cfg)
+
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        traced = sa.solve_rescaled(model, bundle, cfg)
+        sa.solve_direct(model, bundle, cfg)
+        raw = tracer.raw()
+    finally:
+        tracer.uninstall()
+
+    assert same(plain, traced)
+    edge = raw["edges"].get("solver.picard_step_solve>solver.diffusion_substep", 0)
+    assert edge == int(plain.picard_iterations.sum()) + model.grid.n_t
+    metrics = tracer_module.layer_metrics(raw)
+    for name in ("solver.march_s", "oracle.march_s", "rescale.k_face_per_node"):
+        assert metrics[name][0] > 0, name
+    assert not [name for name in raw["calls"]
+                if "march" in name or "split_step" in name]

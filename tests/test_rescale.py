@@ -6,7 +6,8 @@ import stochage as sa
 from stochage.errors import ConfigurationError, NoiseMagnitudeError
 from stochage.grid import Face
 from stochage.noise import evaluate_noise
-from stochage.rescale import build_coefficients, rescale_constants
+from stochage.rates import evaluate_on_faces
+from stochage.rescale import RescaledCoefficients
 
 from conftest import build_model, linear_rates
 
@@ -49,13 +50,14 @@ class TestCoefficients:
         model = build_model(grid1d, rates=linear_rates(k0=0.3),
                             amplitudes=(sa.constant_amplitude(0.0, 1),))
         bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
-        coeffs = build_coefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, bundle)
         i = grid1d.n_t // 2
         assert np.all(coeffs.g1(i) == 0.0)
         assert np.all(coeffs.g2(i)[0] == 0.0)
         assert np.all(coeffs.exp_w(i) == 1.0)
         face = Face(0, 0)
-        assert np.array_equal(coeffs.k_face(face, i), coeffs.k0_face(face, i))
+        k0 = evaluate_on_faces(model.rates.k0, grid1d, grid1d.times[i])
+        assert np.array_equal(coeffs.k_face(face, i), k0[face])
         u = 1.23
         m0_direct = 0.6 * np.ones(grid1d.field_shape)
         assert np.array_equal(coeffs.m_values(i, u), m0_direct)
@@ -67,7 +69,7 @@ class TestCoefficients:
         bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
         i = 11
         b = bundle.betas[0, i]
-        coeffs = build_coefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, bundle)
         g1 = coeffs.g1(i)
         ages = grid1d.age_mesh
         assert np.allclose(g1, b + ages ** 2 / 2, rtol=1e-13)
@@ -103,7 +105,7 @@ class TestCoefficients:
         g1_fn = sympy.lambdify(x, g1_sym, "numpy")
         g2_fn = sympy.lambdify(x, g2_sym, "numpy")
 
-        coeffs = build_coefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, bundle)
         xs = grid.cell_centers[0]
         assert np.allclose(coeffs.g1(i)[0], g1_fn(xs), rtol=1e-12)
         assert np.allclose(coeffs.g2(i)[0][0], g2_fn(xs), rtol=1e-12)
@@ -114,7 +116,7 @@ class TestCoefficients:
         bundle = sa.sample_bundle(8, 1, grid1d.n_t, grid1d.T)
         i = 13
         beta = bundle.betas[0, i]
-        coeffs = build_coefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, bundle)
         face = Face(0, 1)
         expected = 0.5 * np.exp(-0.3 * beta)
         assert np.allclose(coeffs.k_face(face, i), expected, rtol=1e-14)
@@ -126,7 +128,7 @@ class TestCoefficients:
         bundle = sa.sample_bundle(4, 1, grid1d.n_t, grid1d.T)
         i = 6
         b = bundle.betas[0, i]
-        coeffs = build_coefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, bundle)
         m = coeffs.m_values(i, 0.0)
         expected = 0.6 * np.exp(grid1d.age_mesh * b)
         assert np.allclose(m, np.broadcast_to(expected, grid1d.field_shape), rtol=1e-13)
@@ -135,34 +137,34 @@ class TestCoefficients:
         model = build_model(grid1d)
         bundle = sa.sample_bundle(0, 1, grid1d.n_t * 2, grid1d.T)
         with pytest.raises(ConfigurationError):
-            build_coefficients(model, bundle)
+            RescaledCoefficients(model, bundle)
 
     def test_mode_count_mismatch_rejected(self, grid1d):
         model = build_model(grid1d)
         bundle = sa.sample_bundle(0, 3, grid1d.n_t, grid1d.T)
         with pytest.raises(ConfigurationError):
-            build_coefficients(model, bundle)
+            RescaledCoefficients(model, bundle)
 
 
 class TestConstants:
     def test_zero_noise(self, grid1d):
         model = build_model(grid1d, amplitudes=(sa.constant_amplitude(0.0, 1),))
         bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
-        consts = rescale_constants(model, bundle)
-        assert consts.c_w0 == 1.0
-        assert consts.c_w == 1.0
-        assert consts.m_inf == pytest.approx(model.rates.m0_inf)
+        sups = RescaledCoefficients(model, bundle).coefficient_sups()
+        assert sups.c_w0 == 1.0
+        assert sups.c_w == 1.0
+        assert sups.c_w0 * model.rates.m0_inf == pytest.approx(model.rates.m0_inf)
 
     def test_age_linear_monotone(self, grid1d):
         # W = a b: sup over (a, t) of exp(W - W(0-row)) is exp(a_max * max b+)
         model = build_model(grid1d,
                             amplitudes=(sa.age_polynomial_amplitude((0.0, 1.0), 1),))
         bundle = sa.sample_bundle(12, 1, grid1d.n_t, grid1d.T)
-        consts = rescale_constants(model, bundle)
+        sups = RescaledCoefficients(model, bundle).coefficient_sups()
         beta_max = bundle.betas[0].max()
         expected = np.exp(grid1d.a_max * max(beta_max, 0.0))
-        assert consts.c_w0 == pytest.approx(expected, rel=1e-12)
-        assert consts.m_inf == pytest.approx(consts.c_w0 * 0.6, rel=1e-14)
+        assert sups.c_w0 == pytest.approx(expected, rel=1e-12)
+        assert sups.c_w0 * model.rates.m0_inf == pytest.approx(sups.c_w0 * 0.6, rel=1e-14)
 
 
 class TestItoConsistency:

@@ -311,13 +311,13 @@ class TestPicard:
         # one call of the step operation reproduces the first level of the
         # full time loop
         from stochage.rates import evaluate_gamma
-        from stochage.rescale import build_coefficients
+        from stochage.rescale import RescaledCoefficients
 
         grid = linear_model.grid
         bundle = sa.sample_bundle(3, 1, grid.n_t, grid.T)
         cfg = sa.SolverConfig(snapshot_stride=1)
         rep = sa.solve_rescaled(linear_model, bundle, cfg)
-        coeffs = build_coefficients(linear_model, bundle)
+        coeffs = RescaledCoefficients(linear_model, bundle)
         gamma_vals = evaluate_gamma(linear_model.rates, grid)
         step = sa.picard_step_solve(linear_model.initial.p0.values, 1, coeffs,
                                     gamma_vals, linear_model.region, None, cfg)
