@@ -25,7 +25,8 @@ from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, InitialData,
 from .rescale import (RescaledCoefficients, backward_transform,
                       forward_transform)
 from .solver import (SolveReport, SolverConfig, StepResult, TruncationGuard,
-                     picard_step_solve, solve_rescaled, truncate_argument)
+                     picard_step_solve, solve_rescaled, solve_rescaled_batch,
+                     truncate_argument)
 from .oracle import solve_direct, solve_direct_batch
 from .estimates import (CheckRow, EstimateConstants, apriori_check,
                         compute_constants, constants_for_run,

@@ -32,14 +32,16 @@ EXIT_CHECK = 2
 EXIT_CONFIG = 3
 
 
-def _common(parser: argparse.ArgumentParser, paths: bool = False):
+def _common(parser: argparse.ArgumentParser, paths: bool = False,
+            level: bool = True):
     parser.add_argument("--model", required=True, help="model definition file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
-    parser.add_argument("--level", type=int, default=0,
-                        help="power-of-two coarsening level of the master grid")
-    parser.add_argument("--stride", type=int, default=0,
-                        help="snapshot stride (0 keeps first/last only)")
+    if level:
+        parser.add_argument("--level", type=int, default=0,
+                            help="power-of-two coarsening level of the master grid")
+        parser.add_argument("--stride", type=int, default=0,
+                            help="snapshot stride (0 keeps first/last only)")
     if paths:
         parser.add_argument("--paths", type=int, default=1, help="ensemble size")
         parser.add_argument("--workers", type=int, default=1,
@@ -74,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["rescaled", "direct", "both"])
 
     p_chk = sub.add_parser("check", help="estimate checks on one model")
-    _common(p_chk)
+    _common(p_chk, level=False)
     return parser
 
 

@@ -4,11 +4,11 @@ Every ensemble path gets its own Brownian bundle whose seed derives from
 ``(base_seed, path_index)`` through numpy's ``SeedSequence`` spawning, so
 re-running any subset of paths reproduces identical noise regardless of
 worker scheduling.  Paths are handed out in contiguous chunks whose size
-depends only on the grid (see :data:`CHUNK_BYTES`); the direct route
-marches a chunk as one array, the rescaled route solves its paths one at a
-time.  Aggregation happens in path order in the parent process, which
-makes the whole artifact tree a deterministic function of the
-configuration.
+depends only on the grid (see :data:`CHUNK_BYTES`).  Both routes march a
+chunk as one array with a leading path axis, and a chunk whose march
+fails is solved again path by path.  Aggregation happens in path order in
+the parent process, which makes the whole artifact tree a deterministic
+function of the configuration.
 """
 
 from __future__ import annotations
@@ -29,11 +29,11 @@ from .model import PopulationModel
 from .noise import BrownianBundle, coarsen, evaluate_noise, sample_bundle
 from .oracle import solve_direct, solve_direct_batch
 from .rescale import forward_transform
-from .solver import SolveReport, SolverConfig, solve_rescaled
+from .solver import SolveReport, SolverConfig, solve_rescaled, solve_rescaled_batch
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
-# Byte budget of one chunk's state array.  Bigger chunks spread the direct
+# Byte budget of one chunk's state array.  Bigger chunks spread a batched
 # march's per-step overhead over more paths but hold more paths in memory
 # at once; 128 KiB is 7 paths of models/sample1d.ini.
 CHUNK_BYTES = 128 * 1024
@@ -145,22 +145,22 @@ def _solve_paths(name: str, model: PopulationModel, bundles: list,
     """One route's reports for a chunk of paths; a failed path gives its
     error instead.
 
-    The direct route marches the chunk as one array.  Should that march
-    fail, the chunk is solved again path by path, so the failure stays
-    with the path that caused it.  A configuration error ends the run.
+    The chunk is solved as one batch.  Should that fail, the chunk is
+    solved again path by path, so the failure stays with the path that
+    caused it.  A configuration error ends the run.
     """
-    if name == "direct":
-        try:
-            return solve_direct_batch(model, bundles, config)
-        except ConfigurationError:
-            raise
-        except StochageError:
-            pass
-    solve = solve_rescaled if name == "rescaled" else solve_direct
+    solve = solve_rescaled_batch if name == "rescaled" else solve_direct_batch
+    try:
+        return solve(model, bundles, config)
+    except ConfigurationError:
+        raise
+    except StochageError as exc:
+        if len(bundles) == 1:
+            return [exc]
     out = []
     for bundle in bundles:
         try:
-            out.append(solve(model, bundle, config))
+            out.append(solve(model, [bundle], config)[0])
         except ConfigurationError:
             raise
         except StochageError as exc:

@@ -21,9 +21,9 @@ from .errors import ConfigurationError
 from .grid import (Face, Grid, boundary_faces, face_measure, face_shape,
                    gradient_energy, l2_norm, weighted_population)
 from .model import PopulationModel
-from .noise import AmplitudeGrids, BrownianBundle
+from .noise import BrownianBundle, amplitude_grids
 from .rates import VitalRates, evaluate_gamma, evaluate_on_faces, evaluate_on_grid
-from .rescale import RescaledCoefficients
+from .rescale import CoefficientSups, RescaledCoefficients
 
 
 # ---------------------------------------------------------------------------
@@ -99,13 +99,17 @@ def compute_constants(rates: VitalRates, *, c0: float = 1.0, c1: float = 1.0,
 def constants_for_run(model: PopulationModel,
                       bundle: BrownianBundle | None = None,
                       coeffs: RescaledCoefficients | None = None,
-                      c0: float = 1.0, c1: float = 1.0) -> EstimateConstants:
-    """Constants for one model and sampled path (one sweep over the nodes)."""
-    if coeffs is None:
-        if bundle is None:
-            raise ConfigurationError("either a bundle or coefficients are required")
-        coeffs = RescaledCoefficients(model, bundle)
-    sups = coeffs.coefficient_sups()
+                      c0: float = 1.0, c1: float = 1.0,
+                      sups: CoefficientSups | None = None) -> EstimateConstants:
+    """Constants for one model and sampled path (one sweep over the nodes,
+    skipped when the path's coefficient ``sups`` are given)."""
+    if sups is None:
+        if coeffs is None:
+            if bundle is None:
+                raise ConfigurationError(
+                    "a bundle, coefficients or their sups are required")
+            coeffs = RescaledCoefficients(model, bundle)
+        sups = coeffs.coefficient_sups()
     return compute_constants(
         model.rates, c0=c0, c1=c1, g1_sup=sups.g1_sup, g2_sup=sups.g2_sup,
         div_g2_sup=sups.div_g2_sup, c_w0=sups.c_w0, c_w=sups.c_w,
@@ -398,7 +402,7 @@ def weak_residual_stochastic(report, model: PopulationModel,
         raise ConfigurationError("the stochastic residual expects a density report")
     traj = report.trajectory
     grid = report.grid
-    amp = AmplitudeGrids(model.noise, grid)
+    amp = amplitude_grids(model.noise, grid)
     gamma_vals = evaluate_gamma(model.rates, grid)
     psis = [p for p in build_test_functions(grid, 64) if p.q_t == 0][:n_psi]
     tw = _time_weights(grid.n_t, grid.dt)

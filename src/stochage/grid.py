@@ -358,14 +358,15 @@ def face_measure(grid: Grid, face: Face) -> float:
 
 
 def boundary_norm_sq(face_data: dict, grid: Grid) -> float:
-    """Squared L2 norm over age and the whole boundary of per-face data."""
+    """Squared L2 norm over age and the whole boundary of per-face data
+    (one per field when the face data carry leading path axes)."""
     total = 0.0
-    w = grid.age_weights
+    face_axes = tuple(range(-grid.dim, 0))
+    w = grid.age_weights.reshape((-1,) + (1,) * (grid.dim - 1))
     for face in boundary_faces(grid):
         vals = np.asarray(face_data[face], dtype=float)
-        wv = w.reshape((-1,) + (1,) * (vals.ndim - 1))
-        total += float(np.sum(vals * vals * wv) * face_measure(grid, face))
-    return total
+        total = total + np.sum(vals * vals * w, axis=face_axes) * face_measure(grid, face)
+    return _scalar_or_stack(total)
 
 
 def forward_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:

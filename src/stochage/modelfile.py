@@ -237,16 +237,19 @@ def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
     if "solver" in cp:
         s = cp["solver"]
         try:
-            config.picard_tol = s.getfloat("picard_tol", config.picard_tol)
-            config.picard_max_iter = s.getint("picard_max_iter", config.picard_max_iter)
-            config.include_diffusion = s.getboolean("diffusion", True)
             radius = s.get("truncation_radius", "auto").strip()
-            config.truncation_radius = None if radius == "auto" else float(radius)
-            config.snapshot_stride = s.getint("snapshot_stride", config.snapshot_stride)
-            config.c0 = s.getfloat("c0", config.c0)
-            config.c1 = s.getfloat("c1", config.c1)
+            settings = dict(
+                picard_tol=s.getfloat("picard_tol", config.picard_tol),
+                picard_max_iter=s.getint("picard_max_iter", config.picard_max_iter),
+                include_diffusion=s.getboolean("diffusion", True),
+                truncation_radius=None if radius == "auto" else float(radius),
+                snapshot_stride=s.getint("snapshot_stride", config.snapshot_stride),
+                c0=s.getfloat("c0", config.c0),
+                c1=s.getfloat("c1", config.c1))
         except ValueError as exc:
             raise ConfigurationError(f"bad [solver] section: {exc}") from exc
+        # through the constructor, so its checks see the file's values
+        config = SolverConfig(**settings)
 
     model = PopulationModel(grid=grid, rates=rates, noise=noise,
                             initial=ini, region=region)

@@ -10,6 +10,7 @@ would pollute convergence studies.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,6 +193,17 @@ class AmplitudeGrids:
             self.face_values[face] = vals
 
 
+@functools.lru_cache(maxsize=8)
+def amplitude_grids(spec: NoiseSpec, grid: Grid) -> AmplitudeGrids:
+    """The :class:`AmplitudeGrids` of ``spec`` on ``grid``, built once per
+    pair and shared by every caller (the arrays are read-only)."""
+    grids = AmplitudeGrids(spec, grid)
+    for arr in (grids.values, grids.d_age, grids.laplacians, *grids.gradients,
+                *grids.face_values.values()):
+        arr.setflags(write=False)
+    return grids
+
+
 @dataclass(frozen=True)
 class BrownianBundle:
     """Independent Brownian increment sequences on a shared time grid.
@@ -289,7 +301,7 @@ def evaluate_noise(spec: NoiseSpec, bundle: BrownianBundle, t_index: int,
     if not (0 <= t_index <= bundle.n_t):
         raise ConfigurationError(f"time index {t_index} outside the bundle grid")
     if grids is None:
-        grids = AmplitudeGrids(spec, grid)
+        grids = amplitude_grids(spec, grid)
     b = bundle.betas[:, t_index]
     value = np.tensordot(b, grids.values, axes=1)
     d_age = np.tensordot(b, grids.d_age, axes=1)
@@ -302,5 +314,5 @@ def ito_correction(spec: NoiseSpec, grid: Grid,
                    grids: AmplitudeGrids | None = None) -> Field:
     """Drift released by rescaling: half the sum of squared amplitudes."""
     if grids is None:
-        grids = AmplitudeGrids(spec, grid)
+        grids = amplitude_grids(spec, grid)
     return Field(0.5 * np.sum(grids.values ** 2, axis=0), grid, copy=False)

@@ -107,12 +107,14 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
     operation.  ``g1`` may be ``None`` (no rescaling terms) and ``g2`` may
     be ``None`` or all-zero to skip the spatial advection.
 
-    ``values`` and the rate fields may carry leading path axes.  Returns
-    the new values and the advection CFL number actually used (0 when
-    there is no advection; nonnegativity needs CFL <= 1).
+    ``values`` and the rate fields may carry leading path axes; a path
+    whose ``g2`` is all-zero is not advected.  Returns the new values and
+    the advection CFL number actually used, one per path (0 without
+    advection; nonnegativity needs CFL <= 1).
     """
     rate = mu_s if g1 is None else g1 + mu_s
     decay = np.exp(-rate * dt)
+    del rate
     out = np.zeros_like(values)
     older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
     if grid.aligned:
@@ -123,19 +125,30 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
             raise ConfigurationError(
                 f"unaligned transport needs dt <= da, got dt/da = {c:.3g}")
         out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay[older]
+    del decay
     cfl = 0.0
-    if g2 is not None and any(np.any(comp) for comp in g2):
+    field_axes = tuple(range(-grid.dim - 1, 0))
+    moving = False if g2 is None else np.any(
+        [np.any(comp, axis=field_axes) for comp in g2], axis=0)
+    if np.any(moving):
+        still = ~moving[(Ellipsis,) + (None,) * (grid.dim + 1)]
         for axis, comp in enumerate(g2):
             c = comp * (dt / grid.dx[axis])
             cp = np.maximum(c, 0.0)
             cm = np.maximum(-c, 0.0)
-            cfl = max(cfl, float(np.max(cp + cm)))
-            ax = out.ndim - grid.dim + axis
-            lo = np.concatenate([np.take(out, [0], axis=ax),
-                                 np.take(out, range(out.shape[ax] - 1), axis=ax)], axis=ax)
-            hi = np.concatenate([np.take(out, range(1, out.shape[ax]), axis=ax),
-                                 np.take(out, [out.shape[ax] - 1], axis=ax)], axis=ax)
-            out = out * (1.0 - cp - cm) + cp * lo + cm * hi
+            del c
+            cfl = np.maximum(cfl, np.max(cp + cm, axis=field_axes))
+            # out (1 - cp - cm) + cp lo + cm hi, where lo and hi hold the
+            # upwind neighbours along the axis (an edge cell is its own)
+            first, last, tail, head = (
+                (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
+                for s in (np.s_[:1], np.s_[-1:], np.s_[1:], np.s_[:-1]))
+            moved = out * (1.0 - cp - cm)
+            moved[first] += cp[first] * out[first]
+            moved[tail] += cp[tail] * out[head]
+            moved[head] += cm[head] * out[tail]
+            moved[last] += cm[last] * out[last]
+            out = np.where(still, out, moved) if np.any(still) else moved
     return out, cfl
 
 
@@ -187,21 +200,33 @@ class DiffusionFactors:
     def __init__(self):
         self._key = None
         self._alpha: dict = {}
-        self._factors: list = []
+        self._paths: tuple = ()
+        self._factors: dict = {}
 
     def get(self, alpha: dict, grid: Grid, dt: float, paths: tuple = ()) -> list:
         """One factor per spatial axis for the face coefficients ``alpha``,
-        shaped for states with the leading ``paths`` shape."""
-        key = (dt, grid.n_x, grid.dx, paths)
+        for states with the leading ``paths`` shape.
+
+        The first shape asked for gets factors repeated over its paths, so
+        that the solve's rows need no broadcasting.  Any other shape (a
+        batch some of whose paths have left the fixed point) shares one
+        factor that broadcasts over the paths, which gives the same bits.
+        """
+        key = (dt, grid.n_x, grid.dx)
         if key != self._key or any(not np.array_equal(a, self._alpha[f])
                                    for f, a in alpha.items()):
-            self._factors = [
-                _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
-                              grid.n_x[axis], grid.dx[axis], dt, paths)
-                for axis in range(grid.dim)]
+            self._factors = {}
             self._key = key
             self._alpha = {f: np.array(a) for f, a in alpha.items()}
-        return self._factors
+        if not self._factors:
+            self._paths = paths
+        rows = paths if paths == self._paths else ()
+        if rows not in self._factors:
+            self._factors[rows] = [
+                _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
+                              grid.n_x[axis], grid.dx[axis], dt, rows)
+                for axis in range(grid.dim)]
+        return self._factors[rows]
 
 
 def _sweep(vals: np.ndarray, axis: int, factor: tuple, k_lo, k_hi,
@@ -243,17 +268,19 @@ def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, g2, m: np.ndarray,
 
     Transport with decay, the renewal row from the fertility ``m``, then,
     unless ``faces`` is ``None``, diffusion of the ages > 0 with the Robin
-    data ``faces = (alpha, k)``.  Returns the new state (leading path axes
-    carry through) and the advection CFL number.
+    data ``faces = (alpha, k)``, whose arrays may carry the state's leading
+    path axes.  Returns the new state (leading path axes carry through) and
+    the advection CFL number per path.
     """
     v, cfl = transport_reaction_substep(state, g1, mu_s, g2, grid, dt)
     v[grid.rows(0)] = renewal_row(v, m, grid)
     if faces is not None:
         alpha, k = faces
         inner = grid.rows(np.s_[1:])
+        face_inner = (Ellipsis, np.s_[1:]) + (slice(None),) * (grid.dim - 1)
         v[inner] = diffusion_substep(
-            v[inner], {f: a[1:] for f, a in alpha.items()},
-            {f: q[1:] for f, q in k.items()}, grid, dt, factors)
+            v[inner], {f: a[face_inner] for f, a in alpha.items()},
+            {f: q[face_inner] for f, q in k.items()}, grid, dt, factors)
     return v, cfl
 
 
@@ -265,34 +292,53 @@ class TruncationGuard:
     locally Lipschitz rates are under control.  ``threshold`` records the
     radius derived from the a priori energy bound when it was computed
     automatically; activations beyond it indicate the bound or the grid
-    is off.
+    is off.  A guard of a batch of paths holds one radius, threshold and
+    activation count per path.
     """
 
-    radius: float
-    threshold: int | None = None
-    activations: int = 0
+    radius: float | np.ndarray
+    threshold: int | np.ndarray | None = None
+    activations: int | np.ndarray = 0
+
+    def path(self, j) -> "TruncationGuard":
+        """The guard of path ``j`` of a batch."""
+        return TruncationGuard(
+            radius=float(self.radius[j]), activations=int(self.activations[j]),
+            threshold=None if self.threshold is None else int(self.threshold[j]))
 
 
 def truncate_argument(values: np.ndarray, grid: Grid,
-                      guard: TruncationGuard | None) -> np.ndarray:
+                      guard: TruncationGuard | None,
+                      index: np.ndarray | None = None) -> np.ndarray:
     """Return ``values`` or its radial rescaling onto the guard ball.
 
     Identity when the norm is within the radius; otherwise scales to
     norm exactly ``radius`` and counts the activation.  Continuous at the
-    boundary: both branches agree when the norm equals the radius.
+    boundary: both branches agree when the norm equals the radius.  A
+    stack of fields is clipped path by path against a guard of a batch;
+    ``index`` names the paths of the batch that ``values`` holds when it
+    holds only some of them.
     """
     if guard is None:
         return values
     norm = l2_norm(values, grid)
-    if norm <= guard.radius:
+    radius = guard.radius if index is None else guard.radius[index]
+    clip = norm > radius
+    if not np.any(clip):
         return values
-    guard.activations += 1
-    if guard.threshold is not None and guard.radius >= guard.threshold:
-        logger.warning(
-            "truncation activated at norm %.3g despite radius %.3g >= "
-            "threshold %d; the energy bound or the grid is too coarse",
-            norm, guard.radius, guard.threshold)
-    return values * (guard.radius / norm)
+    if index is None:
+        guard.activations += clip
+    else:
+        guard.activations[index] += clip
+    if guard.threshold is not None:
+        threshold = guard.threshold if index is None else guard.threshold[index]
+        for j in np.flatnonzero(clip & (radius >= threshold)):
+            logger.warning(
+                "truncation activated at norm %.3g despite radius %.3g >= "
+                "threshold %d; the energy bound or the grid is too coarse",
+                np.ravel(norm)[j], np.ravel(radius)[j], np.ravel(threshold)[j])
+    scale = np.divide(radius, norm, out=np.ones_like(norm), where=clip)
+    return values * scale[(Ellipsis,) + (None,) * (grid.dim + 1)]
 
 
 @dataclass
@@ -370,11 +416,15 @@ def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
 
 def _auto_guard(model: PopulationModel, coeffs: RescaledCoefficients,
                 config: SolverConfig) -> TruncationGuard:
+    """One guard radius per path of ``coeffs``: the threshold of the path's
+    energy bound."""
     from . import estimates  # deferred: estimates has no solver dependency
 
-    consts = estimates.constants_for_run(model, coeffs=coeffs,
-                                         c0=config.c0, c1=config.c1)
-    return TruncationGuard(radius=float(consts.n0), threshold=consts.n0)
+    n0 = np.array([estimates.constants_for_run(model, sups=sups, c0=config.c0,
+                                               c1=config.c1).n0
+                   for sups in coeffs.coefficient_sups()])
+    return TruncationGuard(radius=n0.astype(float), threshold=n0,
+                           activations=np.zeros(len(n0), dtype=int))
 
 
 @dataclass
@@ -382,63 +432,63 @@ class StepResult:
     """One time step of either route: the new state, its population
     functional and the Robin datum ``k`` on the faces, then diagnostics
     whose defaults are the direct route's (no fixed point, no advection).
+    The diagnostics are one value for all paths or one per path;
     ``overshoot`` flags per path a noise factor more than 1 away from 1."""
 
     state: np.ndarray
     u_value: float | np.ndarray
     k_faces: dict
-    iterations: int = 0
-    contraction_ratio: float = np.nan
-    cfl: float = 0.0
+    iterations: int | np.ndarray = 0
+    contraction_ratio: float | np.ndarray = np.nan
+    cfl: float | np.ndarray = 0.0
     overshoot: int | np.ndarray = 0
 
 
-def _march(model: PopulationModel, n_paths: int | None, gamma: np.ndarray, step,
+def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, step,
            config: SolverConfig, solver: str, variable: str,
            guard: TruncationGuard | None = None) -> list[SolveReport]:
     """The time loop of both routes; one report per path.
 
-    The noise vanishes at time zero, so both routes start from the initial
-    density (one field, or ``n_paths`` of them on a leading path axis), its
-    population functional with weight ``gamma`` and the Robin datum ``k0``.
-    ``step(t_index, state, u_value)`` returns the :class:`StepResult` at
-    time node ``t_index``.
+    The noise vanishes at time zero, so both routes start every path from
+    the initial density (a leading path axis of ``n_paths``), its
+    population functional with weight ``gamma`` and the Robin datum
+    ``k0``.  ``step(t_index, state, u_value)`` returns the
+    :class:`StepResult` at time node ``t_index``.  ``guard`` holds one
+    entry per path.
     """
     grid = model.grid
     n_t = grid.n_t
-    p0 = model.initial.p0.values
-    state = p0.copy() if n_paths is None else np.repeat(p0[None], n_paths, axis=0)
+    state = np.repeat(model.initial.p0.values[None], n_paths, axis=0)
     u_value = weighted_population(state, gamma, model.region, grid)
-    paths = state.shape[:state.ndim - grid.dim - 1]
     indices = _snapshot_indices(n_t, config.snapshot_stride)
-    snapshots = np.empty(paths + (len(indices),) + grid.field_shape)
-    series = {name: np.zeros(paths + (n_t + 1,)) for name in
+    snapshots = np.empty((n_paths, len(indices)) + grid.field_shape)
+    series = {name: np.zeros((n_paths, n_t + 1)) for name in
               ("l2", "grad", "exit", "births", "u", "k_sq")}
-    iterations = np.zeros(n_t, dtype=int)
-    ratios = np.full(n_t, np.nan)
-    cfl_max = 0.0
-    warnings = np.zeros(paths, dtype=int)
+    iterations = np.zeros((n_paths, n_t), dtype=int)
+    ratios = np.full((n_paths, n_t), np.nan)
+    cfl_max = np.zeros(n_paths)
+    warnings = np.zeros(n_paths, dtype=int)
     space = tuple(range(-grid.dim, 0))
     vol = grid.cell_volume
 
     def record(i: int, state: np.ndarray, u_value, k_faces: dict):
-        series["l2"][..., i] = l2_norm(state, grid)
-        series["grad"][..., i] = gradient_energy(state, grid)
-        series["exit"][..., i] = np.sum(state[grid.rows(-1)] ** 2, axis=space) * vol
-        series["births"][..., i] = np.sum(state[grid.rows(0)], axis=space) * vol
-        series["u"][..., i] = u_value
-        series["k_sq"][..., i] = boundary_norm_sq(k_faces, grid)
+        series["l2"][:, i] = l2_norm(state, grid)
+        series["grad"][:, i] = gradient_energy(state, grid)
+        series["exit"][:, i] = np.sum(state[grid.rows(-1)] ** 2, axis=space) * vol
+        series["births"][:, i] = np.sum(state[grid.rows(0)], axis=space) * vol
+        series["u"][:, i] = u_value
+        series["k_sq"][:, i] = boundary_norm_sq(k_faces, grid)
         pos = np.searchsorted(indices, i)
         if pos < len(indices) and indices[pos] == i:
-            snapshots[(Ellipsis, pos) + (slice(None),) * (grid.dim + 1)] = state
+            snapshots[:, pos] = state
 
     record(0, state, u_value, evaluate_on_faces(model.rates.k0, grid, 0.0))
     for n in range(n_t):
         result = step(n + 1, state, u_value)
         state, u_value = result.state, result.u_value
-        iterations[n] = result.iterations
-        ratios[n] = result.contraction_ratio
-        cfl_max = max(cfl_max, result.cfl)
+        iterations[:, n] = result.iterations
+        ratios[:, n] = result.contraction_ratio
+        cfl_max = np.maximum(cfl_max, result.cfl)
         warnings += result.overshoot
         record(n + 1, state, u_value, result.k_faces)
 
@@ -449,9 +499,20 @@ def _march(model: PopulationModel, n_paths: int | None, gamma: np.ndarray, step,
         l2_series=series["l2"][j], gradient_energy_series=series["grad"][j],
         exit_trace_series=series["exit"][j], births_series=series["births"][j],
         u_series=series["u"][j], k_norm_sq_series=series["k_sq"][j],
-        picard_iterations=iterations, contraction_ratios=ratios,
-        guard=guard, cfl_max=cfl_max, noise_factor_warnings=int(warnings[j]))
-        for j in np.ndindex(paths)]
+        picard_iterations=iterations[j], contraction_ratios=ratios[j],
+        guard=None if guard is None else guard.path(j),
+        cfl_max=float(cfl_max[j]), noise_factor_warnings=int(warnings[j]))
+        for j in range(n_paths)]
+
+
+def _rows(data, keep):
+    """The paths ``keep`` of per-path data: an array or a tuple or dict of
+    arrays, each with the path axis leading."""
+    if isinstance(data, dict):
+        return {key: a[keep] for key, a in data.items()}
+    if isinstance(data, tuple):
+        return tuple(a[keep] for a in data)
+    return data[keep]
 
 
 def picard_step_solve(y: np.ndarray, t_index: int,
@@ -470,38 +531,100 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     model whose rates ignore the functional converges on iteration one.
     ``factors`` carries the diffusion factorization across iterates and
     steps.
+
+    ``y`` is one state, or one per path behind a leading path axis when
+    ``coeffs`` holds a batch of bundles (and ``guard`` one radius per
+    path).  A path drops out of the iteration at the iterate where its own
+    test passes, which is where a one-path solve of it stops, so the
+    result and the diagnostics of every path are those of its one-path
+    solve.
     """
     grid = coeffs.grid
     if factors is None:
         factors = DiffusionFactors()
-    g1 = coeffs.g1(t_index)
-    g2 = coeffs.g2(t_index)
+    alpha = coeffs.alpha_faces(t_index) if config.include_diffusion else None
     k = coeffs.k_faces(t_index)
-    faces = (coeffs.alpha_faces(t_index), k) if config.include_diffusion else None
-    exp_w = coeffs.exp_w(t_index)
-
+    node = coeffs.node_fields(t_index)
+    # per-path inputs; the rows of converged paths are dropped
+    inputs = (y, node["g1"], node["g2"], k, node["exp_w"], node["exp_dw0"])
+    del node
+    paths = y.shape[:y.ndim - grid.dim - 1]
+    active = None    # batch indices of the paths still iterating, once some stopped
+    result = None    # filled in path by path once some stopped
     zeta = y
     prev_diff = None
-    ratio = np.nan
-    cfl_max = 0.0
+    ratio = np.full(paths, np.nan)
+    cfl = np.zeros(paths)
     for it in range(config.picard_max_iter + 1):
-        z_used = truncate_argument(zeta, grid, guard)
+        y_in, g1, g2, k_in, exp_w, exp_dw0 = inputs
+        z_used = truncate_argument(zeta, grid, guard, active)
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
         mu_s = coeffs.mu_s_values(t_index, u_val)
-        m = coeffs.m_values(t_index, u_val)
-        v, cfl = _split_step(y, g1, mu_s, g2, m, faces, grid, grid.dt, factors)
-        cfl_max = max(cfl_max, cfl)
+        m = coeffs.m0_values(t_index, u_val) * exp_dw0
+        faces = None if alpha is None else (alpha, k_in)
+        v, step_cfl = _split_step(y_in, g1, mu_s, g2, m, faces, grid, grid.dt, factors)
+        cfl = np.maximum(cfl, step_cfl)
         diff = l2_norm(v - zeta, grid)
-        if prev_diff is not None and prev_diff > 0:
-            ratio = diff / prev_diff
+        if prev_diff is not None:
+            np.divide(diff, prev_diff, out=ratio, where=np.greater(prev_diff, 0))
         prev_diff = diff
-        if diff <= config.picard_tol * max(1.0, l2_norm(zeta, grid)):
+        done = diff <= config.picard_tol * np.maximum(1.0, l2_norm(zeta, grid))
+        if np.any(done):
             u_final = weighted_population(exp_w * v, gamma_vals, region, grid)
-            return StepResult(state=v, u_value=u_final, k_faces=k, iterations=it,
-                              contraction_ratio=ratio, cfl=cfl_max)
+            if active is None and np.all(done):
+                return StepResult(state=v, u_value=u_final, k_faces=k, iterations=it,
+                                  contraction_ratio=ratio, cfl=cfl)
+            if active is None:
+                active = np.arange(len(y))
+                result = StepResult(
+                    state=np.empty_like(y), u_value=np.empty(paths), k_faces=k,
+                    iterations=np.empty(paths, dtype=int),
+                    contraction_ratio=np.empty(paths), cfl=np.empty(paths))
+            stop = active[done]
+            result.state[stop] = v[done]
+            result.u_value[stop] = u_final[done]
+            result.iterations[stop] = it
+            result.contraction_ratio[stop] = ratio[done]
+            result.cfl[stop] = cfl[done]
+            if np.all(done):
+                return result
+            keep = ~done
+            active = active[keep]
+            inputs = tuple(_rows(data, keep) for data in inputs)
+            v, prev_diff, ratio, cfl = v[keep], diff[keep], ratio[keep], cfl[keep]
         zeta = v
-    raise NonconvergenceError(t_index - 1, config.picard_max_iter,
-                              ratio if np.isfinite(ratio) else np.inf)
+    worst = np.where(np.isfinite(ratio), ratio, np.inf)
+    raise NonconvergenceError(t_index - 1, config.picard_max_iter, float(np.max(worst)))
+
+
+def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
+                         config: SolverConfig | None = None) -> list[SolveReport]:
+    """March several paths of the pathwise system as one array problem; one
+    report per bundle.
+
+    The paths share the grid, the amplitudes and the boundary coefficient,
+    so their states advance together with a leading path axis through one
+    fixed-point loop per step.  Every operation acts on each path by
+    itself with the arithmetic of a one-path march and each path leaves
+    the fixed point at its own iterate, so a path's report is bitwise the
+    same whichever batch it is solved in.
+    """
+    config = config or SolverConfig()
+    if not bundles:
+        return []
+    coeffs = RescaledCoefficients(model, bundles)
+    gamma_vals = evaluate_gamma(model.rates, model.grid)
+    n_p = len(bundles)
+    guard = (TruncationGuard(radius=np.full(n_p, float(config.truncation_radius)),
+                             activations=np.zeros(n_p, dtype=int))
+             if config.truncation_radius is not None
+             else _auto_guard(model, coeffs, config))
+    factors = DiffusionFactors()
+    return _march(
+        model, n_p, gamma_vals,
+        lambda t_index, y, _: picard_step_solve(
+            y, t_index, coeffs, gamma_vals, model.region, guard, config, factors),
+        config, "rescaled", "y", guard)
 
 
 def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,
@@ -511,18 +634,7 @@ def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,
     Substep order within a step is transport, renewal, diffusion; the
     fixed point over the frozen population functional wraps all three.
     The initial state is the initial density itself (the transform is the
-    identity at time zero).
+    identity at time zero).  This is the one-path case of
+    :func:`solve_rescaled_batch`.
     """
-    config = config or SolverConfig()
-    grid = model.grid
-    coeffs = RescaledCoefficients(model, bundle)
-    gamma_vals = evaluate_gamma(model.rates, grid)
-    guard = (TruncationGuard(radius=config.truncation_radius)
-             if config.truncation_radius is not None
-             else _auto_guard(model, coeffs, config))
-    factors = DiffusionFactors()
-    return _march(
-        model, None, gamma_vals,
-        lambda t_index, y, _: picard_step_solve(
-            y, t_index, coeffs, gamma_vals, model.region, guard, config, factors),
-        config, "rescaled", "y", guard)[0]
+    return solve_rescaled_batch(model, [bundle], config)[0]

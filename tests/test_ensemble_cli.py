@@ -8,7 +8,7 @@ import pytest
 import stochage as sa
 from stochage.cli import main
 from stochage.ensemble import (RunConfig, _cached_model, convergence_study,
-                               path_chunks, path_seed, run)
+                               density_final, path_chunks, path_seed, run)
 from stochage.errors import ConfigurationError
 from stochage.fileio import load_field, write_series_csv
 
@@ -171,8 +171,8 @@ class TestChunks:
         assert len({len(c) for c in chunks[:-1]}) == 1
         assert path_chunks(3, grid1d) == [range(0, 3)]
 
-    @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
-    def test_per_path_outputs_match_one_path_solves(self, name, tmp_path):
+    @staticmethod
+    def check_outputs_match_one_path_solves(name, solver, tmp_path):
         # nine paths make two chunks with a ragged second one on both sample
         # models; sample2d's functional integrates over a sub-box
         path = str(MODELS / f"{name}.ini")
@@ -180,33 +180,43 @@ class TestChunks:
         chunks = path_chunks(9, model.grid)
         assert len(chunks) == 2 and len(chunks[1]) < len(chunks[0])
         out = tmp_path / "ens"
-        run(RunConfig(model_path=path, solver="direct", n_paths=9, base_seed=4,
+        run(RunConfig(model_path=path, solver=solver, n_paths=9, base_seed=4,
                       out_dir=str(out), snapshot_stride=1))
         cfg = dataclasses.replace(cfg, snapshot_stride=1)
+        solve = sa.solve_direct if solver == "direct" else sa.solve_rescaled
         for m in range(9):
             bundle = sa.sample_bundle(path_seed(4, m), model.noise.n_modes,
                                       model.grid.n_t, model.grid.T)
-            rep = sa.solve_direct(model, bundle, cfg)
-            assert (load_field(out / f"path_{m:05d}_direct.bin").tobytes()
-                    == rep.final.tobytes())
+            rep = solve(model, bundle, cfg)
+            assert (load_field(out / f"path_{m:05d}_{solver}.bin").tobytes()
+                    == density_final(rep, model, bundle).tobytes())
             write_series_csv(tmp_path / "one.csv", {
                 "t": rep.times, "l2_norm": rep.l2_series,
                 "u_value": rep.u_series, "births": rep.births_series})
-            assert ((out / f"path_{m:05d}_direct.csv").read_bytes()
+            assert ((out / f"path_{m:05d}_{solver}.csv").read_bytes()
                     == (tmp_path / "one.csv").read_bytes())
+
+    @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
+    def test_per_path_outputs_match_one_path_solves(self, name, tmp_path):
+        self.check_outputs_match_one_path_solves(name, "direct", tmp_path)
+
+    @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
+    def test_rescaled_outputs_match_one_path_solves(self, name, tmp_path):
+        self.check_outputs_match_one_path_solves(name, "rescaled", tmp_path)
 
     def test_path_output_independent_of_chunking(self, tmp_path):
         path = str(MODELS / "sample1d.ini")
         trees = []
         for n in (3, 9):
             out = tmp_path / f"n{n}"
-            run(RunConfig(model_path=path, solver="direct", n_paths=n,
+            run(RunConfig(model_path=path, solver="both", n_paths=n,
                           base_seed=6, out_dir=str(out), snapshot_stride=1))
             trees.append(tree_bytes(out))
         for m in range(3):
-            for ext in ("bin", "csv"):
-                key = Path(f"path_{m:05d}_direct.{ext}")
-                assert trees[0][key] == trees[1][key]
+            for name in ("direct", "rescaled"):
+                for ext in ("bin", "csv"):
+                    key = Path(f"path_{m:05d}_{name}.{ext}")
+                    assert trees[0][key] == trees[1][key]
 
 
     def test_pool_over_chunks_matches_serial(self, tmp_path):
@@ -374,6 +384,8 @@ class TestCli:
         ["compare", "--level", "-1"],
         ["compare", "--stride", "-2"],
         ["run", "--stride", "-2"],
+        ["check", "--level", "2"],
+        ["check", "--stride", "5"],
     ])
     def test_out_of_range_input_is_config_error(self, noisy_model_path, tmp_path,
                                                 argv):

@@ -1,9 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import stochage as sa
+from stochage.cli import main
 from stochage.errors import ConfigurationError
 from stochage.modelfile import parse_amplitude, parse_model, parse_rate
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 FULL_MODEL = """
 [grid]
@@ -92,6 +97,17 @@ class TestParseModel:
             "region = box:0.0,0.5", "region = circle:0.5"))
         with pytest.raises(ConfigurationError):
             parse_model(path)
+
+    def test_negative_stride_rejected(self, tmp_path):
+        # the [solver] values go through SolverConfig's checks
+        text = (MODELS / "sample1d.ini").read_text()
+        assert "snapshot_stride = 1" in text
+        path = write_model(tmp_path, text.replace("snapshot_stride = 1",
+                                                  "snapshot_stride = -3"))
+        with pytest.raises(ConfigurationError):
+            parse_model(path)
+        assert main(["run", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
 
     def test_solvable(self, tmp_path):
         model, config = parse_model(write_model(tmp_path))

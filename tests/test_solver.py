@@ -1,3 +1,6 @@
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
@@ -6,12 +9,15 @@ import stochage as sa
 from stochage.errors import (ConfigurationError, InsufficientDataError,
                              NonconvergenceError)
 from stochage.grid import Face, boundary_faces
+from stochage.modelfile import parse_model
 from stochage.solver import (DiffusionFactors, TruncationGuard,
                              diffusion_substep, renewal_row,
                              transport_reaction_substep, tridiagonal_solve,
                              truncate_argument)
 
 from conftest import build_model, linear_rates, logistic_rates, smooth_p0
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def zero_faces(grid, rows=None):
@@ -420,3 +426,119 @@ class TestSolveRescaled:
         assert np.all(rep.picard_iterations == 1)
         assert rep.snapshots.min() >= 0.0
         assert np.all(np.isfinite(rep.final))
+
+
+def same(a, b) -> bool:
+    """Bitwise equality of two solve results, field by field."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return a == b or (a != a and b != b)
+    return a == b
+
+
+def march_without_path_axis(model, bundle, cfg):
+    """Final state, steps and guard of a march of one path that never forms
+    a path axis: coefficients of a single bundle, a guard of scalars."""
+    from stochage.rates import evaluate_gamma
+    from stochage.rescale import RescaledCoefficients
+
+    coeffs = RescaledCoefficients(model, bundle)
+    gamma = evaluate_gamma(model.rates, model.grid)
+    if cfg.truncation_radius is None:
+        n0 = sa.constants_for_run(model, coeffs=coeffs, c0=cfg.c0, c1=cfg.c1).n0
+        guard = TruncationGuard(radius=float(n0), threshold=n0)
+    else:
+        guard = TruncationGuard(radius=cfg.truncation_radius)
+    y, steps = model.initial.p0.values, []
+    for n in range(1, model.grid.n_t + 1):
+        steps.append(sa.picard_step_solve(y, n, coeffs, gamma, model.region,
+                                          guard, cfg))
+        y = steps[-1].state
+    return y, steps, guard
+
+
+def bundles_for(model, n, base=0):
+    return [sa.sample_bundle(base + m, model.noise.n_modes, model.grid.n_t,
+                             model.grid.T) for m in range(n)]
+
+
+class TestSolveRescaledBatch:
+    @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
+    def test_batch_matches_one_path_march(self, name):
+        model, cfg = parse_model(MODELS / f"{name}.ini")
+        cfg = dataclasses.replace(cfg, snapshot_stride=1)
+        bundles = bundles_for(model, 10)
+        singles = [sa.solve_rescaled(model, b, cfg) for b in bundles]
+        for rep, bundle in zip(singles, bundles):
+            final, steps, guard = march_without_path_axis(model, bundle, cfg)
+            assert rep.final.tobytes() == final.tobytes()
+            assert rep.u_series[1:].tobytes() == np.array(
+                [s.u_value for s in steps]).tobytes()
+            assert rep.picard_iterations.tolist() == [s.iterations for s in steps]
+            assert rep.contraction_ratios.tobytes() == np.array(
+                [s.contraction_ratio for s in steps], dtype=float).tobytes()
+            assert rep.cfl_max == max(s.cfl for s in steps)
+            assert rep.guard == guard
+        if name == "sample1d":
+            # paths leave the fixed point at different iterates
+            iters = np.array([r.picard_iterations for r in singles])
+            assert np.any(iters.min(axis=0) < iters.max(axis=0))
+        for size in (3, 10):
+            for lo in range(0, len(bundles), size):
+                batch = sa.solve_rescaled_batch(model, bundles[lo:lo + size], cfg)
+                assert len(batch) == len(bundles[lo:lo + size])
+                for rep, single in zip(batch, singles[lo:lo + size]):
+                    assert same(rep, single)
+
+    def test_small_radius_clips_some_paths_only(self, grid1d):
+        # a growing population whose paths spread: a radius inside the
+        # spread of their peak norms clips only the paths that pass it
+        rates = dataclasses.replace(logistic_rates(),
+                                    m0=sa.LogisticRate(3.0, -0.5, 1.5, 0.5))
+        model = build_model(grid1d, rates=rates, amplitudes=(
+            sa.constant_amplitude(0.6, 1), sa.cosine_amplitude(0.2, (1,), grid1d.extent)))
+        bundles = bundles_for(model, 8)
+        peaks = [r.l2_series.max() for r in
+                 sa.solve_rescaled_batch(model, bundles, sa.SolverConfig())]
+        cfg = sa.SolverConfig(truncation_radius=float(np.median(peaks)))
+        batch = sa.solve_rescaled_batch(model, bundles, cfg)
+        clipped = [rep.guard.activations > 0 for rep in batch]
+        assert 0 < sum(clipped) < len(batch)
+        for rep, bundle in zip(batch, bundles):
+            assert same(rep, sa.solve_rescaled(model, bundle, cfg))
+            assert rep.guard.radius == cfg.truncation_radius
+            assert rep.guard.threshold is None
+
+    def test_failed_path_fails_alone_in_ensemble(self, grid1d):
+        # fertility turns NaN once a path's population passes a threshold
+        # that only some paths reach; the chunk's batch fails as a whole, so
+        # the chunk is solved path by path and only those paths fail
+        from stochage.ensemble import _solve_paths
+        from stochage.rates import CustomRate
+
+        def model_with(m0):
+            rates = dataclasses.replace(linear_rates(), m0=m0,
+                                        gamma=sa.ConstantRate(1.0))
+            return build_model(grid1d, rates=rates,
+                               amplitudes=(sa.constant_amplitude(0.8, 1),))
+
+        cfg = sa.SolverConfig(snapshot_stride=0)
+        healthy = model_with(sa.ConstantRate(0.6))
+        bundles = bundles_for(healthy, 6)
+        peaks = [rep.u_series.max()
+                 for rep in sa.solve_rescaled_batch(healthy, bundles, cfg)]
+        cut = float(np.median(peaks))
+        model = model_with(CustomRate(
+            fn=lambda t, a, x, r: np.nan if r > cut else 0.6, sup=0.6))
+        with pytest.raises(sa.StochageError):
+            sa.solve_rescaled_batch(model, bundles, cfg)
+        out = _solve_paths("rescaled", model, bundles, cfg)
+        failed = [isinstance(r, sa.StochageError) for r in out]
+        assert 0 < sum(failed) < len(out)
+        for rep, bundle, bad in zip(out, bundles, failed):
+            if not bad:
+                assert same(rep, sa.solve_rescaled(model, bundle, cfg))
