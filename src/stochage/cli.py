@@ -88,13 +88,13 @@ def _cmd_run(args) -> int:
     result = ens.run(config)
     if getattr(args, "save_bundle", False):
         save_bundle(Path(args.out) / "bundle_path00000.bin",
-                    ens.path_bundle(args.model, args.level, args.seed, 0))
+                    ens.path_bundle(args.model, args.level, args.seed, [0])[0])
     return result.exit_code
 
 
 def _cmd_compare(args) -> int:
     model, cfg = ens._cached_model(args.model, 2 ** args.level)
-    bundle = ens.path_bundle(args.model, args.level, args.seed, 0)
+    bundle = ens.path_bundle(args.model, args.level, args.seed, [0])[0]
     cfg = dataclasses.replace(cfg, snapshot_stride=args.stride if args.stride else 0)
     rep_r = solve_rescaled(model, bundle, cfg)
     rep_d = solve_direct(model, bundle, cfg)
@@ -125,7 +125,7 @@ def _cmd_check(args) -> int:
     from .rates import validate_rates
 
     model, cfg = ens._cached_model(args.model, 1)
-    bundle = ens.path_bundle(args.model, 0, args.seed, 0)
+    bundle = ens.path_bundle(args.model, 0, args.seed, [0])[0]
     cfg = dataclasses.replace(cfg, snapshot_stride=1)
     report = solve_rescaled(model, bundle, cfg)
     consts = estimates.constants_for_run(model, bundle, c0=cfg.c0, c1=cfg.c1)
@@ -156,7 +156,7 @@ def _cmd_check(args) -> int:
     res_fine = estimates.weak_residual_random(report, model, bundle).max_abs
     coarse_model, coarse_cfg = ens._cached_model(args.model, 2)
     coarse_cfg = dataclasses.replace(coarse_cfg, snapshot_stride=1)
-    coarse_bundle = ens.path_bundle(args.model, 1, args.seed, 0)
+    coarse_bundle = ens.path_bundle(args.model, 1, args.seed, [0])[0]
     rep_c = solve_rescaled(coarse_model, coarse_bundle, coarse_cfg)
     res_coarse = estimates.weak_residual_random(rep_c, coarse_model,
                                                 coarse_bundle).max_abs

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+from collections.abc import Sequence
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -95,14 +96,15 @@ def _parse_model(digest: str, coarsen_factor: int, path: str):
 
 
 def path_bundle(model_path: str, level: int, base_seed: int,
-                index: int) -> BrownianBundle:
-    """Brownian bundle of ensemble path ``index`` at coarsening ``level``:
-    sampled on the master grid from :func:`path_seed`, then coarsened."""
+                indices: Sequence[int]) -> list[BrownianBundle]:
+    """Brownian bundles of ensemble paths ``indices`` at coarsening
+    ``level``: each sampled on the master grid from :func:`path_seed`, then
+    coarsened by ``2 ** level``."""
     master, _ = _cached_model(model_path, 1)
-    model, _ = _cached_model(model_path, 2 ** level)
-    bundle = sample_bundle(path_seed(base_seed, index), master.noise.n_modes,
-                           master.grid.n_t, master.grid.T)
-    return coarsen(bundle, master.grid.n_t // model.grid.n_t)
+    grid = master.grid
+    return [coarsen(sample_bundle(path_seed(base_seed, index), master.noise.n_modes,
+                                  grid.n_t, grid.T), 2 ** level)
+            for index in indices]
 
 
 def path_chunks(n_paths: int, grid: Grid) -> list[range]:
@@ -120,23 +122,19 @@ def density_final(report: SolveReport, model: PopulationModel,
     return forward_transform(report.final_field, nf.value).values
 
 
-def density_at(report: SolveReport, model: PopulationModel,
-               bundle: BrownianBundle, t_index: int) -> np.ndarray:
-    vals = report.field_at(t_index)
-    if report.variable == "p":
-        return vals
-    nf = evaluate_noise(model.noise, bundle, t_index, model.grid)
-    return forward_transform(Field(vals, model.grid), nf.value).values
-
-
 def mass_series(report: SolveReport, model: PopulationModel,
-                bundle: BrownianBundle) -> np.ndarray:
-    """Total population at each stored snapshot index."""
+                bundle: BrownianBundle, p_final: np.ndarray) -> np.ndarray:
+    """Total population at each stored snapshot index; the last one is that
+    of ``p_final``, the report's :func:`density_final`."""
     grid = model.grid
     out = np.zeros(len(report.snapshot_indices))
-    for pos, idx in enumerate(report.snapshot_indices):
-        p = density_at(report, model, bundle, int(idx))
+    for pos, idx in enumerate(report.snapshot_indices[:-1]):
+        p = report.snapshots[pos]
+        if report.variable == "y":
+            nf = evaluate_noise(model.noise, bundle, int(idx), grid)
+            p = forward_transform(Field(p, grid), nf.value).values
         out[pos] = weighted_population(p, 1.0, None, grid)
+    out[-1] = weighted_population(p_final, 1.0, None, grid)
     return out
 
 
@@ -171,8 +169,7 @@ def _solve_paths(name: str, model: PopulationModel, bundles: list,
 def _run_chunk(config: RunConfig, indices: range, out_dir: str | None) -> list[dict]:
     model, cfg = _cached_model(config.model_path, 2 ** config.level)
     cfg = dataclasses.replace(cfg, snapshot_stride=config.snapshot_stride)
-    bundles = [path_bundle(config.model_path, config.level, config.base_seed, index)
-               for index in indices]
+    bundles = path_bundle(config.model_path, config.level, config.base_seed, indices)
     results = [{"index": index, "seed": bundle.seed, "solvers": {}}
                for index, bundle in zip(indices, bundles)]
     for name in config.solvers():
@@ -188,7 +185,7 @@ def _run_chunk(config: RunConfig, indices: range, out_dir: str | None) -> list[d
             entry.update(
                 final=p_final,
                 final_l2=l2_norm(p_final, model.grid),
-                mass=mass_series(report, model, bundle),
+                mass=mass_series(report, model, bundle, p_final),
                 mass_indices=report.snapshot_indices,
                 picard_max=int(report.picard_iterations.max()) if len(report.picard_iterations) else 0,
                 truncations=report.guard.activations if report.guard else 0,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import (Face, Grid, boundary_faces, face_measure, face_shape,
+from .grid import (Grid, boundary_faces, face_measure, face_shape,
                    gradient_energy, l2_norm, weighted_population)
 from .model import PopulationModel
 from .noise import BrownianBundle, amplitude_grids
@@ -98,18 +98,14 @@ def compute_constants(rates: VitalRates, *, c0: float = 1.0, c1: float = 1.0,
 
 def constants_for_run(model: PopulationModel,
                       bundle: BrownianBundle | None = None,
-                      coeffs: RescaledCoefficients | None = None,
                       c0: float = 1.0, c1: float = 1.0,
                       sups: CoefficientSups | None = None) -> EstimateConstants:
     """Constants for one model and sampled path (one sweep over the nodes,
     skipped when the path's coefficient ``sups`` are given)."""
     if sups is None:
-        if coeffs is None:
-            if bundle is None:
-                raise ConfigurationError(
-                    "a bundle, coefficients or their sups are required")
-            coeffs = RescaledCoefficients(model, bundle)
-        sups = coeffs.coefficient_sups()
+        if bundle is None:
+            raise ConfigurationError("a bundle or its coefficient sups are required")
+        sups = RescaledCoefficients(model, bundle).coefficient_sups()
     return compute_constants(
         model.rates, c0=c0, c1=c1, g1_sup=sups.g1_sup, g2_sup=sups.g2_sup,
         div_g2_sup=sups.div_g2_sup, c_w0=sups.c_w0, c_w=sups.c_w,
@@ -304,12 +300,6 @@ class ResidualReport:
         return float(np.max(np.abs(self.residuals)))
 
 
-def _time_weights(n_t: int, dt: float) -> np.ndarray:
-    w = np.full(n_t + 1, dt)
-    w[0] = w[-1] = 0.5 * dt
-    return w
-
-
 def _cell_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     """Cell-centered spatial gradient (zero along single-cell axes)."""
     out = []
@@ -321,43 +311,34 @@ def _cell_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return out
 
 
-def weak_residual_random(report, model: PopulationModel,
-                         bundle: BrownianBundle, n_psi: int = 6,
-                         coeffs: RescaledCoefficients | None = None) -> ResidualReport:
-    """Residual of the pathwise weak identity over a polynomial family.
+def _weak_residual(traj, grid: Grid, psis: list[TestFunction], node,
+                   timed: bool) -> np.ndarray:
+    """Residuals of the weak identity of a stored trajectory over ``psis``.
 
-    Assembles every term of the space-age-time weak form (trapezoid in
-    time and age, midpoint in space, cell-centered gradients) from a
-    stored trajectory of the rescaled state.  For the discrete solution
-    the residual decays at first order under grid refinement.
+    ``node(i, state)`` returns ``(g1, g2, mu_s, m, alpha, k)`` at time node
+    ``i``.  Every term is assembled with the trapezoid rule in time and
+    age, the midpoint rule in space and cell-centered gradients.  With
+    ``timed`` (the pathwise form) each term carries the time factor
+    ``phi(t)``, the time derivative enters through ``dphi`` and the
+    initial-data term is subtracted.  Otherwise (the stochastic form) the
+    time factor is 1, the endpoint difference ``p(T) - p(0)`` stands in for
+    the derivative term, and the caller adds the Ito sum.
     """
-    if report.variable != "y":
-        raise ConfigurationError("the pathwise residual expects a rescaled-state report")
-    traj = report.trajectory  # raises when stored with stride > 1
-    grid = report.grid
-    if coeffs is None:
-        coeffs = RescaledCoefficients(model, bundle)
-    gamma_vals = evaluate_gamma(model.rates, grid)
-    psis = build_test_functions(grid, n_psi)
-    tw = _time_weights(grid.n_t, grid.dt)
+    tw = grid.time_weights
     aw = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     vol = grid.cell_volume
     res = np.zeros(len(psis))
+    if not timed:
+        for j, psi in enumerate(psis):
+            res[j] = np.sum((traj[-1] - traj[0]) * psi.A * aw) * vol
 
     for i, t in enumerate(grid.times):
         y = traj[i]
-        exp_w = coeffs.exp_w(i)
-        u_val = weighted_population(exp_w * y, gamma_vals, model.region, grid)
-        mu_s = coeffs.mu_s_values(i, u_val)
-        m = coeffs.m_values(i, u_val)
-        g1 = coeffs.g1(i)
-        g2 = coeffs.g2(i)
+        g1, g2, mu_s, m, alpha, k = node(i, y)
         grads = _cell_gradients(y, grid)
         renewal_inner = np.sum(aw * m * y, axis=0)
-        alpha = coeffs.alpha_faces(i)
-        k = coeffs.k_faces(i)
         for j, psi in enumerate(psis):
-            ph, dph = psi.phi(t), psi.dphi(t)
+            ph, dph = (psi.phi(t), psi.dphi(t)) if timed else (1.0, 0.0)
             # interior terms, all weighted by the time rule
             bulk = -y * psi.A * dph - y * psi.A_a * ph \
                 + (y * g1 + mu_s * y) * psi.A * ph
@@ -367,25 +348,47 @@ def weak_residual_random(report, model: PopulationModel,
             # exit-age trace and renewal row
             val += np.sum(y[-1] * psi.A[-1]) * vol * ph * tw[i]
             val -= np.sum(renewal_inner * psi.A[0]) * vol * ph * tw[i]
-            # Robin boundary
+            # Robin boundary; the adjacent cell's value is the trace
             for face in boundary_faces(grid):
-                y_face = _face_trace(y, face)
-                fv = psi.face_values[face]
-                contrib = (alpha[face] * y_face + k[face]) * fv
+                y_face = np.take(y, -face.side, axis=1 + face.axis)
+                contrib = (alpha[face] * y_face + k[face]) * psi.face_values[face]
                 wv = grid.age_weights.reshape((-1,) + (1,) * (contrib.ndim - 1))
                 val += float(np.sum(contrib * wv)) * face_measure(grid, face) * ph * tw[i]
             res[j] += val
-    # initial-data term
-    for j, psi in enumerate(psis):
-        res[j] -= np.sum(traj[0] * psi.A * aw) * vol * psi.phi(0.0)
+    if timed:
+        for j, psi in enumerate(psis):
+            res[j] -= np.sum(traj[0] * psi.A * aw) * vol * psi.phi(0.0)
+    return res
+
+
+def weak_residual_random(report, model: PopulationModel,
+                         bundle: BrownianBundle, n_psi: int = 6) -> ResidualReport:
+    """Residual of the pathwise weak identity over a polynomial family.
+
+    Assembles every term of the space-age-time weak form from a stored
+    trajectory of the rescaled state, with the path's coefficients ``g1``,
+    ``g2``, ``k`` and the rescaled fertility.  For the discrete solution
+    the residual decays at first order under grid refinement.
+    """
+    if report.variable != "y":
+        raise ConfigurationError("the pathwise residual expects a rescaled-state report")
+    traj = report.trajectory  # raises when stored with stride > 1
+    grid = report.grid
+    rates = model.rates
+    coeffs = RescaledCoefficients(model, bundle)
+    gamma_vals = evaluate_gamma(rates, grid)
+    psis = build_test_functions(grid, n_psi)
+
+    def node(i, y):
+        t = grid.times[i]
+        fields = coeffs.node_fields(i)
+        u_val = weighted_population(fields["exp_w"] * y, gamma_vals, model.region, grid)
+        return (fields["g1"], fields["g2"], evaluate_on_grid(rates.mu_s, grid, t, u_val),
+                evaluate_on_grid(rates.m0, grid, t, u_val) * fields["exp_dw0"],
+                evaluate_on_faces(rates.alpha0, grid, t), coeffs.k_faces(i))
+
+    res = _weak_residual(traj, grid, psis, node, timed=True)
     return ResidualReport([p.label for p in psis], res)
-
-
-def _face_trace(values: np.ndarray, face: Face) -> np.ndarray:
-    """Value of the cell adjacent to a boundary face (first-order trace)."""
-    ax = 1 + face.axis
-    idx = 0 if face.side == 0 else values.shape[ax] - 1
-    return np.take(values, idx, axis=ax)
 
 
 def weak_residual_stochastic(report, model: PopulationModel,
@@ -402,48 +405,29 @@ def weak_residual_stochastic(report, model: PopulationModel,
         raise ConfigurationError("the stochastic residual expects a density report")
     traj = report.trajectory
     grid = report.grid
+    rates = model.rates
     amp = amplitude_grids(model.noise, grid)
-    gamma_vals = evaluate_gamma(model.rates, grid)
+    gamma_vals = evaluate_gamma(rates, grid)
     psis = [p for p in build_test_functions(grid, 64) if p.q_t == 0][:n_psi]
-    tw = _time_weights(grid.n_t, grid.dt)
+
+    def node(i, p):
+        t = grid.times[i]
+        u_val = weighted_population(p, gamma_vals, model.region, grid)
+        return (0.0, (0.0,) * grid.dim, evaluate_on_grid(rates.mu_s, grid, t, u_val),
+                evaluate_on_grid(rates.m0, grid, t, u_val),
+                evaluate_on_faces(rates.alpha0, grid, t), evaluate_on_faces(rates.k0, grid, t))
+
+    res = _weak_residual(traj, grid, psis, node, timed=False)
+    # Ito sum: left-endpoint state against each mode's increment
     aw = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     vol = grid.cell_volume
-    res = np.zeros(len(psis))
-
-    for j, psi in enumerate(psis):
-        res[j] = np.sum((traj[-1] - traj[0]) * psi.A * aw) * vol
-
-    for i, t in enumerate(grid.times):
-        p = traj[i]
-        u_val = weighted_population(p, gamma_vals, model.region, grid)
-        mu_s = evaluate_on_grid(model.rates.mu_s, grid, t, u_val)
-        m0 = evaluate_on_grid(model.rates.m0, grid, t, u_val)
-        grads = _cell_gradients(p, grid)
-        renewal_inner = np.sum(aw * m0 * p, axis=0)
-        alpha = evaluate_on_faces(model.rates.alpha0, grid, t)
-        k = evaluate_on_faces(model.rates.k0, grid, t)
-        for j, psi in enumerate(psis):
-            bulk = -p * psi.A_a + mu_s * p * psi.A
-            for ax in range(grid.dim):
-                bulk += grads[ax] * psi.A_grad[ax]
-            val = np.sum(bulk * aw) * vol
-            val += np.sum(p[-1] * psi.A[-1]) * vol
-            val -= np.sum(renewal_inner * psi.A[0]) * vol
-            for face in boundary_faces(grid):
-                fv = psi.face_values[face]
-                contrib = (alpha[face] * _face_trace(p, face) + k[face]) * fv
-                wv = grid.age_weights.reshape((-1,) + (1,) * (contrib.ndim - 1))
-                val += float(np.sum(contrib * wv)) * face_measure(grid, face)
-            res[j] += val * tw[i]
-
-    # Ito sum: left-endpoint state against each mode's increment
     for n in range(grid.n_t):
         p = traj[n]
         dinc = bundle.increments[:, n]
         for j, psi in enumerate(psis):
             weights = np.sum(amp.values * (p * psi.A * aw), axis=tuple(range(1, p.ndim + 1))) * vol
             res[j] -= float(np.dot(weights, dinc))
-    return ResidualReport([p.label for p in psis], res)
+    return ResidualReport([f"a^{p.deg_a} x^{p.deg_x}" for p in psis], res)
 
 
 # ---------------------------------------------------------------------------

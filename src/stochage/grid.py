@@ -103,6 +103,13 @@ class Grid:
         return w
 
     @cached_property
+    def time_weights(self) -> np.ndarray:
+        """Trapezoid weights over the time nodes."""
+        w = np.full(self.n_t + 1, self.dt)
+        w[0] = w[-1] = 0.5 * self.dt
+        return w
+
+    @cached_property
     def cell_centers(self) -> tuple[np.ndarray, ...]:
         return tuple(
             (np.arange(n) + 0.5) * d for n, d in zip(self.n_x, self.dx)

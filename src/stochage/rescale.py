@@ -28,7 +28,7 @@ from .errors import ConfigurationError, NoiseMagnitudeError
 from .grid import Face, Field, boundary_faces, boundary_norm_sq
 from .model import PopulationModel
 from .noise import BrownianBundle, NoiseField, amplitude_grids, ito_correction
-from .rates import evaluate_on_faces, evaluate_on_grid
+from .rates import evaluate_on_faces
 
 EXP_GUARD = 700.0
 
@@ -70,9 +70,8 @@ class RescaledCoefficients:
 
     Given one bundle the coefficient fields have the grid's shape; given a
     sequence of bundles they carry a leading path axis.  Per time node the
-    fields of every path are built at once and cached, so a caller can
-    re-query the same node cheaply; the noise field they come from is not
-    kept.
+    fields of every path are built at once; the noise field they come from
+    is not kept, and only the Robin datum is cached with the node.
     """
 
     def __init__(self, model: PopulationModel,
@@ -143,29 +142,11 @@ class RescaledCoefficients:
 
     def node_fields(self, t_index: int) -> dict:
         """``g1``, ``g2``, ``exp_w`` (``exp(W)``) and ``exp_dw0``
-        (``exp(W - W(t,0,x))``) at one node, built afresh for a caller
-        that holds them for the node (the fixed point); the accessors
-        below cache them with the node instead."""
+        (``exp(W - W(t,0,x))``) at one node, built afresh on every call."""
         nf = self._noise(t_index)
         w0 = nf.value[self.grid.rows(np.s_[:1])]
         return {"g1": self._g1(nf), "g2": tuple(-2.0 * g for g in nf.gradient),
                 "exp_w": _guarded_exp(nf.value), "exp_dw0": _guarded_exp(nf.value - w0)}
-
-    def _field(self, t_index: int, key: str):
-        return self._node(t_index, "fields", lambda: self.node_fields(t_index))[key]
-
-    def g1(self, t_index: int) -> np.ndarray:
-        return self._field(t_index, "g1")
-
-    def g2(self, t_index: int) -> tuple[np.ndarray, ...]:
-        return self._field(t_index, "g2")
-
-    def exp_w(self, t_index: int) -> np.ndarray:
-        return self._field(t_index, "exp_w")
-
-    def exp_w_minus_w0(self, t_index: int) -> np.ndarray:
-        """exp(W(t,a,x) - W(t,0,x)), the fertility rescaling factor."""
-        return self._field(t_index, "exp_dw0")
 
     def k_face(self, face: Face, t_index: int) -> np.ndarray:
         """Rescaled Robin datum ``k0 exp(-W)`` on one face."""
@@ -177,24 +158,6 @@ class RescaledCoefficients:
     def k_faces(self, t_index: int) -> dict:
         return self._node(t_index, "k", lambda: {
             f: self.k_face(f, t_index) for f in boundary_faces(self.grid)})
-
-    def alpha_faces(self, t_index: int) -> dict:
-        """Robin coefficient: passes through unchanged because the noise
-        amplitudes have zero normal derivative on the boundary."""
-        return evaluate_on_faces(self.model.rates.alpha0, self.grid,
-                                 self.grid.times[t_index])
-
-    def mu_s_values(self, t_index: int, u_value) -> np.ndarray:
-        t = self.grid.times[t_index]
-        return evaluate_on_grid(self.model.rates.mu_s, self.grid, t, u_value)
-
-    def m0_values(self, t_index: int, u_value) -> np.ndarray:
-        """The fertility before rescaling, ``m0``."""
-        t = self.grid.times[t_index]
-        return evaluate_on_grid(self.model.rates.m0, self.grid, t, u_value)
-
-    def m_values(self, t_index: int, u_value) -> np.ndarray:
-        return self.m0_values(t_index, u_value) * self.exp_w_minus_w0(t_index)
 
     # -- whole-path bounds ----------------------------------------------------
 
@@ -227,9 +190,7 @@ class RescaledCoefficients:
                 k_sq[..., i] = boundary_norm_sq(self.k_faces(i), grid)
             if np.max(w_max) > EXP_GUARD:
                 raise NoiseMagnitudeError(float(np.max(w_max)))
-            tw = np.full(grid.n_t + 1, grid.dt)
-            tw[0] = tw[-1] = 0.5 * grid.dt
-            k_sq_integral = np.sum(k_sq * tw, axis=-1)
+            k_sq_integral = np.sum(k_sq * grid.time_weights, axis=-1)
             sups = [CoefficientSups(
                 g1_sup=float(g1_sup[j]), g2_sup=float(g2_sup[j]),
                 div_g2_sup=float(div_sup[j]), c_w0=float(np.exp(dw0_max[j])),

@@ -31,7 +31,7 @@ from .grid import (Face, Field, Grid, boundary_norm_sq, gradient_energy,
                    l2_norm, weighted_population)
 from .model import PopulationModel
 from .noise import BrownianBundle
-from .rates import evaluate_gamma, evaluate_on_faces
+from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
 from .rescale import RescaledCoefficients
 
 logger = logging.getLogger(__name__)
@@ -80,20 +80,6 @@ def _thomas_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     for i in range(len(x) - 2, -1, -1):
         x[i] -= cp[i] * x[i + 1]
     return rhs
-
-
-def tridiagonal_solve(lower: np.ndarray, diag: np.ndarray, upper: np.ndarray,
-                      rhs: np.ndarray) -> np.ndarray:
-    """Thomas algorithm over a batch of independent systems (last axis).
-
-    ``lower[..., 0]`` and ``upper[..., -1]`` are ignored.  This is
-    :func:`_thomas_factor` followed by :func:`_thomas_solve`, so it keeps
-    their exact nonnegativity.
-    """
-    lower, diag, upper, rhs = (np.moveaxis(np.asarray(a, dtype=float), -1, 0)
-                               for a in (lower, diag, upper, rhs))
-    factor = _thomas_factor(lower, diag, upper)
-    return np.moveaxis(_thomas_solve(factor, rhs.copy()), 0, -1)
 
 
 def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
@@ -542,7 +528,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     grid = coeffs.grid
     if factors is None:
         factors = DiffusionFactors()
-    alpha = coeffs.alpha_faces(t_index) if config.include_diffusion else None
+    rates, t = coeffs.model.rates, grid.times[t_index]
+    alpha = evaluate_on_faces(rates.alpha0, grid, t) if config.include_diffusion else None
     k = coeffs.k_faces(t_index)
     node = coeffs.node_fields(t_index)
     # per-path inputs; the rows of converged paths are dropped
@@ -559,8 +546,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         y_in, g1, g2, k_in, exp_w, exp_dw0 = inputs
         z_used = truncate_argument(zeta, grid, guard, active)
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
-        mu_s = coeffs.mu_s_values(t_index, u_val)
-        m = coeffs.m0_values(t_index, u_val) * exp_dw0
+        mu_s = evaluate_on_grid(rates.mu_s, grid, t, u_val)
+        m = evaluate_on_grid(rates.m0, grid, t, u_val) * exp_dw0
         faces = None if alpha is None else (alpha, k_in)
         v, step_cfl = _split_step(y_in, g1, mu_s, g2, m, faces, grid, grid.dt, factors)
         cfl = np.maximum(cfl, step_cfl)

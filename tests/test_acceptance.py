@@ -54,18 +54,18 @@ def test_criterion_01_rescaling_equivalence():
     n_fine = levels[-1]
     n_paths = 8
     models = {n_t: equivalence_model(n_t) for n_t in levels}
+    masters = [sa.sample_bundle(300 + m, 2, n_fine, 0.5) for m in range(n_paths)]
+    cfg = sa.SolverConfig(snapshot_stride=0)
     pair = np.zeros((n_paths, len(levels)))
     rel_finest = np.zeros(n_paths)
-    for m in range(n_paths):
-        master = sa.sample_bundle(300 + m, 2, n_fine, 0.5)
-        for i, n_t in enumerate(levels):
-            model = models[n_t]
-            bundle = coarsen(master, n_fine // n_t)
-            cfg = sa.SolverConfig(snapshot_stride=0)
-            p_r = density_final(sa.solve_rescaled(model, bundle, cfg),
-                                model, bundle)
-            p_d = sa.solve_direct(model, bundle, cfg).final
-            pair[m, i] = sa.l2_norm(p_d - p_r, model.grid)
+    for i, n_t in enumerate(levels):
+        model = models[n_t]
+        bundles = [coarsen(master, n_fine // n_t) for master in masters]
+        reps_r = sa.solve_rescaled_batch(model, bundles, cfg)
+        reps_d = sa.solve_direct_batch(model, bundles, cfg)
+        for m, (bundle, rep_r, rep_d) in enumerate(zip(bundles, reps_r, reps_d)):
+            p_r = density_final(rep_r, model, bundle)
+            pair[m, i] = sa.l2_norm(rep_d.final - p_r, model.grid)
             if i == len(levels) - 1:
                 rel_finest[m] = pair[m, i] / sa.l2_norm(p_r, model.grid)
     mean_pair = pair.mean(axis=0)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 import stochage as sa
+from stochage import ensemble
 from stochage.cli import main
 from stochage.ensemble import (RunConfig, _cached_model, convergence_study,
                                density_final, path_chunks, path_seed, run)
 from stochage.errors import ConfigurationError
 from stochage.fileio import load_field, write_series_csv
+from stochage.noise import evaluate_noise
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -218,6 +220,20 @@ class TestChunks:
                     key = Path(f"path_{m:05d}_{name}.{ext}")
                     assert trees[0][key] == trees[1][key]
 
+    def test_stride0_rescaled_path_evaluates_noise_twice(self, monkeypatch):
+        # post-processing transforms the two stored snapshots once each:
+        # the final density serves both the output field and the mass series
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return evaluate_noise(*args, **kwargs)
+
+        monkeypatch.setattr(ensemble, "evaluate_noise", counting)
+        result = run(RunConfig(model_path=str(MODELS / "sample1d.ini"),
+                               solver="rescaled", n_paths=1, base_seed=2))
+        assert result.exit_code == 0
+        assert len(calls) <= 2
 
     def test_pool_over_chunks_matches_serial(self, tmp_path):
         # two chunks spread over two worker processes

@@ -204,6 +204,19 @@ class TestWeakResidualStochastic:
         res = sa.weak_residual_stochastic(rep, model, bundle)
         assert res.max_abs == 0.0
 
+    def test_stationary_constant_solution_rounding(self, grid1d):
+        """The steady state of the pathwise test, in the stochastic form:
+        with zero noise the Ito sum vanishes and every quadrature is exact
+        for a constant density, so the residual is at rounding level."""
+        rates = sa.VitalRates(m0=sa.ConstantRate(1.0 / grid1d.a_max))
+        model = build_model(grid1d, rates=rates,
+                            amplitudes=(sa.constant_amplitude(0.0, 1),))
+        bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
+        rep = sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=1))
+        rep.snapshots = np.full((grid1d.n_t + 1,) + grid1d.field_shape, 1.7)
+        res = sa.weak_residual_stochastic(rep, model, bundle, n_psi=6)
+        assert res.max_abs <= 1e-12
+
     def test_decreases_under_refinement(self):
         master = sa.sample_bundle(8, 1, 128, 0.5)
         vals = []

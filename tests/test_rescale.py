@@ -6,7 +6,7 @@ import stochage as sa
 from stochage.errors import ConfigurationError, NoiseMagnitudeError
 from stochage.grid import Face
 from stochage.noise import evaluate_noise
-from stochage.rates import evaluate_on_faces
+from stochage.rates import evaluate_on_faces, evaluate_on_grid
 from stochage.rescale import RescaledCoefficients
 
 from conftest import build_model, linear_rates
@@ -52,15 +52,17 @@ class TestCoefficients:
         bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
         coeffs = RescaledCoefficients(model, bundle)
         i = grid1d.n_t // 2
-        assert np.all(coeffs.g1(i) == 0.0)
-        assert np.all(coeffs.g2(i)[0] == 0.0)
-        assert np.all(coeffs.exp_w(i) == 1.0)
+        fields = coeffs.node_fields(i)
+        assert np.all(fields["g1"] == 0.0)
+        assert np.all(fields["g2"][0] == 0.0)
+        assert np.all(fields["exp_w"] == 1.0)
         face = Face(0, 0)
         k0 = evaluate_on_faces(model.rates.k0, grid1d, grid1d.times[i])
         assert np.array_equal(coeffs.k_face(face, i), k0[face])
         u = 1.23
         m0_direct = 0.6 * np.ones(grid1d.field_shape)
-        assert np.array_equal(coeffs.m_values(i, u), m0_direct)
+        m0 = evaluate_on_grid(model.rates.m0, grid1d, grid1d.times[i], u)
+        assert np.array_equal(m0 * fields["exp_dw0"], m0_direct)
 
     def test_age_linear_mode(self, grid1d):
         # mu(a) = a: g1 = b + a^2/2, g2 = 0
@@ -69,11 +71,10 @@ class TestCoefficients:
         bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
         i = 11
         b = bundle.betas[0, i]
-        coeffs = RescaledCoefficients(model, bundle)
-        g1 = coeffs.g1(i)
+        fields = RescaledCoefficients(model, bundle).node_fields(i)
         ages = grid1d.age_mesh
-        assert np.allclose(g1, b + ages ** 2 / 2, rtol=1e-13)
-        assert np.all(coeffs.g2(i)[0] == 0.0)
+        assert np.allclose(fields["g1"], b + ages ** 2 / 2, rtol=1e-13)
+        assert np.all(fields["g2"][0] == 0.0)
 
     def test_advection_normal_component_vanishes_on_boundary(self, grid1d):
         # compatible amplitudes have zero normal derivative on the box, so
@@ -105,10 +106,10 @@ class TestCoefficients:
         g1_fn = sympy.lambdify(x, g1_sym, "numpy")
         g2_fn = sympy.lambdify(x, g2_sym, "numpy")
 
-        coeffs = RescaledCoefficients(model, bundle)
+        fields = RescaledCoefficients(model, bundle).node_fields(i)
         xs = grid.cell_centers[0]
-        assert np.allclose(coeffs.g1(i)[0], g1_fn(xs), rtol=1e-12)
-        assert np.allclose(coeffs.g2(i)[0][0], g2_fn(xs), rtol=1e-12)
+        assert np.allclose(fields["g1"][0], g1_fn(xs), rtol=1e-12)
+        assert np.allclose(fields["g2"][0][0], g2_fn(xs), rtol=1e-12)
 
     def test_boundary_datum_rescaled(self, grid1d):
         model = build_model(grid1d, rates=linear_rates(k0=0.5),
@@ -128,8 +129,8 @@ class TestCoefficients:
         bundle = sa.sample_bundle(4, 1, grid1d.n_t, grid1d.T)
         i = 6
         b = bundle.betas[0, i]
-        coeffs = RescaledCoefficients(model, bundle)
-        m = coeffs.m_values(i, 0.0)
+        exp_dw0 = RescaledCoefficients(model, bundle).node_fields(i)["exp_dw0"]
+        m = evaluate_on_grid(model.rates.m0, grid1d, grid1d.times[i], 0.0) * exp_dw0
         expected = 0.6 * np.exp(grid1d.age_mesh * b)
         assert np.allclose(m, np.broadcast_to(expected, grid1d.field_shape), rtol=1e-13)
 

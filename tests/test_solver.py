@@ -10,10 +10,9 @@ from stochage.errors import (ConfigurationError, InsufficientDataError,
                              NonconvergenceError)
 from stochage.grid import Face, boundary_faces
 from stochage.modelfile import parse_model
-from stochage.solver import (DiffusionFactors, TruncationGuard,
-                             diffusion_substep, renewal_row,
-                             transport_reaction_substep, tridiagonal_solve,
-                             truncate_argument)
+from stochage.solver import (DiffusionFactors, TruncationGuard, _thomas_factor,
+                             _thomas_solve, diffusion_substep, renewal_row,
+                             transport_reaction_substep, truncate_argument)
 
 from conftest import build_model, linear_rates, logistic_rates, smooth_p0
 
@@ -39,7 +38,9 @@ class TestTridiagonal:
             lower[:, 0] = 0.0
             upper[:, -1] = 0.0
             rhs = rng.normal(size=(4, n))
-            ours = tridiagonal_solve(lower, diag, upper, rhs)
+            # the solve axis leads in the factor and the right side
+            factor = _thomas_factor(lower.T, diag.T, upper.T)
+            ours = _thomas_solve(factor, rhs.T.copy()).T
             for b in range(4):
                 ab = np.zeros((3, n))
                 ab[0, 1:] = upper[b, :-1]
@@ -60,7 +61,7 @@ class TestTridiagonal:
             upper = np.full(n, -r)
             lower[0] = upper[-1] = 0.0
             rhs = rng.random(n) * np.round(rng.random(n))  # many exact zeros
-            x = tridiagonal_solve(lower[None], diag[None], upper[None], rhs[None])
+            x = _thomas_solve(_thomas_factor(lower, diag, upper), rhs)
             assert np.all(x >= 0.0)
 
 
@@ -449,7 +450,8 @@ def march_without_path_axis(model, bundle, cfg):
     coeffs = RescaledCoefficients(model, bundle)
     gamma = evaluate_gamma(model.rates, model.grid)
     if cfg.truncation_radius is None:
-        n0 = sa.constants_for_run(model, coeffs=coeffs, c0=cfg.c0, c1=cfg.c1).n0
+        n0 = sa.constants_for_run(model, sups=coeffs.coefficient_sups(),
+                                  c0=cfg.c0, c1=cfg.c1).n0
         guard = TruncationGuard(radius=float(n0), threshold=n0)
     else:
         guard = TruncationGuard(radius=cfg.truncation_radius)
