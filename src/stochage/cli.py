@@ -60,23 +60,26 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["rescaled", "direct", "both"])
     p_run.add_argument("--save-bundle", action="store_true",
                        help="export the Brownian bundle of path 0")
+    p_run.set_defaults(handler=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="both solvers on one fixed path")
     _common(p_cmp)
+    p_cmp.set_defaults(handler=_cmd_compare)
 
     p_conv = sub.add_parser("convergence", help="fixed-path refinement study")
-    p_conv.add_argument("--model", required=True)
-    p_conv.add_argument("--out", required=True)
-    p_conv.add_argument("--seed", type=int, default=0)
+    _common(p_conv, level=False)
     p_conv.add_argument("--levels", type=int, default=3)
+    p_conv.set_defaults(handler=_cmd_convergence)
 
     p_ens = sub.add_parser("ensemble", help="Monte Carlo ensemble statistics")
     _common(p_ens, paths=True)
     p_ens.add_argument("--solver", default="direct",
                        choices=["rescaled", "direct", "both"])
+    p_ens.set_defaults(handler=_cmd_run)
 
     p_chk = sub.add_parser("check", help="estimate checks on one model")
     _common(p_chk, level=False)
+    p_chk.set_defaults(handler=_cmd_check)
     return parser
 
 
@@ -186,15 +189,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
-        if args.command in ("run", "ensemble"):
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "convergence":
-            return _cmd_convergence(args)
-        if args.command == "check":
-            return _cmd_check(args)
-        return EXIT_CONFIG
+        return args.handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

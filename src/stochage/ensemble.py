@@ -30,7 +30,8 @@ from .model import PopulationModel
 from .noise import BrownianBundle, coarsen, evaluate_noise, sample_bundle
 from .oracle import solve_direct, solve_direct_batch
 from .rescale import forward_transform
-from .solver import SolveReport, SolverConfig, solve_rescaled, solve_rescaled_batch
+from .solver import (SolveReport, SolverConfig, _snapshot_indices, solve_rescaled,
+                     solve_rescaled_batch)
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -56,10 +57,12 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.n_paths < 1 or self.snapshot_stride < 0 or self.base_seed < 0:
+        if (self.n_paths < 1 or self.snapshot_stride < 0 or self.base_seed < 0
+                or self.workers < 1):
             raise ConfigurationError(
-                f"need paths >= 1, stride >= 0 and seed >= 0; got paths "
-                f"{self.n_paths}, stride {self.snapshot_stride}, seed {self.base_seed}")
+                f"need paths >= 1, stride >= 0, seed >= 0 and workers >= 1; got "
+                f"paths {self.n_paths}, stride {self.snapshot_stride}, seed "
+                f"{self.base_seed}, workers {self.workers}")
 
     def solvers(self) -> tuple[str, ...]:
         if self.solver == "both":
@@ -166,37 +169,50 @@ def _solve_paths(name: str, model: PopulationModel, bundles: list,
     return out
 
 
-def _run_chunk(config: RunConfig, indices: range, out_dir: str | None) -> list[dict]:
+@dataclass
+class PathResult:
+    """One route's outcome on one ensemble path: one row of ``paths.csv``."""
+
+    path: int
+    seed: int
+    solver: str
+    status: str = "converged"
+    final: np.ndarray | None = None     # density at the final time
+    final_l2: float = np.nan
+    mass: np.ndarray | None = None      # total population per snapshot
+    picard_max: int = 0
+    truncations: int = 0
+
+
+def _run_chunk(config: RunConfig, indices: range,
+               out_dir: str | None) -> list[PathResult]:
+    """Every route's result on every path of ``indices``, in path order and
+    within a path in the order of :meth:`RunConfig.solvers`."""
     model, cfg = _cached_model(config.model_path, 2 ** config.level)
     cfg = dataclasses.replace(cfg, snapshot_stride=config.snapshot_stride)
     bundles = path_bundle(config.model_path, config.level, config.base_seed, indices)
-    results = [{"index": index, "seed": bundle.seed, "solvers": {}}
-               for index, bundle in zip(indices, bundles)]
+    records = []
     for name in config.solvers():
         reports = _solve_paths(name, model, bundles, cfg)
-        for result, bundle, report in zip(results, bundles, reports):
-            index = result["index"]
-            entry: dict = {"status": "converged"}
-            result["solvers"][name] = entry
+        for index, bundle, report in zip(indices, bundles, reports):
             if isinstance(report, StochageError):
-                entry["status"] = f"failed: {report}"
+                records.append(PathResult(index, bundle.seed, name,
+                                          status=f"failed: {report}"))
                 continue
             p_final = density_final(report, model, bundle)
-            entry.update(
-                final=p_final,
+            records.append(PathResult(
+                index, bundle.seed, name, final=p_final,
                 final_l2=l2_norm(p_final, model.grid),
                 mass=mass_series(report, model, bundle, p_final),
-                mass_indices=report.snapshot_indices,
                 picard_max=int(report.picard_iterations.max()) if len(report.picard_iterations) else 0,
-                truncations=report.guard.activations if report.guard else 0,
-            )
+                truncations=report.guard.activations if report.guard else 0))
             if out_dir is not None and config.snapshot_stride > 0:
                 save_field(Path(out_dir) / f"path_{index:05d}_{name}.bin", p_final)
                 write_series_csv(
                     Path(out_dir) / f"path_{index:05d}_{name}.csv",
                     {"t": report.times, "l2_norm": report.l2_series,
                      "u_value": report.u_series, "births": report.births_series})
-    return results
+    return sorted(records, key=lambda rec: rec.path)
 
 
 @dataclass
@@ -216,95 +232,68 @@ class EnsembleStats:
 class RunResult:
     exit_code: int
     stats: EnsembleStats
-    out_dir: str | None
-    summaries: list
 
 
 def run(config: RunConfig) -> RunResult:
     """Execute the ensemble and aggregate statistics deterministically.
 
-    Chunks of paths may run in a process pool; the reduction always
-    happens in path order so repeated runs produce byte-identical
-    artifacts.
+    Chunks of paths may run in a process pool of at most one worker per
+    chunk; the reduction always happens in path order so repeated runs
+    produce byte-identical artifacts.
     """
-    solvers = config.solvers()
     model, _ = _cached_model(config.model_path, 2 ** config.level)
     out_dir = str(ensure_dir(config.out_dir)) if config.out_dir else None
 
     ranges = path_chunks(config.n_paths, model.grid)
-    if config.workers > 1 and config.n_paths > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, len(ranges))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, repeat(config), ranges, repeat(out_dir)))
     else:
         chunks = [_run_chunk(config, r, out_dir) for r in ranges]
-    results = [res for chunk in chunks for res in chunk]
+    records = [rec for chunk in chunks for rec in chunk]
 
-    stats = EnsembleStats(n_paths=config.n_paths)
-    acc: dict = {}
-    summaries = []
-    failures = 0
-    for res in results:
-        for name in solvers:
-            entry = res["solvers"][name]
-            summaries.append({
-                "path": res["index"], "seed": res["seed"], "solver": name,
-                "status": entry["status"],
-                "final_l2": entry.get("final_l2", np.nan),
-                "picard_max": entry.get("picard_max", 0),
-                "truncations": entry.get("truncations", 0)})
-            if entry["status"] != "converged":
-                failures += 1
-                continue
-            slot = acc.setdefault(name, {"count": 0, "mean": None, "m2": None,
-                                         "mass": []})
-            slot["count"] += 1
-            x = entry["final"]
-            if slot["mean"] is None:
-                slot["mean"] = np.array(x)
-                slot["m2"] = np.zeros_like(x)
-            else:
-                delta = x - slot["mean"]
-                slot["mean"] += delta / slot["count"]
-                slot["m2"] += delta * (x - slot["mean"])
-            slot["mass"].append(entry["mass"])
-            stats.mass_indices = entry["mass_indices"]
-
-    for name, slot in acc.items():
-        n = slot["count"]
-        stats.mean_final[name] = slot["mean"]
-        stats.var_final[name] = (slot["m2"] / (n - 1) if n > 1
-                                 else np.zeros_like(slot["mean"]))
-        mass = np.asarray(slot["mass"])
+    stats = EnsembleStats(
+        n_paths=config.n_paths,
+        mass_indices=_snapshot_indices(model.grid.n_t, config.snapshot_stride),
+        failures=sum(rec.status != "converged" for rec in records))
+    for name in config.solvers():
+        done = [rec for rec in records
+                if rec.solver == name and rec.status == "converged"]
+        if not done:
+            continue
+        # Welford's update, path by path
+        mean = np.array(done[0].final)
+        m2 = np.zeros_like(mean)
+        for count, rec in enumerate(done[1:], start=2):
+            delta = rec.final - mean
+            mean += delta / count
+            m2 += delta * (rec.final - mean)
+        n = len(done)
+        stats.mean_final[name] = mean
+        stats.var_final[name] = m2 / (n - 1) if n > 1 else np.zeros_like(mean)
+        mass = np.asarray([rec.mass for rec in done])
         stats.mass_mean[name] = mass.mean(axis=0)
         sd = mass.std(axis=0, ddof=1) if n > 1 else np.zeros(mass.shape[1])
         stats.mass_ci_half[name] = Z_99 * sd / np.sqrt(n)
-    stats.failures = failures
 
     if out_dir is not None:
-        _persist(config, model, stats, summaries, out_dir)
-    exit_code = 1 if failures else 0
-    return RunResult(exit_code=exit_code, stats=stats, out_dir=out_dir,
-                     summaries=summaries)
+        _persist(model, stats, records, out_dir)
+    return RunResult(exit_code=1 if stats.failures else 0, stats=stats)
 
 
-def _persist(config: RunConfig, model: PopulationModel, stats: EnsembleStats,
-             summaries: list, out_dir: str):
+def _persist(model: PopulationModel, stats: EnsembleStats,
+             records: list[PathResult], out_dir: str):
     out = Path(out_dir)
     write_series_csv(out / "paths.csv", {
-        "path": np.array([s["path"] for s in summaries]),
-        "seed": np.array([s["seed"] for s in summaries]),
-        "solver": np.array([s["solver"] for s in summaries]),
-        "final_l2": np.array([s["final_l2"] for s in summaries], dtype=float),
-        "picard_max": np.array([s["picard_max"] for s in summaries]),
-        "truncations": np.array([s["truncations"] for s in summaries]),
-        "status": np.array([s["status"] for s in summaries]),
-    })
+        col: np.array([getattr(rec, col) for rec in records])
+        for col in ("path", "seed", "solver", "final_l2", "picard_max",
+                    "truncations", "status")})
     for name in stats.mean_final:
         save_field(out / f"stats_mean_{name}.bin", stats.mean_final[name])
         save_field(out / f"stats_var_{name}.bin", stats.var_final[name])
-        times = model.grid.times[stats.mass_indices]
         write_series_csv(out / f"totals_{name}.csv", {
-            "t": times,
+            "t": model.grid.times[stats.mass_indices],
             "mass_mean": stats.mass_mean[name],
             "ci_half_99": stats.mass_ci_half[name]})
 
@@ -360,34 +349,26 @@ def convergence_study(model_path: str, levels: int, seed: int = 0,
     master = sample_bundle(seed, model_fine.noise.n_modes,
                            model_fine.grid.n_t, model_fine.grid.T)
 
-    finals = []
+    cfg = dataclasses.replace(base_cfg, snapshot_stride=0)
     rows = []
     for lev in range(levels):
         factor = 2 ** lev
         model, _ = _cached_model(model_path, factor)
         bundle = coarsen(master, factor)
-        cfg = dataclasses.replace(base_cfg, snapshot_stride=0)
-        rep_r = solve_rescaled(model, bundle, cfg)
-        rep_d = solve_direct(model, bundle, cfg)
-        p_r = density_final(rep_r, model, bundle)
-        p_d = rep_d.final
-        finals.append((model, p_r, p_d))
+        p_r = density_final(solve_rescaled(model, bundle, cfg), model, bundle)
+        p_d = solve_direct(model, bundle, cfg).final
+        if lev == 0:
+            ref_p = p_r
+        sub = ref_p[::factor] if model_fine.grid.aligned else ref_p
         scale = l2_norm(p_r, model.grid)
         diff = l2_norm(p_d - p_r, model.grid)
         rows.append(StudyRow(level=lev, n_t=model.grid.n_t, dt=model.grid.dt,
                              pair_diff=diff,
                              pair_diff_rel=diff / scale if scale else np.inf,
-                             err_rescaled=0.0, err_direct=0.0))
+                             err_rescaled=l2_norm(p_r - sub, model.grid),
+                             err_direct=l2_norm(p_d - sub, model.grid)))
 
-    ref_model, ref_p, _ = finals[0]
-    for lev in range(levels):
-        model, p_r, p_d = finals[lev]
-        factor = 2 ** lev
-        sub = ref_p[::factor] if ref_model.grid.aligned else ref_p
-        rows[lev].err_rescaled = l2_norm(p_r - sub, model.grid)
-        rows[lev].err_direct = l2_norm(p_d - sub, model.grid)
-
-    scale = l2_norm(ref_p, ref_model.grid)
+    scale = l2_norm(ref_p, model_fine.grid)
     exact = all(r.err_rescaled <= 1e-12 * max(scale, 1.0) for r in rows[1:])
     dts = [r.dt for r in rows]
     result = StudyResult(

@@ -81,17 +81,18 @@ def compute_constants(rates: VitalRates, *, c0: float = 1.0, c1: float = 1.0,
     Lipschitz aggregates ``l1`` (fertility side) and ``l2`` (mortality
     side) feed the continuous-dependence prefactor.
     """
-    c_est = growth_factor(c0, c1, g1_sup, g2_sup, a_max, rates.m0_inf, c_w0,
-                          rates.mu_inf, horizon)
+    mu_inf, m0_inf, gamma_inf = rates.mu_s.sup, rates.m0.sup, rates.gamma.sup
+    c_est = growth_factor(c0, c1, g1_sup, g2_sup, a_max, m0_inf, c_w0,
+                          mu_inf, horizon)
     r0 = c_est * (y0_norm_sq + k_sq_integral)
     n0 = int(math.ceil(r0)) + 1
-    geom = rates.gamma_inf * math.sqrt(a_max * region_volume)
-    l1 = c_w0 * c_w * rates.lipschitz_m0(r0) * geom * r0 + c_w0 * rates.m0_inf
-    l2 = c_w * rates.lipschitz_mu_s(r0) * geom * r0 + rates.mu_inf
+    geom = gamma_inf * math.sqrt(a_max * region_volume)
+    l1 = c_w0 * c_w * rates.m0.lipschitz(r0) * geom * r0 + c_w0 * m0_inf
+    l2 = c_w * rates.mu_s.lipschitz(r0) * geom * r0 + mu_inf
     return EstimateConstants(
         c0=c0, c1=c1, g1_sup=g1_sup, g2_sup=g2_sup, div_g2_sup=div_g2_sup,
-        c_w0=c_w0, c_w=c_w, mu_inf=rates.mu_inf, m0_inf=rates.m0_inf,
-        gamma_inf=rates.gamma_inf, region_volume=region_volume, a_max=a_max,
+        c_w0=c_w0, c_w=c_w, mu_inf=mu_inf, m0_inf=m0_inf,
+        gamma_inf=gamma_inf, region_volume=region_volume, a_max=a_max,
         horizon=horizon, y0_norm_sq=y0_norm_sq, k_sq_integral=k_sq_integral,
         c_est=c_est, r0=r0, n0=n0, l1=l1, l2=l2)
 
@@ -161,19 +162,13 @@ class DependenceResult:
 
 
 def dependence_check(report1, report2, consts1: EstimateConstants,
-                     consts2: EstimateConstants | None = None, *,
-                     y0_diff_sq: float | None = None,
-                     f_diff_sq_integral: float = 0.0,
-                     g1_diff_sup: float = 0.0,
-                     g2_diff_sup: float = 0.0,
-                     alpha_diff_sup: float = 0.0,
-                     k_diff_sq_integral: float = 0.0) -> DependenceResult:
+                     consts2: EstimateConstants | None = None) -> DependenceResult:
     """Solution-difference energy against the data-difference bound.
 
     The prefactor uses the worse of the two runs' coefficient sups, so the
-    result is symmetric under swapping the runs.  Differences of the
-    coefficient fields enter through their sups (squared here), weighted
-    by the larger energy bound of the two runs.
+    result is symmetric under swapping the runs.  The runs share their
+    noise path and coefficients, so the data difference is that of the
+    initial states.
     """
     if consts2 is None:
         consts2 = consts1
@@ -192,20 +187,13 @@ def dependence_check(report1, report2, consts1: EstimateConstants,
         d_exit[i] = float(np.sum(d[-1] ** 2)) * grid.cell_volume
         d_grad[i] = gradient_energy(d, grid)
     left = d_sq[-1] + _cumtrapz(d_exit, dt)[-1] + _cumtrapz(d_sq + d_grad, dt)[-1]
-    if y0_diff_sq is None:
-        y0_diff_sq = d_sq[0]
     c0, c1 = consts1.c0, consts1.c1
     expo = c1 * (1.0 + max(consts1.g1_sup, consts2.g1_sup)
                  + max(consts1.div_g2_sup, consts2.div_g2_sup)
                  + max(consts1.l1, consts2.l1) ** 2
                  + consts1.a_max * max(consts1.l2, consts2.l2) ** 2) \
         * consts1.horizon
-    prefactor = c0 * math.exp(min(expo, 700.0))
-    cbar = max(consts1.r0, consts2.r0)
-    right = prefactor * (y0_diff_sq + f_diff_sq_integral
-                         + cbar * (g1_diff_sup ** 2 + g2_diff_sup ** 2
-                                   + alpha_diff_sup ** 2)
-                         + k_diff_sq_integral)
+    right = c0 * math.exp(min(expo, 700.0)) * d_sq[0]
     return DependenceResult(difference_energy=left, data_energy=right,
                             ratio=_ratio(left, right))
 

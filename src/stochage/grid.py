@@ -164,8 +164,8 @@ class Field:
     """Immutable scalar function sampled on the age-space grid.
 
     ``values`` has shape ``grid.field_shape`` and every entry must be
-    finite.  Arithmetic returns new fields; the underlying array is
-    read-only so fields can be shared across ensemble workers.
+    finite.  The underlying array is read-only so fields can be shared
+    across ensemble workers.
     """
 
     __slots__ = ("values", "grid")
@@ -186,40 +186,12 @@ class Field:
         raise AttributeError("Field is immutable")
 
     @classmethod
-    def zeros(cls, grid: Grid) -> "Field":
-        return cls(np.zeros(grid.field_shape), grid, copy=False)
-
-    @classmethod
-    def constant(cls, grid: Grid, value: float) -> "Field":
-        return cls(np.full(grid.field_shape, float(value)), grid, copy=False)
-
-    @classmethod
     def from_function(cls, grid: Grid, fn) -> "Field":
         """Sample ``fn(a, *x)`` on age nodes and cell centers."""
         vals = np.broadcast_to(
             fn(grid.age_mesh, *grid.space_meshes), grid.field_shape
         )
         return cls(vals, grid)
-
-    def __add__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.values + other.values, self.grid, copy=False)
-
-    def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.values - other.values, self.grid, copy=False)
-
-    def __mul__(self, scalar) -> "Field":
-        return Field(self.values * float(scalar), self.grid, copy=False)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "Field":
-        return Field(-self.values, self.grid, copy=False)
-
-    def _check_same_grid(self, other: "Field"):
-        if other.grid is not self.grid and other.grid != self.grid:
-            raise ConfigurationError("fields live on different grids")
 
 
 @dataclass(frozen=True)
@@ -300,13 +272,11 @@ def weighted_population(f, weight, region: SubDomain | None = None,
                         grid: Grid | None = None) -> float:
     """Weighted total population ``int weight * f`` over age and a sub-box.
 
-    ``weight`` is either an array on the grid or a callable ``(a, *x)``.
-    ``region=None`` integrates over the whole box.  A stack of fields
-    (leading path axes) gives one value per field.
+    ``weight`` is an array broadcastable to the grid.  ``region=None``
+    integrates over the whole box.  A stack of fields (leading path axes)
+    gives one value per field.
     """
     vals, grid = _as_values(f, grid)
-    if callable(weight):
-        weight = weight(grid.age_mesh, *grid.space_meshes)
     w = np.asarray(weight, dtype=float)
     if w.shape != grid.field_shape:
         w = np.broadcast_to(w, grid.field_shape)

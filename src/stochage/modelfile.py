@@ -76,21 +76,25 @@ def _floats(text: str) -> list[float]:
         raise ConfigurationError(f"cannot parse numbers from {text!r}") from exc
 
 
+def _numbers(text: str, value: str, *counts: int) -> list[float]:
+    """The numbers of ``text``, a part of ``value``, when there are as many
+    as one of ``counts``."""
+    vals = _floats(text)
+    if len(vals) not in counts:
+        raise ConfigurationError(
+            f"{value!r} has {len(vals)} numbers where "
+            f"{' or '.join(map(str, counts))} are needed")
+    return vals
+
+
 def parse_rate(text: str):
     family, _, rest = text.strip().partition(":")
     if family == "constant":
-        (c,) = _floats(rest)
-        return ConstantRate(c)
+        return ConstantRate(*_numbers(rest, text, 1))
     if family == "logistic":
-        args = _floats(rest)
-        if len(args) == 3:
-            args.append(0.0)
-        if len(args) != 4:
-            raise ConfigurationError(f"logistic rate needs 3 or 4 numbers: {text!r}")
-        return LogisticRate(*args)
+        return LogisticRate(*_numbers(rest, text, 3, 4))
     if family == "window":
-        lo, hi, val = _floats(rest)
-        return AgeWindowRate(lo, hi, val)
+        return AgeWindowRate(*_numbers(rest, text, 3))
     if family == "table":
         pairs = [pair.split(":") for pair in rest.split(";")]
         try:
@@ -102,45 +106,47 @@ def parse_rate(text: str):
     raise ConfigurationError(f"unknown rate family {family!r}")
 
 
+# ':'-separated fields after the family name
+_AMPLITUDE_FIELDS = {"constant": 1, "agepoly": 1, "cosine": 2, "sine": 2, "agecos": 3}
+
+
 def parse_amplitude(text: str, dim: int, extent) -> Amplitude:
-    parts = text.strip().split(":")
-    family = parts[0]
-    if family == "constant":
-        (c,) = _floats(parts[1])
-        return constant_amplitude(c, dim)
+    family, *fields = text.strip().split(":")
+    if family not in _AMPLITUDE_FIELDS:
+        raise ConfigurationError(f"unknown amplitude family {family!r}")
+    if len(fields) != _AMPLITUDE_FIELDS[family]:
+        raise ConfigurationError(
+            f"{text!r} needs {_AMPLITUDE_FIELDS[family]} ':'-separated fields "
+            f"after {family!r}")
     if family == "agepoly":
-        return age_polynomial_amplitude(_floats(parts[1]), dim)
-    if family in ("cosine", "sine"):
-        (c,) = _floats(parts[1])
-        modes = [int(v) for v in _floats(parts[2])]
-        if len(modes) != dim:
-            raise ConfigurationError(f"{family} amplitude needs one mode per dimension")
-        ctor = cosine_amplitude if family == "cosine" else sine_amplitude
-        return ctor(c, modes, extent)
+        return age_polynomial_amplitude(_floats(fields[0]), dim)
+    (c,) = _numbers(fields[0], text, 1)
+    if family == "constant":
+        return constant_amplitude(c, dim)
+    # the amplitude checks that there is one mode per dimension
+    modes = [int(v) for v in _floats(fields[1])]
     if family == "agecos":
-        (c,) = _floats(parts[1])
-        modes = [int(v) for v in _floats(parts[2])]
-        coeffs = _floats(parts[3])
-        return cosine_amplitude(c, modes, extent, age_coeffs=coeffs)
-    raise ConfigurationError(f"unknown amplitude family {family!r}")
+        return cosine_amplitude(c, modes, extent, age_coeffs=_floats(fields[2]))
+    ctor = cosine_amplitude if family == "cosine" else sine_amplitude
+    return ctor(c, modes, extent)
 
 
 def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> InitialData:
     family, _, rest = spec.strip().partition(":")
     if family == "ageexp":
-        amp, rate = _floats(rest)
+        amp, rate = _numbers(rest, spec, 2)
         base = lambda a: amp * np.exp(-rate * a)
     elif family == "agegauss":
-        amp, center, width = _floats(rest)
+        amp, center, width = _numbers(rest, spec, 3)
         base = lambda a: amp * np.exp(-((a - center) / width) ** 2)
     elif family == "constant":
-        (c,) = _floats(rest)
+        (c,) = _numbers(rest, spec, 1)
         base = lambda a: np.full_like(np.asarray(a, dtype=float), c)
     else:
         raise ConfigurationError(f"unknown initial-data family {family!r}")
     if space_mode:
-        vals = _floats(space_mode)
-        eps, k = vals[0], int(vals[1])
+        eps, k = _numbers(space_mode, f"space_mode = {space_mode}", 2)
+        k = int(k)
         L = grid.extent[0]
 
         def fn(a, *x):

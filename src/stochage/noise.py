@@ -291,7 +291,7 @@ class NoiseField:
 
 
 def evaluate_noise(spec: NoiseSpec, bundle: BrownianBundle, t_index: int,
-                   grid: Grid, grids: AmplitudeGrids | None = None) -> NoiseField:
+                   grid: Grid) -> NoiseField:
     """Assemble W and its derivatives at time node ``t_index``.
 
     All fields are linear in the path values, evaluated with the bundle's
@@ -300,8 +300,7 @@ def evaluate_noise(spec: NoiseSpec, bundle: BrownianBundle, t_index: int,
     """
     if not (0 <= t_index <= bundle.n_t):
         raise ConfigurationError(f"time index {t_index} outside the bundle grid")
-    if grids is None:
-        grids = amplitude_grids(spec, grid)
+    grids = amplitude_grids(spec, grid)
     b = bundle.betas[:, t_index]
     value = np.tensordot(b, grids.values, axes=1)
     d_age = np.tensordot(b, grids.d_age, axes=1)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, InvalidFieldError
+from .errors import ConfigurationError
 from .grid import Field, Grid, face_shape
 
 
@@ -155,10 +155,6 @@ class CustomRate:
         return np.broadcast_to(out, shape).copy()
 
 
-def zero_rate() -> ConstantRate:
-    return ConstantRate(0.0)
-
-
 @dataclass(frozen=True)
 class VitalRates:
     """Mortality, fertility, weighting, and boundary data with metadata.
@@ -171,29 +167,11 @@ class VitalRates:
     ``k0``     Robin boundary inhomogeneity (may change sign)
     """
 
-    mu_s: object = field(default_factory=zero_rate)
-    m0: object = field(default_factory=zero_rate)
-    gamma: object = field(default_factory=zero_rate)
-    alpha0: object = field(default_factory=zero_rate)
-    k0: object = field(default_factory=zero_rate)
-
-    @property
-    def mu_inf(self) -> float:
-        return self.mu_s.sup
-
-    @property
-    def m0_inf(self) -> float:
-        return self.m0.sup
-
-    @property
-    def gamma_inf(self) -> float:
-        return self.gamma.sup
-
-    def lipschitz_mu_s(self, R: float) -> float:
-        return self.mu_s.lipschitz(R)
-
-    def lipschitz_m0(self, R: float) -> float:
-        return self.m0.lipschitz(R)
+    mu_s: object = ConstantRate(0.0)
+    m0: object = ConstantRate(0.0)
+    gamma: object = ConstantRate(0.0)
+    alpha0: object = ConstantRate(0.0)
+    k0: object = ConstantRate(0.0)
 
 
 @dataclass(frozen=True)
@@ -232,7 +210,7 @@ def validate_rates(rates: VitalRates, grid: Grid, sample_budget: int = 512,
     Report-only: never raises.  Samples a lattice of (t, a, x) points and
     pairs of r values with |r| <= r_max, checking
 
-    * ``0 <= mu_s <= mu_inf`` and ``0 <= m0 <= m0_inf``
+    * ``0 <= mu_s <= mu_s.sup`` and ``0 <= m0 <= m0.sup``
     * ``gamma >= 0`` and ``alpha0 >= 0``
     * the declared local Lipschitz constants against finite slopes.
     """
@@ -254,9 +232,9 @@ def validate_rates(rates: VitalRates, grid: Grid, sample_budget: int = 512,
                     name, "bound", (float(ts[i]), float(aws[j]), float(rs[i])),
                     f"value {vals.flat[j]:.6g} outside [{lo:.6g}, {hi:.6g}]"))
 
-    check_bounds("mu_s", rates.mu_s, 0.0, rates.mu_inf)
-    check_bounds("m0", rates.m0, 0.0, rates.m0_inf)
-    check_bounds("gamma", rates.gamma, 0.0, rates.gamma_inf)
+    check_bounds("mu_s", rates.mu_s, 0.0, rates.mu_s.sup)
+    check_bounds("m0", rates.m0, 0.0, rates.m0.sup)
+    check_bounds("gamma", rates.gamma, 0.0, rates.gamma.sup)
     check_bounds("alpha0", rates.alpha0, 0.0, rates.alpha0.sup)
 
     def check_lipschitz(name, rate, lip):
@@ -274,8 +252,8 @@ def validate_rates(rates: VitalRates, grid: Grid, sample_budget: int = 512,
                     name, "lipschitz", (float(r1), float(r2), float(R)),
                     f"slope {slope:.6g} exceeds declared {lip(R):.6g}"))
 
-    check_lipschitz("mu_s", rates.mu_s, rates.lipschitz_mu_s)
-    check_lipschitz("m0", rates.m0, rates.lipschitz_m0)
+    check_lipschitz("mu_s", rates.mu_s, rates.mu_s.lipschitz)
+    check_lipschitz("m0", rates.m0, rates.m0.lipschitz)
 
     return RateValidationReport(n_samples=n_pts * n_pts, violations=violations)
 
@@ -309,7 +287,4 @@ def evaluate_gamma(rates: VitalRates, grid: Grid) -> np.ndarray:
 
 def initial_field(grid: Grid, fn) -> InitialData:
     """Build initial data by sampling ``fn(a, *x)``."""
-    f = Field.from_function(grid, lambda a, *x: fn(a, *x))
-    if not np.all(np.isfinite(f.values)):
-        raise InvalidFieldError("initial data contains non-finite entries")
-    return InitialData(f)
+    return InitialData(Field.from_function(grid, fn))

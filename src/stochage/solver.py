@@ -380,12 +380,6 @@ class SolveReport:
                 f"snapshot_stride=1")
         return self.snapshots
 
-    def field_at(self, t_index: int) -> np.ndarray:
-        pos = np.searchsorted(self.snapshot_indices, t_index)
-        if pos >= len(self.snapshot_indices) or self.snapshot_indices[pos] != t_index:
-            raise InsufficientDataError(f"time index {t_index} was not stored")
-        return self.snapshots[pos]
-
     @property
     def final_field(self) -> Field:
         return Field(self.final, self.grid)

@@ -279,7 +279,8 @@ def test_criterion_06_continuous_dependence():
         grid, lambda a, x: np.exp(-((a - 0.3) / 0.2) ** 2) + 0 * x)
     ratios = []
     for delta in (1e-2, 5e-3, 2.5e-3):
-        pert = build_model(grid, p0=sa.InitialData(base.p0 + delta * bump))
+        pert = build_model(grid, p0=sa.InitialData(
+            sa.Field(base.p0.values + delta * bump.values, grid)))
         rep2 = sa.solve_rescaled(pert, bundle, cfg)
         ratios.append(sa.dependence_check(rep, rep2, consts).ratio)
     spread = (max(ratios) - min(ratios)) / max(ratios)

@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import filecmp
 from pathlib import Path
@@ -118,11 +119,14 @@ class TestRun:
             assert trees[0][key] == trees[1][key], key
 
     def test_worker_pool_matches_serial(self, noisy_model_path, tmp_path):
+        # 43 paths make two chunks of this grid, so the pool has two workers
+        grid = _cached_model(noisy_model_path, 1)[0].grid
+        assert len(path_chunks(43, grid)) == 2
         outs = []
         for name, workers in (("serial", 1), ("pool", 2)):
             out = tmp_path / name
             cfg = RunConfig(model_path=noisy_model_path, solver="rescaled",
-                            n_paths=4, base_seed=2, out_dir=str(out),
+                            n_paths=43, base_seed=2, out_dir=str(out),
                             snapshot_stride=1, workers=workers)
             run(cfg)
             outs.append(tree_bytes(out))
@@ -164,6 +168,35 @@ class TestRun:
         result = run(cfg)
         assert result.exit_code == 1
         assert result.stats.failures == 2
+
+    def test_failed_paths_in_paths_csv(self, tmp_path):
+        # the rescaled fixed point cannot converge, the direct route can:
+        # failed rows keep their path and seed, and only the converged
+        # route gets statistics files
+        p = tmp_path / "bad.ini"
+        p.write_text(NOISY_MODEL + "\n[solver]\npicard_max_iter = 0\n")
+        out = tmp_path / "out"
+        assert main(["run", "--model", str(p), "--out", str(out),
+                     "--paths", "2", "--solver", "both"]) == 1
+        with open(out / "paths.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["path"], r["solver"]) for r in rows] == [
+            ("0", "rescaled"), ("0", "direct"), ("1", "rescaled"), ("1", "direct")]
+        for row in rows:
+            assert row["seed"] == str(path_seed(0, int(row["path"])))
+            if row["solver"] == "direct":
+                assert row["status"] == "converged"
+                assert np.isfinite(float(row["final_l2"]))
+                continue
+            assert row["status"].startswith(
+                "failed: fixed-point iteration did not converge")
+            assert np.isnan(float(row["final_l2"]))
+            assert row["picard_max"] == "0" and row["truncations"] == "0"
+        assert not list(out.glob("stats_*_rescaled.bin"))
+        assert not (out / "totals_rescaled.csv").exists()
+        for name in ("stats_mean_direct.bin", "stats_var_direct.bin",
+                     "totals_direct.csv"):
+            assert (out / name).exists(), name
 
 
 class TestChunks:
@@ -245,6 +278,37 @@ class TestChunks:
                           base_seed=8, out_dir=str(out), snapshot_stride=1,
                           workers=workers))
             trees.append(tree_bytes(out))
+        assert trees[0] == trees[1]
+
+    def test_pool_never_exceeds_chunk_count(self, monkeypatch, tmp_path):
+        # a stand-in executor records the pool size and maps in-process
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+        path = str(MODELS / "sample1d.ini")
+        assert len(path_chunks(9, _cached_model(path, 1)[0].grid)) == 2
+        trees = []
+        for n_paths, workers in ((9, 8), (9, 1), (2, 8)):
+            out = tmp_path / f"n{n_paths}w{workers}"
+            run(RunConfig(model_path=path, solver="direct", n_paths=n_paths,
+                          base_seed=8, out_dir=str(out), snapshot_stride=1,
+                          workers=workers))
+            trees.append(tree_bytes(out))
+        # two chunks ask for two workers; one chunk runs without a pool
+        assert sizes == [2]
         assert trees[0] == trees[1]
 
     def test_failed_direct_path_stays_with_its_path(self, grid1d):
@@ -402,6 +466,8 @@ class TestCli:
         ["run", "--stride", "-2"],
         ["check", "--level", "2"],
         ["check", "--stride", "5"],
+        ["ensemble", "--workers", "0"],
+        ["ensemble", "--workers", "-2"],
     ])
     def test_out_of_range_input_is_config_error(self, noisy_model_path, tmp_path,
                                                 argv):

@@ -73,7 +73,7 @@ class TestAprioriCheck:
                 assert now == value, name
 
     def test_zero_data_zero_margin(self, grid1d):
-        p0 = sa.InitialData(sa.Field.zeros(grid1d))
+        p0 = sa.InitialData(sa.Field(np.zeros(grid1d.field_shape), grid1d))
         model, bundle, rep = solved_pair(grid1d, p0=p0)
         consts = sa.constants_for_run(model, bundle)
         margins = sa.apriori_check(rep, consts)
@@ -85,7 +85,7 @@ class TestAprioriCheck:
         model, bundle, rep = solved_pair(grid1d)
         lam = 3.7
         scaled = build_model(grid1d, p0=sa.InitialData(
-            lam * model.initial.p0))
+            sa.Field(lam * model.initial.p0.values, grid1d)))
         rep2 = sa.solve_rescaled(scaled, bundle, sa.SolverConfig(snapshot_stride=1))
         m1 = sa.apriori_check(rep, sa.constants_for_run(model, bundle))
         c2 = sa.constants_for_run(scaled, bundle)
@@ -112,7 +112,7 @@ class TestDependence:
         ratios = []
         for delta in (1e-2, 5e-3, 2.5e-3):
             pert = build_model(grid1d, p0=sa.InitialData(
-                base.p0 + delta * bump))
+                sa.Field(base.p0.values + delta * bump.values, grid1d)))
             rep2 = sa.solve_rescaled(pert, bundle,
                                      sa.SolverConfig(snapshot_stride=1))
             ratios.append(sa.dependence_check(rep, rep2, consts).ratio)
@@ -123,7 +123,7 @@ class TestDependence:
         base = smooth_p0(grid1d)
         model, bundle, rep = solved_pair(grid1d, p0=base)
         pert = build_model(grid1d, p0=sa.InitialData(
-            base.p0 + 0.01 * sa.Field.constant(grid1d, 1.0)))
+            sa.Field(base.p0.values + 0.01, grid1d)))
         rep2 = sa.solve_rescaled(pert, bundle, sa.SolverConfig(snapshot_stride=1))
         c1 = sa.constants_for_run(model, bundle)
         c2 = sa.constants_for_run(pert, bundle)
@@ -140,7 +140,7 @@ class TestDependence:
 
 class TestWeakResidualRandom:
     def test_zero_trajectory_zero_residual(self, grid1d):
-        p0 = sa.InitialData(sa.Field.zeros(grid1d))
+        p0 = sa.InitialData(sa.Field(np.zeros(grid1d.field_shape), grid1d))
         model, bundle, rep = solved_pair(grid1d, p0=p0)
         res = sa.weak_residual_random(rep, model, bundle)
         assert res.max_abs == 0.0
@@ -198,7 +198,7 @@ class TestWeakResidualRandom:
 
 class TestWeakResidualStochastic:
     def test_zero_trajectory(self, grid1d):
-        model = build_model(grid1d, p0=sa.InitialData(sa.Field.zeros(grid1d)))
+        model = build_model(grid1d, p0=sa.InitialData(sa.Field(np.zeros(grid1d.field_shape), grid1d)))
         bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
         rep = sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=1))
         res = sa.weak_residual_stochastic(rep, model, bundle)

@@ -60,7 +60,7 @@ class TestParseModel:
         assert model.grid.aligned
         assert model.noise.n_modes == 2
         assert model.region is not None
-        assert model.rates.m0_inf == pytest.approx(1.5)
+        assert model.rates.m0.sup == pytest.approx(1.5)
         assert config.picard_tol == 1e-9
         assert config.picard_max_iter == 30
         assert config.snapshot_stride == 2
@@ -108,6 +108,21 @@ class TestParseModel:
             parse_model(path)
         assert main(["run", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line, bad", [
+        ("mu_s = logistic:0.1,0.5,2.0,0.5", "mu_s = constant:1,2"),
+        ("m0 = logistic:0.8,-0.5,1.5,0.5", "m0 = window:0.1,0.4"),
+        ("mu1 = cosine:0.2:1", "mu1 = cosine:0.2"),
+        ("mu2 = agepoly:0.1,0.1", "mu2 = agecos:0.1:1"),
+        ("space_mode = 0.2,1", "space_mode = 0.2"),
+    ])
+    def test_wrong_value_count_is_config_error(self, tmp_path, line, bad):
+        text = (MODELS / "sample1d.ini").read_text()
+        assert line in text
+        path = write_model(tmp_path, text.replace(line, bad))
+        with pytest.raises(ConfigurationError, match=bad.split(" = ")[1]):
+            parse_model(path)
+        assert main(["check", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
 
     def test_solvable(self, tmp_path):
         model, config = parse_model(write_model(tmp_path))

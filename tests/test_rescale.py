@@ -20,7 +20,7 @@ class TestTransforms:
         assert np.array_equal(sa.forward_transform(y, w).values, y.values)
 
     def test_log2_scaling(self, grid1d):
-        y = sa.Field.constant(grid1d, 3.0)
+        y = sa.Field(np.full(grid1d.field_shape, 3.0), grid1d)
         w = np.full(grid1d.field_shape, np.log(2.0))
         p = sa.forward_transform(y, w)
         assert np.allclose(p.values, 6.0, rtol=1e-15)
@@ -33,12 +33,12 @@ class TestTransforms:
         assert np.allclose(back.values, y.values, rtol=1e-14)
 
     def test_zero_density_maps_to_zero(self, grid1d):
-        p = sa.Field.zeros(grid1d)
+        p = sa.Field(np.zeros(grid1d.field_shape), grid1d)
         w = np.random.default_rng(2).normal(size=grid1d.field_shape)
         assert np.all(sa.backward_transform(p, w).values == 0.0)
 
     def test_overflow_guard(self, grid1d):
-        y = sa.Field.constant(grid1d, 1.0)
+        y = sa.Field(np.ones(grid1d.field_shape), grid1d)
         w = np.full(grid1d.field_shape, 701.0)
         with pytest.raises(NoiseMagnitudeError) as err:
             sa.forward_transform(y, w)
@@ -154,7 +154,7 @@ class TestConstants:
         sups = RescaledCoefficients(model, bundle).coefficient_sups()
         assert sups.c_w0 == 1.0
         assert sups.c_w == 1.0
-        assert sups.c_w0 * model.rates.m0_inf == pytest.approx(model.rates.m0_inf)
+        assert sups.c_w0 * model.rates.m0.sup == pytest.approx(model.rates.m0.sup)
 
     def test_age_linear_monotone(self, grid1d):
         # W = a b: sup over (a, t) of exp(W - W(0-row)) is exp(a_max * max b+)
@@ -165,7 +165,7 @@ class TestConstants:
         beta_max = bundle.betas[0].max()
         expected = np.exp(grid1d.a_max * max(beta_max, 0.0))
         assert sups.c_w0 == pytest.approx(expected, rel=1e-12)
-        assert sups.c_w0 * model.rates.m0_inf == pytest.approx(sups.c_w0 * 0.6, rel=1e-14)
+        assert sups.c_w0 * model.rates.m0.sup == pytest.approx(sups.c_w0 * 0.6, rel=1e-14)
 
 
 class TestItoConsistency:

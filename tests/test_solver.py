@@ -414,11 +414,10 @@ class TestSolveRescaled:
         assert len(rep.l2_series) == grid.n_t + 1
         assert rep.snapshot_indices[0] == 0
         assert rep.snapshot_indices[-1] == grid.n_t
-        assert np.array_equal(rep.field_at(0), linear_model.initial.p0.values)
+        assert np.array_equal(rep.snapshots[0], linear_model.initial.p0.values)
         with pytest.raises(InsufficientDataError):
             _ = rep.trajectory
-        with pytest.raises(InsufficientDataError):
-            rep.field_at(1)
+        assert 1 not in rep.snapshot_indices
 
     def test_2d_linear_solve(self, grid2d):
         model = build_model(grid2d, rates=linear_rates(alpha=0.1))
