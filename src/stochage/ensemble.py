@@ -57,6 +57,8 @@ class RunConfig:
     workers: int = 1
 
     def __post_init__(self):
+        if self.solver not in _SOLVERS + ("both",):
+            raise ConfigurationError(f"unknown solver {self.solver!r}")
         if (self.n_paths < 1 or self.snapshot_stride < 0 or self.base_seed < 0
                 or self.workers < 1):
             raise ConfigurationError(
@@ -65,11 +67,7 @@ class RunConfig:
                 f"{self.base_seed}, workers {self.workers}")
 
     def solvers(self) -> tuple[str, ...]:
-        if self.solver == "both":
-            return _SOLVERS
-        if self.solver not in _SOLVERS:
-            raise ConfigurationError(f"unknown solver {self.solver!r}")
-        return (self.solver,)
+        return _SOLVERS if self.solver == "both" else (self.solver,)
 
 
 def path_seed(base_seed: int, index: int) -> int:

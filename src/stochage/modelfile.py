@@ -87,6 +87,13 @@ def _numbers(text: str, value: str, *counts: int) -> list[float]:
     return vals
 
 
+def _whole(v: float, value: str) -> int:
+    """``v``, a number of ``value``, as an int when it is a whole number."""
+    if not float(v).is_integer():
+        raise ConfigurationError(f"{value!r} has {v} where a whole number is needed")
+    return int(v)
+
+
 def parse_rate(text: str):
     family, _, rest = text.strip().partition(":")
     if family == "constant":
@@ -124,7 +131,7 @@ def parse_amplitude(text: str, dim: int, extent) -> Amplitude:
     if family == "constant":
         return constant_amplitude(c, dim)
     # the amplitude checks that there is one mode per dimension
-    modes = [int(v) for v in _floats(fields[1])]
+    modes = [_whole(v, text) for v in _floats(fields[1])]
     if family == "agecos":
         return cosine_amplitude(c, modes, extent, age_coeffs=_floats(fields[2]))
     ctor = cosine_amplitude if family == "cosine" else sine_amplitude
@@ -146,7 +153,7 @@ def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> InitialData
         raise ConfigurationError(f"unknown initial-data family {family!r}")
     if space_mode:
         eps, k = _numbers(space_mode, f"space_mode = {space_mode}", 2)
-        k = int(k)
+        k = _whole(k, space_mode)
         L = grid.extent[0]
 
         def fn(a, *x):
@@ -190,7 +197,7 @@ def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
     try:
         dim = g.getint("dim", 1)
         extent = _floats(g.get("extent", "1.0"))
-        n_x = [int(v) for v in _floats(g.get("n_x", "8"))]
+        n_x = [_whole(v, g.get("n_x", "8")) for v in _floats(g.get("n_x", "8"))]
         if len(extent) == 1 and dim == 2:
             extent = extent * 2
         if len(n_x) == 1 and dim == 2:

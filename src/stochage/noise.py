@@ -11,6 +11,7 @@ would pollute convergence studies.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,93 +37,76 @@ class Amplitude:
     label: str = ""
 
 
-def constant_amplitude(c: float, dim: int) -> Amplitude:
-    zero = lambda a, *x: np.zeros(np.broadcast_shapes(np.shape(a), *map(np.shape, x)))
-    return Amplitude(
-        fn=lambda a, *x: np.full(np.broadcast_shapes(np.shape(a), *map(np.shape, x)), float(c)),
-        d_age=zero, grad=(zero,) * dim, lap=zero,
-        neumann_compatible=True, label=f"constant({c})")
+_TRIG = {"cos": (np.cos, lambda w, z: -w * np.sin(z)),
+         "sin": (np.sin, lambda w, z: w * np.cos(z))}
 
 
-def age_polynomial_amplitude(coeffs, dim: int) -> Amplitude:
-    """Polynomial in age, constant in space: ``sum_k coeffs[k] * a**k``."""
-    coeffs = tuple(float(c) for c in coeffs)
-    deriv = tuple(k * c for k, c in enumerate(coeffs))[1:] or (0.0,)
+def _separable(c: float, age_coeffs, kind=None, modes=(), extent=(),
+               dim: int = 0) -> Amplitude:
+    """The mode ``c * P(a) * prod_i f(k_i pi x_i / L_i)``.
 
-    def _poly(cs):
-        def ev(a, *x):
-            a = np.asarray(a, dtype=float)
-            out = np.polynomial.polynomial.polyval(a, cs)
-            shape = np.broadcast_shapes(np.shape(a), *map(np.shape, x))
-            return np.broadcast_to(out, shape).copy()
-        return ev
-
-    zero = lambda a, *x: np.zeros(np.broadcast_shapes(np.shape(a), *map(np.shape, x)))
-    return Amplitude(
-        fn=_poly(coeffs), d_age=_poly(deriv), grad=(zero,) * dim, lap=zero,
-        neumann_compatible=True, label=f"age_poly{coeffs}")
-
-
-def _trig_mode(c: float, modes, extent, kind: str, age_coeffs=None) -> Amplitude:
-    """Product of an optional age polynomial and one trig factor per dimension.
-
-    ``cos`` modes have vanishing normal derivative on the box boundary;
-    ``sin`` modes do not and are only meant for derivative tests.
+    ``P`` has the coefficients ``age_coeffs`` (lowest degree first, default
+    1) and ``f`` is ``cos`` or ``sin``; with ``kind=None`` the mode has no
+    trig factor and is constant in the ``dim`` space directions.  ``cos``
+    modes have vanishing normal derivative on the box boundary; ``sin``
+    modes do not and are only meant for derivative tests.
     """
     modes = tuple(int(k) for k in np.atleast_1d(modes))
     extent = tuple(float(e) for e in np.atleast_1d(extent))
     if len(modes) != len(extent):
         raise ConfigurationError("one mode number per spatial dimension required")
-    dim = len(modes)
     freqs = tuple(k * np.pi / e for k, e in zip(modes, extent))
-    if age_coeffs is None:
-        age_coeffs = (1.0,)
-    age_coeffs = tuple(float(v) for v in age_coeffs)
-    age_deriv = tuple(k * v for k, v in enumerate(age_coeffs))[1:] or (0.0,)
+    age = (1.0,) if age_coeffs is None else tuple(float(v) for v in age_coeffs)
+    age_deriv = tuple(k * v for k, v in enumerate(age))[1:] or (0.0,)
+    f, df = _TRIG.get(kind, (None, None))
 
-    base, dbase = (np.cos, lambda w, z: -w * np.sin(z)) if kind == "cos" else \
-                  (np.sin, lambda w, z: w * np.cos(z))
+    def shape(a, x):
+        return np.broadcast_shapes(np.shape(a), *map(np.shape, x))
 
-    def poly(cs, a):
-        return np.polynomial.polynomial.polyval(np.asarray(a, dtype=float), cs)
-
-    def trig_prod(x, skip=None):
-        out = 1.0
+    def term(cs, a, x, axis=None):
+        """``c P_cs(a)``, times ``f'`` along ``axis``, times the other factors."""
+        scaled = c * np.polynomial.polynomial.polyval(np.asarray(a, dtype=float), cs)
+        trig = 1.0
         for i, (w, xi) in enumerate(zip(freqs, x)):
-            if i == skip:
-                continue
-            out = out * base(w * np.asarray(xi, dtype=float))
-        return out
+            if i == axis:
+                scaled = scaled * df(w, w * np.asarray(xi, dtype=float))
+            else:
+                trig = trig * f(w * np.asarray(xi, dtype=float))
+        return np.broadcast_to(scaled * trig, shape(a, x))
 
     def fn(a, *x):
-        return c * poly(age_coeffs, a) * trig_prod(x)
+        return term(age, a, x)
 
-    def d_age(a, *x):
-        return c * poly(age_deriv, a) * trig_prod(x)
+    def zero(a, *x):
+        return np.zeros(shape(a, x))
 
-    def make_grad(i):
-        def g(a, *x):
-            w = freqs[i]
-            return c * poly(age_coeffs, a) * dbase(w, w * np.asarray(x[i], dtype=float)) \
-                * trig_prod(x, skip=i)
-        return g
-
-    def lap(a, *x):
+    if kind is None:
+        grad, lap = (zero,) * dim, zero
+    else:
+        grad = tuple(lambda a, *x, i=i: term(age, a, x, axis=i) for i in range(len(freqs)))
         # each trig factor is an eigenfunction of its own second derivative
-        return fn(a, *x) * (-sum(w * w for w in freqs))
-
+        lap = lambda a, *x: fn(a, *x) * (-sum(w * w for w in freqs))
     return Amplitude(
-        fn=fn, d_age=d_age, grad=tuple(make_grad(i) for i in range(dim)), lap=lap,
-        neumann_compatible=(kind == "cos"),
-        label=f"{kind}_mode(c={c}, k={modes}, age={age_coeffs})")
+        fn=fn, d_age=lambda a, *x: term(age_deriv, a, x), grad=grad, lap=lap,
+        neumann_compatible=(kind != "sin"),
+        label=f"{kind or 'age'}_mode(c={c}, k={modes}, age={age})")
+
+
+def constant_amplitude(c: float, dim: int) -> Amplitude:
+    return age_polynomial_amplitude((c,), dim)
+
+
+def age_polynomial_amplitude(coeffs, dim: int) -> Amplitude:
+    """Polynomial in age, constant in space: ``sum_k coeffs[k] * a**k``."""
+    return _separable(1.0, coeffs, dim=dim)
 
 
 def cosine_amplitude(c: float, modes, extent, age_coeffs=None) -> Amplitude:
-    return _trig_mode(c, modes, extent, "cos", age_coeffs)
+    return _separable(c, age_coeffs, "cos", modes, extent)
 
 
 def sine_amplitude(c: float, modes, extent, age_coeffs=None) -> Amplitude:
-    return _trig_mode(c, modes, extent, "sin", age_coeffs)
+    return _separable(c, age_coeffs, "sin", modes, extent)
 
 
 @dataclass(frozen=True)
@@ -168,8 +152,6 @@ class AmplitudeGrids:
     """
 
     def __init__(self, spec: NoiseSpec, grid: Grid):
-        self.spec = spec
-        self.grid = grid
         n = spec.n_modes
         shape = (n,) + grid.field_shape
         self.values = np.zeros(shape)
@@ -290,28 +272,50 @@ class NoiseField:
     laplacian: np.ndarray
 
 
-def evaluate_noise(spec: NoiseSpec, bundle: BrownianBundle, t_index: int,
-                   grid: Grid) -> NoiseField:
+def _contract(bundles, amp: np.ndarray, t_index: int) -> np.ndarray:
+    """``sum_j beta_j(t) amp[j]`` for one bundle, or for each bundle of a
+    sequence along a leading path axis.
+
+    One BLAS product per path, the one ``np.tensordot`` of a path's node
+    values makes: a product over the whole batch (``einsum``, ``matmul``)
+    rounds differently for some mode counts and shapes, and a path's
+    fields must not depend on its batch.
+    """
+    flat = amp.reshape(len(amp), -1)
+
+    def one(bundle):
+        return np.dot(bundle.betas[None, :, t_index], flat).reshape(amp.shape[1:])
+
+    if isinstance(bundles, BrownianBundle):
+        return one(bundles)
+    out = np.empty((len(bundles),) + amp.shape[1:])
+    for row, bundle in zip(out, bundles):
+        row[...] = one(bundle)
+    return out
+
+
+def evaluate_noise(spec: NoiseSpec, bundles: BrownianBundle | Sequence[BrownianBundle],
+                   t_index: int, grid: Grid) -> NoiseField:
     """Assemble W and its derivatives at time node ``t_index``.
 
-    All fields are linear in the path values, evaluated with the bundle's
-    node values so coarsened bundles reproduce the fine fields exactly on
-    shared nodes.
+    Given one bundle the fields have the grid's shape; given a sequence of
+    bundles they carry a leading path axis.  All fields are linear in the
+    path values, evaluated with the bundles' node values so coarsened
+    bundles reproduce the fine fields exactly on shared nodes.
     """
-    if not (0 <= t_index <= bundle.n_t):
+    single = isinstance(bundles, BrownianBundle)
+    if not all(0 <= t_index <= b.n_t for b in ([bundles] if single else bundles)):
         raise ConfigurationError(f"time index {t_index} outside the bundle grid")
     grids = amplitude_grids(spec, grid)
-    b = bundle.betas[:, t_index]
-    value = np.tensordot(b, grids.values, axes=1)
-    d_age = np.tensordot(b, grids.d_age, axes=1)
-    lap = np.tensordot(b, grids.laplacians, axes=1)
-    grad = tuple(np.tensordot(b, g, axes=1) for g in grids.gradients)
-    return NoiseField(value, d_age, grad, lap)
+
+    def field(amp):
+        return _contract(bundles, amp, t_index)
+
+    return NoiseField(field(grids.values), field(grids.d_age),
+                      tuple(field(g) for g in grids.gradients), field(grids.laplacians))
 
 
-def ito_correction(spec: NoiseSpec, grid: Grid,
-                   grids: AmplitudeGrids | None = None) -> Field:
+def ito_correction(spec: NoiseSpec, grid: Grid) -> Field:
     """Drift released by rescaling: half the sum of squared amplitudes."""
-    if grids is None:
-        grids = amplitude_grids(spec, grid)
-    return Field(0.5 * np.sum(grids.values ** 2, axis=0), grid, copy=False)
+    return Field(0.5 * np.sum(amplitude_grids(spec, grid).values ** 2, axis=0),
+                 grid, copy=False)

@@ -57,9 +57,9 @@ class _DirectContext:
     @classmethod
     def build(cls, model: PopulationModel) -> "_DirectContext":
         grid = model.grid
-        grids = AmplitudeGrids(model.noise, grid)
-        return cls(model=model, grid=grid, amp_values=grids.values,
-                   mu=ito_correction(model.noise, grid, grids).values,
+        return cls(model=model, grid=grid,
+                   amp_values=AmplitudeGrids(model.noise, grid).values,
+                   mu=ito_correction(model.noise, grid).values,
                    gamma=evaluate_gamma(model.rates, grid))
 
     def boundary(self, rate, t: float) -> dict:

@@ -27,8 +27,8 @@ import numpy as np
 from .errors import ConfigurationError, NoiseMagnitudeError
 from .grid import Face, Field, boundary_faces, boundary_norm_sq
 from .model import PopulationModel
-from .noise import BrownianBundle, NoiseField, amplitude_grids, ito_correction
-from .rates import evaluate_on_faces
+from .noise import (BrownianBundle, NoiseField, _contract, amplitude_grids,
+                    evaluate_noise, ito_correction)
 
 EXP_GUARD = 700.0
 
@@ -40,16 +40,14 @@ def _guarded_exp(w: np.ndarray) -> np.ndarray:
     return np.exp(w)
 
 
-def forward_transform(y: Field, w) -> Field:
+def forward_transform(y: Field, w: np.ndarray) -> Field:
     """Map the rescaled state back to the population density, ``p = exp(W) y``."""
-    w_vals = w.values if isinstance(w, Field) else np.asarray(w, dtype=float)
-    return Field(_guarded_exp(w_vals) * y.values, y.grid, copy=False)
+    return Field(_guarded_exp(np.asarray(w, dtype=float)) * y.values, y.grid, copy=False)
 
 
-def backward_transform(p: Field, w) -> Field:
+def backward_transform(p: Field, w: np.ndarray) -> Field:
     """Inverse map ``y = exp(-W) p``; exact inverse of :func:`forward_transform`."""
-    w_vals = w.values if isinstance(w, Field) else np.asarray(w, dtype=float)
-    return Field(_guarded_exp(-w_vals) * p.values, p.grid, copy=False)
+    return Field(_guarded_exp(-np.asarray(w, dtype=float)) * p.values, p.grid, copy=False)
 
 
 @dataclass(frozen=True)
@@ -70,16 +68,15 @@ class RescaledCoefficients:
 
     Given one bundle the coefficient fields have the grid's shape; given a
     sequence of bundles they carry a leading path axis.  Per time node the
-    fields of every path are built at once; the noise field they come from
-    is not kept, and only the Robin datum is cached with the node.
+    fields of every path are built at once from :func:`evaluate_noise`;
+    nothing is cached with the node.
     """
 
     def __init__(self, model: PopulationModel,
                  bundles: BrownianBundle | Sequence[BrownianBundle]):
         grid = model.grid
         single = isinstance(bundles, BrownianBundle)
-        self.bundles = [bundles] if single else list(bundles)
-        for bundle in self.bundles:
+        for bundle in [bundles] if single else bundles:
             model.check_bundle(bundle)
         # alpha passes through unchanged only when every amplitude has zero
         # normal derivative on the boundary; otherwise the answer is wrong
@@ -91,54 +88,18 @@ class RescaledCoefficients:
         model.noise.check_neumann(grid)
         self.model = model
         self.grid = grid
+        self.bundles = bundles if single else list(bundles)
         self.paths = () if single else (len(self.bundles),)
-        self.amp_grids = amplitude_grids(model.noise, grid)
-        self.mu = ito_correction(model.noise, grid, self.amp_grids).values
-        self._cache_index: int | None = None
-        self._cache: dict = {}
+        self.mu = ito_correction(model.noise, grid).values
         self._sups = None
 
     # -- per-node evaluation ------------------------------------------------
 
-    def _contract(self, amp: np.ndarray, t_index: int) -> np.ndarray:
-        """``sum_j beta_j(t) amp[j]`` for every path.
-
-        One BLAS product per path, the one ``np.tensordot`` of a path's
-        node values makes: a product over the whole batch (``einsum``,
-        ``matmul``) rounds differently for some mode counts and shapes, and
-        a path's coefficients must not depend on its batch.
-        """
-        flat = amp.reshape(len(amp), -1)
-
-        def one(bundle):
-            return np.dot(bundle.betas[None, :, t_index], flat).reshape(amp.shape[1:])
-
-        if not self.paths:
-            return one(self.bundles[0])
-        out = np.empty(self.paths + amp.shape[1:])
-        for row, bundle in zip(out, self.bundles):
-            row[...] = one(bundle)
-        return out
-
     def _noise(self, t_index: int) -> NoiseField:
-        grids = self.amp_grids
-        return NoiseField(
-            value=self._contract(grids.values, t_index),
-            d_age=self._contract(grids.d_age, t_index),
-            gradient=tuple(self._contract(g, t_index) for g in grids.gradients),
-            laplacian=self._contract(grids.laplacians, t_index))
+        return evaluate_noise(self.model.noise, self.bundles, t_index, self.grid)
 
     def _g1(self, nf: NoiseField) -> np.ndarray:
         return nf.d_age - nf.laplacian - sum(g * g for g in nf.gradient) + self.mu
-
-    def _node(self, t_index: int, key: str, make):
-        """``make()`` at ``t_index``, cached with the node."""
-        if t_index != self._cache_index:
-            self._cache = {}
-            self._cache_index = t_index
-        if key not in self._cache:
-            self._cache[key] = make()
-        return self._cache[key]
 
     def node_fields(self, t_index: int) -> dict:
         """``g1``, ``g2``, ``exp_w`` (``exp(W)``) and ``exp_dw0``
@@ -150,14 +111,14 @@ class RescaledCoefficients:
 
     def k_face(self, face: Face, t_index: int) -> np.ndarray:
         """Rescaled Robin datum ``k0 exp(-W)`` on one face."""
-        k0 = self._node(t_index, "k0", lambda: evaluate_on_faces(
-            self.model.rates.k0, self.grid, self.grid.times[t_index]))
-        w = self._contract(self.amp_grids.face_values[face], t_index)
-        return k0[face] * _guarded_exp(-w)
+        ages, coords = self.grid.boundary_meshes[face]
+        k0 = self.model.rates.k0(self.grid.times[t_index], ages, coords, 0.0)
+        w = _contract(self.bundles, amplitude_grids(self.model.noise, self.grid)
+                      .face_values[face], t_index)
+        return k0 * _guarded_exp(-w)
 
     def k_faces(self, t_index: int) -> dict:
-        return self._node(t_index, "k", lambda: {
-            f: self.k_face(f, t_index) for f in boundary_faces(self.grid)})
+        return {f: self.k_face(f, t_index) for f in boundary_faces(self.grid)}
 
     # -- whole-path bounds ----------------------------------------------------
 

@@ -343,8 +343,16 @@ class SolverConfig:
     def __post_init__(self):
         if self.scheme not in ("milstein", "em"):
             raise ConfigurationError(f"unknown direct-route scheme {self.scheme!r}")
-        if self.snapshot_stride < 0:
-            raise ConfigurationError(f"snapshot stride must be >= 0, got {self.snapshot_stride}")
+        radius = self.truncation_radius
+        for name, ok, need in (
+                ("picard_tol", self.picard_tol >= 0, ">= 0"),
+                ("picard_max_iter", self.picard_max_iter >= 0, ">= 0"),
+                ("truncation_radius", radius is None or radius > 0, "> 0 or auto"),
+                ("snapshot_stride", self.snapshot_stride >= 0, ">= 0"),
+                ("c0", self.c0 > 0, "> 0"), ("c1", self.c1 >= 0, ">= 0")):
+            if not ok:
+                raise ConfigurationError(
+                    f"solver setting {name} must be {need}, got {getattr(self, name)}")
 
 
 @dataclass

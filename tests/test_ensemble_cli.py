@@ -354,6 +354,12 @@ class TestModelBoundary:
         assert main(args + ["--out", str(tmp_path / "r"), "--solver", "rescaled"]) == 3
         assert main(args + ["--out", str(tmp_path / "d"), "--solver", "direct"]) == 0
 
+    def test_unknown_solver_rejected_before_output(self, noisy_model_path, tmp_path):
+        with pytest.raises(ConfigurationError, match="bogus"):
+            run(RunConfig(model_path=noisy_model_path, solver="bogus",
+                          out_dir=str(tmp_path / "o")))
+        assert not (tmp_path / "o").exists()
+
     def test_edited_model_file_is_parsed_again(self, tmp_path):
         p = tmp_path / "m.ini"
         p.write_text(NOISY_MODEL)

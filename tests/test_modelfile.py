@@ -110,11 +110,35 @@ class TestParseModel:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line, bad", [
+        ("truncation_radius = auto", "truncation_radius = -1"),
+        ("truncation_radius = auto", "truncation_radius = 0"),
+        ("snapshot_stride = 1", "snapshot_stride = 1\nc0 = -1.0"),
+        ("snapshot_stride = 1", "snapshot_stride = 1\nc1 = -0.5"),
+        ("picard_tol = 1e-10", "picard_tol = -1e-10"),
+        ("picard_tol = 1e-10", "picard_tol = nan"),
+        ("picard_max_iter = 50", "picard_max_iter = -1"),
+    ])
+    def test_solver_setting_out_of_range_rejected(self, tmp_path, line, bad):
+        # a clipping radius or calibration constant outside the estimates,
+        # or a fixed-point tolerance no iterate can meet, names its key
+        text = (MODELS / "sample1d.ini").read_text()
+        assert line in text
+        path = write_model(tmp_path, text.replace(line, bad))
+        key = bad.splitlines()[-1].split(" = ")[0]
+        with pytest.raises(ConfigurationError, match=key):
+            parse_model(path)
+        assert main(["run", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("line, bad", [
         ("mu_s = logistic:0.1,0.5,2.0,0.5", "mu_s = constant:1,2"),
         ("m0 = logistic:0.8,-0.5,1.5,0.5", "m0 = window:0.1,0.4"),
         ("mu1 = cosine:0.2:1", "mu1 = cosine:0.2"),
         ("mu2 = agepoly:0.1,0.1", "mu2 = agecos:0.1:1"),
         ("space_mode = 0.2,1", "space_mode = 0.2"),
+        ("n_x = 16", "n_x = 16.5"),
+        ("mu1 = cosine:0.2:1", "mu1 = cosine:0.2:1.5"),
+        ("space_mode = 0.2,1", "space_mode = 0.2,1.5"),
     ])
     def test_wrong_value_count_is_config_error(self, tmp_path, line, bad):
         text = (MODELS / "sample1d.ini").read_text()

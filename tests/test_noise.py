@@ -1,9 +1,26 @@
+import functools
+
 import numpy as np
 import pytest
 
 import stochage as sa
 from stochage.errors import ConfigurationError
-from stochage.noise import AmplitudeGrids, evaluate_noise
+from stochage.grid import face_shape
+from stochage.noise import AmplitudeGrids, amplitude_grids, evaluate_noise
+
+
+def mixed_spec(grid, n_modes):
+    """The first ``n_modes`` of four modes from every amplitude family."""
+    d = grid.dim
+    return sa.NoiseSpec((
+        sa.cosine_amplitude(0.3, (1,) * d, grid.extent),
+        sa.age_polynomial_amplitude((0.1, -0.2), d),
+        sa.cosine_amplitude(-0.2, (2,) * d, grid.extent, age_coeffs=(0.5, 1.0)),
+        sa.sine_amplitude(0.4, (1,) * d, grid.extent))[:n_modes])
+
+
+def noise_arrays(nf):
+    return (nf.value, nf.d_age, *nf.gradient, nf.laplacian)
 
 
 class TestBundle:
@@ -116,7 +133,66 @@ class TestAmplitudes:
         assert spec.check_neumann(grid2d) <= 1e-12
 
 
+    @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+    def test_age_cosine_product_mode(self, request, grid_name):
+        # mu = c (a0 + a1 a) prod_i cos(w_i x_i), w_i = k_i pi / L_i
+        grid = request.getfixturevalue(grid_name)
+        c, a0, a1 = 0.3, 0.5, -0.8
+        ks = (2, 1)[:grid.dim]
+        amp = sa.cosine_amplitude(c, ks, grid.extent, age_coeffs=(a0, a1))
+        grids = AmplitudeGrids(sa.NoiseSpec((amp,)), grid)
+        w = [k * np.pi / length for k, length in zip(ks, grid.extent)]
+
+        def closed(poly, xs, axis=None):
+            """``c poly prod_i cos``, with ``-w sin`` along ``axis``."""
+            factors = [-wi * np.sin(wi * x) if i == axis else np.cos(wi * x)
+                       for i, (wi, x) in enumerate(zip(w, xs))]
+            return c * poly * functools.reduce(np.multiply, factors)
+
+        def check(got, want, shape=grid.field_shape):
+            np.testing.assert_allclose(got, np.broadcast_to(want, shape), rtol=0, atol=1e-13)
+
+        poly, xs = a0 + a1 * grid.age_mesh, grid.space_meshes
+        check(grids.values[0], closed(poly, xs))
+        check(grids.d_age[0], closed(a1, xs))
+        for axis in range(grid.dim):
+            check(grids.gradients[axis][0], closed(poly, xs, axis))
+        check(grids.laplacians[0], -sum(wi * wi for wi in w) * closed(poly, xs))
+        for face, (ages, coords) in grid.boundary_meshes.items():
+            shape = face_shape(grid, face)
+            coords = [np.asarray(x, dtype=float) for x in coords]
+            check(grids.face_values[face][0], closed(a0 + a1 * ages, coords), shape)
+            check(grids.face_values[face][0], amp.fn(ages, *coords), shape)
+
+
 class TestEvaluateNoise:
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+    def test_batch_rows_equal_single_bundles(self, request, grid_name, n_modes):
+        # products over a whole batch round differently from 4 modes up, so
+        # a path's row must come from the product a lone bundle gets
+        grid = request.getfixturevalue(grid_name)
+        spec = mixed_spec(grid, n_modes)
+        bundles = [sa.sample_bundle(s, n_modes, grid.n_t, grid.T) for s in (3, 4, 5)]
+        i = grid.n_t // 2 + 1
+        batch = evaluate_noise(spec, bundles, i, grid)
+        assert batch.value.shape == (3,) + grid.field_shape
+        for j, bundle in enumerate(bundles):
+            one = evaluate_noise(spec, bundle, i, grid)
+            for rows, single in zip(noise_arrays(batch), noise_arrays(one)):
+                assert rows[j].tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("n_modes", [1, 2, 4])
+    @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+    def test_single_bundle_matches_tensordot(self, request, grid_name, n_modes):
+        # the formula the golden digests were recorded with
+        grid = request.getfixturevalue(grid_name)
+        spec = mixed_spec(grid, n_modes)
+        b = sa.sample_bundle(8, n_modes, grid.n_t, grid.T)
+        i = grid.n_t - 3
+        want = np.tensordot(b.betas[:, i], amplitude_grids(spec, grid).values, axes=1)
+        assert evaluate_noise(spec, b, i, grid).value.tobytes() == want.tobytes()
+
     def test_zero_at_time_zero(self, grid1d):
         spec = sa.NoiseSpec((sa.cosine_amplitude(0.5, (1,), grid1d.extent),))
         b = sa.sample_bundle(1, 1, grid1d.n_t, grid1d.T)
