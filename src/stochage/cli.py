@@ -40,9 +40,9 @@ def _common(parser: argparse.ArgumentParser, paths: bool = False,
     if level:
         parser.add_argument("--level", type=int, default=0,
                             help="power-of-two coarsening level of the master grid")
+    if paths:
         parser.add_argument("--stride", type=int, default=0,
                             help="snapshot stride (0 keeps first/last only)")
-    if paths:
         parser.add_argument("--paths", type=int, default=1, help="ensemble size")
         parser.add_argument("--workers", type=int, default=1,
                             help="worker processes")
@@ -98,7 +98,7 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     model, cfg = ens._cached_model(args.model, 2 ** args.level)
     bundle = ens.path_bundle(args.model, args.level, args.seed, [0])[0]
-    cfg = dataclasses.replace(cfg, snapshot_stride=args.stride if args.stride else 0)
+    cfg = dataclasses.replace(cfg, snapshot_stride=0)
     rep_r = solve_rescaled(model, bundle, cfg)
     rep_d = solve_direct(model, bundle, cfg)
     p_r = ens.density_final(rep_r, model, bundle)

@@ -120,7 +120,7 @@ def density_final(report: SolveReport, model: PopulationModel,
     if report.variable == "p":
         return report.final
     nf = evaluate_noise(model.noise, bundle, model.grid.n_t, model.grid)
-    return forward_transform(report.final_field, nf.value).values
+    return forward_transform(Field(report.final, model.grid), nf.value).values
 
 
 def mass_series(report: SolveReport, model: PopulationModel,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StochageError
 from .grid import (Grid, boundary_faces, face_measure, face_shape,
                    gradient_energy, l2_norm, weighted_population)
 from .model import PopulationModel
@@ -63,10 +63,17 @@ class EstimateConstants:
 def growth_factor(c0: float, c1: float, g1_sup: float, g2_sup: float,
                   a_max: float, m0_inf: float, c_w0: float, mu_inf: float,
                   horizon: float) -> float:
-    """Exponential prefactor of the energy bound."""
+    """Exponential prefactor of the energy bound; one that is not a finite
+    float raises :class:`StochageError` naming the exponent."""
     expo = c1 * (1.0 + g1_sup + g2_sup ** 2
                  + a_max * m0_inf ** 2 * c_w0 ** 2 + mu_inf ** 2) * horizon
-    return c0 * math.exp(expo)
+    try:
+        factor = c0 * math.exp(expo)
+    except OverflowError:
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise StochageError(f"energy bound exponent {expo:.4g} overflows a float")
+    return factor
 
 
 def compute_constants(rates: VitalRates, *, c0: float = 1.0, c1: float = 1.0,
@@ -85,6 +92,9 @@ def compute_constants(rates: VitalRates, *, c0: float = 1.0, c1: float = 1.0,
     c_est = growth_factor(c0, c1, g1_sup, g2_sup, a_max, m0_inf, c_w0,
                           mu_inf, horizon)
     r0 = c_est * (y0_norm_sq + k_sq_integral)
+    if not math.isfinite(r0):
+        raise StochageError(f"energy bound exponent {math.log(c_est / c0):.4g} "
+                            f"overflows a float times the data energy")
     n0 = int(math.ceil(r0)) + 1
     geom = gamma_inf * math.sqrt(a_max * region_volume)
     l1 = c_w0 * c_w * rates.m0.lipschitz(r0) * geom * r0 + c_w0 * m0_inf

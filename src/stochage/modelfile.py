@@ -37,7 +37,6 @@ Schema (sections and keys; unknown keys are rejected)::
     picard_max_iter = 50
     diffusion = true
     truncation_radius = auto # or a number
-    snapshot_stride = 1
     c0 = 1.0                 # calibration of the energy-bound checks
     c1 = 1.0
 """
@@ -65,7 +64,7 @@ _KNOWN = {
     "initial": {"p0", "space_mode"},
     "population_functional": {"region"},
     "solver": {"picard_tol", "picard_max_iter", "diffusion",
-               "truncation_radius", "snapshot_stride", "c0", "c1"},
+               "truncation_radius", "c0", "c1"},
 }
 
 
@@ -256,7 +255,6 @@ def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
                 picard_max_iter=s.getint("picard_max_iter", config.picard_max_iter),
                 include_diffusion=s.getboolean("diffusion", True),
                 truncation_radius=None if radius == "auto" else float(radius),
-                snapshot_stride=s.getint("snapshot_stride", config.snapshot_stride),
                 c0=s.getfloat("c0", config.c0),
                 c1=s.getfloat("c1", config.c1))
         except ValueError as exc:

@@ -51,6 +51,8 @@ def _separable(c: float, age_coeffs, kind=None, modes=(), extent=(),
     modes have vanishing normal derivative on the box boundary; ``sin``
     modes do not and are only meant for derivative tests.
     """
+    if not all(float(k).is_integer() for k in np.atleast_1d(modes)):
+        raise ConfigurationError(f"mode numbers must be whole numbers, got {modes}")
     modes = tuple(int(k) for k in np.atleast_1d(modes))
     extent = tuple(float(e) for e in np.atleast_1d(extent))
     if len(modes) != len(extent):

@@ -87,17 +87,15 @@ def _shock(increments: np.ndarray, ctx: _DirectContext, dt: float,
 
 
 def em_step(p: np.ndarray, increments: np.ndarray, ctx: _DirectContext,
-            t_new: float, u_prev, dt: float,
-            include_diffusion: bool = True, alpha: dict | None = None,
-            k0: dict | None = None,
+            t_new: float, u_prev, dt: float, faces: tuple | None,
             scheme: str = "milstein") -> tuple[np.ndarray, float, bool]:
     """One explicit step: deterministic substeps, then the noise factor.
 
     ``p`` is one field, or a stack of paths with a leading path axis; then
     ``increments`` is ``(P, N)`` and ``u_prev`` holds the population
-    functional of each incoming path (a scalar for one field).  ``alpha``
-    and ``k0`` may carry precomputed boundary data for ``t_new``.
-    ``scheme`` picks the factor: ``"milstein"`` multiplies by
+    functional of each incoming path (a scalar for one field).  ``faces``
+    is the Robin data ``(alpha, k)`` at ``t_new``, or ``None`` to skip
+    diffusion.  ``scheme`` picks the factor: ``"milstein"`` multiplies by
     ``1 + S + S^2/2 - mu dt`` and ``"em"`` by ``1 + S``, where
     ``S = sum_j mu_j dbeta_j``.  Returns the new state, the advection CFL
     (always 0 here), and one flag set when ``|factor - 1|`` exceeds 1
@@ -109,10 +107,6 @@ def em_step(p: np.ndarray, increments: np.ndarray, ctx: _DirectContext,
     model, grid = ctx.model, ctx.grid
     mu_s = evaluate_on_grid(model.rates.mu_s, grid, t_new, u_prev)
     m0 = evaluate_on_grid(model.rates.m0, grid, t_new, u_prev)
-    faces = None
-    if include_diffusion:
-        faces = (ctx.boundary(model.rates.alpha0, t_new) if alpha is None else alpha,
-                 ctx.boundary(model.rates.k0, t_new) if k0 is None else k0)
     v, cfl = _split_step(p, None, mu_s, None, m0, faces, grid, dt, ctx.factors)
     shock = _shock(increments, ctx, dt, scheme)
     overshoot = bool(shock.size) and bool(shock.max() > 1.0 or shock.min() < -1.0)
@@ -157,10 +151,10 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         t_new = grid.times[t_index]
         dbeta = increments[:, :, t_index - 1]
         k0 = ctx.boundary(rates.k0, t_new)
+        faces = ((ctx.boundary(rates.alpha0, t_new), k0)
+                 if config.include_diffusion else None)
         p, cfl, overshoot = em_step(p, dbeta, ctx, t_new, u_prev, grid.dt,
-                                    config.include_diffusion,
-                                    alpha=ctx.boundary(rates.alpha0, t_new),
-                                    k0=k0, scheme=config.scheme)
+                                    faces, config.scheme)
         if overshoot:
             shock = _shock(dbeta, ctx, grid.dt, config.scheme)
             overshoot = np.max(np.abs(shock).reshape(n_p, -1), axis=1) > 1.0

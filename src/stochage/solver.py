@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError, NonconvergenceError
-from .grid import (Face, Field, Grid, boundary_norm_sq, gradient_energy,
-                   l2_norm, weighted_population)
+from .grid import (Face, Grid, boundary_norm_sq, gradient_energy, l2_norm,
+                   weighted_population)
 from .model import PopulationModel
 from .noise import BrownianBundle
 from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
@@ -150,18 +150,15 @@ def renewal_row(values: np.ndarray, m_values: np.ndarray, grid: Grid) -> np.ndar
     return (w * m_values * values).sum(axis=-grid.dim - 1)
 
 
-def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float,
-                  paths: tuple = ()) -> tuple:
+def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float) -> tuple:
     """Factor of the implicit sweep matrices along an axis of ``n`` cells.
 
     Ghost closure ``ghost = interior - dx (alpha v + k)`` keeps the matrix
     an M-matrix for ``alpha >= 0``.  There is one system per entry of the
-    face data ``alpha_lo``/``alpha_hi``, repeated over the leading ``paths``
-    shape so that the solve's rows need no broadcasting.
+    face data ``alpha_lo``/``alpha_hi``, which may carry a path axis.
     """
     a_lo, a_hi = np.broadcast_arrays(np.asarray(alpha_lo, dtype=float),
                                      np.asarray(alpha_hi, dtype=float))
-    a_lo, a_hi = (np.broadcast_to(a, paths + a.shape) for a in (a_lo, a_hi))
     r = dt / dx ** 2
     diag = np.ones((n,) + a_lo.shape)
     if n > 1:
@@ -186,33 +183,22 @@ class DiffusionFactors:
     def __init__(self):
         self._key = None
         self._alpha: dict = {}
-        self._paths: tuple = ()
-        self._factors: dict = {}
+        self._factors: list = []
 
-    def get(self, alpha: dict, grid: Grid, dt: float, paths: tuple = ()) -> list:
+    def get(self, alpha: dict, grid: Grid, dt: float) -> list:
         """One factor per spatial axis for the face coefficients ``alpha``,
-        for states with the leading ``paths`` shape.
-
-        The first shape asked for gets factors repeated over its paths, so
-        that the solve's rows need no broadcasting.  Any other shape (a
-        batch some of whose paths have left the fixed point) shares one
-        factor that broadcasts over the paths, which gives the same bits.
-        """
+        with one system per path when they carry a path axis; otherwise
+        every path of a batch shares the systems, with the same bits."""
         key = (dt, grid.n_x, grid.dx)
         if key != self._key or any(not np.array_equal(a, self._alpha[f])
                                    for f, a in alpha.items()):
-            self._factors = {}
             self._key = key
             self._alpha = {f: np.array(a) for f, a in alpha.items()}
-        if not self._factors:
-            self._paths = paths
-        rows = paths if paths == self._paths else ()
-        if rows not in self._factors:
-            self._factors[rows] = [
+            self._factors = [
                 _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
-                              grid.n_x[axis], grid.dx[axis], dt, rows)
+                              grid.n_x[axis], grid.dx[axis], dt)
                 for axis in range(grid.dim)]
-        return self._factors[rows]
+        return self._factors
 
 
 def _sweep(vals: np.ndarray, axis: int, factor: tuple, k_lo, k_hi,
@@ -239,9 +225,8 @@ def diffusion_substep(values: np.ndarray, alpha: dict, k: dict, grid: Grid,
     """
     if factors is None:
         factors = DiffusionFactors()
-    paths = values.shape[:values.ndim - grid.dim - 1]
     out = values
-    for axis, factor in enumerate(factors.get(alpha, grid, dt, paths)):
+    for axis, factor in enumerate(factors.get(alpha, grid, dt)):
         out = _sweep(out, values.ndim - grid.dim + axis, factor,
                      k[Face(axis, 0)], k[Face(axis, 1)], grid.dx[axis], dt)
     return out
@@ -349,7 +334,8 @@ class SolverConfig:
                 ("picard_max_iter", self.picard_max_iter >= 0, ">= 0"),
                 ("truncation_radius", radius is None or radius > 0, "> 0 or auto"),
                 ("snapshot_stride", self.snapshot_stride >= 0, ">= 0"),
-                ("c0", self.c0 > 0, "> 0"), ("c1", self.c1 >= 0, ">= 0")):
+                ("c0", 0 < self.c0 < np.inf, "finite and > 0"),
+                ("c1", 0 <= self.c1 < np.inf, "finite and >= 0")):
             if not ok:
                 raise ConfigurationError(
                     f"solver setting {name} must be {need}, got {getattr(self, name)}")
@@ -387,10 +373,6 @@ class SolveReport:
                 f"trajectory stored with stride {self.stride}; rerun with "
                 f"snapshot_stride=1")
         return self.snapshots
-
-    @property
-    def final_field(self) -> Field:
-        return Field(self.final, self.grid)
 
 
 def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:

@@ -198,6 +198,23 @@ class TestRun:
                      "totals_direct.csv"):
             assert (out / name).exists(), name
 
+    def test_overflowing_energy_bound_fails_its_path(self, tmp_path):
+        # a strong high mode makes the energy bound of most paths overflow
+        # a float: those paths fail with the cause, the others still count
+        p = tmp_path / "strong.ini"
+        p.write_text((MODELS / "sample1d.ini").read_text().replace(
+            "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4"))
+        out = tmp_path / "out"
+        assert main(["ensemble", "--model", str(p), "--out", str(out),
+                     "--solver", "rescaled", "--paths", "8"]) == 1
+        with open(out / "paths.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 8
+        failed = [r["status"] for r in rows if r["status"] != "converged"]
+        assert 0 < len(failed) < 8
+        assert all(s.startswith("failed: energy bound exponent") for s in failed)
+        assert (out / "stats_mean_rescaled.bin").exists()
+
 
 class TestChunks:
     def test_chunks_cover_paths_in_order(self, grid1d):
@@ -474,6 +491,7 @@ class TestCli:
         ["check", "--stride", "5"],
         ["ensemble", "--workers", "0"],
         ["ensemble", "--workers", "-2"],
+        ["compare", "--stride", "1"],
     ])
     def test_out_of_range_input_is_config_error(self, noisy_model_path, tmp_path,
                                                 argv):

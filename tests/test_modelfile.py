@@ -43,7 +43,6 @@ picard_tol = 1e-9
 picard_max_iter = 30
 diffusion = true
 truncation_radius = auto
-snapshot_stride = 2
 """
 
 
@@ -63,7 +62,6 @@ class TestParseModel:
         assert model.rates.m0.sup == pytest.approx(1.5)
         assert config.picard_tol == 1e-9
         assert config.picard_max_iter == 30
-        assert config.snapshot_stride == 2
         assert config.truncation_radius is None
         assert model.initial.nonnegative
 
@@ -99,12 +97,13 @@ class TestParseModel:
             parse_model(path)
 
     def test_negative_stride_rejected(self, tmp_path):
-        # the [solver] values go through SolverConfig's checks
+        # the snapshot stride is a command-line setting; a model file that
+        # sets one, negative or not, has an unknown key
         text = (MODELS / "sample1d.ini").read_text()
-        assert "snapshot_stride = 1" in text
-        path = write_model(tmp_path, text.replace("snapshot_stride = 1",
-                                                  "snapshot_stride = -3"))
-        with pytest.raises(ConfigurationError):
+        assert "truncation_radius = auto" in text
+        path = write_model(tmp_path, text.replace(
+            "truncation_radius = auto", "truncation_radius = auto\nsnapshot_stride = -3"))
+        with pytest.raises(ConfigurationError, match="snapshot_stride"):
             parse_model(path)
         assert main(["run", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
@@ -112,8 +111,10 @@ class TestParseModel:
     @pytest.mark.parametrize("line, bad", [
         ("truncation_radius = auto", "truncation_radius = -1"),
         ("truncation_radius = auto", "truncation_radius = 0"),
-        ("snapshot_stride = 1", "snapshot_stride = 1\nc0 = -1.0"),
-        ("snapshot_stride = 1", "snapshot_stride = 1\nc1 = -0.5"),
+        ("truncation_radius = auto", "truncation_radius = auto\nc0 = -1.0"),
+        ("truncation_radius = auto", "truncation_radius = auto\nc1 = -0.5"),
+        ("truncation_radius = auto", "truncation_radius = auto\nc0 = inf"),
+        ("truncation_radius = auto", "truncation_radius = auto\nc1 = inf"),
         ("picard_tol = 1e-10", "picard_tol = -1e-10"),
         ("picard_tol = 1e-10", "picard_tol = nan"),
         ("picard_max_iter = 50", "picard_max_iter = -1"),

@@ -132,6 +132,13 @@ class TestAmplitudes:
         spec = sa.NoiseSpec((sa.cosine_amplitude(0.3, (1, 2), grid2d.extent),))
         assert spec.check_neumann(grid2d) <= 1e-12
 
+    @pytest.mark.parametrize("ctor", [sa.cosine_amplitude, sa.sine_amplitude])
+    def test_mode_numbers_must_be_whole(self, ctor):
+        # a fractional mode number is an error, not a truncated mode
+        with pytest.raises(ConfigurationError, match="1.5"):
+            ctor(0.2, (1.5,), (1.0,))
+        assert "k=(2,)" in ctor(0.2, (2.0,), (1.0,)).label
+
 
     @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
     def test_age_cosine_product_mode(self, request, grid_name):

@@ -20,13 +20,22 @@ def gbm_model(n_t, p0_value=2.0):
                        amplitudes=(sa.constant_amplitude(1.0, 1),), p0=p0)
 
 
+def robin(ctx, t):
+    """The Robin pair ``(alpha, k)`` of the context's model at time ``t``."""
+    rates = ctx.model.rates
+    return ctx.boundary(rates.alpha0, t), ctx.boundary(rates.k0, t)
+
+
 class TestEmStep:
     def test_zero_increment_is_deterministic_step(self, linear_model):
         grid = linear_model.grid
         ctx = _DirectContext.build(linear_model)
         p = linear_model.initial.p0.values.copy()
-        stepped, _, over = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, grid.dt)
-        noise_free, _, _ = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, grid.dt)
+        faces = robin(ctx, grid.dt)
+        stepped, _, over = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, grid.dt,
+                                   faces)
+        noise_free, _, _ = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, grid.dt,
+                                   faces)
         assert not over
         assert np.array_equal(stepped, noise_free)
 
@@ -36,7 +45,8 @@ class TestEmStep:
         p = model.initial.p0.values.copy()
         dbeta = 0.125
         out, _, _ = em_step(p.copy(), np.array([dbeta]), ctx,
-                            model.grid.dt, 0.0, model.grid.dt, scheme="em")
+                            model.grid.dt, 0.0, model.grid.dt,
+                            robin(ctx, model.grid.dt), scheme="em")
         # away from the birth row the update is p (1 + dbeta)
         assert out[-1, 0] == pytest.approx(2.0 * (1 + dbeta), rel=1e-15)
 
@@ -46,7 +56,7 @@ class TestEmStep:
         ctx = _DirectContext.build(model)
         dt = model.grid.dt
         p = model.initial.p0.values.copy()
-        out, _, over = em_step(p, np.array([d]), ctx, dt, 0.0, dt)
+        out, _, over = em_step(p, np.array([d]), ctx, dt, 0.0, dt, robin(ctx, dt))
         # the default factor: 1 + d + d^2/2 - mu dt with mu = 1/2
         assert out[-1, 0] == pytest.approx(2.0 * (1 + d + d**2 / 2 - dt / 2),
                                            rel=1e-15)
@@ -61,7 +71,7 @@ class TestEmStep:
         ctx = _DirectContext.build(model)
         p = model.initial.p0.values.copy()
         _, _, over = em_step(p, np.array([1.5]), ctx, model.grid.dt, 0.0,
-                             model.grid.dt)
+                             model.grid.dt, robin(ctx, model.grid.dt))
         assert over
 
 

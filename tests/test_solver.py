@@ -216,6 +216,23 @@ class TestDiffusionFactors:
                 one = diffusion_substep(vals[j], alpha, k, grid, grid.dt)
                 assert kept[j].tobytes() == np.ascontiguousarray(one).tobytes()
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_per_path_alpha_matches_one_path_solves(self, dim, grid1d, grid2d):
+        # face data with a leading path axis gives each path the factor of
+        # its own coefficient, as the random Robin jump of the rescaled
+        # boundary condition needs
+        grid = grid1d if dim == 1 else grid2d
+        rng = np.random.default_rng(4)
+        faces = zero_faces(grid)
+        alpha = {f: rng.random((3,) + z.shape) for f, z in faces.items()}
+        k = {f: 0.1 * rng.random((3,) + z.shape) for f, z in faces.items()}
+        vals = rng.random((3,) + grid.field_shape)
+        batch = diffusion_substep(vals, alpha, k, grid, grid.dt, DiffusionFactors())
+        for j in range(3):
+            one = diffusion_substep(vals[j], {f: a[j] for f, a in alpha.items()},
+                                    {f: q[j] for f, q in k.items()}, grid, grid.dt)
+            assert batch[j].tobytes() == np.ascontiguousarray(one).tobytes(), j
+
     def test_refactors_only_on_change(self, grid1d):
         factors = DiffusionFactors()
         alpha = {f: np.full_like(z, 0.2) for f, z in zero_faces(grid1d).items()}
