@@ -19,9 +19,8 @@ from .noise import (Amplitude, BrownianBundle, NoiseSpec,
                     age_polynomial_amplitude, coarsen, constant_amplitude,
                     cosine_amplitude, evaluate_noise, ito_correction,
                     sample_bundle, sine_amplitude)
-from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, InitialData,
-                    LogisticRate, ProductRate, VitalRates, initial_field,
-                    validate_rates)
+from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, LogisticRate,
+                    ProductRate, VitalRates, validate_rates)
 from .rescale import (RescaledCoefficients, backward_transform,
                       forward_transform)
 from .solver import (SolveReport, SolverConfig, StepResult, TruncationGuard,

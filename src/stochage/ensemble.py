@@ -117,7 +117,7 @@ def path_chunks(n_paths: int, grid: Grid) -> list[range]:
 def density_final(report: SolveReport, model: PopulationModel,
                   bundle: BrownianBundle) -> np.ndarray:
     """Final population density for either solver's report."""
-    if report.variable == "p":
+    if report.solver == "direct":
         return report.final
     nf = evaluate_noise(model.noise, bundle, model.grid.n_t, model.grid)
     return forward_transform(Field(report.final, model.grid), nf.value).values
@@ -131,7 +131,7 @@ def mass_series(report: SolveReport, model: PopulationModel,
     out = np.zeros(len(report.snapshot_indices))
     for pos, idx in enumerate(report.snapshot_indices[:-1]):
         p = report.snapshots[pos]
-        if report.variable == "y":
+        if report.solver == "rescaled":
             nf = evaluate_noise(model.noise, bundle, int(idx), grid)
             p = forward_transform(Field(p, grid), nf.value).values
         out[pos] = weighted_population(p, 1.0, None, grid)
@@ -202,13 +202,13 @@ def _run_chunk(config: RunConfig, indices: range,
                 index, bundle.seed, name, final=p_final,
                 final_l2=l2_norm(p_final, model.grid),
                 mass=mass_series(report, model, bundle, p_final),
-                picard_max=int(report.picard_iterations.max()) if len(report.picard_iterations) else 0,
+                picard_max=int(report.picard_iterations.max()),
                 truncations=report.guard.activations if report.guard else 0))
             if out_dir is not None and config.snapshot_stride > 0:
                 save_field(Path(out_dir) / f"path_{index:05d}_{name}.bin", p_final)
                 write_series_csv(
                     Path(out_dir) / f"path_{index:05d}_{name}.csv",
-                    {"t": report.times, "l2_norm": report.l2_series,
+                    {"t": report.grid.times, "l2_norm": report.l2_series,
                      "u_value": report.u_series, "births": report.births_series})
     return sorted(records, key=lambda rec: rec.path)
 
@@ -217,7 +217,6 @@ def _run_chunk(config: RunConfig, indices: range,
 class EnsembleStats:
     """Cell statistics of the density at the final time plus totals."""
 
-    n_paths: int
     mean_final: dict = field(default_factory=dict)   # solver -> field
     var_final: dict = field(default_factory=dict)    # solver -> field (ddof=1)
     mass_mean: dict = field(default_factory=dict)    # solver -> series
@@ -252,7 +251,6 @@ def run(config: RunConfig) -> RunResult:
     records = [rec for chunk in chunks for rec in chunk]
 
     stats = EnsembleStats(
-        n_paths=config.n_paths,
         mass_indices=_snapshot_indices(model.grid.n_t, config.snapshot_stride),
         failures=sum(rec.status != "converged" for rec in records))
     for name in config.solvers():

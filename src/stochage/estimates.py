@@ -34,25 +34,17 @@ from .rescale import CoefficientSups, RescaledCoefficients
 class EstimateConstants:
     """Energy-bound constants together with the inputs they came from.
 
-    Pure arithmetic: recomputing from the logged inputs must reproduce
-    the stored values exactly.
+    Pure arithmetic: recomputing from the logged inputs and the rates must
+    reproduce the stored values exactly.
     """
 
     c0: float
     c1: float
-    g1_sup: float
-    g2_sup: float
-    div_g2_sup: float
-    c_w0: float
-    c_w: float
-    mu_inf: float
-    m0_inf: float
-    gamma_inf: float
+    sups: CoefficientSups
     region_volume: float
     a_max: float
     horizon: float
     y0_norm_sq: float
-    k_sq_integral: float
     c_est: float
     r0: float
     n0: int
@@ -76,12 +68,12 @@ def growth_factor(c0: float, c1: float, g1_sup: float, g2_sup: float,
     return factor
 
 
-def compute_constants(rates: VitalRates, *, c0: float = 1.0, c1: float = 1.0,
-                      g1_sup: float, g2_sup: float, div_g2_sup: float,
-                      c_w0: float, c_w: float, region_volume: float,
-                      a_max: float, horizon: float, y0_norm_sq: float,
-                      k_sq_integral: float) -> EstimateConstants:
-    """Assemble the energy-bound constants from coefficient and data sups.
+def compute_constants(rates: VitalRates, sups: CoefficientSups, *,
+                      c0: float = 1.0, c1: float = 1.0, region_volume: float,
+                      a_max: float, horizon: float,
+                      y0_norm_sq: float) -> EstimateConstants:
+    """Assemble the energy-bound constants from the rate sups, the path's
+    coefficient ``sups`` and the data energy.
 
     ``r0`` bounds the squared solution norm by the growth factor times the
     data energy; the truncation threshold is ``ceil(r0) + 1``.  The
@@ -89,9 +81,10 @@ def compute_constants(rates: VitalRates, *, c0: float = 1.0, c1: float = 1.0,
     side) feed the continuous-dependence prefactor.
     """
     mu_inf, m0_inf, gamma_inf = rates.mu_s.sup, rates.m0.sup, rates.gamma.sup
-    c_est = growth_factor(c0, c1, g1_sup, g2_sup, a_max, m0_inf, c_w0,
+    c_w0, c_w = sups.c_w0, sups.c_w
+    c_est = growth_factor(c0, c1, sups.g1_sup, sups.g2_sup, a_max, m0_inf, c_w0,
                           mu_inf, horizon)
-    r0 = c_est * (y0_norm_sq + k_sq_integral)
+    r0 = c_est * (y0_norm_sq + sups.k_sq_integral)
     if not math.isfinite(r0):
         raise StochageError(f"energy bound exponent {math.log(c_est / c0):.4g} "
                             f"overflows a float times the data energy")
@@ -100,11 +93,9 @@ def compute_constants(rates: VitalRates, *, c0: float = 1.0, c1: float = 1.0,
     l1 = c_w0 * c_w * rates.m0.lipschitz(r0) * geom * r0 + c_w0 * m0_inf
     l2 = c_w * rates.mu_s.lipschitz(r0) * geom * r0 + mu_inf
     return EstimateConstants(
-        c0=c0, c1=c1, g1_sup=g1_sup, g2_sup=g2_sup, div_g2_sup=div_g2_sup,
-        c_w0=c_w0, c_w=c_w, mu_inf=mu_inf, m0_inf=m0_inf,
-        gamma_inf=gamma_inf, region_volume=region_volume, a_max=a_max,
-        horizon=horizon, y0_norm_sq=y0_norm_sq, k_sq_integral=k_sq_integral,
-        c_est=c_est, r0=r0, n0=n0, l1=l1, l2=l2)
+        c0=c0, c1=c1, sups=sups, region_volume=region_volume, a_max=a_max,
+        horizon=horizon, y0_norm_sq=y0_norm_sq, c_est=c_est, r0=r0, n0=n0,
+        l1=l1, l2=l2)
 
 
 def constants_for_run(model: PopulationModel,
@@ -118,12 +109,9 @@ def constants_for_run(model: PopulationModel,
             raise ConfigurationError("a bundle or its coefficient sups are required")
         sups = RescaledCoefficients(model, bundle).coefficient_sups()
     return compute_constants(
-        model.rates, c0=c0, c1=c1, g1_sup=sups.g1_sup, g2_sup=sups.g2_sup,
-        div_g2_sup=sups.div_g2_sup, c_w0=sups.c_w0, c_w=sups.c_w,
-        region_volume=model.region_volume, a_max=model.grid.a_max,
-        horizon=model.grid.T,
-        y0_norm_sq=l2_norm(model.initial.p0) ** 2,
-        k_sq_integral=sups.k_sq_integral)
+        model.rates, sups, c0=c0, c1=c1, region_volume=model.region_volume,
+        a_max=model.grid.a_max, horizon=model.grid.T,
+        y0_norm_sq=l2_norm(model.p0) ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +175,7 @@ def dependence_check(report1, report2, consts1: EstimateConstants,
     traj1, traj2 = report1.trajectory, report2.trajectory
     grid = report1.grid
     dt = grid.dt
-    n = len(report1.times)
+    n = grid.n_t + 1
     d_sq = np.zeros(n)
     d_exit = np.zeros(n)
     d_grad = np.zeros(n)
@@ -198,8 +186,9 @@ def dependence_check(report1, report2, consts1: EstimateConstants,
         d_grad[i] = gradient_energy(d, grid)
     left = d_sq[-1] + _cumtrapz(d_exit, dt)[-1] + _cumtrapz(d_sq + d_grad, dt)[-1]
     c0, c1 = consts1.c0, consts1.c1
-    expo = c1 * (1.0 + max(consts1.g1_sup, consts2.g1_sup)
-                 + max(consts1.div_g2_sup, consts2.div_g2_sup)
+    sups1, sups2 = consts1.sups, consts2.sups
+    expo = c1 * (1.0 + max(sups1.g1_sup, sups2.g1_sup)
+                 + max(sups1.div_g2_sup, sups2.div_g2_sup)
                  + max(consts1.l1, consts2.l1) ** 2
                  + consts1.a_max * max(consts1.l2, consts2.l2) ** 2) \
         * consts1.horizon
@@ -368,7 +357,7 @@ def weak_residual_random(report, model: PopulationModel,
     ``g2``, ``k`` and the rescaled fertility.  For the discrete solution
     the residual decays at first order under grid refinement.
     """
-    if report.variable != "y":
+    if report.solver != "rescaled":
         raise ConfigurationError("the pathwise residual expects a rescaled-state report")
     traj = report.trajectory  # raises when stored with stride > 1
     grid = report.grid
@@ -399,7 +388,7 @@ def weak_residual_stochastic(report, model: PopulationModel,
     the Brownian increment, which is the discrete counterpart of the Ito
     integral and has zero mean.
     """
-    if report.variable != "p":
+    if report.solver != "direct":
         raise ConfigurationError("the stochastic residual expects a density report")
     traj = report.trajectory
     grid = report.grid
@@ -434,16 +423,16 @@ def weak_residual_stochastic(report, model: PopulationModel,
 
 @dataclass
 class CheckRow:
+    """One check of ``checks.csv``; it passes when ``value <= threshold``."""
+
     name: str
     value: float
     threshold: float
-    op: str          # "<=" or ">="
-    passed: bool
 
-    @classmethod
-    def leq(cls, name: str, value: float, threshold: float) -> "CheckRow":
-        return cls(name, float(value), float(threshold), "<=", bool(value <= threshold))
+    def __post_init__(self):
+        self.value = float(self.value)
+        self.threshold = float(self.threshold)
 
-    @classmethod
-    def geq(cls, name: str, value: float, threshold: float) -> "CheckRow":
-        return cls(name, float(value), float(threshold), ">=", bool(value >= threshold))
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.threshold

@@ -94,13 +94,14 @@ def read_series_csv(path) -> dict:
 
 
 def write_check_report(path, rows) -> None:
-    """One row per check: name, value, threshold, comparison, pass/fail."""
+    """One row per check: name, value, threshold, comparison (always
+    ``<=``), pass/fail."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["check", "value", "threshold", "comparison", "status"])
         for row in rows:
             writer.writerow([row.name, repr(row.value), repr(row.threshold),
-                             row.op, "pass" if row.passed else "fail"])
+                             "<=", "pass" if row.passed else "fail"])
 
 
 def ensure_dir(path) -> Path:

@@ -50,8 +50,8 @@ class Grid:
             raise ConfigurationError(f"spatial dimension must be 1 or 2, got {self.dim}")
         if len(self.n_x) != self.dim:
             raise ConfigurationError("extent and n_x must have the same length")
-        if not (self.T > 0 and self.a_max > 0):
-            raise ConfigurationError("T and a_max must be positive")
+        if not (0 < self.T < np.inf and 0 < self.a_max < np.inf):
+            raise ConfigurationError("T and a_max must be positive and finite")
         if self.n_t < 2 or self.n_a < 2:
             raise ConfigurationError("n_t and n_a must be at least 2")
         if any(e <= 0 for e in self.extent) or any(n < 1 for n in self.n_x):

@@ -5,14 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigurationError
-from .grid import Grid, SubDomain
+from .grid import Field, Grid, SubDomain
 from .noise import BrownianBundle, NoiseSpec
-from .rates import InitialData, VitalRates
+from .rates import VitalRates
 
 
 @dataclass(frozen=True)
 class PopulationModel:
-    """Grid, vital rates, noise modes, initial data, and the weighting region.
+    """Grid, vital rates, noise modes, initial density and weighting region.
 
     ``region`` is the sub-box over which the nonlocal population
     functional integrates; ``None`` means the whole habitat.
@@ -21,11 +21,11 @@ class PopulationModel:
     grid: Grid
     rates: VitalRates
     noise: NoiseSpec
-    initial: InitialData
+    p0: Field
     region: SubDomain | None = None
 
     def __post_init__(self):
-        if self.initial.p0.grid != self.grid:
+        if self.p0.grid != self.grid:
             raise ConfigurationError("initial data lives on a different grid")
         if self.region is not None:
             self.region.cell_slices(self.grid)

@@ -14,6 +14,7 @@ Schema (sections and keys; unknown keys are rejected)::
     [rates]                  # value syntax: family:arg,arg,...
     mu_s = constant:0.3      # constant:c | logistic:base,amp,slope[,center]
     m0 = window:0.2,0.8,1.5  # | window:lo,hi,value | table:a:v;a:v;...
+                             # (table ages strictly increasing)
     gamma = constant:0.0
     alpha0 = constant:0.0
     k0 = constant:0.0
@@ -49,12 +50,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Grid, SubDomain
+from .grid import Field, Grid, SubDomain
 from .model import PopulationModel
 from .noise import (Amplitude, NoiseSpec, age_polynomial_amplitude,
                     constant_amplitude, cosine_amplitude, sine_amplitude)
-from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, InitialData,
-                    LogisticRate, VitalRates, initial_field)
+from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, LogisticRate,
+                    VitalRates)
 from .solver import SolverConfig
 
 _KNOWN = {
@@ -70,9 +71,12 @@ _KNOWN = {
 
 def _floats(text: str) -> list[float]:
     try:
-        return [float(v) for v in text.split(",") if v.strip() != ""]
+        vals = [float(v) for v in text.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise ConfigurationError(f"cannot parse numbers from {text!r}") from exc
+    if not all(np.isfinite(vals)):
+        raise ConfigurationError(f"{text!r} has a number that is not finite")
+    return vals
 
 
 def _numbers(text: str, value: str, *counts: int) -> list[float]:
@@ -137,7 +141,7 @@ def parse_amplitude(text: str, dim: int, extent) -> Amplitude:
     return ctor(c, modes, extent)
 
 
-def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> InitialData:
+def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> Field:
     family, _, rest = spec.strip().partition(":")
     if family == "ageexp":
         amp, rate = _numbers(rest, spec, 2)
@@ -161,7 +165,7 @@ def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> InitialData
         def fn(a, *x):
             shape = np.broadcast_shapes(np.shape(a), *map(np.shape, x))
             return np.broadcast_to(base(a), shape)
-    return initial_field(grid, fn)
+    return Field.from_function(grid, fn)
 
 
 def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
@@ -228,8 +232,8 @@ def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
         amps.append(constant_amplitude(0.0, grid.dim))
     noise = NoiseSpec(tuple(amps))
 
-    ini = _parse_initial(grid, cp["initial"].get("p0", "constant:1"),
-                         cp["initial"].get("space_mode", None))
+    p0 = _parse_initial(grid, cp["initial"].get("p0", "constant:1"),
+                        cp["initial"].get("space_mode", None))
 
     region = None
     if "population_functional" in cp:
@@ -263,5 +267,5 @@ def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
         config = SolverConfig(**settings)
 
     model = PopulationModel(grid=grid, rates=rates, noise=noise,
-                            initial=ini, region=region)
+                            p0=p0, region=region)
     return model, config

@@ -161,7 +161,7 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         return StepResult(p, weighted_population(p, ctx.gamma, model.region, grid),
                           k0, cfl=cfl, overshoot=overshoot)
 
-    reports = _march(model, n_p, ctx.gamma, step, config, "direct", "p")
+    reports = _march(model, n_p, ctx.gamma, step, config, "direct")
     for report in reports:
         if report.noise_factor_warnings:
             logger.warning(

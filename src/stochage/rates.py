@@ -16,12 +16,12 @@ ignore ``r`` return a single field, which broadcasts across paths.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, face_shape
+from .grid import Grid, face_shape
 
 
 @dataclass(frozen=True)
@@ -76,6 +76,12 @@ class AgeProfileRate:
     def __post_init__(self):
         if len(self.age_points) != len(self.values) or len(self.values) < 2:
             raise ConfigurationError("age table needs matching points and values")
+        ages = np.asarray(self.age_points, dtype=float)
+        if not (np.all(np.isfinite(ages)) and np.all(np.diff(ages) > 0)):
+            raise ConfigurationError(
+                f"age table points {self.age_points} must be finite and strictly increasing")
+        if not np.all(np.isfinite(self.values)):
+            raise ConfigurationError(f"age table values {self.values} must be finite")
 
     @property
     def sup(self) -> float:
@@ -174,17 +180,6 @@ class VitalRates:
     k0: object = ConstantRate(0.0)
 
 
-@dataclass(frozen=True)
-class InitialData:
-    """Initial population density with its nonnegativity flag recorded."""
-
-    p0: Field
-    nonnegative: bool = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "nonnegative", bool(np.min(self.p0.values) >= 0.0))
-
-
 @dataclass
 class RateViolation:
     rate: str
@@ -193,19 +188,9 @@ class RateViolation:
     detail: str
 
 
-@dataclass
-class RateValidationReport:
-    n_samples: int
-    violations: list[RateViolation]
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
-
-
 def validate_rates(rates: VitalRates, grid: Grid, sample_budget: int = 512,
-                   r_max: float = 10.0, seed: int = 0) -> RateValidationReport:
-    """Sample the rate functions and report bound or Lipschitz violations.
+                   r_max: float = 10.0, seed: int = 0) -> list[RateViolation]:
+    """Sample the rate functions and list the bound or Lipschitz violations.
 
     Report-only: never raises.  Samples a lattice of (t, a, x) points and
     pairs of r values with |r| <= r_max, checking
@@ -255,7 +240,7 @@ def validate_rates(rates: VitalRates, grid: Grid, sample_budget: int = 512,
     check_lipschitz("mu_s", rates.mu_s, rates.mu_s.lipschitz)
     check_lipschitz("m0", rates.m0, rates.m0.lipschitz)
 
-    return RateValidationReport(n_samples=n_pts * n_pts, violations=violations)
+    return violations
 
 
 def evaluate_on_grid(rate, grid: Grid, t: float, r) -> np.ndarray:
@@ -283,8 +268,3 @@ def evaluate_on_faces(rate, grid: Grid, t: float) -> dict:
 
 def evaluate_gamma(rates: VitalRates, grid: Grid) -> np.ndarray:
     return evaluate_on_grid(rates.gamma, grid, 0.0, 0.0)
-
-
-def initial_field(grid: Grid, fn) -> InitialData:
-    """Build initial data by sampling ``fn(a, *x)``."""
-    return InitialData(Field.from_function(grid, fn))

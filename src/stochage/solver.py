@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import estimates
 from .errors import ConfigurationError, InsufficientDataError, NonconvergenceError
 from .grid import (Face, Grid, boundary_norm_sq, gradient_energy, l2_norm,
                    weighted_population)
@@ -260,22 +261,22 @@ class TruncationGuard:
     """Radial clipping of the rate argument at a norm radius.
 
     Keeps the population functional's argument inside the ball where the
-    locally Lipschitz rates are under control.  ``threshold`` records the
-    radius derived from the a priori energy bound when it was computed
-    automatically; activations beyond it indicate the bound or the grid
-    is off.  A guard of a batch of paths holds one radius, threshold and
-    activation count per path.
+    locally Lipschitz rates are under control.  A radius taken from the
+    a priori energy bound keeps the bound's ``constants`` (``None`` for a
+    fixed radius); activations of it indicate the bound or the grid is
+    off.  A guard of a batch of paths holds one radius, activation count
+    and set of constants per path.
     """
 
     radius: float | np.ndarray
-    threshold: int | np.ndarray | None = None
+    constants: estimates.EstimateConstants | list | None = None
     activations: int | np.ndarray = 0
 
     def path(self, j) -> "TruncationGuard":
         """The guard of path ``j`` of a batch."""
         return TruncationGuard(
             radius=float(self.radius[j]), activations=int(self.activations[j]),
-            threshold=None if self.threshold is None else int(self.threshold[j]))
+            constants=None if self.constants is None else self.constants[j])
 
 
 def truncate_argument(values: np.ndarray, grid: Grid,
@@ -301,13 +302,12 @@ def truncate_argument(values: np.ndarray, grid: Grid,
         guard.activations += clip
     else:
         guard.activations[index] += clip
-    if guard.threshold is not None:
-        threshold = guard.threshold if index is None else guard.threshold[index]
-        for j in np.flatnonzero(clip & (radius >= threshold)):
+    if guard.constants is not None:
+        for j in np.flatnonzero(clip):
             logger.warning(
-                "truncation activated at norm %.3g despite radius %.3g >= "
-                "threshold %d; the energy bound or the grid is too coarse",
-                np.ravel(norm)[j], np.ravel(radius)[j], np.ravel(threshold)[j])
+                "truncation activated at norm %.3g beyond the energy-bound "
+                "radius %.3g; the energy bound or the grid is too coarse",
+                np.ravel(norm)[j], np.ravel(radius)[j])
     scale = np.divide(radius, norm, out=np.ones_like(norm), where=clip)
     return values * scale[(Ellipsis,) + (None,) * (grid.dim + 1)]
 
@@ -345,11 +345,8 @@ class SolverConfig:
 class SolveReport:
     """Trajectory plus per-step diagnostics of one pathwise solve."""
 
-    solver: str
-    variable: str                  # "y" (rescaled state) or "p" (density)
+    solver: str                    # "rescaled" (state y) or "direct" (density p)
     grid: Grid
-    times: np.ndarray
-    stride: int
     snapshot_indices: np.ndarray
     snapshots: np.ndarray
     final: np.ndarray
@@ -368,10 +365,10 @@ class SolveReport:
     @property
     def trajectory(self) -> np.ndarray:
         """Full state history; only available when stored at stride 1."""
-        if self.stride != 1:
+        if len(self.snapshot_indices) != self.grid.n_t + 1:
             raise InsufficientDataError(
-                f"trajectory stored with stride {self.stride}; rerun with "
-                f"snapshot_stride=1")
+                f"trajectory stored at {len(self.snapshot_indices)} of "
+                f"{self.grid.n_t + 1} time nodes; rerun with snapshot_stride=1")
         return self.snapshots
 
 
@@ -386,15 +383,12 @@ def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
 
 def _auto_guard(model: PopulationModel, coeffs: RescaledCoefficients,
                 config: SolverConfig) -> TruncationGuard:
-    """One guard radius per path of ``coeffs``: the threshold of the path's
-    energy bound."""
-    from . import estimates  # deferred: estimates has no solver dependency
-
-    n0 = np.array([estimates.constants_for_run(model, sups=sups, c0=config.c0,
-                                               c1=config.c1).n0
-                   for sups in coeffs.coefficient_sups()])
-    return TruncationGuard(radius=n0.astype(float), threshold=n0,
-                           activations=np.zeros(len(n0), dtype=int))
+    """One guard radius per path of ``coeffs``: the threshold ``n0`` of the
+    path's energy bound, whose constants the guard keeps."""
+    consts = [estimates.constants_for_run(model, sups=sups, c0=config.c0, c1=config.c1)
+              for sups in coeffs.coefficient_sups()]
+    return TruncationGuard(np.array([float(c.n0) for c in consts]), consts,
+                           np.zeros(len(consts), dtype=int))
 
 
 @dataclass
@@ -415,7 +409,7 @@ class StepResult:
 
 
 def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, step,
-           config: SolverConfig, solver: str, variable: str,
+           config: SolverConfig, solver: str,
            guard: TruncationGuard | None = None) -> list[SolveReport]:
     """The time loop of both routes; one report per path.
 
@@ -428,7 +422,7 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, step,
     """
     grid = model.grid
     n_t = grid.n_t
-    state = np.repeat(model.initial.p0.values[None], n_paths, axis=0)
+    state = np.repeat(model.p0.values[None], n_paths, axis=0)
     u_value = weighted_population(state, gamma, model.region, grid)
     indices = _snapshot_indices(n_t, config.snapshot_stride)
     snapshots = np.empty((n_paths, len(indices)) + grid.field_shape)
@@ -463,8 +457,7 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, step,
         record(n + 1, state, u_value, result.k_faces)
 
     return [SolveReport(
-        solver=solver, variable=variable, grid=grid, times=grid.times,
-        stride=config.snapshot_stride, snapshot_indices=indices,
+        solver=solver, grid=grid, snapshot_indices=indices,
         snapshots=snapshots[j], final=state[j],
         l2_series=series["l2"][j], gradient_energy_series=series["grad"][j],
         exit_trace_series=series["exit"][j], births_series=series["births"][j],
@@ -595,7 +588,7 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
         model, n_p, gamma_vals,
         lambda t_index, y, _: picard_step_solve(
             y, t_index, coeffs, gamma_vals, model.region, guard, config, factors),
-        config, "rescaled", "y", guard)
+        config, "rescaled", guard)
 
 
 def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,

@@ -31,9 +31,9 @@ def logistic_rates(gamma=1.0):
 
 def smooth_p0(grid, decay=1.0, ripple=0.2):
     if grid.dim == 1:
-        return sa.initial_field(
+        return sa.Field.from_function(
             grid, lambda a, x: np.exp(-decay * a) * (1 + ripple * np.cos(np.pi * x)))
-    return sa.initial_field(
+    return sa.Field.from_function(
         grid, lambda a, x, y: np.exp(-decay * a)
         * (1 + ripple * np.cos(np.pi * x) * np.cos(np.pi * y)))
 
@@ -43,8 +43,8 @@ def build_model(grid, rates=None, amplitudes=None, p0=None):
     if amplitudes is None:
         amplitudes = (sa.cosine_amplitude(0.2, (1,) * grid.dim, grid.extent),)
     noise = sa.NoiseSpec(tuple(amplitudes))
-    initial = p0 if p0 is not None else smooth_p0(grid)
-    return sa.PopulationModel(grid=grid, rates=rates, noise=noise, initial=initial)
+    p0 = p0 if p0 is not None else smooth_p0(grid)
+    return sa.PopulationModel(grid=grid, rates=rates, noise=noise, p0=p0)
 
 
 @pytest.fixture

@@ -29,7 +29,7 @@ def aligned_grid(n_t, n_x, T=0.5, a_max=1.0):
 
 
 def const_age_p0(grid, value=2.0):
-    return sa.initial_field(grid, lambda a, x: np.full(
+    return sa.Field.from_function(grid, lambda a, x: np.full(
         np.broadcast_shapes(np.shape(a), np.shape(x)), value))
 
 
@@ -136,7 +136,7 @@ def test_criterion_03a_characteristics_exact():
     n_t = 256
     grid = aligned_grid(n_t, 1)
     mu = 0.4
-    p0 = sa.initial_field(grid, lambda a, x: np.broadcast_to(
+    p0 = sa.Field.from_function(grid, lambda a, x: np.broadcast_to(
         np.exp(-((a - 0.4) / 0.15) ** 2),
         np.broadcast_shapes(np.shape(a), np.shape(x))))
     model = build_model(grid, rates=sa.VitalRates(mu_s=sa.ConstantRate(mu)),
@@ -146,7 +146,7 @@ def test_criterion_03a_characteristics_exact():
                             sa.SolverConfig(snapshot_stride=0,
                                             include_diffusion=False))
     oracle = np.zeros(grid.field_shape)
-    oracle[n_t:] = p0.p0.values[:-n_t] * np.exp(-mu * grid.dt) ** n_t
+    oracle[n_t:] = p0.values[:-n_t] * np.exp(-mu * grid.dt) ** n_t
     err = np.max(np.abs(rep.final - oracle)) / np.max(oracle)
     assert report("3a", err <= 1e-12,
                   f"aligned shift against characteristics, relative error "
@@ -156,8 +156,8 @@ def test_criterion_03a_characteristics_exact():
 def diffusive_model(n_t):
     grid = aligned_grid(n_t, 24)
     rates = sa.VitalRates(mu_s=sa.ConstantRate(0.4), alpha0=sa.ConstantRate(0.3))
-    p0 = sa.initial_field(grid, lambda a, x: np.exp(-((a - 0.4) / 0.15) ** 2)
-                          * (1 + 0.3 * np.cos(np.pi * x)))
+    p0 = sa.Field.from_function(grid, lambda a, x: np.exp(-((a - 0.4) / 0.15) ** 2)
+                                * (1 + 0.3 * np.cos(np.pi * x)))
     return build_model(grid, rates=rates,
                        amplitudes=(sa.constant_amplitude(0.0, 1),), p0=p0)
 
@@ -279,8 +279,7 @@ def test_criterion_06_continuous_dependence():
         grid, lambda a, x: np.exp(-((a - 0.3) / 0.2) ** 2) + 0 * x)
     ratios = []
     for delta in (1e-2, 5e-3, 2.5e-3):
-        pert = build_model(grid, p0=sa.InitialData(
-            sa.Field(base.p0.values + delta * bump.values, grid)))
+        pert = build_model(grid, p0=sa.Field(base.values + delta * bump.values, grid))
         rep2 = sa.solve_rescaled(pert, bundle, cfg)
         ratios.append(sa.dependence_check(rep, rep2, consts).ratio)
     spread = (max(ratios) - min(ratios)) / max(ratios)

@@ -243,7 +243,7 @@ class TestChunks:
             assert (load_field(out / f"path_{m:05d}_{solver}.bin").tobytes()
                     == density_final(rep, model, bundle).tobytes())
             write_series_csv(tmp_path / "one.csv", {
-                "t": rep.times, "l2_norm": rep.l2_series,
+                "t": rep.grid.times, "l2_norm": rep.l2_series,
                 "u_value": rep.u_series, "births": rep.births_series})
             assert ((out / f"path_{m:05d}_{solver}.csv").read_bytes()
                     == (tmp_path / "one.csv").read_bytes())
@@ -459,6 +459,38 @@ class TestCli:
         text = (tmp_path / "chk" / "checks.csv").read_text()
         assert "apriori_margin_max" in text
         assert "fail" not in text
+
+    def test_check_sweeps_once_per_rescaled_solve(self, monkeypatch, tmp_path):
+        # check solves the stored run, two perturbations of it and a coarse
+        # run; with a radius from the energy bound the stored run's
+        # constants come from its guard.  A fixed radius above the bound's
+        # n0 = 98 never clips, so it writes the same checks, with the
+        # constants from one sweep of the stored run.
+        from stochage.rescale import RescaledCoefficients
+
+        sweep = RescaledCoefficients.coefficient_sups
+        sweeps = []
+
+        def counting(self):
+            if self._sups is None:
+                sweeps.append(self)
+            return sweep(self)
+
+        monkeypatch.setattr(RescaledCoefficients, "coefficient_sups", counting)
+        text = (MODELS / "sample1d.ini").read_text()
+        assert "truncation_radius = auto" in text
+        fixed = tmp_path / "fixed.ini"
+        fixed.write_text(text.replace("truncation_radius = auto",
+                                      "truncation_radius = 1000"))
+        counts = {}
+        for name, path in (("auto", MODELS / "sample1d.ini"), ("fixed", fixed)):
+            sweeps.clear()
+            assert main(["check", "--model", str(path),
+                         "--out", str(tmp_path / name)]) == 0
+            counts[name] = len(sweeps)
+        assert counts == {"auto": 4, "fixed": 1}
+        assert ((tmp_path / "auto" / "checks.csv").read_bytes()
+                == (tmp_path / "fixed" / "checks.csv").read_bytes())
 
     def test_check_failure_exit_code(self, tmp_path):
         # a hostile calibration collapses the energy bound, so the margin

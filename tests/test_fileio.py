@@ -78,8 +78,8 @@ class TestCsv:
 
     def test_check_report(self, tmp_path):
         path = tmp_path / "checks.csv"
-        rows = [CheckRow.leq("a", 0.5, 1.0), CheckRow.geq("b", 0.1, 0.5)]
+        rows = [CheckRow("a", 0.5, 1.0), CheckRow("b", 2, 1)]
         write_check_report(path, rows)
         text = path.read_text()
         assert "a,0.5,1.0,<=,pass" in text
-        assert "b,0.1,0.5,>=,fail" in text
+        assert "b,2.0,1.0,<=,fail" in text

@@ -63,7 +63,6 @@ class TestParseModel:
         assert config.picard_tol == 1e-9
         assert config.picard_max_iter == 30
         assert config.truncation_radius is None
-        assert model.initial.nonnegative
 
     def test_coarsened_parse(self, tmp_path):
         path = write_model(tmp_path)
@@ -72,8 +71,7 @@ class TestParseModel:
         assert coarse.grid.n_t == fine.grid.n_t // 2
         assert coarse.grid.n_a == fine.grid.n_a // 2
         # analytic resampling: coarse initial data is the subsampled fine one
-        assert np.allclose(coarse.initial.p0.values,
-                           fine.initial.p0.values[::2], rtol=1e-15)
+        assert np.allclose(coarse.p0.values, fine.p0.values[::2], rtol=1e-15)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):
@@ -146,6 +144,26 @@ class TestParseModel:
         assert line in text
         path = write_model(tmp_path, text.replace(line, bad))
         with pytest.raises(ConfigurationError, match=bad.split(" = ")[1]):
+            parse_model(path)
+        assert main(["check", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("line, bad, match", [
+        # np.interp would read an unsorted table without a word
+        ("mu_s = logistic:0.1,0.5,2.0,0.5", "mu_s = table:1:0.5;0:0.1",
+         "strictly increasing"),
+        ("mu_s = logistic:0.1,0.5,2.0,0.5", "mu_s = table:0:0.1;1:nan", "finite"),
+        ("mu_s = logistic:0.1,0.5,2.0,0.5", "mu_s = constant:nan", "nan"),
+        ("mu1 = cosine:0.2:1", "mu1 = cosine:inf:1", "inf"),
+        ("p0 = ageexp:1.5,1.0", "p0 = ageexp:1.5,-inf", "inf"),
+        ("extent = 1.0", "extent = inf", "inf"),
+        ("a_max = 1.0", "a_max = inf", "finite"),
+    ])
+    def test_value_outside_the_mathematics_is_config_error(self, tmp_path, line,
+                                                           bad, match):
+        text = (MODELS / "sample1d.ini").read_text()
+        assert line in text
+        path = write_model(tmp_path, text.replace(line, bad))
+        with pytest.raises(ConfigurationError, match=match):
             parse_model(path)
         assert main(["check", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
 

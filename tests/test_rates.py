@@ -80,22 +80,20 @@ class TestPathVector:
 class TestValidateRates:
     def test_constant_within_bounds_passes(self, grid1d):
         rates = sa.VitalRates(mu_s=sa.ConstantRate(0.5))
-        report = sa.validate_rates(rates, grid1d)
-        assert report.passed
+        assert not sa.validate_rates(rates, grid1d)
 
     def test_bound_violation_detected(self, grid1d):
         # declares sup 1 but evaluates to 2 everywhere
         bad = CustomRate(fn=lambda t, a, x, r: 2.0, sup=1.0)
         rates = sa.VitalRates(mu_s=bad)
-        report = sa.validate_rates(rates, grid1d)
-        assert not report.passed
-        assert any(v.rate == "mu_s" and v.kind == "bound" for v in report.violations)
+        violations = sa.validate_rates(rates, grid1d)
+        assert violations
+        assert any(v.rate == "mu_s" and v.kind == "bound" for v in violations)
 
     def test_negative_rate_detected(self, grid1d):
         bad = CustomRate(fn=lambda t, a, x, r: -0.1, sup=1.0)
         rates = sa.VitalRates(m0=bad)
-        report = sa.validate_rates(rates, grid1d)
-        assert any(v.rate == "m0" for v in report.violations)
+        assert any(v.rate == "m0" for v in sa.validate_rates(rates, grid1d))
 
     def test_clipped_square_lipschitz_passes(self, grid1d):
         # m0(r) = min(r^2, 1): finite-difference slope between r, rbar with
@@ -103,21 +101,13 @@ class TestValidateRates:
         rate = CustomRate(fn=lambda t, a, x, r: min(r * r, 1.0), sup=1.0,
                           lipschitz_fn=lambda R: 2.0 * R)
         rates = sa.VitalRates(m0=rate)
-        report = sa.validate_rates(rates, grid1d, sample_budget=2048)
-        assert report.passed
+        assert not sa.validate_rates(rates, grid1d, sample_budget=2048)
 
     def test_lipschitz_violation_detected(self, grid1d):
         # slope 2R but declares R/2
         rate = CustomRate(fn=lambda t, a, x, r: min(r * r, 100.0), sup=100.0,
                           lipschitz_fn=lambda R: 0.5 * R)
         rates = sa.VitalRates(m0=rate)
-        report = sa.validate_rates(rates, grid1d, sample_budget=4096)
-        assert any(v.kind == "lipschitz" for v in report.violations)
+        violations = sa.validate_rates(rates, grid1d, sample_budget=4096)
+        assert any(v.kind == "lipschitz" for v in violations)
 
-
-class TestInitialData:
-    def test_nonnegativity_flag(self, grid1d):
-        pos = sa.initial_field(grid1d, lambda a, x: np.exp(-a) + 0 * x)
-        assert pos.nonnegative
-        mixed = sa.initial_field(grid1d, lambda a, x: np.cos(3 * np.pi * a) + 0 * x)
-        assert not mixed.nonnegative

@@ -180,7 +180,7 @@ class TestItoConsistency:
         rates = sa.VitalRates()
         model = build_model(grid, rates=rates,
                             amplitudes=(sa.constant_amplitude(1.0, 1),),
-                            p0=sa.initial_field(grid, lambda a, x: np.full(
+                            p0=sa.Field.from_function(grid, lambda a, x: np.full(
                                 np.broadcast_shapes(np.shape(a), np.shape(x)), 2.0)))
         bundle = sa.sample_bundle(17, 1, n_t, 0.5)
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=0))

@@ -295,6 +295,32 @@ class TestTruncation:
         scaled = vals * (norm / norm)
         assert np.allclose(out, scaled, rtol=1e-15)
 
+    def test_warns_per_clipped_path_of_a_radius_from_the_bound(
+            self, grid1d, linear_model, caplog):
+        bundle = sa.sample_bundle(0, 1, linear_model.grid.n_t, linear_model.grid.T)
+        consts = sa.constants_for_run(linear_model, bundle)
+        # constant fields of norm 0.5, 2 and 3
+        vals = np.stack([np.full(grid1d.field_shape, c) for c in (0.5, 2.0, 3.0)])
+
+        def warnings(guard, values, index=None):
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="stochage.solver"):
+                truncate_argument(values, grid1d, guard, index)
+            return [r for r in caplog.records if r.name == "stochage.solver"]
+
+        assert len(warnings(TruncationGuard(1.0, consts), vals[1])) == 1
+        batch = TruncationGuard(np.ones(3), [consts] * 3, np.zeros(3, dtype=int))
+        assert len(warnings(batch, vals)) == 2
+        # the values hold paths 0, 2 and 3 of a batch of four
+        batch = TruncationGuard(np.array([1.0, 1.0, 5.0, 1.0]), [consts] * 4,
+                                np.zeros(4, dtype=int))
+        assert len(warnings(batch, vals, np.array([0, 2, 3]))) == 1
+        assert batch.activations.tolist() == [0, 0, 0, 1]
+        # a fixed radius keeps no constants and clips silently
+        fixed = TruncationGuard(np.ones(3), activations=np.zeros(3, dtype=int))
+        assert warnings(fixed, vals) == []
+        assert fixed.activations.tolist() == [0, 1, 1]
+
 
 class TestPicard:
     def test_linear_model_single_iteration(self, linear_model):
@@ -343,7 +369,7 @@ class TestPicard:
         rep = sa.solve_rescaled(linear_model, bundle, cfg)
         coeffs = RescaledCoefficients(linear_model, bundle)
         gamma_vals = evaluate_gamma(linear_model.rates, grid)
-        step = sa.picard_step_solve(linear_model.initial.p0.values, 1, coeffs,
+        step = sa.picard_step_solve(linear_model.p0.values, 1, coeffs,
                                     gamma_vals, linear_model.region, None, cfg)
         assert np.array_equal(step.state, rep.trajectory[1])
         assert step.iterations == rep.picard_iterations[0]
@@ -357,7 +383,7 @@ class TestSolveRescaled:
                        extent=(1.0,), n_x=(1,))
         mu = 0.4
         rates = sa.VitalRates(mu_s=sa.ConstantRate(mu))
-        p0 = sa.initial_field(grid, lambda a, x: np.broadcast_to(
+        p0 = sa.Field.from_function(grid, lambda a, x: np.broadcast_to(
             np.exp(-((a - 0.4) / 0.15) ** 2),
             np.broadcast_shapes(np.shape(a), np.shape(x))))
         model = build_model(grid, rates=rates,
@@ -365,7 +391,7 @@ class TestSolveRescaled:
         bundle = sa.sample_bundle(0, 1, n_t, grid.T)
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=0))
         oracle = np.zeros(grid.field_shape)
-        oracle[n_t:] = p0.p0.values[:-n_t] * np.exp(-mu * grid.dt) ** n_t
+        oracle[n_t:] = p0.values[:-n_t] * np.exp(-mu * grid.dt) ** n_t
         assert np.max(np.abs(rep.final - oracle)) <= 1e-12 * np.max(oracle)
 
     def test_renewal_equation_oracle(self):
@@ -376,7 +402,7 @@ class TestSolveRescaled:
                        extent=(1.0,), n_x=(1,))
         m0 = 1.8
         rates = sa.VitalRates(m0=sa.ConstantRate(m0))
-        p0 = sa.initial_field(grid, lambda a, x: np.broadcast_to(
+        p0 = sa.Field.from_function(grid, lambda a, x: np.broadcast_to(
             np.exp(-a), np.broadcast_shapes(np.shape(a), np.shape(x))))
         model = build_model(grid, rates=rates,
                             amplitudes=(sa.constant_amplitude(0.0, 1),), p0=p0)
@@ -431,7 +457,7 @@ class TestSolveRescaled:
         assert len(rep.l2_series) == grid.n_t + 1
         assert rep.snapshot_indices[0] == 0
         assert rep.snapshot_indices[-1] == grid.n_t
-        assert np.array_equal(rep.snapshots[0], linear_model.initial.p0.values)
+        assert np.array_equal(rep.snapshots[0], linear_model.p0.values)
         with pytest.raises(InsufficientDataError):
             _ = rep.trajectory
         assert 1 not in rep.snapshot_indices
@@ -466,12 +492,12 @@ def march_without_path_axis(model, bundle, cfg):
     coeffs = RescaledCoefficients(model, bundle)
     gamma = evaluate_gamma(model.rates, model.grid)
     if cfg.truncation_radius is None:
-        n0 = sa.constants_for_run(model, sups=coeffs.coefficient_sups(),
-                                  c0=cfg.c0, c1=cfg.c1).n0
-        guard = TruncationGuard(radius=float(n0), threshold=n0)
+        consts = sa.constants_for_run(model, sups=coeffs.coefficient_sups(),
+                                      c0=cfg.c0, c1=cfg.c1)
+        guard = TruncationGuard(radius=float(consts.n0), constants=consts)
     else:
         guard = TruncationGuard(radius=cfg.truncation_radius)
-    y, steps = model.initial.p0.values, []
+    y, steps = model.p0.values, []
     for n in range(1, model.grid.n_t + 1):
         steps.append(sa.picard_step_solve(y, n, coeffs, gamma, model.region,
                                           guard, cfg))
@@ -529,7 +555,7 @@ class TestSolveRescaledBatch:
         for rep, bundle in zip(batch, bundles):
             assert same(rep, sa.solve_rescaled(model, bundle, cfg))
             assert rep.guard.radius == cfg.truncation_radius
-            assert rep.guard.threshold is None
+            assert rep.guard.constants is None
 
     def test_failed_path_fails_alone_in_ensemble(self, grid1d):
         # fertility turns NaN once a path's population passes a threshold
