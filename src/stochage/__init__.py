@@ -21,8 +21,7 @@ from .noise import (Amplitude, BrownianBundle, NoiseSpec,
                     sample_bundle, sine_amplitude)
 from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, LogisticRate,
                     ProductRate, VitalRates, validate_rates)
-from .rescale import (RescaledCoefficients, backward_transform,
-                      forward_transform)
+from .rescale import RescaledCoefficients, forward_transform
 from .solver import (SolveReport, SolverConfig, StepResult, TruncationGuard,
                      picard_step_solve, solve_rescaled, solve_rescaled_batch,
                      truncate_argument)

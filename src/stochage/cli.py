@@ -183,6 +183,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else 0
     try:
+        if getattr(args, "level", 0) < 0:
+            raise ConfigurationError(f"--level must be at least 0, got {args.level}")
         return args.handler(args)
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -37,7 +37,7 @@ from .model import PopulationModel
 from .noise import AmplitudeGrids, BrownianBundle, ito_correction
 from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
 from .solver import (DiffusionFactors, SolveReport, SolverConfig, StepResult,
-                     _march, _split_step)
+                     _advection, _march, _split_step)
 
 logger = logging.getLogger(__name__)
 
@@ -142,6 +142,7 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         return []
     ctx = _DirectContext.build(model)
     grid, rates = model.grid, model.rates
+    _advection(None, grid, grid.dt)   # rejects dt > da off alignment; no advection here
     n_p = len(bundles)
     # (P, N, n_t): a step reads a strided column per path, like a one-path
     # march does, which keeps the noise contraction batch-independent

@@ -14,7 +14,7 @@ coefficients:
 
 This module evaluates those coefficients on the grid for one sampled
 bundle of Brownian paths, or for a batch of them at once, and provides the
-transform and its inverse.
+transform (``forward_transform(p, -W)`` is its inverse).
 """
 
 from __future__ import annotations
@@ -43,11 +43,6 @@ def _guarded_exp(w: np.ndarray) -> np.ndarray:
 def forward_transform(y: Field, w: np.ndarray) -> Field:
     """Map the rescaled state back to the population density, ``p = exp(W) y``."""
     return Field(_guarded_exp(np.asarray(w, dtype=float)) * y.values, y.grid, copy=False)
-
-
-def backward_transform(p: Field, w: np.ndarray) -> Field:
-    """Inverse map ``y = exp(-W) p``; exact inverse of :func:`forward_transform`."""
-    return Field(_guarded_exp(-np.asarray(w, dtype=float)) * p.values, p.grid, copy=False)
 
 
 @dataclass(frozen=True)

@@ -83,59 +83,64 @@ def _thomas_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
+def _advection(g2, grid: Grid, dt: float):
+    """Upwind weights of one node for :func:`transport_reaction_substep`:
+    ``None`` if ``g2`` is ``None`` or all-zero, else the CFL number per path,
+    the mask of the paths with all-zero ``g2`` (``None`` if none) and per
+    axis ``(cp, cm, 1 - cp - cm)``.  Rejects ``dt > da`` off alignment."""
+    if not grid.aligned and (ratio := dt / grid.da) > 1.0 + 1e-12:
+        raise ConfigurationError(f"unaligned transport needs dt <= da, got dt/da = {ratio:.3g}")
+    field_axes = tuple(range(-grid.dim - 1, 0))
+    if g2 is None or not any(np.any(comp) for comp in g2):
+        return None
+    still = ~np.any([np.any(comp, axis=field_axes, keepdims=True) for comp in g2], axis=0)
+    cfl, weights = 0.0, []
+    for axis, comp in enumerate(g2):
+        c = comp * (dt / grid.dx[axis])
+        cp, cm = np.maximum(c, 0.0), np.maximum(-c, 0.0)
+        cfl = np.maximum(cfl, np.max(cp + cm, axis=field_axes))
+        weights.append((cp, cm, 1.0 - cp - cm))
+    return cfl, still if np.any(still) else None, tuple(weights)
+
+
 def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
-                               g2, grid: Grid, dt: float) -> tuple[np.ndarray, float]:
+                               advection, grid: Grid, dt: float) -> tuple[np.ndarray, float]:
     """Age the population one step and apply the zeroth-order decay.
 
     On an aligned grid (``dt == da``) the shift is exact: row ``k`` receives
     row ``k - 1`` times ``exp(-(g1 + mu_s) dt)`` evaluated at the departure
     row.  Off alignment a first-order age upwind is used instead (requires
     ``dt <= da``).  The age-zero row is zeroed and left for the renewal
-    operation.  ``g1`` may be ``None`` (no rescaling terms) and ``g2`` may
-    be ``None`` or all-zero to skip the spatial advection.
-
-    ``values`` and the rate fields may carry leading path axes; a path
-    whose ``g2`` is all-zero is not advected.  Returns the new values and
-    the advection CFL number actually used, one per path (0 without
+    operation.  ``g1`` may be ``None`` (no rescaling terms); ``advection``
+    holds :func:`_advection` weights, or ``None`` to skip advection.
+    ``values`` and the rate fields may carry leading path axes.  Returns
+    the new values and the CFL number used, one per path (0 without
     advection; nonnegativity needs CFL <= 1).
     """
-    rate = mu_s if g1 is None else g1 + mu_s
-    decay = np.exp(-rate * dt)
-    del rate
-    out = np.zeros_like(values)
     older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
+    src = younger if grid.aligned else older   # the rows the decay multiplies
+    decay = np.exp(-(mu_s[src] if g1 is None else g1[src] + mu_s[src]) * dt)
+    out = np.zeros_like(values)
     if grid.aligned:
-        out[older] = values[younger] * decay[younger]
+        out[older] = values[younger] * decay
     else:
         c = dt / grid.da
-        if c > 1.0 + 1e-12:
-            raise ConfigurationError(
-                f"unaligned transport needs dt <= da, got dt/da = {c:.3g}")
-        out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay[older]
-    del decay
-    cfl = 0.0
-    field_axes = tuple(range(-grid.dim - 1, 0))
-    moving = False if g2 is None else np.any(
-        [np.any(comp, axis=field_axes) for comp in g2], axis=0)
-    if np.any(moving):
-        still = ~moving[(Ellipsis,) + (None,) * (grid.dim + 1)]
-        for axis, comp in enumerate(g2):
-            c = comp * (dt / grid.dx[axis])
-            cp = np.maximum(c, 0.0)
-            cm = np.maximum(-c, 0.0)
-            del c
-            cfl = np.maximum(cfl, np.max(cp + cm, axis=field_axes))
-            # out (1 - cp - cm) + cp lo + cm hi, where lo and hi hold the
-            # upwind neighbours along the axis (an edge cell is its own)
-            first, last, tail, head = (
-                (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
-                for s in (np.s_[:1], np.s_[-1:], np.s_[1:], np.s_[:-1]))
-            moved = out * (1.0 - cp - cm)
-            moved[first] += cp[first] * out[first]
-            moved[tail] += cp[tail] * out[head]
-            moved[head] += cm[head] * out[tail]
-            moved[last] += cm[last] * out[last]
-            out = np.where(still, out, moved) if np.any(still) else moved
+        out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay
+    if advection is None:
+        return out, 0.0
+    cfl, still, weights = advection
+    for axis, (cp, cm, stay) in enumerate(weights):
+        # out (1 - cp - cm) + cp lo + cm hi, where lo and hi hold the
+        # upwind neighbours along the axis (an edge cell is its own)
+        first, last, tail, head = (
+            (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
+            for s in (np.s_[:1], np.s_[-1:], np.s_[1:], np.s_[:-1]))
+        moved = out * stay
+        moved[first] += cp[first] * out[first]
+        moved[tail] += cp[tail] * out[head]
+        moved[head] += cm[head] * out[tail]
+        moved[last] += cm[last] * out[last]
+        out = moved if still is None else np.where(still, out, moved)
     return out, cfl
 
 
@@ -185,21 +190,32 @@ class DiffusionFactors:
         self._key = None
         self._alpha: dict = {}
         self._factors: list = []
+        self._wide: list = []    # shared factors' rows expanded over the paths
 
-    def get(self, alpha: dict, grid: Grid, dt: float) -> list:
+    def get(self, alpha: dict, grid: Grid, dt: float, shape: tuple = ()) -> list:
         """One factor per spatial axis for the face coefficients ``alpha``,
         with one system per path when they carry a path axis; otherwise
-        every path of a batch shares the systems, with the same bits."""
+        every path of a batch shares the systems, with the same bits, and
+        for values of ``shape`` with one path axis their rows are expanded
+        over it once per factorization, so the sweeps do not broadcast."""
         key = (dt, grid.n_x, grid.dx)
         if key != self._key or any(not np.array_equal(a, self._alpha[f])
                                    for f, a in alpha.items()):
-            self._key = key
+            self._key, self._wide = key, []
             self._alpha = {f: np.array(a) for f, a in alpha.items()}
             self._factors = [
                 _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
                               grid.n_x[axis], grid.dx[axis], dt)
                 for axis in range(grid.dim)]
-        return self._factors
+        n = shape[0] if len(shape) == grid.dim + 2 else 0
+        if not n or np.ndim(self._factors[0][2][0]) > grid.dim:
+            return self._factors
+        if not self._wide or len(self._wide[0][2][0]) < n:   # to the widest batch
+            self._wide = [tuple([np.broadcast_to(r, shape[:axis + 2] + shape[axis + 3:]).copy()
+                                 for r in rows] for rows in factor)
+                          for axis, factor in enumerate(self._factors)]
+        return self._wide if len(self._wide[0][2][0]) == n else [
+            tuple([r[:n] for r in rows] for rows in factor) for factor in self._wide]
 
 
 def _sweep(vals: np.ndarray, axis: int, factor: tuple, k_lo, k_hi,
@@ -227,24 +243,23 @@ def diffusion_substep(values: np.ndarray, alpha: dict, k: dict, grid: Grid,
     if factors is None:
         factors = DiffusionFactors()
     out = values
-    for axis, factor in enumerate(factors.get(alpha, grid, dt)):
+    for axis, factor in enumerate(factors.get(alpha, grid, dt, values.shape)):
         out = _sweep(out, values.ndim - grid.dim + axis, factor,
                      k[Face(axis, 0)], k[Face(axis, 1)], grid.dx[axis], dt)
     return out
 
 
-def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, g2, m: np.ndarray,
+def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, advection, m: np.ndarray,
                 faces: tuple | None, grid: Grid, dt: float,
-                factors: DiffusionFactors) -> tuple[np.ndarray, float]:
+                factors: DiffusionFactors | None) -> tuple[np.ndarray, float]:
     """The linear substeps of one time step, shared by both routes.
 
-    Transport with decay, the renewal row from the fertility ``m``, then,
-    unless ``faces`` is ``None``, diffusion of the ages > 0 with the Robin
-    data ``faces = (alpha, k)``, whose arrays may carry the state's leading
-    path axes.  Returns the new state (leading path axes carry through) and
-    the advection CFL number per path.
+    Transport with decay and ``advection``, the renewal row from the
+    fertility ``m``, then, unless ``faces`` is ``None``, diffusion of the
+    ages > 0 with the Robin data ``faces = (alpha, k)``.  Leading path axes
+    carry through.  Returns the new state and the CFL number per path.
     """
-    v, cfl = transport_reaction_substep(state, g1, mu_s, g2, grid, dt)
+    v, cfl = transport_reaction_substep(state, g1, mu_s, advection, grid, dt)
     v[grid.rows(0)] = renewal_row(v, m, grid)
     if faces is not None:
         alpha, k = faces
@@ -281,19 +296,19 @@ class TruncationGuard:
 
 def truncate_argument(values: np.ndarray, grid: Grid,
                       guard: TruncationGuard | None,
-                      index: np.ndarray | None = None) -> np.ndarray:
-    """Return ``values`` or its radial rescaling onto the guard ball.
+                      index: np.ndarray | None = None, norm=None) -> np.ndarray:
+    """Return ``values`` itself or its radial rescaling onto the guard ball.
 
     Identity when the norm is within the radius; otherwise scales to
     norm exactly ``radius`` and counts the activation.  Continuous at the
     boundary: both branches agree when the norm equals the radius.  A
     stack of fields is clipped path by path against a guard of a batch;
     ``index`` names the paths of the batch that ``values`` holds when it
-    holds only some of them.
+    holds only some of them, ``norm`` their norms if the caller has them.
     """
     if guard is None:
         return values
-    norm = l2_norm(values, grid)
+    norm = l2_norm(values, grid) if norm is None else norm
     radius = guard.radius if index is None else guard.radius[index]
     clip = norm > radius
     if not np.any(clip):
@@ -469,13 +484,13 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, step,
 
 
 def _rows(data, keep):
-    """The paths ``keep`` of per-path data: an array or a tuple or dict of
-    arrays, each with the path axis leading."""
+    """The paths ``keep`` of per-path data: an array with the path axis
+    leading, ``None``, or a tuple or dict of such data."""
     if isinstance(data, dict):
-        return {key: a[keep] for key, a in data.items()}
+        return {key: _rows(a, keep) for key, a in data.items()}
     if isinstance(data, tuple):
-        return tuple(a[keep] for a in data)
-    return data[keep]
+        return tuple(_rows(a, keep) for a in data)
+    return None if data is None else data[keep]
 
 
 def picard_step_solve(y: np.ndarray, t_index: int,
@@ -485,15 +500,18 @@ def picard_step_solve(y: np.ndarray, t_index: int,
                       factors: DiffusionFactors | None = None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
-    Each iterate clips the candidate new-time state onto the guard ball,
+    What no iterate changes is prepared once per node: the Robin data
+    ``alpha`` and ``k``, ``g1``, ``exp(W)``, ``exp(W - W(t,0,x))`` and the
+    :func:`_advection` weights.  Each iterate takes the norm of the
+    candidate new-time state, clips the candidate onto the guard ball,
     freezes the population functional and through it the mortality and
-    fertility fields, then solves the linear substeps (transport, renewal,
-    diffusion) from the old state.  Iteration stops when successive
-    candidates differ by less than ``picard_tol`` relative to the current
-    one; with an infinite tolerance the first iterate is returned, and a
-    model whose rates ignore the functional converges on iteration one.
-    ``factors`` carries the diffusion factorization across iterates and
-    steps.
+    fertility fields, solves the linear substeps (transport, renewal,
+    diffusion) from the old state and takes the norm of the change.
+    Iteration stops when successive candidates differ by less than
+    ``picard_tol`` relative to the current one; with an infinite tolerance
+    the first iterate is returned, and a model whose rates ignore the
+    functional converges on iteration one.  ``factors`` carries the
+    diffusion factorization across iterates and steps.
 
     ``y`` is one state, or one per path behind a leading path axis when
     ``coeffs`` holds a batch of bundles (and ``guard`` one radius per
@@ -503,14 +521,13 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     solve.
     """
     grid = coeffs.grid
-    if factors is None:
-        factors = DiffusionFactors()
     rates, t = coeffs.model.rates, grid.times[t_index]
     alpha = evaluate_on_faces(rates.alpha0, grid, t) if config.include_diffusion else None
     k = coeffs.k_faces(t_index)
     node = coeffs.node_fields(t_index)
     # per-path inputs; the rows of converged paths are dropped
-    inputs = (y, node["g1"], node["g2"], k, node["exp_w"], node["exp_dw0"])
+    inputs = (y, node["g1"], _advection(node["g2"], grid, grid.dt), k,
+              node["exp_w"], node["exp_dw0"])
     del node
     paths = y.shape[:y.ndim - grid.dim - 1]
     active = None    # batch indices of the paths still iterating, once some stopped
@@ -520,19 +537,20 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     ratio = np.full(paths, np.nan)
     cfl = np.zeros(paths)
     for it in range(config.picard_max_iter + 1):
-        y_in, g1, g2, k_in, exp_w, exp_dw0 = inputs
-        z_used = truncate_argument(zeta, grid, guard, active)
+        y_in, g1, adv, k_in, exp_w, exp_dw0 = inputs
+        zeta_norm = l2_norm(zeta, grid)
+        z_used = truncate_argument(zeta, grid, guard, active, zeta_norm)
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
         mu_s = evaluate_on_grid(rates.mu_s, grid, t, u_val)
         m = evaluate_on_grid(rates.m0, grid, t, u_val) * exp_dw0
         faces = None if alpha is None else (alpha, k_in)
-        v, step_cfl = _split_step(y_in, g1, mu_s, g2, m, faces, grid, grid.dt, factors)
+        v, step_cfl = _split_step(y_in, g1, mu_s, adv, m, faces, grid, grid.dt, factors)
         cfl = np.maximum(cfl, step_cfl)
         diff = l2_norm(v - zeta, grid)
         if prev_diff is not None:
             np.divide(diff, prev_diff, out=ratio, where=np.greater(prev_diff, 0))
         prev_diff = diff
-        done = diff <= config.picard_tol * np.maximum(1.0, l2_norm(zeta, grid))
+        done = diff <= config.picard_tol * np.maximum(1.0, zeta_norm)
         if np.any(done):
             u_final = weighted_population(exp_w * v, gamma_vals, region, grid)
             if active is None and np.all(done):

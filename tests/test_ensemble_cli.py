@@ -530,3 +530,11 @@ class TestCli:
         out = tmp_path / "o"
         assert main(argv + ["--model", noisy_model_path, "--out", str(out)]) == 3
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_negative_level_is_named(self, noisy_model_path, tmp_path, capsys, command):
+        out = tmp_path / "o"
+        assert main([command, "--level", "-1", "--model", noisy_model_path,
+                     "--out", str(out)]) == 3
+        assert "--level must be at least 0, got -1" in capsys.readouterr().err
+        assert not out.exists()

@@ -29,13 +29,13 @@ class TestTransforms:
         rng = np.random.default_rng(1)
         y = sa.Field(rng.normal(size=grid1d.field_shape), grid1d)
         w = rng.normal(scale=0.5, size=grid1d.field_shape)
-        back = sa.backward_transform(sa.forward_transform(y, w), w)
+        back = sa.forward_transform(sa.forward_transform(y, w), -w)
         assert np.allclose(back.values, y.values, rtol=1e-14)
 
     def test_zero_density_maps_to_zero(self, grid1d):
         p = sa.Field(np.zeros(grid1d.field_shape), grid1d)
         w = np.random.default_rng(2).normal(size=grid1d.field_shape)
-        assert np.all(sa.backward_transform(p, w).values == 0.0)
+        assert np.all(sa.forward_transform(p, -w).values == 0.0)
 
     def test_overflow_guard(self, grid1d):
         y = sa.Field(np.ones(grid1d.field_shape), grid1d)

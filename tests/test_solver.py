@@ -10,9 +10,10 @@ from stochage.errors import (ConfigurationError, InsufficientDataError,
                              NonconvergenceError)
 from stochage.grid import Face, boundary_faces
 from stochage.modelfile import parse_model
-from stochage.solver import (DiffusionFactors, TruncationGuard, _thomas_factor,
-                             _thomas_solve, diffusion_substep, renewal_row,
-                             transport_reaction_substep, truncate_argument)
+from stochage.solver import (DiffusionFactors, TruncationGuard, _advection,
+                             _thomas_factor, _thomas_solve, diffusion_substep,
+                             renewal_row, transport_reaction_substep,
+                             truncate_argument)
 
 from conftest import build_model, linear_rates, logistic_rates, smooth_p0
 
@@ -114,8 +115,8 @@ class TestTransport:
         vals = np.zeros(grid1d.field_shape)
         vals[:, 3] = 1.0
         g2 = (np.full(grid1d.field_shape, grid1d.dx[0] / grid1d.dt * 0.5),)
-        out, cfl = transport_reaction_substep(vals, zeros, zeros, g2,
-                                              grid1d, grid1d.dt)
+        out, cfl = transport_reaction_substep(
+            vals, zeros, zeros, _advection(g2, grid1d, grid1d.dt), grid1d, grid1d.dt)
         assert cfl == pytest.approx(0.5)
         # positive velocity moves mass to the right
         assert out[5, 4] == pytest.approx(0.5)
@@ -135,11 +136,46 @@ class TestTransport:
     def test_unaligned_cfl_violation(self):
         grid = sa.Grid(T=0.5, a_max=2.0, n_t=64, n_a=32, extent=(1.0,), n_x=(4,))
         # dt = 1/128 < da = 1/16 is fine; force violation with a larger step
-        vals = np.ones(grid.field_shape)
-        zeros = np.zeros(grid.field_shape)
+        _advection(None, grid, grid.dt)
         with pytest.raises(ConfigurationError):
-            transport_reaction_substep(vals, zeros, zeros, None, grid,
-                                       10 * grid.da)
+            _advection(None, grid, 10 * grid.da)
+
+
+class TestAdvectionWeights:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("aligned", [True, False])
+    def test_still_path_in_a_batch_matches_one_path_transport(self, dim, aligned):
+        # path 1 has all-zero g2: the batch leaves it in place through the
+        # still mask, a one-path transport through having no weights at all
+        grid = sa.Grid(T=0.5, a_max=1.0, n_t=32, n_a=64 if aligned else 32,
+                       extent=(1.0,) * dim, n_x=(8,) if dim == 1 else (6, 5))
+        assert grid.aligned == aligned
+        rng = np.random.default_rng(11)
+        shape = (3,) + grid.field_shape
+        vals, g1, mu = rng.random(shape), rng.random(shape), rng.random(shape)
+        g2 = tuple(0.4 * grid.dx[ax] / grid.dt * rng.uniform(-1.0, 1.0, shape)
+                   for ax in range(dim))
+        for comp in g2:
+            comp[1] = 0.0
+        batch, cfl = transport_reaction_substep(
+            vals, g1, mu, _advection(g2, grid, grid.dt), grid, grid.dt)
+        assert cfl[1] == 0.0 and cfl[0] > 0.0 and cfl[2] > 0.0
+        for j in range(3):
+            weights = _advection(tuple(c[j] for c in g2), grid, grid.dt)
+            assert (weights is None) == (j == 1)
+            one, one_cfl = transport_reaction_substep(vals[j], g1[j], mu[j], weights,
+                                                      grid, grid.dt)
+            assert batch[j].tobytes() == one.tobytes(), j
+            assert cfl[j] == one_cfl, j
+
+    def test_both_routes_reject_unaligned_step_above_age_step(self):
+        # dt = 1/16 > da = 1/32: the age upwind would lose positivity
+        grid = sa.Grid(T=0.5, a_max=1.0, n_t=8, n_a=32, extent=(1.0,), n_x=(4,))
+        model = build_model(grid)
+        bundle = sa.sample_bundle(0, 1, grid.n_t, grid.T)
+        for solve in (sa.solve_direct, sa.solve_rescaled):
+            with pytest.raises(ConfigurationError, match="dt <= da"):
+                solve(model, bundle, sa.SolverConfig())
 
 
 class TestDiffusion:
@@ -232,6 +268,28 @@ class TestDiffusionFactors:
             one = diffusion_substep(vals[j], {f: a[j] for f, a in alpha.items()},
                                     {f: q[j] for f, q in k.items()}, grid, grid.dt)
             assert batch[j].tobytes() == np.ascontiguousarray(one).tobytes(), j
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_expanded_rows_and_their_views_match_the_shared_factor(
+            self, dim, grid1d, grid2d):
+        # a factor shared by the paths has its rows expanded over the widest
+        # batch once; a narrower batch gets views of them, not new rows
+        grid = grid1d if dim == 1 else grid2d
+        rng = np.random.default_rng(5)
+        alpha = {f: 0.1 + rng.random(z.shape) for f, z in zero_faces(grid).items()}
+        factors = DiffusionFactors()
+        shared = factors.get(alpha, grid, grid.dt)
+        widest = factors.get(alpha, grid, grid.dt, (4,) + grid.field_shape)
+        for n in (4, 2, 1, 3):
+            wide = factors.get(alpha, grid, grid.dt, (n,) + grid.field_shape)
+            for axis in range(dim):
+                for rows, wide_rows in zip(widest[axis], wide[axis]):
+                    assert all(r.shape[0] == n and np.shares_memory(r, w)
+                               for r, w in zip(wide_rows, rows))
+                rhs = np.moveaxis(rng.random((n,) + grid.field_shape), 2 + axis, 0)
+                ours = _thomas_solve(wide[axis], rhs.copy())
+                ref = _thomas_solve(shared[axis], rhs.copy())
+                assert ours.tobytes() == ref.tobytes(), (n, axis)
 
     def test_refactors_only_on_change(self, grid1d):
         factors = DiffusionFactors()
