@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: ``run`` (ensemble or single path), ``compare`` (both solvers
-on one path), ``convergence`` (fixed-path refinement study), ``ensemble``
-(alias of run with paths > 1 semantics), ``check`` (estimate checks).
+Subcommands: ``ensemble`` (one or both solvers over Monte Carlo paths),
+``compare`` (both solvers on one path), ``convergence`` (fixed-path
+refinement study), ``check`` (estimate checks).
 
-Exit codes: 0 all good, 1 solver failure, 2 check failure, 3 bad
-configuration.
+Exit codes, set here only: 0 all good, 1 solver failure (a failed
+ensemble path too), 2 check failure, 3 bad configuration.
 """
 
 from __future__ import annotations
@@ -32,20 +32,13 @@ EXIT_CHECK = 2
 EXIT_CONFIG = 3
 
 
-def _common(parser: argparse.ArgumentParser, paths: bool = False,
-            level: bool = True):
+def _common(parser: argparse.ArgumentParser, level: bool = True):
     parser.add_argument("--model", required=True, help="model definition file")
     parser.add_argument("--out", required=True, help="output directory")
     parser.add_argument("--seed", type=int, default=0, help="base seed")
     if level:
         parser.add_argument("--level", type=int, default=0,
                             help="power-of-two coarsening level of the master grid")
-    if paths:
-        parser.add_argument("--stride", type=int, default=0,
-                            help="snapshot stride (0 keeps first/last only)")
-        parser.add_argument("--paths", type=int, default=1, help="ensemble size")
-        parser.add_argument("--workers", type=int, default=1,
-                            help="worker processes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -54,13 +47,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Pathwise solvers for noisy age-structured population models")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run the selected solver over an ensemble")
-    _common(p_run, paths=True)
-    p_run.add_argument("--solver", default="rescaled",
+    p_ens = sub.add_parser("ensemble", help="Monte Carlo ensemble statistics")
+    _common(p_ens)
+    p_ens.add_argument("--stride", type=int, default=0,
+                       help="snapshot stride (0 keeps first/last only)")
+    p_ens.add_argument("--paths", type=int, default=1, help="ensemble size")
+    p_ens.add_argument("--workers", type=int, default=1, help="worker processes")
+    p_ens.add_argument("--solver", default="direct",
                        choices=["rescaled", "direct", "both"])
-    p_run.add_argument("--save-bundle", action="store_true",
+    p_ens.add_argument("--save-bundle", action="store_true",
                        help="export the Brownian bundle of path 0")
-    p_run.set_defaults(handler=_cmd_run)
+    p_ens.set_defaults(handler=_cmd_ensemble)
 
     p_cmp = sub.add_parser("compare", help="both solvers on one fixed path")
     _common(p_cmp)
@@ -71,28 +68,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_conv.add_argument("--levels", type=int, default=3)
     p_conv.set_defaults(handler=_cmd_convergence)
 
-    p_ens = sub.add_parser("ensemble", help="Monte Carlo ensemble statistics")
-    _common(p_ens, paths=True)
-    p_ens.add_argument("--solver", default="direct",
-                       choices=["rescaled", "direct", "both"])
-    p_ens.set_defaults(handler=_cmd_run)
-
     p_chk = sub.add_parser("check", help="estimate checks on one model")
     _common(p_chk, level=False)
     p_chk.set_defaults(handler=_cmd_check)
     return parser
 
 
-def _cmd_run(args) -> int:
-    config = ens.RunConfig(
+def _cmd_ensemble(args) -> int:
+    stats = ens.run(ens.RunConfig(
         model_path=args.model, solver=args.solver, level=args.level,
         n_paths=args.paths, base_seed=args.seed, out_dir=args.out,
-        snapshot_stride=args.stride, workers=args.workers)
-    result = ens.run(config)
-    if getattr(args, "save_bundle", False):
+        snapshot_stride=args.stride, workers=args.workers))
+    if args.save_bundle:
         save_bundle(Path(args.out) / "bundle_path00000.bin",
                     ens.path_bundle(args.model, args.level, args.seed, [0])[0])
-    return result.exit_code
+    return EXIT_SOLVER if stats.failures else EXIT_OK
 
 
 def _cmd_compare(args) -> int:
@@ -107,7 +97,7 @@ def _cmd_compare(args) -> int:
     save_field(out / "final_rescaled.bin", p_r)
     save_field(out / "final_direct.bin", p_d)
     diff = l2_norm(p_d - p_r, model.grid)
-    rel = diff / max(l2_norm(p_r, model.grid), 1e-300)
+    rel = estimates._ratio(diff, l2_norm(p_r, model.grid))
     write_series_csv(out / "compare.csv", {
         "quantity": np.array(["l2_diff_final", "l2_diff_final_rel"]),
         "value": np.array([diff, rel])})

@@ -8,7 +8,8 @@ depends only on the grid (see :data:`CHUNK_BYTES`).  Both routes march a
 chunk as one array with a leading path axis, and a chunk whose march
 fails is solved again path by path.  Aggregation happens in path order in
 the parent process, which makes the whole artifact tree a deterministic
-function of the configuration.
+function of the configuration.  :func:`run` returns the statistics; the
+command line maps their count of failed paths to its exit code.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError, StochageError
+from .estimates import _ratio
 from .fileio import ensure_dir, save_field, write_series_csv
 from .grid import Field, Grid, l2_norm, weighted_population
 from .model import PopulationModel
@@ -59,12 +61,12 @@ class RunConfig:
     def __post_init__(self):
         if self.solver not in _SOLVERS + ("both",):
             raise ConfigurationError(f"unknown solver {self.solver!r}")
-        if (self.n_paths < 1 or self.snapshot_stride < 0 or self.base_seed < 0
-                or self.workers < 1):
+        if (self.level < 0 or self.n_paths < 1 or self.snapshot_stride < 0
+                or self.base_seed < 0 or self.workers < 1):
             raise ConfigurationError(
-                f"need paths >= 1, stride >= 0, seed >= 0 and workers >= 1; got "
-                f"paths {self.n_paths}, stride {self.snapshot_stride}, seed "
-                f"{self.base_seed}, workers {self.workers}")
+                f"need level >= 0, paths >= 1, stride >= 0, seed >= 0 and workers "
+                f">= 1; got level {self.level}, paths {self.n_paths}, stride "
+                f"{self.snapshot_stride}, seed {self.base_seed}, workers {self.workers}")
 
     def solvers(self) -> tuple[str, ...]:
         return _SOLVERS if self.solver == "both" else (self.solver,)
@@ -225,13 +227,7 @@ class EnsembleStats:
     failures: int = 0
 
 
-@dataclass
-class RunResult:
-    exit_code: int
-    stats: EnsembleStats
-
-
-def run(config: RunConfig) -> RunResult:
+def run(config: RunConfig) -> EnsembleStats:
     """Execute the ensemble and aggregate statistics deterministically.
 
     Chunks of paths may run in a process pool of at most one worker per
@@ -275,7 +271,7 @@ def run(config: RunConfig) -> RunResult:
 
     if out_dir is not None:
         _persist(model, stats, records, out_dir)
-    return RunResult(exit_code=1 if stats.failures else 0, stats=stats)
+    return stats
 
 
 def _persist(model: PopulationModel, stats: EnsembleStats,
@@ -359,8 +355,7 @@ def convergence_study(model_path: str, levels: int, seed: int = 0,
         scale = l2_norm(p_r, model.grid)
         diff = l2_norm(p_d - p_r, model.grid)
         rows.append(StudyRow(level=lev, n_t=model.grid.n_t, dt=model.grid.dt,
-                             pair_diff=diff,
-                             pair_diff_rel=diff / scale if scale else np.inf,
+                             pair_diff=diff, pair_diff_rel=_ratio(diff, scale),
                              err_rescaled=l2_norm(p_r - sub, model.grid),
                              err_direct=l2_norm(p_d - sub, model.grid)))
 

@@ -12,6 +12,7 @@ ratios under refinement.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -142,7 +143,7 @@ def apriori_check(report, consts: EstimateConstants) -> np.ndarray:
 
 
 def _ratio(left: float, right: float) -> float:
-    """``left / right``, counting a zero-over-zero as 0 (a pass)."""
+    """``left / right``, with 0/0 counted as 0 (a pass) and x/0 as ``inf``."""
     if right > 0:
         return left / right
     return 0.0 if left <= 1e-300 else np.inf
@@ -215,36 +216,22 @@ class TestFunction:
         self.deg_a = deg_a
         self.deg_x = deg_x
         self.label = f"t^{q_t}(1-t/T) a^{deg_a} x^{deg_x}"
+        full = lambda values: np.broadcast_to(values, grid.field_shape).copy()
         am = grid.age_mesh / grid.a_max
-        self.A = am ** deg_a if deg_a else np.ones(grid.field_shape)
-        self.A = np.broadcast_to(self.A, grid.field_shape).copy()
-        self.A_a = (deg_a / grid.a_max) * am ** (deg_a - 1) if deg_a else \
-            np.zeros(grid.field_shape)
-        self.A_a = np.broadcast_to(self.A_a, grid.field_shape).copy()
-        self.A_grad = []
-        for axis in range(grid.dim):
-            xm = grid.space_meshes[axis] / grid.extent[axis]
-            d = deg_x[axis]
-            factor = np.ones(grid.field_shape)
-            for ax2, d2 in enumerate(deg_x):
-                xm2 = grid.space_meshes[ax2] / grid.extent[ax2]
-                if ax2 == axis:
-                    continue
-                factor = factor * xm2 ** d2
-            g = (d / grid.extent[axis]) * xm ** (d - 1) if d else 0.0
-            self.A_grad.append(np.broadcast_to(
-                (am ** deg_a) * factor * g, grid.field_shape).copy())
-        for axis, d in enumerate(deg_x):
-            xm = grid.space_meshes[axis] / grid.extent[axis]
-            self.A = self.A * xm ** d
-            self.A_a = self.A_a * xm ** d
-        self.face_values = {}
-        for face, (ages, coords) in grid.boundary_meshes.items():
-            val = (ages / grid.a_max) ** deg_a if deg_a else np.asarray(1.0)
-            for axis, d in enumerate(deg_x):
-                c = coords[axis] / grid.extent[axis]
-                val = val * np.asarray(c, dtype=float) ** d
-            self.face_values[face] = np.broadcast_to(val, face_shape(grid, face))
+        xs = [mesh / ext for mesh, ext in zip(grid.space_meshes, grid.extent)]
+        age = am ** deg_a if deg_a else 1.0
+        age_a = (deg_a / grid.a_max) * am ** (deg_a - 1) if deg_a else 0.0
+        self.A = full(_monomials(age, xs, deg_x))
+        self.A_a = full(_monomials(age_a, xs, deg_x))
+        self.A_grad = [full(_monomials(age, xs, deg_x, skip=axis)
+                            * ((d / ext) * x ** (d - 1) if d else 0.0))
+                       for axis, (x, d, ext) in enumerate(zip(xs, deg_x, grid.extent))]
+        self.face_values = {
+            face: np.broadcast_to(_monomials(
+                (ages / grid.a_max) ** deg_a if deg_a else 1.0,
+                [c / ext for c, ext in zip(coords, grid.extent)], deg_x),
+                face_shape(grid, face))
+            for face, (ages, coords) in grid.boundary_meshes.items()}
 
     def phi(self, t: float) -> float:
         s = t / self.grid.T
@@ -258,23 +245,21 @@ class TestFunction:
         return (q * s ** (q - 1) - (q + 1) * s ** q) / self.grid.T
 
 
+def _monomials(factor, coords, degrees, skip: int | None = None):
+    """``factor`` times ``c ** d`` for the normalized coordinate ``c`` and
+    degree ``d`` of every axis but ``skip``, multiplied in axis order."""
+    for axis, (c, d) in enumerate(zip(coords, degrees)):
+        if axis != skip:
+            factor = factor * np.asarray(c, dtype=float) ** d
+    return factor
+
+
 def build_test_functions(grid: Grid, n: int) -> list[TestFunction]:
-    """First ``n`` tensor polynomials ordered by total degree."""
-    combos = []
-    degs = range(3)
-    for q_t in degs:
-        for deg_a in degs:
-            if grid.dim == 1:
-                xs = [(j,) for j in degs]
-            else:
-                xs = [(j, k) for j in degs for k in degs if j + k <= 2]
-            for dx in xs:
-                combos.append((q_t + deg_a + sum(dx), q_t, deg_a, dx))
-    combos.sort()
-    out = []
-    for _, q_t, deg_a, dx in combos[:n]:
-        out.append(TestFunction(grid, q_t, deg_a, dx))
-    return out
+    """First ``n`` tensor polynomials ordered by total degree: time and age
+    degrees up to 2, space degrees summing to at most 2."""
+    degrees = sorted((sum(d), d) for d in itertools.product(range(3), repeat=2 + grid.dim)
+                     if sum(d[2:]) <= 2)
+    return [TestFunction(grid, d[0], d[1], d[2:]) for _, d in degrees[:n]]
 
 
 @dataclass

@@ -12,7 +12,7 @@ from stochage.cli import main
 from stochage.ensemble import (RunConfig, _cached_model, convergence_study,
                                density_final, path_chunks, path_seed, run)
 from stochage.errors import ConfigurationError
-from stochage.fileio import load_field, write_series_csv
+from stochage.fileio import load_bundle, load_field, write_series_csv
 from stochage.noise import evaluate_noise
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
@@ -99,8 +99,7 @@ class TestRun:
         out = tmp_path / "out"
         cfg = RunConfig(model_path=quiet_model_path, solver="both", n_paths=1,
                         base_seed=3, out_dir=str(out), snapshot_stride=1)
-        result = run(cfg)
-        assert result.exit_code == 0
+        assert run(cfg).failures == 0
         a = load_field(out / "path_00000_rescaled.bin")
         b = load_field(out / "path_00000_direct.bin")
         assert np.array_equal(a, b)
@@ -137,12 +136,12 @@ class TestRun:
         cfg = RunConfig(model_path=noisy_model_path, solver="direct",
                         n_paths=8, base_seed=0, out_dir=str(out),
                         snapshot_stride=1)
-        result = run(cfg)
+        stats = run(cfg)
         finals = np.stack([load_field(out / f"path_{m:05d}_direct.bin")
                            for m in range(8)])
-        assert np.allclose(result.stats.mean_final["direct"],
+        assert np.allclose(stats.mean_final["direct"],
                            finals.mean(axis=0), rtol=1e-12, atol=1e-15)
-        assert np.allclose(result.stats.var_final["direct"],
+        assert np.allclose(stats.var_final["direct"],
                            finals.var(axis=0, ddof=1), rtol=1e-12, atol=1e-15)
 
     def test_ci_width_scaling(self, noisy_model_path):
@@ -150,24 +149,21 @@ class TestRun:
         for n in (32, 64, 128):
             cfg = RunConfig(model_path=noisy_model_path, solver="direct",
                             n_paths=n, base_seed=9)
-            result = run(cfg)
-            halves.append(result.stats.mass_ci_half["direct"][-1])
+            halves.append(run(cfg).mass_ci_half["direct"][-1])
         for i in range(len(halves) - 1):
             ratio = halves[i + 1] / halves[i]
             assert ratio == pytest.approx(1 / np.sqrt(2), rel=0.20)
 
     def test_nonconvergence_reported_not_fatal(self, noisy_model_path, tmp_path):
         # absurd solver settings force a per-path failure; the run finishes
-        # and reports it
+        # and counts it (the command line turns the count into exit 1)
         from stochage.modelfile import parse_model
         text = NOISY_MODEL + "\n[solver]\npicard_tol = 0.0\npicard_max_iter = 0\n"
         p = tmp_path / "bad.ini"
         p.write_text(text)
         cfg = RunConfig(model_path=str(p), solver="rescaled", n_paths=2,
                         base_seed=0)
-        result = run(cfg)
-        assert result.exit_code == 1
-        assert result.stats.failures == 2
+        assert run(cfg).failures == 2
 
     def test_failed_paths_in_paths_csv(self, tmp_path):
         # the rescaled fixed point cannot converge, the direct route can:
@@ -176,7 +172,7 @@ class TestRun:
         p = tmp_path / "bad.ini"
         p.write_text(NOISY_MODEL + "\n[solver]\npicard_max_iter = 0\n")
         out = tmp_path / "out"
-        assert main(["run", "--model", str(p), "--out", str(out),
+        assert main(["ensemble", "--model", str(p), "--out", str(out),
                      "--paths", "2", "--solver", "both"]) == 1
         with open(out / "paths.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
@@ -280,9 +276,9 @@ class TestChunks:
             return evaluate_noise(*args, **kwargs)
 
         monkeypatch.setattr(ensemble, "evaluate_noise", counting)
-        result = run(RunConfig(model_path=str(MODELS / "sample1d.ini"),
-                               solver="rescaled", n_paths=1, base_seed=2))
-        assert result.exit_code == 0
+        stats = run(RunConfig(model_path=str(MODELS / "sample1d.ini"),
+                              solver="rescaled", n_paths=1, base_seed=2))
+        assert stats.failures == 0
         assert len(calls) <= 2
 
     def test_pool_over_chunks_matches_serial(self, tmp_path):
@@ -367,13 +363,19 @@ class TestModelBoundary:
         # such restriction
         p = tmp_path / "sine.ini"
         p.write_text(SINE_MODEL)
-        args = ["run", "--model", str(p), "--paths", "2"]
+        args = ["ensemble", "--model", str(p), "--paths", "2"]
         assert main(args + ["--out", str(tmp_path / "r"), "--solver", "rescaled"]) == 3
         assert main(args + ["--out", str(tmp_path / "d"), "--solver", "direct"]) == 0
 
     def test_unknown_solver_rejected_before_output(self, noisy_model_path, tmp_path):
         with pytest.raises(ConfigurationError, match="bogus"):
             run(RunConfig(model_path=noisy_model_path, solver="bogus",
+                          out_dir=str(tmp_path / "o")))
+        assert not (tmp_path / "o").exists()
+
+    def test_negative_level_rejected_and_named(self, noisy_model_path, tmp_path):
+        with pytest.raises(ConfigurationError, match="got level -1"):
+            run(RunConfig(model_path=noisy_model_path, level=-1,
                           out_dir=str(tmp_path / "o")))
         assert not (tmp_path / "o").exists()
 
@@ -385,7 +387,7 @@ class TestModelBoundary:
         p.write_text(NOISY_MODEL.replace("t_final = 0.5", "t_final = 0.25"))
         second = run(RunConfig(model_path=str(p), solver="direct", n_paths=2,
                                out_dir=str(tmp_path / "b")))
-        assert first.exit_code == second.exit_code == 0
+        assert first.failures == second.failures == 0
         t1 = (tmp_path / "a" / "totals_direct.csv").read_text().splitlines()
         t2 = (tmp_path / "b" / "totals_direct.csv").read_text().splitlines()
         assert t1[-1].startswith("0.5,") and t2[-1].startswith("0.25,")
@@ -406,6 +408,25 @@ class TestConvergenceStudy:
         orders = (tmp_path / "conv" / "orders.csv").read_text()
         assert "rescaled_self,exact" in orders
 
+    def test_zero_population_route_gap_is_zero(self, tmp_path):
+        # both routes keep p0 = 0 exactly, so the relative route gap is
+        # 0/0, which compare and convergence both count as 0
+        text = (MODELS / "sample1d.ini").read_text()
+        initial = "p0 = ageexp:1.5,1.0\nspace_mode = 0.2,1\n"
+        assert initial in text
+        p = tmp_path / "zero.ini"
+        p.write_text(text.replace(initial, "p0 = constant:0\n"))
+        assert main(["compare", "--model", str(p), "--out", str(tmp_path / "c")]) == 0
+        assert main(["convergence", "--model", str(p), "--out", str(tmp_path / "v"),
+                     "--levels", "3"]) == 0
+        with open(tmp_path / "c" / "compare.csv", newline="") as fh:
+            gaps = {r["quantity"]: float(r["value"]) for r in csv.DictReader(fh)}
+        assert gaps == {"l2_diff_final": 0.0, "l2_diff_final_rel": 0.0}
+        with open(tmp_path / "v" / "convergence.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(float(r["pair_diff"]), float(r["pair_diff_rel"])) for r in rows] == [
+            (0.0, 0.0)] * 3
+
     def test_noisy_study_outputs(self, noisy_model_path, tmp_path):
         out = tmp_path / "conv"
         result = convergence_study(noisy_model_path, 3, seed=1, out_dir=str(out))
@@ -417,14 +438,17 @@ class TestConvergenceStudy:
 
 
 class TestCli:
-    def test_run_ok(self, noisy_model_path, tmp_path):
-        code = main(["run", "--model", noisy_model_path,
+    def test_ensemble_both_solvers_saves_bundle(self, noisy_model_path, tmp_path):
+        code = main(["ensemble", "--model", noisy_model_path,
                      "--out", str(tmp_path / "o"), "--paths", "2",
                      "--solver", "both", "--stride", "1", "--save-bundle"])
         assert code == 0
         assert (tmp_path / "o" / "paths.csv").exists()
         assert (tmp_path / "o" / "totals_rescaled.csv").exists()
-        assert (tmp_path / "o" / "bundle_path00000.bin").exists()
+        saved = load_bundle(tmp_path / "o" / "bundle_path00000.bin")
+        expected = ensemble.path_bundle(noisy_model_path, 0, 0, [0])[0]
+        assert saved.seed == expected.seed
+        assert saved.increments.tobytes() == expected.increments.tobytes()
 
     def test_compare(self, noisy_model_path, tmp_path):
         code = main(["compare", "--model", noisy_model_path,
@@ -445,12 +469,16 @@ class TestCli:
         assert code == 3
 
     def test_missing_model_is_config_error(self, tmp_path):
-        code = main(["run", "--model", str(tmp_path / "none.ini"),
+        code = main(["ensemble", "--model", str(tmp_path / "none.ini"),
                      "--out", str(tmp_path / "o")])
         assert code == 3
 
-    def test_bad_cli_args(self):
-        assert main(["run"]) == 3
+    def test_bad_cli_args(self, noisy_model_path, tmp_path):
+        assert main(["ensemble"]) == 3
+        # no `run` subcommand: `ensemble --solver rescaled` does its job
+        out = tmp_path / "o"
+        assert main(["run", "--model", noisy_model_path, "--out", str(out)]) == 3
+        assert not out.exists()
 
     def test_check_passes(self, noisy_model_path, tmp_path):
         code = main(["check", "--model", noisy_model_path,
@@ -503,12 +531,12 @@ class TestCli:
         text = (tmp_path / "chk2" / "checks.csv").read_text()
         assert "fail" in text
 
-    def test_ensemble_alias(self, noisy_model_path, tmp_path):
+    def test_ensemble_defaults_to_direct_route(self, noisy_model_path, tmp_path):
         code = main(["ensemble", "--model", noisy_model_path,
-                     "--out", str(tmp_path / "e"), "--paths", "3",
-                     "--solver", "direct"])
+                     "--out", str(tmp_path / "e"), "--paths", "3"])
         assert code == 0
         assert (tmp_path / "e" / "totals_direct.csv").exists()
+        assert not (tmp_path / "e" / "totals_rescaled.csv").exists()
 
     @pytest.mark.parametrize("argv", [
         ["ensemble", "--paths", "0"],
@@ -518,7 +546,7 @@ class TestCli:
         ["convergence", "--seed", "-1"],
         ["compare", "--level", "-1"],
         ["compare", "--stride", "-2"],
-        ["run", "--stride", "-2"],
+        ["ensemble", "--stride", "-2"],
         ["check", "--level", "2"],
         ["check", "--stride", "5"],
         ["ensemble", "--workers", "0"],
@@ -531,7 +559,7 @@ class TestCli:
         assert main(argv + ["--model", noisy_model_path, "--out", str(out)]) == 3
         assert not out.exists() or not any(out.iterdir())
 
-    @pytest.mark.parametrize("command", ["run", "compare"])
+    @pytest.mark.parametrize("command", ["ensemble", "compare"])
     def test_negative_level_is_named(self, noisy_model_path, tmp_path, capsys, command):
         out = tmp_path / "o"
         assert main([command, "--level", "-1", "--model", noisy_model_path,

@@ -3,12 +3,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+import sympy
 
 import stochage as sa
 from stochage.ensemble import fit_order
 from stochage.errors import InsufficientDataError
-from stochage.estimates import (CheckRow, build_test_functions, growth_factor,
-                                weak_residual_random)
+from stochage.estimates import (CheckRow, _ratio, build_test_functions,
+                                growth_factor, weak_residual_random)
+from stochage.grid import face_shape
 from stochage.noise import coarsen
 
 from conftest import build_model, linear_rates, logistic_rates, smooth_p0
@@ -229,6 +231,48 @@ class TestBasisAndRows:
     def test_test_functions_vanish_at_horizon(self, grid1d):
         for psi in build_test_functions(grid1d, 9):
             assert psi.phi(grid1d.T) == 0.0
+
+    @pytest.mark.parametrize("extent, n_x, count", [((3.0,), (5,), 27),
+                                                    ((2.0, 0.5), (4, 3), 54)])
+    def test_family_matches_sympy(self, extent, n_x, count):
+        # every function of the family: A_a and A_grad are the analytic
+        # derivatives of A, and each face holds A at the face coordinates;
+        # no length is 1, so a misplaced scale shows
+        grid = sa.Grid(T=0.5, a_max=2.0, n_t=8, n_a=16, extent=extent, n_x=n_x)
+        psis = build_test_functions(grid, 100)
+        assert len(psis) == count
+        degrees = [(psi.q_t, psi.deg_a) + psi.deg_x for psi in psis]
+        assert len(set(degrees)) == count
+        assert [sum(d) for d in degrees] == sorted(sum(d) for d in degrees)
+        a, *xs = sympy.symbols(f"a x0:{grid.dim}")
+
+        def sampled(expr, ages, coords, shape):
+            fn = sympy.lambdify((a, *xs), expr, "numpy")
+            return np.broadcast_to(np.asarray(fn(ages, *coords), dtype=float), shape)
+
+        for psi in psis:
+            A = (a / grid.a_max) ** psi.deg_a
+            for x, d, ext in zip(xs, psi.deg_x, grid.extent):
+                A = A * (x / ext) ** d
+            cases = [(psi.A, A), (psi.A_a, sympy.diff(A, a))]
+            cases += [(g, sympy.diff(A, x)) for g, x in zip(psi.A_grad, xs)]
+            assert len(cases) == 2 + grid.dim
+            for values, expr in cases:
+                want = sampled(expr, grid.age_mesh, grid.space_meshes, grid.field_shape)
+                np.testing.assert_allclose(values, want, rtol=1e-13, atol=1e-15)
+            assert len(psi.face_values) == 2 * grid.dim
+            for face, (ages, coords) in grid.boundary_meshes.items():
+                assert float(coords[face.axis]) == face.side * grid.extent[face.axis]
+                shape = face_shape(grid, face)
+                assert psi.face_values[face].shape == shape
+                np.testing.assert_allclose(psi.face_values[face],
+                                           sampled(A, ages, coords, shape),
+                                           rtol=1e-13, atol=1e-15)
+
+    def test_ratio_counts_zero_over_zero_as_zero(self):
+        assert _ratio(1.0, 4.0) == 0.25
+        assert _ratio(0.0, 0.0) == 0.0
+        assert _ratio(1e-3, 0.0) == np.inf
 
     def test_check_rows(self):
         assert CheckRow("x", 0.5, 1.0).passed

@@ -18,13 +18,15 @@ from stochage.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 PINNED_NUMPY = "2.4.6"
 
-# sample1d's ensemble of 8 paths spans two chunks, the second one ragged
+# (output directory, argv) pairs; sample1d's ensemble of 8 paths spans two
+# chunks, the second one ragged
 COMMANDS = (
-    ("run", "--solver", "both", "--paths", "2", "--stride", "1", "--save-bundle"),
-    ("compare",),
-    ("check",),
-    ("convergence", "--levels", "3"),
-    ("ensemble", "--solver", "both", "--paths", "8"),
+    ("run", ("ensemble", "--solver", "both", "--paths", "2", "--stride", "1",
+             "--save-bundle")),
+    ("compare", ("compare",)),
+    ("check", ("check",)),
+    ("convergence", ("convergence", "--levels", "3")),
+    ("ensemble", ("ensemble", "--solver", "both", "--paths", "8")),
 )
 
 DIGESTS = {
@@ -97,8 +99,8 @@ DIGESTS = {
                     reason=f"digests were recorded with numpy {PINNED_NUMPY}")
 def test_output_trees_match_golden_digests(tmp_path):
     for model in ("sample1d", "sample2d"):
-        for command in COMMANDS:
-            out = tmp_path / model / command[0]
+        for label, command in COMMANDS:
+            out = tmp_path / model / label
             argv = list(command) + ["--model", str(ROOT / "models" / f"{model}.ini"),
                                     "--out", str(out)]
             assert main(argv) == 0, argv

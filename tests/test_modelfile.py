@@ -103,7 +103,7 @@ class TestParseModel:
             "truncation_radius = auto", "truncation_radius = auto\nsnapshot_stride = -3"))
         with pytest.raises(ConfigurationError, match="snapshot_stride"):
             parse_model(path)
-        assert main(["run", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert main(["ensemble", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line, bad", [
@@ -126,7 +126,7 @@ class TestParseModel:
         key = bad.splitlines()[-1].split(" = ")[0]
         with pytest.raises(ConfigurationError, match=key):
             parse_model(path)
-        assert main(["run", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
+        assert main(["ensemble", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("line, bad", [

@@ -36,10 +36,10 @@ def direct_work(out_dir):
     model, cfg = ensemble._cached_model(MODEL, 4)
     bundle = sa.sample_bundle(5, model.noise.n_modes, model.grid.n_t, model.grid.T)
     report = sa.solve_direct(model, bundle, cfg)
-    result = ensemble.run(ensemble.RunConfig(
+    stats = ensemble.run(ensemble.RunConfig(
         model_path=MODEL, solver="direct", level=2, n_paths=3, base_seed=1,
         out_dir=str(out_dir), snapshot_stride=1))
-    return report, result
+    return report, stats
 
 
 def tree_bytes(root):
@@ -71,19 +71,19 @@ def test_traced_direct_route_is_bitwise_and_restorable(tmp_path):
         "amplitude_grids": noise.AmplitudeGrids.__init__,
         "sweep": solver._sweep, "cached_model": ensemble._cached_model,
     }
-    plain_report, plain_run = direct_work(tmp_path / "plain")
+    plain_report, plain_stats = direct_work(tmp_path / "plain")
 
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
         assert hasattr(oracle.em_step, "__wrapped__")
-        traced_report, traced_run = direct_work(tmp_path / "traced")
+        traced_report, traced_stats = direct_work(tmp_path / "traced")
         raw = tracer.raw()
     finally:
         tracer.uninstall()
 
     assert same(plain_report, traced_report)
-    assert same(plain_run.stats, traced_run.stats)
+    assert same(plain_stats, traced_stats)
     assert tree_bytes(tmp_path / "plain") == tree_bytes(tmp_path / "traced")
     calls = raw["calls"]
     for name in ("oracle.em_step", "oracle.solve_direct",
