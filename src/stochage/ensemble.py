@@ -29,7 +29,7 @@ from .estimates import _ratio
 from .fileio import ensure_dir, save_field, write_series_csv
 from .grid import Field, Grid, l2_norm, weighted_population
 from .model import PopulationModel
-from .noise import BrownianBundle, coarsen, evaluate_noise, sample_bundle
+from .noise import BrownianBundle, _contract, amplitude_grids, coarsen, sample_bundle
 from .oracle import solve_direct, solve_direct_batch
 from .rescale import forward_transform
 from .solver import (SolveReport, SolverConfig, _snapshot_indices, solve_rescaled,
@@ -121,8 +121,8 @@ def density_final(report: SolveReport, model: PopulationModel,
     """Final population density for either solver's report."""
     if report.solver == "direct":
         return report.final
-    nf = evaluate_noise(model.noise, bundle, model.grid.n_t, model.grid)
-    return forward_transform(Field(report.final, model.grid), nf.value).values
+    w = _contract(bundle, amplitude_grids(model.noise, model.grid).values, model.grid.n_t)
+    return forward_transform(Field(report.final, model.grid), w).values
 
 
 def mass_series(report: SolveReport, model: PopulationModel,
@@ -134,8 +134,8 @@ def mass_series(report: SolveReport, model: PopulationModel,
     for pos, idx in enumerate(report.snapshot_indices[:-1]):
         p = report.snapshots[pos]
         if report.solver == "rescaled":
-            nf = evaluate_noise(model.noise, bundle, int(idx), grid)
-            p = forward_transform(Field(p, grid), nf.value).values
+            w = _contract(bundle, amplitude_grids(model.noise, grid).values, int(idx))
+            p = forward_transform(Field(p, grid), w).values
         out[pos] = weighted_population(p, 1.0, None, grid)
     out[-1] = weighted_population(p_final, 1.0, None, grid)
     return out

@@ -37,7 +37,7 @@ from .model import PopulationModel
 from .noise import AmplitudeGrids, BrownianBundle, ito_correction
 from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
 from .solver import (DiffusionFactors, SolveReport, SolverConfig, StepResult,
-                     _advection, _march, _split_step)
+                     _advection, _inner_faces, _march, _split_step)
 
 logger = logging.getLogger(__name__)
 
@@ -107,6 +107,7 @@ def em_step(p: np.ndarray, increments: np.ndarray, ctx: _DirectContext,
     model, grid = ctx.model, ctx.grid
     mu_s = evaluate_on_grid(model.rates.mu_s, grid, t_new, u_prev)
     m0 = evaluate_on_grid(model.rates.m0, grid, t_new, u_prev)
+    faces = None if faces is None else _inner_faces(faces, grid)
     v, cfl = _split_step(p, None, mu_s, None, m0, faces, grid, dt, ctx.factors)
     shock = _shock(increments, ctx, dt, scheme)
     overshoot = bool(shock.size) and bool(shock.max() > 1.0 or shock.min() < -1.0)

@@ -33,11 +33,11 @@ from .noise import (BrownianBundle, NoiseField, _contract, amplitude_grids,
 EXP_GUARD = 700.0
 
 
-def _guarded_exp(w: np.ndarray) -> np.ndarray:
+def _guarded_exp(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     m = float(np.max(np.abs(w))) if w.size else 0.0
     if m > EXP_GUARD:
         raise NoiseMagnitudeError(m)
-    return np.exp(w)
+    return np.exp(w, out=out)
 
 
 def forward_transform(y: Field, w: np.ndarray) -> Field:
@@ -94,15 +94,19 @@ class RescaledCoefficients:
         return evaluate_noise(self.model.noise, self.bundles, t_index, self.grid)
 
     def _g1(self, nf: NoiseField) -> np.ndarray:
-        return nf.d_age - nf.laplacian - sum(g * g for g in nf.gradient) + self.mu
+        """``g1`` of the node, built in the buffer of ``nf.d_age``."""
+        g1 = np.subtract(nf.d_age, nf.laplacian, out=nf.d_age)
+        g1 -= sum(g * g for g in nf.gradient)
+        g1 += self.mu
+        return g1
 
     def node_fields(self, t_index: int) -> dict:
         """``g1``, ``g2``, ``exp_w`` (``exp(W)``) and ``exp_dw0``
-        (``exp(W - W(t,0,x))``) at one node, built afresh on every call."""
+        (``exp(W - W(t,0,x))``) at one node, built afresh in the noise's buffers."""
         nf = self._noise(t_index)
-        w0 = nf.value[self.grid.rows(np.s_[:1])]
-        return {"g1": self._g1(nf), "g2": tuple(-2.0 * g for g in nf.gradient),
-                "exp_w": _guarded_exp(nf.value), "exp_dw0": _guarded_exp(nf.value - w0)}
+        dw0 = nf.value - nf.value[self.grid.rows(np.s_[:1])]
+        return {"g1": self._g1(nf), "g2": tuple(np.multiply(g, -2.0, out=g) for g in nf.gradient),
+                "exp_w": _guarded_exp(nf.value, nf.value), "exp_dw0": _guarded_exp(dw0, dw0)}
 
     def k_face(self, face: Face, t_index: int) -> np.ndarray:
         """Rescaled Robin datum ``k0 exp(-W)`` on one face."""

@@ -115,31 +115,37 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
     holds :func:`_advection` weights, or ``None`` to skip advection.
     ``values`` and the rate fields may carry leading path axes.  Returns
     the new values and the CFL number used, one per path (0 without
-    advection; nonnegativity needs CFL <= 1).
+    advection; nonnegativity needs CFL <= 1).  An upwind neighbour array is
+    the flat state shifted by the axis's stride, edge cells their own.
     """
     older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
     src = younger if grid.aligned else older   # the rows the decay multiplies
-    decay = np.exp(-(mu_s[src] if g1 is None else g1[src] + mu_s[src]) * dt)
-    out = np.zeros_like(values)
+    decay = mu_s[src] if g1 is None else g1[src] + mu_s[src]
+    # in one buffer: x (-dt) has the bits of -(x) dt, for negation is exact
+    decay = np.multiply(decay, -dt, out=None if g1 is None else decay)
+    np.exp(decay, out=decay)
+    out = np.zeros(values.shape)
     if grid.aligned:
-        out[older] = values[younger] * decay
+        np.multiply(values[younger], decay, out=out[older])
     else:
         c = dt / grid.da
         out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay
     if advection is None:
         return out, 0.0
     cfl, still, weights = advection
+    near = np.empty(out.shape)
     for axis, (cp, cm, stay) in enumerate(weights):
         # out (1 - cp - cm) + cp lo + cm hi, where lo and hi hold the
         # upwind neighbours along the axis (an edge cell is its own)
-        first, last, tail, head = (
-            (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
-            for s in (np.s_[:1], np.s_[-1:], np.s_[1:], np.s_[:-1]))
-        moved = out * stay
-        moved[first] += cp[first] * out[first]
-        moved[tail] += cp[tail] * out[head]
-        moved[head] += cm[head] * out[tail]
-        moved[last] += cm[last] * out[last]
+        step = int(np.prod(grid.n_x[axis + 1:]))
+        moved, flat = out * stay, out.reshape(-1)
+        for w, to, frm, s in ((cp, np.s_[step:], np.s_[:-step], np.s_[:1]),
+                              (cm, np.s_[:-step], np.s_[step:], np.s_[-1:])):
+            edge = (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
+            near.reshape(-1)[to] = flat[frm]
+            near[edge] = out[edge]
+            near *= w
+            moved += near
         out = moved if still is None else np.where(still, out, moved)
     return out, cfl
 
@@ -188,7 +194,7 @@ class DiffusionFactors:
 
     def __init__(self):
         self._key = None
-        self._alpha: dict = {}
+        self._alpha: dict = {}   # the face arrays of the last call, not copies
         self._factors: list = []
         self._wide: list = []    # shared factors' rows expanded over the paths
 
@@ -197,12 +203,14 @@ class DiffusionFactors:
         with one system per path when they carry a path axis; otherwise
         every path of a batch shares the systems, with the same bits, and
         for values of ``shape`` with one path axis their rows are expanded
-        over it once per factorization, so the sweeps do not broadcast."""
+        over it once per factorization, so the sweeps do not broadcast.
+        Face arrays must not be mutated once passed: one that is the object
+        of the previous call is taken as unchanged, unread."""
         key = (dt, grid.n_x, grid.dx)
-        if key != self._key or any(not np.array_equal(a, self._alpha[f])
+        old, self._alpha = self._alpha, dict(alpha)
+        if key != self._key or any(a is not old.get(f) and not np.array_equal(a, old[f])
                                    for f, a in alpha.items()):
             self._key, self._wide = key, []
-            self._alpha = {f: np.array(a) for f, a in alpha.items()}
             self._factors = [
                 _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
                               grid.n_x[axis], grid.dx[axis], dt)
@@ -256,19 +264,23 @@ def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, advection, m: np.ndarra
 
     Transport with decay and ``advection``, the renewal row from the
     fertility ``m``, then, unless ``faces`` is ``None``, diffusion of the
-    ages > 0 with the Robin data ``faces = (alpha, k)``.  Leading path axes
-    carry through.  Returns the new state and the CFL number per path.
+    ages > 0 with the Robin data ``faces = (alpha, k)`` on those ages (cut
+    by :func:`_inner_faces` once per node, so :class:`DiffusionFactors`
+    sees the same arrays on every iterate).  Leading path axes carry
+    through.  Returns the new state and the CFL number per path.
     """
     v, cfl = transport_reaction_substep(state, g1, mu_s, advection, grid, dt)
     v[grid.rows(0)] = renewal_row(v, m, grid)
     if faces is not None:
-        alpha, k = faces
         inner = grid.rows(np.s_[1:])
-        face_inner = (Ellipsis, np.s_[1:]) + (slice(None),) * (grid.dim - 1)
-        v[inner] = diffusion_substep(
-            v[inner], {f: a[face_inner] for f, a in alpha.items()},
-            {f: q[face_inner] for f, q in k.items()}, grid, dt, factors)
+        v[inner] = diffusion_substep(v[inner], *faces, grid, dt, factors)
     return v, cfl
+
+
+def _inner_faces(faces: tuple, grid: Grid) -> tuple:
+    """Views of the Robin data ``faces = (alpha, k)`` on the ages > 0."""
+    rows = (Ellipsis, np.s_[1:]) + (slice(None),) * (grid.dim - 1)
+    return tuple({f: a[rows] for f, a in data.items()} for data in faces)
 
 
 @dataclass
@@ -501,16 +513,16 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     """Advance one time step by fixed-point iteration on the frozen rates.
 
     What no iterate changes is prepared once per node: the Robin data
-    ``alpha`` and ``k``, ``g1``, ``exp(W)``, ``exp(W - W(t,0,x))`` and the
-    :func:`_advection` weights.  Each iterate takes the norm of the
-    candidate new-time state, clips the candidate onto the guard ball,
-    freezes the population functional and through it the mortality and
-    fertility fields, solves the linear substeps (transport, renewal,
-    diffusion) from the old state and takes the norm of the change.
-    Iteration stops when successive candidates differ by less than
-    ``picard_tol`` relative to the current one; with an infinite tolerance
-    the first iterate is returned, and a model whose rates ignore the
-    functional converges on iteration one.  ``factors`` carries the
+    ``alpha`` and ``k`` on the ages > 0, ``g1``, ``exp(W)``,
+    ``exp(W - W(t,0,x))`` and the :func:`_advection` weights.  Each iterate
+    takes the norm of the candidate new-time state, clips the candidate
+    onto the guard ball, freezes the population functional and through it
+    the mortality and fertility fields, solves the linear substeps
+    (transport, renewal, diffusion) from the old state and takes the norm
+    of the change.  Iteration stops when successive candidates differ by
+    less than ``picard_tol`` relative to the current one; with an infinite
+    tolerance the first iterate is returned, and a model whose rates ignore
+    the functional converges on iteration one.  ``factors`` carries the
     diffusion factorization across iterates and steps.
 
     ``y`` is one state, or one per path behind a leading path axis when
@@ -522,12 +534,13 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
-    alpha = evaluate_on_faces(rates.alpha0, grid, t) if config.include_diffusion else None
     k = coeffs.k_faces(t_index)
+    alpha, k_in = (_inner_faces((evaluate_on_faces(rates.alpha0, grid, t), k), grid)
+                   if config.include_diffusion else (None, None))
     node = coeffs.node_fields(t_index)
     # per-path inputs; the rows of converged paths are dropped
-    inputs = (y, node["g1"], _advection(node["g2"], grid, grid.dt), k,
-              node["exp_w"], node["exp_dw0"])
+    inputs = [y, node["g1"], _advection(node["g2"], grid, grid.dt), k_in,
+              node["exp_w"], node["exp_dw0"]]
     del node
     paths = y.shape[:y.ndim - grid.dim - 1]
     active = None    # batch indices of the paths still iterating, once some stopped
@@ -572,7 +585,9 @@ def picard_step_solve(y: np.ndarray, t_index: int,
                 return result
             keep = ~done
             active = active[keep]
-            inputs = tuple(_rows(data, keep) for data in inputs)
+            del y_in, g1, adv, k_in, exp_w, exp_dw0, faces
+            for i, data in enumerate(inputs):   # one at a time: no two full sets
+                inputs[i] = _rows(data, keep)
             v, prev_diff, ratio, cfl = v[keep], diff[keep], ratio[keep], cfl[keep]
         zeta = v
     worst = np.where(np.isfinite(ratio), ratio, np.inf)

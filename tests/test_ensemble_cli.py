@@ -13,7 +13,7 @@ from stochage.ensemble import (RunConfig, _cached_model, convergence_study,
                                density_final, path_chunks, path_seed, run)
 from stochage.errors import ConfigurationError
 from stochage.fileio import load_bundle, load_field, write_series_csv
-from stochage.noise import evaluate_noise
+from stochage.noise import _contract, amplitude_grids
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -266,20 +266,24 @@ class TestChunks:
                     key = Path(f"path_{m:05d}_{name}.{ext}")
                     assert trees[0][key] == trees[1][key]
 
-    def test_stride0_rescaled_path_evaluates_noise_twice(self, monkeypatch):
-        # post-processing transforms the two stored snapshots once each:
-        # the final density serves both the output field and the mass series
+    def test_stride0_rescaled_path_contracts_w_twice(self, monkeypatch):
+        # post-processing transforms the two stored snapshots once each,
+        # and of the noise fields it contracts only the values W: the final
+        # density serves both the output field and the mass series
         calls = []
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return evaluate_noise(*args, **kwargs)
+        def counting(bundle, amp, t_index):
+            calls.append((amp, t_index))
+            return _contract(bundle, amp, t_index)
 
-        monkeypatch.setattr(ensemble, "evaluate_noise", counting)
+        monkeypatch.setattr(ensemble, "_contract", counting)
         stats = run(RunConfig(model_path=str(MODELS / "sample1d.ini"),
                               solver="rescaled", n_paths=1, base_seed=2))
         assert stats.failures == 0
-        assert len(calls) <= 2
+        model, _ = _cached_model(str(MODELS / "sample1d.ini"), 1)
+        values = amplitude_grids(model.noise, model.grid).values
+        assert 1 <= len(calls) <= 2
+        assert all(amp is values for amp, _ in calls)
 
     def test_pool_over_chunks_matches_serial(self, tmp_path):
         # two chunks spread over two worker processes

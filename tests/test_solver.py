@@ -20,6 +20,34 @@ from conftest import build_model, linear_rates, logistic_rates, smooth_p0
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
+def slice_transport(values, g1, mu_s, advection, grid, dt):
+    """The textbook slice form of :func:`transport_reaction_substep`: one
+    update per upwind neighbour over the strided rows of the space axis."""
+    older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
+    src = younger if grid.aligned else older
+    decay = np.exp(-(mu_s[src] if g1 is None else g1[src] + mu_s[src]) * dt)
+    out = np.zeros_like(values)
+    if grid.aligned:
+        out[older] = values[younger] * decay
+    else:
+        c = dt / grid.da
+        out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay
+    if advection is None:
+        return out, 0.0
+    cfl, still, weights = advection
+    for axis, (cp, cm, stay) in enumerate(weights):
+        first, last, tail, head = (
+            (Ellipsis, s) + (slice(None),) * (grid.dim - 1 - axis)
+            for s in (np.s_[:1], np.s_[-1:], np.s_[1:], np.s_[:-1]))
+        moved = out * stay
+        moved[first] += cp[first] * out[first]
+        moved[tail] += cp[tail] * out[head]
+        moved[head] += cm[head] * out[tail]
+        moved[last] += cm[last] * out[last]
+        out = moved if still is None else np.where(still, out, moved)
+    return out, cfl
+
+
 def zero_faces(grid, rows=None):
     n = grid.n_a + 1 if rows is None else rows
     out = {}
@@ -168,6 +196,36 @@ class TestAdvectionWeights:
             assert batch[j].tobytes() == one.tobytes(), j
             assert cfl[j] == one_cfl, j
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("aligned", [True, False])
+    @pytest.mark.parametrize("rescaled", [True, False])
+    def test_shifted_copies_match_the_slice_form_bitwise(self, dim, aligned, rescaled):
+        # the neighbour arrays are shifted copies of the flat state, the
+        # decay is formed in one buffer; every bit must match the slices,
+        # with a still path (all-zero g2) in the middle of the batch
+        grid = sa.Grid(T=0.5, a_max=1.0, n_t=32, n_a=64 if aligned else 32,
+                       extent=(1.0,) * dim, n_x=(9,) if dim == 1 else (6, 5))
+        assert grid.aligned == aligned
+        rng = np.random.default_rng(17)
+        shape = (3,) + grid.field_shape
+        vals, mu = rng.random(shape), rng.normal(0.0, 2.0, shape)
+        g1 = rng.normal(0.0, 3.0, shape) if rescaled else None
+        g2 = tuple(0.45 * grid.dx[ax] / grid.dt * rng.uniform(-1.0, 1.0, shape)
+                   for ax in range(dim))
+        for comp in g2:
+            comp[1] = 0.0
+        for adv in (_advection(g2, grid, grid.dt), None):
+            ours, cfl = transport_reaction_substep(vals, g1, mu, adv, grid, grid.dt)
+            ref, ref_cfl = slice_transport(vals, g1, mu, adv, grid, grid.dt)
+            assert ours.tobytes() == ref.tobytes()
+            assert np.array_equal(cfl, ref_cfl)
+        for j in range(3):   # one path alone, no path axis
+            one = tuple(c[j] for c in g2)
+            adv = _advection(one, grid, grid.dt)
+            args = (vals[j], None if g1 is None else g1[j], mu[j], adv, grid, grid.dt)
+            ours, _ = transport_reaction_substep(*args)
+            assert ours.tobytes() == slice_transport(*args)[0].tobytes(), j
+
     def test_both_routes_reject_unaligned_step_above_age_step(self):
         # dt = 1/16 > da = 1/32: the age upwind would lose positivity
         grid = sa.Grid(T=0.5, a_max=1.0, n_t=8, n_a=32, extent=(1.0,), n_x=(4,))
@@ -290,6 +348,34 @@ class TestDiffusionFactors:
                 ours = _thomas_solve(wide[axis], rhs.copy())
                 ref = _thomas_solve(shared[axis], rhs.copy())
                 assert ours.tobytes() == ref.tobytes(), (n, axis)
+
+    def test_same_arrays_skip_the_elementwise_compare(self, grid1d, monkeypatch):
+        # the very arrays of the previous call are not read again; an equal
+        # new array is compared and reuses the factor; a changed one refactors
+        compares = []
+        array_equal = np.array_equal
+
+        def counting(a, b, *args, **kwargs):
+            compares.append(1)
+            return array_equal(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(np, "array_equal", counting)
+        factors = DiffusionFactors()
+        alpha = {f: np.full_like(z, 0.2) for f, z in zero_faces(grid1d).items()}
+        first = factors.get(alpha, grid1d, grid1d.dt)
+        compares.clear()
+        assert factors.get(alpha, grid1d, grid1d.dt) is first
+        assert factors.get(dict(alpha), grid1d, grid1d.dt) is first
+        assert not compares
+        equal = {f: a.copy() for f, a in alpha.items()}
+        assert factors.get(equal, grid1d, grid1d.dt) is first
+        assert len(compares) == len(equal)
+        compares.clear()
+        assert factors.get(equal, grid1d, grid1d.dt) is first
+        assert not compares
+        changed = {**equal, Face(0, 1): equal[Face(0, 1)] + 0.1}
+        assert factors.get(changed, grid1d, grid1d.dt) is not first
+        assert compares
 
     def test_refactors_only_on_change(self, grid1d):
         factors = DiffusionFactors()
