@@ -17,7 +17,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 from collections.abc import Sequence
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -240,6 +239,9 @@ def run(config: RunConfig) -> EnsembleStats:
     ranges = path_chunks(config.n_paths, model.grid)
     workers = min(config.workers, len(ranges))
     if workers > 1:
+        # deferred: it loads multiprocessing, a cost `import stochage` need not pay
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, repeat(config), ranges, repeat(out_dir)))
     else:

@@ -103,6 +103,11 @@ class Grid:
         return w
 
     @cached_property
+    def age_weight_field(self) -> np.ndarray:
+        """:attr:`age_weights` repeated over space, contiguous in the field's shape."""
+        return np.repeat(self.age_weights, np.prod(self.n_x)).reshape(self.field_shape)
+
+    @cached_property
     def time_weights(self) -> np.ndarray:
         """Trapezoid weights over the time nodes."""
         w = np.full(self.n_t + 1, self.dt)
@@ -243,7 +248,7 @@ def _as_values(f, grid: Grid | None) -> tuple[np.ndarray, Grid]:
 
 def _field_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
     """Sum over the age and space axes, one entry per leading (path) index."""
-    return np.sum(values, axis=tuple(range(-grid.dim - 1, 0)))
+    return values.sum(axis=tuple(range(-grid.dim - 1, 0)))
 
 
 def _scalar_or_stack(x):
@@ -259,8 +264,8 @@ def l2_norm(f, grid: Grid | None = None) -> float:
     of fields (leading path axes) gives one norm per field.
     """
     vals, grid = _as_values(f, grid)
-    w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
-    total = _field_sum(vals * vals * w, grid)
+    sq = vals * vals
+    total = _field_sum(np.multiply(sq, grid.age_weight_field, out=sq), grid)
     # the weights are positive, so a non-finite entry makes its sum
     # non-finite; only then is the field scanned
     if not np.all(np.isfinite(total)) and not np.all(np.isfinite(vals)):
@@ -280,8 +285,8 @@ def weighted_population(f, weight, region: SubDomain | None = None,
     w = np.asarray(weight, dtype=float)
     if w.shape != grid.field_shape:
         w = np.broadcast_to(w, grid.field_shape)
-    age_w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
-    integrand = w * vals * age_w
+    integrand = w * vals
+    integrand *= grid.age_weight_field
     if region is not None:
         integrand = integrand[(Ellipsis, slice(None)) + region.cell_slices(grid)]
     return _scalar_or_stack(_field_sum(integrand, grid) * grid.cell_volume)
@@ -346,23 +351,16 @@ def boundary_norm_sq(face_data: dict, grid: Grid) -> float:
     return _scalar_or_stack(total)
 
 
-def forward_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
-    """One-sided spatial difference quotients per dimension (face values)."""
-    out = []
-    for axis, d in enumerate(grid.dx):
-        ax = values.ndim - grid.dim + axis
-        hi = (slice(None),) * ax + (slice(1, None),)
-        lo = (slice(None),) * ax + (slice(None, -1),)
-        out.append((values[hi] - values[lo]) / d)
-    return out
-
-
 def gradient_energy(f, grid: Grid | None = None) -> float:
     """Squared L2 norm of the forward-difference spatial gradient (one per
     field for a stack of fields)."""
     vals, grid = _as_values(f, grid)
     age_w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     total = 0.0
-    for diff in forward_differences(vals, grid):
-        total += _field_sum(diff * diff * age_w, grid) * grid.cell_volume
+    for axis, d in enumerate(grid.dx):
+        diff = np.diff(vals, axis=vals.ndim - grid.dim + axis)
+        diff /= d
+        diff *= diff
+        diff *= age_w
+        total += _field_sum(diff, grid) * grid.cell_volume
     return _scalar_or_stack(total)

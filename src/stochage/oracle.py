@@ -21,7 +21,9 @@ Paths share the grid, the amplitudes and the boundary data, so
 :func:`solve_direct_batch` marches many of them as one array with a
 leading path axis; :func:`solve_direct` is its one-path case.  Every
 operation acts on each path alone, so a path's result does not depend on
-the batch it is solved in.
+the batch it is solved in.  What no step changes is built once per march
+in :class:`_DirectContext`: the amplitude values, ``mu dt``, ``gamma``, the
+Robin data of the rates that ignore ``t`` and the diffusion factorization.
 """
 
 from __future__ import annotations
@@ -35,35 +37,36 @@ from .errors import ConfigurationError
 from .grid import Grid, weighted_population
 from .model import PopulationModel
 from .noise import AmplitudeGrids, BrownianBundle, ito_correction
-from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
+from .rates import evaluate_gamma, evaluate_on_grid
 from .solver import (DiffusionFactors, SolveReport, SolverConfig, StepResult,
-                     _advection, _inner_faces, _march, _split_step)
+                     _advection, _march, _split_step)
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass
 class _DirectContext:
-    """Pre-sampled amplitude values and the diffusion factorization for
-    one march."""
+    """What no step of one march changes, built once: the amplitude values,
+    ``mu``, ``mu dt``, ``gamma``, and in ``factors`` the Robin data of the
+    rates that ignore ``t`` and the diffusion factorization."""
 
     model: PopulationModel
     grid: Grid
     amp_values: np.ndarray          # (N, *field_shape)
     mu: np.ndarray                  # Ito correction (1/2) sum_j mu_j^2
+    mu_dt: np.ndarray               # mu * grid.dt
     gamma: np.ndarray
     factors: DiffusionFactors = field(default_factory=DiffusionFactors)
 
     @classmethod
     def build(cls, model: PopulationModel) -> "_DirectContext":
         grid = model.grid
-        return cls(model=model, grid=grid,
-                   amp_values=AmplitudeGrids(model.noise, grid).values,
-                   mu=ito_correction(model.noise, grid).values,
-                   gamma=evaluate_gamma(model.rates, grid))
+        mu = ito_correction(model.noise, grid).values
+        return cls(model, grid, AmplitudeGrids(model.noise, grid).values, mu,
+                   mu * grid.dt, evaluate_gamma(model.rates, grid))
 
     def boundary(self, rate, t: float) -> dict:
-        return evaluate_on_faces(rate, self.grid, t)
+        return self.factors.faces(rate, self.grid, t)
 
 
 def _shock(increments: np.ndarray, ctx: _DirectContext, dt: float,
@@ -79,8 +82,11 @@ def _shock(increments: np.ndarray, ctx: _DirectContext, dt: float,
     amp = ctx.amp_values
     shock = np.matmul(increments[..., None, :], amp.reshape(len(amp), -1))
     shock = shock.reshape(increments.shape[:-1] + ctx.grid.field_shape)
-    if scheme == "milstein":
-        shock += 0.5 * shock * shock - ctx.mu * dt
+    if scheme == "milstein":   # shock += 0.5 * shock * shock - mu * dt, in place
+        correction = np.multiply(shock, 0.5)
+        correction *= shock
+        shock += np.subtract(correction, ctx.mu_dt if dt == ctx.grid.dt else ctx.mu * dt,
+                             out=correction)
     elif scheme != "em":
         raise ConfigurationError(f"unknown direct-route scheme {scheme!r}")
     return shock
@@ -107,11 +113,11 @@ def em_step(p: np.ndarray, increments: np.ndarray, ctx: _DirectContext,
     model, grid = ctx.model, ctx.grid
     mu_s = evaluate_on_grid(model.rates.mu_s, grid, t_new, u_prev)
     m0 = evaluate_on_grid(model.rates.m0, grid, t_new, u_prev)
-    faces = None if faces is None else _inner_faces(faces, grid)
+    faces = None if faces is None else tuple(ctx.factors.inner(d, grid) for d in faces)
     v, cfl = _split_step(p, None, mu_s, None, m0, faces, grid, dt, ctx.factors)
     shock = _shock(increments, ctx, dt, scheme)
     overshoot = bool(shock.size) and bool(shock.max() > 1.0 or shock.min() < -1.0)
-    v *= 1.0 + shock
+    v *= np.add(shock, 1.0, out=shock)
     return v, cfl, overshoot
 
 
@@ -163,7 +169,8 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         return StepResult(p, weighted_population(p, ctx.gamma, model.region, grid),
                           k0, cfl=cfl, overshoot=overshoot)
 
-    reports = _march(model, n_p, ctx.gamma, step, config, "direct")
+    reports = _march(model, n_p, ctx.gamma, ctx.boundary(rates.k0, 0.0), step, config,
+                     "direct")
     for report in reports:
         if report.noise_factor_warnings:
             logger.warning(

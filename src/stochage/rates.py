@@ -11,7 +11,11 @@ A rate is called as ``rate(t, a, x, r)`` where ``a`` and the entries of
 coordinates of boundary faces) and ``r`` is a scalar or a 1-d array of
 per-path population values.  With an array ``r`` a rate that depends on
 ``r`` returns one field per path (a leading path axis); the families that
-ignore ``r`` return a single field, which broadcasts across paths.
+ignore ``r`` return a single field, which broadcasts across paths.  Every
+family a model file can name ignores ``t`` and says so (``ignores_t``), as
+does a :class:`ProductRate` of them; only a :class:`CustomRate` may depend
+on time.  A march evaluates the Robin data of a rate that ignores ``t``
+once instead of at every step.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .grid import Grid, face_shape
 @dataclass(frozen=True)
 class ConstantRate:
     value: float
+    ignores_t = True
 
     @property
     def sup(self) -> float:
@@ -48,6 +53,7 @@ class LogisticRate:
     amp: float
     slope: float
     center: float = 0.0
+    ignores_t = True
 
     @property
     def sup(self) -> float:
@@ -72,6 +78,7 @@ class AgeProfileRate:
 
     age_points: tuple[float, ...]
     values: tuple[float, ...]
+    ignores_t = True
 
     def __post_init__(self):
         if len(self.age_points) != len(self.values) or len(self.values) < 2:
@@ -103,6 +110,7 @@ class AgeWindowRate:
     lo: float
     hi: float
     value: float
+    ignores_t = True
 
     @property
     def sup(self) -> float:
@@ -126,6 +134,10 @@ class ProductRate:
     r_factor: object
 
     @property
+    def ignores_t(self) -> bool:
+        return self.profile.ignores_t and self.r_factor.ignores_t
+
+    @property
     def sup(self) -> float:
         return self.profile.sup * self.r_factor.sup
 
@@ -147,6 +159,7 @@ class CustomRate:
     fn: object
     sup: float
     lipschitz_fn: object = None
+    ignores_t = False
 
     def lipschitz(self, R: float) -> float:
         if self.lipschitz_fn is None:
@@ -166,11 +179,14 @@ class VitalRates:
     """Mortality, fertility, weighting, and boundary data with metadata.
 
     ``mu_s``   additional mortality, called as ``mu_s(t, a, x, r)``
-    ``m0``     fertility, ``m0(t, a, x, r)`` (the t argument is ignored
-               by the built-in families but kept for symmetry)
+    ``m0``     fertility, ``m0(t, a, x, r)``; only a :class:`CustomRate` uses ``t``
     ``gamma``  weight of the nonlocal population functional, r ignored
     ``alpha0`` Robin boundary coefficient (nonnegative)
     ``k0``     Robin boundary inhomogeneity (may change sign)
+
+    The families that ignore ``t`` (``ignores_t``) buy a march one
+    evaluation of ``alpha0`` and ``k0`` on the faces and one diffusion
+    factorization for all its steps, instead of one per step.
     """
 
     mu_s: object = ConstantRate(0.0)

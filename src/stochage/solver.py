@@ -158,8 +158,7 @@ def renewal_row(values: np.ndarray, m_values: np.ndarray, grid: Grid) -> np.ndar
     omitted trapezoid weight there is ``da / 2``, first order like the
     splitting.  Leading path axes of ``values`` carry through.
     """
-    w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
-    return (w * m_values * values).sum(axis=-grid.dim - 1)
+    return (grid.age_weight_field * m_values * values).sum(axis=-grid.dim - 1)
 
 
 def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float) -> tuple:
@@ -184,12 +183,14 @@ def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float) -> tuple:
 
 
 class DiffusionFactors:
-    """Factorizations of the diffusion sweeps, kept across time steps.
+    """Robin data and factorizations of the diffusion sweeps, kept across time steps.
 
     The sweep matrices depend only on the step, the spacing and the Robin
     coefficient on the faces.  :meth:`get` returns the stored factors while
     those are unchanged and refactors as soon as one of them changes, so a
-    time-dependent coefficient stays exact.  One instance serves one march.
+    time-dependent coefficient stays exact.  :meth:`faces` evaluates a rate
+    that ignores ``t`` once, so :meth:`get` sees the same arrays at every
+    step.  One instance serves one march.
     """
 
     def __init__(self):
@@ -197,6 +198,22 @@ class DiffusionFactors:
         self._alpha: dict = {}   # the face arrays of the last call, not copies
         self._factors: list = []
         self._wide: list = []    # shared factors' rows expanded over the paths
+        self._once: dict = {}    # id(rate) -> (rate, faces, faces on the ages > 0)
+
+    def faces(self, rate, grid: Grid, t: float) -> dict:
+        """:func:`evaluate_on_faces` of ``rate`` at ``t``, evaluated once for
+        a rate that ignores ``t``; callers must not mutate the dict."""
+        if not rate.ignores_t:
+            return evaluate_on_faces(rate, grid, t)
+        if id(rate) not in self._once:
+            data = evaluate_on_faces(rate, grid, t)
+            self._once[id(rate)] = (rate, data, _inner_faces(data, grid))
+        return self._once[id(rate)][1]
+
+    def inner(self, data: dict, grid: Grid) -> dict:
+        """:func:`_inner_faces` of ``data``, cut once for a dict of :meth:`faces`."""
+        cut = [c for _, d, c in self._once.values() if d is data]
+        return cut[0] if cut else _inner_faces(data, grid)
 
     def get(self, alpha: dict, grid: Grid, dt: float, shape: tuple = ()) -> list:
         """One factor per spatial axis for the face coefficients ``alpha``,
@@ -265,7 +282,7 @@ def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, advection, m: np.ndarra
     Transport with decay and ``advection``, the renewal row from the
     fertility ``m``, then, unless ``faces`` is ``None``, diffusion of the
     ages > 0 with the Robin data ``faces = (alpha, k)`` on those ages (cut
-    by :func:`_inner_faces` once per node, so :class:`DiffusionFactors`
+    by :func:`_inner_faces` at most once per node, so :class:`DiffusionFactors`
     sees the same arrays on every iterate).  Leading path axes carry
     through.  Returns the new state and the CFL number per path.
     """
@@ -277,10 +294,10 @@ def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, advection, m: np.ndarra
     return v, cfl
 
 
-def _inner_faces(faces: tuple, grid: Grid) -> tuple:
-    """Views of the Robin data ``faces = (alpha, k)`` on the ages > 0."""
+def _inner_faces(data: dict, grid: Grid) -> dict:
+    """Views of the Robin face data ``data`` on the ages > 0."""
     rows = (Ellipsis, np.s_[1:]) + (slice(None),) * (grid.dim - 1)
-    return tuple({f: a[rows] for f, a in data.items()} for data in faces)
+    return {f: a[rows] for f, a in data.items()}
 
 
 @dataclass
@@ -435,16 +452,16 @@ class StepResult:
     overshoot: int | np.ndarray = 0
 
 
-def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, step,
-           config: SolverConfig, solver: str,
+def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dict,
+           step, config: SolverConfig, solver: str,
            guard: TruncationGuard | None = None) -> list[SolveReport]:
     """The time loop of both routes; one report per path.
 
     The noise vanishes at time zero, so both routes start every path from
     the initial density (a leading path axis of ``n_paths``), its
     population functional with weight ``gamma`` and the Robin datum
-    ``k0``.  ``step(t_index, state, u_value)`` returns the
-    :class:`StepResult` at time node ``t_index``.  ``guard`` holds one
+    ``k_start`` (``k0`` at t = 0).  ``step(t_index, state, u_value)`` returns
+    the :class:`StepResult` at time node ``t_index``.  ``guard`` holds one
     entry per path.
     """
     grid = model.grid
@@ -461,19 +478,22 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, step,
     warnings = np.zeros(n_paths, dtype=int)
     space = tuple(range(-grid.dim, 0))
     vol = grid.cell_volume
+    slots = {int(i): pos for pos, i in enumerate(indices)}
+    k_sq = [None, 0.0]   # the last Robin datum recorded and its norm, kept while repeated
 
     def record(i: int, state: np.ndarray, u_value, k_faces: dict):
         series["l2"][:, i] = l2_norm(state, grid)
         series["grad"][:, i] = gradient_energy(state, grid)
-        series["exit"][:, i] = np.sum(state[grid.rows(-1)] ** 2, axis=space) * vol
-        series["births"][:, i] = np.sum(state[grid.rows(0)], axis=space) * vol
+        series["exit"][:, i] = (state[grid.rows(-1)] ** 2).sum(axis=space) * vol
+        series["births"][:, i] = state[grid.rows(0)].sum(axis=space) * vol
         series["u"][:, i] = u_value
-        series["k_sq"][:, i] = boundary_norm_sq(k_faces, grid)
-        pos = np.searchsorted(indices, i)
-        if pos < len(indices) and indices[pos] == i:
-            snapshots[:, pos] = state
+        if k_faces is not k_sq[0]:
+            k_sq[:] = k_faces, boundary_norm_sq(k_faces, grid)
+        series["k_sq"][:, i] = k_sq[1]
+        if i in slots:
+            snapshots[:, slots[i]] = state
 
-    record(0, state, u_value, evaluate_on_faces(model.rates.k0, grid, 0.0))
+    record(0, state, u_value, k_start)
     for n in range(n_t):
         result = step(n + 1, state, u_value)
         state, u_value = result.state, result.u_value
@@ -512,18 +532,19 @@ def picard_step_solve(y: np.ndarray, t_index: int,
                       factors: DiffusionFactors | None = None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
-    What no iterate changes is prepared once per node: the Robin data
-    ``alpha`` and ``k`` on the ages > 0, ``g1``, ``exp(W)``,
-    ``exp(W - W(t,0,x))`` and the :func:`_advection` weights.  Each iterate
-    takes the norm of the candidate new-time state, clips the candidate
-    onto the guard ball, freezes the population functional and through it
-    the mortality and fertility fields, solves the linear substeps
-    (transport, renewal, diffusion) from the old state and takes the norm
-    of the change.  Iteration stops when successive candidates differ by
-    less than ``picard_tol`` relative to the current one; with an infinite
-    tolerance the first iterate is returned, and a model whose rates ignore
-    the functional converges on iteration one.  ``factors`` carries the
-    diffusion factorization across iterates and steps.
+    What no iterate changes is prepared once per node (``alpha`` once per
+    march if it ignores ``t``): the Robin data ``alpha`` and ``k`` on the
+    ages > 0, ``g1``, ``exp(W)``, ``exp(W - W(t,0,x))`` and the
+    :func:`_advection` weights.  Each iterate takes the norm of the
+    candidate new-time state, clips the candidate onto the guard ball,
+    freezes the population functional and through it the mortality and
+    fertility fields, solves the linear substeps (transport, renewal,
+    diffusion) from the old state and takes the norm of the change.
+    Iteration stops when successive candidates differ by less than
+    ``picard_tol`` relative to the current one; with an infinite tolerance
+    the first iterate is returned, and a model whose rates ignore the
+    functional converges on iteration one.  ``factors`` carries the Robin
+    data and the diffusion factorization across iterates and steps.
 
     ``y`` is one state, or one per path behind a leading path axis when
     ``coeffs`` holds a batch of bundles (and ``guard`` one radius per
@@ -534,9 +555,10 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
+    factors = factors or DiffusionFactors()
     k = coeffs.k_faces(t_index)
-    alpha, k_in = (_inner_faces((evaluate_on_faces(rates.alpha0, grid, t), k), grid)
-                   if config.include_diffusion else (None, None))
+    alpha, k_in = ((factors.inner(factors.faces(rates.alpha0, grid, t), grid),
+                    _inner_faces(k, grid)) if config.include_diffusion else (None, None))
     node = coeffs.node_fields(t_index)
     # per-path inputs; the rows of converged paths are dropped
     inputs = [y, node["g1"], _advection(node["g2"], grid, grid.dt), k_in,
@@ -618,7 +640,7 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
              else _auto_guard(model, coeffs, config))
     factors = DiffusionFactors()
     return _march(
-        model, n_p, gamma_vals,
+        model, n_p, gamma_vals, factors.faces(model.rates.k0, model.grid, 0.0),
         lambda t_index, y, _: picard_step_solve(
             y, t_index, coeffs, gamma_vals, model.region, guard, config, factors),
         config, "rescaled", guard)

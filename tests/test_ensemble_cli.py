@@ -1,6 +1,10 @@
+import concurrent.futures
 import csv
 import dataclasses
 import filecmp
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -314,7 +318,8 @@ class TestChunks:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-        monkeypatch.setattr(ensemble, "ProcessPoolExecutor", RecordingPool)
+        # `run` imports the executor from concurrent.futures when it needs a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         path = str(MODELS / "sample1d.ini")
         assert len(path_chunks(9, _cached_model(path, 1)[0].grid)) == 2
         trees = []
@@ -570,3 +575,15 @@ class TestCli:
                      "--out", str(out)]) == 3
         assert "--level must be at least 0, got -1" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # `run` imports the executor only for a pool of workers, so importing
+    # the package does not load multiprocessing
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, stochage; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -1,15 +1,20 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import stochage as sa
 from stochage.ensemble import fit_order
+from stochage.grid import boundary_faces
+from stochage.modelfile import parse_model
 from stochage.noise import coarsen
 from stochage.oracle import _DirectContext, em_step
 from stochage.rates import CustomRate
 
 from conftest import build_model, linear_rates, logistic_rates, smooth_p0
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def gbm_model(n_t, p0_value=2.0):
@@ -244,3 +249,56 @@ class TestSolveDirectBatch:
         with pytest.raises(sa.ConfigurationError):
             sa.solve_direct_batch(linear_model, [good, short])
         assert sa.solve_direct_batch(linear_model, []) == []
+
+
+class TestFacesOncePerMarch:
+    """The Robin data of a rate that ignores ``t`` are evaluated once per
+    march; those of a :class:`CustomRate` at every step."""
+
+    @staticmethod
+    def calls_of(monkeypatch, cls) -> list:
+        """The ids of the instances of ``cls`` called from now on."""
+        calls, original = [], cls.__call__
+
+        def counting(self, t, a, x, r):
+            calls.append(id(self))
+            return original(self, t, a, x, r)
+
+        monkeypatch.setattr(cls, "__call__", counting)
+        return calls
+
+    @pytest.mark.parametrize("route", ["direct", "rescaled"])
+    def test_model_file_rates_once_whatever_n_t(self, monkeypatch, route):
+        calls = self.calls_of(monkeypatch, sa.ConstantRate)
+        for level in (8, 4):   # n_t = 8 and 16
+            model, cfg = parse_model(MODELS / "sample1d.ini", coarsen=level)
+            rates, n_faces = model.rates, len(boundary_faces(model.grid))
+            assert all(getattr(rates, name).ignores_t for name in
+                       ("mu_s", "m0", "gamma", "alpha0", "k0"))
+            bundle = bundles_for(model, [3])[0]
+            calls.clear()
+            (sa.solve_direct if route == "direct" else sa.solve_rescaled)(model, bundle, cfg)
+            assert calls.count(id(rates.alpha0)) == n_faces
+            if route == "direct":   # the rescaled route scales k0 by exp(-W) per node
+                assert calls.count(id(rates.k0)) == n_faces
+
+    @pytest.mark.parametrize("route", ["direct", "rescaled"])
+    def test_custom_rate_at_every_step(self, monkeypatch, grid1d, route):
+        calls = self.calls_of(monkeypatch, CustomRate)
+        model = strong_custom_model(grid1d)
+        assert not model.rates.alpha0.ignores_t
+        bundle = bundles_for(model, [3])[0]
+        (sa.solve_direct if route == "direct" else sa.solve_rescaled)(model, bundle)
+        assert calls.count(id(model.rates.alpha0)) == grid1d.n_t * len(boundary_faces(grid1d))
+
+    @pytest.mark.parametrize("frozen_at", ["start", "first step"])
+    def test_time_dependent_alpha_is_not_frozen(self, grid1d, frozen_at):
+        # a CustomRate hoisted by mistake would keep the value of its first
+        # evaluation, at the first step's node
+        model = strong_custom_model(grid1d)
+        t0 = 0.0 if frozen_at == "start" else grid1d.times[1]
+        frozen = dataclasses.replace(model, rates=dataclasses.replace(
+            model.rates, alpha0=CustomRate(fn=lambda t, a, x, r: 0.1 + t0 + 0 * a, sup=1.0)))
+        bundle = bundles_for(model, [3])[0]
+        assert not np.array_equal(sa.solve_direct(model, bundle).final,
+                                  sa.solve_direct(frozen, bundle).final)

@@ -7,11 +7,14 @@ from scipy.linalg import solve_banded
 
 import stochage as sa
 from stochage.errors import (ConfigurationError, InsufficientDataError,
-                             NonconvergenceError)
-from stochage.grid import Face, boundary_faces
+                             InvalidFieldError, NonconvergenceError)
+from stochage.grid import (Face, boundary_faces, boundary_norm_sq, gradient_energy,
+                           l2_norm)
 from stochage.modelfile import parse_model
-from stochage.solver import (DiffusionFactors, TruncationGuard, _advection,
-                             _thomas_factor, _thomas_solve, diffusion_substep,
+from stochage.rates import evaluate_gamma, evaluate_on_faces
+from stochage.rescale import RescaledCoefficients
+from stochage.solver import (DiffusionFactors, StepResult, TruncationGuard, _advection,
+                             _march, _thomas_factor, _thomas_solve, diffusion_substep,
                              renewal_row, transport_reaction_substep,
                              truncate_argument)
 
@@ -730,3 +733,47 @@ class TestSolveRescaledBatch:
         for rep, bundle, bad in zip(out, bundles, failed):
             if not bad:
                 assert same(rep, sa.solve_rescaled(model, bundle, cfg))
+
+
+class TestMarchRecord:
+    @pytest.mark.parametrize("route", ["direct", "rescaled"])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_series_are_the_norms_of_the_trajectory(self, grid1d, grid2d, dim, route):
+        grid = grid1d if dim == 1 else grid2d
+        rates = dataclasses.replace(logistic_rates(), k0=sa.ConstantRate(0.05))
+        model = build_model(grid, rates=rates)
+        bundle = bundles_for(model, 1, base=5)[0]
+        solve = sa.solve_direct if route == "direct" else sa.solve_rescaled
+        rep = solve(model, bundle, sa.SolverConfig(snapshot_stride=1))
+        traj, vol = rep.trajectory, grid.cell_volume
+        if route == "direct":
+            k_sq = [boundary_norm_sq(evaluate_on_faces(rates.k0, grid, t), grid)
+                    for t in grid.times]
+        else:   # k0 exp(-W); the noise vanishes at time zero
+            coeffs = RescaledCoefficients(model, [bundle])
+            k_sq = [boundary_norm_sq(evaluate_on_faces(rates.k0, grid, 0.0), grid)] + [
+                boundary_norm_sq(coeffs.k_faces(i), grid)[0]
+                for i in range(1, grid.n_t + 1)]
+        expected = {
+            "l2_series": [l2_norm(s, grid) for s in traj],
+            "gradient_energy_series": [gradient_energy(s, grid) for s in traj],
+            "exit_trace_series": [np.sum(s[grid.rows(-1)] ** 2) * vol for s in traj],
+            "births_series": [np.sum(s[grid.rows(0)]) * vol for s in traj],
+            "k_norm_sq_series": k_sq,
+        }
+        assert np.any(np.array(k_sq) > 0)
+        for name, values in expected.items():
+            assert getattr(rep, name).tobytes() == np.array(values).tobytes(), name
+
+    def test_nan_state_raises(self, linear_model):
+        grid = linear_model.grid
+        k0 = evaluate_on_faces(linear_model.rates.k0, grid, 0.0)
+
+        def step(t_index, state, u_value):
+            bad = state.copy()
+            bad[..., 3, 0] = np.nan
+            return StepResult(bad, u_value, k0)
+
+        with pytest.raises(InvalidFieldError):
+            _march(linear_model, 2, evaluate_gamma(linear_model.rates, grid), k0, step,
+                   sa.SolverConfig(), "direct")
