@@ -239,9 +239,7 @@ def run(config: RunConfig) -> EnsembleStats:
     ranges = path_chunks(config.n_paths, model.grid)
     workers = min(config.workers, len(ranges))
     if workers > 1:
-        # deferred: it loads multiprocessing, a cost `import stochage` need not pay
-        from concurrent.futures import ProcessPoolExecutor
-
+        from concurrent.futures import ProcessPoolExecutor  # deferred: loads multiprocessing
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_run_chunk, repeat(config), ranges, repeat(out_dir)))
     else:

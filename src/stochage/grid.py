@@ -351,16 +351,21 @@ def boundary_norm_sq(face_data: dict, grid: Grid) -> float:
     return _scalar_or_stack(total)
 
 
+def forward_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
+    """One-sided spatial difference quotients per dimension (face values)."""
+    out = [np.diff(values, axis=values.ndim - grid.dim + axis) for axis in range(grid.dim)]
+    for diff, d in zip(out, grid.dx):
+        diff /= d
+    return out
+
+
 def gradient_energy(f, grid: Grid | None = None) -> float:
     """Squared L2 norm of the forward-difference spatial gradient (one per
     field for a stack of fields)."""
     vals, grid = _as_values(f, grid)
     age_w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     total = 0.0
-    for axis, d in enumerate(grid.dx):
-        diff = np.diff(vals, axis=vals.ndim - grid.dim + axis)
-        diff /= d
+    for diff in forward_differences(vals, grid):
         diff *= diff
-        diff *= age_w
-        total += _field_sum(diff, grid) * grid.cell_volume
+        total += _field_sum(np.multiply(diff, age_w, out=diff), grid) * grid.cell_volume
     return _scalar_or_stack(total)

@@ -22,7 +22,7 @@ Paths share the grid, the amplitudes and the boundary data, so
 leading path axis; :func:`solve_direct` is its one-path case.  Every
 operation acts on each path alone, so a path's result does not depend on
 the batch it is solved in.  What no step changes is built once per march
-in :class:`_DirectContext`: the amplitude values, ``mu dt``, ``gamma``, the
+in :class:`_DirectContext`: the amplitude values, ``mu``, ``gamma``, the
 Robin data of the rates that ignore ``t`` and the diffusion factorization.
 """
 
@@ -46,24 +46,21 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class _DirectContext:
-    """What no step of one march changes, built once: the amplitude values,
-    ``mu``, ``mu dt``, ``gamma``, and in ``factors`` the Robin data of the
-    rates that ignore ``t`` and the diffusion factorization."""
+    """Built once per march: the amplitude values, ``mu``, ``gamma``, and in ``factors``
+    the Robin data of the rates that ignore ``t`` and the diffusion factorization."""
 
     model: PopulationModel
     grid: Grid
     amp_values: np.ndarray          # (N, *field_shape)
     mu: np.ndarray                  # Ito correction (1/2) sum_j mu_j^2
-    mu_dt: np.ndarray               # mu * grid.dt
     gamma: np.ndarray
     factors: DiffusionFactors = field(default_factory=DiffusionFactors)
 
     @classmethod
     def build(cls, model: PopulationModel) -> "_DirectContext":
         grid = model.grid
-        mu = ito_correction(model.noise, grid).values
-        return cls(model, grid, AmplitudeGrids(model.noise, grid).values, mu,
-                   mu * grid.dt, evaluate_gamma(model.rates, grid))
+        return cls(model, grid, AmplitudeGrids(model.noise, grid).values,
+                   ito_correction(model.noise, grid).values, evaluate_gamma(model.rates, grid))
 
     def boundary(self, rate, t: float) -> dict:
         return self.factors.faces(rate, self.grid, t)
@@ -85,8 +82,7 @@ def _shock(increments: np.ndarray, ctx: _DirectContext, dt: float,
     if scheme == "milstein":   # shock += 0.5 * shock * shock - mu * dt, in place
         correction = np.multiply(shock, 0.5)
         correction *= shock
-        shock += np.subtract(correction, ctx.mu_dt if dt == ctx.grid.dt else ctx.mu * dt,
-                             out=correction)
+        shock += np.subtract(correction, ctx.mu * dt, out=correction)
     elif scheme != "em":
         raise ConfigurationError(f"unknown direct-route scheme {scheme!r}")
     return shock
@@ -169,8 +165,7 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         return StepResult(p, weighted_population(p, ctx.gamma, model.region, grid),
                           k0, cfl=cfl, overshoot=overshoot)
 
-    reports = _march(model, n_p, ctx.gamma, ctx.boundary(rates.k0, 0.0), step, config,
-                     "direct")
+    reports = _march(model, n_p, ctx.gamma, ctx.boundary(rates.k0, 0.0), step, config, "direct")
     for report in reports:
         if report.noise_factor_warnings:
             logger.warning(

@@ -11,11 +11,9 @@ A rate is called as ``rate(t, a, x, r)`` where ``a`` and the entries of
 coordinates of boundary faces) and ``r`` is a scalar or a 1-d array of
 per-path population values.  With an array ``r`` a rate that depends on
 ``r`` returns one field per path (a leading path axis); the families that
-ignore ``r`` return a single field, which broadcasts across paths.  Every
-family a model file can name ignores ``t`` and says so (``ignores_t``), as
-does a :class:`ProductRate` of them; only a :class:`CustomRate` may depend
-on time.  A march evaluates the Robin data of a rate that ignores ``t``
-once instead of at every step.
+ignore ``r`` return a single field, which broadcasts across paths.  Only a
+:class:`CustomRate`, or a :class:`ProductRate` holding one, uses ``t``
+(``ignores_t``); a march evaluates the Robin data of the others once.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from .grid import Grid, face_shape
 @dataclass(frozen=True)
 class ConstantRate:
     value: float
-    ignores_t = True
 
     @property
     def sup(self) -> float:
@@ -53,7 +50,6 @@ class LogisticRate:
     amp: float
     slope: float
     center: float = 0.0
-    ignores_t = True
 
     @property
     def sup(self) -> float:
@@ -78,7 +74,6 @@ class AgeProfileRate:
 
     age_points: tuple[float, ...]
     values: tuple[float, ...]
-    ignores_t = True
 
     def __post_init__(self):
         if len(self.age_points) != len(self.values) or len(self.values) < 2:
@@ -110,7 +105,6 @@ class AgeWindowRate:
     lo: float
     hi: float
     value: float
-    ignores_t = True
 
     @property
     def sup(self) -> float:
@@ -135,7 +129,7 @@ class ProductRate:
 
     @property
     def ignores_t(self) -> bool:
-        return self.profile.ignores_t and self.r_factor.ignores_t
+        return all(getattr(f, "ignores_t", True) for f in (self.profile, self.r_factor))
 
     @property
     def sup(self) -> float:
@@ -184,9 +178,7 @@ class VitalRates:
     ``alpha0`` Robin boundary coefficient (nonnegative)
     ``k0``     Robin boundary inhomogeneity (may change sign)
 
-    The families that ignore ``t`` (``ignores_t``) buy a march one
-    evaluation of ``alpha0`` and ``k0`` on the faces and one diffusion
-    factorization for all its steps, instead of one per step.
+    An ``alpha0`` or ``k0`` that ignores ``t`` is evaluated, and factored, once per march.
     """
 
     mu_s: object = ConstantRate(0.0)

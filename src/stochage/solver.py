@@ -186,11 +186,9 @@ class DiffusionFactors:
     """Robin data and factorizations of the diffusion sweeps, kept across time steps.
 
     The sweep matrices depend only on the step, the spacing and the Robin
-    coefficient on the faces.  :meth:`get` returns the stored factors while
-    those are unchanged and refactors as soon as one of them changes, so a
-    time-dependent coefficient stays exact.  :meth:`faces` evaluates a rate
-    that ignores ``t`` once, so :meth:`get` sees the same arrays at every
-    step.  One instance serves one march.
+    coefficient on the faces.  :meth:`get` keeps its factors until one of
+    them changes, so a time-dependent coefficient stays exact; :meth:`faces`
+    evaluates a rate that ignores ``t`` once.  One instance serves one march.
     """
 
     def __init__(self):
@@ -198,22 +196,20 @@ class DiffusionFactors:
         self._alpha: dict = {}   # the face arrays of the last call, not copies
         self._factors: list = []
         self._wide: list = []    # shared factors' rows expanded over the paths
-        self._once: dict = {}    # id(rate) -> (rate, faces, faces on the ages > 0)
+        self._once, self._cuts = {}, {}   # rate -> face data; id(that data) -> its ages > 0
 
     def faces(self, rate, grid: Grid, t: float) -> dict:
-        """:func:`evaluate_on_faces` of ``rate`` at ``t``, evaluated once for
-        a rate that ignores ``t``; callers must not mutate the dict."""
-        if not rate.ignores_t:
+        """:func:`evaluate_on_faces`, once for a rate that ignores ``t``; do not mutate."""
+        if not getattr(rate, "ignores_t", True):
             return evaluate_on_faces(rate, grid, t)
-        if id(rate) not in self._once:
-            data = evaluate_on_faces(rate, grid, t)
-            self._once[id(rate)] = (rate, data, _inner_faces(data, grid))
-        return self._once[id(rate)][1]
+        if rate not in self._once:
+            data = self._once[rate] = evaluate_on_faces(rate, grid, t)
+            self._cuts[id(data)] = _inner_faces(data, grid)
+        return self._once[rate]
 
     def inner(self, data: dict, grid: Grid) -> dict:
         """:func:`_inner_faces` of ``data``, cut once for a dict of :meth:`faces`."""
-        cut = [c for _, d, c in self._once.values() if d is data]
-        return cut[0] if cut else _inner_faces(data, grid)
+        return self._cuts.get(id(data)) or _inner_faces(data, grid)
 
     def get(self, alpha: dict, grid: Grid, dt: float, shape: tuple = ()) -> list:
         """One factor per spatial axis for the face coefficients ``alpha``,
@@ -532,19 +528,18 @@ def picard_step_solve(y: np.ndarray, t_index: int,
                       factors: DiffusionFactors | None = None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
-    What no iterate changes is prepared once per node (``alpha`` once per
-    march if it ignores ``t``): the Robin data ``alpha`` and ``k`` on the
-    ages > 0, ``g1``, ``exp(W)``, ``exp(W - W(t,0,x))`` and the
-    :func:`_advection` weights.  Each iterate takes the norm of the
-    candidate new-time state, clips the candidate onto the guard ball,
-    freezes the population functional and through it the mortality and
-    fertility fields, solves the linear substeps (transport, renewal,
-    diffusion) from the old state and takes the norm of the change.
-    Iteration stops when successive candidates differ by less than
-    ``picard_tol`` relative to the current one; with an infinite tolerance
-    the first iterate is returned, and a model whose rates ignore the
-    functional converges on iteration one.  ``factors`` carries the Robin
-    data and the diffusion factorization across iterates and steps.
+    What no iterate changes is prepared once per node: the Robin data
+    ``alpha`` and ``k`` on the ages > 0, ``g1``, ``exp(W)``,
+    ``exp(W - W(t,0,x))`` and the :func:`_advection` weights.  Each iterate
+    takes the norm of the candidate new-time state, clips the candidate
+    onto the guard ball, freezes the population functional and through it
+    the mortality and fertility fields, solves the linear substeps
+    (transport, renewal, diffusion) from the old state and takes the norm
+    of the change.  Iteration stops when successive candidates differ by
+    less than ``picard_tol`` relative to the current one; with an infinite
+    tolerance the first iterate is returned, and a model whose rates ignore
+    the functional converges on iteration one.  ``factors`` keeps an
+    ``alpha`` that ignores ``t`` and the diffusion factorization across steps.
 
     ``y`` is one state, or one per path behind a leading path axis when
     ``coeffs`` holds a batch of bundles (and ``guard`` one radius per

@@ -273,7 +273,7 @@ class TestFacesOncePerMarch:
         for level in (8, 4):   # n_t = 8 and 16
             model, cfg = parse_model(MODELS / "sample1d.ini", coarsen=level)
             rates, n_faces = model.rates, len(boundary_faces(model.grid))
-            assert all(getattr(rates, name).ignores_t for name in
+            assert all(getattr(getattr(rates, name), "ignores_t", True) for name in
                        ("mu_s", "m0", "gamma", "alpha0", "k0"))
             bundle = bundles_for(model, [3])[0]
             calls.clear()
