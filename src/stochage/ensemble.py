@@ -5,11 +5,12 @@ Every ensemble path gets its own Brownian bundle whose seed derives from
 re-running any subset of paths reproduces identical noise regardless of
 worker scheduling.  Paths are handed out in contiguous chunks whose size
 depends only on the grid (see :data:`CHUNK_BYTES`).  Both routes march a
-chunk as one array with a leading path axis, and a chunk whose march
-fails is solved again path by path.  Aggregation happens in path order in
-the parent process, which makes the whole artifact tree a deterministic
-function of the configuration.  :func:`run` returns the statistics; the
-command line maps their count of failed paths to its exit code.
+chunk as one array with a leading path axis, and a path that fails leaves
+the march alone, with its error as its status.  Aggregation happens in
+path order in the parent process, which makes the whole artifact tree a
+deterministic function of the configuration.  :func:`run` returns the
+statistics; the command line maps their count of failed paths to its
+exit code.
 """
 
 from __future__ import annotations
@@ -31,8 +32,7 @@ from .model import PopulationModel
 from .noise import BrownianBundle, _contract, amplitude_grids, coarsen, sample_bundle
 from .oracle import solve_direct, solve_direct_batch
 from .rescale import forward_transform
-from .solver import (SolveReport, SolverConfig, _snapshot_indices, solve_rescaled,
-                     solve_rescaled_batch)
+from .solver import SolveReport, _snapshot_indices, solve_rescaled, solve_rescaled_batch
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
@@ -140,34 +140,6 @@ def mass_series(report: SolveReport, model: PopulationModel,
     return out
 
 
-def _solve_paths(name: str, model: PopulationModel, bundles: list,
-                 config: SolverConfig) -> list:
-    """One route's reports for a chunk of paths; a failed path gives its
-    error instead.
-
-    The chunk is solved as one batch.  Should that fail, the chunk is
-    solved again path by path, so the failure stays with the path that
-    caused it.  A configuration error ends the run.
-    """
-    solve = solve_rescaled_batch if name == "rescaled" else solve_direct_batch
-    try:
-        return solve(model, bundles, config)
-    except ConfigurationError:
-        raise
-    except StochageError as exc:
-        if len(bundles) == 1:
-            return [exc]
-    out = []
-    for bundle in bundles:
-        try:
-            out.append(solve(model, [bundle], config)[0])
-        except ConfigurationError:
-            raise
-        except StochageError as exc:
-            out.append(exc)
-    return out
-
-
 @dataclass
 class PathResult:
     """One route's outcome on one ensemble path: one row of ``paths.csv``."""
@@ -192,7 +164,8 @@ def _run_chunk(config: RunConfig, indices: range,
     bundles = path_bundle(config.model_path, config.level, config.base_seed, indices)
     records = []
     for name in config.solvers():
-        reports = _solve_paths(name, model, bundles, cfg)
+        solve = solve_rescaled_batch if name == "rescaled" else solve_direct_batch
+        reports = solve(model, bundles, cfg)
         for index, bundle, report in zip(indices, bundles, reports):
             if isinstance(report, StochageError):
                 records.append(PathResult(index, bundle.seed, name,
@@ -373,14 +346,8 @@ def convergence_study(model_path: str, levels: int, seed: int = 0,
     if out_dir:
         out = ensure_dir(out_dir)
         write_series_csv(out / "convergence.csv", {
-            "level": np.array([r.level for r in rows]),
-            "n_t": np.array([r.n_t for r in rows]),
-            "dt": np.array([r.dt for r in rows], dtype=float),
-            "pair_diff": np.array([r.pair_diff for r in rows]),
-            "pair_diff_rel": np.array([r.pair_diff_rel for r in rows]),
-            "err_rescaled": np.array([r.err_rescaled for r in rows]),
-            "err_direct": np.array([r.err_direct for r in rows]),
-        })
+            f.name: np.array([getattr(r, f.name) for r in rows])
+            for f in dataclasses.fields(StudyRow)})
         with open(out / "orders.csv", "w") as fh:
             fh.write("quantity,observed_order\n")
             fh.write(f"pair_difference,{_fmt(result.order_pair, exact=False)}\n")

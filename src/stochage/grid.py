@@ -129,12 +129,8 @@ class Grid:
     @cached_property
     def space_meshes(self) -> tuple[np.ndarray, ...]:
         """Cell-center coordinates per dimension, broadcastable to fields."""
-        out = []
-        for axis, c in enumerate(self.cell_centers):
-            shape = [1] * (1 + self.dim)
-            shape[1 + axis] = len(c)
-            out.append(c.reshape(shape))
-        return tuple(out)
+        return tuple(c.reshape((1,) * (1 + axis) + (-1,) + (1,) * (self.dim - 1 - axis))
+                     for axis, c in enumerate(self.cell_centers))
 
     @cached_property
     def cell_volume(self) -> float:
@@ -256,20 +252,24 @@ def _scalar_or_stack(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def l2_norm(f, grid: Grid | None = None) -> float:
+def l2_norm(f, grid: Grid | None = None, strict: bool = True) -> float:
     """Discrete L2 norm over age and space.
 
     Trapezoid in age, midpoint in space:
     ``sqrt(sum f^2 * w_age * dx^d)``.  Zero iff the field vanishes.  A stack
-    of fields (leading path axes) gives one norm per field.
+    of fields (leading path axes) gives one norm per field.  A non-finite
+    entry raises :class:`InvalidFieldError`, or makes the norm NaN if not ``strict``.
     """
     vals, grid = _as_values(f, grid)
     sq = vals * vals
     total = _field_sum(np.multiply(sq, grid.age_weight_field, out=sq), grid)
     # the weights are positive, so a non-finite entry makes its sum
     # non-finite; only then is the field scanned
-    if not np.all(np.isfinite(total)) and not np.all(np.isfinite(vals)):
-        raise InvalidFieldError("field contains non-finite entries")
+    if not np.all(np.isfinite(total)):
+        bad = ~np.all(np.isfinite(vals), axis=tuple(range(-grid.dim - 1, 0)))
+        if strict and np.any(bad):
+            raise InvalidFieldError("field contains non-finite entries")
+        total = np.where(bad, np.nan, total)
     return _scalar_or_stack(np.sqrt(total * grid.cell_volume))
 
 

@@ -224,13 +224,9 @@ def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
         k0=parse_rate(r.get("k0", "constant:0")),
     )
 
-    amps = []
-    if "noise" in cp:
-        for key in cp["noise"]:
-            amps.append(parse_amplitude(cp["noise"][key], grid.dim, grid.extent))
-    if not amps:
-        amps.append(constant_amplitude(0.0, grid.dim))
-    noise = NoiseSpec(tuple(amps))
+    modes = cp["noise"] if "noise" in cp else {}
+    amps = [parse_amplitude(modes[key], grid.dim, grid.extent) for key in modes]
+    noise = NoiseSpec(tuple(amps or [constant_amplitude(0.0, grid.dim)]))
 
     p0 = _parse_initial(grid, cp["initial"].get("p0", "constant:1"),
                         cp["initial"].get("space_mode", None))
@@ -245,9 +241,7 @@ def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
             vals = _floats(rest)
             if len(vals) != 2 * grid.dim:
                 raise ConfigurationError("region box needs lo,hi per dimension")
-            lo = tuple(vals[0::2])
-            hi = tuple(vals[1::2])
-            region = SubDomain(lo, hi)
+            region = SubDomain(tuple(vals[0::2]), tuple(vals[1::2]))
 
     config = SolverConfig()
     if "solver" in cp:

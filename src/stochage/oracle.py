@@ -33,13 +33,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, StochageError
 from .grid import Grid, weighted_population
 from .model import PopulationModel
 from .noise import AmplitudeGrids, BrownianBundle, ito_correction
 from .rates import evaluate_gamma, evaluate_on_grid
 from .solver import (DiffusionFactors, SolveReport, SolverConfig, StepResult,
-                     _advection, _march, _split_step)
+                     _advection, _march, _only, _split_step)
 
 logger = logging.getLogger(__name__)
 
@@ -125,18 +125,20 @@ def solve_direct(model: PopulationModel, bundle: BrownianBundle,
     variable is the density itself) so the two routes are directly
     comparable.  This is the one-path case of :func:`solve_direct_batch`.
     """
-    return solve_direct_batch(model, [bundle], config)[0]
+    return _only(solve_direct_batch(model, [bundle], config))
 
 
 def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
-                       config: SolverConfig | None = None) -> list[SolveReport]:
-    """March several paths as one array problem; one report per bundle.
+                       config: SolverConfig | None = None) -> list[SolveReport | StochageError]:
+    """March several paths as one array problem; per bundle its report, or
+    the error that ended its path.
 
     The paths share the grid, the amplitudes and the boundary data, so
     their states advance together with a leading path axis.  Every
     operation acts on each path by itself with the arithmetic of a
     one-path march, so a path's report is bitwise the same whichever
-    batch it is solved in.
+    batch it is solved in.  A path whose state turns non-finite fails alone,
+    as in its one-path solve; a :class:`ConfigurationError` ends the call.
     """
     config = config or SolverConfig()
     for bundle in bundles:
@@ -146,14 +148,14 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
     ctx = _DirectContext.build(model)
     grid, rates = model.grid, model.rates
     _advection(None, grid, grid.dt)   # rejects dt > da off alignment; no advection here
-    n_p = len(bundles)
     # (P, N, n_t): a step reads a strided column per path, like a one-path
     # march does, which keeps the noise contraction batch-independent
     increments = np.stack([b.increments for b in bundles])
 
-    def step(t_index: int, p: np.ndarray, u_prev: np.ndarray) -> StepResult:
+    def step(t_index: int, p: np.ndarray, u_prev: np.ndarray, live) -> StepResult:
         t_new = grid.times[t_index]
-        dbeta = increments[:, :, t_index - 1]
+        rows = increments if len(live) == len(increments) else increments[live]
+        dbeta = rows[:, :, t_index - 1]
         k0 = ctx.boundary(rates.k0, t_new)
         faces = ((ctx.boundary(rates.alpha0, t_new), k0)
                  if config.include_diffusion else None)
@@ -161,13 +163,14 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
                                     faces, config.scheme)
         if overshoot:
             shock = _shock(dbeta, ctx, grid.dt, config.scheme)
-            overshoot = np.max(np.abs(shock).reshape(n_p, -1), axis=1) > 1.0
+            overshoot = np.max(np.abs(shock).reshape(len(p), -1), axis=1) > 1.0
         return StepResult(p, weighted_population(p, ctx.gamma, model.region, grid),
                           k0, cfl=cfl, overshoot=overshoot)
 
-    reports = _march(model, n_p, ctx.gamma, ctx.boundary(rates.k0, 0.0), step, config, "direct")
+    reports = _march(model, len(bundles), ctx.gamma, ctx.boundary(rates.k0, 0.0), step,
+                     config, "direct")
     for report in reports:
-        if report.noise_factor_warnings:
+        if isinstance(report, SolveReport) and report.noise_factor_warnings:
             logger.warning(
                 "explicit noise factor departed from 1 by more than 1 on %d of %d "
                 "steps; the time step is too large for the sampled noise",

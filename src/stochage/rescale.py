@@ -33,10 +33,16 @@ from .noise import (BrownianBundle, NoiseField, _contract, amplitude_grids,
 EXP_GUARD = 700.0
 
 
-def _guarded_exp(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    m = float(np.max(np.abs(w))) if w.size else 0.0
-    if m > EXP_GUARD:
-        raise NoiseMagnitudeError(m)
+def _guarded_exp(w: np.ndarray, out: np.ndarray | None = None,
+                 over: np.ndarray | None = None) -> np.ndarray:
+    """``exp(w)``; a sup of ``|w|`` past :data:`EXP_GUARD` raises, or goes per
+    path into ``over`` (0 until set) and zeroes that path's rows of ``w``."""
+    sup = np.abs(w).max(axis=tuple(range(np.ndim(over), w.ndim)))
+    if (past := sup > EXP_GUARD).any():
+        if over is None:
+            raise NoiseMagnitudeError(sup)
+        np.copyto(over, sup, where=past & (over == 0))
+        w[past] = 0.0
     return np.exp(w, out=out)
 
 
@@ -90,8 +96,11 @@ class RescaledCoefficients:
 
     # -- per-node evaluation ------------------------------------------------
 
-    def _noise(self, t_index: int) -> NoiseField:
-        return evaluate_noise(self.model.noise, self.bundles, t_index, self.grid)
+    def _noise(self, t_index: int, rows=None) -> NoiseField:
+        return evaluate_noise(self.model.noise, self._bundles(rows), t_index, self.grid)
+
+    def _bundles(self, rows):
+        return self.bundles if rows is None else [self.bundles[j] for j in rows]
 
     def _g1(self, nf: NoiseField) -> np.ndarray:
         """``g1`` of the node, built in the buffer of ``nf.d_age``."""
@@ -100,24 +109,26 @@ class RescaledCoefficients:
         g1 += self.mu
         return g1
 
-    def node_fields(self, t_index: int) -> dict:
+    def node_fields(self, t_index: int, rows=None, over=None) -> dict:
         """``g1``, ``g2``, ``exp_w`` (``exp(W)``) and ``exp_dw0``
-        (``exp(W - W(t,0,x))``) at one node, built afresh in the noise's buffers."""
-        nf = self._noise(t_index)
+        (``exp(W - W(t,0,x))``) at one node for the bundles ``rows`` (all by
+        default), built afresh in the noise's buffers; ``over`` as in :func:`_guarded_exp`."""
+        nf = self._noise(t_index, rows)
         dw0 = nf.value - nf.value[self.grid.rows(np.s_[:1])]
         return {"g1": self._g1(nf), "g2": tuple(np.multiply(g, -2.0, out=g) for g in nf.gradient),
-                "exp_w": _guarded_exp(nf.value, nf.value), "exp_dw0": _guarded_exp(dw0, dw0)}
+                "exp_w": _guarded_exp(nf.value, nf.value, over),
+                "exp_dw0": _guarded_exp(dw0, dw0, over)}
 
-    def k_face(self, face: Face, t_index: int) -> np.ndarray:
-        """Rescaled Robin datum ``k0 exp(-W)`` on one face."""
+    def k_face(self, face: Face, t_index: int, rows=None, over=None) -> np.ndarray:
+        """Rescaled Robin datum ``k0 exp(-W)`` on one face; see :meth:`node_fields`."""
         ages, coords = self.grid.boundary_meshes[face]
         k0 = self.model.rates.k0(self.grid.times[t_index], ages, coords, 0.0)
-        w = _contract(self.bundles, amplitude_grids(self.model.noise, self.grid)
+        w = _contract(self._bundles(rows), amplitude_grids(self.model.noise, self.grid)
                       .face_values[face], t_index)
-        return k0 * _guarded_exp(-w)
+        return k0 * _guarded_exp(-w, over=over)
 
-    def k_faces(self, t_index: int) -> dict:
-        return {f: self.k_face(f, t_index) for f in boundary_faces(self.grid)}
+    def k_faces(self, t_index: int, rows=None, over=None) -> dict:
+        return {f: self.k_face(f, t_index, rows, over) for f in boundary_faces(self.grid)}
 
     # -- whole-path bounds ----------------------------------------------------
 
@@ -126,7 +137,8 @@ class RescaledCoefficients:
 
         Also accumulates the squared boundary norm of the rescaled Robin
         datum per time node (trapezoid in time for the integral).  A batch
-        gets one set of sups per path, in a list.
+        gets one set of sups per path, in a list, or for a path whose ``|W|``
+        passes the exp guard its :class:`NoiseMagnitudeError`, which one bundle raises.
         """
         if self._sups is None:
             grid = self.grid
@@ -138,6 +150,7 @@ class RescaledCoefficients:
             g1_sup = g2_sup = div_sup = w_max = np.zeros(self.paths)
             dw0_max = np.full(self.paths, -np.inf)
             k_sq = np.zeros(self.paths + (grid.n_t + 1,))
+            over = np.zeros(self.paths)
             for i in range(grid.n_t + 1):
                 nf = self._noise(i)
                 grad_sq = sum(g * g for g in nf.gradient)
@@ -147,14 +160,15 @@ class RescaledCoefficients:
                 w_max = np.maximum(w_max, sup(np.abs(nf.value)))
                 dw0_max = np.maximum(dw0_max, sup(
                     nf.value - nf.value[grid.rows(np.s_[:1])]))
-                k_sq[..., i] = boundary_norm_sq(self.k_faces(i), grid)
-            if np.max(w_max) > EXP_GUARD:
-                raise NoiseMagnitudeError(float(np.max(w_max)))
+                k_sq[..., i] = boundary_norm_sq(self.k_faces(i, over=over), grid)
+            np.copyto(over, w_max, where=(w_max > EXP_GUARD) & (over == 0))
             k_sq_integral = np.sum(k_sq * grid.time_weights, axis=-1)
-            sups = [CoefficientSups(
+            sups = [NoiseMagnitudeError(over[j]) if over[j] else CoefficientSups(
                 g1_sup=float(g1_sup[j]), g2_sup=float(g2_sup[j]),
                 div_g2_sup=float(div_sup[j]), c_w0=float(np.exp(dw0_max[j])),
                 c_w=float(np.exp(w_max[j])), k_sq_integral=float(k_sq_integral[j]))
                 for j in np.ndindex(self.paths)]
             self._sups = sups if self.paths else sups[0]
+        if isinstance(self._sups, NoiseMagnitudeError):
+            raise self._sups
         return self._sups

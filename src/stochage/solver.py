@@ -22,12 +22,13 @@ nonnegative exactly, not just up to rounding.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import estimates
-from .errors import ConfigurationError, InsufficientDataError, NonconvergenceError
+from .errors import (ConfigurationError, InsufficientDataError, InvalidFieldError,
+                     NoiseMagnitudeError, NonconvergenceError, StochageError)
 from .grid import (Face, Grid, boundary_norm_sq, gradient_energy, l2_norm,
                    weighted_population)
 from .model import PopulationModel
@@ -413,22 +414,25 @@ class SolveReport:
 
 
 def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
-    if stride <= 0:
-        return np.array([0, n_t])
-    idx = list(range(0, n_t + 1, stride))
-    if idx[-1] != n_t:
-        idx.append(n_t)
-    return np.array(idx)
+    idx = list(range(0, n_t + 1, stride)) if stride > 0 else [0]
+    return np.array(idx if idx[-1] == n_t else idx + [n_t])
 
 
 def _auto_guard(model: PopulationModel, coeffs: RescaledCoefficients,
-                config: SolverConfig) -> TruncationGuard:
+                config: SolverConfig) -> tuple[TruncationGuard, dict]:
     """One guard radius per path of ``coeffs``: the threshold ``n0`` of the
-    path's energy bound, whose constants the guard keeps."""
-    consts = [estimates.constants_for_run(model, sups=sups, c0=config.c0, c1=config.c1)
-              for sups in coeffs.coefficient_sups()]
-    return TruncationGuard(np.array([float(c.n0) for c in consts]), consts,
-                           np.zeros(len(consts), dtype=int))
+    path's energy bound, whose constants the guard keeps; and the errors of
+    the paths past the exp guard or with a bound that overflows."""
+    consts = []
+    for sups in coeffs.coefficient_sups():
+        try:
+            consts.append(sups if isinstance(sups, StochageError) else estimates.constants_for_run(
+                model, sups=sups, c0=config.c0, c1=config.c1))
+        except StochageError as exc:   # the bound overflows a float
+            consts.append(exc)
+    failed = {j: c for j, c in enumerate(consts) if isinstance(c, StochageError)}
+    radius = [np.nan if j in failed else float(c.n0) for j, c in enumerate(consts)]
+    return TruncationGuard(np.array(radius), consts, np.zeros(len(consts), dtype=int)), failed
 
 
 @dataclass
@@ -437,7 +441,8 @@ class StepResult:
     functional and the Robin datum ``k`` on the faces, then diagnostics
     whose defaults are the direct route's (no fixed point, no advection).
     The diagnostics are one value for all paths or one per path;
-    ``overshoot`` flags per path a noise factor more than 1 away from 1."""
+    ``overshoot`` flags per path a noise factor more than 1 away from 1;
+    ``failed`` maps a row to the error that ended its path (state finite)."""
 
     state: np.ndarray
     u_value: float | np.ndarray
@@ -446,24 +451,29 @@ class StepResult:
     contraction_ratio: float | np.ndarray = np.nan
     cfl: float | np.ndarray = 0.0
     overshoot: int | np.ndarray = 0
+    failed: dict = field(default_factory=dict)
 
 
 def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dict,
            step, config: SolverConfig, solver: str,
-           guard: TruncationGuard | None = None) -> list[SolveReport]:
-    """The time loop of both routes; one report per path.
+           guard: TruncationGuard | None = None,
+           failed: dict | None = None) -> list[SolveReport | StochageError]:
+    """The time loop of both routes; per path its report or its error.
 
     The noise vanishes at time zero, so both routes start every path from
-    the initial density (a leading path axis of ``n_paths``), its
-    population functional with weight ``gamma`` and the Robin datum
-    ``k_start`` (``k0`` at t = 0).  ``step(t_index, state, u_value)`` returns
-    the :class:`StepResult` at time node ``t_index``.  ``guard`` holds one
-    entry per path.
+    the initial density (a leading path axis), its population functional
+    with weight ``gamma`` and the Robin datum ``k_start`` (``k0`` at
+    t = 0).  ``step(t_index, state, u_value, live)`` returns the
+    :class:`StepResult` at time node ``t_index`` of the paths ``live``,
+    the rows of ``state``.  A row leaves when the step fails it or its
+    state is not finite; ``failed`` has the paths that never enter.
     """
     grid = model.grid
     n_t = grid.n_t
-    state = np.repeat(model.p0.values[None], n_paths, axis=0)
-    u_value = weighted_population(state, gamma, model.region, grid)
+    failed = dict(failed or {})
+    live = np.array([j for j in range(n_paths) if j not in failed], dtype=int)
+    at = np.s_[:] if len(live) == n_paths else live   # the rows of the live paths
+    state = np.repeat(model.p0.values[None], len(live), axis=0)
     indices = _snapshot_indices(n_t, config.snapshot_stride)
     snapshots = np.empty((n_paths, len(indices)) + grid.field_shape)
     series = {name: np.zeros((n_paths, n_t + 1)) for name in
@@ -477,31 +487,38 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
     slots = {int(i): pos for pos, i in enumerate(indices)}
     k_sq = [None, 0.0]   # the last Robin datum recorded and its norm, kept while repeated
 
-    def record(i: int, state: np.ndarray, u_value, k_faces: dict):
-        series["l2"][:, i] = l2_norm(state, grid)
-        series["grad"][:, i] = gradient_energy(state, grid)
-        series["exit"][:, i] = (state[grid.rows(-1)] ** 2).sum(axis=space) * vol
-        series["births"][:, i] = state[grid.rows(0)].sum(axis=space) * vol
-        series["u"][:, i] = u_value
-        if k_faces is not k_sq[0]:
-            k_sq[:] = k_faces, boundary_norm_sq(k_faces, grid)
-        series["k_sq"][:, i] = k_sq[1]
-        if i in slots:
-            snapshots[:, slots[i]] = state
-
-    record(0, state, u_value, k_start)
-    for n in range(n_t):
-        result = step(n + 1, state, u_value)
+    result = StepResult(state, weighted_population(state, gamma, model.region, grid), k_start)
+    for i in range(n_t + 1):
+        if i:
+            result = step(i, state, u_value, live)
+            iterations[at, i - 1] = result.iterations
+            ratios[at, i - 1] = result.contraction_ratio
+            cfl_max[at] = np.maximum(cfl_max[at], result.cfl)
+            warnings[at] += result.overshoot
+        if result.k_faces is not k_sq[0]:
+            k_sq[:] = result.k_faces, boundary_norm_sq(result.k_faces, grid)
         state, u_value = result.state, result.u_value
-        iterations[:, n] = result.iterations
-        ratios[:, n] = result.contraction_ratio
-        cfl_max = np.maximum(cfl_max, result.cfl)
-        warnings += result.overshoot
-        record(n + 1, state, u_value, result.k_faces)
+        series["l2"][at, i] = l2 = l2_norm(state, grid, strict=False)
+        series["u"][at, i] = u_value
+        series["k_sq"][at, i] = k_sq[1]
+        errors = {int(row): InvalidFieldError("field contains non-finite entries")
+                  for row in np.isnan(l2).nonzero()[0]} | result.failed
+        if errors:   # their paths leave the march
+            keep = np.isin(np.arange(len(live)), list(errors), invert=True)
+            failed.update({int(live[row]): exc for row, exc in errors.items()})
+            live = at = live[keep]
+            state, u_value = state[keep], u_value[keep]
+        series["grad"][at, i] = gradient_energy(state, grid)
+        series["exit"][at, i] = (state[grid.rows(-1)] ** 2).sum(axis=space) * vol
+        series["births"][at, i] = state[grid.rows(0)].sum(axis=space) * vol
+        if i in slots:
+            snapshots[at, slots[i]] = state
+        if not len(live):
+            break
 
-    return [SolveReport(
+    return [failed[j] if j in failed else SolveReport(
         solver=solver, grid=grid, snapshot_indices=indices,
-        snapshots=snapshots[j], final=state[j],
+        snapshots=snapshots[j], final=state[np.searchsorted(live, j)],
         l2_series=series["l2"][j], gradient_energy_series=series["grad"][j],
         exit_trace_series=series["exit"][j], births_series=series["births"][j],
         u_series=series["u"][j], k_norm_sq_series=series["k_sq"][j],
@@ -525,7 +542,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
                       coeffs: RescaledCoefficients, gamma_vals: np.ndarray,
                       region, guard: TruncationGuard | None,
                       config: SolverConfig,
-                      factors: DiffusionFactors | None = None) -> StepResult:
+                      factors: DiffusionFactors | None = None,
+                      live: np.ndarray | None = None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
     What no iterate changes is prepared once per node: the Robin data
@@ -536,62 +554,80 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     the mortality and fertility fields, solves the linear substeps
     (transport, renewal, diffusion) from the old state and takes the norm
     of the change.  Iteration stops when successive candidates differ by
-    less than ``picard_tol`` relative to the current one; with an infinite
-    tolerance the first iterate is returned, and a model whose rates ignore
-    the functional converges on iteration one.  ``factors`` keeps an
-    ``alpha`` that ignores ``t`` and the diffusion factorization across steps.
+    less than ``picard_tol`` relative to the current one (or by NaN); with
+    an infinite tolerance the first iterate is returned, and a model whose
+    rates ignore the functional converges on iteration one.  ``factors``
+    keeps an ``alpha`` that ignores ``t`` and the diffusion factorization.
 
     ``y`` is one state, or one per path behind a leading path axis when
     ``coeffs`` holds a batch of bundles (and ``guard`` one radius per
-    path).  A path drops out of the iteration at the iterate where its own
-    test passes, which is where a one-path solve of it stops, so the
-    result and the diagnostics of every path are those of its one-path
-    solve.
+    path); ``live`` then names the bundles of its rows, all by default.
+    A path drops out of the iteration at the iterate where its own test
+    passes, which is where a one-path solve of it stops, so the result and
+    the diagnostics of every path are those of its one-path solve.  A path
+    whose noise passes the exp guard at this node, or that still iterates
+    after ``picard_max_iter`` iterates, fails alone in ``StepResult.failed``
+    (one state without a path axis raises).
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
     factors = factors or DiffusionFactors()
-    k = coeffs.k_faces(t_index)
+    paths = y.shape[:y.ndim - grid.dim - 1]
+    over = np.zeros(paths) if paths else None   # per path: its sup |W| past the exp guard
+    k = coeffs.k_faces(t_index, live, over)
     alpha, k_in = ((factors.inner(factors.faces(rates.alpha0, grid, t), grid),
                     _inner_faces(k, grid)) if config.include_diffusion else (None, None))
-    node = coeffs.node_fields(t_index)
-    # per-path inputs; the rows of converged paths are dropped
+    node = coeffs.node_fields(t_index, live, over)
+    # per-path inputs; the rows of failed and converged paths are dropped
     inputs = [y, node["g1"], _advection(node["g2"], grid, grid.dt), k_in,
               node["exp_w"], node["exp_dw0"]]
     del node
-    paths = y.shape[:y.ndim - grid.dim - 1]
-    active = None    # batch indices of the paths still iterating, once some stopped
-    result = None    # filled in path by path once some stopped
-    zeta = y
-    prev_diff = None
-    ratio = np.full(paths, np.nan)
-    cfl = np.zeros(paths)
+    active = np.arange(len(y)) if paths else None   # rows of y still iterating
+    index = active if live is None else live        # their bundles, for the guard
+    failed = {int(r): NoiseMagnitudeError(over[r]) for r in np.flatnonzero(over)} if paths else {}
+    result = None    # filled in row by row once some stopped
+
+    def by_row(state):
+        return StepResult(state, np.empty(paths), k, np.zeros(paths, dtype=int),
+                          np.full(paths, np.nan), np.zeros(paths), failed=failed)
+
+    zeta, prev_diff, ratio, cfl = y, None, np.full(paths, np.nan), np.zeros(paths)
+    if failed:   # these paths never iterate; their rows keep the old state
+        keep, result = over == 0, by_row(y.copy())
+        if not np.any(keep):
+            return result
+        active, index, ratio, cfl = active[keep], index[keep], ratio[keep], cfl[keep]
+        inputs = [_rows(data, keep) for data in inputs]
+        zeta = inputs[0]
     for it in range(config.picard_max_iter + 1):
         y_in, g1, adv, k_in, exp_w, exp_dw0 = inputs
-        zeta_norm = l2_norm(zeta, grid)
-        z_used = truncate_argument(zeta, grid, guard, active, zeta_norm)
+        zeta_norm = l2_norm(zeta, grid, strict=False)
+        z_used = truncate_argument(zeta, grid, guard, index, zeta_norm)
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
         mu_s = evaluate_on_grid(rates.mu_s, grid, t, u_val)
         m = evaluate_on_grid(rates.m0, grid, t, u_val) * exp_dw0
         faces = None if alpha is None else (alpha, k_in)
         v, step_cfl = _split_step(y_in, g1, mu_s, adv, m, faces, grid, grid.dt, factors)
         cfl = np.maximum(cfl, step_cfl)
-        diff = l2_norm(v - zeta, grid)
+        diff = l2_norm(v - zeta, grid, strict=False)
         if prev_diff is not None:
             np.divide(diff, prev_diff, out=ratio, where=np.greater(prev_diff, 0))
         prev_diff = diff
-        done = diff <= config.picard_tol * np.maximum(1.0, zeta_norm)
+        done = (diff <= config.picard_tol * np.maximum(1.0, zeta_norm)) | np.isnan(diff)
+        if it == config.picard_max_iter and not np.all(done):   # the rest fail alone
+            stuck = [NonconvergenceError(t_index - 1, it, q if np.isfinite(q) else np.inf)
+                     for q in np.ravel(ratio[~done])]
+            if not paths:
+                raise stuck[0]
+            failed.update(zip(active[~done].tolist(), stuck))
+            done = np.ones_like(done)
         if np.any(done):
             u_final = weighted_population(exp_w * v, gamma_vals, region, grid)
-            if active is None and np.all(done):
+            if result is None and np.all(done):
                 return StepResult(state=v, u_value=u_final, k_faces=k, iterations=it,
-                                  contraction_ratio=ratio, cfl=cfl)
-            if active is None:
-                active = np.arange(len(y))
-                result = StepResult(
-                    state=np.empty_like(y), u_value=np.empty(paths), k_faces=k,
-                    iterations=np.empty(paths, dtype=int),
-                    contraction_ratio=np.empty(paths), cfl=np.empty(paths))
+                                  contraction_ratio=ratio, cfl=cfl, failed=failed)
+            if result is None:
+                result = by_row(np.empty_like(y))
             stop = active[done]
             result.state[stop] = v[done]
             result.u_value[stop] = u_final[done]
@@ -601,27 +637,26 @@ def picard_step_solve(y: np.ndarray, t_index: int,
             if np.all(done):
                 return result
             keep = ~done
-            active = active[keep]
+            active, index = active[keep], index[keep]
             del y_in, g1, adv, k_in, exp_w, exp_dw0, faces
             for i, data in enumerate(inputs):   # one at a time: no two full sets
                 inputs[i] = _rows(data, keep)
             v, prev_diff, ratio, cfl = v[keep], diff[keep], ratio[keep], cfl[keep]
         zeta = v
-    worst = np.where(np.isfinite(ratio), ratio, np.inf)
-    raise NonconvergenceError(t_index - 1, config.picard_max_iter, float(np.max(worst)))
 
 
 def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
-                         config: SolverConfig | None = None) -> list[SolveReport]:
-    """March several paths of the pathwise system as one array problem; one
-    report per bundle.
+                         config: SolverConfig | None = None) -> list[SolveReport | StochageError]:
+    """March several paths of the pathwise system as one array problem; per
+    bundle its report, or the error that ended its path.
 
     The paths share the grid, the amplitudes and the boundary coefficient,
     so their states advance together with a leading path axis through one
     fixed-point loop per step.  Every operation acts on each path by
     itself with the arithmetic of a one-path march and each path leaves
     the fixed point at its own iterate, so a path's report is bitwise the
-    same whichever batch it is solved in.
+    same whichever batch it is solved in.  A failing path fails alone, with
+    the error its one-path solve raises; a :class:`ConfigurationError` ends the call.
     """
     config = config or SolverConfig()
     if not bundles:
@@ -629,16 +664,23 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     coeffs = RescaledCoefficients(model, bundles)
     gamma_vals = evaluate_gamma(model.rates, model.grid)
     n_p = len(bundles)
-    guard = (TruncationGuard(radius=np.full(n_p, float(config.truncation_radius)),
-                             activations=np.zeros(n_p, dtype=int))
-             if config.truncation_radius is not None
-             else _auto_guard(model, coeffs, config))
+    guard, failed = ((TruncationGuard(radius=np.full(n_p, float(config.truncation_radius)),
+                                      activations=np.zeros(n_p, dtype=int)), {})
+                     if config.truncation_radius is not None
+                     else _auto_guard(model, coeffs, config))
     factors = DiffusionFactors()
     return _march(
         model, n_p, gamma_vals, factors.faces(model.rates.k0, model.grid, 0.0),
-        lambda t_index, y, _: picard_step_solve(
-            y, t_index, coeffs, gamma_vals, model.region, guard, config, factors),
-        config, "rescaled", guard)
+        lambda t_index, y, _, live: picard_step_solve(
+            y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live),
+        config, "rescaled", guard, failed)
+
+
+def _only(results: list):
+    """The one entry of a one-path batch: its report, or its error raised."""
+    if isinstance(results[0], StochageError):
+        raise results[0]
+    return results[0]
 
 
 def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,
@@ -651,4 +693,4 @@ def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,
     identity at time zero).  This is the one-path case of
     :func:`solve_rescaled_batch`.
     """
-    return solve_rescaled_batch(model, [bundle], config)[0]
+    return _only(solve_rescaled_batch(model, [bundle], config))

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import stochage as sa
+from stochage.rates import CustomRate
 
 
 @pytest.fixture
@@ -50,3 +53,47 @@ def build_model(grid, rates=None, amplitudes=None, p0=None):
 @pytest.fixture
 def linear_model(grid1d):
     return build_model(grid1d)
+
+
+def same(a, b) -> bool:
+    """Bitwise equality of two solve results, field by field."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, np.ndarray):
+        return a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return a == b or (a != a and b != b)
+    return a == b
+
+
+def fails_alone(batch, solve, model, bundles, cfg) -> list:
+    """Check each entry of a batch against the one-path ``solve`` of its
+    bundle: an error has the type and text of the error that solve raises,
+    a report is bitwise its report.  Returns the errors per path (``None``
+    for a report)."""
+    errors = []
+    for entry, bundle in zip(batch, bundles, strict=True):
+        if isinstance(entry, sa.StochageError):
+            with pytest.raises(type(entry)) as alone:
+                solve(model, bundle, cfg)
+            assert str(alone.value) == str(entry)
+            errors.append(entry)
+        else:
+            assert same(entry, solve(model, bundle, cfg))
+            errors.append(None)
+    return errors
+
+
+def nan_fertility_model(grid, bundles, solve_batch, cfg):
+    """A linear model whose fertility turns NaN once a path's population
+    functional passes the median of the paths' peaks under ``solve_batch``
+    without the NaN, so that only some of ``bundles`` reach it."""
+    def model_with(m0):
+        rates = dataclasses.replace(linear_rates(), m0=m0, gamma=sa.ConstantRate(1.0))
+        return build_model(grid, rates=rates, amplitudes=(sa.constant_amplitude(0.8, 1),))
+
+    peaks = [rep.u_series.max()
+             for rep in solve_batch(model_with(sa.ConstantRate(0.6)), bundles, cfg)]
+    cut = float(np.median(peaks))
+    return model_with(CustomRate(fn=lambda t, a, x, r: np.nan if r > cut else 0.6, sup=0.6))

@@ -335,31 +335,44 @@ class TestChunks:
 
     def test_failed_direct_path_stays_with_its_path(self, grid1d):
         # fertility turns NaN once a path's population passes a threshold
-        # that only some paths reach; the chunk's march fails as a whole,
-        # so the chunk is solved path by path and only those paths fail
-        from conftest import build_model, linear_rates
-        from stochage.ensemble import _solve_paths
-        from stochage.rates import CustomRate
-
-        def model_with(m0):
-            rates = dataclasses.replace(linear_rates(), m0=m0,
-                                        gamma=sa.ConstantRate(1.0))
-            return build_model(grid1d, rates=rates,
-                               amplitudes=(sa.constant_amplitude(0.8, 1),))
+        # that only some paths reach: the batch fails exactly those paths,
+        # each with the error its one-path solve raises
+        from conftest import fails_alone, nan_fertility_model
 
         cfg = sa.SolverConfig(snapshot_stride=0)
         bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in range(6)]
-        peaks = [rep.u_series.max() for rep in
-                 sa.solve_direct_batch(model_with(sa.ConstantRate(0.6)), bundles, cfg)]
-        cut = float(np.median(peaks))
-        model = model_with(CustomRate(
-            fn=lambda t, a, x, r: np.nan if r > cut else 0.6, sup=0.6))
-        out = _solve_paths("direct", model, bundles, cfg)
-        failed = [isinstance(r, sa.StochageError) for r in out]
-        assert 0 < sum(failed) < len(out)
-        for rep, bundle, bad in zip(out, bundles, failed):
-            if not bad:
-                assert rep.final.tobytes() == sa.solve_direct(model, bundle, cfg).final.tobytes()
+        model = nan_fertility_model(grid1d, bundles, sa.solve_direct_batch, cfg)
+        errors = fails_alone(sa.solve_direct_batch(model, bundles, cfg),
+                             sa.solve_direct, model, bundles, cfg)
+        assert 0 < sum(e is not None for e in errors) < len(bundles)
+
+    def test_failing_chunk_is_solved_once(self, monkeypatch, tmp_path):
+        # paths whose energy bound overflows leave their chunk's batch; the
+        # others march on in it, so 8 paths in 2 chunks take 2 batch solves
+        # and one sweep of the coefficient sups per path
+        from stochage.rescale import RescaledCoefficients
+
+        sweep, batch = RescaledCoefficients.coefficient_sups, ensemble.solve_rescaled_batch
+        calls, swept = [], []
+
+        def counting_sweep(self):
+            if self._sups is None:
+                swept.extend(self.bundles)
+            return sweep(self)
+
+        def counting_batch(model, bundles, config=None):
+            calls.append(len(bundles))
+            return batch(model, bundles, config)
+
+        monkeypatch.setattr(RescaledCoefficients, "coefficient_sups", counting_sweep)
+        monkeypatch.setattr(ensemble, "solve_rescaled_batch", counting_batch)
+        path = tmp_path / "loud.ini"
+        path.write_text((MODELS / "sample1d.ini").read_text().replace(
+            "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4"))
+        stats = run(RunConfig(model_path=str(path), solver="rescaled", n_paths=8))
+        assert 0 < stats.failures < 8
+        assert calls == [7, 1]
+        assert len(swept) == 8
 
 
 SINE_MODEL = NOISY_MODEL.replace("mu1 = cosine:0.2:1", "mu1 = sine:0.2:1")
@@ -587,3 +600,19 @@ def test_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "False"
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    # the runtime stays numpy-only: importing the package, its command line
+    # and its model-file parser adds no top-level module beyond the
+    # standard library, numpy and stochage (site may load others first)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys; before = set(sys.modules)\n"
+            "import stochage, stochage.cli, stochage.modelfile\n"
+            "added = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(added - set(sys.stdlib_module_names) - {'numpy', 'stochage'}))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -7,9 +7,9 @@ from scipy.linalg import solve_banded
 
 import stochage as sa
 from stochage.errors import (ConfigurationError, InsufficientDataError,
-                             InvalidFieldError, NonconvergenceError)
+                             InvalidFieldError, NoiseMagnitudeError, NonconvergenceError)
 from stochage.grid import (Face, boundary_faces, boundary_norm_sq, gradient_energy,
-                           l2_norm)
+                           l2_norm, weighted_population)
 from stochage.modelfile import parse_model
 from stochage.rates import evaluate_gamma, evaluate_on_faces
 from stochage.rescale import RescaledCoefficients
@@ -18,7 +18,8 @@ from stochage.solver import (DiffusionFactors, StepResult, TruncationGuard, _adv
                              renewal_row, transport_reaction_substep,
                              truncate_argument)
 
-from conftest import build_model, linear_rates, logistic_rates, smooth_p0
+from conftest import (build_model, fails_alone, linear_rates, logistic_rates, nan_fertility_model,
+                      same, smooth_p0)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -618,18 +619,6 @@ class TestSolveRescaled:
         assert np.all(np.isfinite(rep.final))
 
 
-def same(a, b) -> bool:
-    """Bitwise equality of two solve results, field by field."""
-    if dataclasses.is_dataclass(a):
-        return type(a) is type(b) and all(
-            same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
-    if isinstance(a, np.ndarray):
-        return a.shape == b.shape and a.tobytes() == b.tobytes()
-    if isinstance(a, float):
-        return a == b or (a != a and b != b)
-    return a == b
-
-
 def march_without_path_axis(model, bundle, cfg):
     """Final state, steps and guard of a march of one path that never forms
     a path axis: coefficients of a single bundle, a guard of scalars."""
@@ -706,33 +695,53 @@ class TestSolveRescaledBatch:
 
     def test_failed_path_fails_alone_in_ensemble(self, grid1d):
         # fertility turns NaN once a path's population passes a threshold
-        # that only some paths reach; the chunk's batch fails as a whole, so
-        # the chunk is solved path by path and only those paths fail
-        from stochage.ensemble import _solve_paths
-        from stochage.rates import CustomRate
-
-        def model_with(m0):
-            rates = dataclasses.replace(linear_rates(), m0=m0,
-                                        gamma=sa.ConstantRate(1.0))
-            return build_model(grid1d, rates=rates,
-                               amplitudes=(sa.constant_amplitude(0.8, 1),))
-
+        # that only some paths reach: the batch fails exactly those paths,
+        # each with the error its one-path solve raises
         cfg = sa.SolverConfig(snapshot_stride=0)
-        healthy = model_with(sa.ConstantRate(0.6))
-        bundles = bundles_for(healthy, 6)
-        peaks = [rep.u_series.max()
-                 for rep in sa.solve_rescaled_batch(healthy, bundles, cfg)]
-        cut = float(np.median(peaks))
-        model = model_with(CustomRate(
-            fn=lambda t, a, x, r: np.nan if r > cut else 0.6, sup=0.6))
-        with pytest.raises(sa.StochageError):
-            sa.solve_rescaled_batch(model, bundles, cfg)
-        out = _solve_paths("rescaled", model, bundles, cfg)
-        failed = [isinstance(r, sa.StochageError) for r in out]
-        assert 0 < sum(failed) < len(out)
-        for rep, bundle, bad in zip(out, bundles, failed):
-            if not bad:
-                assert same(rep, sa.solve_rescaled(model, bundle, cfg))
+        bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in range(6)]
+        model = nan_fertility_model(grid1d, bundles, sa.solve_rescaled_batch, cfg)
+        errors = fails_alone(sa.solve_rescaled_batch(model, bundles, cfg),
+                             sa.solve_rescaled, model, bundles, cfg)
+        failed = [e for e in errors if e is not None]
+        assert 0 < len(failed) < len(bundles)
+        assert all(isinstance(e, InvalidFieldError) for e in failed)
+
+    def test_max_iter_between_paths_fails_the_slower_paths(self, grid1d):
+        # paths that need more fixed-point iterates than picard_max_iter
+        # allows fail alone, each at its own step with its own last ratio
+        rates = dataclasses.replace(logistic_rates(),
+                                    m0=sa.LogisticRate(3.0, -0.5, 1.5, 0.5))
+        model = build_model(grid1d, rates=rates, amplitudes=(
+            sa.constant_amplitude(0.6, 1), sa.cosine_amplitude(0.2, (1,), grid1d.extent)))
+        bundles = bundles_for(model, 8)
+        cfg = sa.SolverConfig(picard_tol=1e-13)
+        needs = [rep.picard_iterations.max()
+                 for rep in sa.solve_rescaled_batch(model, bundles, cfg)]
+        assert min(needs) < max(needs)
+        cfg = dataclasses.replace(cfg, picard_max_iter=int(min(needs)))
+        errors = fails_alone(sa.solve_rescaled_batch(model, bundles, cfg),
+                             sa.solve_rescaled, model, bundles, cfg)
+        assert [e is not None for e in errors] == [n > min(needs) for n in needs]
+        assert all(isinstance(e, NonconvergenceError) for e in errors if e is not None)
+        assert len({e.ratio for e in errors if e is not None}) > 1
+
+    def test_noise_past_the_exp_guard_fails_its_path_mid_march(self, grid1d):
+        # a fixed radius skips the whole-path sweep, so a path whose |W|
+        # passes 700 fails at the first node where it does, with its own |W|
+        bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in range(8)]
+        peaks = [np.abs(b.betas[0]).max() for b in bundles]
+        amp = 700.0 / float(np.median(peaks))
+        model = build_model(grid1d, amplitudes=(sa.constant_amplitude(amp, 1),))
+        cfg = sa.SolverConfig(truncation_radius=1e3)
+        errors = fails_alone(sa.solve_rescaled_batch(model, bundles, cfg),
+                             sa.solve_rescaled, model, bundles, cfg)
+        assert [e is not None for e in errors] == [p * amp > 700.0 for p in peaks]
+        for err, bundle in zip(errors, bundles):
+            if err is not None:
+                w = np.abs(amp * bundle.betas[0])
+                first = np.flatnonzero(w > 700.0)[0]
+                assert 0 < first < grid1d.n_t
+                assert isinstance(err, NoiseMagnitudeError) and err.w_max == w[first]
 
 
 class TestMarchRecord:
@@ -765,15 +774,23 @@ class TestMarchRecord:
         for name, values in expected.items():
             assert getattr(rep, name).tobytes() == np.array(values).tobytes(), name
 
-    def test_nan_state_raises(self, linear_model):
+    def test_nan_state_fails_its_path_alone(self, linear_model):
+        # a step that turns path 0 of 2 NaN fails that path alone; path 1
+        # finishes with the bits it gets when marched alone
         grid = linear_model.grid
+        gamma = evaluate_gamma(linear_model.rates, grid)
         k0 = evaluate_on_faces(linear_model.rates.k0, grid, 0.0)
 
-        def step(t_index, state, u_value):
-            bad = state.copy()
-            bad[..., 3, 0] = np.nan
-            return StepResult(bad, u_value, k0)
+        def stepper(poisoned):
+            def step(t_index, state, u_value, live):
+                new = state * (1.0 + 0.01 * t_index)
+                new[live == poisoned, 3, 0] = np.nan
+                return StepResult(new, weighted_population(new, gamma, None, grid), k0)
+            return step
 
-        with pytest.raises(InvalidFieldError):
-            _march(linear_model, 2, evaluate_gamma(linear_model.rates, grid), k0, step,
-                   sa.SolverConfig(), "direct")
+        cfg = sa.SolverConfig(snapshot_stride=1)
+        out = _march(linear_model, 2, gamma, k0, stepper(0), cfg, "direct")
+        alone = _march(linear_model, 1, gamma, k0, stepper(-1), cfg, "direct")
+        assert isinstance(out[0], InvalidFieldError)
+        assert str(out[0]) == "field contains non-finite entries"
+        assert same(out[1], alone[0])
