@@ -37,9 +37,9 @@ from .solver import SolveReport, _snapshot_indices, solve_rescaled, solve_rescal
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 
 # Byte budget of one chunk's state array.  Bigger chunks spread a batched
-# march's per-step overhead over more paths but hold more paths in memory
-# at once; 128 KiB is 7 paths of models/sample1d.ini.
-CHUNK_BYTES = 128 * 1024
+# march's per-step overhead over more paths but hold more in memory and leave
+# a pool fewer chunks; 256 KiB is 15 paths of models/sample1d.ini.
+CHUNK_BYTES = 256 * 1024
 
 _SOLVERS = ("rescaled", "direct")
 

@@ -47,14 +47,14 @@ logger = logging.getLogger(__name__)
 @dataclass
 class _DirectContext:
     """Built once per march: the amplitude values, ``mu``, ``gamma``, and in ``factors``
-    the Robin data of the rates that ignore ``t`` and the diffusion factorization."""
+    the Robin data of the rates that ignore ``t`` and the expanded diffusion factors."""
 
     model: PopulationModel
     grid: Grid
     amp_values: np.ndarray          # (N, *field_shape)
     mu: np.ndarray                  # Ito correction (1/2) sum_j mu_j^2
     gamma: np.ndarray
-    factors: DiffusionFactors = field(default_factory=DiffusionFactors)
+    factors: DiffusionFactors = field(default_factory=lambda: DiffusionFactors(expand=True))
 
     @classmethod
     def build(cls, model: PopulationModel) -> "_DirectContext":

@@ -29,6 +29,7 @@ from .grid import Face, Field, boundary_faces, boundary_norm_sq
 from .model import PopulationModel
 from .noise import (BrownianBundle, NoiseField, _contract, amplitude_grids,
                     evaluate_noise, ito_correction)
+from .rates import evaluate_on_faces
 
 EXP_GUARD = 700.0
 
@@ -70,11 +71,12 @@ class RescaledCoefficients:
     Given one bundle the coefficient fields have the grid's shape; given a
     sequence of bundles they carry a leading path axis.  Per time node the
     fields of every path are built at once from :func:`evaluate_noise`;
-    nothing is cached with the node.
+    nothing is cached with the node.  ``faces`` evaluates ``k0`` on the
+    faces like :func:`evaluate_on_faces`, or once per march (``DiffusionFactors``).
     """
 
     def __init__(self, model: PopulationModel,
-                 bundles: BrownianBundle | Sequence[BrownianBundle]):
+                 bundles: BrownianBundle | Sequence[BrownianBundle], faces=evaluate_on_faces):
         grid = model.grid
         single = isinstance(bundles, BrownianBundle)
         for bundle in [bundles] if single else bundles:
@@ -92,6 +94,7 @@ class RescaledCoefficients:
         self.bundles = bundles if single else list(bundles)
         self.paths = () if single else (len(self.bundles),)
         self.mu = ito_correction(model.noise, grid).values
+        self.faces = faces
         self._sups = None
 
     # -- per-node evaluation ------------------------------------------------
@@ -121,8 +124,7 @@ class RescaledCoefficients:
 
     def k_face(self, face: Face, t_index: int, rows=None, over=None) -> np.ndarray:
         """Rescaled Robin datum ``k0 exp(-W)`` on one face; see :meth:`node_fields`."""
-        ages, coords = self.grid.boundary_meshes[face]
-        k0 = self.model.rates.k0(self.grid.times[t_index], ages, coords, 0.0)
+        k0 = self.faces(self.model.rates.k0, self.grid, self.grid.times[t_index])[face]
         w = _contract(self._bundles(rows), amplitude_grids(self.model.noise, self.grid)
                       .face_values[face], t_index)
         return k0 * _guarded_exp(-w, over=over)
@@ -137,8 +139,9 @@ class RescaledCoefficients:
 
         Also accumulates the squared boundary norm of the rescaled Robin
         datum per time node (trapezoid in time for the integral).  A batch
-        gets one set of sups per path, in a list, or for a path whose ``|W|``
-        passes the exp guard its :class:`NoiseMagnitudeError`, which one bundle raises.
+        gets one set of sups per path, in a list, or for a path past the exp
+        guard (checked node by node as in the march) the march's
+        :class:`NoiseMagnitudeError`, which one bundle raises.
         """
         if self._sups is None:
             grid = self.grid
@@ -152,16 +155,17 @@ class RescaledCoefficients:
             k_sq = np.zeros(self.paths + (grid.n_t + 1,))
             over = np.zeros(self.paths)
             for i in range(grid.n_t + 1):
+                k_sq[..., i] = boundary_norm_sq(self.k_faces(i, over=over), grid)
                 nf = self._noise(i)
+                dw0 = nf.value - nf.value[grid.rows(np.s_[:1])]
+                w_max = np.maximum(w_max, w_sup := sup(np.abs(nf.value)))
+                for s in (w_sup, sup(np.abs(dw0))):   # the march's exp guard, in its order
+                    np.copyto(over, s, where=(s > EXP_GUARD) & (over == 0))
                 grad_sq = sum(g * g for g in nf.gradient)
                 g1_sup = np.maximum(g1_sup, sup(np.abs(self._g1(nf))))
                 g2_sup = np.maximum(g2_sup, 2.0 * np.sqrt(sup(grad_sq)))
                 div_sup = np.maximum(div_sup, 2.0 * sup(np.abs(nf.laplacian)))
-                w_max = np.maximum(w_max, sup(np.abs(nf.value)))
-                dw0_max = np.maximum(dw0_max, sup(
-                    nf.value - nf.value[grid.rows(np.s_[:1])]))
-                k_sq[..., i] = boundary_norm_sq(self.k_faces(i, over=over), grid)
-            np.copyto(over, w_max, where=(w_max > EXP_GUARD) & (over == 0))
+                dw0_max = np.maximum(dw0_max, sup(dw0))
             k_sq_integral = np.sum(k_sq * grid.time_weights, axis=-1)
             sups = [NoiseMagnitudeError(over[j]) if over[j] else CoefficientSups(
                 g1_sup=float(g1_sup[j]), g2_sup=float(g2_sup[j]),

@@ -131,6 +131,7 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
     else:
         c = dt / grid.da
         out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay
+    del decay   # before the advection buffers
     if advection is None:
         return out, 0.0
     cfl, still, weights = advection
@@ -180,7 +181,7 @@ def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float) -> tuple:
     diag[0] += dt * a_lo / dx
     diag[-1] += dt * a_hi / dx
     off = np.full((n,) + (1,) * a_lo.ndim, -r)
-    return _thomas_factor(off, diag, off)
+    return ([-r] * n,) + _thomas_factor(off, diag, off)[1:]   # a float multiplies unbroadcast
 
 
 class DiffusionFactors:
@@ -189,14 +190,16 @@ class DiffusionFactors:
     The sweep matrices depend only on the step, the spacing and the Robin
     coefficient on the faces.  :meth:`get` keeps its factors until one of
     them changes, so a time-dependent coefficient stays exact; :meth:`faces`
-    evaluates a rate that ignores ``t`` once.  One instance serves one march.
+    evaluates a rate that ignores ``t`` once.  One instance serves one march;
+    ``expand`` buys a faster direct march with two arrays per path (:meth:`get`).
     """
 
-    def __init__(self):
+    def __init__(self, expand: bool = False):
+        self.expand = expand
         self._key = None
         self._alpha: dict = {}   # the face arrays of the last call, not copies
         self._factors: list = []
-        self._wide: list = []    # shared factors' rows expanded over the paths
+        self._wide = None        # shared factors' cp and pivot rows expanded over the paths
         self._once, self._cuts = {}, {}   # rate -> face data; id(that data) -> its ages > 0
 
     def faces(self, rate, grid: Grid, t: float) -> dict:
@@ -213,18 +216,18 @@ class DiffusionFactors:
         return self._cuts.get(id(data)) or _inner_faces(data, grid)
 
     def get(self, alpha: dict, grid: Grid, dt: float, shape: tuple = ()) -> list:
-        """One factor per spatial axis for the face coefficients ``alpha``,
-        with one system per path when they carry a path axis; otherwise
-        every path of a batch shares the systems, with the same bits, and
-        for values of ``shape`` with one path axis their rows are expanded
-        over it once per factorization, so the sweeps do not broadcast.
-        Face arrays must not be mutated once passed: one that is the object
-        of the previous call is taken as unchanged, unread."""
+        """One factor per spatial axis for the face coefficients ``alpha``:
+        one system per path when they carry a path axis, else systems every
+        path shares (same bits), whose ``cp`` and pivot rows are copied over
+        the widest batch of values of ``shape`` seen with ``expand`` (narrower
+        ones get views), else over one path, so that a one-path march does
+        not broadcast them.  Face arrays must not be mutated once passed: one
+        that is the object of the previous call is taken as unchanged, unread."""
         key = (dt, grid.n_x, grid.dx)
         old, self._alpha = self._alpha, dict(alpha)
         if key != self._key or any(a is not old.get(f) and not np.array_equal(a, old[f])
                                    for f, a in alpha.items()):
-            self._key, self._wide = key, []
+            self._key, self._wide = key, None
             self._factors = [
                 _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
                               grid.n_x[axis], grid.dx[axis], dt)
@@ -232,12 +235,13 @@ class DiffusionFactors:
         n = shape[0] if len(shape) == grid.dim + 2 else 0
         if not n or np.ndim(self._factors[0][2][0]) > grid.dim:
             return self._factors
-        if not self._wide or len(self._wide[0][2][0]) < n:   # to the widest batch
-            self._wide = [tuple([np.broadcast_to(r, shape[:axis + 2] + shape[axis + 3:]).copy()
-                                 for r in rows] for rows in factor)
-                          for axis, factor in enumerate(self._factors)]
+        n = n if self.expand else 1
+        if self._wide is None or len(self._wide[0][2][0]) < n:
+            self._wide = [(lower, *([np.broadcast_to(r, (n,) + shape[1:axis + 2] + shape[axis + 3:])
+                                     .copy() for r in rows] for rows in (cp, denom)))
+                          for axis, (lower, cp, denom) in enumerate(self._factors)]
         return self._wide if len(self._wide[0][2][0]) == n else [
-            tuple([r[:n] for r in rows] for rows in factor) for factor in self._wide]
+            (lower, [r[:n] for r in cp], [r[:n] for r in denom]) for lower, cp, denom in self._wide]
 
 
 def _sweep(vals: np.ndarray, axis: int, factor: tuple, k_lo, k_hi,
@@ -475,7 +479,7 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
     at = np.s_[:] if len(live) == n_paths else live   # the rows of the live paths
     state = np.repeat(model.p0.values[None], len(live), axis=0)
     indices = _snapshot_indices(n_t, config.snapshot_stride)
-    snapshots = np.empty((n_paths, len(indices)) + grid.field_shape)
+    snapshots = None   # from the first slot after node 0, whose state is p0 in every path
     series = {name: np.zeros((n_paths, n_t + 1)) for name in
               ("l2", "grad", "exit", "births", "u", "k_sq")}
     iterations = np.zeros((n_paths, n_t), dtype=int)
@@ -511,7 +515,10 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
         series["grad"][at, i] = gradient_energy(state, grid)
         series["exit"][at, i] = (state[grid.rows(-1)] ** 2).sum(axis=space) * vol
         series["births"][at, i] = state[grid.rows(0)].sum(axis=space) * vol
-        if i in slots:
+        if i in slots and i:
+            if snapshots is None:
+                snapshots = np.empty((n_paths, len(indices)) + grid.field_shape)
+                snapshots[:, 0] = model.p0.values
             snapshots[at, slots[i]] = state
         if not len(live):
             break
@@ -529,13 +536,18 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
 
 
 def _rows(data, keep):
-    """The paths ``keep`` of per-path data: an array with the path axis
-    leading, ``None``, or a tuple or dict of such data."""
+    """The paths ``keep`` of per-path data with the path axis leading: an
+    array's kept rows move forward in its own memory, cut to them; a dict's
+    arrays (views of the step's ``k``) are copied; a tuple goes item by item."""
     if isinstance(data, dict):
-        return {key: _rows(a, keep) for key, a in data.items()}
+        return {key: a[keep] for key, a in data.items()}
     if isinstance(data, tuple):
         return tuple(_rows(a, keep) for a in data)
-    return None if data is None else data[keep]
+    if data is None:
+        return None
+    n = np.count_nonzero(keep)
+    data[:n] = data[keep]
+    return data[:n]
 
 
 def picard_step_solve(y: np.ndarray, t_index: int,
@@ -567,7 +579,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     the diagnostics of every path are those of its one-path solve.  A path
     whose noise passes the exp guard at this node, or that still iterates
     after ``picard_max_iter`` iterates, fails alone in ``StepResult.failed``
-    (one state without a path axis raises).
+    (one state without a path axis raises).  Unless every path stops at one
+    iterate, the iterating rows move up in ``y``, which then holds the result.
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
@@ -578,24 +591,22 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     alpha, k_in = ((factors.inner(factors.faces(rates.alpha0, grid, t), grid),
                     _inner_faces(k, grid)) if config.include_diffusion else (None, None))
     node = coeffs.node_fields(t_index, live, over)
-    # per-path inputs; the rows of failed and converged paths are dropped
+    # per-path inputs; the rows of failed and converged paths are dropped in place
     inputs = [y, node["g1"], _advection(node["g2"], grid, grid.dt), k_in,
               node["exp_w"], node["exp_dw0"]]
     del node
     active = np.arange(len(y)) if paths else None   # rows of y still iterating
     index = active if live is None else live        # their bundles, for the guard
     failed = {int(r): NoiseMagnitudeError(over[r]) for r in np.flatnonzero(over)} if paths else {}
-    result = None    # filled in row by row once some stopped
-
-    def by_row(state):
-        return StepResult(state, np.empty(paths), k, np.zeros(paths, dtype=int),
-                          np.full(paths, np.nan), np.zeros(paths), failed=failed)
-
+    stopped = []     # (rows of y, their new states) of the paths out of the iteration
+    result = StepResult(y, np.empty(paths), k, np.zeros(paths, dtype=int), np.full(paths, np.nan),
+                        np.zeros(paths), failed=failed) if paths else None   # filled row by row
     zeta, prev_diff, ratio, cfl = y, None, np.full(paths, np.nan), np.zeros(paths)
     if failed:   # these paths never iterate; their rows keep the old state
-        keep, result = over == 0, by_row(y.copy())
+        keep = over == 0
         if not np.any(keep):
             return result
+        stopped.append((np.flatnonzero(~keep), y[~keep]))
         active, index, ratio, cfl = active[keep], index[keep], ratio[keep], cfl[keep]
         inputs = [_rows(data, keep) for data in inputs]
         zeta = inputs[0]
@@ -604,10 +615,10 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         zeta_norm = l2_norm(zeta, grid, strict=False)
         z_used = truncate_argument(zeta, grid, guard, index, zeta_norm)
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
-        mu_s = evaluate_on_grid(rates.mu_s, grid, t, u_val)
-        m = evaluate_on_grid(rates.m0, grid, t, u_val) * exp_dw0
         faces = None if alpha is None else (alpha, k_in)
-        v, step_cfl = _split_step(y_in, g1, mu_s, adv, m, faces, grid, grid.dt, factors)
+        v, step_cfl = _split_step(   # the frozen rates die with the call
+            y_in, g1, evaluate_on_grid(rates.mu_s, grid, t, u_val), adv,
+            evaluate_on_grid(rates.m0, grid, t, u_val) * exp_dw0, faces, grid, grid.dt, factors)
         cfl = np.maximum(cfl, step_cfl)
         diff = l2_norm(v - zeta, grid, strict=False)
         if prev_diff is not None:
@@ -623,25 +634,23 @@ def picard_step_solve(y: np.ndarray, t_index: int,
             done = np.ones_like(done)
         if np.any(done):
             u_final = weighted_population(exp_w * v, gamma_vals, region, grid)
-            if result is None and np.all(done):
+            if not stopped and np.all(done):
                 return StepResult(state=v, u_value=u_final, k_faces=k, iterations=it,
                                   contraction_ratio=ratio, cfl=cfl, failed=failed)
-            if result is None:
-                result = by_row(np.empty_like(y))
             stop = active[done]
-            result.state[stop] = v[done]
+            stopped.append((stop, v[done]))
             result.u_value[stop] = u_final[done]
             result.iterations[stop] = it
             result.contraction_ratio[stop] = ratio[done]
             result.cfl[stop] = cfl[done]
             if np.all(done):
+                for rows, states in stopped:
+                    result.state[rows] = states
                 return result
             keep = ~done
             active, index = active[keep], index[keep]
-            del y_in, g1, adv, k_in, exp_w, exp_dw0, faces
-            for i, data in enumerate(inputs):   # one at a time: no two full sets
-                inputs[i] = _rows(data, keep)
-            v, prev_diff, ratio, cfl = v[keep], diff[keep], ratio[keep], cfl[keep]
+            inputs = [_rows(data, keep) for data in inputs]
+            v, prev_diff, ratio, cfl = _rows((v, diff, ratio, cfl), keep)
         zeta = v
 
 
@@ -661,14 +670,14 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     config = config or SolverConfig()
     if not bundles:
         return []
-    coeffs = RescaledCoefficients(model, bundles)
+    factors = DiffusionFactors()
+    coeffs = RescaledCoefficients(model, bundles, factors.faces)
     gamma_vals = evaluate_gamma(model.rates, model.grid)
     n_p = len(bundles)
     guard, failed = ((TruncationGuard(radius=np.full(n_p, float(config.truncation_radius)),
                                       activations=np.zeros(n_p, dtype=int)), {})
                      if config.truncation_radius is not None
                      else _auto_guard(model, coeffs, config))
-    factors = DiffusionFactors()
     return _march(
         model, n_p, gamma_vals, factors.faces(model.rates.k0, model.grid, 0.0),
         lambda t_index, y, _, live: picard_step_solve(

@@ -8,7 +8,6 @@ pre-registered measurement design), never from the code under test.
 """
 
 import numpy as np
-import pytest
 
 import stochage as sa
 from stochage.ensemble import density_final, fit_order, path_chunks, path_seed

@@ -1,7 +1,6 @@
 import concurrent.futures
 import csv
 import dataclasses
-import filecmp
 import os
 import subprocess
 import sys
@@ -86,6 +85,11 @@ def quiet_model_path(tmp_path):
     return str(p)
 
 
+def chunk_paths(monkeypatch, grid, n):
+    """Set the chunk budget to ``n`` paths of ``grid``."""
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", n * 8 * int(np.prod(grid.field_shape)))
+
+
 def tree_bytes(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
@@ -121,9 +125,10 @@ class TestRun:
         for key in trees[0]:
             assert trees[0][key] == trees[1][key], key
 
-    def test_worker_pool_matches_serial(self, noisy_model_path, tmp_path):
-        # 43 paths make two chunks of this grid, so the pool has two workers
+    def test_worker_pool_matches_serial(self, noisy_model_path, tmp_path, monkeypatch):
+        # 43 paths make two chunks of 42 paths of this grid, so the pool has two workers
         grid = _cached_model(noisy_model_path, 1)[0].grid
+        chunk_paths(monkeypatch, grid, 42)
         assert len(path_chunks(43, grid)) == 2
         outs = []
         for name, workers in (("serial", 1), ("pool", 2)):
@@ -161,7 +166,6 @@ class TestRun:
     def test_nonconvergence_reported_not_fatal(self, noisy_model_path, tmp_path):
         # absurd solver settings force a per-path failure; the run finishes
         # and counts it (the command line turns the count into exit 1)
-        from stochage.modelfile import parse_model
         text = NOISY_MODEL + "\n[solver]\npicard_tol = 0.0\npicard_max_iter = 0\n"
         p = tmp_path / "bad.ini"
         p.write_text(text)
@@ -224,11 +228,12 @@ class TestChunks:
         assert path_chunks(3, grid1d) == [range(0, 3)]
 
     @staticmethod
-    def check_outputs_match_one_path_solves(name, solver, tmp_path):
-        # nine paths make two chunks with a ragged second one on both sample
-        # models; sample2d's functional integrates over a sub-box
+    def check_outputs_match_one_path_solves(name, solver, tmp_path, monkeypatch):
+        # nine paths make two chunks of 7 paths with a ragged second one on
+        # both sample models; sample2d's functional integrates over a sub-box
         path = str(MODELS / f"{name}.ini")
         model, cfg = _cached_model(path, 1)
+        chunk_paths(monkeypatch, model.grid, 7)
         chunks = path_chunks(9, model.grid)
         assert len(chunks) == 2 and len(chunks[1]) < len(chunks[0])
         out = tmp_path / "ens"
@@ -249,15 +254,17 @@ class TestChunks:
                     == (tmp_path / "one.csv").read_bytes())
 
     @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
-    def test_per_path_outputs_match_one_path_solves(self, name, tmp_path):
-        self.check_outputs_match_one_path_solves(name, "direct", tmp_path)
+    def test_per_path_outputs_match_one_path_solves(self, name, tmp_path, monkeypatch):
+        self.check_outputs_match_one_path_solves(name, "direct", tmp_path, monkeypatch)
 
     @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
-    def test_rescaled_outputs_match_one_path_solves(self, name, tmp_path):
-        self.check_outputs_match_one_path_solves(name, "rescaled", tmp_path)
+    def test_rescaled_outputs_match_one_path_solves(self, name, tmp_path, monkeypatch):
+        self.check_outputs_match_one_path_solves(name, "rescaled", tmp_path, monkeypatch)
 
-    def test_path_output_independent_of_chunking(self, tmp_path):
+    def test_path_output_independent_of_chunking(self, tmp_path, monkeypatch):
+        # paths 0-2 alone, and in the first of two chunks of 7 paths
         path = str(MODELS / "sample1d.ini")
+        chunk_paths(monkeypatch, _cached_model(path, 1)[0].grid, 7)
         trees = []
         for n in (3, 9):
             out = tmp_path / f"n{n}"
@@ -289,9 +296,12 @@ class TestChunks:
         assert 1 <= len(calls) <= 2
         assert all(amp is values for amp, _ in calls)
 
-    def test_pool_over_chunks_matches_serial(self, tmp_path):
-        # two chunks spread over two worker processes
+    def test_pool_over_chunks_matches_serial(self, tmp_path, monkeypatch):
+        # two chunks of 7 paths spread over two worker processes
         path = str(MODELS / "sample1d.ini")
+        grid = _cached_model(path, 1)[0].grid
+        chunk_paths(monkeypatch, grid, 7)
+        assert len(path_chunks(9, grid)) == 2
         trees = []
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
@@ -321,7 +331,9 @@ class TestChunks:
         # `run` imports the executor from concurrent.futures when it needs a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         path = str(MODELS / "sample1d.ini")
-        assert len(path_chunks(9, _cached_model(path, 1)[0].grid)) == 2
+        grid = _cached_model(path, 1)[0].grid
+        chunk_paths(monkeypatch, grid, 7)
+        assert len(path_chunks(9, grid)) == 2
         trees = []
         for n_paths, workers in ((9, 8), (9, 1), (2, 8)):
             out = tmp_path / f"n{n_paths}w{workers}"
@@ -348,8 +360,8 @@ class TestChunks:
 
     def test_failing_chunk_is_solved_once(self, monkeypatch, tmp_path):
         # paths whose energy bound overflows leave their chunk's batch; the
-        # others march on in it, so 8 paths in 2 chunks take 2 batch solves
-        # and one sweep of the coefficient sups per path
+        # others march on in it, so 8 paths in 2 chunks of 7 take 2 batch
+        # solves and one sweep of the coefficient sups per path
         from stochage.rescale import RescaledCoefficients
 
         sweep, batch = RescaledCoefficients.coefficient_sups, ensemble.solve_rescaled_batch
@@ -369,6 +381,7 @@ class TestChunks:
         path = tmp_path / "loud.ini"
         path.write_text((MODELS / "sample1d.ini").read_text().replace(
             "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4"))
+        chunk_paths(monkeypatch, _cached_model(str(path), 1)[0].grid, 7)
         stats = run(RunConfig(model_path=str(path), solver="rescaled", n_paths=8))
         assert 0 < stats.failures < 8
         assert calls == [7, 1]

@@ -8,12 +8,11 @@ import sympy
 import stochage as sa
 from stochage.ensemble import fit_order
 from stochage.errors import InsufficientDataError
-from stochage.estimates import (CheckRow, _ratio, build_test_functions,
-                                growth_factor, weak_residual_random)
+from stochage.estimates import CheckRow, _ratio, build_test_functions, growth_factor
 from stochage.grid import face_shape
 from stochage.noise import coarsen
 
-from conftest import build_model, linear_rates, logistic_rates, smooth_p0
+from conftest import build_model, linear_rates, smooth_p0
 
 
 def solved_pair(grid, seed=5, rates=None, stride=1, p0=None):

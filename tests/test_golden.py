@@ -13,13 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from stochage import ensemble
 from stochage.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
 PINNED_NUMPY = "2.4.6"
 
-# (output directory, argv) pairs; sample1d's ensemble of 8 paths spans two
-# chunks, the second one ragged
+# (output directory, argv) pairs; with a chunk budget of 7 sample1d paths,
+# the ensembles of 8 paths span two chunks, the second one ragged
 COMMANDS = (
     ("run", ("ensemble", "--solver", "both", "--paths", "2", "--stride", "1",
              "--save-bundle")),
@@ -97,7 +98,11 @@ DIGESTS = {
 
 @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
                     reason=f"digests were recorded with numpy {PINNED_NUMPY}")
-def test_output_trees_match_golden_digests(tmp_path):
+def test_output_trees_match_golden_digests(tmp_path, monkeypatch):
+    grid = ensemble._cached_model(str(ROOT / "models" / "sample1d.ini"), 1)[0].grid
+    monkeypatch.setattr(ensemble, "CHUNK_BYTES", 7 * 8 * int(np.prod(grid.field_shape)))
+    chunks = ensemble.path_chunks(8, grid)
+    assert len(chunks) == 2 and len(chunks[1]) < len(chunks[0])
     for model in ("sample1d", "sample2d"):
         for label, command in COMMANDS:
             out = tmp_path / model / label

@@ -1,12 +1,16 @@
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 import sympy
 
 import stochage as sa
 from stochage.errors import ConfigurationError, NoiseMagnitudeError
-from stochage.grid import Face
+from stochage.grid import Face, boundary_faces
+from stochage.modelfile import parse_model
 from stochage.noise import evaluate_noise
-from stochage.rates import evaluate_on_faces, evaluate_on_grid
+from stochage.rates import ConstantRate, evaluate_on_faces, evaluate_on_grid
 from stochage.rescale import RescaledCoefficients
 
 from conftest import build_model, linear_rates
@@ -166,6 +170,67 @@ class TestConstants:
         expected = np.exp(grid1d.a_max * max(beta_max, 0.0))
         assert sups.c_w0 == pytest.approx(expected, rel=1e-12)
         assert sups.c_w0 * model.rates.m0.sup == pytest.approx(sups.c_w0 * 0.6, rel=1e-14)
+
+
+class TestOneEvaluationPerSolve:
+    @pytest.mark.parametrize("solve", [sa.solve_rescaled_batch, sa.solve_direct_batch])
+    def test_k0_is_evaluated_once_per_face(self, solve, monkeypatch):
+        # sample1d's k0 ignores t: a solve of a batch, its sweep of the
+        # coefficient sups included, evaluates it once on each face
+        model, cfg = parse_model(Path(__file__).resolve().parent.parent
+                                 / "models" / "sample1d.ini")
+        calls = []
+        call = ConstantRate.__call__
+
+        def counting(self, t, a, x, r):
+            if self is model.rates.k0:
+                calls.append(t)
+            return call(self, t, a, x, r)
+
+        monkeypatch.setattr(ConstantRate, "__call__", counting)
+        bundles = [sa.sample_bundle(s, model.noise.n_modes, model.grid.n_t, model.grid.T)
+                   for s in range(3)]
+        assert cfg.truncation_radius is None
+        reports = solve(model, bundles, cfg)
+        assert all(isinstance(r, sa.SolveReport) for r in reports)
+        assert len(calls) == len(boundary_faces(model.grid))
+
+
+class TestGuardModes:
+    @staticmethod
+    def agepoly_model(grid, k):
+        # W = beta k (a - 1/2): sup |W - W(t,0,x)| is twice sup |W|
+        return build_model(grid, amplitudes=(sa.age_polynomial_amplitude((-0.5 * k, k), 1),))
+
+    def test_auto_and_fixed_radius_fail_a_path_alike(self, grid1d):
+        # seed 3 passes the exp guard on W - W(t,0,x) only (sup |W| about 400,
+        # its age increment about 800): the sweep behind the automatic radius
+        # guards it as the march does, so both modes give the same error
+        model = self.agepoly_model(grid1d, 800.0)
+        bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in (3, 0)]
+        assert 350 < 800.0 * 0.5 * np.abs(bundles[0].betas).max() < 700
+        statuses = []
+        for radius in (None, 1000.0):
+            cfg = sa.SolverConfig(truncation_radius=radius, snapshot_stride=0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                reports = sa.solve_rescaled_batch(model, bundles, cfg)
+            statuses.append([str(r) if isinstance(r, Exception) else "converged"
+                             for r in reports])
+            assert isinstance(reports[0], NoiseMagnitudeError)
+        assert statuses[0] == statuses[1]
+        with pytest.raises(NoiseMagnitudeError) as one:   # the sweep of one bundle raises
+            RescaledCoefficients(model, bundles[0]).coefficient_sups()
+        assert str(one.value) == statuses[0][0]
+
+    def test_bound_past_a_float_fails_the_path_not_the_batch(self, grid1d):
+        # sup |W - W(t,0,x)| near 400 keeps the exponentials finite, but the
+        # energy bound squares exp(400): the path fails with the bound's error
+        model = self.agepoly_model(grid1d, 400.0)
+        bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
+        report = sa.solve_rescaled_batch(model, [bundle], sa.SolverConfig(snapshot_stride=0))[0]
+        assert isinstance(report, sa.StochageError)
+        assert str(report).startswith("energy bound exponent")
 
 
 class TestItoConsistency:

@@ -334,18 +334,23 @@ class TestDiffusionFactors:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_expanded_rows_and_their_views_match_the_shared_factor(
             self, dim, grid1d, grid2d):
-        # a factor shared by the paths has its rows expanded over the widest
-        # batch once; a narrower batch gets views of them, not new rows
+        # a factor shared by the paths has its eliminated-upper and pivot
+        # rows expanded over the widest batch once (over one path without
+        # expand); a narrower batch gets views of them, not new rows; the
+        # constant off-diagonal is shared
         grid = grid1d if dim == 1 else grid2d
         rng = np.random.default_rng(5)
         alpha = {f: 0.1 + rng.random(z.shape) for f, z in zero_faces(grid).items()}
-        factors = DiffusionFactors()
+        factors = DiffusionFactors(expand=True)
         shared = factors.get(alpha, grid, grid.dt)
+        one_path = DiffusionFactors().get(alpha, grid, grid.dt, (4,) + grid.field_shape)
+        assert all(len(r) == 1 for factor in one_path for rows in factor[1:] for r in rows)
         widest = factors.get(alpha, grid, grid.dt, (4,) + grid.field_shape)
         for n in (4, 2, 1, 3):
             wide = factors.get(alpha, grid, grid.dt, (n,) + grid.field_shape)
             for axis in range(dim):
-                for rows, wide_rows in zip(widest[axis], wide[axis]):
+                assert wide[axis][0] is shared[axis][0]
+                for rows, wide_rows in zip(widest[axis][1:], wide[axis][1:]):
                     assert all(r.shape[0] == n and np.shares_memory(r, w)
                                for r, w in zip(wide_rows, rows))
                 rhs = np.moveaxis(rng.random((n,) + grid.field_shape), 2 + axis, 0)
@@ -794,3 +799,33 @@ class TestMarchRecord:
         assert isinstance(out[0], InvalidFieldError)
         assert str(out[0]) == "field contains non-finite entries"
         assert same(out[1], alone[0])
+
+
+class TestWorkingSet:
+    # Peak traced memory of a batch solve of sample1d grows by this many
+    # state fields per path (the slope between 3 and 9 paths, stride 0).
+    # Set just above what the routes hold, so that a new field-sized array
+    # per path alive at the peak fails here.
+    CEILING = {"direct": 6.8, "rescaled": 12.5}
+
+    @pytest.mark.parametrize("route", ["direct", "rescaled"])
+    def test_peak_fields_per_path_stay_under_the_ceiling(self, route):
+        import tracemalloc
+
+        model, cfg = parse_model(MODELS / "sample1d.ini")
+        cfg = dataclasses.replace(cfg, snapshot_stride=0)
+        solve = sa.solve_direct_batch if route == "direct" else sa.solve_rescaled_batch
+        bundles = bundles_for(model, 9)
+        solve(model, bundles[:1], cfg)   # module-level caches fill outside the trace
+        peaks = []
+        for n in (3, 9):
+            tracemalloc.start()
+            try:
+                reports = solve(model, bundles[:n], cfg)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert all(isinstance(r, sa.SolveReport) for r in reports)
+        field_bytes = 8 * int(np.prod(model.grid.field_shape))
+        slope = (peaks[1] - peaks[0]) / 6 / field_bytes
+        assert 0 < slope < self.CEILING[route], slope
