@@ -12,6 +12,7 @@ ratios under refinement.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
 from dataclasses import dataclass
@@ -58,15 +59,14 @@ def growth_factor(c0: float, c1: float, g1_sup: float, g2_sup: float,
                   horizon: float) -> float:
     """Exponential prefactor of the energy bound; one that is not a finite
     float raises :class:`StochageError` naming the exponent."""
-    try:
+    expo = math.inf   # if a square overflows; an exponent exp overflows at stays finite
+    with contextlib.suppress(OverflowError):
         expo = c1 * (1.0 + g1_sup + g2_sup ** 2
                      + a_max * m0_inf ** 2 * c_w0 ** 2 + mu_inf ** 2) * horizon
         factor = c0 * math.exp(expo)
-    except OverflowError:   # of a square or of the exponential
-        expo = factor = math.inf
-    if not math.isfinite(factor):
-        raise StochageError(f"energy bound exponent {expo:.4g} overflows a float")
-    return factor
+        if math.isfinite(factor):
+            return factor
+    raise StochageError(f"energy bound exponent {expo:.4g} overflows a float")
 
 
 def compute_constants(rates: VitalRates, sups: CoefficientSups, *,

@@ -71,8 +71,7 @@ class RescaledCoefficients:
     Given one bundle the coefficient fields have the grid's shape; given a
     sequence of bundles they carry a leading path axis.  Per time node the
     fields of every path are built at once from :func:`evaluate_noise`;
-    nothing is cached with the node.  ``faces`` evaluates ``k0`` on the
-    faces like :func:`evaluate_on_faces`, or once per march (``DiffusionFactors``).
+    nothing is cached with the node.  ``faces`` reads ``k0`` on the faces.
     """
 
     def __init__(self, model: PopulationModel,
@@ -122,15 +121,15 @@ class RescaledCoefficients:
                 "exp_w": _guarded_exp(nf.value, nf.value, over),
                 "exp_dw0": _guarded_exp(dw0, dw0, over)}
 
-    def k_face(self, face: Face, t_index: int, rows=None, over=None) -> np.ndarray:
-        """Rescaled Robin datum ``k0 exp(-W)`` on one face; see :meth:`node_fields`."""
-        k0 = self.faces(self.model.rates.k0, self.grid, self.grid.times[t_index])[face]
+    def k_face(self, face: Face, t_index: int, k0: dict, rows=None, over=None) -> np.ndarray:
+        """Rescaled Robin datum ``k0 exp(-W)`` on one face, given ``k0``; see :meth:`k_faces`."""
         w = _contract(self._bundles(rows), amplitude_grids(self.model.noise, self.grid)
                       .face_values[face], t_index)
-        return k0 * _guarded_exp(-w, over=over)
+        return k0[face] * _guarded_exp(-w, over=over)
 
     def k_faces(self, t_index: int, rows=None, over=None) -> dict:
-        return {f: self.k_face(f, t_index, rows, over) for f in boundary_faces(self.grid)}
+        k0 = self.faces(self.model.rates.k0, self.grid, self.grid.times[t_index])
+        return {f: self.k_face(f, t_index, k0, rows, over) for f in boundary_faces(self.grid)}
 
     # -- whole-path bounds ----------------------------------------------------
 
@@ -139,9 +138,8 @@ class RescaledCoefficients:
 
         Also accumulates the squared boundary norm of the rescaled Robin
         datum per time node (trapezoid in time for the integral).  A batch
-        gets one set of sups per path, in a list, or for a path past the exp
-        guard (checked node by node as in the march) the march's
-        :class:`NoiseMagnitudeError`, which one bundle raises.
+        gets one set of sups per path, in a list, or for a path whose noise
+        passes the march's exp guard its :class:`NoiseMagnitudeError`, which one bundle raises.
         """
         if self._sups is None:
             grid = self.grid
@@ -161,9 +159,8 @@ class RescaledCoefficients:
                 w_max = np.maximum(w_max, w_sup := sup(np.abs(nf.value)))
                 for s in (w_sup, sup(np.abs(dw0))):   # the march's exp guard, in its order
                     np.copyto(over, s, where=(s > EXP_GUARD) & (over == 0))
-                grad_sq = sum(g * g for g in nf.gradient)
                 g1_sup = np.maximum(g1_sup, sup(np.abs(self._g1(nf))))
-                g2_sup = np.maximum(g2_sup, 2.0 * np.sqrt(sup(grad_sq)))
+                g2_sup = np.maximum(g2_sup, 2.0 * np.sqrt(sup(sum(g * g for g in nf.gradient))))
                 div_sup = np.maximum(div_sup, 2.0 * sup(np.abs(nf.laplacian)))
                 dw0_max = np.maximum(dw0_max, sup(dw0))
             k_sq_integral = np.sum(k_sq * grid.time_weights, axis=-1)

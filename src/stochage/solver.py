@@ -190,16 +190,14 @@ class DiffusionFactors:
     The sweep matrices depend only on the step, the spacing and the Robin
     coefficient on the faces.  :meth:`get` keeps its factors until one of
     them changes, so a time-dependent coefficient stays exact; :meth:`faces`
-    evaluates a rate that ignores ``t`` once.  One instance serves one march;
-    ``expand`` buys a faster direct march with two arrays per path (:meth:`get`).
+    evaluates a rate that ignores ``t`` once.  One instance serves one march.
     """
 
     def __init__(self, expand: bool = False):
         self.expand = expand
-        self._key = None
         self._alpha: dict = {}   # the face arrays of the last call, not copies
         self._factors: list = []
-        self._wide = None        # shared factors' cp and pivot rows expanded over the paths
+        self._key = self._wide = None   # _wide: shared factors' rows with a path axis
         self._once, self._cuts = {}, {}   # rate -> face data; id(that data) -> its ages > 0
 
     def faces(self, rate, grid: Grid, t: float) -> dict:
@@ -218,11 +216,10 @@ class DiffusionFactors:
     def get(self, alpha: dict, grid: Grid, dt: float, shape: tuple = ()) -> list:
         """One factor per spatial axis for the face coefficients ``alpha``:
         one system per path when they carry a path axis, else systems every
-        path shares (same bits), whose ``cp`` and pivot rows are copied over
-        the widest batch of values of ``shape`` seen with ``expand`` (narrower
-        ones get views), else over one path, so that a one-path march does
-        not broadcast them.  Face arrays must not be mutated once passed: one
-        that is the object of the previous call is taken as unchanged, unread."""
+        path shares (same bits), whose ``cp`` and pivot rows get a path axis
+        for ``shape`` with one, as wide as the batch with ``expand``, else of
+        length one.  Face arrays must not be mutated once passed: one that is
+        the object of the previous call is taken as unchanged, unread."""
         key = (dt, grid.n_x, grid.dx)
         old, self._alpha = self._alpha, dict(alpha)
         if key != self._key or any(a is not old.get(f) and not np.array_equal(a, old[f])
@@ -232,16 +229,13 @@ class DiffusionFactors:
                 _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
                               grid.n_x[axis], grid.dx[axis], dt)
                 for axis in range(grid.dim)]
-        n = shape[0] if len(shape) == grid.dim + 2 else 0
-        if not n or np.ndim(self._factors[0][2][0]) > grid.dim:
+        if len(shape) != grid.dim + 2 or np.ndim(self._factors[0][2][0]) > grid.dim:
             return self._factors
-        n = n if self.expand else 1
-        if self._wide is None or len(self._wide[0][2][0]) < n:
-            self._wide = [(lower, *([np.broadcast_to(r, (n,) + shape[1:axis + 2] + shape[axis + 3:])
-                                     .copy() for r in rows] for rows in (cp, denom)))
-                          for axis, (lower, cp, denom) in enumerate(self._factors)]
-        return self._wide if len(self._wide[0][2][0]) == n else [
-            (lower, [r[:n] for r in cp], [r[:n] for r in denom]) for lower, cp, denom in self._wide]
+        n = shape[0] if self.expand else 1   # the sweeps then do not broadcast them
+        if self._wide is None or len(self._wide[0][2][0]) != n:
+            self._wide = [(f[0], *([np.repeat(r[None], n, 0) for r in rows] for rows in f[1:]))
+                          for f in self._factors]
+        return self._wide
 
 
 def _sweep(vals: np.ndarray, axis: int, factor: tuple, k_lo, k_hi,
@@ -536,18 +530,16 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
 
 
 def _rows(data, keep):
-    """The paths ``keep`` of per-path data with the path axis leading: an
-    array's kept rows move forward in its own memory, cut to them; a dict's
-    arrays (views of the step's ``k``) are copied; a tuple goes item by item."""
+    """The paths ``keep`` of per-path data, path axis leading: an array's kept
+    rows move up in its own memory; a dict's arrays are copied; a tuple goes by item."""
     if isinstance(data, dict):
         return {key: a[keep] for key, a in data.items()}
     if isinstance(data, tuple):
         return tuple(_rows(a, keep) for a in data)
-    if data is None:
-        return None
-    n = np.count_nonzero(keep)
-    data[:n] = data[keep]
-    return data[:n]
+    if data is not None:   # else None
+        n = np.count_nonzero(keep)
+        data[:n] = data[keep]
+        return data[:n]
 
 
 def picard_step_solve(y: np.ndarray, t_index: int,
@@ -579,8 +571,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     the diagnostics of every path are those of its one-path solve.  A path
     whose noise passes the exp guard at this node, or that still iterates
     after ``picard_max_iter`` iterates, fails alone in ``StepResult.failed``
-    (one state without a path axis raises).  Unless every path stops at one
-    iterate, the iterating rows move up in ``y``, which then holds the result.
+    (one state without a path axis raises).  The result may be built in ``y``.
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
@@ -637,8 +628,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
             if not stopped and np.all(done):
                 return StepResult(state=v, u_value=u_final, k_faces=k, iterations=it,
                                   contraction_ratio=ratio, cfl=cfl, failed=failed)
-            stop = active[done]
-            stopped.append((stop, v[done]))
+            stopped.append((stop := active[done], v[done]))
             result.u_value[stop] = u_final[done]
             result.iterations[stop] = it
             result.contraction_ratio[stop] = ratio[done]

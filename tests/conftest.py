@@ -6,6 +6,10 @@ import pytest
 import stochage as sa
 from stochage.rates import CustomRate
 
+# the numpy build that the golden digests and the working-set ceilings were
+# recorded with; floating-point bits and temporaries depend on it
+PINNED_NUMPY = "2.4.6"
+
 
 @pytest.fixture
 def grid1d():

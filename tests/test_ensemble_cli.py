@@ -217,6 +217,9 @@ class TestRun:
         failed = [r["status"] for r in rows if r["status"] != "converged"]
         assert 0 < len(failed) < 8
         assert all(s.startswith("failed: energy bound exponent") for s in failed)
+        # each named by its finite exponent, as a float's exp overflows past 709.78
+        assert failed == [f"failed: energy bound exponent {e} overflows a float"
+                          for e in ("2834", "1865", "975.3", "3426", "858.9", "1248")]
         assert (out / "stats_mean_rescaled.bin").exists()
 
 

@@ -45,6 +45,16 @@ class TestConstants:
             bumped[key] = base[key] * 1.5
             assert growth_factor(**bumped) >= ref
 
+    def test_overflow_names_the_exponent(self):
+        # an exponent past exp's range is named by its value; only a square
+        # past a float makes the exponent itself infinite
+        base = dict(c0=1.0, c1=1.0, g1_sup=0.0, g2_sup=0.0, a_max=1.0,
+                    m0_inf=0.0, c_w0=1.0, mu_inf=0.0, horizon=1.0)
+        with pytest.raises(sa.StochageError, match=r"^energy bound exponent 1231 overflows"):
+            growth_factor(**dict(base, g1_sup=1230.0))
+        with pytest.raises(sa.StochageError, match=r"^energy bound exponent inf overflows"):
+            growth_factor(**dict(base, g2_sup=1e200))
+
     def test_threshold_is_ceil_plus_one(self, linear_model):
         bundle = sa.sample_bundle(2, 1, linear_model.grid.n_t, linear_model.grid.T)
         consts = sa.constants_for_run(linear_model, bundle)

@@ -16,8 +16,9 @@ import pytest
 from stochage import ensemble
 from stochage.cli import main
 
+from conftest import PINNED_NUMPY
+
 ROOT = Path(__file__).resolve().parent.parent
-PINNED_NUMPY = "2.4.6"
 
 # (output directory, argv) pairs; with a chunk budget of 7 sample1d paths,
 # the ensembles of 8 paths span two chunks, the second one ragged

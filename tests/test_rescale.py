@@ -62,7 +62,7 @@ class TestCoefficients:
         assert np.all(fields["exp_w"] == 1.0)
         face = Face(0, 0)
         k0 = evaluate_on_faces(model.rates.k0, grid1d, grid1d.times[i])
-        assert np.array_equal(coeffs.k_face(face, i), k0[face])
+        assert np.array_equal(coeffs.k_faces(i)[face], k0[face])
         u = 1.23
         m0_direct = 0.6 * np.ones(grid1d.field_shape)
         m0 = evaluate_on_grid(model.rates.m0, grid1d, grid1d.times[i], u)
@@ -124,7 +124,7 @@ class TestCoefficients:
         coeffs = RescaledCoefficients(model, bundle)
         face = Face(0, 1)
         expected = 0.5 * np.exp(-0.3 * beta)
-        assert np.allclose(coeffs.k_face(face, i), expected, rtol=1e-14)
+        assert np.allclose(coeffs.k_faces(i)[face], expected, rtol=1e-14)
 
     def test_fertility_transform_age_mode(self, grid1d):
         # m = m0 exp(W(a) - W(0)) with W = a b: factor exp(a b)
@@ -194,6 +194,17 @@ class TestOneEvaluationPerSolve:
         reports = solve(model, bundles, cfg)
         assert all(isinstance(r, sa.SolveReport) for r in reports)
         assert len(calls) == len(boundary_faces(model.grid))
+
+    def test_sweep_without_the_march_reads_k0_once_per_face_and_node(self, monkeypatch):
+        # the sweep behind check evaluates k0 afresh at every node, once on each face
+        model, _ = parse_model(Path(__file__).resolve().parent.parent / "models" / "sample2d.ini")
+        calls = []
+        call = ConstantRate.__call__
+        monkeypatch.setattr(ConstantRate, "__call__", lambda self, *args: (
+            calls.append(args[0]) if self is model.rates.k0 else None, call(self, *args))[1])
+        bundle = sa.sample_bundle(0, model.noise.n_modes, model.grid.n_t, model.grid.T)
+        RescaledCoefficients(model, bundle).coefficient_sups()
+        assert len(calls) == len(boundary_faces(model.grid)) * (model.grid.n_t + 1)
 
 
 class TestGuardModes:

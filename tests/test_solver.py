@@ -18,8 +18,8 @@ from stochage.solver import (DiffusionFactors, StepResult, TruncationGuard, _adv
                              renewal_row, transport_reaction_substep,
                              truncate_argument)
 
-from conftest import (build_model, fails_alone, linear_rates, logistic_rates, nan_fertility_model,
-                      same, smooth_p0)
+from conftest import (PINNED_NUMPY, build_model, fails_alone, linear_rates, logistic_rates,
+                      nan_fertility_model, same, smooth_p0)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -332,27 +332,29 @@ class TestDiffusionFactors:
             assert batch[j].tobytes() == np.ascontiguousarray(one).tobytes(), j
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_expanded_rows_and_their_views_match_the_shared_factor(
-            self, dim, grid1d, grid2d):
-        # a factor shared by the paths has its eliminated-upper and pivot
-        # rows expanded over the widest batch once (over one path without
-        # expand); a narrower batch gets views of them, not new rows; the
-        # constant off-diagonal is shared
+    @pytest.mark.parametrize("expand", [True, False])
+    def test_expanded_and_one_path_rows_match_the_shared_factor(
+            self, dim, expand, grid1d, grid2d):
+        # a factor shared by the paths gives a batch its eliminated-upper and
+        # pivot rows with a path axis, as wide as the batch with expand (made
+        # again when the width changes), else one path wide and made once; the
+        # constant off-diagonal stays shared
         grid = grid1d if dim == 1 else grid2d
         rng = np.random.default_rng(5)
         alpha = {f: 0.1 + rng.random(z.shape) for f, z in zero_faces(grid).items()}
-        factors = DiffusionFactors(expand=True)
+        factors = DiffusionFactors(expand)
         shared = factors.get(alpha, grid, grid.dt)
-        one_path = DiffusionFactors().get(alpha, grid, grid.dt, (4,) + grid.field_shape)
-        assert all(len(r) == 1 for factor in one_path for rows in factor[1:] for r in rows)
-        widest = factors.get(alpha, grid, grid.dt, (4,) + grid.field_shape)
-        for n in (4, 2, 1, 3):
+        last, last_n = factors.get(alpha, grid, grid.dt, (4,) + grid.field_shape), 4
+        for n in (4, 2, 2, 1, 3):
             wide = factors.get(alpha, grid, grid.dt, (n,) + grid.field_shape)
+            assert (wide is last) == (not expand or n == last_n)
+            last, last_n = wide, n
             for axis in range(dim):
                 assert wide[axis][0] is shared[axis][0]
-                for rows, wide_rows in zip(widest[axis][1:], wide[axis][1:]):
-                    assert all(r.shape[0] == n and np.shares_memory(r, w)
-                               for r, w in zip(wide_rows, rows))
+                for rows, wide_rows in zip(shared[axis][1:], wide[axis][1:]):
+                    assert all(w.shape == (n if expand else 1,) + r.shape
+                               and np.array_equal(w, np.broadcast_to(r, w.shape))
+                               for r, w in zip(rows, wide_rows))
                 rhs = np.moveaxis(rng.random((n,) + grid.field_shape), 2 + axis, 0)
                 ours = _thomas_solve(wide[axis], rhs.copy())
                 ref = _thomas_solve(shared[axis], rhs.copy())
@@ -805,9 +807,12 @@ class TestWorkingSet:
     # Peak traced memory of a batch solve of sample1d grows by this many
     # state fields per path (the slope between 3 and 9 paths, stride 0).
     # Set just above what the routes hold, so that a new field-sized array
-    # per path alive at the peak fails here.
+    # per path alive at the peak fails here.  numpy's temporaries count, so
+    # the ceilings hold for the numpy they were measured with.
     CEILING = {"direct": 6.8, "rescaled": 12.5}
 
+    @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                        reason=f"ceilings were measured with numpy {PINNED_NUMPY}")
     @pytest.mark.parametrize("route", ["direct", "rescaled"])
     def test_peak_fields_per_path_stay_under_the_ceiling(self, route):
         import tracemalloc
