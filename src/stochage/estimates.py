@@ -103,8 +103,8 @@ def constants_for_run(model: PopulationModel,
                       bundle: BrownianBundle | None = None,
                       c0: float = 1.0, c1: float = 1.0,
                       sups: CoefficientSups | None = None) -> EstimateConstants:
-    """Constants for one model and sampled path (one sweep over the nodes,
-    skipped when the path's coefficient ``sups`` are given)."""
+    """Constants of one path from its coefficient ``sups``, else from a sweep
+    of ``bundle`` (a march at an automatic radius gathers them instead)."""
     if sups is None:
         if bundle is None:
             raise ConfigurationError("a bundle or its coefficient sups are required")

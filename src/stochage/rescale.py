@@ -27,8 +27,7 @@ import numpy as np
 from .errors import ConfigurationError, NoiseMagnitudeError
 from .grid import Face, Field, boundary_faces, boundary_norm_sq
 from .model import PopulationModel
-from .noise import (BrownianBundle, NoiseField, _contract, amplitude_grids,
-                    evaluate_noise, ito_correction)
+from .noise import BrownianBundle, _contract, amplitude_grids, evaluate_noise, ito_correction
 from .rates import evaluate_on_faces
 
 EXP_GUARD = 700.0
@@ -54,7 +53,7 @@ def forward_transform(y: Field, w: np.ndarray) -> Field:
 
 @dataclass(frozen=True)
 class CoefficientSups:
-    """Path-dependent coefficient bounds gathered in one sweep."""
+    """Path-dependent coefficient bounds over the time nodes of one path."""
 
     g1_sup: float
     g2_sup: float
@@ -72,6 +71,8 @@ class RescaledCoefficients:
     sequence of bundles they carry a leading path axis.  Per time node the
     fields of every path are built at once from :func:`evaluate_noise`;
     nothing is cached with the node.  ``faces`` reads ``k0`` on the faces.
+    Building a node folds its sups into running sups per bundle, which
+    :meth:`sups_so_far` reads (a node built twice changes nothing).
     """
 
     def __init__(self, model: PopulationModel,
@@ -94,32 +95,34 @@ class RescaledCoefficients:
         self.paths = () if single else (len(self.bundles),)
         self.mu = ito_correction(model.noise, grid).values
         self.faces = faces
-        self._sups = None
+        # running sups per bundle: |g1|, |g2|, div g2, |W|, W - W(t,0,x); k_sq per node
+        self._max = {name: np.full(self.paths, -np.inf if name == "dw0" else 0.0)
+                     for name in ("g1", "g2", "div", "w", "dw0")}
+        self._k_sq = np.zeros(self.paths + (grid.n_t + 1,))
 
     # -- per-node evaluation ------------------------------------------------
 
-    def _noise(self, t_index: int, rows=None) -> NoiseField:
-        return evaluate_noise(self.model.noise, self._bundles(rows), t_index, self.grid)
-
     def _bundles(self, rows):
         return self.bundles if rows is None else [self.bundles[j] for j in rows]
-
-    def _g1(self, nf: NoiseField) -> np.ndarray:
-        """``g1`` of the node, built in the buffer of ``nf.d_age``."""
-        g1 = np.subtract(nf.d_age, nf.laplacian, out=nf.d_age)
-        g1 -= sum(g * g for g in nf.gradient)
-        g1 += self.mu
-        return g1
 
     def node_fields(self, t_index: int, rows=None, over=None) -> dict:
         """``g1``, ``g2``, ``exp_w`` (``exp(W)``) and ``exp_dw0``
         (``exp(W - W(t,0,x))``) at one node for the bundles ``rows`` (all by
         default), built afresh in the noise's buffers; ``over`` as in :func:`_guarded_exp`."""
-        nf = self._noise(t_index, rows)
-        dw0 = nf.value - nf.value[self.grid.rows(np.s_[:1])]
-        return {"g1": self._g1(nf), "g2": tuple(np.multiply(g, -2.0, out=g) for g in nf.gradient),
-                "exp_w": _guarded_exp(nf.value, nf.value, over),
-                "exp_dw0": _guarded_exp(dw0, dw0, over)}
+        nf = evaluate_noise(self.model.noise, self._bundles(rows), t_index, self.grid)
+        w, grad_sq = nf.value, sum(g * g for g in nf.gradient)
+        dw0 = w - w[self.grid.rows(np.s_[:1])]
+        g1 = np.subtract(nf.d_age, nf.laplacian, out=nf.d_age)
+        g1 -= grad_sq
+        g1 += self.mu
+        at, axes = Ellipsis if rows is None else rows, tuple(range(-self.grid.dim - 1, 0))
+        for name, s in (("g1", np.abs(g1).max(axis=axes)),
+                        ("g2", 2.0 * np.sqrt(grad_sq.max(axis=axes))),
+                        ("div", 2.0 * np.abs(nf.laplacian).max(axis=axes)),
+                        ("w", np.abs(w).max(axis=axes)), ("dw0", dw0.max(axis=axes))):
+            self._max[name][at] = np.maximum(self._max[name][at], s)
+        return {"g1": g1, "g2": tuple(np.multiply(g, -2.0, out=g) for g in nf.gradient),
+                "exp_w": _guarded_exp(w, w, over), "exp_dw0": _guarded_exp(dw0, dw0, over)}
 
     def k_face(self, face: Face, t_index: int, k0: dict, rows=None, over=None) -> np.ndarray:
         """Rescaled Robin datum ``k0 exp(-W)`` on one face, given ``k0``; see :meth:`k_faces`."""
@@ -128,48 +131,39 @@ class RescaledCoefficients:
         return k0[face] * _guarded_exp(-w, over=over)
 
     def k_faces(self, t_index: int, rows=None, over=None) -> dict:
+        """:meth:`k_face` on every boundary face; keeps the node's squared boundary norm."""
         k0 = self.faces(self.model.rates.k0, self.grid, self.grid.times[t_index])
-        return {f: self.k_face(f, t_index, k0, rows, over) for f in boundary_faces(self.grid)}
+        k = {f: self.k_face(f, t_index, k0, rows, over) for f in boundary_faces(self.grid)}
+        self._k_sq[Ellipsis if rows is None else rows, t_index] = boundary_norm_sq(k, self.grid)
+        return k
 
     # -- whole-path bounds ----------------------------------------------------
 
-    def coefficient_sups(self) -> CoefficientSups | list[CoefficientSups]:
-        """Sups of g1, |g2|, div g2 and the exponential factors over all nodes.
+    def sups_so_far(self, rows=None, over=None) -> CoefficientSups | list:
+        """Sups of g1, |g2|, div g2 and the exponential factors over the nodes
+        built so far and the time integral (trapezoid) of the squared boundary
+        norm of the rescaled Robin datum, a node not built counting 0: each
+        only grows as nodes are built.  Per bundle of ``rows`` (all by
+        default) in a list, with a path's :class:`NoiseMagnitudeError` where
+        ``over`` is set; one bundle gets its sups or raises its error."""
+        k_sq_integral = np.sum(self._k_sq * self.grid.time_weights, axis=-1)
+        m, keys = self._max, list(np.ndindex(self.paths)) if rows is None else list(rows)
+        over = np.zeros(len(keys)) if over is None else np.ravel(over)
+        out = [NoiseMagnitudeError(over[pos]) if over[pos] else CoefficientSups(
+            g1_sup=float(m["g1"][j]), g2_sup=float(m["g2"][j]),
+            div_g2_sup=float(m["div"][j]), c_w0=float(np.exp(m["dw0"][j])),
+            c_w=float(np.exp(m["w"][j])), k_sq_integral=float(k_sq_integral[j]))
+            for pos, j in enumerate(keys)]
+        if not self.paths and isinstance(out[0], NoiseMagnitudeError):
+            raise out[0]
+        return out if self.paths else out[0]
 
-        Also accumulates the squared boundary norm of the rescaled Robin
-        datum per time node (trapezoid in time for the integral).  A batch
-        gets one set of sups per path, in a list, or for a path whose noise
-        passes the march's exp guard its :class:`NoiseMagnitudeError`, which one bundle raises.
-        """
-        if self._sups is None:
-            grid = self.grid
-            field_axes = tuple(range(-grid.dim - 1, 0))
-
-            def sup(x):
-                return np.max(x, axis=field_axes)
-
-            g1_sup = g2_sup = div_sup = w_max = np.zeros(self.paths)
-            dw0_max = np.full(self.paths, -np.inf)
-            k_sq = np.zeros(self.paths + (grid.n_t + 1,))
-            over = np.zeros(self.paths)
-            for i in range(grid.n_t + 1):
-                k_sq[..., i] = boundary_norm_sq(self.k_faces(i, over=over), grid)
-                nf = self._noise(i)
-                dw0 = nf.value - nf.value[grid.rows(np.s_[:1])]
-                w_max = np.maximum(w_max, w_sup := sup(np.abs(nf.value)))
-                for s in (w_sup, sup(np.abs(dw0))):   # the march's exp guard, in its order
-                    np.copyto(over, s, where=(s > EXP_GUARD) & (over == 0))
-                g1_sup = np.maximum(g1_sup, sup(np.abs(self._g1(nf))))
-                g2_sup = np.maximum(g2_sup, 2.0 * np.sqrt(sup(sum(g * g for g in nf.gradient))))
-                div_sup = np.maximum(div_sup, 2.0 * sup(np.abs(nf.laplacian)))
-                dw0_max = np.maximum(dw0_max, sup(dw0))
-            k_sq_integral = np.sum(k_sq * grid.time_weights, axis=-1)
-            sups = [NoiseMagnitudeError(over[j]) if over[j] else CoefficientSups(
-                g1_sup=float(g1_sup[j]), g2_sup=float(g2_sup[j]),
-                div_g2_sup=float(div_sup[j]), c_w0=float(np.exp(dw0_max[j])),
-                c_w=float(np.exp(w_max[j])), k_sq_integral=float(k_sq_integral[j]))
-                for j in np.ndindex(self.paths)]
-            self._sups = sups if self.paths else sups[0]
-        if isinstance(self._sups, NoiseMagnitudeError):
-            raise self._sups
-        return self._sups
+    def coefficient_sups(self, rows=None) -> CoefficientSups | list:
+        """:meth:`sups_so_far` once every node is built for the bundles
+        ``rows`` (all by default), under the march's exp guard and in its
+        order: the sups over the whole path, or its first guard error."""
+        over = np.zeros(self.paths if rows is None else (len(rows),))
+        for i in range(self.grid.n_t + 1):
+            self.k_faces(i, rows, over)
+            self.node_fields(i, rows, over)
+        return self.sups_so_far(rows, over)

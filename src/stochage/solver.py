@@ -22,6 +22,7 @@ nonnegative exactly, not just up to rounding.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,15 +41,11 @@ logger = logging.getLogger(__name__)
 
 
 def _thomas_factor(lower, diag: np.ndarray, upper) -> tuple:
-    """Forward-elimination coefficients of tridiagonal systems.
-
-    The solve axis leads: row ``i`` of ``lower``, ``diag`` and ``upper``
-    holds the entries of equation ``i`` of every system.  ``lower[0]`` and
-    ``upper[-1]`` are ignored.  The coefficients depend on the matrix
-    only, so one factorization serves every right side with its shape.
-    Returns the rows of ``lower``, of the eliminated upper diagonal and of
-    the pivots.
-    """
+    """Forward-elimination coefficients of tridiagonal systems, whose row
+    ``i`` of ``lower``, ``diag`` and ``upper`` holds equation ``i`` of every
+    system (``lower[0]`` and ``upper[-1]`` are ignored).  They serve every
+    right side of their shape.  Returns the rows of ``lower``, of the
+    eliminated upper diagonal and of the pivots."""
     n = diag.shape[0]
     cp = np.zeros(np.broadcast_shapes(np.shape(lower), diag.shape, np.shape(upper)))
     denom = np.empty_like(cp)
@@ -64,14 +61,12 @@ def _thomas_factor(lower, diag: np.ndarray, upper) -> tuple:
 def _thomas_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     """Forward and back sweeps for a factor of :func:`_thomas_factor`.
 
-    ``rhs`` has the solve axis leading and is overwritten with the
-    solution; its trailing axes broadcast against the factor's systems.
-    The arithmetic is the textbook Thomas algorithm operation for
-    operation: for systems with positive diagonal, nonpositive
-    off-diagonals and nonnegative right side every step combines
-    nonnegative quantities, so the solution is nonnegative exactly in
-    floating point.  That property is why this is hand-rolled instead of
-    calling a pivoting solver.
+    ``rhs`` has the solve axis leading, its trailing axes broadcast against
+    the factor's systems, and is overwritten with the solution.  This is
+    the textbook Thomas algorithm operation for operation, hand-rolled
+    because with positive diagonal, nonpositive off-diagonals and a
+    nonnegative right side every step combines nonnegative quantities, so
+    the solution is nonnegative exactly in floating point.
     """
     lower, cp, denom = factor
     x = list(rhs if rhs.ndim > 1 else rhs[:, None])   # row views into rhs
@@ -109,15 +104,12 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
     """Age the population one step and apply the zeroth-order decay.
 
     On an aligned grid (``dt == da``) the shift is exact: row ``k`` receives
-    row ``k - 1`` times ``exp(-(g1 + mu_s) dt)`` evaluated at the departure
-    row.  Off alignment a first-order age upwind is used instead (requires
-    ``dt <= da``).  The age-zero row is zeroed and left for the renewal
-    operation.  ``g1`` may be ``None`` (no rescaling terms); ``advection``
-    holds :func:`_advection` weights, or ``None`` to skip advection.
-    ``values`` and the rate fields may carry leading path axes.  Returns
-    the new values and the CFL number used, one per path (0 without
-    advection; nonnegativity needs CFL <= 1).  An upwind neighbour array is
-    the flat state shifted by the axis's stride, edge cells their own.
+    row ``k - 1`` times ``exp(-(g1 + mu_s) dt)`` at the departure row; off
+    alignment a first-order age upwind is used (``dt <= da``).  The age-zero
+    row is left zero for the renewal.  ``g1`` may be ``None`` (no rescaling
+    terms), ``advection`` (:func:`_advection` weights) ``None`` to skip it;
+    leading path axes carry through.  Returns the new values and the CFL
+    number per path (0 without advection; nonnegativity needs CFL <= 1).
     """
     older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
     src = younger if grid.aligned else older   # the rows the decay multiplies
@@ -153,23 +145,18 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
 
 
 def renewal_row(values: np.ndarray, m_values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Birth row: age-trapezoid of ``m * values`` per spatial cell.
-
-    Inside a time step the transported field arrives with a zeroed
-    age-zero row, so the row being produced does not feed itself; the
-    omitted trapezoid weight there is ``da / 2``, first order like the
-    splitting.  Leading path axes of ``values`` carry through.
-    """
+    """Birth row: age-trapezoid of ``m * values`` per spatial cell (leading
+    path axes carry through).  The transported field arrives with a zeroed
+    age-zero row, so the row produced does not feed itself; the omitted
+    trapezoid weight there is ``da / 2``, first order like the splitting."""
     return (grid.age_weight_field * m_values * values).sum(axis=-grid.dim - 1)
 
 
 def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float) -> tuple:
-    """Factor of the implicit sweep matrices along an axis of ``n`` cells.
-
-    Ghost closure ``ghost = interior - dx (alpha v + k)`` keeps the matrix
-    an M-matrix for ``alpha >= 0``.  There is one system per entry of the
-    face data ``alpha_lo``/``alpha_hi``, which may carry a path axis.
-    """
+    """Factor of the implicit sweep matrices along an axis of ``n`` cells,
+    one system per entry of the face data ``alpha_lo``/``alpha_hi`` (which
+    may carry a path axis).  The ghost closure ``ghost = interior - dx
+    (alpha v + k)`` keeps the matrix an M-matrix for ``alpha >= 0``."""
     a_lo, a_hi = np.broadcast_arrays(np.asarray(alpha_lo, dtype=float),
                                      np.asarray(alpha_hi, dtype=float))
     r = dt / dx ** 2
@@ -185,12 +172,12 @@ def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float) -> tuple:
 
 
 class DiffusionFactors:
-    """Robin data and factorizations of the diffusion sweeps, kept across time steps.
+    """Robin data and factorizations of the diffusion sweeps for one march.
 
     The sweep matrices depend only on the step, the spacing and the Robin
-    coefficient on the faces.  :meth:`get` keeps its factors until one of
+    coefficient on the faces: :meth:`get` keeps its factors until one of
     them changes, so a time-dependent coefficient stays exact; :meth:`faces`
-    evaluates a rate that ignores ``t`` once.  One instance serves one march.
+    evaluates a rate that ignores ``t`` once.
     """
 
     def __init__(self, expand: bool = False):
@@ -252,16 +239,13 @@ def diffusion_substep(values: np.ndarray, alpha: dict, k: dict, grid: Grid,
                       dt: float, factors: DiffusionFactors | None = None) -> np.ndarray:
     """Backward-Euler diffusion with Robin flux on every boundary face.
 
-    ``values`` holds a batch of age levels times space, optionally behind
-    leading path axes; ``alpha`` and ``k`` map each :class:`Face` to data
-    over the same age levels.  ``factors`` keeps the factorization across
-    calls; without it the matrices are factored afresh.  In two dimensions
-    the x and y sweeps are applied in sequence (first-order direction
-    splitting); each sweep is unconditionally positivity preserving when
-    ``k <= 0`` contributions are absent.
+    ``values`` holds age levels times space, optionally behind leading path
+    axes; ``alpha`` and ``k`` map each :class:`Face` to data over the same
+    age levels.  ``factors`` keeps the factorization across calls.  In two
+    dimensions the x and y sweeps run in sequence (first-order direction
+    splitting); each preserves positivity when ``k <= 0`` parts are absent.
     """
-    if factors is None:
-        factors = DiffusionFactors()
+    factors = factors or DiffusionFactors()
     out = values
     for axis, factor in enumerate(factors.get(alpha, grid, dt, values.shape)):
         out = _sweep(out, values.ndim - grid.dim + axis, factor,
@@ -272,15 +256,13 @@ def diffusion_substep(values: np.ndarray, alpha: dict, k: dict, grid: Grid,
 def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, advection, m: np.ndarray,
                 faces: tuple | None, grid: Grid, dt: float,
                 factors: DiffusionFactors | None) -> tuple[np.ndarray, float]:
-    """The linear substeps of one time step, shared by both routes.
-
-    Transport with decay and ``advection``, the renewal row from the
+    """The linear substeps of one time step, shared by both routes:
+    transport with decay and ``advection``, the renewal row from the
     fertility ``m``, then, unless ``faces`` is ``None``, diffusion of the
     ages > 0 with the Robin data ``faces = (alpha, k)`` on those ages (cut
-    by :func:`_inner_faces` at most once per node, so :class:`DiffusionFactors`
-    sees the same arrays on every iterate).  Leading path axes carry
-    through.  Returns the new state and the CFL number per path.
-    """
+    by :func:`_inner_faces` once per node, so :class:`DiffusionFactors`
+    sees the same arrays on every iterate).  Returns the new state and the
+    CFL number per path."""
     v, cfl = transport_reaction_substep(state, g1, mu_s, advection, grid, dt)
     v[grid.rows(0)] = renewal_row(v, m, grid)
     if faces is not None:
@@ -300,16 +282,18 @@ class TruncationGuard:
     """Radial clipping of the rate argument at a norm radius.
 
     Keeps the population functional's argument inside the ball where the
-    locally Lipschitz rates are under control.  A radius taken from the
-    a priori energy bound keeps the bound's ``constants`` (``None`` for a
-    fixed radius); activations of it indicate the bound or the grid is
-    off.  A guard of a batch of paths holds one radius, activation count
-    and set of constants per path.
+    locally Lipschitz rates are under control.  A radius from the a priori
+    energy bound keeps the bound's ``constants`` (``None`` for a fixed
+    radius); activations of it indicate the bound or the grid is off.  A
+    guard of a batch holds one radius, activation count and set of
+    constants per path; while it marches, a path whose constants are
+    ``None`` has the lower bound of :func:`_bound_guard` and its ``settle``.
     """
 
     radius: float | np.ndarray
     constants: estimates.EstimateConstants | list | None = None
     activations: int | np.ndarray = 0
+    settle: Callable[..., dict] | None = field(default=None, compare=False, repr=False)
 
     def path(self, j) -> "TruncationGuard":
         """The guard of path ``j`` of a batch."""
@@ -323,12 +307,10 @@ def truncate_argument(values: np.ndarray, grid: Grid,
                       index: np.ndarray | None = None, norm=None) -> np.ndarray:
     """Return ``values`` itself or its radial rescaling onto the guard ball.
 
-    Identity when the norm is within the radius; otherwise scales to
-    norm exactly ``radius`` and counts the activation.  Continuous at the
-    boundary: both branches agree when the norm equals the radius.  A
-    stack of fields is clipped path by path against a guard of a batch;
-    ``index`` names the paths of the batch that ``values`` holds when it
-    holds only some of them, ``norm`` their norms if the caller has them.
+    Identity when the norm is within the radius (continuous there);
+    otherwise scales to norm ``radius`` and counts the activation.  A stack
+    of fields is clipped path by path against a guard of a batch; ``index``
+    names the paths that ``values`` holds if not all, ``norm`` their norms.
     """
     if guard is None:
         return values
@@ -416,21 +398,41 @@ def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
     return np.array(idx if idx[-1] == n_t else idx + [n_t])
 
 
-def _auto_guard(model: PopulationModel, coeffs: RescaledCoefficients,
-                config: SolverConfig) -> tuple[TruncationGuard, dict]:
-    """One guard radius per path of ``coeffs``: the threshold ``n0`` of the
-    path's energy bound, whose constants the guard keeps; and the errors of
-    the paths past the exp guard or with a bound that overflows."""
-    consts = []
-    for sups in coeffs.coefficient_sups():
+def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
+                 config: SolverConfig) -> TruncationGuard:
+    """The guard of the threshold ``n0`` of each path's energy bound, with
+    the bound's constants, from the sups the march folds into ``coeffs``.
+
+    Every path starts at the ``n0`` of node 0's sups (``W = 0``: the same in
+    every path; ``-inf`` if that bound overflows, as then every path's
+    does).  The bound is nondecreasing in the sups, so a norm within it is
+    within the path's own ``n0``.  ``settle(paths)`` serves a path whose
+    norm passes it or that leaves the march: it folds the path's other
+    nodes (``sweep=False``: the march saw them all) and sets its radius and
+    constants, or NaN and its error: the exp guard's, else the bound's.
+    """
+    def constants(sups):
         try:
-            consts.append(sups if isinstance(sups, StochageError) else estimates.constants_for_run(
-                model, sups=sups, c0=config.c0, c1=config.c1))
+            return sups if isinstance(sups, StochageError) else estimates.constants_for_run(
+                model, sups=sups, c0=config.c0, c1=config.c1)
         except StochageError as exc:   # the bound overflows a float
-            consts.append(exc)
-    failed = {j: c for j, c in enumerate(consts) if isinstance(c, StochageError)}
-    radius = [np.nan if j in failed else float(c.n0) for j, c in enumerate(consts)]
-    return TruncationGuard(np.array(radius), consts, np.zeros(len(consts), dtype=int)), failed
+            return exc
+
+    def settle(paths, sweep: bool = True) -> dict:
+        todo = [j for j in paths if guard.constants[j] is None]
+        for j, sups in zip(todo, (coeffs.coefficient_sups if sweep else coeffs.sups_so_far)(todo)
+                           if todo else ()):
+            c = guard.constants[j] = constants(sups)
+            guard.radius[j] = np.nan if isinstance(c, StochageError) else c.n0
+        return {j: c for j in paths if isinstance(c := guard.constants[j], StochageError)}
+
+    coeffs.k_faces(0)
+    coeffs.node_fields(0)
+    start, n_p = constants(coeffs.sups_so_far([0])[0]), len(coeffs.bundles)
+    guard = TruncationGuard(
+        np.full(n_p, -np.inf if isinstance(start, StochageError) else float(start.n0)),
+        [None] * n_p, np.zeros(n_p, dtype=int), settle)
+    return guard
 
 
 @dataclass
@@ -453,25 +455,20 @@ class StepResult:
 
 
 def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dict,
-           step, config: SolverConfig, solver: str,
-           guard: TruncationGuard | None = None,
-           failed: dict | None = None) -> list[SolveReport | StochageError]:
-    """The time loop of both routes; per path its report or its error.
+           step, config: SolverConfig, solver: str) -> list[SolveReport | StochageError]:
+    """The time loop of both routes; per path its report (without a guard)
+    or its error.
 
     The noise vanishes at time zero, so both routes start every path from
     the initial density (a leading path axis), its population functional
     with weight ``gamma`` and the Robin datum ``k_start`` (``k0`` at
     t = 0).  ``step(t_index, state, u_value, live)`` returns the
-    :class:`StepResult` at time node ``t_index`` of the paths ``live``,
-    the rows of ``state``.  A row leaves when the step fails it or its
-    state is not finite; ``failed`` has the paths that never enter.
+    :class:`StepResult` at node ``t_index`` of the paths ``live``, the rows
+    of ``state``.  A row leaves when the step fails it or it is not finite.
     """
-    grid = model.grid
-    n_t = grid.n_t
-    failed = dict(failed or {})
-    live = np.array([j for j in range(n_paths) if j not in failed], dtype=int)
-    at = np.s_[:] if len(live) == n_paths else live   # the rows of the live paths
-    state = np.repeat(model.p0.values[None], len(live), axis=0)
+    grid, n_t = model.grid, model.grid.n_t
+    failed, live, at = {}, np.arange(n_paths), np.s_[:]   # at: the rows of the live paths
+    state = np.repeat(model.p0.values[None], n_paths, axis=0)
     indices = _snapshot_indices(n_t, config.snapshot_stride)
     snapshots = None   # from the first slot after node 0, whose state is p0 in every path
     series = {name: np.zeros((n_paths, n_t + 1)) for name in
@@ -523,8 +520,7 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
         l2_series=series["l2"][j], gradient_energy_series=series["grad"][j],
         exit_trace_series=series["exit"][j], births_series=series["births"][j],
         u_series=series["u"][j], k_norm_sq_series=series["k_sq"][j],
-        picard_iterations=iterations[j], contraction_ratios=ratios[j],
-        guard=None if guard is None else guard.path(j),
+        picard_iterations=iterations[j], contraction_ratios=ratios[j], guard=None,
         cfl_max=float(cfl_max[j]), noise_factor_warnings=int(warnings[j]))
         for j in range(n_paths)]
 
@@ -550,28 +546,25 @@ def picard_step_solve(y: np.ndarray, t_index: int,
                       live: np.ndarray | None = None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
-    What no iterate changes is prepared once per node: the Robin data
-    ``alpha`` and ``k`` on the ages > 0, ``g1``, ``exp(W)``,
-    ``exp(W - W(t,0,x))`` and the :func:`_advection` weights.  Each iterate
-    takes the norm of the candidate new-time state, clips the candidate
-    onto the guard ball, freezes the population functional and through it
-    the mortality and fertility fields, solves the linear substeps
-    (transport, renewal, diffusion) from the old state and takes the norm
-    of the change.  Iteration stops when successive candidates differ by
-    less than ``picard_tol`` relative to the current one (or by NaN); with
-    an infinite tolerance the first iterate is returned, and a model whose
-    rates ignore the functional converges on iteration one.  ``factors``
-    keeps an ``alpha`` that ignores ``t`` and the diffusion factorization.
+    What no iterate changes is built once per node: the Robin data on the
+    ages > 0, ``g1``, ``exp(W)``, ``exp(W - W(t,0,x))`` and the
+    :func:`_advection` weights.  Each iterate clips the candidate new-time
+    state onto the guard ball, freezes the population functional and with
+    it the mortality and fertility fields, solves the linear substeps from
+    the old state and takes the norm of the change.  Iteration stops when
+    successive candidates differ by less than ``picard_tol`` relative to
+    the current one, or by NaN (an infinite tolerance returns the first
+    iterate).  ``factors`` keeps an ``alpha`` that ignores ``t`` and the
+    diffusion factorization.
 
     ``y`` is one state, or one per path behind a leading path axis when
-    ``coeffs`` holds a batch of bundles (and ``guard`` one radius per
-    path); ``live`` then names the bundles of its rows, all by default.
-    A path drops out of the iteration at the iterate where its own test
-    passes, which is where a one-path solve of it stops, so the result and
-    the diagnostics of every path are those of its one-path solve.  A path
-    whose noise passes the exp guard at this node, or that still iterates
-    after ``picard_max_iter`` iterates, fails alone in ``StepResult.failed``
-    (one state without a path axis raises).  The result may be built in ``y``.
+    ``coeffs`` holds a batch (and ``guard`` one radius per path); ``live``
+    then names the bundles of its rows, all by default.  A path leaves the
+    iteration where its own test passes, as in its one-path solve.  A path
+    whose noise passes the exp guard at this node, that still iterates
+    after ``picard_max_iter`` iterates or whose ``guard.settle`` gives an
+    error (after that iterate) fails alone in ``StepResult.failed``; one
+    state without a path axis raises.  The result may be built in ``y``.
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
@@ -604,6 +597,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     for it in range(config.picard_max_iter + 1):
         y_in, g1, adv, k_in, exp_w, exp_dw0 = inputs
         zeta_norm = l2_norm(zeta, grid, strict=False)
+        late = {} if guard is None or guard.settle is None else guard.settle(
+            index[zeta_norm > guard.radius[index]])   # the radius may be a lower bound
         z_used = truncate_argument(zeta, grid, guard, index, zeta_norm)
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
         faces = None if alpha is None else (alpha, k_in)
@@ -623,6 +618,10 @@ def picard_step_solve(y: np.ndarray, t_index: int,
                 raise stuck[0]
             failed.update(zip(active[~done].tolist(), stuck))
             done = np.ones_like(done)
+        if late:   # their sups end in an error, which they leave with (NaN radius: unclipped)
+            gone = np.isin(index, list(late))
+            failed.update(zip(active[gone].tolist(), (late[j] for j in index[gone].tolist())))
+            done = done | gone
         if np.any(done):
             u_final = weighted_population(exp_w * v, gamma_vals, region, grid)
             if not stopped and np.all(done):
@@ -649,13 +648,16 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     """March several paths of the pathwise system as one array problem; per
     bundle its report, or the error that ended its path.
 
-    The paths share the grid, the amplitudes and the boundary coefficient,
-    so their states advance together with a leading path axis through one
-    fixed-point loop per step.  Every operation acts on each path by
-    itself with the arithmetic of a one-path march and each path leaves
-    the fixed point at its own iterate, so a path's report is bitwise the
-    same whichever batch it is solved in.  A failing path fails alone, with
-    the error its one-path solve raises; a :class:`ConfigurationError` ends the call.
+    The paths advance together with a leading path axis through one
+    fixed-point loop per step.  Every operation acts on each path by itself
+    with the arithmetic of a one-path march and each path leaves the fixed
+    point at its own iterate, so a path's report is bitwise the same in any
+    batch.  A failing path fails alone, with the error its one-path solve
+    raises; a :class:`ConfigurationError` ends the call.  An automatic
+    radius takes each path's coefficient sups from the march
+    (:func:`_bound_guard`), and a path fails with, in this order, its noise
+    past the exp guard at any node, its energy bound past a float, or the
+    march's own error.
     """
     config = config or SolverConfig()
     if not bundles:
@@ -664,15 +666,22 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     coeffs = RescaledCoefficients(model, bundles, factors.faces)
     gamma_vals = evaluate_gamma(model.rates, model.grid)
     n_p = len(bundles)
-    guard, failed = ((TruncationGuard(radius=np.full(n_p, float(config.truncation_radius)),
-                                      activations=np.zeros(n_p, dtype=int)), {})
-                     if config.truncation_radius is not None
-                     else _auto_guard(model, coeffs, config))
-    return _march(
+    guard = (TruncationGuard(radius=np.full(n_p, float(config.truncation_radius)),
+                             activations=np.zeros(n_p, dtype=int))
+             if config.truncation_radius is not None else _bound_guard(model, coeffs, config))
+    reports = _march(
         model, n_p, gamma_vals, factors.faces(model.rates.k0, model.grid, 0.0),
         lambda t_index, y, _, live: picard_step_solve(
             y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live),
-        config, "rescaled", guard, failed)
+        config, "rescaled")
+    if guard.settle is not None:   # a path that left the march has nodes it did not see
+        guard.settle([j for j, rep in enumerate(reports) if isinstance(rep, StochageError)])
+        errors = guard.settle(range(n_p), sweep=False)
+        reports = [errors.get(j, rep) for j, rep in enumerate(reports)]
+    for j, rep in enumerate(reports):
+        if isinstance(rep, SolveReport):
+            rep.guard = guard.path(j)
+    return reports
 
 
 def _only(results: list):
@@ -684,12 +693,8 @@ def _only(results: list):
 
 def solve_rescaled(model: PopulationModel, bundle: BrownianBundle,
                    config: SolverConfig | None = None) -> SolveReport:
-    """March the pathwise system over the full time grid.
-
-    Substep order within a step is transport, renewal, diffusion; the
-    fixed point over the frozen population functional wraps all three.
-    The initial state is the initial density itself (the transform is the
-    identity at time zero).  This is the one-path case of
-    :func:`solve_rescaled_batch`.
-    """
+    """March the pathwise system over the full time grid: transport,
+    renewal and diffusion per step inside the fixed point over the frozen
+    population functional, from the initial density (the transform is the
+    identity at time zero).  The one-path case of :func:`solve_rescaled_batch`."""
     return _only(solve_rescaled_batch(model, [bundle], config))

@@ -364,20 +364,22 @@ class TestChunks:
     def test_failing_chunk_is_solved_once(self, monkeypatch, tmp_path):
         # paths whose energy bound overflows leave their chunk's batch; the
         # others march on in it, so 8 paths in 2 chunks of 7 take 2 batch
-        # solves and one sweep of the coefficient sups per path
+        # solves.  The march gathers the coefficient sups; only a failed
+        # path has them completed by a sweep, once
         from stochage.rescale import RescaledCoefficients
 
         sweep, batch = RescaledCoefficients.coefficient_sups, ensemble.solve_rescaled_batch
-        calls, swept = [], []
+        calls, swept, failed = [], [], []
 
-        def counting_sweep(self):
-            if self._sups is None:
-                swept.extend(self.bundles)
-            return sweep(self)
+        def counting_sweep(self, rows=None):
+            swept.extend(self.bundles if rows is None else [self.bundles[j] for j in rows])
+            return sweep(self, rows)
 
         def counting_batch(model, bundles, config=None):
             calls.append(len(bundles))
-            return batch(model, bundles, config)
+            results = batch(model, bundles, config)
+            failed.extend(b for b, r in zip(bundles, results) if isinstance(r, sa.StochageError))
+            return results
 
         monkeypatch.setattr(RescaledCoefficients, "coefficient_sups", counting_sweep)
         monkeypatch.setattr(ensemble, "solve_rescaled_batch", counting_batch)
@@ -388,7 +390,12 @@ class TestChunks:
         stats = run(RunConfig(model_path=str(path), solver="rescaled", n_paths=8))
         assert 0 < stats.failures < 8
         assert calls == [7, 1]
-        assert len(swept) == 8
+        assert len(failed) == stats.failures
+        # a failed path is completed at most once; one that marched to the
+        # end fails from the sups its march gathered, with no sweep
+        assert len(set(map(id, swept))) == len(swept)
+        assert set(map(id, swept)) <= set(map(id, failed))
+        assert 0 < len(swept) < len(failed)
 
 
 SINE_MODEL = NOISY_MODEL.replace("mu1 = cosine:0.2:1", "mu1 = sine:0.2:1")
@@ -528,19 +535,19 @@ class TestCli:
 
     def test_check_sweeps_once_per_rescaled_solve(self, monkeypatch, tmp_path):
         # check solves the stored run, two perturbations of it and a coarse
-        # run; with a radius from the energy bound the stored run's
-        # constants come from its guard.  A fixed radius above the bound's
-        # n0 = 98 never clips, so it writes the same checks, with the
-        # constants from one sweep of the stored run.
+        # run; with a radius from the energy bound every solve gathers its
+        # sups in the march, and the stored run's constants come from its
+        # guard.  A fixed radius above the bound's n0 = 98 never clips, so
+        # it writes the same checks, with the constants from one sweep of
+        # the stored run.
         from stochage.rescale import RescaledCoefficients
 
         sweep = RescaledCoefficients.coefficient_sups
         sweeps = []
 
-        def counting(self):
-            if self._sups is None:
-                sweeps.append(self)
-            return sweep(self)
+        def counting(self, rows=None):
+            sweeps.append(self)
+            return sweep(self, rows)
 
         monkeypatch.setattr(RescaledCoefficients, "coefficient_sups", counting)
         text = (MODELS / "sample1d.ini").read_text()
@@ -554,7 +561,7 @@ class TestCli:
             assert main(["check", "--model", str(path),
                          "--out", str(tmp_path / name)]) == 0
             counts[name] = len(sweeps)
-        assert counts == {"auto": 4, "fixed": 1}
+        assert counts == {"auto": 0, "fixed": 1}
         assert ((tmp_path / "auto" / "checks.csv").read_bytes()
                 == (tmp_path / "fixed" / "checks.csv").read_bytes())
 

@@ -6,6 +6,7 @@ import pytest
 import sympy
 
 import stochage as sa
+from stochage import rescale, solver
 from stochage.errors import ConfigurationError, NoiseMagnitudeError
 from stochage.grid import Face, boundary_faces
 from stochage.modelfile import parse_model
@@ -14,6 +15,8 @@ from stochage.rates import ConstantRate, evaluate_on_faces, evaluate_on_grid
 from stochage.rescale import RescaledCoefficients
 
 from conftest import build_model, linear_rates
+
+MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 class TestTransforms:
@@ -175,8 +178,8 @@ class TestConstants:
 class TestOneEvaluationPerSolve:
     @pytest.mark.parametrize("solve", [sa.solve_rescaled_batch, sa.solve_direct_batch])
     def test_k0_is_evaluated_once_per_face(self, solve, monkeypatch):
-        # sample1d's k0 ignores t: a solve of a batch, its sweep of the
-        # coefficient sups included, evaluates it once on each face
+        # sample1d's k0 ignores t: a solve of a batch, the coefficient sups
+        # its march gathers included, evaluates it once on each face
         model, cfg = parse_model(Path(__file__).resolve().parent.parent
                                  / "models" / "sample1d.ini")
         calls = []
@@ -194,6 +197,21 @@ class TestOneEvaluationPerSolve:
         reports = solve(model, bundles, cfg)
         assert all(isinstance(r, sa.SolveReport) for r in reports)
         assert len(calls) == len(boundary_faces(model.grid))
+
+    def test_noise_is_evaluated_once_per_node(self, monkeypatch):
+        # with an automatic radius that never clips, the march gathers the
+        # coefficient sups: the noise is evaluated once per node for the batch
+        model, cfg = parse_model(MODELS / "sample1d.ini")
+        calls = []
+        evaluate = rescale.evaluate_noise
+        monkeypatch.setattr(rescale, "evaluate_noise",
+                            lambda *args: (calls.append(args[2]), evaluate(*args))[1])
+        bundles = [sa.sample_bundle(s, model.noise.n_modes, model.grid.n_t, model.grid.T)
+                   for s in range(5)]
+        assert cfg.truncation_radius is None
+        reports = sa.solve_rescaled_batch(model, bundles, cfg)
+        assert all(r.guard.activations == 0 for r in reports)
+        assert sorted(calls) == list(range(model.grid.n_t + 1))
 
     def test_sweep_without_the_march_reads_k0_once_per_face_and_node(self, monkeypatch):
         # the sweep behind check evaluates k0 afresh at every node, once on each face
@@ -215,8 +233,8 @@ class TestGuardModes:
 
     def test_auto_and_fixed_radius_fail_a_path_alike(self, grid1d):
         # seed 3 passes the exp guard on W - W(t,0,x) only (sup |W| about 400,
-        # its age increment about 800): the sweep behind the automatic radius
-        # guards it as the march does, so both modes give the same error
+        # its age increment about 800): the sups behind the automatic radius
+        # are guarded by the march itself, so both modes give the same error
         model = self.agepoly_model(grid1d, 800.0)
         bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in (3, 0)]
         assert 350 < 800.0 * 0.5 * np.abs(bundles[0].betas).max() < 700
@@ -242,6 +260,54 @@ class TestGuardModes:
         report = sa.solve_rescaled_batch(model, [bundle], sa.SolverConfig(snapshot_stride=0))[0]
         assert isinstance(report, sa.StochageError)
         assert str(report).startswith("energy bound exponent")
+
+
+class TestBoundRadius:
+    @staticmethod
+    def model(name, grid, tmp_path):
+        if name.startswith("agepoly"):
+            return TestGuardModes.agepoly_model(grid, float(name[7:]))
+        if name == "loud":
+            path = tmp_path / "loud.ini"
+            path.write_text((MODELS / "sample1d.ini").read_text().replace(
+                "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4"))
+            return parse_model(path)[0]
+        return parse_model(MODELS / f"{name}.ini")[0]
+
+    @pytest.mark.parametrize("name", ["sample1d", "sample2d", "loud", "agepoly400", "agepoly800"])
+    def test_node_zero_radius_is_a_lower_bound(self, name, grid1d, tmp_path, monkeypatch):
+        # the automatic radius starts every path at the bound of node 0's
+        # sups (-inf if it overflows); the bound of the nodes seen so far
+        # only grows node by node, to the radius of each path that
+        # converges (no path of the age-polynomial models does: each passes
+        # the exp guard or its bound overflows, at node 0 already)
+        model = self.model(name, grid1d, tmp_path)
+        grid = model.grid
+        bundles = [sa.sample_bundle(s, model.noise.n_modes, grid.n_t, grid.T) for s in range(6)]
+        guard_starts, bound_guard = [], solver._bound_guard
+        monkeypatch.setattr(solver, "_bound_guard", lambda *args: (
+            guard := bound_guard(*args), guard_starts.append(guard.radius.copy()))[0])
+        reports = sa.solve_rescaled_batch(model, bundles, sa.SolverConfig(snapshot_stride=0))
+        converged = [isinstance(r, sa.SolveReport) for r in reports]
+        assert any(converged) != name.startswith("agepoly")
+        starts = set()
+        for bundle, report in zip(bundles, reports):
+            coeffs, radii, over = RescaledCoefficients(model, bundle), [], np.zeros(())
+            for i in range(grid.n_t + 1):
+                coeffs.k_faces(i, over=over)
+                coeffs.node_fields(i, over=over)
+                if over:   # the exp guard fails the path from here on
+                    break
+                try:
+                    radii.append(float(sa.constants_for_run(model, sups=coeffs.sups_so_far()).n0))
+                except sa.StochageError:   # the bound overflows a float
+                    radii.append(np.inf)
+            starts.add(radii[0])
+            assert radii == sorted(radii)
+            if isinstance(report, sa.SolveReport):
+                assert len(radii) == grid.n_t + 1 and radii[-1] == report.guard.radius
+        (start,) = starts
+        assert np.all(guard_starts[0] == (start if np.isfinite(start) else -np.inf))
 
 
 class TestItoConsistency:

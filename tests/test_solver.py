@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import solve_banded
 
 import stochage as sa
+from stochage import solver
 from stochage.errors import (ConfigurationError, InsufficientDataError,
                              InvalidFieldError, NoiseMagnitudeError, NonconvergenceError)
 from stochage.grid import (Face, boundary_faces, boundary_norm_sq, gradient_energy,
@@ -654,9 +655,15 @@ def bundles_for(model, n, base=0):
 
 
 class TestSolveRescaledBatch:
-    @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
-    def test_batch_matches_one_path_march(self, name):
-        model, cfg = parse_model(MODELS / f"{name}.ini")
+    @pytest.mark.parametrize("name", ["sample1d", "sample2d", "clipping"])
+    def test_batch_matches_one_path_march(self, name, tmp_path):
+        path = MODELS / f"{name}.ini"
+        if name == "clipping":   # norms near 10 pass the bound's radius of 2 to 14
+            path = tmp_path / "clipping.ini"
+            path.write_text((MODELS / "sample1d.ini").read_text().replace(
+                "p0 = ageexp:1.5,1.0", "p0 = ageexp:15,1.0").replace(
+                "k0 = constant:0.0", "k0 = constant:0.05") + "c0 = 1e-3\n")
+        model, cfg = parse_model(path)
         cfg = dataclasses.replace(cfg, snapshot_stride=1)
         bundles = bundles_for(model, 10)
         singles = [sa.solve_rescaled(model, b, cfg) for b in bundles]
@@ -674,12 +681,68 @@ class TestSolveRescaledBatch:
             # paths leave the fixed point at different iterates
             iters = np.array([r.picard_iterations for r in singles])
             assert np.any(iters.min(axis=0) < iters.max(axis=0))
+        if name == "clipping":
+            # the march completes their sups before it clips
+            assert 0 < sum(r.guard.activations > 0 for r in singles) < len(singles)
         for size in (3, 10):
             for lo in range(0, len(bundles), size):
                 batch = sa.solve_rescaled_batch(model, bundles[lo:lo + size], cfg)
                 assert len(batch) == len(bundles[lo:lo + size])
                 for rep, single in zip(batch, singles[lo:lo + size]):
                     assert same(rep, single)
+
+    @pytest.mark.parametrize("max_iter", [2, 50])
+    def test_a_path_ends_as_if_its_sups_were_swept_first(self, max_iter, tmp_path):
+        # the march gathers the sups and completes them for a path that
+        # leaves it, so each path ends as when they were swept first: with
+        # the exp guard's error, else the bound's, else as a march at its
+        # own radius.  With 2 fixed-point iterates every march fails early
+        path = tmp_path / "loud.ini"
+        path.write_text((MODELS / "sample1d.ini").read_text().replace(
+            "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4").replace(
+            "k0 = constant:0.0", "k0 = constant:0.05"))
+        model, cfg = parse_model(path)
+        cfg = dataclasses.replace(cfg, snapshot_stride=0, picard_max_iter=max_iter)
+        bundles = bundles_for(model, 8)
+        causes = set()
+        for entry, bundle in zip(sa.solve_rescaled_batch(model, bundles, cfg), bundles):
+            try:
+                consts = sa.constants_for_run(model, bundle, c0=cfg.c0, c1=cfg.c1)
+            except sa.StochageError as exc:
+                expected = exc
+            else:
+                own = dataclasses.replace(cfg, truncation_radius=float(consts.n0))
+                expected = sa.solve_rescaled_batch(model, [bundle], own)[0]
+                if isinstance(expected, sa.SolveReport):
+                    expected.guard.constants = consts
+            if isinstance(expected, sa.StochageError):
+                assert type(entry) is type(expected) and str(entry) == str(expected)
+            else:
+                assert same(entry, expected)
+            causes.add(type(entry))
+        assert causes == {sa.StochageError, NonconvergenceError if max_iter == 2 else sa.SolveReport}
+
+    def test_a_path_leaves_at_the_step_its_completed_sups_fail(self, tmp_path, monkeypatch):
+        # a norm past node 0's radius completes the path's sups; when its
+        # bound overflows, the path marches no further step
+        path = tmp_path / "loud.ini"
+        path.write_text((MODELS / "sample1d.ini").read_text().replace(
+            "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4"))
+        model, cfg = parse_model(path)
+        left, step = {}, solver.picard_step_solve
+
+        def recording(y, t_index, coeffs, gamma, region, guard, config, factors, live):
+            assert not set(live.tolist()) & set(left)
+            result = step(y, t_index, coeffs, gamma, region, guard, config, factors, live)
+            left.update((j, t_index) for j in live.tolist()
+                        if isinstance(guard.constants[j], sa.StochageError))
+            return result
+
+        monkeypatch.setattr(solver, "picard_step_solve", recording)
+        cfg = dataclasses.replace(cfg, snapshot_stride=0)
+        reports = sa.solve_rescaled_batch(model, bundles_for(model, 8), cfg)
+        assert left and max(left.values()) < model.grid.n_t
+        assert all(isinstance(reports[j], sa.StochageError) for j in left)
 
     def test_small_radius_clips_some_paths_only(self, grid1d):
         # a growing population whose paths spread: a radius inside the
@@ -733,8 +796,8 @@ class TestSolveRescaledBatch:
         assert len({e.ratio for e in errors if e is not None}) > 1
 
     def test_noise_past_the_exp_guard_fails_its_path_mid_march(self, grid1d):
-        # a fixed radius skips the whole-path sweep, so a path whose |W|
-        # passes 700 fails at the first node where it does, with its own |W|
+        # with a fixed radius a path whose |W| passes 700 fails at the
+        # first node where it does, with its own |W|
         bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in range(8)]
         peaks = [np.abs(b.betas[0]).max() for b in bundles]
         amp = 700.0 / float(np.median(peaks))
