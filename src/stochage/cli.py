@@ -128,7 +128,7 @@ def _cmd_check(args) -> int:
         estimates.CheckRow("rate_validation_violations",
                            len(validate_rates(model.rates, model.grid)), 0),
         estimates.CheckRow("apriori_margin_max",
-                           np.max(estimates.apriori_check(report, consts)), 1.0),
+                           np.max(estimates.apriori_check(report, model, bundle, consts)), 1.0),
         estimates.CheckRow("truncation_activations", report.guard.activations, 0)]
 
     # continuous dependence: quadratic scaling in an initial-data bump

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, StochageError
-from .grid import (Grid, boundary_faces, face_measure, face_shape,
+from .grid import (Grid, boundary_faces, boundary_norm_sq, face_measure, face_shape,
                    gradient_energy, l2_norm, weighted_population)
 from .model import PopulationModel
 from .noise import BrownianBundle, amplitude_grids
@@ -125,20 +125,37 @@ def _cumtrapz(series: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def apriori_check(report, consts: EstimateConstants) -> np.ndarray:
-    """Ratio of solution energy to the bound, per time level.
+def _energy_terms(states, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """Per time node of ``states`` (fields read one at a time): the squared
+    norm, and the energy estimate's left side, that plus the trapezoid time
+    integrals of the exit-age trace and of the squared norm plus the gradient energy."""
+    sq, exit_trace, grad = np.zeros((3, grid.n_t + 1))
+    for i, state in enumerate(states):
+        sq[i] = l2_norm(state, grid) ** 2
+        exit_trace[i] = np.sum(state[grid.rows(-1)] ** 2) * grid.cell_volume
+        grad[i] = gradient_energy(state, grid)
+    return sq, sq + _cumtrapz(exit_trace, grid.dt) + _cumtrapz(sq + grad, grid.dt)
+
+
+def apriori_check(report, model: PopulationModel, bundle: BrownianBundle,
+                  consts: EstimateConstants) -> np.ndarray:
+    """Ratio of solution energy to the bound, per time level, of a rescaled
+    report stored at stride 1 and the path ``bundle`` it was solved on.
 
     Left side: squared state norm, the exit-age trace integrated in time,
     and the time integral of the gradient-augmented norm.  Right side:
-    growth factor times initial energy plus the boundary-datum integral.
+    growth factor times initial energy plus the time integral of the
+    squared boundary norm of the rescaled Robin datum ``k0 exp(-W)``.
     Ratios at most 1 mean the calibrated bound holds; a zero-over-zero
     level counts as a pass.
     """
-    dt = report.grid.dt
-    sq = report.l2_series ** 2
-    left = sq + _cumtrapz(report.exit_trace_series, dt) \
-        + _cumtrapz(sq + report.gradient_energy_series, dt)
-    right = consts.c_est * (sq[0] + _cumtrapz(report.k_norm_sq_series, dt))
+    if report.solver != "rescaled":
+        raise ConfigurationError("the energy bound expects a rescaled-state report")
+    grid = report.grid
+    sq, left = _energy_terms(report.trajectory, grid)   # raises when stored with stride > 1
+    coeffs = RescaledCoefficients(model, [bundle])
+    k_sq = [boundary_norm_sq(coeffs.k_faces(i), grid)[0] for i in range(grid.n_t + 1)]
+    right = consts.c_est * (sq[0] + _cumtrapz(np.array(k_sq), grid.dt))
     return np.array([_ratio(l, r) for l, r in zip(left, right)])
 
 
@@ -162,7 +179,8 @@ class DependenceResult:
 
 def dependence_check(report1, report2, consts1: EstimateConstants,
                      consts2: EstimateConstants | None = None) -> DependenceResult:
-    """Solution-difference energy against the data-difference bound.
+    """Solution-difference energy at the final time (:func:`_energy_terms`
+    of the difference) against the data-difference bound.
 
     The prefactor uses the worse of the two runs' coefficient sups, so the
     result is symmetric under swapping the runs.  The runs share their
@@ -174,18 +192,7 @@ def dependence_check(report1, report2, consts1: EstimateConstants,
     if report1.grid != report2.grid:
         raise ConfigurationError("dependence check needs a shared grid")
     traj1, traj2 = report1.trajectory, report2.trajectory
-    grid = report1.grid
-    dt = grid.dt
-    n = grid.n_t + 1
-    d_sq = np.zeros(n)
-    d_exit = np.zeros(n)
-    d_grad = np.zeros(n)
-    for i in range(n):
-        d = traj1[i] - traj2[i]
-        d_sq[i] = l2_norm(d, grid) ** 2
-        d_exit[i] = float(np.sum(d[-1] ** 2)) * grid.cell_volume
-        d_grad[i] = gradient_energy(d, grid)
-    left = d_sq[-1] + _cumtrapz(d_exit, dt)[-1] + _cumtrapz(d_sq + d_grad, dt)[-1]
+    d_sq, left = _energy_terms((a - b for a, b in zip(traj1, traj2)), report1.grid)
     c0, c1 = consts1.c0, consts1.c1
     sups1, sups2 = consts1.sups, consts2.sups
     expo = c1 * (1.0 + max(sups1.g1_sup, sups2.g1_sup)
@@ -194,8 +201,8 @@ def dependence_check(report1, report2, consts1: EstimateConstants,
                  + consts1.a_max * max(consts1.l2, consts2.l2) ** 2) \
         * consts1.horizon
     right = c0 * math.exp(min(expo, 700.0)) * d_sq[0]
-    return DependenceResult(difference_energy=left, data_energy=right,
-                            ratio=_ratio(left, right))
+    return DependenceResult(difference_energy=left[-1], data_energy=right,
+                            ratio=_ratio(left[-1], right))
 
 
 # ---------------------------------------------------------------------------

@@ -30,13 +30,21 @@ def save_field(path, values: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(values).tobytes())
 
 
+def _unpack(fh, fmt: str, path, kind: str) -> tuple:
+    """The next bytes of ``fh`` unpacked by ``fmt``; a file that ends first is truncated."""
+    try:
+        return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
+    except struct.error:
+        raise ConfigurationError(f"{path}: truncated {kind} file") from None
+
+
 def load_field(path) -> np.ndarray:
     with open(path, "rb") as fh:
         magic = fh.read(8)
         if magic != FIELD_MAGIC:
             raise ConfigurationError(f"{path}: not a field file (magic {magic!r})")
-        (rank,) = struct.unpack("<I", fh.read(4))
-        shape = struct.unpack(f"<{rank}Q", fh.read(8 * rank))
+        (rank,) = _unpack(fh, "<I", path, "field")
+        shape = _unpack(fh, f"<{rank}Q", path, "field")
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != int(np.prod(shape)):
         raise ConfigurationError(f"{path}: truncated field file")
@@ -59,7 +67,7 @@ def load_bundle(path) -> BrownianBundle:
         magic = fh.read(8)
         if magic != BUNDLE_MAGIC:
             raise ConfigurationError(f"{path}: not a bundle file (magic {magic!r})")
-        n, n_t, seed, dt, level = struct.unpack("<IQQdI", fh.read(4 + 8 + 8 + 8 + 4))
+        n, n_t, seed, dt, level = _unpack(fh, "<IQQdI", path, "bundle")
         data = np.frombuffer(fh.read(), dtype="<f8")
     if data.size != n * n_t:
         raise ConfigurationError(f"{path}: truncated bundle file")

@@ -156,8 +156,7 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         t_new = grid.times[t_index]
         rows = increments if len(live) == len(increments) else increments[live]
         dbeta = rows[:, :, t_index - 1]
-        k0 = ctx.boundary(rates.k0, t_new)
-        faces = ((ctx.boundary(rates.alpha0, t_new), k0)
+        faces = ((ctx.boundary(rates.alpha0, t_new), ctx.boundary(rates.k0, t_new))
                  if config.include_diffusion else None)
         p, cfl, overshoot = em_step(p, dbeta, ctx, t_new, u_prev, grid.dt,
                                     faces, config.scheme)
@@ -165,10 +164,9 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
             shock = _shock(dbeta, ctx, grid.dt, config.scheme)
             overshoot = np.max(np.abs(shock).reshape(len(p), -1), axis=1) > 1.0
         return StepResult(p, weighted_population(p, ctx.gamma, model.region, grid),
-                          k0, cfl=cfl, overshoot=overshoot)
+                          cfl=cfl, overshoot=overshoot)
 
-    reports = _march(model, len(bundles), ctx.gamma, ctx.boundary(rates.k0, 0.0), step,
-                     config, "direct")
+    reports = _march(model, len(bundles), ctx.gamma, step, config, "direct")
     for report in reports:
         if isinstance(report, SolveReport) and report.noise_factor_warnings:
             logger.warning(

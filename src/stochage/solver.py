@@ -30,8 +30,7 @@ import numpy as np
 from . import estimates
 from .errors import (ConfigurationError, InsufficientDataError, InvalidFieldError,
                      NoiseMagnitudeError, NonconvergenceError, StochageError)
-from .grid import (Face, Grid, boundary_norm_sq, gradient_energy, l2_norm,
-                   weighted_population)
+from .grid import Face, Grid, l2_norm, weighted_population
 from .model import PopulationModel
 from .noise import BrownianBundle
 from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
@@ -364,7 +363,7 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Trajectory plus per-step diagnostics of one pathwise solve."""
+    """Trajectory, per-node norm, births and ``U``, and step diagnostics of one solve."""
 
     solver: str                    # "rescaled" (state y) or "direct" (density p)
     grid: Grid
@@ -372,11 +371,8 @@ class SolveReport:
     snapshots: np.ndarray
     final: np.ndarray
     l2_series: np.ndarray
-    gradient_energy_series: np.ndarray
-    exit_trace_series: np.ndarray
     births_series: np.ndarray
     u_series: np.ndarray
-    k_norm_sq_series: np.ndarray
     picard_iterations: np.ndarray
     contraction_ratios: np.ndarray
     guard: TruncationGuard | None
@@ -437,16 +433,14 @@ def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
 
 @dataclass
 class StepResult:
-    """One time step of either route: the new state, its population
-    functional and the Robin datum ``k`` on the faces, then diagnostics
-    whose defaults are the direct route's (no fixed point, no advection).
-    The diagnostics are one value for all paths or one per path;
+    """One time step of either route: the new state and its population
+    functional, then diagnostics whose defaults are the direct route's (no
+    fixed point, no advection), one value for all paths or one per path;
     ``overshoot`` flags per path a noise factor more than 1 away from 1;
     ``failed`` maps a row to the error that ended its path (state finite)."""
 
     state: np.ndarray
     u_value: float | np.ndarray
-    k_faces: dict
     iterations: int | np.ndarray = 0
     contraction_ratio: float | np.ndarray = np.nan
     cfl: float | np.ndarray = 0.0
@@ -454,35 +448,34 @@ class StepResult:
     failed: dict = field(default_factory=dict)
 
 
-def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dict,
+def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray,
            step, config: SolverConfig, solver: str) -> list[SolveReport | StochageError]:
     """The time loop of both routes; per path its report (without a guard)
     or its error.
 
     The noise vanishes at time zero, so both routes start every path from
-    the initial density (a leading path axis), its population functional
-    with weight ``gamma`` and the Robin datum ``k_start`` (``k0`` at
-    t = 0).  ``step(t_index, state, u_value, live)`` returns the
-    :class:`StepResult` at node ``t_index`` of the paths ``live``, the rows
-    of ``state``.  A row leaves when the step fails it or it is not finite.
+    the initial density (a leading path axis) and its population functional
+    with weight ``gamma``.  ``step(t_index, state, u_value, live)`` returns
+    the :class:`StepResult` at node ``t_index`` of the paths ``live``, the
+    rows of ``state``.  A row leaves when the step fails it or it is not
+    finite.  The march records only what every run reads (the series of
+    :class:`SolveReport`, the step diagnostics and the snapshots); the
+    energy-bound terms are :func:`estimates.apriori_check`'s own work.
     """
     grid, n_t = model.grid, model.grid.n_t
     failed, live, at = {}, np.arange(n_paths), np.s_[:]   # at: the rows of the live paths
     state = np.repeat(model.p0.values[None], n_paths, axis=0)
     indices = _snapshot_indices(n_t, config.snapshot_stride)
     snapshots = None   # from the first slot after node 0, whose state is p0 in every path
-    series = {name: np.zeros((n_paths, n_t + 1)) for name in
-              ("l2", "grad", "exit", "births", "u", "k_sq")}
+    series = {name: np.zeros((n_paths, n_t + 1)) for name in ("l2", "births", "u")}
     iterations = np.zeros((n_paths, n_t), dtype=int)
     ratios = np.full((n_paths, n_t), np.nan)
     cfl_max = np.zeros(n_paths)
     warnings = np.zeros(n_paths, dtype=int)
     space = tuple(range(-grid.dim, 0))
-    vol = grid.cell_volume
     slots = {int(i): pos for pos, i in enumerate(indices)}
-    k_sq = [None, 0.0]   # the last Robin datum recorded and its norm, kept while repeated
 
-    result = StepResult(state, weighted_population(state, gamma, model.region, grid), k_start)
+    result = StepResult(state, weighted_population(state, gamma, model.region, grid))
     for i in range(n_t + 1):
         if i:
             result = step(i, state, u_value, live)
@@ -490,12 +483,9 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
             ratios[at, i - 1] = result.contraction_ratio
             cfl_max[at] = np.maximum(cfl_max[at], result.cfl)
             warnings[at] += result.overshoot
-        if result.k_faces is not k_sq[0]:
-            k_sq[:] = result.k_faces, boundary_norm_sq(result.k_faces, grid)
         state, u_value = result.state, result.u_value
         series["l2"][at, i] = l2 = l2_norm(state, grid, strict=False)
         series["u"][at, i] = u_value
-        series["k_sq"][at, i] = k_sq[1]
         errors = {int(row): InvalidFieldError("field contains non-finite entries")
                   for row in np.isnan(l2).nonzero()[0]} | result.failed
         if errors:   # their paths leave the march
@@ -503,9 +493,7 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
             failed.update({int(live[row]): exc for row, exc in errors.items()})
             live = at = live[keep]
             state, u_value = state[keep], u_value[keep]
-        series["grad"][at, i] = gradient_energy(state, grid)
-        series["exit"][at, i] = (state[grid.rows(-1)] ** 2).sum(axis=space) * vol
-        series["births"][at, i] = state[grid.rows(0)].sum(axis=space) * vol
+        series["births"][at, i] = state[grid.rows(0)].sum(axis=space) * grid.cell_volume
         if i in slots and i:
             if snapshots is None:
                 snapshots = np.empty((n_paths, len(indices)) + grid.field_shape)
@@ -517,9 +505,7 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray, k_start: dic
     return [failed[j] if j in failed else SolveReport(
         solver=solver, grid=grid, snapshot_indices=indices,
         snapshots=snapshots[j], final=state[np.searchsorted(live, j)],
-        l2_series=series["l2"][j], gradient_energy_series=series["grad"][j],
-        exit_trace_series=series["exit"][j], births_series=series["births"][j],
-        u_series=series["u"][j], k_norm_sq_series=series["k_sq"][j],
+        l2_series=series["l2"][j], births_series=series["births"][j], u_series=series["u"][j],
         picard_iterations=iterations[j], contraction_ratios=ratios[j], guard=None,
         cfl_max=float(cfl_max[j]), noise_factor_warnings=int(warnings[j]))
         for j in range(n_paths)]
@@ -583,7 +569,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     index = active if live is None else live        # their bundles, for the guard
     failed = {int(r): NoiseMagnitudeError(over[r]) for r in np.flatnonzero(over)} if paths else {}
     stopped = []     # (rows of y, their new states) of the paths out of the iteration
-    result = StepResult(y, np.empty(paths), k, np.zeros(paths, dtype=int), np.full(paths, np.nan),
+    result = StepResult(y, np.empty(paths), np.zeros(paths, dtype=int), np.full(paths, np.nan),
                         np.zeros(paths), failed=failed) if paths else None   # filled row by row
     zeta, prev_diff, ratio, cfl = y, None, np.full(paths, np.nan), np.zeros(paths)
     if failed:   # these paths never iterate; their rows keep the old state
@@ -625,7 +611,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         if np.any(done):
             u_final = weighted_population(exp_w * v, gamma_vals, region, grid)
             if not stopped and np.all(done):
-                return StepResult(state=v, u_value=u_final, k_faces=k, iterations=it,
+                return StepResult(state=v, u_value=u_final, iterations=it,
                                   contraction_ratio=ratio, cfl=cfl, failed=failed)
             stopped.append((stop := active[done], v[done]))
             result.u_value[stop] = u_final[done]
@@ -670,8 +656,7 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
                              activations=np.zeros(n_p, dtype=int))
              if config.truncation_radius is not None else _bound_guard(model, coeffs, config))
     reports = _march(
-        model, n_p, gamma_vals, factors.faces(model.rates.k0, model.grid, 0.0),
-        lambda t_index, y, _, live: picard_step_solve(
+        model, n_p, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
             y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live),
         config, "rescaled")
     if guard.settle is not None:   # a path that left the march has nodes it did not see

@@ -230,7 +230,7 @@ def test_criterion_05_apriori_bound():
     worst = -np.inf
     for label, model, bundle, rep in regression_runs():
         consts = sa.constants_for_run(model, bundle)  # c0 = c1 = 1 frozen
-        margins = sa.apriori_check(rep, consts)
+        margins = sa.apriori_check(rep, model, bundle, consts)
         worst = max(worst, float(np.max(margins)))
     ok = worst <= 1.0
     assert report(5, ok,

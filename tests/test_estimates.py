@@ -7,12 +7,15 @@ import sympy
 
 import stochage as sa
 from stochage.ensemble import fit_order
-from stochage.errors import InsufficientDataError
-from stochage.estimates import CheckRow, _ratio, build_test_functions, growth_factor
-from stochage.grid import face_shape
+from stochage.errors import ConfigurationError, InsufficientDataError
+from stochage.estimates import (CheckRow, _cumtrapz, _ratio, build_test_functions,
+                                growth_factor)
+from stochage.grid import boundary_norm_sq, face_shape, gradient_energy, l2_norm
 from stochage.noise import coarsen
+from stochage.rates import evaluate_on_faces
+from stochage.rescale import RescaledCoefficients
 
-from conftest import build_model, linear_rates, smooth_p0
+from conftest import build_model, linear_rates, logistic_rates, smooth_p0
 
 
 def solved_pair(grid, seed=5, rates=None, stride=1, p0=None):
@@ -67,7 +70,7 @@ class TestAprioriCheck:
         consts = sa.constants_for_run(model, bundle)
         before = {f.name: copy.deepcopy(getattr(rep, f.name))
                   for f in dataclasses.fields(rep)}
-        margins = sa.apriori_check(rep, consts)
+        margins = sa.apriori_check(rep, model, bundle, consts)
         assert margins.shape == (grid1d.n_t + 1,)
         assert np.all(margins <= 1.0)
         # the check is pure: every field of the report is bitwise unchanged
@@ -84,7 +87,7 @@ class TestAprioriCheck:
         p0 = sa.Field(np.zeros(grid1d.field_shape), grid1d)
         model, bundle, rep = solved_pair(grid1d, p0=p0)
         consts = sa.constants_for_run(model, bundle)
-        margins = sa.apriori_check(rep, consts)
+        margins = sa.apriori_check(rep, model, bundle, consts)
         assert np.all(margins == 0.0)
 
     def test_scaling_invariance(self, grid1d):
@@ -94,12 +97,45 @@ class TestAprioriCheck:
         lam = 3.7
         scaled = build_model(grid1d, p0=sa.Field(lam * model.p0.values, grid1d))
         rep2 = sa.solve_rescaled(scaled, bundle, sa.SolverConfig(snapshot_stride=1))
-        m1 = sa.apriori_check(rep, sa.constants_for_run(model, bundle))
+        m1 = sa.apriori_check(rep, model, bundle, sa.constants_for_run(model, bundle))
         c2 = sa.constants_for_run(scaled, bundle)
-        m2 = sa.apriori_check(rep2, c2)
+        m2 = sa.apriori_check(rep2, scaled, bundle, c2)
         # growth factors differ only through the data term, which scales out
         ratio = m2[1:] / m1[1:] * (c2.c_est / sa.constants_for_run(model, bundle).c_est)
         assert np.allclose(ratio, 1.0, rtol=1e-12)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_margins_are_the_energy_terms_of_the_trajectory(self, grid1d, grid2d, dim):
+        # bit for bit the per-field norms of the stored trajectory and of
+        # the rescaled Robin datum k0 exp(-W), integrated by the trapezoid rule
+        grid = grid1d if dim == 1 else grid2d
+        rates = dataclasses.replace(logistic_rates(), k0=sa.ConstantRate(0.05))
+        model = build_model(grid, rates=rates)
+        bundle = sa.sample_bundle(5, model.noise.n_modes, grid.n_t, grid.T)
+        rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=1))
+        consts = sa.constants_for_run(model, bundle)
+        traj, vol, dt = rep.trajectory, grid.cell_volume, grid.dt
+        coeffs = RescaledCoefficients(model, [bundle])   # the noise vanishes at time zero
+        k_sq = np.array([boundary_norm_sq(evaluate_on_faces(rates.k0, grid, 0.0), grid)] + [
+            boundary_norm_sq(coeffs.k_faces(i), grid)[0] for i in range(1, grid.n_t + 1)])
+        sq = np.array([l2_norm(s, grid) for s in traj]) ** 2
+        grad = np.array([gradient_energy(s, grid) for s in traj])
+        exit_trace = np.array([np.sum(s[grid.rows(-1)] ** 2) * vol for s in traj])
+        assert np.all(k_sq > 0) and np.all(grad[1:] > 0)
+        left = sq + _cumtrapz(exit_trace, dt) + _cumtrapz(sq + grad, dt)
+        right = consts.c_est * (sq[0] + _cumtrapz(k_sq, dt))
+        margins = sa.apriori_check(rep, model, bundle, consts)
+        assert margins.tobytes() == np.array([_ratio(l, r) for l, r in zip(left, right)]).tobytes()
+
+    @pytest.mark.parametrize("route, stride, error", [
+        ("rescaled", 4, InsufficientDataError), ("direct", 1, ConfigurationError)])
+    def test_needs_full_rescaled_trajectory(self, grid1d, route, stride, error):
+        model = build_model(grid1d)
+        bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
+        solve = sa.solve_rescaled if route == "rescaled" else sa.solve_direct
+        rep = solve(model, bundle, sa.SolverConfig(snapshot_stride=stride))
+        with pytest.raises(error):
+            sa.apriori_check(rep, model, bundle, sa.constants_for_run(model, bundle))
 
 
 class TestDependence:

@@ -27,13 +27,15 @@ class TestFieldFormat:
             load_field(path)
 
     def test_truncated(self, tmp_path):
+        # cut in the data, after the magic, and inside the shape
         arr = np.ones((4, 4))
         path = tmp_path / "f.bin"
         save_field(path, arr)
         data = path.read_bytes()
-        path.write_bytes(data[:-8])
-        with pytest.raises(ConfigurationError):
-            load_field(path)
+        for end in (-8, 8, 8 + 4 + 8):
+            path.write_bytes(data[:end])
+            with pytest.raises(ConfigurationError, match="truncated field file"):
+                load_field(path)
 
 
 class TestBundleFormat:
@@ -64,6 +66,16 @@ class TestBundleFormat:
         path.write_bytes(b"12345678" + b"\x00" * 40)
         with pytest.raises(ConfigurationError):
             load_bundle(path)
+
+    def test_truncated(self, tmp_path):
+        # cut in the increments, after the magic, and inside the header
+        path = tmp_path / "b.bin"
+        save_bundle(path, sa.sample_bundle(3, 2, 8, 1.0))
+        data = path.read_bytes()
+        for end in (-8, 8, 8 + 20):
+            path.write_bytes(data[:end])
+            with pytest.raises(ConfigurationError, match="truncated bundle file"):
+                load_bundle(path)
 
 
 class TestCsv:
