@@ -102,9 +102,11 @@ def compute_constants(rates: VitalRates, sups: CoefficientSups, *,
 def constants_for_run(model: PopulationModel,
                       bundle: BrownianBundle | None = None,
                       c0: float = 1.0, c1: float = 1.0,
-                      sups: CoefficientSups | None = None) -> EstimateConstants:
+                      sups: CoefficientSups | None = None,
+                      y0_norm_sq: float | None = None) -> EstimateConstants:
     """Constants of one path from its coefficient ``sups``, else from a sweep
-    of ``bundle`` (a march at an automatic radius gathers them instead)."""
+    of ``bundle`` (a march at an automatic radius gathers them instead), and
+    the data energy ``y0_norm_sq``, by default that of ``model.p0``."""
     if sups is None:
         if bundle is None:
             raise ConfigurationError("a bundle or its coefficient sups are required")
@@ -112,7 +114,7 @@ def constants_for_run(model: PopulationModel,
     return compute_constants(
         model.rates, sups, c0=c0, c1=c1, region_volume=model.region_volume,
         a_max=model.grid.a_max, horizon=model.grid.T,
-        y0_norm_sq=l2_norm(model.p0) ** 2)
+        y0_norm_sq=l2_norm(model.p0) ** 2 if y0_norm_sq is None else y0_norm_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +307,7 @@ def _weak_residual(traj, grid: Grid, psis: list[TestFunction], node,
     """
     tw = grid.time_weights
     aw = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
+    face_aw = aw[..., 0]   # on a face: the age weights of its age nodes
     vol = grid.cell_volume
     res = np.zeros(len(psis))
     if not timed:
@@ -316,23 +319,22 @@ def _weak_residual(traj, grid: Grid, psis: list[TestFunction], node,
         g1, g2, mu_s, m, alpha, k = node(i, y)
         grads = _cell_gradients(y, grid)
         renewal_inner = np.sum(aw * m * y, axis=0)
+        neg_y, decay = -y, y * g1 + mu_s * y   # what no test function changes, once per node
+        drift = [g2[ax] * grads[ax] for ax in range(grid.dim)]
+        robin = [(face, alpha[face] * np.take(y, -face.side, axis=1 + face.axis) + k[face],
+                  face_measure(grid, face)) for face in boundary_faces(grid)]   # trace: next cell
         for j, psi in enumerate(psis):
             ph, dph = (psi.phi(t), psi.dphi(t)) if timed else (1.0, 0.0)
             # interior terms, all weighted by the time rule
-            bulk = -y * psi.A * dph - y * psi.A_a * ph \
-                + (y * g1 + mu_s * y) * psi.A * ph
+            bulk = neg_y * psi.A * dph - y * psi.A_a * ph + decay * psi.A * ph
             for ax in range(grid.dim):
-                bulk += (grads[ax] * psi.A_grad[ax] + g2[ax] * grads[ax] * psi.A) * ph
+                bulk += (grads[ax] * psi.A_grad[ax] + drift[ax] * psi.A) * ph
             val = np.sum(bulk * aw) * vol * tw[i]
             # exit-age trace and renewal row
             val += np.sum(y[-1] * psi.A[-1]) * vol * ph * tw[i]
             val -= np.sum(renewal_inner * psi.A[0]) * vol * ph * tw[i]
-            # Robin boundary; the adjacent cell's value is the trace
-            for face in boundary_faces(grid):
-                y_face = np.take(y, -face.side, axis=1 + face.axis)
-                contrib = (alpha[face] * y_face + k[face]) * psi.face_values[face]
-                wv = grid.age_weights.reshape((-1,) + (1,) * (contrib.ndim - 1))
-                val += float(np.sum(contrib * wv)) * face_measure(grid, face) * ph * tw[i]
+            for face, flux, measure in robin:
+                val += float(np.sum(flux * psi.face_values[face] * face_aw)) * measure * ph * tw[i]
             res[j] += val
     if timed:
         for j, psi in enumerate(psis):

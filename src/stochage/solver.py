@@ -395,22 +395,22 @@ def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
 
 
 def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
-                 config: SolverConfig) -> TruncationGuard:
-    """The guard of the threshold ``n0`` of each path's energy bound, with
-    the bound's constants, from the sups the march folds into ``coeffs``.
+                 config: SolverConfig, p0: np.ndarray) -> TruncationGuard:
+    """The guard of the threshold ``n0`` of each path's energy bound and the
+    bound's constants, from its row of ``p0`` and the sups the march folds into ``coeffs``.
 
     Every path starts at the ``n0`` of node 0's sups (``W = 0``: the same in
-    every path; ``-inf`` if that bound overflows, as then every path's
-    does).  The bound is nondecreasing in the sups, so a norm within it is
-    within the path's own ``n0``.  ``settle(paths)`` serves a path whose
-    norm passes it or that leaves the march: it folds the path's other
-    nodes (``sweep=False``: the march saw them all) and sets its radius and
-    constants, or NaN and its error: the exp guard's, else the bound's.
+    every path; ``-inf`` if that bound overflows).  The bound is
+    nondecreasing in the sups, so a norm within it is within the path's own
+    ``n0``.  ``settle(paths)`` serves a path whose norm passes it or that
+    leaves the march: it folds the path's other nodes (``sweep=False``: the
+    march saw them all) and sets its radius and constants, or NaN and its
+    error: the exp guard's, else the bound's.
     """
-    def constants(sups):
+    def constants(sups, y0_norm_sq):
         try:
             return sups if isinstance(sups, StochageError) else estimates.constants_for_run(
-                model, sups=sups, c0=config.c0, c1=config.c1)
+                model, sups=sups, c0=config.c0, c1=config.c1, y0_norm_sq=y0_norm_sq)
         except StochageError as exc:   # the bound overflows a float
             return exc
 
@@ -418,16 +418,18 @@ def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
         todo = [j for j in paths if guard.constants[j] is None]
         for j, sups in zip(todo, (coeffs.coefficient_sups if sweep else coeffs.sups_so_far)(todo)
                            if todo else ()):
-            c = guard.constants[j] = constants(sups)
+            c = guard.constants[j] = constants(sups, y0_sq[j])
             guard.radius[j] = np.nan if isinstance(c, StochageError) else c.n0
         return {j: c for j in paths if isinstance(c := guard.constants[j], StochageError)}
 
+    y0_sq = [l2_norm(row, model.grid) ** 2 for row in p0]   # row by row, as one path takes it
     coeffs.k_faces(0)
     coeffs.node_fields(0)
-    start, n_p = constants(coeffs.sups_so_far([0])[0]), len(coeffs.bundles)
+    sups = coeffs.sups_so_far([0])[0]
+    start = {y: constants(sups, y) for y in set(y0_sq)}
     guard = TruncationGuard(
-        np.full(n_p, -np.inf if isinstance(start, StochageError) else float(start.n0)),
-        [None] * n_p, np.zeros(n_p, dtype=int), settle)
+        np.array([-np.inf if isinstance(c := start[y], StochageError) else float(c.n0)
+                  for y in y0_sq]), [None] * len(p0), np.zeros(len(p0), dtype=int), settle)
     return guard
 
 
@@ -449,13 +451,15 @@ class StepResult:
 
 
 def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray,
-           step, config: SolverConfig, solver: str) -> list[SolveReport | StochageError]:
+           step, config: SolverConfig, solver: str,
+           p0: np.ndarray | None = None) -> list[SolveReport | StochageError]:
     """The time loop of both routes; per path its report (without a guard)
     or its error.
 
-    The noise vanishes at time zero, so both routes start every path from
-    the initial density (a leading path axis) and its population functional
-    with weight ``gamma``.  ``step(t_index, state, u_value, live)`` returns
+    The noise vanishes at time zero, so both routes start each path from its
+    initial density, its row of ``p0`` (shape ``(n_paths,) +
+    grid.field_shape``, else ``model.p0`` in every path), and its population
+    functional with weight ``gamma``.  ``step(t_index, state, u_value, live)`` returns
     the :class:`StepResult` at node ``t_index`` of the paths ``live``, the
     rows of ``state``.  A row leaves when the step fails it or it is not
     finite.  The march records only what every run reads (the series of
@@ -464,9 +468,10 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray,
     """
     grid, n_t = model.grid, model.grid.n_t
     failed, live, at = {}, np.arange(n_paths), np.s_[:]   # at: the rows of the live paths
-    state = np.repeat(model.p0.values[None], n_paths, axis=0)
+    p0 = np.broadcast_to(model.p0.values, (n_paths,) + grid.field_shape) if p0 is None else p0
+    state = np.array(p0, order="C")   # a plain copy of the broadcast view puts the path axis last
     indices = _snapshot_indices(n_t, config.snapshot_stride)
-    snapshots = None   # from the first slot after node 0, whose state is p0 in every path
+    snapshots = None   # from the first slot after node 0, whose states are p0
     series = {name: np.zeros((n_paths, n_t + 1)) for name in ("l2", "births", "u")}
     iterations = np.zeros((n_paths, n_t), dtype=int)
     ratios = np.full((n_paths, n_t), np.nan)
@@ -497,7 +502,7 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray,
         if i in slots and i:
             if snapshots is None:
                 snapshots = np.empty((n_paths, len(indices)) + grid.field_shape)
-                snapshots[:, 0] = model.p0.values
+                snapshots[:, 0] = p0
             snapshots[at, slots[i]] = state
         if not len(live):
             break
@@ -630,7 +635,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
 
 
 def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
-                         config: SolverConfig | None = None) -> list[SolveReport | StochageError]:
+                         config: SolverConfig | None = None,
+                         p0: np.ndarray | None = None) -> list[SolveReport | StochageError]:
     """March several paths of the pathwise system as one array problem; per
     bundle its report, or the error that ended its path.
 
@@ -644,8 +650,16 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     (:func:`_bound_guard`), and a path fails with, in this order, its noise
     past the exp guard at any node, its energy bound past a float, or the
     march's own error.
+
+    ``p0`` (shape ``(len(bundles),) + grid.field_shape``) gives each path its
+    own initial density; ``check`` so marches its stored run and both
+    perturbed runs, which share grid, rates and noise path, as one batch.
     """
     config = config or SolverConfig()
+    shape = (len(bundles),) + model.grid.field_shape
+    if p0 is not None and np.shape(p0) != shape:
+        raise ConfigurationError(f"initial densities of shape {np.shape(p0)}, not {shape}")
+    p0 = np.broadcast_to(model.p0.values, shape) if p0 is None else np.asarray(p0, dtype=float)
     if not bundles:
         return []
     factors = DiffusionFactors()
@@ -654,11 +668,11 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     n_p = len(bundles)
     guard = (TruncationGuard(radius=np.full(n_p, float(config.truncation_radius)),
                              activations=np.zeros(n_p, dtype=int))
-             if config.truncation_radius is not None else _bound_guard(model, coeffs, config))
+             if config.truncation_radius is not None else _bound_guard(model, coeffs, config, p0))
     reports = _march(
         model, n_p, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
             y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live),
-        config, "rescaled")
+        config, "rescaled", p0)
     if guard.settle is not None:   # a path that left the march has nodes it did not see
         guard.settle([j for j, rep in enumerate(reports) if isinstance(rep, StochageError)])
         errors = guard.settle(range(n_p), sweep=False)

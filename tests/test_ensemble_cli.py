@@ -565,6 +565,38 @@ class TestCli:
         assert ((tmp_path / "auto" / "checks.csv").read_bytes()
                 == (tmp_path / "fixed" / "checks.csv").read_bytes())
 
+    def test_check_batches_its_same_grid_runs(self, monkeypatch, tmp_path):
+        # the stored run and both perturbations are one 3-path batch; the
+        # coarse run is a batch of one, and no one-path solve is made
+        from stochage import cli, solver
+
+        widths, singles, batch = [], [], solver.solve_rescaled_batch
+
+        def counting(model, bundles, *args):
+            widths.append(len(bundles))
+            return batch(model, bundles, *args)
+
+        for module in (cli, solver):
+            monkeypatch.setattr(module, "solve_rescaled_batch", counting)
+            monkeypatch.setattr(module, "solve_rescaled", lambda *args: singles.append(args))
+        assert main(["check", "--model", str(MODELS / "sample1d.ini"),
+                     "--out", str(tmp_path / "chk")]) == 0
+        assert widths == [3, 1] and singles == []
+
+    def test_check_reports_the_stored_runs_error(self, tmp_path, capsys):
+        # every run of the batch fails; check reports the stored run's error
+        # as its one-path solve raises it
+        path = tmp_path / "stuck.ini"
+        path.write_text((MODELS / "sample1d.ini").read_text().replace(
+            "picard_max_iter = 50", "picard_max_iter = 1"))
+        model, cfg = _cached_model(str(path), 1)
+        bundle = ensemble.path_bundle(str(path), 0, 0, [0])[0]
+        with pytest.raises(sa.StochageError) as alone:
+            sa.solve_rescaled(model, bundle, dataclasses.replace(cfg, snapshot_stride=1))
+        capsys.readouterr()
+        assert main(["check", "--model", str(path), "--out", str(tmp_path / "chk")]) == 1
+        assert capsys.readouterr().err == f"solver error: {alone.value}\n"
+
     def test_check_failure_exit_code(self, tmp_path):
         # a hostile calibration collapses the energy bound, so the margin
         # check (and the truncation guard derived from it) must fail

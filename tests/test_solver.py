@@ -9,6 +9,7 @@ from scipy.linalg import solve_banded
 import stochage as sa
 from stochage import grid as grid_module
 from stochage import solver
+from stochage.cli import _perturbed_model
 from stochage.errors import (ConfigurationError, InsufficientDataError,
                              InvalidFieldError, NoiseMagnitudeError, NonconvergenceError)
 from stochage.grid import Face, boundary_faces, l2_norm, weighted_population
@@ -762,6 +763,44 @@ class TestSolveRescaledBatch:
             assert same(rep, sa.solve_rescaled(model, bundle, cfg))
             assert rep.guard.radius == cfg.truncation_radius
             assert rep.guard.constants is None
+
+    @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
+    def test_initial_stack_matches_one_path_solves_of_its_densities(self, name):
+        # check's batch: the stored density and two bumped copies on one
+        # path; each is bitwise the one-path solve of a model carrying its
+        # density, its guard's radius and constants from its own data energy
+        model, cfg = parse_model(MODELS / f"{name}.ini")
+        cfg = dataclasses.replace(cfg, snapshot_stride=1)
+        bundle = bundles_for(model, 1)[0]
+        p0 = np.stack([model.p0.values] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
+        batch = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
+        for rep, row in zip(batch, p0, strict=True):
+            own = dataclasses.replace(model, p0=sa.Field(row, model.grid))
+            assert same(rep, sa.solve_rescaled(own, bundle, cfg))
+            assert rep.trajectory[0].tobytes() == row.tobytes()
+        assert len({rep.guard.constants.y0_norm_sq for rep in batch}) == 3
+
+    def test_fixed_radius_clips_only_the_largest_initial_density(self):
+        # a radius between the two largest peak norms clips only the path
+        # that starts from the largest density, as its one-path solve does
+        model, cfg = parse_model(MODELS / "sample1d.ini", coarsen=4)
+        bundle = bundles_for(model, 1, base=3)[0]
+        p0 = np.stack([scale * model.p0.values for scale in (1.0, 1.5, 3.0)])
+        peaks = [r.l2_series.max() for r in sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)]
+        assert peaks == sorted(peaks)
+        cfg = dataclasses.replace(cfg, truncation_radius=0.5 * (peaks[1] + peaks[2]))
+        batch = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
+        assert [rep.guard.activations > 0 for rep in batch] == [False, False, True]
+        for rep, row in zip(batch, p0):
+            own = dataclasses.replace(model, p0=sa.Field(row, model.grid))
+            assert same(rep, sa.solve_rescaled(own, bundle, cfg))
+
+    def test_initial_stack_of_the_wrong_shape_is_a_configuration_error(self, linear_model):
+        bundles = bundles_for(linear_model, 2)
+        field = linear_model.p0.values
+        for p0 in (field, np.stack([field]), np.stack([field] * 3), np.stack([field[1:]] * 2)):
+            with pytest.raises(ConfigurationError, match="initial densities"):
+                sa.solve_rescaled_batch(linear_model, bundles, sa.SolverConfig(), p0)
 
     def test_failed_path_fails_alone_in_ensemble(self, grid1d):
         # fertility turns NaN once a path's population passes a threshold
