@@ -24,6 +24,7 @@ from .fileio import (ensure_dir, save_bundle, save_field, write_check_report,
                      write_series_csv)
 from .grid import l2_norm
 from .oracle import solve_direct
+from .rescale import densities
 from .solver import _only, solve_rescaled, solve_rescaled_batch
 
 EXIT_OK = 0
@@ -91,7 +92,7 @@ def _cmd_compare(args) -> int:
     cfg = dataclasses.replace(cfg, snapshot_stride=0)
     rep_r = solve_rescaled(model, bundle, cfg)
     rep_d = solve_direct(model, bundle, cfg)
-    p_r = ens.density_final(rep_r, model, bundle)
+    p_r = densities(rep_r, model)[-1]
     p_d = rep_d.final
     out = ensure_dir(args.out)
     save_field(out / "final_rescaled.bin", p_r)
@@ -132,7 +133,7 @@ def _cmd_check(args) -> int:
         estimates.CheckRow("rate_validation_violations",
                            len(validate_rates(model.rates, model.grid)), 0),
         estimates.CheckRow("apriori_margin_max",
-                           np.max(estimates.apriori_check(report, model, bundle, consts)), 1.0),
+                           np.max(estimates.apriori_check(report, consts)), 1.0),
         estimates.CheckRow("truncation_activations", report.guard.activations, 0)]
 
     # continuous dependence: quadratic scaling in an initial-data bump
@@ -142,13 +143,12 @@ def _cmd_check(args) -> int:
     rows.append(estimates.CheckRow("dependence_ratio_drift", drift, 0.10))
 
     # weak residual decreases under one refinement of the stored run
-    res_fine = estimates.weak_residual_random(report, model, bundle).max_abs
+    res_fine = estimates.weak_residual_random(report, model).max_abs
     coarse_model, coarse_cfg = ens._cached_model(args.model, 2)
     coarse_cfg = dataclasses.replace(coarse_cfg, snapshot_stride=1)
-    coarse_bundle = ens.path_bundle(args.model, 1, args.seed, [0])[0]
-    rep_c = _only(solve_rescaled_batch(coarse_model, [coarse_bundle], coarse_cfg))
-    res_coarse = estimates.weak_residual_random(rep_c, coarse_model,
-                                                coarse_bundle).max_abs
+    rep_c = _only(solve_rescaled_batch(
+        coarse_model, ens.path_bundle(args.model, 1, args.seed, [0]), coarse_cfg))
+    res_coarse = estimates.weak_residual_random(rep_c, coarse_model).max_abs
     rows.append(estimates.CheckRow("weak_residual_refinement_ratio",
                                    res_fine / max(res_coarse, 1e-300), 0.75))
 

@@ -27,11 +27,11 @@ import numpy as np
 from .errors import ConfigurationError, StochageError
 from .estimates import _ratio
 from .fileio import ensure_dir, save_field, write_series_csv
-from .grid import Field, Grid, l2_norm, weighted_population
+from .grid import Grid, l2_norm, weighted_population
 from .model import PopulationModel
-from .noise import BrownianBundle, _contract, amplitude_grids, coarsen, sample_bundle
+from .noise import BrownianBundle, coarsen, sample_bundle
 from .oracle import solve_direct, solve_direct_batch
-from .rescale import forward_transform
+from .rescale import densities
 from .solver import SolveReport, _snapshot_indices, solve_rescaled, solve_rescaled_batch
 
 Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
@@ -79,22 +79,20 @@ def path_seed(base_seed: int, index: int) -> int:
 
 
 def _cached_model(path: str, coarsen_factor: int):
-    """Parsed model file, cached on its content hash and the coarsening
-    factor, so a file edited during the process is parsed again."""
-    import hashlib  # deferred: it loads OpenSSL, a cost `import stochage` need not pay
-
+    """Parsed model file, cached on the bytes read here, which are the ones
+    parsed, and the coarsening factor: an edited file is parsed again."""
     try:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ConfigurationError(f"cannot read model file {path}: {exc}") from exc
-    return _parse_model(digest, coarsen_factor, str(path))
+    return _parse_model(data, coarsen_factor, str(path))
 
 
 @functools.lru_cache(maxsize=8)
-def _parse_model(digest: str, coarsen_factor: int, path: str):
+def _parse_model(data: bytes, coarsen_factor: int, path: str):
     from .modelfile import parse_model
 
-    return parse_model(path, coarsen=coarsen_factor)
+    return parse_model(path, coarsen=coarsen_factor, data=data)
 
 
 def path_bundle(model_path: str, level: int, base_seed: int,
@@ -115,29 +113,11 @@ def path_chunks(n_paths: int, grid: Grid) -> list[range]:
     return [range(lo, min(lo + size, n_paths)) for lo in range(0, n_paths, size)]
 
 
-def density_final(report: SolveReport, model: PopulationModel,
-                  bundle: BrownianBundle) -> np.ndarray:
-    """Final population density for either solver's report."""
-    if report.solver == "direct":
-        return report.final
-    w = _contract(bundle, amplitude_grids(model.noise, model.grid).values, model.grid.n_t)
-    return forward_transform(Field(report.final, model.grid), w).values
-
-
-def mass_series(report: SolveReport, model: PopulationModel,
-                bundle: BrownianBundle, p_final: np.ndarray) -> np.ndarray:
-    """Total population at each stored snapshot index; the last one is that
-    of ``p_final``, the report's :func:`density_final`."""
-    grid = model.grid
-    out = np.zeros(len(report.snapshot_indices))
-    for pos, idx in enumerate(report.snapshot_indices[:-1]):
-        p = report.snapshots[pos]
-        if report.solver == "rescaled":
-            w = _contract(bundle, amplitude_grids(model.noise, grid).values, int(idx))
-            p = forward_transform(Field(p, grid), w).values
-        out[pos] = weighted_population(p, 1.0, None, grid)
-    out[-1] = weighted_population(p_final, 1.0, None, grid)
-    return out
+def density_final(report: SolveReport, model: PopulationModel, bundle: BrownianBundle):
+    """:func:`densities` at the final time, for the benchmark's self-test, which calls it."""
+    if bundle is not report.bundle:
+        raise ConfigurationError("the report was solved on another noise path")
+    return densities(report, model)[-1]
 
 
 @dataclass
@@ -171,11 +151,12 @@ def _run_chunk(config: RunConfig, indices: range,
                 records.append(PathResult(index, bundle.seed, name,
                                           status=f"failed: {report}"))
                 continue
-            p_final = density_final(report, model, bundle)
+            # a copy, not a view that keeps the chunk's snapshot array alive
+            p_final = (dens := densities(report, model))[-1].copy()
             records.append(PathResult(
                 index, bundle.seed, name, final=p_final,
                 final_l2=l2_norm(p_final, model.grid),
-                mass=mass_series(report, model, bundle, p_final),
+                mass=np.array([weighted_population(p, 1.0, None, model.grid) for p in dens]),
                 picard_max=int(report.picard_iterations.max()),
                 truncations=report.guard.activations if report.guard else 0))
             if out_dir is not None and config.snapshot_stride > 0:
@@ -320,7 +301,7 @@ def convergence_study(model_path: str, levels: int, seed: int = 0,
         factor = 2 ** lev
         model, _ = _cached_model(model_path, factor)
         bundle = coarsen(master, factor)
-        p_r = density_final(solve_rescaled(model, bundle, cfg), model, bundle)
+        p_r = densities(solve_rescaled(model, bundle, cfg), model)[-1]
         p_d = solve_direct(model, bundle, cfg).final
         if lev == 0:
             ref_p = p_r

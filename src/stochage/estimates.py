@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, StochageError
-from .grid import (Grid, boundary_faces, boundary_norm_sq, face_measure, face_shape,
-                   gradient_energy, l2_norm, weighted_population)
+from .grid import (Grid, boundary_faces, face_measure, face_shape, gradient_energy, l2_norm,
+                   weighted_population)
 from .model import PopulationModel
 from .noise import BrownianBundle, amplitude_grids
 from .rates import VitalRates, evaluate_gamma, evaluate_on_faces, evaluate_on_grid
@@ -139,25 +139,22 @@ def _energy_terms(states, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     return sq, sq + _cumtrapz(exit_trace, grid.dt) + _cumtrapz(sq + grad, grid.dt)
 
 
-def apriori_check(report, model: PopulationModel, bundle: BrownianBundle,
-                  consts: EstimateConstants) -> np.ndarray:
+def apriori_check(report, consts: EstimateConstants) -> np.ndarray:
     """Ratio of solution energy to the bound, per time level, of a rescaled
-    report stored at stride 1 and the path ``bundle`` it was solved on.
+    report stored at stride 1 and the constants of its path.
 
     Left side: squared state norm, the exit-age trace integrated in time,
     and the time integral of the gradient-augmented norm.  Right side:
     growth factor times initial energy plus the time integral of the
-    squared boundary norm of the rescaled Robin datum ``k0 exp(-W)``.
-    Ratios at most 1 mean the calibrated bound holds; a zero-over-zero
-    level counts as a pass.
+    squared boundary norm of ``k0 exp(-W)`` per node, from the constants'
+    sups.  Ratios at most 1 mean the calibrated bound holds; a
+    zero-over-zero level counts as a pass.
     """
     if report.solver != "rescaled":
         raise ConfigurationError("the energy bound expects a rescaled-state report")
     grid = report.grid
     sq, left = _energy_terms(report.trajectory, grid)   # raises when stored with stride > 1
-    coeffs = RescaledCoefficients(model, [bundle])
-    k_sq = [boundary_norm_sq(coeffs.k_faces(i), grid)[0] for i in range(grid.n_t + 1)]
-    right = consts.c_est * (sq[0] + _cumtrapz(np.array(k_sq), grid.dt))
+    right = consts.c_est * (sq[0] + _cumtrapz(np.array(consts.sups.k_sq), grid.dt))
     return np.array([_ratio(l, r) for l, r in zip(left, right)])
 
 
@@ -342,21 +339,20 @@ def _weak_residual(traj, grid: Grid, psis: list[TestFunction], node,
     return res
 
 
-def weak_residual_random(report, model: PopulationModel,
-                         bundle: BrownianBundle, n_psi: int = 6) -> ResidualReport:
+def weak_residual_random(report, model: PopulationModel, n_psi: int = 6) -> ResidualReport:
     """Residual of the pathwise weak identity over a polynomial family.
 
     Assembles every term of the space-age-time weak form from a stored
-    trajectory of the rescaled state, with the path's coefficients ``g1``,
-    ``g2``, ``k`` and the rescaled fertility.  For the discrete solution
-    the residual decays at first order under grid refinement.
+    trajectory of the rescaled state, with the coefficients ``g1``, ``g2``,
+    ``k`` and the rescaled fertility of the report's own bundle.  For the
+    discrete solution the residual decays at first order under grid refinement.
     """
     if report.solver != "rescaled":
         raise ConfigurationError("the pathwise residual expects a rescaled-state report")
     traj = report.trajectory  # raises when stored with stride > 1
     grid = report.grid
     rates = model.rates
-    coeffs = RescaledCoefficients(model, bundle)
+    coeffs = RescaledCoefficients(model, report.bundle)
     gamma_vals = evaluate_gamma(rates, grid)
     psis = build_test_functions(grid, n_psi)
 
@@ -373,14 +369,13 @@ def weak_residual_random(report, model: PopulationModel,
 
 
 def weak_residual_stochastic(report, model: PopulationModel,
-                             bundle: BrownianBundle,
                              n_psi: int = 6) -> ResidualReport:
     """Residual of the noisy weak identity for a density trajectory.
 
     Test functions depend on age and space only.  The stochastic integral
-    is assembled with the state at the left endpoint of each step times
-    the Brownian increment, which is the discrete counterpart of the Ito
-    integral and has zero mean.
+    is assembled with the state at the left endpoint of each step times the
+    Brownian increment of the report's own bundle, which is the discrete
+    counterpart of the Ito integral and has zero mean.
     """
     if report.solver != "direct":
         raise ConfigurationError("the stochastic residual expects a density report")
@@ -404,7 +399,7 @@ def weak_residual_stochastic(report, model: PopulationModel,
     vol = grid.cell_volume
     for n in range(grid.n_t):
         p = traj[n]
-        dinc = bundle.increments[:, n]
+        dinc = report.bundle.increments[:, n]
         for j, psi in enumerate(psis):
             weights = np.sum(amp.values * (p * psi.A * aw), axis=tuple(range(1, p.ndim + 1))) * vol
             res[j] -= float(np.dot(weights, dinc))

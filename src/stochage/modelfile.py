@@ -69,11 +69,12 @@ _KNOWN = {
 }
 
 
-def _floats(text: str) -> list[float]:
+def _floats(text: str, value: str = "") -> list[float]:
+    """The comma-separated numbers of ``text``, a part of ``value``; none may be empty."""
     try:
-        vals = [float(v) for v in text.split(",") if v.strip() != ""]
+        vals = [float(v) for v in text.split(",")]
     except ValueError as exc:
-        raise ConfigurationError(f"cannot parse numbers from {text!r}") from exc
+        raise ConfigurationError(f"cannot parse numbers from {value or text!r}") from exc
     if not all(np.isfinite(vals)):
         raise ConfigurationError(f"{text!r} has a number that is not finite")
     return vals
@@ -82,7 +83,7 @@ def _floats(text: str) -> list[float]:
 def _numbers(text: str, value: str, *counts: int) -> list[float]:
     """The numbers of ``text``, a part of ``value``, when there are as many
     as one of ``counts``."""
-    vals = _floats(text)
+    vals = _floats(text, value)
     if len(vals) not in counts:
         raise ConfigurationError(
             f"{value!r} has {len(vals)} numbers where "
@@ -129,14 +130,14 @@ def parse_amplitude(text: str, dim: int, extent) -> Amplitude:
             f"{text!r} needs {_AMPLITUDE_FIELDS[family]} ':'-separated fields "
             f"after {family!r}")
     if family == "agepoly":
-        return age_polynomial_amplitude(_floats(fields[0]), dim)
+        return age_polynomial_amplitude(_floats(fields[0], text), dim)
     (c,) = _numbers(fields[0], text, 1)
     if family == "constant":
         return constant_amplitude(c, dim)
     # the amplitude checks that there is one mode per dimension
-    modes = [_whole(v, text) for v in _floats(fields[1])]
+    modes = [_whole(v, text) for v in _floats(fields[1], text)]
     if family == "agecos":
-        return cosine_amplitude(c, modes, extent, age_coeffs=_floats(fields[2]))
+        return cosine_amplitude(c, modes, extent, age_coeffs=_floats(fields[2], text))
     ctor = cosine_amplitude if family == "cosine" else sine_amplitude
     return ctor(c, modes, extent)
 
@@ -168,20 +169,23 @@ def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> Field:
     return Field.from_function(grid, fn)
 
 
-def parse_model(path, coarsen: int = 1) -> tuple[PopulationModel, SolverConfig]:
+def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, SolverConfig]:
     """Parse a model definition file into the model and solver settings.
 
     ``coarsen`` divides the time (and, on aligned grids, age) resolution
     by a power of two; initial data and rates are re-sampled analytically
-    on the coarse grid so refinement studies stay consistent.
+    on the coarse grid so refinement studies stay consistent.  ``data``
+    holds the file's bytes when they were read already; they must be UTF-8.
     """
     path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"model file {path} does not exist")
+    try:
+        data = path.read_bytes() if data is None else data
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read model file {path}: {exc}") from exc
     cp = configparser.ConfigParser()
     try:
-        cp.read(path)
-    except configparser.Error as exc:
+        cp.read_string(data.decode("utf-8"), source=str(path))
+    except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
     for section in cp.sections():

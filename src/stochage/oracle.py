@@ -166,7 +166,7 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         return StepResult(p, weighted_population(p, ctx.gamma, model.region, grid),
                           cfl=cfl, overshoot=overshoot)
 
-    reports = _march(model, len(bundles), ctx.gamma, step, config, "direct")
+    reports = _march(model, bundles, ctx.gamma, step, config, "direct")
     for report in reports:
         if isinstance(report, SolveReport) and report.noise_factor_warnings:
             logger.warning(

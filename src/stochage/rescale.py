@@ -14,7 +14,8 @@ coefficients:
 
 This module evaluates those coefficients on the grid for one sampled
 bundle of Brownian paths, or for a batch of them at once, and provides the
-transform (``forward_transform(p, -W)`` is its inverse).
+transform (``forward_transform(p, -W)`` is its inverse), which :func:`densities`
+applies to a solve's report with the noise path that report carries.
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ def forward_transform(y: Field, w: np.ndarray) -> Field:
     return Field(_guarded_exp(np.asarray(w, dtype=float)) * y.values, y.grid, copy=False)
 
 
+def densities(report, model: PopulationModel) -> np.ndarray:
+    """The population densities of ``report``'s stored snapshots: the direct
+    route's states, or the rescaled route's states times ``exp(W)`` of the
+    report's own bundle at their time nodes."""
+    if report.solver == "direct":
+        return report.snapshots
+    amp = amplitude_grids(model.noise, report.grid).values
+    return np.array([forward_transform(Field(y, report.grid), _contract(report.bundle, amp, i))
+                     .values for y, i in zip(report.snapshots, report.snapshot_indices)])
+
+
 @dataclass(frozen=True)
 class CoefficientSups:
     """Path-dependent coefficient bounds over the time nodes of one path."""
@@ -61,6 +73,7 @@ class CoefficientSups:
     c_w0: float
     c_w: float
     k_sq_integral: float
+    k_sq: tuple   # per node: the squared boundary norm of the Robin datum k0 exp(-W)
 
 
 class RescaledCoefficients:
@@ -141,18 +154,19 @@ class RescaledCoefficients:
 
     def sups_so_far(self, rows=None, over=None) -> CoefficientSups | list:
         """Sups of g1, |g2|, div g2 and the exponential factors over the nodes
-        built so far and the time integral (trapezoid) of the squared boundary
-        norm of the rescaled Robin datum, a node not built counting 0: each
-        only grows as nodes are built.  Per bundle of ``rows`` (all by
-        default) in a list, with a path's :class:`NoiseMagnitudeError` where
-        ``over`` is set; one bundle gets its sups or raises its error."""
+        built so far, and per node the squared boundary norm of the rescaled
+        Robin datum with its trapezoid time integral (a node not built counts
+        0; each only grows).  Per bundle of ``rows`` (all by default) in a
+        list, with a path's :class:`NoiseMagnitudeError` where ``over`` is
+        set; one bundle gets its sups or raises its error."""
         k_sq_integral = np.sum(self._k_sq * self.grid.time_weights, axis=-1)
         m, keys = self._max, list(np.ndindex(self.paths)) if rows is None else list(rows)
         over = np.zeros(len(keys)) if over is None else np.ravel(over)
         out = [NoiseMagnitudeError(over[pos]) if over[pos] else CoefficientSups(
             g1_sup=float(m["g1"][j]), g2_sup=float(m["g2"][j]),
             div_g2_sup=float(m["div"][j]), c_w0=float(np.exp(m["dw0"][j])),
-            c_w=float(np.exp(m["w"][j])), k_sq_integral=float(k_sq_integral[j]))
+            c_w=float(np.exp(m["w"][j])), k_sq_integral=float(k_sq_integral[j]),
+            k_sq=tuple(self._k_sq[j].tolist()))
             for pos, j in enumerate(keys)]
         if not self.paths and isinstance(out[0], NoiseMagnitudeError):
             raise out[0]

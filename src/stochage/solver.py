@@ -155,9 +155,12 @@ def _robin_factor(alpha_lo, alpha_hi, n: int, dx: float, dt: float) -> tuple:
     """Factor of the implicit sweep matrices along an axis of ``n`` cells,
     one system per entry of the face data ``alpha_lo``/``alpha_hi`` (which
     may carry a path axis).  The ghost closure ``ghost = interior - dx
-    (alpha v + k)`` keeps the matrix an M-matrix for ``alpha >= 0``."""
+    (alpha v + k)`` keeps an M-matrix (positivity) only for ``alpha >= 0``, else raises."""
     a_lo, a_hi = np.broadcast_arrays(np.asarray(alpha_lo, dtype=float),
                                      np.asarray(alpha_hi, dtype=float))
+    if not (low := np.min([a_lo, a_hi])) >= 0.0:   # NaN too
+        raise ConfigurationError(
+            f"the Robin coefficient alpha0 must be >= 0 on the boundary, got {low:.4g}")
     r = dt / dx ** 2
     diag = np.ones((n,) + a_lo.shape)
     if n > 1:
@@ -363,10 +366,12 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Trajectory, per-node norm, births and ``U``, and step diagnostics of one solve."""
+    """Trajectory, per-node norm, births and ``U``, and step diagnostics of one solve, and
+    its bundle: a rescaled state is a density only with its own noise path (:func:`densities`)."""
 
     solver: str                    # "rescaled" (state y) or "direct" (density p)
     grid: Grid
+    bundle: BrownianBundle
     snapshot_indices: np.ndarray
     snapshots: np.ndarray
     final: np.ndarray
@@ -450,23 +455,23 @@ class StepResult:
     failed: dict = field(default_factory=dict)
 
 
-def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray,
+def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndarray,
            step, config: SolverConfig, solver: str,
            p0: np.ndarray | None = None) -> list[SolveReport | StochageError]:
-    """The time loop of both routes; per path its report (without a guard)
+    """The time loop of both routes; per bundle its report (without a guard)
     or its error.
 
     The noise vanishes at time zero, so both routes start each path from its
-    initial density, its row of ``p0`` (shape ``(n_paths,) +
-    grid.field_shape``, else ``model.p0`` in every path), and its population
-    functional with weight ``gamma``.  ``step(t_index, state, u_value, live)`` returns
-    the :class:`StepResult` at node ``t_index`` of the paths ``live``, the
-    rows of ``state``.  A row leaves when the step fails it or it is not
-    finite.  The march records only what every run reads (the series of
-    :class:`SolveReport`, the step diagnostics and the snapshots); the
+    initial density, its row of ``p0`` (one per bundle, else ``model.p0`` in
+    every path), and its population functional with weight ``gamma``.
+    ``step(t_index, state, u_value, live)`` returns the :class:`StepResult`
+    at node ``t_index`` of the paths ``live``, the rows of ``state``.  A row
+    leaves when the step fails it or it is not finite.  The march records
+    only what every run reads (the series of :class:`SolveReport`, the step
+    diagnostics and the snapshots) and gives each report its bundle; the
     energy-bound terms are :func:`estimates.apriori_check`'s own work.
     """
-    grid, n_t = model.grid, model.grid.n_t
+    grid, n_t, n_paths = model.grid, model.grid.n_t, len(bundles)
     failed, live, at = {}, np.arange(n_paths), np.s_[:]   # at: the rows of the live paths
     p0 = np.broadcast_to(model.p0.values, (n_paths,) + grid.field_shape) if p0 is None else p0
     state = np.array(p0, order="C")   # a plain copy of the broadcast view puts the path axis last
@@ -508,7 +513,7 @@ def _march(model: PopulationModel, n_paths: int, gamma: np.ndarray,
             break
 
     return [failed[j] if j in failed else SolveReport(
-        solver=solver, grid=grid, snapshot_indices=indices,
+        solver=solver, grid=grid, bundle=bundles[j], snapshot_indices=indices,
         snapshots=snapshots[j], final=state[np.searchsorted(live, j)],
         l2_series=series["l2"][j], births_series=series["births"][j], u_series=series["u"][j],
         picard_iterations=iterations[j], contraction_ratios=ratios[j], guard=None,
@@ -670,7 +675,7 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
                              activations=np.zeros(n_p, dtype=int))
              if config.truncation_radius is not None else _bound_guard(model, coeffs, config, p0))
     reports = _march(
-        model, n_p, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
+        model, bundles, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
             y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live),
         config, "rescaled", p0)
     if guard.settle is not None:   # a path that left the march has nodes it did not see

@@ -10,8 +10,9 @@ pre-registered measurement design), never from the code under test.
 import numpy as np
 
 import stochage as sa
-from stochage.ensemble import density_final, fit_order, path_chunks, path_seed
+from stochage.ensemble import fit_order, path_chunks, path_seed
 from stochage.noise import coarsen, evaluate_noise
+from stochage.rescale import densities
 
 from conftest import build_model, linear_rates, logistic_rates, smooth_p0
 
@@ -63,7 +64,7 @@ def test_criterion_01_rescaling_equivalence():
         reps_r = sa.solve_rescaled_batch(model, bundles, cfg)
         reps_d = sa.solve_direct_batch(model, bundles, cfg)
         for m, (bundle, rep_r, rep_d) in enumerate(zip(bundles, reps_r, reps_d)):
-            p_r = density_final(rep_r, model, bundle)
+            p_r = densities(rep_r, model)[-1]
             pair[m, i] = sa.l2_norm(rep_d.final - p_r, model.grid)
             if i == len(levels) - 1:
                 rel_finest[m] = pair[m, i] / sa.l2_norm(p_r, model.grid)
@@ -230,7 +231,7 @@ def test_criterion_05_apriori_bound():
     worst = -np.inf
     for label, model, bundle, rep in regression_runs():
         consts = sa.constants_for_run(model, bundle)  # c0 = c1 = 1 frozen
-        margins = sa.apriori_check(rep, model, bundle, consts)
+        margins = sa.apriori_check(rep, consts)
         worst = max(worst, float(np.max(margins)))
     ok = worst <= 1.0
     assert report(5, ok,
@@ -392,7 +393,7 @@ def test_criterion_11_weak_residual_order():
                             p0=smooth_p0(grid))
         bundle = coarsen(master, 128 // n_t)
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=1))
-        residuals.append(sa.weak_residual_random(rep, model, bundle).max_abs)
+        residuals.append(sa.weak_residual_random(rep, model).max_abs)
         steps.append(grid.dt)
     order = fit_order(steps, residuals)
     ok = order >= 0.9

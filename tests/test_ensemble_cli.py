@@ -10,13 +10,14 @@ import numpy as np
 import pytest
 
 import stochage as sa
-from stochage import ensemble
+from stochage import ensemble, rescale
 from stochage.cli import main
-from stochage.ensemble import (RunConfig, _cached_model, convergence_study,
-                               density_final, path_chunks, path_seed, run)
+from stochage.ensemble import (RunConfig, _cached_model, convergence_study, path_chunks,
+                               path_seed, run)
 from stochage.errors import ConfigurationError
 from stochage.fileio import load_bundle, load_field, write_series_csv
 from stochage.noise import _contract, amplitude_grids
+from stochage.rescale import densities
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -249,7 +250,7 @@ class TestChunks:
                                       model.grid.n_t, model.grid.T)
             rep = solve(model, bundle, cfg)
             assert (load_field(out / f"path_{m:05d}_{solver}.bin").tobytes()
-                    == density_final(rep, model, bundle).tobytes())
+                    == densities(rep, model)[-1].tobytes())
             write_series_csv(tmp_path / "one.csv", {
                 "t": rep.grid.times, "l2_norm": rep.l2_series,
                 "u_value": rep.u_series, "births": rep.births_series})
@@ -284,13 +285,20 @@ class TestChunks:
         # post-processing transforms the two stored snapshots once each,
         # and of the noise fields it contracts only the values W: the final
         # density serves both the output field and the mass series
-        calls = []
+        calls, solved, batch = [], [], ensemble.solve_rescaled_batch
+
+        def solving(*args):
+            reports = batch(*args)
+            solved.append(True)
+            return reports
 
         def counting(bundle, amp, t_index):
-            calls.append((amp, t_index))
+            if solved:   # the march's own contractions are not post-processing
+                calls.append((amp, t_index))
             return _contract(bundle, amp, t_index)
 
-        monkeypatch.setattr(ensemble, "_contract", counting)
+        monkeypatch.setattr(ensemble, "solve_rescaled_batch", solving)
+        monkeypatch.setattr(rescale, "_contract", counting)
         stats = run(RunConfig(model_path=str(MODELS / "sample1d.ini"),
                               solver="rescaled", n_paths=1, base_seed=2))
         assert stats.failures == 0
@@ -423,6 +431,42 @@ class TestModelBoundary:
             run(RunConfig(model_path=noisy_model_path, level=-1,
                           out_dir=str(tmp_path / "o")))
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("old, new", [
+        (b"[grid]\n", b"[grid]\n# \xff\n"),
+        (b"mu2 = agepoly:0.1,0.1", b"mu2 = agepoly:"),
+        (b"mu2 = agepoly:0.1,0.1", b"mu2 = agecos:0.1:1:"),
+        (b"mu2 = agepoly:0.1,0.1", b"mu2 = agepoly:0.1,,0.2"),
+    ], ids=["not-utf8", "agepoly-no-coefficients", "agecos-no-coefficients", "empty-entry"])
+    def test_unreadable_model_value_is_config_error(self, old, new, tmp_path, capsys):
+        text = (MODELS / "sample1d.ini").read_bytes()
+        assert text.count(old) == 1
+        path = tmp_path / "m.ini"
+        path.write_bytes(text.replace(old, new))
+        assert main(["ensemble", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ")
+        assert ("utf-8" if old == b"[grid]\n" else new.decode().split(" = ")[1]) in err
+
+    @pytest.mark.parametrize("solver", ["rescaled", "direct"])
+    def test_negative_robin_coefficient_is_config_error(self, solver, tmp_path, capsys):
+        text = (MODELS / "sample1d.ini").read_text()
+        assert "alpha0 = constant:0.2" in text
+        path = tmp_path / "m.ini"
+        path.write_text(text.replace("alpha0 = constant:0.2", "alpha0 = constant:-5.0"))
+        assert main(["ensemble", "--model", str(path), "--solver", solver, "--paths", "2",
+                     "--out", str(tmp_path / "o")]) == 3
+        assert "alpha0 must be >= 0 on the boundary, got -5" in capsys.readouterr().err
+
+    def test_model_is_parsed_from_the_bytes_it_is_cached_on(self, tmp_path, monkeypatch):
+        # the file is read once: the bytes of the cache key are the ones parsed
+        path = tmp_path / "m.ini"
+        path.write_text(NOISY_MODEL)
+        edited = NOISY_MODEL.replace("t_final = 0.5", "t_final = 0.25").encode()
+        reads = []
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.append(self) or edited)
+        assert _cached_model(str(path), 1)[0].grid.T == 0.25
+        assert reads == [path]
 
     def test_edited_model_file_is_parsed_again(self, tmp_path):
         p = tmp_path / "m.ini"
@@ -564,6 +608,26 @@ class TestCli:
         assert counts == {"auto": 0, "fixed": 1}
         assert ((tmp_path / "auto" / "checks.csv").read_bytes()
                 == (tmp_path / "fixed" / "checks.csv").read_bytes())
+
+    @pytest.mark.parametrize("name, nodes", [("sample1d", 196), ("sample2d", 52)])
+    def test_check_builds_no_robin_datum_after_its_marches(self, name, nodes, monkeypatch,
+                                                           tmp_path):
+        # the marches of the 3-path batch and of the coarse run build each
+        # node once, and both weak residuals build their run's nodes again;
+        # the energy check reads the Robin norms its constants were built
+        # from, so no node's Robin datum is built a third time
+        from stochage.rescale import RescaledCoefficients
+
+        calls = {"k_faces": 0, "node_fields": 0}
+        for meth in calls:
+            def counting(self, *args, _meth=getattr(RescaledCoefficients, meth), _name=meth):
+                calls[_name] += 1
+                return _meth(self, *args)
+
+            monkeypatch.setattr(RescaledCoefficients, meth, counting)
+        assert main(["check", "--model", str(MODELS / f"{name}.ini"),
+                     "--out", str(tmp_path / "chk")]) == 0
+        assert calls == {"k_faces": nodes, "node_fields": nodes}
 
     def test_check_batches_its_same_grid_runs(self, monkeypatch, tmp_path):
         # the stored run and both perturbations are one 3-path batch; the

@@ -70,14 +70,21 @@ class TestAprioriCheck:
         consts = sa.constants_for_run(model, bundle)
         before = {f.name: copy.deepcopy(getattr(rep, f.name))
                   for f in dataclasses.fields(rep)}
-        margins = sa.apriori_check(rep, model, bundle, consts)
+        margins = sa.apriori_check(rep, consts)
         assert margins.shape == (grid1d.n_t + 1,)
         assert np.all(margins <= 1.0)
-        # the check is pure: every field of the report is bitwise unchanged
+        # the check is pure: every field of the report is bitwise unchanged,
+        # and the report keeps the very bundle it was solved on (the == of the
+        # bundle's dataclass raises on its array fields)
         for name, value in before.items():
             now = getattr(rep, name)
             assert type(now) is type(value), name
-            if isinstance(value, np.ndarray):
+            if name == "bundle":
+                assert now is bundle and all(
+                    np.asarray(getattr(now, f.name)).tobytes()
+                    == np.asarray(getattr(value, f.name)).tobytes()
+                    for f in dataclasses.fields(value)), name
+            elif isinstance(value, np.ndarray):
                 assert now.dtype == value.dtype and now.shape == value.shape, name
                 assert now.tobytes() == value.tobytes(), name
             else:
@@ -87,7 +94,7 @@ class TestAprioriCheck:
         p0 = sa.Field(np.zeros(grid1d.field_shape), grid1d)
         model, bundle, rep = solved_pair(grid1d, p0=p0)
         consts = sa.constants_for_run(model, bundle)
-        margins = sa.apriori_check(rep, model, bundle, consts)
+        margins = sa.apriori_check(rep, consts)
         assert np.all(margins == 0.0)
 
     def test_scaling_invariance(self, grid1d):
@@ -97,9 +104,9 @@ class TestAprioriCheck:
         lam = 3.7
         scaled = build_model(grid1d, p0=sa.Field(lam * model.p0.values, grid1d))
         rep2 = sa.solve_rescaled(scaled, bundle, sa.SolverConfig(snapshot_stride=1))
-        m1 = sa.apriori_check(rep, model, bundle, sa.constants_for_run(model, bundle))
+        m1 = sa.apriori_check(rep, sa.constants_for_run(model, bundle))
         c2 = sa.constants_for_run(scaled, bundle)
-        m2 = sa.apriori_check(rep2, scaled, bundle, c2)
+        m2 = sa.apriori_check(rep2, c2)
         # growth factors differ only through the data term, which scales out
         ratio = m2[1:] / m1[1:] * (c2.c_est / sa.constants_for_run(model, bundle).c_est)
         assert np.allclose(ratio, 1.0, rtol=1e-12)
@@ -124,8 +131,28 @@ class TestAprioriCheck:
         assert np.all(k_sq > 0) and np.all(grad[1:] > 0)
         left = sq + _cumtrapz(exit_trace, dt) + _cumtrapz(sq + grad, dt)
         right = consts.c_est * (sq[0] + _cumtrapz(k_sq, dt))
-        margins = sa.apriori_check(rep, model, bundle, consts)
+        margins = sa.apriori_check(rep, consts)
         assert margins.tobytes() == np.array([_ratio(l, r) for l, r in zip(left, right)]).tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_march_keeps_the_sweeps_robin_norms(self, grid1d, grid2d, dim):
+        # a 5-path batch at the automatic radius gathers each path's per-node
+        # norms of k0 exp(-W) in its march; they, and the margins read from
+        # them, are bitwise those of a one-path sweep of the path's bundle
+        grid = grid1d if dim == 1 else grid2d
+        rates = dataclasses.replace(logistic_rates(), k0=sa.ConstantRate(0.05))
+        model = build_model(grid, rates=rates)
+        bundles = [sa.sample_bundle(s, model.noise.n_modes, grid.n_t, grid.T) for s in range(5)]
+        reports = sa.solve_rescaled_batch(model, bundles, sa.SolverConfig(snapshot_stride=1))
+        for bundle, rep in zip(bundles, reports):
+            marched, swept = rep.guard.constants, sa.constants_for_run(model, bundle)
+            assert rep.bundle is bundle
+            assert len(marched.sups.k_sq) == grid.n_t + 1 and min(marched.sups.k_sq) > 0
+            assert (np.array(marched.sups.k_sq).tobytes()
+                    == np.array(swept.sups.k_sq).tobytes())
+            assert marched == swept
+            assert (sa.apriori_check(rep, marched).tobytes()
+                    == sa.apriori_check(rep, swept).tobytes())
 
     @pytest.mark.parametrize("route, stride, error", [
         ("rescaled", 4, InsufficientDataError), ("direct", 1, ConfigurationError)])
@@ -135,7 +162,7 @@ class TestAprioriCheck:
         solve = sa.solve_rescaled if route == "rescaled" else sa.solve_direct
         rep = solve(model, bundle, sa.SolverConfig(snapshot_stride=stride))
         with pytest.raises(error):
-            sa.apriori_check(rep, model, bundle, sa.constants_for_run(model, bundle))
+            sa.apriori_check(rep, sa.constants_for_run(model, bundle))
 
 
 class TestDependence:
@@ -184,7 +211,7 @@ class TestWeakResidualRandom:
     def test_zero_trajectory_zero_residual(self, grid1d):
         p0 = sa.Field(np.zeros(grid1d.field_shape), grid1d)
         model, bundle, rep = solved_pair(grid1d, p0=p0)
-        res = sa.weak_residual_random(rep, model, bundle)
+        res = sa.weak_residual_random(rep, model)
         assert res.max_abs == 0.0
 
     def test_stationary_constant_solution_rounding(self, grid1d):
@@ -198,7 +225,7 @@ class TestWeakResidualRandom:
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=1))
         const = np.ones((grid1d.n_t + 1,) + grid1d.field_shape) * 1.7
         rep.snapshots = const  # closed-form trajectory, not the solver's
-        res = sa.weak_residual_random(rep, model, bundle, n_psi=4)
+        res = sa.weak_residual_random(rep, model, n_psi=4)
         assert res.max_abs <= 1e-12
 
     def test_characteristics_residual_first_order(self):
@@ -215,7 +242,7 @@ class TestWeakResidualRandom:
             bundle = sa.sample_bundle(0, 1, n_t, grid.T)
             rep = sa.solve_rescaled(model, bundle,
                                     sa.SolverConfig(snapshot_stride=1))
-            vals.append(sa.weak_residual_random(rep, model, bundle).max_abs)
+            vals.append(sa.weak_residual_random(rep, model).max_abs)
         assert vals[1] <= 0.65 * vals[0]
 
     def test_refinement_order_with_noise(self):
@@ -228,14 +255,14 @@ class TestWeakResidualRandom:
                                 amplitudes=(sa.cosine_amplitude(0.2, (1,), (1.0,)),))
             b = coarsen(master, 128 // n_t)
             rep = sa.solve_rescaled(model, b, sa.SolverConfig(snapshot_stride=1))
-            res.append(sa.weak_residual_random(rep, model, b).max_abs)
+            res.append(sa.weak_residual_random(rep, model).max_abs)
             hs.append(grid.dt)
         assert fit_order(hs, res) >= 0.9
 
     def test_strided_report_rejected(self, grid1d):
         model, bundle, rep = solved_pair(grid1d, stride=2)
         with pytest.raises(InsufficientDataError):
-            sa.weak_residual_random(rep, model, bundle)
+            sa.weak_residual_random(rep, model)
 
 
 class TestWeakResidualStochastic:
@@ -243,7 +270,7 @@ class TestWeakResidualStochastic:
         model = build_model(grid1d, p0=sa.Field(np.zeros(grid1d.field_shape), grid1d))
         bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
         rep = sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=1))
-        res = sa.weak_residual_stochastic(rep, model, bundle)
+        res = sa.weak_residual_stochastic(rep, model)
         assert res.max_abs == 0.0
 
     def test_stationary_constant_solution_rounding(self, grid1d):
@@ -256,7 +283,7 @@ class TestWeakResidualStochastic:
         bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
         rep = sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=1))
         rep.snapshots = np.full((grid1d.n_t + 1,) + grid1d.field_shape, 1.7)
-        res = sa.weak_residual_stochastic(rep, model, bundle, n_psi=6)
+        res = sa.weak_residual_stochastic(rep, model, n_psi=6)
         assert res.max_abs <= 1e-12
 
     def test_decreases_under_refinement(self):
@@ -268,7 +295,7 @@ class TestWeakResidualStochastic:
             model = build_model(grid, rates=linear_rates())
             b = coarsen(master, 128 // n_t)
             rep = sa.solve_direct(model, b, sa.SolverConfig(snapshot_stride=1))
-            vals.append(sa.weak_residual_stochastic(rep, model, b).max_abs)
+            vals.append(sa.weak_residual_stochastic(rep, model).max_abs)
         assert vals[1] < vals[0]
 
 

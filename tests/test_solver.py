@@ -14,7 +14,7 @@ from stochage.errors import (ConfigurationError, InsufficientDataError,
                              InvalidFieldError, NoiseMagnitudeError, NonconvergenceError)
 from stochage.grid import Face, boundary_faces, l2_norm, weighted_population
 from stochage.modelfile import parse_model
-from stochage.rates import evaluate_gamma
+from stochage.rates import CustomRate, evaluate_gamma
 from stochage.solver import (DiffusionFactors, StepResult, TruncationGuard, _advection,
                              _march, _thomas_factor, _thomas_solve, diffusion_substep,
                              renewal_row, transport_reaction_substep,
@@ -399,6 +399,24 @@ class TestDiffusionFactors:
         assert factors.get(alpha, grid1d, grid1d.dt) is not first
         assert factors.get(alpha, grid1d, grid1d.dt / 2) is not first
 
+    @pytest.mark.parametrize("route", ["direct", "rescaled"])
+    def test_negative_robin_coefficient_is_a_configuration_error(self, grid1d, route):
+        # the closure keeps an M-matrix only for alpha0 >= 0; a time-dependent
+        # coefficient that turns negative mid-march is caught at that node
+        # (alpha0 = 0 on the first half of the march still solves)
+        def model_with(fn):
+            return build_model(grid1d, rates=dataclasses.replace(
+                linear_rates(), alpha0=CustomRate(fn=fn, sup=1.0)))
+
+        solve = sa.solve_direct_batch if route == "direct" else sa.solve_rescaled_batch
+        half = grid1d.T / 2
+        ok = model_with(lambda t, a, x, r: 0.0 * a)
+        bundles = bundles_for(ok, 2)
+        assert all(isinstance(r, sa.SolveReport) for r in solve(ok, bundles))
+        late = model_with(lambda t, a, x, r: (0.0 if t <= half else -0.5) + 0 * a)
+        with pytest.raises(ConfigurationError, match=r"alpha0 must be >= 0 .*got -0\.5$"):
+            solve(late, bundles)
+
 
 class TestRenewal:
     def test_constant_rate_and_field(self, grid1d):
@@ -517,7 +535,7 @@ class TestPicard:
     def test_single_step_matches_march(self, linear_model):
         # one call of the step operation reproduces the first level of the
         # full time loop
-        from stochage.rates import evaluate_gamma
+        from stochage.rates import CustomRate, evaluate_gamma
         from stochage.rescale import RescaledCoefficients
 
         grid = linear_model.grid
@@ -631,7 +649,7 @@ class TestSolveRescaled:
 def march_without_path_axis(model, bundle, cfg):
     """Final state, steps and guard of a march of one path that never forms
     a path axis: coefficients of a single bundle, a guard of scalars."""
-    from stochage.rates import evaluate_gamma
+    from stochage.rates import CustomRate, evaluate_gamma
     from stochage.rescale import RescaledCoefficients
 
     coeffs = RescaledCoefficients(model, bundle)
@@ -908,8 +926,9 @@ class TestMarchRecord:
             return step
 
         cfg = sa.SolverConfig(snapshot_stride=1)
-        out = _march(linear_model, 2, gamma, stepper(0), cfg, "direct")
-        alone = _march(linear_model, 1, gamma, stepper(-1), cfg, "direct")
+        bundles = bundles_for(linear_model, 2)
+        out = _march(linear_model, bundles, gamma, stepper(0), cfg, "direct")
+        alone = _march(linear_model, bundles[1:], gamma, stepper(-1), cfg, "direct")
         assert isinstance(out[0], InvalidFieldError)
         assert str(out[0]) == "field contains non-finite entries"
         assert same(out[1], alone[0])
