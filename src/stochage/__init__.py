@@ -9,8 +9,7 @@ the two is the core cross-validation evidence; quantitative energy
 bounds and weak-form residuals provide the rest.
 """
 
-from .errors import (ConfigurationError, InsufficientDataError,
-                     InvalidFieldError, NoiseMagnitudeError,
+from .errors import (ConfigurationError, InvalidFieldError, NoiseMagnitudeError,
                      NonconvergenceError, StochageError)
 from .grid import (Field, Grid, SubDomain, gradient_energy, l2_norm,
                    weighted_population)
@@ -26,10 +25,9 @@ from .solver import (SolveReport, SolverConfig, StepResult, TruncationGuard,
                      picard_step_solve, solve_rescaled, solve_rescaled_batch,
                      truncate_argument)
 from .oracle import solve_direct, solve_direct_batch
-from .estimates import (CheckRow, EstimateConstants, apriori_check,
-                        compute_constants, constants_for_run,
-                        dependence_check, weak_residual_random,
-                        weak_residual_stochastic)
+from .estimates import (CheckRow, EstimateAccumulator, EstimateConstants,
+                        apriori_check, compute_constants, constants_for_run,
+                        dependence_check, weak_residual_stochastic)
 from .ensemble import RunConfig, convergence_study, run
 
 __version__ = "0.1.0"

@@ -120,11 +120,12 @@ def _cmd_check(args) -> int:
 
     model, cfg = ens._cached_model(args.model, 1)
     bundle = ens.path_bundle(args.model, 0, args.seed, [0])[0]
-    cfg = dataclasses.replace(cfg, snapshot_stride=1)
+    cfg = dataclasses.replace(cfg, snapshot_stride=0)
     # one batch of the stored run and its bumped runs, which share grid, rates
     # and noise path; each error is raised where its one-path solve would be
     p0 = np.stack([model.p0.values] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
-    report, *perturbed = solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
+    fine = estimates.EstimateAccumulator(model)
+    report, *perturbed = solve_rescaled_batch(model, [bundle] * 3, cfg, p0, observer=fine)
     report = _only([report])
     consts = report.guard.constants
     if consts is None:  # a fixed radius keeps no energy-bound constants
@@ -133,24 +134,25 @@ def _cmd_check(args) -> int:
         estimates.CheckRow("rate_validation_violations",
                            len(validate_rates(model.rates, model.grid)), 0),
         estimates.CheckRow("apriori_margin_max",
-                           np.max(estimates.apriori_check(report, consts)), 1.0),
+                           np.max(estimates.apriori_check(fine, consts)), 1.0),
         estimates.CheckRow("truncation_activations", report.guard.activations, 0)]
 
     # continuous dependence: quadratic scaling in an initial-data bump
-    ratios = [estimates.dependence_check(report, _only([rep2]), consts).ratio
-              for rep2 in perturbed]
+    for rep2 in perturbed:   # raises a bumped run's error
+        _only([rep2])
+    ratios = [estimates.dependence_check(fine, j, consts).ratio for j in (1, 2)]
     drift = abs(ratios[0] - ratios[1]) / max(abs(ratios[0]), 1e-300)
     rows.append(estimates.CheckRow("dependence_ratio_drift", drift, 0.10))
 
     # weak residual decreases under one refinement of the stored run
-    res_fine = estimates.weak_residual_random(report, model).max_abs
     coarse_model, coarse_cfg = ens._cached_model(args.model, 2)
-    coarse_cfg = dataclasses.replace(coarse_cfg, snapshot_stride=1)
-    rep_c = _only(solve_rescaled_batch(
-        coarse_model, ens.path_bundle(args.model, 1, args.seed, [0]), coarse_cfg))
-    res_coarse = estimates.weak_residual_random(rep_c, coarse_model).max_abs
-    rows.append(estimates.CheckRow("weak_residual_refinement_ratio",
-                                   res_fine / max(res_coarse, 1e-300), 0.75))
+    coarse_cfg = dataclasses.replace(coarse_cfg, snapshot_stride=0)
+    coarse = estimates.EstimateAccumulator(coarse_model)
+    _only(solve_rescaled_batch(coarse_model, ens.path_bundle(args.model, 1, args.seed, [0]),
+                               coarse_cfg, observer=coarse))
+    rows.append(estimates.CheckRow(
+        "weak_residual_refinement_ratio",
+        fine.weak_residual().max_abs / max(coarse.weak_residual().max_abs, 1e-300), 0.75))
 
     out = ensure_dir(args.out)
     write_check_report(out / "checks.csv", rows)

@@ -42,7 +42,3 @@ class NonconvergenceError(StochageError):
             f"fixed-point iteration did not converge at step {step} after "
             f"{iterations} iterations (last contraction ratio {self.ratio:.3g})"
         )
-
-
-class InsufficientDataError(StochageError):
-    """A post-processing check needs data the report did not store."""

@@ -7,7 +7,9 @@ artifact treats them as configuration, calibrated once on a frozen
 regression suite and used as pass thresholds afterwards.  What the checks
 exercise is the *structure* of the bounds: monotonicity in the
 coefficient sups, quadratic scaling in the data, and boundedness of the
-ratios under refinement.
+ratios under refinement.  The checks read no stored trajectory: an
+:class:`EstimateAccumulator` observes a rescaled march and gathers their
+terms at each node from the states and coefficients the march holds there.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .errors import ConfigurationError, StochageError
 from .grid import (Grid, boundary_faces, face_measure, face_shape, gradient_energy, l2_norm,
                    weighted_population)
 from .model import PopulationModel
-from .noise import BrownianBundle, amplitude_grids
+from .noise import BrownianBundle, amplitude_grids, ito_correction
 from .rates import VitalRates, evaluate_gamma, evaluate_on_faces, evaluate_on_grid
 from .rescale import CoefficientSups, RescaledCoefficients
 
@@ -127,21 +129,9 @@ def _cumtrapz(series: np.ndarray, dt: float) -> np.ndarray:
     return out
 
 
-def _energy_terms(states, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per time node of ``states`` (fields read one at a time): the squared
-    norm, and the energy estimate's left side, that plus the trapezoid time
-    integrals of the exit-age trace and of the squared norm plus the gradient energy."""
-    sq, exit_trace, grad = np.zeros((3, grid.n_t + 1))
-    for i, state in enumerate(states):
-        sq[i] = l2_norm(state, grid) ** 2
-        exit_trace[i] = np.sum(state[grid.rows(-1)] ** 2) * grid.cell_volume
-        grad[i] = gradient_energy(state, grid)
-    return sq, sq + _cumtrapz(exit_trace, grid.dt) + _cumtrapz(sq + grad, grid.dt)
-
-
-def apriori_check(report, consts: EstimateConstants) -> np.ndarray:
-    """Ratio of solution energy to the bound, per time level, of a rescaled
-    report stored at stride 1 and the constants of its path.
+def apriori_check(acc: EstimateAccumulator, consts: EstimateConstants) -> np.ndarray:
+    """Ratio of solution energy to the bound, per time level, of the stored
+    run of ``acc`` and the constants of its path.
 
     Left side: squared state norm, the exit-age trace integrated in time,
     and the time integral of the gradient-augmented norm.  Right side:
@@ -150,11 +140,8 @@ def apriori_check(report, consts: EstimateConstants) -> np.ndarray:
     sups.  Ratios at most 1 mean the calibrated bound holds; a
     zero-over-zero level counts as a pass.
     """
-    if report.solver != "rescaled":
-        raise ConfigurationError("the energy bound expects a rescaled-state report")
-    grid = report.grid
-    sq, left = _energy_terms(report.trajectory, grid)   # raises when stored with stride > 1
-    right = consts.c_est * (sq[0] + _cumtrapz(np.array(consts.sups.k_sq), grid.dt))
+    sq, left = acc.energy(0)
+    right = consts.c_est * (sq[0] + _cumtrapz(np.array(consts.sups.k_sq), acc.grid.dt))
     return np.array([_ratio(l, r) for l, r in zip(left, right)])
 
 
@@ -176,22 +163,18 @@ class DependenceResult:
     ratio: float
 
 
-def dependence_check(report1, report2, consts1: EstimateConstants,
+def dependence_check(acc: EstimateAccumulator, path: int, consts1: EstimateConstants,
                      consts2: EstimateConstants | None = None) -> DependenceResult:
-    """Solution-difference energy at the final time (:func:`_energy_terms`
-    of the difference) against the data-difference bound.
+    """Solution-difference energy at the final time of the stored run of
+    ``acc`` minus its run ``path`` (>= 1) against the data-difference bound.
 
     The prefactor uses the worse of the two runs' coefficient sups, so the
     result is symmetric under swapping the runs.  The runs share their
     noise path and coefficients, so the data difference is that of the
     initial states.
     """
-    if consts2 is None:
-        consts2 = consts1
-    if report1.grid != report2.grid:
-        raise ConfigurationError("dependence check needs a shared grid")
-    traj1, traj2 = report1.trajectory, report2.trajectory
-    d_sq, left = _energy_terms((a - b for a, b in zip(traj1, traj2)), report1.grid)
+    consts2 = consts2 or consts1
+    d_sq, left = acc.energy(path)
     c0, c1 = consts1.c0, consts1.c1
     sups1, sups2 = consts1.sups, consts2.sups
     expo = c1 * (1.0 + max(sups1.g1_sup, sups2.g1_sup)
@@ -289,88 +272,108 @@ def _cell_gradients(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return out
 
 
-def _weak_residual(traj, grid: Grid, psis: list[TestFunction], node,
-                   timed: bool) -> np.ndarray:
-    """Residuals of the weak identity of a stored trajectory over ``psis``.
+def _weak_node(res: np.ndarray, y: np.ndarray, u: float, model: PopulationModel,
+               psis: list[TestFunction], i: int, coefficients: tuple, timed: bool) -> None:
+    """Add the terms of time node ``i`` of the weak identity of the state
+    ``y``, whose population functional is ``u``, over ``psis`` to ``res``.
 
-    ``node(i, state)`` returns ``(g1, g2, mu_s, m, alpha, k)`` at time node
-    ``i``.  Every term is assembled with the trapezoid rule in time and
-    age, the midpoint rule in space and cell-centered gradients.  With
+    ``coefficients`` are ``(g1, g2, exp_dw0, k)`` at the node; the rates are
+    evaluated here.  Every term is assembled with the trapezoid rule in time
+    and age, the midpoint rule in space and cell-centered gradients.  With
     ``timed`` (the pathwise form) each term carries the time factor
-    ``phi(t)``, the time derivative enters through ``dphi`` and the
-    initial-data term is subtracted.  Otherwise (the stochastic form) the
-    time factor is 1, the endpoint difference ``p(T) - p(0)`` stands in for
-    the derivative term, and the caller adds the Ito sum.
+    ``phi(t)`` and the time derivative enters through ``dphi``; the caller
+    subtracts the initial-data term.  Otherwise (the stochastic form) the
+    time factor is 1, and the caller adds the endpoint difference
+    ``p(T) - p(0)``, which stands in for the derivative term, and the Ito sum.
     """
-    tw = grid.time_weights
+    grid, rates = model.grid, model.rates
+    t, tw, vol = grid.times[i], grid.time_weights[i], grid.cell_volume
     aw = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     face_aw = aw[..., 0]   # on a face: the age weights of its age nodes
-    vol = grid.cell_volume
-    res = np.zeros(len(psis))
-    if not timed:
-        for j, psi in enumerate(psis):
-            res[j] = np.sum((traj[-1] - traj[0]) * psi.A * aw) * vol
-
-    for i, t in enumerate(grid.times):
-        y = traj[i]
-        g1, g2, mu_s, m, alpha, k = node(i, y)
-        grads = _cell_gradients(y, grid)
-        renewal_inner = np.sum(aw * m * y, axis=0)
-        neg_y, decay = -y, y * g1 + mu_s * y   # what no test function changes, once per node
-        drift = [g2[ax] * grads[ax] for ax in range(grid.dim)]
-        robin = [(face, alpha[face] * np.take(y, -face.side, axis=1 + face.axis) + k[face],
-                  face_measure(grid, face)) for face in boundary_faces(grid)]   # trace: next cell
-        for j, psi in enumerate(psis):
-            ph, dph = (psi.phi(t), psi.dphi(t)) if timed else (1.0, 0.0)
-            # interior terms, all weighted by the time rule
-            bulk = neg_y * psi.A * dph - y * psi.A_a * ph + decay * psi.A * ph
-            for ax in range(grid.dim):
-                bulk += (grads[ax] * psi.A_grad[ax] + drift[ax] * psi.A) * ph
-            val = np.sum(bulk * aw) * vol * tw[i]
-            # exit-age trace and renewal row
-            val += np.sum(y[-1] * psi.A[-1]) * vol * ph * tw[i]
-            val -= np.sum(renewal_inner * psi.A[0]) * vol * ph * tw[i]
-            for face, flux, measure in robin:
-                val += float(np.sum(flux * psi.face_values[face] * face_aw)) * measure * ph * tw[i]
-            res[j] += val
-    if timed:
-        for j, psi in enumerate(psis):
-            res[j] -= np.sum(traj[0] * psi.A * aw) * vol * psi.phi(0.0)
-    return res
+    (g1, g2, exp_dw0, k), alpha = coefficients, evaluate_on_faces(rates.alpha0, grid, t)
+    mu_s = evaluate_on_grid(rates.mu_s, grid, t, u)
+    m = evaluate_on_grid(rates.m0, grid, t, u) * exp_dw0
+    grads = _cell_gradients(y, grid)
+    renewal_inner = np.sum(aw * m * y, axis=0)
+    neg_y, decay = -y, y * g1 + mu_s * y   # what no test function changes, once per node
+    drift = [g2[ax] * grads[ax] for ax in range(grid.dim)]
+    robin = [(face, alpha[face] * np.take(y, -face.side, axis=1 + face.axis) + k[face],
+              face_measure(grid, face)) for face in boundary_faces(grid)]   # trace: next cell
+    for j, psi in enumerate(psis):
+        ph, dph = (psi.phi(t), psi.dphi(t)) if timed else (1.0, 0.0)
+        # interior terms, all weighted by the time rule
+        bulk = neg_y * psi.A * dph - y * psi.A_a * ph + decay * psi.A * ph
+        for ax in range(grid.dim):
+            bulk += (grads[ax] * psi.A_grad[ax] + drift[ax] * psi.A) * ph
+        val = np.sum(bulk * aw) * vol * tw
+        # exit-age trace and renewal row
+        val += np.sum(y[-1] * psi.A[-1]) * vol * ph * tw
+        val -= np.sum(renewal_inner * psi.A[0]) * vol * ph * tw
+        for face, flux, measure in robin:
+            val += float(np.sum(flux * psi.face_values[face] * face_aw)) * measure * ph * tw
+        res[j] += val
 
 
-def weak_residual_random(report, model: PopulationModel, n_psi: int = 6) -> ResidualReport:
-    """Residual of the pathwise weak identity over a polynomial family.
+class EstimateAccumulator:
+    """Observer of a rescaled march (``solve_rescaled_batch(..., observer=)``)
+    that gathers the checks' terms at each node while the march holds it.
 
-    Assembles every term of the space-age-time weak form from a stored
-    trajectory of the rescaled state, with the coefficients ``g1``, ``g2``,
-    ``k`` and the rescaled fertility of the report's own bundle.  For the
-    discrete solution the residual decays at first order under grid refinement.
+    Path 0 is the stored run: it gets the energy estimate's terms (squared
+    norm, exit-age trace, gradient energy; :func:`apriori_check`) and the
+    pathwise weak residual over ``n_psi`` test functions, from the
+    coefficients the march built (:meth:`weak_residual`; it decays at first
+    order under refinement).  Each other path ``j`` shares the noise path
+    and gets the energy terms of path 0 minus path ``j``
+    (:func:`dependence_check`).  Nothing is gathered once path 0 has left.
     """
-    if report.solver != "rescaled":
-        raise ConfigurationError("the pathwise residual expects a rescaled-state report")
-    traj = report.trajectory  # raises when stored with stride > 1
-    grid = report.grid
-    rates = model.rates
-    coeffs = RescaledCoefficients(model, report.bundle)
-    gamma_vals = evaluate_gamma(rates, grid)
-    psis = build_test_functions(grid, n_psi)
 
-    def node(i, y):
-        t = grid.times[i]
-        fields = coeffs.node_fields(i)
-        u_val = weighted_population(fields["exp_w"] * y, gamma_vals, model.region, grid)
-        return (fields["g1"], fields["g2"], evaluate_on_grid(rates.mu_s, grid, t, u_val),
-                evaluate_on_grid(rates.m0, grid, t, u_val) * fields["exp_dw0"],
-                evaluate_on_faces(rates.alpha0, grid, t), coeffs.k_faces(i))
+    def __init__(self, model: PopulationModel, n_psi: int = 6):
+        self.model, self.grid = model, model.grid
+        self.psis = build_test_functions(model.grid, n_psi)
+        self.terms = self._residual = self._initial = None   # set afresh at node 0
 
-    res = _weak_residual(traj, grid, psis, node, timed=True)
-    return ResidualReport([p.label for p in psis], res)
+    def __call__(self, i: int, states: np.ndarray, paths: np.ndarray, u, coefficients) -> None:
+        grid = self.grid
+        if i == 0:   # terms per path, energy term and node
+            self.terms = np.full((paths[-1] + 1, 3, grid.n_t + 1), np.nan)
+            self._residual = np.zeros(len(self.psis))
+        if paths[0] != 0:
+            return
+        y = states[0]
+        for row, j in enumerate(paths):
+            d = y - states[row] if row else y
+            self.terms[j, :, i] = (l2_norm(d, grid) ** 2, np.sum(d[grid.rows(-1)] ** 2)
+                                   * grid.cell_volume, gradient_energy(d, grid))
+        g1, g2, exp_dw0, k = coefficients or (   # node 0: W = 0
+            ito_correction(self.model.noise, grid).values[None], [[0.0]] * grid.dim, [1.0],
+            {f: a[None] for f, a in evaluate_on_faces(self.model.rates.k0, grid, 0.0).items()})
+        _weak_node(self._residual, y, u[0], self.model, self.psis, i, (
+            g1[0], [g[0] for g in g2], exp_dw0[0], {f: a[0] for f, a in k.items()}), timed=True)
+        if i == 0:
+            self._initial = np.array([np.sum(y * psi.A * grid.age_weight_field) * grid.cell_volume
+                                      * psi.phi(0.0) for psi in self.psis])
+
+    def energy(self, path: int) -> tuple[np.ndarray, np.ndarray]:
+        """Per node, the squared norm and the energy estimate's left side of
+        path 0 (``path = 0``) or of path 0 minus ``path``: that squared norm
+        plus the trapezoid time integrals of the exit-age trace and of the
+        squared norm plus the gradient energy."""
+        if self.terms is None:
+            raise ConfigurationError("the estimates observed no rescaled march")
+        sq, exit_trace, grad = self.terms[path]
+        dt = self.grid.dt
+        return sq, sq + _cumtrapz(exit_trace, dt) + _cumtrapz(sq + grad, dt)
+
+    def weak_residual(self) -> ResidualReport:
+        """Residual of the pathwise weak identity of path 0 over the test functions."""
+        if self._initial is None:
+            raise ConfigurationError("the estimates observed no rescaled march")
+        return ResidualReport([p.label for p in self.psis], self._residual - self._initial)
 
 
 def weak_residual_stochastic(report, model: PopulationModel,
                              n_psi: int = 6) -> ResidualReport:
-    """Residual of the noisy weak identity for a density trajectory.
+    """Residual of the noisy weak identity for a density report stored at stride 1.
 
     Test functions depend on age and space only.  The stochastic integral
     is assembled with the state at the left endpoint of each step times the
@@ -379,24 +382,22 @@ def weak_residual_stochastic(report, model: PopulationModel,
     """
     if report.solver != "direct":
         raise ConfigurationError("the stochastic residual expects a density report")
-    traj = report.trajectory
     grid = report.grid
-    rates = model.rates
+    if len(report.snapshot_indices) != grid.n_t + 1:
+        raise ConfigurationError(
+            f"the stochastic residual needs every time node, got {len(report.snapshot_indices)} "
+            f"of {grid.n_t + 1}; solve with snapshot_stride=1")
+    traj, vol = report.snapshots, grid.cell_volume
     amp = amplitude_grids(model.noise, grid)
-    gamma_vals = evaluate_gamma(rates, grid)
+    gamma_vals = evaluate_gamma(model.rates, grid)
     psis = [p for p in build_test_functions(grid, 64) if p.q_t == 0][:n_psi]
-
-    def node(i, p):
-        t = grid.times[i]
-        u_val = weighted_population(p, gamma_vals, model.region, grid)
-        return (0.0, (0.0,) * grid.dim, evaluate_on_grid(rates.mu_s, grid, t, u_val),
-                evaluate_on_grid(rates.m0, grid, t, u_val),
-                evaluate_on_faces(rates.alpha0, grid, t), evaluate_on_faces(rates.k0, grid, t))
-
-    res = _weak_residual(traj, grid, psis, node, timed=False)
+    aw = grid.age_weight_field
+    res = np.array([np.sum((traj[-1] - traj[0]) * psi.A * aw) * vol for psi in psis])
+    for i, p in enumerate(traj):
+        _weak_node(res, p, weighted_population(p, gamma_vals, model.region, grid), model, psis, i,
+                   (0.0, (0.0,) * grid.dim, 1.0, evaluate_on_faces(model.rates.k0, grid,
+                                                                   grid.times[i])), timed=False)
     # Ito sum: left-endpoint state against each mode's increment
-    aw = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
-    vol = grid.cell_volume
     for n in range(grid.n_t):
         p = traj[n]
         dinc = report.bundle.increments[:, n]

@@ -50,12 +50,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, SubDomain
+from .grid import Field, Grid, SubDomain, l2_norm, weighted_population
 from .model import PopulationModel
 from .noise import (Amplitude, NoiseSpec, age_polynomial_amplitude,
                     constant_amplitude, cosine_amplitude, sine_amplitude)
 from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, LogisticRate,
-                    VitalRates)
+                    VitalRates, evaluate_gamma)
 from .solver import SolverConfig
 
 _KNOWN = {
@@ -117,6 +117,15 @@ def parse_rate(text: str):
     raise ConfigurationError(f"unknown rate family {family!r}")
 
 
+def _lowest(rate) -> float:
+    """The lowest value a rate of :func:`parse_rate` takes over its whole range."""
+    if isinstance(rate, LogisticRate):
+        return rate.base + min(rate.amp, 0.0)
+    if isinstance(rate, AgeProfileRate):
+        return min(rate.values)
+    return rate.value   # constant, or a window (zero outside it)
+
+
 # ':'-separated fields after the family name
 _AMPLITUDE_FIELDS = {"constant": 1, "agepoly": 1, "cosine": 2, "sine": 2, "agecos": 3}
 
@@ -166,7 +175,14 @@ def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> Field:
         def fn(a, *x):
             shape = np.broadcast_shapes(np.shape(a), *map(np.shape, x))
             return np.broadcast_to(base(a), shape)
-    return Field.from_function(grid, fn)
+    with np.errstate(over="ignore", invalid="ignore"):   # named below instead
+        values = np.broadcast_to(fn(grid.age_mesh, *grid.space_meshes), grid.field_shape)
+    if not (np.all(np.isfinite(values)) and np.min(values) >= 0.0):
+        raise ConfigurationError(
+            f"p0 = {spec.strip()}{f' with space_mode = {space_mode}' if space_mode else ''} "
+            f"must give a finite initial density >= 0, got values from {np.min(values):.4g} "
+            f"to {np.max(values):.4g}")
+    return Field(values, grid)
 
 
 def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, SolverConfig]:
@@ -220,20 +236,26 @@ def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, Sol
         grid = grid.coarsen_time(int(coarsen))
 
     r = cp["rates"] if "rates" in cp else {}
-    rates = VitalRates(
-        mu_s=parse_rate(r.get("mu_s", "constant:0")),
-        m0=parse_rate(r.get("m0", "constant:0")),
-        gamma=parse_rate(r.get("gamma", "constant:0")),
-        alpha0=parse_rate(r.get("alpha0", "constant:0")),
-        k0=parse_rate(r.get("k0", "constant:0")),
-    )
+    rate_text = {key: r.get(key, "constant:0") for key in ("mu_s", "m0", "gamma", "alpha0", "k0")}
+    rates = VitalRates(**{key: parse_rate(text) for key, text in rate_text.items()})
+    for key in ("mu_s", "m0", "gamma"):   # mortality, fertility and weight are nonnegative
+        if not _lowest(getattr(rates, key)) >= 0.0:
+            raise ConfigurationError(f"{key} = {rate_text[key]} must be >= 0 everywhere, "
+                                     f"got a lowest value of {_lowest(getattr(rates, key)):.4g}")
 
     modes = cp["noise"] if "noise" in cp else {}
     amps = [parse_amplitude(modes[key], grid.dim, grid.extent) for key in modes]
+    squares = 0.0   # the Ito correction is half their sum
+    for key, amp in zip(modes, amps):
+        with np.errstate(over="ignore", invalid="ignore"):
+            squares = squares + np.square(amp.fn(grid.age_mesh, *grid.space_meshes))
+        if not np.all(np.isfinite(squares)):
+            raise ConfigurationError(
+                f"{key} = {modes[key]} makes the Ito correction overflow a float on the grid")
     noise = NoiseSpec(tuple(amps or [constant_amplitude(0.0, grid.dim)]))
 
-    p0 = _parse_initial(grid, cp["initial"].get("p0", "constant:1"),
-                        cp["initial"].get("space_mode", None))
+    p0_text = cp["initial"].get("p0", "constant:1")
+    p0 = _parse_initial(grid, p0_text, cp["initial"].get("space_mode", None))
 
     region = None
     if "population_functional" in cp:
@@ -266,4 +288,12 @@ def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, Sol
 
     model = PopulationModel(grid=grid, rates=rates, noise=noise,
                             p0=p0, region=region)
+    with np.errstate(over="ignore", invalid="ignore"):   # named below instead
+        energy = np.square(l2_norm(p0))
+        u0 = weighted_population(p0, evaluate_gamma(rates, grid), region, grid)
+    if not np.isfinite(energy):
+        raise ConfigurationError(f"p0 = {p0_text} has a squared L2 norm that overflows a float")
+    if not np.isfinite(u0):
+        raise ConfigurationError(f"gamma = {rate_text['gamma']} with p0 = {p0_text} gives a "
+                                 f"population functional U that overflows a float")
     return model, config

@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import estimates
-from .errors import (ConfigurationError, InsufficientDataError, InvalidFieldError,
-                     NoiseMagnitudeError, NonconvergenceError, StochageError)
+from .errors import (ConfigurationError, InvalidFieldError, NoiseMagnitudeError,
+                     NonconvergenceError, StochageError)
 from .grid import Face, Grid, l2_norm, weighted_population
 from .model import PopulationModel
 from .noise import BrownianBundle
@@ -366,8 +366,9 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Trajectory, per-node norm, births and ``U``, and step diagnostics of one solve, and
-    its bundle: a rescaled state is a density only with its own noise path (:func:`densities`)."""
+    """Snapshots, per-node norm, births and ``U``, step diagnostics and bundle of one solve: a
+    rescaled state is a density only with its own noise path (:func:`densities`).  A check
+    gathers what it reads at every node through :func:`_march`'s observer, not from here."""
 
     solver: str                    # "rescaled" (state y) or "direct" (density p)
     grid: Grid
@@ -383,15 +384,6 @@ class SolveReport:
     guard: TruncationGuard | None
     cfl_max: float
     noise_factor_warnings: int = 0
-
-    @property
-    def trajectory(self) -> np.ndarray:
-        """Full state history; only available when stored at stride 1."""
-        if len(self.snapshot_indices) != self.grid.n_t + 1:
-            raise InsufficientDataError(
-                f"trajectory stored at {len(self.snapshot_indices)} of "
-                f"{self.grid.n_t + 1} time nodes; rerun with snapshot_stride=1")
-        return self.snapshots
 
 
 def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
@@ -444,7 +436,8 @@ class StepResult:
     functional, then diagnostics whose defaults are the direct route's (no
     fixed point, no advection), one value for all paths or one per path;
     ``overshoot`` flags per path a noise factor more than 1 away from 1;
-    ``failed`` maps a row to the error that ended its path (state finite)."""
+    ``failed`` maps a row to the error that ended its path (state finite);
+    ``coefficients`` are the node's ``(g1, g2, exp_dw0, k)`` of an observed march."""
 
     state: np.ndarray
     u_value: float | np.ndarray
@@ -453,11 +446,12 @@ class StepResult:
     cfl: float | np.ndarray = 0.0
     overshoot: int | np.ndarray = 0
     failed: dict = field(default_factory=dict)
+    coefficients: tuple | None = None
 
 
 def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndarray,
            step, config: SolverConfig, solver: str,
-           p0: np.ndarray | None = None) -> list[SolveReport | StochageError]:
+           p0: np.ndarray | None = None, observer=None) -> list[SolveReport | StochageError]:
     """The time loop of both routes; per bundle its report (without a guard)
     or its error.
 
@@ -468,8 +462,10 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
     at node ``t_index`` of the paths ``live``, the rows of ``state``.  A row
     leaves when the step fails it or it is not finite.  The march records
     only what every run reads (the series of :class:`SolveReport`, the step
-    diagnostics and the snapshots) and gives each report its bundle; the
-    energy-bound terms are :func:`estimates.apriori_check`'s own work.
+    diagnostics and the snapshots) and gives each report its bundle.  At
+    each node ``observer(t_index, state, live, u_value, coefficients)``, if
+    given, sees the live rows and the coefficients their step built (``None``
+    at node 0, where ``W = 0``), as :class:`estimates.EstimateAccumulator` does.
     """
     grid, n_t, n_paths = model.grid, model.grid.n_t, len(bundles)
     failed, live, at = {}, np.arange(n_paths), np.s_[:]   # at: the rows of the live paths
@@ -493,7 +489,7 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
             ratios[at, i - 1] = result.contraction_ratio
             cfl_max[at] = np.maximum(cfl_max[at], result.cfl)
             warnings[at] += result.overshoot
-        state, u_value = result.state, result.u_value
+        state, u_value, built = result.state, result.u_value, result.coefficients
         series["l2"][at, i] = l2 = l2_norm(state, grid, strict=False)
         series["u"][at, i] = u_value
         errors = {int(row): InvalidFieldError("field contains non-finite entries")
@@ -502,7 +498,7 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
             keep = np.isin(np.arange(len(live)), list(errors), invert=True)
             failed.update({int(live[row]): exc for row, exc in errors.items()})
             live = at = live[keep]
-            state, u_value = state[keep], u_value[keep]
+            state, u_value, built = state[keep], u_value[keep], _rows(built, keep)
         series["births"][at, i] = state[grid.rows(0)].sum(axis=space) * grid.cell_volume
         if i in slots and i:
             if snapshots is None:
@@ -511,6 +507,8 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
             snapshots[at, slots[i]] = state
         if not len(live):
             break
+        if observer is not None:
+            observer(i, state, live, u_value, built)
 
     return [failed[j] if j in failed else SolveReport(
         solver=solver, grid=grid, bundle=bundles[j], snapshot_indices=indices,
@@ -539,7 +537,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
                       region, guard: TruncationGuard | None,
                       config: SolverConfig,
                       factors: DiffusionFactors | None = None,
-                      live: np.ndarray | None = None) -> StepResult:
+                      live: np.ndarray | None = None, observer=None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
     What no iterate changes is built once per node: the Robin data on the
@@ -561,6 +559,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     after ``picard_max_iter`` iterates or whose ``guard.settle`` gives an
     error (after that iterate) fails alone in ``StepResult.failed``; one
     state without a path axis raises.  The result may be built in ``y``.
+    With the march's ``observer`` it carries the node's ``(g1, g2, exp_dw0, k)``,
+    copying the two the fixed point compacts.
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
@@ -571,6 +571,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     alpha, k_in = ((factors.inner(factors.faces(rates.alpha0, grid, t), grid),
                     _inner_faces(k, grid)) if config.include_diffusion else (None, None))
     node = coeffs.node_fields(t_index, live, over)
+    built = (node["g1"].copy(), node["g2"], node["exp_dw0"].copy(), k) if observer else None
     # per-path inputs; the rows of failed and converged paths are dropped in place
     inputs = [y, node["g1"], _advection(node["g2"], grid, grid.dt), k_in,
               node["exp_w"], node["exp_dw0"]]
@@ -580,7 +581,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     failed = {int(r): NoiseMagnitudeError(over[r]) for r in np.flatnonzero(over)} if paths else {}
     stopped = []     # (rows of y, their new states) of the paths out of the iteration
     result = StepResult(y, np.empty(paths), np.zeros(paths, dtype=int), np.full(paths, np.nan),
-                        np.zeros(paths), failed=failed) if paths else None   # filled row by row
+                        np.zeros(paths), 0, failed, built) if paths else None   # row by row
     zeta, prev_diff, ratio, cfl = y, None, np.full(paths, np.nan), np.zeros(paths)
     if failed:   # these paths never iterate; their rows keep the old state
         keep = over == 0
@@ -621,8 +622,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         if np.any(done):
             u_final = weighted_population(exp_w * v, gamma_vals, region, grid)
             if not stopped and np.all(done):
-                return StepResult(state=v, u_value=u_final, iterations=it,
-                                  contraction_ratio=ratio, cfl=cfl, failed=failed)
+                return StepResult(state=v, u_value=u_final, iterations=it, contraction_ratio=ratio,
+                                  cfl=cfl, failed=failed, coefficients=built)
             stopped.append((stop := active[done], v[done]))
             result.u_value[stop] = u_final[done]
             result.iterations[stop] = it
@@ -640,8 +641,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
 
 
 def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
-                         config: SolverConfig | None = None,
-                         p0: np.ndarray | None = None) -> list[SolveReport | StochageError]:
+                         config: SolverConfig | None = None, p0: np.ndarray | None = None,
+                         observer=None) -> list[SolveReport | StochageError]:
     """March several paths of the pathwise system as one array problem; per
     bundle its report, or the error that ended its path.
 
@@ -659,6 +660,8 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     ``p0`` (shape ``(len(bundles),) + grid.field_shape``) gives each path its
     own initial density; ``check`` so marches its stored run and both
     perturbed runs, which share grid, rates and noise path, as one batch.
+    An ``observer`` (see :func:`_march`) changes no bit of the reports; a march
+    without one keeps no coefficient past its step.
     """
     config = config or SolverConfig()
     shape = (len(bundles),) + model.grid.field_shape
@@ -676,8 +679,8 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
              if config.truncation_radius is not None else _bound_guard(model, coeffs, config, p0))
     reports = _march(
         model, bundles, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
-            y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live),
-        config, "rescaled", p0)
+            y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live, observer),
+        config, "rescaled", p0, observer)
     if guard.settle is not None:   # a path that left the march has nodes it did not see
         guard.settle([j for j, rep in enumerate(reports) if isinstance(rep, StochageError)])
         errors = guard.settle(range(n_p), sweep=False)

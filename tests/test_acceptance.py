@@ -207,6 +207,17 @@ def test_criterion_04_deterministic_reduction():
 # regression suite shared by criteria 5 and 7
 
 
+def observed_solve(model, bundle, p0=None):
+    """Reports of a rescaled batch on ``bundle`` (one run per row of ``p0``,
+    else the model's) and the estimates its march gathered, at stride 0."""
+    acc = sa.EstimateAccumulator(model)
+    n = 1 if p0 is None else len(p0)
+    reports = sa.solve_rescaled_batch(model, [bundle] * n, sa.SolverConfig(snapshot_stride=0),
+                                      p0, observer=acc)
+    assert all(isinstance(r, sa.SolveReport) for r in reports)
+    return reports, acc
+
+
 def regression_runs():
     """Frozen desk-scale suite: linear/nonlinear, quiet/noisy."""
     runs = []
@@ -221,17 +232,16 @@ def regression_runs():
                                 p0=smooth_p0(grid))
             n_modes = len(amps)
             bundle = sa.sample_bundle(5, n_modes, grid.n_t, grid.T)
-            rep = sa.solve_rescaled(model, bundle,
-                                    sa.SolverConfig(snapshot_stride=1))
-            runs.append((f"{label}/{noise_label}", model, bundle, rep))
+            (rep,), acc = observed_solve(model, bundle)
+            runs.append((f"{label}/{noise_label}", model, bundle, rep, acc))
     return runs
 
 
 def test_criterion_05_apriori_bound():
     worst = -np.inf
-    for label, model, bundle, rep in regression_runs():
+    for label, model, bundle, rep, acc in regression_runs():
         consts = sa.constants_for_run(model, bundle)  # c0 = c1 = 1 frozen
-        margins = sa.apriori_check(rep, consts)
+        margins = sa.apriori_check(acc, consts)
         worst = max(worst, float(np.max(margins)))
     ok = worst <= 1.0
     assert report(5, ok,
@@ -241,7 +251,7 @@ def test_criterion_05_apriori_bound():
 
 def test_criterion_07_truncation_threshold():
     activations_at_n0 = 0
-    for label, model, bundle, rep in regression_runs():
+    for label, model, bundle, rep, acc in regression_runs():
         activations_at_n0 += rep.guard.activations
     # force a radius far below the solution norm: the guard must fire
     grid = aligned_grid(32, 6, T=0.25, a_max=0.5)
@@ -272,16 +282,14 @@ def test_criterion_06_continuous_dependence():
     base = smooth_p0(grid)
     model = build_model(grid, p0=base)
     bundle = sa.sample_bundle(5, 1, grid.n_t, grid.T)
-    cfg = sa.SolverConfig(snapshot_stride=1)
-    rep = sa.solve_rescaled(model, bundle, cfg)
     consts = sa.constants_for_run(model, bundle)
     bump = sa.Field.from_function(
         grid, lambda a, x: np.exp(-((a - 0.3) / 0.2) ** 2) + 0 * x)
-    ratios = []
-    for delta in (1e-2, 5e-3, 2.5e-3):
-        pert = build_model(grid, p0=sa.Field(base.values + delta * bump.values, grid))
-        rep2 = sa.solve_rescaled(pert, bundle, cfg)
-        ratios.append(sa.dependence_check(rep, rep2, consts).ratio)
+    # the stored run and the three bumped runs share the noise path: one batch
+    deltas = (1e-2, 5e-3, 2.5e-3)
+    _, acc = observed_solve(model, bundle, np.stack(
+        [base.values] + [base.values + delta * bump.values for delta in deltas]))
+    ratios = [sa.dependence_check(acc, j, consts).ratio for j in range(1, len(deltas) + 1)]
     spread = (max(ratios) - min(ratios)) / max(ratios)
     ok = spread <= 0.10
     assert report(6, ok,
@@ -392,8 +400,8 @@ def test_criterion_11_weak_residual_order():
                             amplitudes=(sa.cosine_amplitude(0.2, (1,), (1.0,)),),
                             p0=smooth_p0(grid))
         bundle = coarsen(master, 128 // n_t)
-        rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=1))
-        residuals.append(sa.weak_residual_random(rep, model).max_abs)
+        _, acc = observed_solve(model, bundle)
+        residuals.append(acc.weak_residual().max_abs)
         steps.append(grid.dt)
     order = fit_order(steps, residuals)
     ok = order >= 0.9

@@ -7,22 +7,35 @@ import sympy
 
 import stochage as sa
 from stochage.ensemble import fit_order
-from stochage.errors import ConfigurationError, InsufficientDataError
+from stochage.errors import ConfigurationError
 from stochage.estimates import (CheckRow, _cumtrapz, _ratio, build_test_functions,
                                 growth_factor)
-from stochage.grid import boundary_norm_sq, face_shape, gradient_energy, l2_norm
+from stochage.grid import (boundary_norm_sq, face_shape, gradient_energy, l2_norm,
+                           weighted_population)
 from stochage.noise import coarsen
-from stochage.rates import evaluate_on_faces
+from stochage.rates import evaluate_gamma, evaluate_on_faces
 from stochage.rescale import RescaledCoefficients
 
 from conftest import build_model, linear_rates, logistic_rates, smooth_p0
 
 
-def solved_pair(grid, seed=5, rates=None, stride=1, p0=None):
+def solved_pair(grid, seed=5, rates=None, stride=0, p0=None):
+    """Model, bundle, report and estimates of one observed rescaled solve."""
     model = build_model(grid, rates=rates, p0=p0)
     bundle = sa.sample_bundle(seed, 1, grid.n_t, grid.T)
-    rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=stride))
-    return model, bundle, rep
+    (rep,), acc = observed(model, bundle, stride=stride)
+    return model, bundle, rep, acc
+
+
+def observed(model, bundle, *bumped, stride=0):
+    """Reports and estimates of one batch on ``bundle``: the stored run from
+    ``model.p0``, then one run per density of ``bumped``."""
+    acc = sa.EstimateAccumulator(model)
+    p0 = np.stack([model.p0.values, *bumped])
+    reports = sa.solve_rescaled_batch(model, [bundle] * len(p0),
+                                      sa.SolverConfig(snapshot_stride=stride), p0, observer=acc)
+    assert all(isinstance(r, sa.SolveReport) for r in reports)
+    return reports, acc
 
 
 class TestConstants:
@@ -66,16 +79,18 @@ class TestConstants:
 
 class TestAprioriCheck:
     def test_margins_below_one(self, grid1d):
-        model, bundle, rep = solved_pair(grid1d)
+        model, bundle, rep, acc = solved_pair(grid1d)
         consts = sa.constants_for_run(model, bundle)
         before = {f.name: copy.deepcopy(getattr(rep, f.name))
                   for f in dataclasses.fields(rep)}
-        margins = sa.apriori_check(rep, consts)
+        terms = acc.terms.copy()
+        margins = sa.apriori_check(acc, consts)
         assert margins.shape == (grid1d.n_t + 1,)
         assert np.all(margins <= 1.0)
-        # the check is pure: every field of the report is bitwise unchanged,
-        # and the report keeps the very bundle it was solved on (the == of the
-        # bundle's dataclass raises on its array fields)
+        # the check is pure: the gathered terms and every field of the report
+        # are bitwise unchanged, and the report keeps the very bundle it was
+        # solved on (the == of the bundle's dataclass raises on its array fields)
+        assert acc.terms.tobytes() == terms.tobytes()
         for name, value in before.items():
             now = getattr(rep, name)
             assert type(now) is type(value), name
@@ -92,36 +107,37 @@ class TestAprioriCheck:
 
     def test_zero_data_zero_margin(self, grid1d):
         p0 = sa.Field(np.zeros(grid1d.field_shape), grid1d)
-        model, bundle, rep = solved_pair(grid1d, p0=p0)
+        model, bundle, _, acc = solved_pair(grid1d, p0=p0)
         consts = sa.constants_for_run(model, bundle)
-        margins = sa.apriori_check(rep, consts)
+        margins = sa.apriori_check(acc, consts)
         assert np.all(margins == 0.0)
 
     def test_scaling_invariance(self, grid1d):
         # linear model: scaling the initial data scales both sides by the
         # same square, leaving the margins unchanged
-        model, bundle, rep = solved_pair(grid1d)
+        model, bundle, _, acc = solved_pair(grid1d)
         lam = 3.7
         scaled = build_model(grid1d, p0=sa.Field(lam * model.p0.values, grid1d))
-        rep2 = sa.solve_rescaled(scaled, bundle, sa.SolverConfig(snapshot_stride=1))
-        m1 = sa.apriori_check(rep, sa.constants_for_run(model, bundle))
+        _, acc2 = observed(scaled, bundle)
+        m1 = sa.apriori_check(acc, sa.constants_for_run(model, bundle))
         c2 = sa.constants_for_run(scaled, bundle)
-        m2 = sa.apriori_check(rep2, c2)
+        m2 = sa.apriori_check(acc2, c2)
         # growth factors differ only through the data term, which scales out
         ratio = m2[1:] / m1[1:] * (c2.c_est / sa.constants_for_run(model, bundle).c_est)
         assert np.allclose(ratio, 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_margins_are_the_energy_terms_of_the_trajectory(self, grid1d, grid2d, dim):
-        # bit for bit the per-field norms of the stored trajectory and of
-        # the rescaled Robin datum k0 exp(-W), integrated by the trapezoid rule
+        # bit for bit the per-field norms of the trajectory, which the march
+        # hands the estimates node by node (here also stored at stride 1), and
+        # of the rescaled Robin datum k0 exp(-W), integrated by the trapezoid rule
         grid = grid1d if dim == 1 else grid2d
         rates = dataclasses.replace(logistic_rates(), k0=sa.ConstantRate(0.05))
         model = build_model(grid, rates=rates)
         bundle = sa.sample_bundle(5, model.noise.n_modes, grid.n_t, grid.T)
-        rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=1))
+        (rep,), acc = observed(model, bundle, stride=1)
         consts = sa.constants_for_run(model, bundle)
-        traj, vol, dt = rep.trajectory, grid.cell_volume, grid.dt
+        traj, vol, dt = rep.snapshots, grid.cell_volume, grid.dt
         coeffs = RescaledCoefficients(model, [bundle])   # the noise vanishes at time zero
         k_sq = np.array([boundary_norm_sq(evaluate_on_faces(rates.k0, grid, 0.0), grid)] + [
             boundary_norm_sq(coeffs.k_faces(i), grid)[0] for i in range(1, grid.n_t + 1)])
@@ -131,101 +147,110 @@ class TestAprioriCheck:
         assert np.all(k_sq > 0) and np.all(grad[1:] > 0)
         left = sq + _cumtrapz(exit_trace, dt) + _cumtrapz(sq + grad, dt)
         right = consts.c_est * (sq[0] + _cumtrapz(k_sq, dt))
-        margins = sa.apriori_check(rep, consts)
+        margins = sa.apriori_check(acc, consts)
         assert margins.tobytes() == np.array([_ratio(l, r) for l, r in zip(left, right)]).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_march_keeps_the_sweeps_robin_norms(self, grid1d, grid2d, dim):
         # a 5-path batch at the automatic radius gathers each path's per-node
         # norms of k0 exp(-W) in its march; they, and the margins read from
-        # them, are bitwise those of a one-path sweep of the path's bundle
+        # them with the path's own estimates, are bitwise those of a one-path
+        # sweep of the path's bundle
         grid = grid1d if dim == 1 else grid2d
         rates = dataclasses.replace(logistic_rates(), k0=sa.ConstantRate(0.05))
         model = build_model(grid, rates=rates)
         bundles = [sa.sample_bundle(s, model.noise.n_modes, grid.n_t, grid.T) for s in range(5)]
-        reports = sa.solve_rescaled_batch(model, bundles, sa.SolverConfig(snapshot_stride=1))
+        reports = sa.solve_rescaled_batch(model, bundles, sa.SolverConfig(snapshot_stride=0))
         for bundle, rep in zip(bundles, reports):
+            _, acc = observed(model, bundle)
             marched, swept = rep.guard.constants, sa.constants_for_run(model, bundle)
             assert rep.bundle is bundle
             assert len(marched.sups.k_sq) == grid.n_t + 1 and min(marched.sups.k_sq) > 0
             assert (np.array(marched.sups.k_sq).tobytes()
                     == np.array(swept.sups.k_sq).tobytes())
             assert marched == swept
-            assert (sa.apriori_check(rep, marched).tobytes()
-                    == sa.apriori_check(rep, swept).tobytes())
+            assert (sa.apriori_check(acc, marched).tobytes()
+                    == sa.apriori_check(acc, swept).tobytes())
 
-    @pytest.mark.parametrize("route, stride, error", [
-        ("rescaled", 4, InsufficientDataError), ("direct", 1, ConfigurationError)])
-    def test_needs_full_rescaled_trajectory(self, grid1d, route, stride, error):
+    def test_needs_an_observed_rescaled_march(self, grid1d):
+        # the direct route takes no observer: estimates beside its solve have
+        # seen no march, and the checks refuse them
         model = build_model(grid1d)
         bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
-        solve = sa.solve_rescaled if route == "rescaled" else sa.solve_direct
-        rep = solve(model, bundle, sa.SolverConfig(snapshot_stride=stride))
-        with pytest.raises(error):
-            sa.apriori_check(rep, sa.constants_for_run(model, bundle))
+        acc = sa.EstimateAccumulator(model)
+        sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=1))
+        consts = sa.constants_for_run(model, bundle)
+        for check in (lambda: sa.apriori_check(acc, consts),
+                      lambda: sa.dependence_check(acc, 1, consts), acc.weak_residual):
+            with pytest.raises(ConfigurationError, match="observed no rescaled march"):
+                check()
 
 
 class TestDependence:
     def test_identical_runs_zero(self, grid1d):
-        model, bundle, rep = solved_pair(grid1d)
+        model = build_model(grid1d)
+        bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
+        _, acc = observed(model, bundle, model.p0.values)
         consts = sa.constants_for_run(model, bundle)
-        res = sa.dependence_check(rep, rep, consts)
+        res = sa.dependence_check(acc, 1, consts)
         assert res.difference_energy == 0.0
         assert res.ratio == 0.0
 
     def test_quadratic_scaling_in_delta(self, grid1d):
+        # the stored run and its three bumped runs march as one batch
         base = smooth_p0(grid1d)
-        model, bundle, rep = solved_pair(grid1d, p0=base)
+        model = build_model(grid1d, p0=base)
+        bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
         consts = sa.constants_for_run(model, bundle)
         bump = sa.Field.from_function(
             grid1d, lambda a, x: np.exp(-((a - 0.3) / 0.2) ** 2) + 0 * x)
-        ratios = []
-        for delta in (1e-2, 5e-3, 2.5e-3):
-            pert = build_model(grid1d, p0=sa.Field(
-                base.values + delta * bump.values, grid1d))
-            rep2 = sa.solve_rescaled(pert, bundle,
-                                     sa.SolverConfig(snapshot_stride=1))
-            ratios.append(sa.dependence_check(rep, rep2, consts).ratio)
+        deltas = (1e-2, 5e-3, 2.5e-3)
+        _, acc = observed(model, bundle, *(base.values + d * bump.values for d in deltas))
+        ratios = [sa.dependence_check(acc, j, consts).ratio for j in range(1, len(deltas) + 1)]
         spread = (max(ratios) - min(ratios)) / max(ratios)
         assert spread <= 0.10
 
     def test_symmetric_under_swap(self, grid1d):
         base = smooth_p0(grid1d)
-        model, bundle, rep = solved_pair(grid1d, p0=base)
+        model = build_model(grid1d, p0=base)
+        bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
         pert = build_model(grid1d, p0=sa.Field(base.values + 0.01, grid1d))
-        rep2 = sa.solve_rescaled(pert, bundle, sa.SolverConfig(snapshot_stride=1))
+        _, acc12 = observed(model, bundle, pert.p0.values)
+        _, acc21 = observed(pert, bundle, model.p0.values)
         c1 = sa.constants_for_run(model, bundle)
         c2 = sa.constants_for_run(pert, bundle)
-        r12 = sa.dependence_check(rep, rep2, c1, c2)
-        r21 = sa.dependence_check(rep2, rep, c2, c1)
+        r12 = sa.dependence_check(acc12, 1, c1, c2)
+        r21 = sa.dependence_check(acc21, 1, c2, c1)
         assert r12.ratio == pytest.approx(r21.ratio, rel=1e-12)
-
-    def test_needs_full_trajectory(self, grid1d):
-        model, bundle, rep = solved_pair(grid1d, stride=4)
-        consts = sa.constants_for_run(model, bundle)
-        with pytest.raises(InsufficientDataError):
-            sa.dependence_check(rep, rep, consts)
 
 
 class TestWeakResidualRandom:
     def test_zero_trajectory_zero_residual(self, grid1d):
         p0 = sa.Field(np.zeros(grid1d.field_shape), grid1d)
-        model, bundle, rep = solved_pair(grid1d, p0=p0)
-        res = sa.weak_residual_random(rep, model)
+        _, _, _, acc = solved_pair(grid1d, p0=p0)
+        res = acc.weak_residual()
         assert res.max_abs == 0.0
 
     def test_stationary_constant_solution_rounding(self, grid1d):
         """A constant state with fertility 1/a_max is a steady solution;
         every quadrature in the assembly is exact for it, so the residual
-        drops to rounding level."""
+        drops to rounding level.  The estimates are driven node by node with
+        the closed-form trajectory, not the solver's, as a march would."""
         rates = sa.VitalRates(m0=sa.ConstantRate(1.0 / grid1d.a_max))
         model = build_model(grid1d, rates=rates,
                             amplitudes=(sa.constant_amplitude(0.0, 1),))
         bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
-        rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=1))
-        const = np.ones((grid1d.n_t + 1,) + grid1d.field_shape) * 1.7
-        rep.snapshots = const  # closed-form trajectory, not the solver's
-        res = sa.weak_residual_random(rep, model, n_psi=4)
+        coeffs = RescaledCoefficients(model, [bundle])
+        gamma = evaluate_gamma(rates, grid1d)
+        acc = sa.EstimateAccumulator(model, n_psi=4)
+        const = np.ones((1,) + grid1d.field_shape) * 1.7
+        for i in range(grid1d.n_t + 1):
+            node = coeffs.node_fields(i)
+            u = weighted_population(node["exp_w"] * const, gamma, model.region, grid1d)
+            acc(i, const, np.arange(1), u, None if i == 0 else (
+                node["g1"], node["g2"], node["exp_dw0"], coeffs.k_faces(i)))
+        res = acc.weak_residual()
+        assert len(res.residuals) == 4
         assert res.max_abs <= 1e-12
 
     def test_characteristics_residual_first_order(self):
@@ -240,9 +265,8 @@ class TestWeakResidualRandom:
                                 amplitudes=(sa.constant_amplitude(0.0, 1),),
                                 p0=smooth_p0(grid, decay=1.0, ripple=0.0))
             bundle = sa.sample_bundle(0, 1, n_t, grid.T)
-            rep = sa.solve_rescaled(model, bundle,
-                                    sa.SolverConfig(snapshot_stride=1))
-            vals.append(sa.weak_residual_random(rep, model).max_abs)
+            _, acc = observed(model, bundle)
+            vals.append(acc.weak_residual().max_abs)
         assert vals[1] <= 0.65 * vals[0]
 
     def test_refinement_order_with_noise(self):
@@ -254,15 +278,10 @@ class TestWeakResidualRandom:
             model = build_model(grid, rates=linear_rates(k0=0.1),
                                 amplitudes=(sa.cosine_amplitude(0.2, (1,), (1.0,)),))
             b = coarsen(master, 128 // n_t)
-            rep = sa.solve_rescaled(model, b, sa.SolverConfig(snapshot_stride=1))
-            res.append(sa.weak_residual_random(rep, model).max_abs)
+            _, acc = observed(model, b)
+            res.append(acc.weak_residual().max_abs)
             hs.append(grid.dt)
         assert fit_order(hs, res) >= 0.9
-
-    def test_strided_report_rejected(self, grid1d):
-        model, bundle, rep = solved_pair(grid1d, stride=2)
-        with pytest.raises(InsufficientDataError):
-            sa.weak_residual_random(rep, model)
 
 
 class TestWeakResidualStochastic:
@@ -297,6 +316,16 @@ class TestWeakResidualStochastic:
             rep = sa.solve_direct(model, b, sa.SolverConfig(snapshot_stride=1))
             vals.append(sa.weak_residual_stochastic(rep, model).max_abs)
         assert vals[1] < vals[0]
+
+    @pytest.mark.parametrize("stride", [0, 2])
+    def test_strided_report_rejected(self, grid1d, stride):
+        # the residual reads every node of the stored snapshots; a report
+        # that skipped some would give a wrong number, so it is refused
+        model = build_model(grid1d)
+        bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
+        rep = sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=stride))
+        with pytest.raises(ConfigurationError, match="needs every time node"):
+            sa.weak_residual_stochastic(rep, model)
 
 
 class TestBasisAndRows:

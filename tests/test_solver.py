@@ -10,8 +10,8 @@ import stochage as sa
 from stochage import grid as grid_module
 from stochage import solver
 from stochage.cli import _perturbed_model
-from stochage.errors import (ConfigurationError, InsufficientDataError,
-                             InvalidFieldError, NoiseMagnitudeError, NonconvergenceError)
+from stochage.errors import (ConfigurationError, InvalidFieldError, NoiseMagnitudeError,
+                             NonconvergenceError)
 from stochage.grid import Face, boundary_faces, l2_norm, weighted_population
 from stochage.modelfile import parse_model
 from stochage.rates import CustomRate, evaluate_gamma
@@ -546,7 +546,7 @@ class TestPicard:
         gamma_vals = evaluate_gamma(linear_model.rates, grid)
         step = sa.picard_step_solve(linear_model.p0.values, 1, coeffs,
                                     gamma_vals, linear_model.region, None, cfg)
-        assert np.array_equal(step.state, rep.trajectory[1])
+        assert np.array_equal(step.state, rep.snapshots[1])
         assert step.iterations == rep.picard_iterations[0]
 
 
@@ -597,7 +597,7 @@ class TestSolveRescaled:
             births.append(b)
         births = np.asarray(births)
         births[0] = rep.births_series[0]  # initial row is the raw data
-        solver_births = rep.trajectory[:, 0, 0]
+        solver_births = rep.snapshots[:, 0, 0]
         assert np.allclose(solver_births[1:], births[1:], rtol=1e-12)
 
     def test_positivity_exact(self, grid1d):
@@ -633,8 +633,7 @@ class TestSolveRescaled:
         assert rep.snapshot_indices[0] == 0
         assert rep.snapshot_indices[-1] == grid.n_t
         assert np.array_equal(rep.snapshots[0], linear_model.p0.values)
-        with pytest.raises(InsufficientDataError):
-            _ = rep.trajectory
+        assert len(rep.snapshots) == len(rep.snapshot_indices) < grid.n_t + 1
         assert 1 not in rep.snapshot_indices
 
     def test_2d_linear_solve(self, grid2d):
@@ -750,9 +749,10 @@ class TestSolveRescaledBatch:
         model, cfg = parse_model(path)
         left, step = {}, solver.picard_step_solve
 
-        def recording(y, t_index, coeffs, gamma, region, guard, config, factors, live):
+        def recording(y, t_index, coeffs, gamma, region, guard, config, factors, live, observer):
             assert not set(live.tolist()) & set(left)
-            result = step(y, t_index, coeffs, gamma, region, guard, config, factors, live)
+            result = step(y, t_index, coeffs, gamma, region, guard, config, factors, live,
+                          observer)
             left.update((j, t_index) for j in live.tolist()
                         if isinstance(guard.constants[j], sa.StochageError))
             return result
@@ -795,8 +795,78 @@ class TestSolveRescaledBatch:
         for rep, row in zip(batch, p0, strict=True):
             own = dataclasses.replace(model, p0=sa.Field(row, model.grid))
             assert same(rep, sa.solve_rescaled(own, bundle, cfg))
-            assert rep.trajectory[0].tobytes() == row.tobytes()
+            assert rep.snapshots[0].tobytes() == row.tobytes()
         assert len({rep.guard.constants.y0_norm_sq for rep in batch}) == 3
+
+    @pytest.mark.parametrize("name, change", [
+        ("sample1d", None), ("sample2d", None), ("sample1d", "k0"), ("sample2d", "k0"),
+        ("sample1d", 0.5), ("sample2d", 0.05)])
+    def test_observed_batch_matches_the_unobserved_batch(self, name, change):
+        # check's batch marched with and without estimates: every report is
+        # bitwise the same, field by field, with Robin data and with clipping
+        model, cfg = parse_model(MODELS / f"{name}.ini")
+        cfg = dataclasses.replace(cfg, snapshot_stride=1)
+        if change == "k0":
+            model = dataclasses.replace(model, rates=dataclasses.replace(
+                model.rates, k0=sa.ConstantRate(0.05)))
+        elif change is not None:
+            cfg = dataclasses.replace(cfg, truncation_radius=change)
+        bundle = bundles_for(model, 1)[0]
+        p0 = np.stack([model.p0.values] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
+        acc = sa.EstimateAccumulator(model)
+        observed = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0, observer=acc)
+        plain = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
+        assert all(isinstance(rep, sa.SolveReport) for rep in plain)
+        for rep, alone in zip(observed, plain, strict=True):
+            assert same(rep, alone)
+        assert not np.isnan(acc.terms).any() and acc.weak_residual().max_abs > 0
+        if change in (0.5, 0.05):
+            assert all(rep.guard.activations > 0 for rep in plain)
+
+    @pytest.mark.parametrize("name", ["sample1d", "loud"])
+    def test_observer_sees_each_rows_own_coefficients(self, name, tmp_path):
+        # paths of ten bundles leave the fixed point at different iterates,
+        # which compacts the step's arrays in place, and on the loud model
+        # some leave the march when their energy bound overflows; the observer
+        # still gets each live row's own coefficients, bitwise as a fresh
+        # build gives them, and the reports are those of the unobserved batch
+        from stochage.rescale import RescaledCoefficients
+
+        path = MODELS / "sample1d.ini"
+        if name == "loud":
+            path = tmp_path / "loud.ini"
+            path.write_text((MODELS / "sample1d.ini").read_text().replace(
+                "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4"))
+        model, cfg = parse_model(path)
+        bundles = bundles_for(model, 10)
+        fresh, nodes = RescaledCoefficients(model, bundles), []
+
+        def observer(i, states, paths, u, coefficients):
+            nodes.append((i, len(paths)))
+            assert len(states) == len(paths) == len(u) and paths.tolist() == sorted(paths)
+            if i == 0:
+                assert coefficients is None
+                return
+            g1, g2, exp_dw0, k = coefficients
+            node, k_new = fresh.node_fields(i, paths), fresh.k_faces(i, paths)
+            assert g1.tobytes() == node["g1"].tobytes()
+            assert exp_dw0.tobytes() == node["exp_dw0"].tobytes()
+            assert [g.tobytes() for g in g2] == [g.tobytes() for g in node["g2"]]
+            assert {f: a.tobytes() for f, a in k.items()} == {
+                f: a.tobytes() for f, a in k_new.items()}
+
+        cfg = dataclasses.replace(cfg, snapshot_stride=0)
+        reports = sa.solve_rescaled_batch(model, bundles, cfg, observer=observer)
+        assert [i for i, _ in nodes] == list(range(model.grid.n_t + 1))
+        for rep, alone in zip(reports, sa.solve_rescaled_batch(model, bundles, cfg), strict=True):
+            assert same(rep, alone) if isinstance(rep, sa.SolveReport) else str(rep) == str(alone)
+        solved = [r for r in reports if isinstance(r, sa.SolveReport)]
+        if name == "loud":   # some paths leave mid-march, and some finish
+            assert 0 < len(solved) <= nodes[-1][1] < nodes[0][1] == len(bundles)
+        else:
+            iters = np.array([r.picard_iterations for r in solved])
+            assert len(solved) == len(bundles)
+            assert np.any(iters.min(axis=0) < iters.max(axis=0))
 
     def test_fixed_radius_clips_only_the_largest_initial_density(self):
         # a radius between the two largest peak norms clips only the path
@@ -881,7 +951,7 @@ class TestMarchRecord:
         bundle = bundles_for(model, 1, base=5)[0]
         solve = sa.solve_direct if route == "direct" else sa.solve_rescaled
         rep = solve(model, bundle, sa.SolverConfig(snapshot_stride=1))
-        traj, vol = rep.trajectory, grid.cell_volume
+        traj, vol = rep.snapshots, grid.cell_volume
         expected = {
             "l2_series": [l2_norm(s, grid) for s in traj],
             "births_series": [np.sum(s[grid.rows(0)]) * vol for s in traj],
@@ -965,3 +1035,25 @@ class TestWorkingSet:
         field_bytes = 8 * int(np.prod(model.grid.field_shape))
         slope = (peaks[1] - peaks[0]) / 6 / field_bytes
         assert 0 < slope < self.CEILING[route], slope
+
+    @pytest.mark.skipif(np.__version__ != PINNED_NUMPY,
+                        reason=f"ceilings were measured with numpy {PINNED_NUMPY}")
+    def test_check_stores_no_trajectory(self, tmp_path):
+        # one warm check of sample1d peaks near 91 state fields; its estimates
+        # ride the marches, so no stride-1 trajectory of its four runs (4 x 65
+        # or 33 fields, a peak near 253) may come back
+        import tracemalloc
+
+        from stochage.cli import main
+
+        argv = ["check", "--model", str(MODELS / "sample1d.ini"), "--out"]
+        assert main(argv + [str(tmp_path / "warm")]) == 0   # module-level caches fill
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(tmp_path / "chk")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        model, _ = parse_model(MODELS / "sample1d.ini")
+        fields = peak / (8 * int(np.prod(model.grid.field_shape)))
+        assert 0 < fields < 130, fields
