@@ -41,6 +41,8 @@ Z_99 = 2.5758293035489004  # two-sided 99% normal quantile
 # a pool fewer chunks; 256 KiB is 15 paths of models/sample1d.ini.
 CHUNK_BYTES = 256 * 1024
 
+ORDER_FLOOR = 1e-13   # errors at or below it are rounding: fit_order leaves them out
+
 _SOLVERS = ("rescaled", "direct")
 
 
@@ -268,10 +270,10 @@ class StudyResult:
     exact: bool               # errors at rounding level, order meaningless
 
 
-def fit_order(dts, errs, floor: float = 1e-13) -> float:
+def fit_order(dts, errs) -> float:
     dts = np.asarray(dts, dtype=float)
     errs = np.asarray(errs, dtype=float)
-    mask = errs > floor
+    mask = errs > ORDER_FLOOR
     if mask.sum() < 2:
         return float("nan")
     slope = np.polyfit(np.log2(dts[mask]), np.log2(errs[mask]), 1)[0]

@@ -107,12 +107,15 @@ def constants_for_run(model: PopulationModel,
                       sups: CoefficientSups | None = None,
                       y0_norm_sq: float | None = None) -> EstimateConstants:
     """Constants of one path from its coefficient ``sups``, else from a sweep
-    of ``bundle`` (a march at an automatic radius gathers them instead), and
-    the data energy ``y0_norm_sq``, by default that of ``model.p0``."""
+    of ``bundle`` as a batch of one, which raises the path's exp-guard error
+    (a march at an automatic radius gathers them instead), and the data
+    energy ``y0_norm_sq``, by default that of ``model.p0``."""
     if sups is None:
         if bundle is None:
             raise ConfigurationError("a bundle or its coefficient sups are required")
-        sups = RescaledCoefficients(model, bundle).coefficient_sups()
+        (sups,) = RescaledCoefficients(model, [bundle]).coefficient_sups()
+        if isinstance(sups, StochageError):
+            raise sups
     return compute_constants(
         model.rates, sups, c0=c0, c1=c1, region_volume=model.region_volume,
         a_max=model.grid.a_max, horizon=model.grid.T,

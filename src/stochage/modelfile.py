@@ -50,12 +50,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, SubDomain, l2_norm, weighted_population
+from .grid import Field, Grid, SubDomain
 from .model import PopulationModel
 from .noise import (Amplitude, NoiseSpec, age_polynomial_amplitude,
                     constant_amplitude, cosine_amplitude, sine_amplitude)
-from .rates import (AgeProfileRate, AgeWindowRate, ConstantRate, LogisticRate,
-                    VitalRates, evaluate_gamma)
+from .rates import AgeProfileRate, AgeWindowRate, ConstantRate, LogisticRate, VitalRates
 from .solver import SolverConfig
 
 _KNOWN = {
@@ -158,6 +157,9 @@ def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> Field:
         base = lambda a: amp * np.exp(-rate * a)
     elif family == "agegauss":
         amp, center, width = _numbers(rest, spec, 3)
+        if width == 0.0:
+            raise ConfigurationError(f"p0 = {spec.strip()} has width 0; a Gaussian needs a "
+                                     f"nonzero width")
         base = lambda a: amp * np.exp(-((a - center) / width) ** 2)
     elif family == "constant":
         (c,) = _numbers(rest, spec, 1)
@@ -242,6 +244,12 @@ def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, Sol
         if not _lowest(getattr(rates, key)) >= 0.0:
             raise ConfigurationError(f"{key} = {rate_text[key]} must be >= 0 everywhere, "
                                      f"got a lowest value of {_lowest(getattr(rates, key)):.4g}")
+    for key in ("mu_s", "m0", "k0"):   # the energy bound and the Robin norm square these
+        with np.errstate(over="ignore"):   # named below instead
+            square = np.square(getattr(rates, key).sup)
+        if not np.isfinite(square):
+            raise ConfigurationError(f"{key} = {rate_text[key]} has a sup whose square "
+                                     f"overflows a float")
 
     modes = cp["noise"] if "noise" in cp else {}
     amps = [parse_amplitude(modes[key], grid.dim, grid.extent) for key in modes]
@@ -286,14 +294,10 @@ def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, Sol
         # through the constructor, so its checks see the file's values
         config = SolverConfig(**settings)
 
-    model = PopulationModel(grid=grid, rates=rates, noise=noise,
-                            p0=p0, region=region)
-    with np.errstate(over="ignore", invalid="ignore"):   # named below instead
-        energy = np.square(l2_norm(p0))
-        u0 = weighted_population(p0, evaluate_gamma(rates, grid), region, grid)
-    if not np.isfinite(energy):
-        raise ConfigurationError(f"p0 = {p0_text} has a squared L2 norm that overflows a float")
-    if not np.isfinite(u0):
-        raise ConfigurationError(f"gamma = {rate_text['gamma']} with p0 = {p0_text} gives a "
-                                 f"population functional U that overflows a float")
+    try:
+        model = PopulationModel(grid=grid, rates=rates, noise=noise, p0=p0, region=region)
+    except ConfigurationError as exc:   # the model names its data by key: add the file's values
+        named = {"p0": p0_text, "gamma": rate_text["gamma"]}
+        raise ConfigurationError(" ".join(f"{word} = {named[word]}" if word in named else word
+                                          for word in str(exc).split(" "))) from None
     return model, config

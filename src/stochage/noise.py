@@ -37,6 +37,8 @@ class Amplitude:
     label: str = ""
 
 
+NEUMANN_TOL = 1e-12   # rounding allowance of a compatible amplitude's normal derivative
+
 _TRIG = {"cos": (np.cos, lambda w, z: -w * np.sin(z)),
          "sin": (np.sin, lambda w, z: w * np.cos(z))}
 
@@ -128,17 +130,17 @@ class NoiseSpec:
     def neumann_compatible(self) -> bool:
         return all(a.neumann_compatible for a in self.amplitudes)
 
-    def check_neumann(self, grid: Grid, tol: float = 1e-12) -> float:
+    def check_neumann(self, grid: Grid) -> float:
         """Largest sampled |normal derivative| over all boundary faces.
 
-        Raises when an amplitude declared compatible exceeds ``tol``.
+        Raises when an amplitude declared compatible exceeds :data:`NEUMANN_TOL`.
         """
         worst = 0.0
         for amp in self.amplitudes:
             for face, (ages, coords) in grid.boundary_meshes.items():
                 g = np.asarray(amp.grad[face.axis](ages, *coords), dtype=float)
                 mag = float(np.max(np.abs(g))) if g.size else 0.0
-                if amp.neumann_compatible and mag > tol:
+                if amp.neumann_compatible and mag > NEUMANN_TOL:
                     raise ConfigurationError(
                         f"amplitude {amp.label} declared boundary-compatible but "
                         f"has normal derivative {mag:.3g} on a face")
@@ -274,9 +276,9 @@ class NoiseField:
     laplacian: np.ndarray
 
 
-def _contract(bundles, amp: np.ndarray, t_index: int) -> np.ndarray:
-    """``sum_j beta_j(t) amp[j]`` for one bundle, or for each bundle of a
-    sequence along a leading path axis.
+def _contract(bundles: Sequence[BrownianBundle], amp: np.ndarray, t_index: int) -> np.ndarray:
+    """``sum_j beta_j(t) amp[j]`` for each bundle of ``bundles`` along a
+    leading path axis.
 
     One BLAS product per path, the one ``np.tensordot`` of a path's node
     values makes: a product over the whole batch (``einsum``, ``matmul``)
@@ -284,29 +286,21 @@ def _contract(bundles, amp: np.ndarray, t_index: int) -> np.ndarray:
     fields must not depend on its batch.
     """
     flat = amp.reshape(len(amp), -1)
-
-    def one(bundle):
-        return np.dot(bundle.betas[None, :, t_index], flat).reshape(amp.shape[1:])
-
-    if isinstance(bundles, BrownianBundle):
-        return one(bundles)
     out = np.empty((len(bundles),) + amp.shape[1:])
     for row, bundle in zip(out, bundles):
-        row[...] = one(bundle)
+        row[...] = np.dot(bundle.betas[None, :, t_index], flat).reshape(amp.shape[1:])
     return out
 
 
-def evaluate_noise(spec: NoiseSpec, bundles: BrownianBundle | Sequence[BrownianBundle],
+def evaluate_noise(spec: NoiseSpec, bundles: Sequence[BrownianBundle],
                    t_index: int, grid: Grid) -> NoiseField:
-    """Assemble W and its derivatives at time node ``t_index``.
-
-    Given one bundle the fields have the grid's shape; given a sequence of
-    bundles they carry a leading path axis.  All fields are linear in the
-    path values, evaluated with the bundles' node values so coarsened
-    bundles reproduce the fine fields exactly on shared nodes.
+    """Assemble W and its derivatives at time node ``t_index``, one row per
+    bundle of ``bundles`` along a leading path axis (a batch of one for one
+    path).  All fields are linear in the path values, evaluated with the
+    bundles' node values so coarsened bundles reproduce the fine fields
+    exactly on shared nodes.
     """
-    single = isinstance(bundles, BrownianBundle)
-    if not all(0 <= t_index <= b.n_t for b in ([bundles] if single else bundles)):
+    if not all(0 <= t_index <= b.n_t for b in bundles):
         raise ConfigurationError(f"time index {t_index} outside the bundle grid")
     grids = amplitude_grids(spec, grid)
 

@@ -188,6 +188,13 @@ class VitalRates:
     k0: object = ConstantRate(0.0)
 
 
+# validate_rates samples a lattice of about sqrt(VALIDATION_SAMPLES) points
+# per coordinate and pairs of r with |r| <= VALIDATION_R_MAX, from one stream
+VALIDATION_SAMPLES = 4096
+VALIDATION_R_MAX = 10.0
+VALIDATION_SEED = 0
+
+
 @dataclass
 class RateViolation:
     rate: str
@@ -196,24 +203,23 @@ class RateViolation:
     detail: str
 
 
-def validate_rates(rates: VitalRates, grid: Grid, sample_budget: int = 512,
-                   r_max: float = 10.0, seed: int = 0) -> list[RateViolation]:
+def validate_rates(rates: VitalRates, grid: Grid) -> list[RateViolation]:
     """Sample the rate functions and list the bound or Lipschitz violations.
 
     Report-only: never raises.  Samples a lattice of (t, a, x) points and
-    pairs of r values with |r| <= r_max, checking
+    pairs of r values with |r| <= :data:`VALIDATION_R_MAX`, checking
 
     * ``0 <= mu_s <= mu_s.sup`` and ``0 <= m0 <= m0.sup``
     * ``gamma >= 0`` and ``alpha0 >= 0``
     * the declared local Lipschitz constants against finite slopes.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(VALIDATION_SEED)
     violations: list[RateViolation] = []
-    n_pts = max(4, int(np.sqrt(sample_budget)))
+    n_pts = int(np.sqrt(VALIDATION_SAMPLES))
     ts = rng.uniform(0.0, grid.T, n_pts)
     aws = rng.uniform(0.0, grid.a_max, n_pts)
     xs = tuple(rng.uniform(0.0, e, n_pts) for e in grid.extent)
-    rs = rng.uniform(-r_max, r_max, n_pts)
+    rs = rng.uniform(-VALIDATION_R_MAX, VALIDATION_R_MAX, n_pts)
     tol = 1e-9
 
     def check_bounds(name, rate, lo, hi):
@@ -232,7 +238,7 @@ def validate_rates(rates: VitalRates, grid: Grid, sample_budget: int = 512,
 
     def check_lipschitz(name, rate, lip):
         for _ in range(n_pts):
-            R = rng.uniform(0.1, r_max)
+            R = rng.uniform(0.1, VALIDATION_R_MAX)
             r1, r2 = rng.uniform(-R, R, 2)
             if abs(r1 - r2) < 1e-12:
                 continue

@@ -12,8 +12,8 @@ coefficients:
   and ``k = k0 exp(-W)``,
 * fertility      ``m(t,a,x;r) = m0(a,x;r) exp(W(t,a,x) - W(t,0,x))``.
 
-This module evaluates those coefficients on the grid for one sampled
-bundle of Brownian paths, or for a batch of them at once, and provides the
+This module evaluates those coefficients on the grid for a batch of
+sampled bundles of Brownian paths at once, and provides the
 transform (``forward_transform(p, -W)`` is its inverse), which :func:`densities`
 applies to a solve's report with the noise path that report carries.
 """
@@ -58,8 +58,8 @@ def densities(report, model: PopulationModel) -> np.ndarray:
     report's own bundle at their time nodes."""
     if report.solver == "direct":
         return report.snapshots
-    amp = amplitude_grids(model.noise, report.grid).values
-    return np.array([forward_transform(Field(y, report.grid), _contract(report.bundle, amp, i))
+    amp, bundles = amplitude_grids(model.noise, report.grid).values, [report.bundle]
+    return np.array([forward_transform(Field(y, report.grid), _contract(bundles, amp, i)[0])
                      .values for y, i in zip(report.snapshots, report.snapshot_indices)])
 
 
@@ -77,11 +77,10 @@ class CoefficientSups:
 
 
 class RescaledCoefficients:
-    """Coefficient evaluators for one model and one Brownian bundle, or a
-    batch of bundles.
+    """Coefficient evaluators for one model and a sequence of Brownian
+    bundles (a batch of one for one path).
 
-    Given one bundle the coefficient fields have the grid's shape; given a
-    sequence of bundles they carry a leading path axis.  Per time node the
+    The coefficient fields carry a leading path axis.  Per time node the
     fields of every path are built at once from :func:`evaluate_noise`;
     nothing is cached with the node.  ``faces`` reads ``k0`` on the faces.
     Building a node folds its sups into running sups per bundle, which
@@ -89,10 +88,9 @@ class RescaledCoefficients:
     """
 
     def __init__(self, model: PopulationModel,
-                 bundles: BrownianBundle | Sequence[BrownianBundle], faces=evaluate_on_faces):
+                 bundles: Sequence[BrownianBundle], faces=evaluate_on_faces):
         grid = model.grid
-        single = isinstance(bundles, BrownianBundle)
-        for bundle in [bundles] if single else bundles:
+        for bundle in bundles:
             model.check_bundle(bundle)
         # alpha passes through unchanged only when every amplitude has zero
         # normal derivative on the boundary; otherwise the answer is wrong
@@ -104,14 +102,13 @@ class RescaledCoefficients:
         model.noise.check_neumann(grid)
         self.model = model
         self.grid = grid
-        self.bundles = bundles if single else list(bundles)
-        self.paths = () if single else (len(self.bundles),)
+        self.bundles = list(bundles)
         self.mu = ito_correction(model.noise, grid).values
         self.faces = faces
         # running sups per bundle: |g1|, |g2|, div g2, |W|, W - W(t,0,x); k_sq per node
-        self._max = {name: np.full(self.paths, -np.inf if name == "dw0" else 0.0)
+        self._max = {name: np.full(len(self.bundles), -np.inf if name == "dw0" else 0.0)
                      for name in ("g1", "g2", "div", "w", "dw0")}
-        self._k_sq = np.zeros(self.paths + (grid.n_t + 1,))
+        self._k_sq = np.zeros((len(self.bundles), grid.n_t + 1))
 
     # -- per-node evaluation ------------------------------------------------
 
@@ -152,31 +149,27 @@ class RescaledCoefficients:
 
     # -- whole-path bounds ----------------------------------------------------
 
-    def sups_so_far(self, rows=None, over=None) -> CoefficientSups | list:
+    def sups_so_far(self, rows=None, over=None) -> list:
         """Sups of g1, |g2|, div g2 and the exponential factors over the nodes
         built so far, and per node the squared boundary norm of the rescaled
         Robin datum with its trapezoid time integral (a node not built counts
         0; each only grows).  Per bundle of ``rows`` (all by default) in a
-        list, with a path's :class:`NoiseMagnitudeError` where ``over`` is
-        set; one bundle gets its sups or raises its error."""
+        list, with a path's :class:`NoiseMagnitudeError` where ``over`` is set."""
         k_sq_integral = np.sum(self._k_sq * self.grid.time_weights, axis=-1)
-        m, keys = self._max, list(np.ndindex(self.paths)) if rows is None else list(rows)
-        over = np.zeros(len(keys)) if over is None else np.ravel(over)
-        out = [NoiseMagnitudeError(over[pos]) if over[pos] else CoefficientSups(
+        m, keys = self._max, range(len(self.bundles)) if rows is None else list(rows)
+        over = np.zeros(len(keys)) if over is None else over
+        return [NoiseMagnitudeError(over[pos]) if over[pos] else CoefficientSups(
             g1_sup=float(m["g1"][j]), g2_sup=float(m["g2"][j]),
             div_g2_sup=float(m["div"][j]), c_w0=float(np.exp(m["dw0"][j])),
             c_w=float(np.exp(m["w"][j])), k_sq_integral=float(k_sq_integral[j]),
             k_sq=tuple(self._k_sq[j].tolist()))
             for pos, j in enumerate(keys)]
-        if not self.paths and isinstance(out[0], NoiseMagnitudeError):
-            raise out[0]
-        return out if self.paths else out[0]
 
-    def coefficient_sups(self, rows=None) -> CoefficientSups | list:
+    def coefficient_sups(self, rows=None) -> list:
         """:meth:`sups_so_far` once every node is built for the bundles
         ``rows`` (all by default), under the march's exp guard and in its
-        order: the sups over the whole path, or its first guard error."""
-        over = np.zeros(self.paths if rows is None else (len(rows),))
+        order: per bundle the sups over the whole path, or its first guard error."""
+        over = np.zeros(len(self.bundles) if rows is None else len(rows))
         for i in range(self.grid.n_t + 1):
             self.k_faces(i, rows, over)
             self.node_fields(i, rows, over)

@@ -287,9 +287,10 @@ class TruncationGuard:
     locally Lipschitz rates are under control.  A radius from the a priori
     energy bound keeps the bound's ``constants`` (``None`` for a fixed
     radius); activations of it indicate the bound or the grid is off.  A
-    guard of a batch holds one radius, activation count and set of
-    constants per path; while it marches, a path whose constants are
-    ``None`` has the lower bound of :func:`_bound_guard` and its ``settle``.
+    marching guard holds one radius, activation count and set of constants
+    per path (a report keeps its path's, :meth:`path`); while it marches, a
+    path whose constants are ``None`` has the lower bound of
+    :func:`_bound_guard` and its ``settle``.
     """
 
     radius: float | np.ndarray
@@ -304,33 +305,28 @@ class TruncationGuard:
             constants=None if self.constants is None else self.constants[j])
 
 
-def truncate_argument(values: np.ndarray, grid: Grid,
-                      guard: TruncationGuard | None,
-                      index: np.ndarray | None = None, norm=None) -> np.ndarray:
+def truncate_argument(values: np.ndarray, grid: Grid, guard: TruncationGuard | None,
+                      index: np.ndarray, norm=None) -> np.ndarray:
     """Return ``values`` itself or its radial rescaling onto the guard ball.
 
-    Identity when the norm is within the radius (continuous there);
-    otherwise scales to norm ``radius`` and counts the activation.  A stack
-    of fields is clipped path by path against a guard of a batch; ``index``
-    names the paths that ``values`` holds if not all, ``norm`` their norms.
+    ``values`` is a stack of fields, one per path ``index`` of the guard's
+    batch, with ``norm`` their norms.  Each field is kept when its norm is
+    within its path's radius (continuous there), else scaled to norm
+    ``radius``, which counts an activation of that path.
     """
     if guard is None:
         return values
     norm = l2_norm(values, grid) if norm is None else norm
-    radius = guard.radius if index is None else guard.radius[index]
+    radius = guard.radius[index]
     clip = norm > radius
     if not np.any(clip):
         return values
-    if index is None:
-        guard.activations += clip
-    else:
-        guard.activations[index] += clip
+    guard.activations[index] += clip
     if guard.constants is not None:
         for j in np.flatnonzero(clip):
             logger.warning(
                 "truncation activated at norm %.3g beyond the energy-bound "
-                "radius %.3g; the energy bound or the grid is too coarse",
-                np.ravel(norm)[j], np.ravel(radius)[j])
+                "radius %.3g; the energy bound or the grid is too coarse", norm[j], radius[j])
     scale = np.divide(radius, norm, out=np.ones_like(norm), where=clip)
     return values * scale[(Ellipsis,) + (None,) * (grid.dim + 1)]
 
@@ -551,22 +547,22 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     iterate).  ``factors`` keeps an ``alpha`` that ignores ``t`` and the
     diffusion factorization.
 
-    ``y`` is one state, or one per path behind a leading path axis when
-    ``coeffs`` holds a batch (and ``guard`` one radius per path); ``live``
-    then names the bundles of its rows, all by default.  A path leaves the
-    iteration where its own test passes, as in its one-path solve.  A path
-    whose noise passes the exp guard at this node, that still iterates
-    after ``picard_max_iter`` iterates or whose ``guard.settle`` gives an
-    error (after that iterate) fails alone in ``StepResult.failed``; one
-    state without a path axis raises.  The result may be built in ``y``.
+    ``y`` holds one state per path behind a leading path axis (a stack of
+    one for one path), ``guard`` one radius per bundle of ``coeffs`` and
+    ``live`` the bundles of the rows of ``y``, all by default.  A path
+    leaves the iteration where its own test passes, as in its one-path
+    solve.  A path whose noise passes the exp guard at this node, that
+    still iterates after ``picard_max_iter`` iterates or whose
+    ``guard.settle`` gives an error (after that iterate) fails alone in
+    ``StepResult.failed``.  The result may be built in ``y``.
     With the march's ``observer`` it carries the node's ``(g1, g2, exp_dw0, k)``,
     copying the two the fixed point compacts.
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
     factors = factors or DiffusionFactors()
-    paths = y.shape[:y.ndim - grid.dim - 1]
-    over = np.zeros(paths) if paths else None   # per path: its sup |W| past the exp guard
+    n = len(y)
+    over = np.zeros(n)   # per path: its sup |W| past the exp guard
     k = coeffs.k_faces(t_index, live, over)
     alpha, k_in = ((factors.inner(factors.faces(rates.alpha0, grid, t), grid),
                     _inner_faces(k, grid)) if config.include_diffusion else (None, None))
@@ -576,13 +572,13 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     inputs = [y, node["g1"], _advection(node["g2"], grid, grid.dt), k_in,
               node["exp_w"], node["exp_dw0"]]
     del node
-    active = np.arange(len(y)) if paths else None   # rows of y still iterating
-    index = active if live is None else live        # their bundles, for the guard
-    failed = {int(r): NoiseMagnitudeError(over[r]) for r in np.flatnonzero(over)} if paths else {}
+    active = np.arange(n)                      # rows of y still iterating
+    index = active if live is None else live   # their bundles, for the guard
+    failed = {int(r): NoiseMagnitudeError(over[r]) for r in np.flatnonzero(over)}
     stopped = []     # (rows of y, their new states) of the paths out of the iteration
-    result = StepResult(y, np.empty(paths), np.zeros(paths, dtype=int), np.full(paths, np.nan),
-                        np.zeros(paths), 0, failed, built) if paths else None   # row by row
-    zeta, prev_diff, ratio, cfl = y, None, np.full(paths, np.nan), np.zeros(paths)
+    result = StepResult(y, np.empty(n), np.zeros(n, dtype=int), np.full(n, np.nan),
+                        np.zeros(n), 0, failed, built)   # filled row by row
+    zeta, prev_diff, ratio, cfl = y, None, np.full(n, np.nan), np.zeros(n)
     if failed:   # these paths never iterate; their rows keep the old state
         keep = over == 0
         if not np.any(keep):
@@ -609,11 +605,9 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         prev_diff = diff
         done = (diff <= config.picard_tol * np.maximum(1.0, zeta_norm)) | np.isnan(diff)
         if it == config.picard_max_iter and not np.all(done):   # the rest fail alone
-            stuck = [NonconvergenceError(t_index - 1, it, q if np.isfinite(q) else np.inf)
-                     for q in np.ravel(ratio[~done])]
-            if not paths:
-                raise stuck[0]
-            failed.update(zip(active[~done].tolist(), stuck))
+            failed.update(zip(active[~done].tolist(), (
+                NonconvergenceError(t_index - 1, it, q if np.isfinite(q) else np.inf)
+                for q in ratio[~done])))
             done = np.ones_like(done)
         if late:   # their sups end in an error, which they leave with (NaN radius: unclipped)
             gone = np.isin(index, list(late))

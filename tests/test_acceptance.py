@@ -93,10 +93,10 @@ def test_criterion_02a_scalar_oracle_rescaled_exact():
     model = gbm_model(n_t)
     bundle = sa.sample_bundle(17, 1, n_t, 0.5)
     rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=0))
-    nf = evaluate_noise(model.noise, bundle, n_t, model.grid)
+    nf = evaluate_noise(model.noise, [bundle], n_t, model.grid)
     # age rows beyond the reach of the birth boundary carry the scalar
     # solution; the closed form is the oracle
-    probe = np.exp(nf.value[-1, 0]) * rep.final[-1, 0]
+    probe = np.exp(nf.value[0, -1, 0]) * rep.final[-1, 0]
     exact = 2.0 * np.exp(bundle.betas[0, -1] - 0.5 / 2)
     err = abs(probe - exact) / abs(exact)
     assert report("2a", err <= 1e-12,

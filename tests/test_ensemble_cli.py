@@ -20,6 +20,8 @@ from stochage.fileio import load_bundle, load_field, write_series_csv
 from stochage.noise import _contract, amplitude_grids
 from stochage.rescale import densities
 
+from conftest import build_model, linear_rates
+
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 NOISY_MODEL = """
@@ -293,10 +295,10 @@ class TestChunks:
             solved.append(True)
             return reports
 
-        def counting(bundle, amp, t_index):
+        def counting(bundles, amp, t_index):
             if solved:   # the march's own contractions are not post-processing
                 calls.append((amp, t_index))
-            return _contract(bundle, amp, t_index)
+            return _contract(bundles, amp, t_index)
 
         monkeypatch.setattr(ensemble, "solve_rescaled_batch", solving)
         monkeypatch.setattr(rescale, "_contract", counting)
@@ -470,14 +472,23 @@ class TestModelBoundary:
         ("mu1 = cosine:0.2:1", "mu1 = constant:1e308"),
         ("gamma = constant:1.0", "gamma = constant:1e308"),
         ("p0 = ageexp:1.5,1.0", "p0 = constant:1e308"),
+        ("p0 = ageexp:1.5,1.0", "p0 = agegauss:1.64,-1.32,0"),
+        ("p0 = ageexp:1.5,1.0", "p0 = agegauss:1.0,0.5,0"),
+        ("m0 = logistic:0.8,-0.5,1.5,0.5", "m0 = logistic:1e308,1.91,0.547,0.577"),
+        ("k0 = constant:0.0", "k0 = constant:1e160"),
+        ("mu_s = logistic:0.1,0.5,2.0,0.5", "mu_s = logistic:1.27,1e160,1.38,1.17"),
     ], ids=["p0-negative", "mu_s-negative", "m0-negative", "gamma-negative",
             "mu_s-logistic-dips-below-0", "m0-window-negative", "m0-table-negative",
-            "ito-correction-overflows", "u-overflows", "p0-norm-overflows"])
+            "ito-correction-overflows", "u-overflows", "p0-norm-overflows",
+            "agegauss-zero-width-off-node", "agegauss-zero-width-on-node",
+            "m0-sup-squared-overflows", "k0-sup-squared-overflows",
+            "mu_s-sup-squared-overflows"])
     def test_input_the_theory_excludes_is_config_error(self, old, new, tmp_path, capsys):
-        # a negative density or rate, or data whose Ito correction, squared
-        # norm or population functional overflows a float, fails where the
-        # file is parsed: exit 3, named by its key and value, and no numpy
-        # warning on the way (every warning is recorded here)
+        # a negative density or rate, a Gaussian density of width 0, or data
+        # whose Ito correction, squared norm, squared rate sup or population
+        # functional overflows a float, fails where the file is parsed: exit
+        # 3, named by its key and value, and no numpy warning on the way
+        # (every warning is recorded here)
         text = (MODELS / "sample1d.ini").read_text()
         assert text.count(old) == 1
         path = tmp_path / "m.ini"
@@ -491,6 +502,18 @@ class TestModelBoundary:
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and new in err
         assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("scale, gamma", [(1e160, 0.0), (2.0, 1e308)],
+                             ids=["p0-norm-overflows", "u-overflows"])
+    def test_code_built_model_past_a_float_is_config_error(self, scale, gamma, grid1d):
+        # the model checks the data energy and U itself, so a model built in
+        # code fails where it is built, before a march warns of an overflow
+        rates = dataclasses.replace(linear_rates(), gamma=sa.ConstantRate(gamma))
+        p0 = sa.Field(np.full(grid1d.field_shape, scale), grid1d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigurationError, match="overflows a float"):
+                build_model(grid1d, rates=rates, p0=p0)
 
     def test_model_is_parsed_from_the_bytes_it_is_cached_on(self, tmp_path, monkeypatch):
         # the file is read once: the bytes of the cache key are the ones parsed

@@ -185,9 +185,9 @@ class TestEvaluateNoise:
         batch = evaluate_noise(spec, bundles, i, grid)
         assert batch.value.shape == (3,) + grid.field_shape
         for j, bundle in enumerate(bundles):
-            one = evaluate_noise(spec, bundle, i, grid)
+            one = evaluate_noise(spec, [bundle], i, grid)
             for rows, single in zip(noise_arrays(batch), noise_arrays(one)):
-                assert rows[j].tobytes() == single.tobytes()
+                assert rows[j].tobytes() == single[0].tobytes()
 
     @pytest.mark.parametrize("n_modes", [1, 2, 4])
     @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
@@ -198,12 +198,12 @@ class TestEvaluateNoise:
         b = sa.sample_bundle(8, n_modes, grid.n_t, grid.T)
         i = grid.n_t - 3
         want = np.tensordot(b.betas[:, i], amplitude_grids(spec, grid).values, axes=1)
-        assert evaluate_noise(spec, b, i, grid).value.tobytes() == want.tobytes()
+        assert evaluate_noise(spec, [b], i, grid).value[0].tobytes() == want.tobytes()
 
     def test_zero_at_time_zero(self, grid1d):
         spec = sa.NoiseSpec((sa.cosine_amplitude(0.5, (1,), grid1d.extent),))
         b = sa.sample_bundle(1, 1, grid1d.n_t, grid1d.T)
-        nf = evaluate_noise(spec, b, 0, grid1d)
+        nf = evaluate_noise(spec, [b], 0, grid1d)
         assert np.all(nf.value == 0.0)
         assert np.all(nf.gradient[0] == 0.0)
         assert np.all(nf.laplacian == 0.0)
@@ -214,7 +214,7 @@ class TestEvaluateNoise:
         b = sa.sample_bundle(4, 1, grid1d.n_t, grid1d.T)
         i = 7
         beta = b.betas[0, i]
-        nf = evaluate_noise(spec, b, i, grid1d)
+        nf = evaluate_noise(spec, [b], i, grid1d)
         assert np.allclose(nf.value, grid1d.age_mesh * beta, rtol=1e-15)
         assert np.allclose(nf.d_age, beta, rtol=1e-15)
         assert np.all(nf.gradient[0] == 0.0)
@@ -227,7 +227,7 @@ class TestEvaluateNoise:
         b = sa.sample_bundle(9, 1, 8, 1.0)
         i = 5
         beta = b.betas[0, i]
-        nf = evaluate_noise(spec, b, i, grid)
+        nf = evaluate_noise(spec, [b], i, grid)
         x = grid.space_meshes[0]
         assert np.allclose(nf.value, beta * np.sin(x), rtol=1e-13)
         assert np.allclose(nf.gradient[0], beta * np.cos(x), rtol=1e-13, atol=1e-15)
@@ -240,8 +240,8 @@ class TestEvaluateNoise:
         doubled = sa.BrownianBundle(2.0 * b.increments, 2.0 * b.betas,
                                     b.seed, b.dt)
         i = grid1d.n_t
-        nf = evaluate_noise(spec, b, i, grid1d)
-        nf2 = evaluate_noise(spec, doubled, i, grid1d)
+        nf = evaluate_noise(spec, [b], i, grid1d)
+        nf2 = evaluate_noise(spec, [doubled], i, grid1d)
         # scaling by two is exact in floating point
         assert np.array_equal(nf2.value, 2.0 * nf.value)
         assert np.array_equal(nf2.d_age, 2.0 * nf.d_age)
@@ -253,17 +253,23 @@ class TestEvaluateNoise:
         fine = sa.sample_bundle(6, 1, 2 * grid1d.n_t, grid1d.T)
         coarse = sa.coarsen(fine, 2)
         i = 9
-        nf_c = evaluate_noise(spec, coarse, i, grid1d)
+        nf_c = evaluate_noise(spec, [coarse], i, grid1d)
         grid_fine = sa.Grid(grid1d.T, grid1d.a_max, 2 * grid1d.n_t,
                             grid1d.n_a, grid1d.extent, grid1d.n_x)
-        nf_f = evaluate_noise(spec, fine, 2 * i, grid_fine)
+        nf_f = evaluate_noise(spec, [fine], 2 * i, grid_fine)
         assert np.array_equal(nf_c.value, nf_f.value)
 
     def test_index_out_of_range(self, grid1d):
         spec = sa.NoiseSpec((sa.constant_amplitude(1.0, 1),))
         b = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
         with pytest.raises(ConfigurationError):
-            evaluate_noise(spec, b, grid1d.n_t + 1, grid1d)
+            evaluate_noise(spec, [b], grid1d.n_t + 1, grid1d)
+
+    def test_one_bundle_is_not_a_batch(self, grid1d):
+        spec = sa.NoiseSpec((sa.constant_amplitude(1.0, 1),))
+        b = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
+        with pytest.raises(TypeError):
+            evaluate_noise(spec, b, 1, grid1d)
 
 
 class TestItoCorrection:

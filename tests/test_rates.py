@@ -101,13 +101,13 @@ class TestValidateRates:
         rate = CustomRate(fn=lambda t, a, x, r: min(r * r, 1.0), sup=1.0,
                           lipschitz_fn=lambda R: 2.0 * R)
         rates = sa.VitalRates(m0=rate)
-        assert not sa.validate_rates(rates, grid1d, sample_budget=2048)
+        assert not sa.validate_rates(rates, grid1d)
 
     def test_lipschitz_violation_detected(self, grid1d):
         # slope 2R but declares R/2
         rate = CustomRate(fn=lambda t, a, x, r: min(r * r, 100.0), sup=100.0,
                           lipschitz_fn=lambda R: 0.5 * R)
         rates = sa.VitalRates(m0=rate)
-        violations = sa.validate_rates(rates, grid1d, sample_budget=4096)
+        violations = sa.validate_rates(rates, grid1d)
         assert any(v.kind == "lipschitz" for v in violations)
 

@@ -57,7 +57,7 @@ class TestCoefficients:
         model = build_model(grid1d, rates=linear_rates(k0=0.3),
                             amplitudes=(sa.constant_amplitude(0.0, 1),))
         bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
-        coeffs = RescaledCoefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, [bundle])
         i = grid1d.n_t // 2
         fields = coeffs.node_fields(i)
         assert np.all(fields["g1"] == 0.0)
@@ -65,11 +65,11 @@ class TestCoefficients:
         assert np.all(fields["exp_w"] == 1.0)
         face = Face(0, 0)
         k0 = evaluate_on_faces(model.rates.k0, grid1d, grid1d.times[i])
-        assert np.array_equal(coeffs.k_faces(i)[face], k0[face])
+        assert np.array_equal(coeffs.k_faces(i)[face][0], k0[face])
         u = 1.23
         m0_direct = 0.6 * np.ones(grid1d.field_shape)
         m0 = evaluate_on_grid(model.rates.m0, grid1d, grid1d.times[i], u)
-        assert np.array_equal(m0 * fields["exp_dw0"], m0_direct)
+        assert np.array_equal(m0 * fields["exp_dw0"][0], m0_direct)
 
     def test_age_linear_mode(self, grid1d):
         # mu(a) = a: g1 = b + a^2/2, g2 = 0
@@ -78,7 +78,7 @@ class TestCoefficients:
         bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
         i = 11
         b = bundle.betas[0, i]
-        fields = RescaledCoefficients(model, bundle).node_fields(i)
+        fields = RescaledCoefficients(model, [bundle]).node_fields(i)
         ages = grid1d.age_mesh
         assert np.allclose(fields["g1"], b + ages ** 2 / 2, rtol=1e-13)
         assert np.all(fields["g2"][0] == 0.0)
@@ -113,10 +113,10 @@ class TestCoefficients:
         g1_fn = sympy.lambdify(x, g1_sym, "numpy")
         g2_fn = sympy.lambdify(x, g2_sym, "numpy")
 
-        fields = RescaledCoefficients(model, bundle).node_fields(i)
+        fields = RescaledCoefficients(model, [bundle]).node_fields(i)
         xs = grid.cell_centers[0]
-        assert np.allclose(fields["g1"][0], g1_fn(xs), rtol=1e-12)
-        assert np.allclose(fields["g2"][0][0], g2_fn(xs), rtol=1e-12)
+        assert np.allclose(fields["g1"][0, 0], g1_fn(xs), rtol=1e-12)
+        assert np.allclose(fields["g2"][0][0, 0], g2_fn(xs), rtol=1e-12)
 
     def test_boundary_datum_rescaled(self, grid1d):
         model = build_model(grid1d, rates=linear_rates(k0=0.5),
@@ -124,7 +124,7 @@ class TestCoefficients:
         bundle = sa.sample_bundle(8, 1, grid1d.n_t, grid1d.T)
         i = 13
         beta = bundle.betas[0, i]
-        coeffs = RescaledCoefficients(model, bundle)
+        coeffs = RescaledCoefficients(model, [bundle])
         face = Face(0, 1)
         expected = 0.5 * np.exp(-0.3 * beta)
         assert np.allclose(coeffs.k_faces(i)[face], expected, rtol=1e-14)
@@ -136,7 +136,7 @@ class TestCoefficients:
         bundle = sa.sample_bundle(4, 1, grid1d.n_t, grid1d.T)
         i = 6
         b = bundle.betas[0, i]
-        exp_dw0 = RescaledCoefficients(model, bundle).node_fields(i)["exp_dw0"]
+        exp_dw0 = RescaledCoefficients(model, [bundle]).node_fields(i)["exp_dw0"][0]
         m = evaluate_on_grid(model.rates.m0, grid1d, grid1d.times[i], 0.0) * exp_dw0
         expected = 0.6 * np.exp(grid1d.age_mesh * b)
         assert np.allclose(m, np.broadcast_to(expected, grid1d.field_shape), rtol=1e-13)
@@ -145,12 +145,18 @@ class TestCoefficients:
         model = build_model(grid1d)
         bundle = sa.sample_bundle(0, 1, grid1d.n_t * 2, grid1d.T)
         with pytest.raises(ConfigurationError):
-            RescaledCoefficients(model, bundle)
+            RescaledCoefficients(model, [bundle])
 
     def test_mode_count_mismatch_rejected(self, grid1d):
         model = build_model(grid1d)
         bundle = sa.sample_bundle(0, 3, grid1d.n_t, grid1d.T)
         with pytest.raises(ConfigurationError):
+            RescaledCoefficients(model, [bundle])
+
+    def test_one_bundle_is_not_a_batch(self, grid1d):
+        model = build_model(grid1d)
+        bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
+        with pytest.raises(TypeError):
             RescaledCoefficients(model, bundle)
 
 
@@ -158,7 +164,7 @@ class TestConstants:
     def test_zero_noise(self, grid1d):
         model = build_model(grid1d, amplitudes=(sa.constant_amplitude(0.0, 1),))
         bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
-        sups = RescaledCoefficients(model, bundle).coefficient_sups()
+        (sups,) = RescaledCoefficients(model, [bundle]).coefficient_sups()
         assert sups.c_w0 == 1.0
         assert sups.c_w == 1.0
         assert sups.c_w0 * model.rates.m0.sup == pytest.approx(model.rates.m0.sup)
@@ -168,7 +174,7 @@ class TestConstants:
         model = build_model(grid1d,
                             amplitudes=(sa.age_polynomial_amplitude((0.0, 1.0), 1),))
         bundle = sa.sample_bundle(12, 1, grid1d.n_t, grid1d.T)
-        sups = RescaledCoefficients(model, bundle).coefficient_sups()
+        (sups,) = RescaledCoefficients(model, [bundle]).coefficient_sups()
         beta_max = bundle.betas[0].max()
         expected = np.exp(grid1d.a_max * max(beta_max, 0.0))
         assert sups.c_w0 == pytest.approx(expected, rel=1e-12)
@@ -221,7 +227,7 @@ class TestOneEvaluationPerSolve:
         monkeypatch.setattr(ConstantRate, "__call__", lambda self, *args: (
             calls.append(args[0]) if self is model.rates.k0 else None, call(self, *args))[1])
         bundle = sa.sample_bundle(0, model.noise.n_modes, model.grid.n_t, model.grid.T)
-        RescaledCoefficients(model, bundle).coefficient_sups()
+        RescaledCoefficients(model, [bundle]).coefficient_sups()
         assert len(calls) == len(boundary_faces(model.grid)) * (model.grid.n_t + 1)
 
 
@@ -248,9 +254,12 @@ class TestGuardModes:
                              for r in reports])
             assert isinstance(reports[0], NoiseMagnitudeError)
         assert statuses[0] == statuses[1]
-        with pytest.raises(NoiseMagnitudeError) as one:   # the sweep of one bundle raises
-            RescaledCoefficients(model, bundles[0]).coefficient_sups()
-        assert str(one.value) == statuses[0][0]
+        (one,) = RescaledCoefficients(model, bundles[:1]).coefficient_sups()   # its sweep alone
+        assert isinstance(one, NoiseMagnitudeError)
+        assert str(one) == statuses[0][0]
+        with pytest.raises(NoiseMagnitudeError) as raised:   # a fixed-radius check's constants
+            sa.constants_for_run(model, bundles[0])
+        assert str(raised.value) == statuses[0][0]
 
     def test_bound_past_a_float_fails_the_path_not_the_batch(self, grid1d):
         # sup |W - W(t,0,x)| near 400 keeps the exponentials finite, but the
@@ -292,14 +301,15 @@ class TestBoundRadius:
         assert any(converged) != name.startswith("agepoly")
         starts = set()
         for bundle, report in zip(bundles, reports):
-            coeffs, radii, over = RescaledCoefficients(model, bundle), [], np.zeros(())
+            coeffs, radii, over = RescaledCoefficients(model, [bundle]), [], np.zeros(1)
             for i in range(grid.n_t + 1):
                 coeffs.k_faces(i, over=over)
                 coeffs.node_fields(i, over=over)
-                if over:   # the exp guard fails the path from here on
+                if over[0]:   # the exp guard fails the path from here on
                     break
                 try:
-                    radii.append(float(sa.constants_for_run(model, sups=coeffs.sups_so_far()).n0))
+                    (sups,) = coeffs.sups_so_far()
+                    radii.append(float(sa.constants_for_run(model, sups=sups).n0))
                 except sa.StochageError:   # the bound overflows a float
                     radii.append(np.inf)
             starts.add(radii[0])
@@ -330,7 +340,7 @@ class TestItoConsistency:
         # reached: a > T there, so the value is the scalar solution
         y_probe = rep.final[-1, 0]
         assert y_probe == pytest.approx(2.0 * np.exp(-0.5 / 2), rel=1e-12)
-        nf = evaluate_noise(model.noise, bundle, n_t, grid)
-        p_probe = np.exp(nf.value[-1, 0]) * y_probe
+        nf = evaluate_noise(model.noise, [bundle], n_t, grid)
+        p_probe = np.exp(nf.value[0, -1, 0]) * y_probe
         exact = 2.0 * np.exp(bundle.betas[0, -1] - 0.5 / 2)
         assert p_probe == pytest.approx(exact, rel=1e-12)

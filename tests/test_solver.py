@@ -446,26 +446,30 @@ class TestRenewal:
 
 
 class TestTruncation:
+    @staticmethod
+    def guard_of_one(radius, constants=None):
+        return TruncationGuard(np.array([radius]), constants, np.zeros(1, dtype=int))
+
     def test_identity_branch(self, grid1d):
-        guard = TruncationGuard(radius=4.0)
-        vals = np.ones(grid1d.field_shape)  # norm 1 < 4
-        out = truncate_argument(vals, grid1d, guard)
+        guard = self.guard_of_one(4.0)
+        vals = np.ones((1,) + grid1d.field_shape)  # norm 1 < 4
+        out = truncate_argument(vals, grid1d, guard, [0])
         assert out is vals
-        assert guard.activations == 0
+        assert guard.activations[0] == 0
 
     def test_scaling_branch(self, grid1d):
-        guard = TruncationGuard(radius=1.0)
-        vals = np.full(grid1d.field_shape, 2.0)  # norm 2 > 1
-        out = truncate_argument(vals, grid1d, guard)
-        assert guard.activations == 1
-        assert sa.l2_norm(out, grid1d) == pytest.approx(1.0, rel=1e-14)
+        guard = self.guard_of_one(1.0)
+        vals = np.full((1,) + grid1d.field_shape, 2.0)  # norm 2 > 1
+        out = truncate_argument(vals, grid1d, guard, [0])
+        assert guard.activations[0] == 1
+        assert sa.l2_norm(out[0], grid1d) == pytest.approx(1.0, rel=1e-14)
         assert np.allclose(out, vals / 2.0, rtol=1e-14)
 
     def test_continuity_at_radius(self, grid1d):
-        vals = np.full(grid1d.field_shape, 2.0)
-        norm = sa.l2_norm(vals, grid1d)
-        guard = TruncationGuard(radius=norm)
-        out = truncate_argument(vals, grid1d, guard)
+        vals = np.full((1,) + grid1d.field_shape, 2.0)
+        norm = sa.l2_norm(vals[0], grid1d)
+        guard = self.guard_of_one(norm)
+        out = truncate_argument(vals, grid1d, guard, [0])
         assert out is vals  # boundary case takes the identity branch
         scaled = vals * (norm / norm)
         assert np.allclose(out, scaled, rtol=1e-15)
@@ -477,15 +481,15 @@ class TestTruncation:
         # constant fields of norm 0.5, 2 and 3
         vals = np.stack([np.full(grid1d.field_shape, c) for c in (0.5, 2.0, 3.0)])
 
-        def warnings(guard, values, index=None):
+        def warnings(guard, values, index):
             caplog.clear()
             with caplog.at_level("WARNING", logger="stochage.solver"):
                 truncate_argument(values, grid1d, guard, index)
             return [r for r in caplog.records if r.name == "stochage.solver"]
 
-        assert len(warnings(TruncationGuard(1.0, consts), vals[1])) == 1
+        assert len(warnings(self.guard_of_one(1.0, [consts]), vals[1:2], [0])) == 1
         batch = TruncationGuard(np.ones(3), [consts] * 3, np.zeros(3, dtype=int))
-        assert len(warnings(batch, vals)) == 2
+        assert len(warnings(batch, vals, np.arange(3))) == 2
         # the values hold paths 0, 2 and 3 of a batch of four
         batch = TruncationGuard(np.array([1.0, 1.0, 5.0, 1.0]), [consts] * 4,
                                 np.zeros(4, dtype=int))
@@ -493,7 +497,7 @@ class TestTruncation:
         assert batch.activations.tolist() == [0, 0, 0, 1]
         # a fixed radius keeps no constants and clips silently
         fixed = TruncationGuard(np.ones(3), activations=np.zeros(3, dtype=int))
-        assert warnings(fixed, vals) == []
+        assert warnings(fixed, vals, np.arange(3)) == []
         assert fixed.activations.tolist() == [0, 1, 1]
 
 
@@ -535,18 +539,17 @@ class TestPicard:
     def test_single_step_matches_march(self, linear_model):
         # one call of the step operation reproduces the first level of the
         # full time loop
-        from stochage.rates import CustomRate, evaluate_gamma
         from stochage.rescale import RescaledCoefficients
 
         grid = linear_model.grid
         bundle = sa.sample_bundle(3, 1, grid.n_t, grid.T)
         cfg = sa.SolverConfig(snapshot_stride=1)
         rep = sa.solve_rescaled(linear_model, bundle, cfg)
-        coeffs = RescaledCoefficients(linear_model, bundle)
+        coeffs = RescaledCoefficients(linear_model, [bundle])
         gamma_vals = evaluate_gamma(linear_model.rates, grid)
-        step = sa.picard_step_solve(linear_model.p0.values, 1, coeffs,
+        step = sa.picard_step_solve(linear_model.p0.values[None].copy(), 1, coeffs,
                                     gamma_vals, linear_model.region, None, cfg)
-        assert np.array_equal(step.state, rep.snapshots[1])
+        assert np.array_equal(step.state[0], rep.snapshots[1])
         assert step.iterations == rep.picard_iterations[0]
 
 
@@ -646,25 +649,26 @@ class TestSolveRescaled:
 
 
 def march_without_path_axis(model, bundle, cfg):
-    """Final state, steps and guard of a march of one path that never forms
-    a path axis: coefficients of a single bundle, a guard of scalars."""
-    from stochage.rates import CustomRate, evaluate_gamma
+    """Final state, steps and guard of a reference march of one path, as a
+    batch of one stepped outside the shared march: the coefficient sups are
+    swept before it and the radius is fixed from them (or by ``cfg``)."""
     from stochage.rescale import RescaledCoefficients
 
-    coeffs = RescaledCoefficients(model, bundle)
+    coeffs = RescaledCoefficients(model, [bundle])
     gamma = evaluate_gamma(model.rates, model.grid)
     if cfg.truncation_radius is None:
-        consts = sa.constants_for_run(model, sups=coeffs.coefficient_sups(),
-                                      c0=cfg.c0, c1=cfg.c1)
-        guard = TruncationGuard(radius=float(consts.n0), constants=consts)
+        (sups,) = coeffs.coefficient_sups()
+        consts = sa.constants_for_run(model, sups=sups, c0=cfg.c0, c1=cfg.c1)
+        guard = TruncationGuard(np.array([float(consts.n0)]), [consts], np.zeros(1, dtype=int))
     else:
-        guard = TruncationGuard(radius=cfg.truncation_radius)
-    y, steps = model.p0.values, []
+        guard = TruncationGuard(np.array([cfg.truncation_radius]),
+                                activations=np.zeros(1, dtype=int))
+    y, steps = model.p0.values[None].copy(), []
     for n in range(1, model.grid.n_t + 1):
         steps.append(sa.picard_step_solve(y, n, coeffs, gamma, model.region,
                                           guard, cfg))
         y = steps[-1].state
-    return y, steps, guard
+    return y[0], steps, guard.path(0)
 
 
 def bundles_for(model, n, base=0):
