@@ -11,8 +11,7 @@ bounds and weak-form residuals provide the rest.
 
 from .errors import (ConfigurationError, InvalidFieldError, NoiseMagnitudeError,
                      NonconvergenceError, StochageError)
-from .grid import (Field, Grid, SubDomain, gradient_energy, l2_norm,
-                   weighted_population)
+from .grid import Grid, SubDomain, gradient_energy, l2_norm, weighted_population
 from .model import PopulationModel
 from .noise import (Amplitude, BrownianBundle, NoiseSpec,
                     age_polynomial_amplitude, coarsen, constant_amplitude,

@@ -123,7 +123,7 @@ def _cmd_check(args) -> int:
     cfg = dataclasses.replace(cfg, snapshot_stride=0)
     # one batch of the stored run and its bumped runs, which share grid, rates
     # and noise path; each error is raised where its one-path solve would be
-    p0 = np.stack([model.p0.values] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
+    p0 = np.stack([model.p0] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
     fine = estimates.EstimateAccumulator(model)
     report, *perturbed = solve_rescaled_batch(model, [bundle] * 3, cfg, p0, observer=fine)
     report = _only([report])
@@ -162,7 +162,7 @@ def _cmd_check(args) -> int:
 def _perturbed_model(model, delta: float) -> np.ndarray:
     """The initial density of ``model`` plus an age bump of height ``delta``."""
     a, a_max = model.grid.age_mesh, model.grid.a_max
-    return model.p0.values + delta * np.exp(-((a - 0.3 * a_max) / (0.2 * a_max)) ** 2)
+    return model.p0 + delta * np.exp(-((a - 0.3 * a_max) / (0.2 * a_max)) ** 2)
 
 
 def main(argv=None) -> int:

@@ -119,7 +119,7 @@ def constants_for_run(model: PopulationModel,
     return compute_constants(
         model.rates, sups, c0=c0, c1=c1, region_volume=model.region_volume,
         a_max=model.grid.a_max, horizon=model.grid.T,
-        y0_norm_sq=l2_norm(model.p0) ** 2 if y0_norm_sq is None else y0_norm_sq)
+        y0_norm_sq=l2_norm(model.p0, model.grid) ** 2 if y0_norm_sq is None else y0_norm_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +348,7 @@ class EstimateAccumulator:
             self.terms[j, :, i] = (l2_norm(d, grid) ** 2, np.sum(d[grid.rows(-1)] ** 2)
                                    * grid.cell_volume, gradient_energy(d, grid))
         g1, g2, exp_dw0, k = coefficients or (   # node 0: W = 0
-            ito_correction(self.model.noise, grid).values[None], [[0.0]] * grid.dim, [1.0],
+            ito_correction(self.model.noise, grid)[None], [[0.0]] * grid.dim, [1.0],
             {f: a[None] for f, a in evaluate_on_faces(self.model.rates.k0, grid, 0.0).items()})
         _weak_node(self._residual, y, u[0], self.model, self.psis, i, (
             g1[0], [g[0] for g in g2], exp_dw0[0], {f: a[0] for f, a in k.items()}), timed=True)

@@ -3,7 +3,7 @@
 A field lives on age nodes ``a_k = k * da`` (``k = 0 .. n_a``) times a
 cell-centered uniform spatial grid on a rectangular box in 1 or 2
 dimensions.  Integrals use the trapezoid rule in age and the midpoint
-rule in space, so a field array has shape ``(n_a + 1, *n_x)``.
+rule in space.  A field is an array of shape ``(n_a + 1, *n_x)`` passed next to its grid.
 """
 
 from __future__ import annotations
@@ -161,40 +161,6 @@ class Grid:
         return Grid(self.T, self.a_max, self.n_t // factor, n_a, self.extent, self.n_x)
 
 
-class Field:
-    """Immutable scalar function sampled on the age-space grid.
-
-    ``values`` has shape ``grid.field_shape`` and every entry must be
-    finite.  The underlying array is read-only so fields can be shared
-    across ensemble workers.
-    """
-
-    __slots__ = ("values", "grid")
-
-    def __init__(self, values, grid: Grid, copy: bool = True):
-        arr = np.array(values, dtype=float, copy=copy)
-        if arr.shape != grid.field_shape:
-            raise InvalidFieldError(
-                f"field shape {arr.shape} does not match grid {grid.field_shape}"
-            )
-        if not np.all(np.isfinite(arr)):
-            raise InvalidFieldError("field contains non-finite entries")
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "grid", grid)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Field is immutable")
-
-    @classmethod
-    def from_function(cls, grid: Grid, fn) -> "Field":
-        """Sample ``fn(a, *x)`` on age nodes and cell centers."""
-        vals = np.broadcast_to(
-            fn(grid.age_mesh, *grid.space_meshes), grid.field_shape
-        )
-        return cls(vals, grid)
-
-
 @dataclass(frozen=True)
 class SubDomain:
     """Axis-aligned sub-box of the spatial domain, given in coordinates."""
@@ -227,19 +193,14 @@ class SubDomain:
         return float(np.prod([h - l for l, h in zip(self.lo, self.hi)]))
 
 
-def _as_values(f, grid: Grid | None) -> tuple[np.ndarray, Grid]:
-    """Values and grid of a field, or of a stack of fields with leading
-    (path) axes."""
-    if isinstance(f, Field):
-        return f.values, f.grid
-    if grid is None:
-        raise ConfigurationError("a grid is required when passing a bare array")
+def _as_values(f, grid: Grid) -> np.ndarray:
+    """The values of a field, or of a stack of fields with leading (path) axes."""
     arr = np.asarray(f, dtype=float)
     if arr.shape[max(arr.ndim - grid.dim - 1, 0):] != grid.field_shape:
         raise InvalidFieldError(
             f"array shape {arr.shape} does not match grid {grid.field_shape}"
         )
-    return arr, grid
+    return arr
 
 
 def _field_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
@@ -252,17 +213,19 @@ def _scalar_or_stack(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
-def l2_norm(f, grid: Grid | None = None, strict: bool = True) -> float:
+def l2_norm(f, grid: Grid, strict: bool = True) -> float:
     """Discrete L2 norm over age and space.
 
     Trapezoid in age, midpoint in space:
     ``sqrt(sum f^2 * w_age * dx^d)``.  Zero iff the field vanishes.  A stack
     of fields (leading path axes) gives one norm per field.  A non-finite
-    entry raises :class:`InvalidFieldError`, or makes the norm NaN if not ``strict``.
+    entry raises :class:`InvalidFieldError`, or makes the norm NaN if not ``strict``;
+    a norm past a float is ``inf``.
     """
-    vals, grid = _as_values(f, grid)
-    sq = vals * vals
-    total = _field_sum(np.multiply(sq, grid.age_weight_field, out=sq), grid)
+    vals = _as_values(f, grid)
+    with np.errstate(over="ignore"):
+        sq = vals * vals
+        total = _field_sum(np.multiply(sq, grid.age_weight_field, out=sq), grid) * grid.cell_volume
     # the weights are positive, so a non-finite entry makes its sum
     # non-finite; only then is the field scanned
     if not np.all(np.isfinite(total)):
@@ -270,18 +233,17 @@ def l2_norm(f, grid: Grid | None = None, strict: bool = True) -> float:
         if strict and np.any(bad):
             raise InvalidFieldError("field contains non-finite entries")
         total = np.where(bad, np.nan, total)
-    return _scalar_or_stack(np.sqrt(total * grid.cell_volume))
+    return _scalar_or_stack(np.sqrt(total))
 
 
-def weighted_population(f, weight, region: SubDomain | None = None,
-                        grid: Grid | None = None) -> float:
+def weighted_population(f, weight, region: SubDomain | None, grid: Grid) -> float:
     """Weighted total population ``int weight * f`` over age and a sub-box.
 
     ``weight`` is an array broadcastable to the grid.  ``region=None``
     integrates over the whole box.  A stack of fields (leading path axes)
     gives one value per field.
     """
-    vals, grid = _as_values(f, grid)
+    vals = _as_values(f, grid)
     w = np.asarray(weight, dtype=float)
     if w.shape != grid.field_shape:
         w = np.broadcast_to(w, grid.field_shape)
@@ -359,10 +321,10 @@ def forward_differences(values: np.ndarray, grid: Grid) -> list[np.ndarray]:
     return out
 
 
-def gradient_energy(f, grid: Grid | None = None) -> float:
+def gradient_energy(f, grid: Grid) -> float:
     """Squared L2 norm of the forward-difference spatial gradient (one per
     field for a stack of fields)."""
-    vals, grid = _as_values(f, grid)
+    vals = _as_values(f, grid)
     age_w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     total = 0.0
     for diff in forward_differences(vals, grid):

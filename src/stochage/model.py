@@ -6,36 +6,41 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .grid import Field, Grid, SubDomain, l2_norm, weighted_population
+from .errors import ConfigurationError, InvalidFieldError
+from .grid import Grid, SubDomain, l2_norm, weighted_population
 from .noise import BrownianBundle, NoiseSpec
 from .rates import VitalRates, evaluate_gamma
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PopulationModel:
     """Grid, vital rates, noise modes, initial density and weighting region.
 
     ``region`` is the sub-box over which the nonlocal population
-    functional integrates; ``None`` means the whole habitat.  The initial
-    density's squared norm, which the energy bound reads, and its
-    population functional ``U`` must be finite floats.
+    functional integrates; ``None`` means the whole habitat.  The model keeps a
+    read-only copy of the initial density ``p0``, whose entries, squared norm (the
+    energy bound reads it) and population functional ``U`` must be finite floats.
     """
 
     grid: Grid
     rates: VitalRates
     noise: NoiseSpec
-    p0: Field
+    p0: np.ndarray
     region: SubDomain | None = None
 
     def __post_init__(self):
-        if self.p0.grid != self.grid:
-            raise ConfigurationError("initial data lives on a different grid")
+        p0 = np.array(self.p0, dtype=float)
+        if p0.shape != self.grid.field_shape:
+            raise ConfigurationError(f"p0 has shape {p0.shape}, not {self.grid.field_shape}")
+        if not np.all(np.isfinite(p0)):
+            raise InvalidFieldError("p0 contains non-finite entries")
+        p0.setflags(write=False)
+        object.__setattr__(self, "p0", p0)
         if self.region is not None:
             self.region.cell_slices(self.grid)
         with np.errstate(over="ignore", invalid="ignore"):   # named below instead
-            energy = np.square(l2_norm(self.p0))
-            u0 = weighted_population(self.p0, evaluate_gamma(self.rates, self.grid),
+            energy = np.square(l2_norm(p0, self.grid))
+            u0 = weighted_population(p0, evaluate_gamma(self.rates, self.grid),
                                      self.region, self.grid)
         if not np.isfinite(energy):
             raise ConfigurationError("p0 has a squared L2 norm that overflows a float")

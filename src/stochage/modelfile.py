@@ -50,7 +50,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, SubDomain
+from .grid import Grid, SubDomain
 from .model import PopulationModel
 from .noise import (Amplitude, NoiseSpec, age_polynomial_amplitude,
                     constant_amplitude, cosine_amplitude, sine_amplitude)
@@ -150,7 +150,7 @@ def parse_amplitude(text: str, dim: int, extent) -> Amplitude:
     return ctor(c, modes, extent)
 
 
-def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> Field:
+def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> np.ndarray:
     family, _, rest = spec.strip().partition(":")
     if family == "ageexp":
         amp, rate = _numbers(rest, spec, 2)
@@ -184,7 +184,10 @@ def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> Field:
             f"p0 = {spec.strip()}{f' with space_mode = {space_mode}' if space_mode else ''} "
             f"must give a finite initial density >= 0, got values from {np.min(values):.4g} "
             f"to {np.max(values):.4g}")
-    return Field(values, grid)
+    if family == "agegauss" and amp != 0.0 and not np.any(values):
+        raise ConfigurationError(f"p0 = {spec.strip()} is 0 on every node of the grid; "
+                                 f"its Gaussian misses the age nodes")
+    return values
 
 
 def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, SolverConfig]:
@@ -239,8 +242,14 @@ def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, Sol
 
     r = cp["rates"] if "rates" in cp else {}
     rate_text = {key: r.get(key, "constant:0") for key in ("mu_s", "m0", "gamma", "alpha0", "k0")}
-    rates = VitalRates(**{key: parse_rate(text) for key, text in rate_text.items()})
-    for key in ("mu_s", "m0", "gamma"):   # mortality, fertility and weight are nonnegative
+    rates = {}
+    for key, text in rate_text.items():
+        try:
+            rates[key] = parse_rate(text)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{key} = {text}: {exc}") from None
+    rates = VitalRates(**rates)
+    for key in ("mu_s", "m0", "gamma", "alpha0"):   # the rates and alpha0 are nonnegative
         if not _lowest(getattr(rates, key)) >= 0.0:
             raise ConfigurationError(f"{key} = {rate_text[key]} must be >= 0 everywhere, "
                                      f"got a lowest value of {_lowest(getattr(rates, key)):.4g}")

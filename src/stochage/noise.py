@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .grid import Field, Grid, face_shape
+from .grid import Grid, face_shape
 
 
 @dataclass(frozen=True)
@@ -311,7 +311,6 @@ def evaluate_noise(spec: NoiseSpec, bundles: Sequence[BrownianBundle],
                       tuple(field(g) for g in grids.gradients), field(grids.laplacians))
 
 
-def ito_correction(spec: NoiseSpec, grid: Grid) -> Field:
+def ito_correction(spec: NoiseSpec, grid: Grid) -> np.ndarray:
     """Drift released by rescaling: half the sum of squared amplitudes."""
-    return Field(0.5 * np.sum(amplitude_grids(spec, grid).values ** 2, axis=0),
-                 grid, copy=False)
+    return 0.5 * np.sum(amplitude_grids(spec, grid).values ** 2, axis=0)

@@ -60,7 +60,7 @@ class _DirectContext:
     def build(cls, model: PopulationModel) -> "_DirectContext":
         grid = model.grid
         return cls(model, grid, AmplitudeGrids(model.noise, grid).values,
-                   ito_correction(model.noise, grid).values, evaluate_gamma(model.rates, grid))
+                   ito_correction(model.noise, grid), evaluate_gamma(model.rates, grid))
 
     def boundary(self, rate, t: float) -> dict:
         return self.factors.faces(rate, self.grid, t)

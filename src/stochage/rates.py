@@ -60,7 +60,8 @@ class LogisticRate:
 
     def __call__(self, t, a, x, r):
         r = np.asarray(r, dtype=float)
-        z = self.slope * (r - self.center)
+        with np.errstate(over="ignore"):   # an infinite z saturates in the clip below
+            z = self.slope * (r - self.center)
         # clip keeps exp() in range; the logistic saturates well before 500
         val = self.base + self.amp / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
         shape = np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x))
@@ -82,8 +83,11 @@ class AgeProfileRate:
         if not (np.all(np.isfinite(ages)) and np.all(np.diff(ages) > 0)):
             raise ConfigurationError(
                 f"age table points {self.age_points} must be finite and strictly increasing")
-        if not np.all(np.isfinite(self.values)):
-            raise ConfigurationError(f"age table values {self.values} must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):   # named below instead
+            slopes = np.diff(self.values) / np.diff(ages)
+        if not np.all(np.isfinite(slopes)):
+            raise ConfigurationError(f"age table values {self.values} must be finite, "
+                                     f"with finite slopes between the points")
 
     @property
     def sup(self) -> float:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NoiseMagnitudeError
-from .grid import Face, Field, boundary_faces, boundary_norm_sq
+from .errors import ConfigurationError, InvalidFieldError, NoiseMagnitudeError
+from .grid import Face, boundary_faces, boundary_norm_sq
 from .model import PopulationModel
 from .noise import BrownianBundle, _contract, amplitude_grids, evaluate_noise, ito_correction
 from .rates import evaluate_on_faces
@@ -47,9 +47,9 @@ def _guarded_exp(w: np.ndarray, out: np.ndarray | None = None,
     return np.exp(w, out=out)
 
 
-def forward_transform(y: Field, w: np.ndarray) -> Field:
+def forward_transform(y: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Map the rescaled state back to the population density, ``p = exp(W) y``."""
-    return Field(_guarded_exp(np.asarray(w, dtype=float)) * y.values, y.grid, copy=False)
+    return _guarded_exp(np.asarray(w, dtype=float)) * y
 
 
 def densities(report, model: PopulationModel) -> np.ndarray:
@@ -59,8 +59,11 @@ def densities(report, model: PopulationModel) -> np.ndarray:
     if report.solver == "direct":
         return report.snapshots
     amp, bundles = amplitude_grids(model.noise, report.grid).values, [report.bundle]
-    return np.array([forward_transform(Field(y, report.grid), _contract(bundles, amp, i)[0])
-                     .values for y, i in zip(report.snapshots, report.snapshot_indices)])
+    p = np.array([forward_transform(y, _contract(bundles, amp, i)[0])
+                  for y, i in zip(report.snapshots, report.snapshot_indices)])
+    if not np.all(np.isfinite(p)):
+        raise InvalidFieldError("field contains non-finite entries")
+    return p
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,7 @@ class RescaledCoefficients:
         self.model = model
         self.grid = grid
         self.bundles = list(bundles)
-        self.mu = ito_correction(model.noise, grid).values
+        self.mu = ito_correction(model.noise, grid)
         self.faces = faces
         # running sups per bundle: |g1|, |g2|, div g2, |W|, W - W(t,0,x); k_sq per node
         self._max = {name: np.full(len(self.bundles), -np.inf if name == "dw0" else 0.0)

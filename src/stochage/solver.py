@@ -456,7 +456,8 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
     every path), and its population functional with weight ``gamma``.
     ``step(t_index, state, u_value, live)`` returns the :class:`StepResult`
     at node ``t_index`` of the paths ``live``, the rows of ``state``.  A row
-    leaves when the step fails it or it is not finite.  The march records
+    leaves when the step fails it or it, its norm or its ``U`` is not finite
+    (the step's overflow warnings are left to that check).  The march records
     only what every run reads (the series of :class:`SolveReport`, the step
     diagnostics and the snapshots) and gives each report its bundle.  At
     each node ``observer(t_index, state, live, u_value, coefficients)``, if
@@ -465,7 +466,7 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
     """
     grid, n_t, n_paths = model.grid, model.grid.n_t, len(bundles)
     failed, live, at = {}, np.arange(n_paths), np.s_[:]   # at: the rows of the live paths
-    p0 = np.broadcast_to(model.p0.values, (n_paths,) + grid.field_shape) if p0 is None else p0
+    p0 = np.broadcast_to(model.p0, (n_paths,) + grid.field_shape) if p0 is None else p0
     state = np.array(p0, order="C")   # a plain copy of the broadcast view puts the path axis last
     indices = _snapshot_indices(n_t, config.snapshot_stride)
     snapshots = None   # from the first slot after node 0, whose states are p0
@@ -480,7 +481,8 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
     result = StepResult(state, weighted_population(state, gamma, model.region, grid))
     for i in range(n_t + 1):
         if i:
-            result = step(i, state, u_value, live)
+            with np.errstate(over="ignore", invalid="ignore"):   # such a path fails below
+                result = step(i, state, u_value, live)
             iterations[at, i - 1] = result.iterations
             ratios[at, i - 1] = result.contraction_ratio
             cfl_max[at] = np.maximum(cfl_max[at], result.cfl)
@@ -488,8 +490,10 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
         state, u_value, built = result.state, result.u_value, result.coefficients
         series["l2"][at, i] = l2 = l2_norm(state, grid, strict=False)
         series["u"][at, i] = u_value
-        errors = {int(row): InvalidFieldError("field contains non-finite entries")
-                  for row in np.isnan(l2).nonzero()[0]} | result.failed
+        errors = {int(row): InvalidFieldError(
+            "field contains non-finite entries" if np.isnan(l2[row]) else
+            "the L2 norm or the population functional U of the state overflows a float")
+            for row in np.flatnonzero(~(np.isfinite(l2) & np.isfinite(u_value)))} | result.failed
         if errors:   # their paths leave the march
             keep = np.isin(np.arange(len(live)), list(errors), invert=True)
             failed.update({int(live[row]): exc for row, exc in errors.items()})
@@ -661,7 +665,7 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     shape = (len(bundles),) + model.grid.field_shape
     if p0 is not None and np.shape(p0) != shape:
         raise ConfigurationError(f"initial densities of shape {np.shape(p0)}, not {shape}")
-    p0 = np.broadcast_to(model.p0.values, shape) if p0 is None else np.asarray(p0, dtype=float)
+    p0 = np.broadcast_to(model.p0, shape) if p0 is None else np.asarray(p0, dtype=float)
     if not bundles:
         return []
     factors = DiffusionFactors()

@@ -36,11 +36,16 @@ def logistic_rates(gamma=1.0):
         alpha0=sa.ConstantRate(0.1), k0=sa.ConstantRate(0.0))
 
 
+def sample(grid, fn):
+    """``fn(a, *x)`` on the age nodes and cell centers: a field of ``grid``."""
+    return np.broadcast_to(fn(grid.age_mesh, *grid.space_meshes), grid.field_shape)
+
+
 def smooth_p0(grid, decay=1.0, ripple=0.2):
     if grid.dim == 1:
-        return sa.Field.from_function(
+        return sample(
             grid, lambda a, x: np.exp(-decay * a) * (1 + ripple * np.cos(np.pi * x)))
-    return sa.Field.from_function(
+    return sample(
         grid, lambda a, x, y: np.exp(-decay * a)
         * (1 + ripple * np.cos(np.pi * x) * np.cos(np.pi * y)))
 

@@ -14,7 +14,7 @@ from stochage.ensemble import fit_order, path_chunks, path_seed
 from stochage.noise import coarsen, evaluate_noise
 from stochage.rescale import densities
 
-from conftest import build_model, linear_rates, logistic_rates, smooth_p0
+from conftest import build_model, linear_rates, logistic_rates, sample, smooth_p0
 
 
 def report(criterion, ok, detail):
@@ -29,7 +29,7 @@ def aligned_grid(n_t, n_x, T=0.5, a_max=1.0):
 
 
 def const_age_p0(grid, value=2.0):
-    return sa.Field.from_function(grid, lambda a, x: np.full(
+    return sample(grid, lambda a, x: np.full(
         np.broadcast_shapes(np.shape(a), np.shape(x)), value))
 
 
@@ -136,7 +136,7 @@ def test_criterion_03a_characteristics_exact():
     n_t = 256
     grid = aligned_grid(n_t, 1)
     mu = 0.4
-    p0 = sa.Field.from_function(grid, lambda a, x: np.broadcast_to(
+    p0 = sample(grid, lambda a, x: np.broadcast_to(
         np.exp(-((a - 0.4) / 0.15) ** 2),
         np.broadcast_shapes(np.shape(a), np.shape(x))))
     model = build_model(grid, rates=sa.VitalRates(mu_s=sa.ConstantRate(mu)),
@@ -146,7 +146,7 @@ def test_criterion_03a_characteristics_exact():
                             sa.SolverConfig(snapshot_stride=0,
                                             include_diffusion=False))
     oracle = np.zeros(grid.field_shape)
-    oracle[n_t:] = p0.values[:-n_t] * np.exp(-mu * grid.dt) ** n_t
+    oracle[n_t:] = p0[:-n_t] * np.exp(-mu * grid.dt) ** n_t
     err = np.max(np.abs(rep.final - oracle)) / np.max(oracle)
     assert report("3a", err <= 1e-12,
                   f"aligned shift against characteristics, relative error "
@@ -156,7 +156,7 @@ def test_criterion_03a_characteristics_exact():
 def diffusive_model(n_t):
     grid = aligned_grid(n_t, 24)
     rates = sa.VitalRates(mu_s=sa.ConstantRate(0.4), alpha0=sa.ConstantRate(0.3))
-    p0 = sa.Field.from_function(grid, lambda a, x: np.exp(-((a - 0.4) / 0.15) ** 2)
+    p0 = sample(grid, lambda a, x: np.exp(-((a - 0.4) / 0.15) ** 2)
                                 * (1 + 0.3 * np.cos(np.pi * x)))
     return build_model(grid, rates=rates,
                        amplitudes=(sa.constant_amplitude(0.0, 1),), p0=p0)
@@ -283,12 +283,12 @@ def test_criterion_06_continuous_dependence():
     model = build_model(grid, p0=base)
     bundle = sa.sample_bundle(5, 1, grid.n_t, grid.T)
     consts = sa.constants_for_run(model, bundle)
-    bump = sa.Field.from_function(
+    bump = sample(
         grid, lambda a, x: np.exp(-((a - 0.3) / 0.2) ** 2) + 0 * x)
     # the stored run and the three bumped runs share the noise path: one batch
     deltas = (1e-2, 5e-3, 2.5e-3)
     _, acc = observed_solve(model, bundle, np.stack(
-        [base.values] + [base.values + delta * bump.values for delta in deltas]))
+        [base] + [base + delta * bump for delta in deltas]))
     ratios = [sa.dependence_check(acc, j, consts).ratio for j in range(1, len(deltas) + 1)]
     spread = (max(ratios) - min(ratios)) / max(ratios)
     ok = spread <= 0.10

@@ -459,7 +459,8 @@ class TestModelBoundary:
         path.write_text(text.replace("alpha0 = constant:0.2", "alpha0 = constant:-5.0"))
         assert main(["ensemble", "--model", str(path), "--solver", solver, "--paths", "2",
                      "--out", str(tmp_path / "o")]) == 3
-        assert "alpha0 must be >= 0 on the boundary, got -5" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "alpha0 = constant:-5.0 must be >= 0 everywhere, got a lowest value of -5" in err
 
     @pytest.mark.parametrize("old, new", [
         ("p0 = ageexp:1.5,1.0", "p0 = ageexp:-1.5,1.0"),
@@ -477,18 +478,24 @@ class TestModelBoundary:
         ("m0 = logistic:0.8,-0.5,1.5,0.5", "m0 = logistic:1e308,1.91,0.547,0.577"),
         ("k0 = constant:0.0", "k0 = constant:1e160"),
         ("mu_s = logistic:0.1,0.5,2.0,0.5", "mu_s = logistic:1.27,1e160,1.38,1.17"),
+        ("p0 = ageexp:1.5,1.0", "p0 = agegauss:1.64,-1.32,1e-300"),
+        ("p0 = ageexp:1.5,1.0", "p0 = agegauss:1.0,5.0,0.01"),
+        ("alpha0 = constant:0.2", "alpha0 = table:0:-1;0.001:1;1:1"),
+        ("alpha0 = constant:0.2", "alpha0 = table:0:0;0.5:1e308;1:1e308"),
     ], ids=["p0-negative", "mu_s-negative", "m0-negative", "gamma-negative",
             "mu_s-logistic-dips-below-0", "m0-window-negative", "m0-table-negative",
             "ito-correction-overflows", "u-overflows", "p0-norm-overflows",
             "agegauss-zero-width-off-node", "agegauss-zero-width-on-node",
             "m0-sup-squared-overflows", "k0-sup-squared-overflows",
-            "mu_s-sup-squared-overflows"])
+            "mu_s-sup-squared-overflows", "agegauss-between-nodes", "agegauss-beyond-nodes",
+            "alpha0-negative-at-age-0", "alpha0-slope-overflows"])
     def test_input_the_theory_excludes_is_config_error(self, old, new, tmp_path, capsys):
-        # a negative density or rate, a Gaussian density of width 0, or data
-        # whose Ito correction, squared norm, squared rate sup or population
-        # functional overflows a float, fails where the file is parsed: exit
-        # 3, named by its key and value, and no numpy warning on the way
-        # (every warning is recorded here)
+        # a negative density or rate (alpha0 too, even negative only at age 0,
+        # which the diffusion never reads), a Gaussian density of width 0 or 0
+        # on every node, or data whose Ito correction, squared norm, squared
+        # rate sup, table slope or population functional overflows a float,
+        # fails where the file is parsed: exit 3, named by its key and value,
+        # and no numpy warning on the way (every warning is recorded here)
         text = (MODELS / "sample1d.ini").read_text()
         assert text.count(old) == 1
         path = tmp_path / "m.ini"
@@ -503,13 +510,43 @@ class TestModelBoundary:
         assert err.startswith("configuration error: ") and new in err
         assert not out.exists() or not any(out.iterdir())
 
+    @pytest.mark.parametrize("edits, code, routes, status", [
+        ({"gamma = constant:1.0": "gamma = logistic:0.3,2,-1e308,1e300"}, 0,
+         ("rescaled", "direct"), "converged"),
+        ({"m0 = logistic:0.8,-0.5,1.5,0.5": "m0 = constant:1e20"}, 1, ("direct",),
+         "failed: the L2 norm or the population functional U of the state overflows a float"),
+        ({"gamma = constant:1.0": "gamma = constant:1e307",
+          "m0 = logistic:0.8,-0.5,1.5,0.5": "m0 = constant:5"}, 1, ("rescaled", "direct"),
+         "failed: the L2 norm or the population functional U of the state overflows a float"),
+    ], ids=["logistic-argument-overflows", "density-norm-overflows", "u-overflows-in-a-step"])
+    def test_overflow_the_program_handles_does_not_warn(self, edits, code, routes, status,
+                                                        tmp_path):
+        # a logistic argument past a float saturates, and a path whose norm or
+        # U overflows, in a step or after it, fails alone and named: no numpy
+        # warning on the way
+        text = (MODELS / "sample1d.ini").read_text()
+        for old, new in edits.items():
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        path = tmp_path / "m.ini"
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["ensemble", "--model", str(path), "--solver", "both", "--paths", "2",
+                         "--out", str(tmp_path / "o")]) == code
+        assert caught == []
+        with open(tmp_path / "o" / "paths.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["status"] for row in rows if row["solver"] in routes] == [status] * (
+            2 * len(routes))
+
     @pytest.mark.parametrize("scale, gamma", [(1e160, 0.0), (2.0, 1e308)],
                              ids=["p0-norm-overflows", "u-overflows"])
     def test_code_built_model_past_a_float_is_config_error(self, scale, gamma, grid1d):
         # the model checks the data energy and U itself, so a model built in
         # code fails where it is built, before a march warns of an overflow
         rates = dataclasses.replace(linear_rates(), gamma=sa.ConstantRate(gamma))
-        p0 = sa.Field(np.full(grid1d.field_shape, scale), grid1d)
+        p0 = np.full(grid1d.field_shape, scale)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ConfigurationError, match="overflows a float"):

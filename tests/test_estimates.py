@@ -16,7 +16,7 @@ from stochage.noise import coarsen
 from stochage.rates import evaluate_gamma, evaluate_on_faces
 from stochage.rescale import RescaledCoefficients
 
-from conftest import build_model, linear_rates, logistic_rates, smooth_p0
+from conftest import build_model, linear_rates, logistic_rates, sample, smooth_p0
 
 
 def solved_pair(grid, seed=5, rates=None, stride=0, p0=None):
@@ -31,7 +31,7 @@ def observed(model, bundle, *bumped, stride=0):
     """Reports and estimates of one batch on ``bundle``: the stored run from
     ``model.p0``, then one run per density of ``bumped``."""
     acc = sa.EstimateAccumulator(model)
-    p0 = np.stack([model.p0.values, *bumped])
+    p0 = np.stack([model.p0, *bumped])
     reports = sa.solve_rescaled_batch(model, [bundle] * len(p0),
                                       sa.SolverConfig(snapshot_stride=stride), p0, observer=acc)
     assert all(isinstance(r, sa.SolveReport) for r in reports)
@@ -106,7 +106,7 @@ class TestAprioriCheck:
                 assert now == value, name
 
     def test_zero_data_zero_margin(self, grid1d):
-        p0 = sa.Field(np.zeros(grid1d.field_shape), grid1d)
+        p0 = np.zeros(grid1d.field_shape)
         model, bundle, _, acc = solved_pair(grid1d, p0=p0)
         consts = sa.constants_for_run(model, bundle)
         margins = sa.apriori_check(acc, consts)
@@ -117,7 +117,7 @@ class TestAprioriCheck:
         # same square, leaving the margins unchanged
         model, bundle, _, acc = solved_pair(grid1d)
         lam = 3.7
-        scaled = build_model(grid1d, p0=sa.Field(lam * model.p0.values, grid1d))
+        scaled = build_model(grid1d, p0=lam * model.p0)
         _, acc2 = observed(scaled, bundle)
         m1 = sa.apriori_check(acc, sa.constants_for_run(model, bundle))
         c2 = sa.constants_for_run(scaled, bundle)
@@ -190,7 +190,7 @@ class TestDependence:
     def test_identical_runs_zero(self, grid1d):
         model = build_model(grid1d)
         bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
-        _, acc = observed(model, bundle, model.p0.values)
+        _, acc = observed(model, bundle, model.p0)
         consts = sa.constants_for_run(model, bundle)
         res = sa.dependence_check(acc, 1, consts)
         assert res.difference_energy == 0.0
@@ -202,10 +202,10 @@ class TestDependence:
         model = build_model(grid1d, p0=base)
         bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
         consts = sa.constants_for_run(model, bundle)
-        bump = sa.Field.from_function(
+        bump = sample(
             grid1d, lambda a, x: np.exp(-((a - 0.3) / 0.2) ** 2) + 0 * x)
         deltas = (1e-2, 5e-3, 2.5e-3)
-        _, acc = observed(model, bundle, *(base.values + d * bump.values for d in deltas))
+        _, acc = observed(model, bundle, *(base + d * bump for d in deltas))
         ratios = [sa.dependence_check(acc, j, consts).ratio for j in range(1, len(deltas) + 1)]
         spread = (max(ratios) - min(ratios)) / max(ratios)
         assert spread <= 0.10
@@ -214,9 +214,9 @@ class TestDependence:
         base = smooth_p0(grid1d)
         model = build_model(grid1d, p0=base)
         bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
-        pert = build_model(grid1d, p0=sa.Field(base.values + 0.01, grid1d))
-        _, acc12 = observed(model, bundle, pert.p0.values)
-        _, acc21 = observed(pert, bundle, model.p0.values)
+        pert = build_model(grid1d, p0=base + 0.01)
+        _, acc12 = observed(model, bundle, pert.p0)
+        _, acc21 = observed(pert, bundle, model.p0)
         c1 = sa.constants_for_run(model, bundle)
         c2 = sa.constants_for_run(pert, bundle)
         r12 = sa.dependence_check(acc12, 1, c1, c2)
@@ -226,7 +226,7 @@ class TestDependence:
 
 class TestWeakResidualRandom:
     def test_zero_trajectory_zero_residual(self, grid1d):
-        p0 = sa.Field(np.zeros(grid1d.field_shape), grid1d)
+        p0 = np.zeros(grid1d.field_shape)
         _, _, _, acc = solved_pair(grid1d, p0=p0)
         res = acc.weak_residual()
         assert res.max_abs == 0.0
@@ -286,7 +286,7 @@ class TestWeakResidualRandom:
 
 class TestWeakResidualStochastic:
     def test_zero_trajectory(self, grid1d):
-        model = build_model(grid1d, p0=sa.Field(np.zeros(grid1d.field_shape), grid1d))
+        model = build_model(grid1d, p0=np.zeros(grid1d.field_shape))
         bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
         rep = sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=1))
         res = sa.weak_residual_stochastic(rep, model)

@@ -7,6 +7,8 @@ from stochage.errors import ConfigurationError, InvalidFieldError
 from stochage.grid import (Face, boundary_faces, boundary_norm_sq,
                            face_measure, face_meshes, face_shape)
 
+from conftest import build_model
+
 
 def reference_norm(values, grid):
     """Independent quadrature: python loops, trapezoid in age, midpoint in space."""
@@ -44,34 +46,37 @@ class TestGrid:
             grid1d.coarsen_time(0)
 
 
-class TestField:
+class TestModelInitialDensity:
     def test_rejects_nonfinite(self, grid1d):
         bad = np.zeros(grid1d.field_shape)
         bad[3, 2] = np.nan
         with pytest.raises(InvalidFieldError):
-            sa.Field(bad, grid1d)
+            build_model(grid1d, p0=bad)
 
     def test_rejects_wrong_shape(self, grid1d):
-        with pytest.raises(InvalidFieldError):
-            sa.Field(np.zeros((3, 3)), grid1d)
+        with pytest.raises(ConfigurationError, match=r"p0 has shape \(3, 3\)"):
+            build_model(grid1d, p0=np.zeros((3, 3)))
 
     def test_immutable(self, grid1d):
-        f = sa.Field(np.ones(grid1d.field_shape), grid1d)
+        values = np.ones(grid1d.field_shape)
+        model = build_model(grid1d, p0=values)
+        values[0, 0] = 2.0   # the model keeps its own copy
         with pytest.raises(ValueError):
-            f.values[0, 0] = 2.0
+            model.p0[0, 0] = 2.0
         with pytest.raises(AttributeError):
-            f.values = np.zeros(grid1d.field_shape)
+            model.p0 = np.zeros(grid1d.field_shape)
+        assert np.all(model.p0 == 1.0)
 
 
 class TestL2Norm:
     def test_zero_field(self, grid1d):
-        assert sa.l2_norm(sa.Field(np.zeros(grid1d.field_shape), grid1d)) == 0.0
+        assert sa.l2_norm(np.zeros(grid1d.field_shape), grid1d) == 0.0
 
     def test_constant_field_exact(self):
         # integral of 1 over (0, 2) x unit box is 2
         grid = sa.Grid(T=1.0, a_max=2.0, n_t=16, n_a=32, extent=(1.0,), n_x=(5,))
-        f = sa.Field(np.ones(grid.field_shape), grid)
-        assert sa.l2_norm(f) == pytest.approx(np.sqrt(2.0), rel=1e-14)
+        f = np.ones(grid.field_shape)
+        assert sa.l2_norm(f, grid) == pytest.approx(np.sqrt(2.0), rel=1e-14)
 
     def test_matches_independent_quadrature(self, grid1d, grid2d):
         rng = np.random.default_rng(0)
@@ -103,27 +108,28 @@ class TestL2Norm:
 class TestWeightedPopulation:
     def test_unit_volume(self):
         grid = sa.Grid(T=1.0, a_max=1.0, n_t=8, n_a=8, extent=(1.0,), n_x=(4,))
-        f = sa.Field(np.ones(grid.field_shape), grid)
-        assert sa.weighted_population(f, 1.0) == pytest.approx(1.0, rel=1e-14)
+        f = np.ones(grid.field_shape)
+        assert sa.weighted_population(f, 1.0, None, grid) == pytest.approx(1.0, rel=1e-14)
 
     def test_zero_weight(self, grid1d):
-        f = sa.Field(np.full(grid1d.field_shape, 3.0), grid1d)
-        assert sa.weighted_population(f, 0.0) == 0.0
+        f = np.full(grid1d.field_shape, 3.0)
+        assert sa.weighted_population(f, 0.0, None, grid1d) == 0.0
 
     def test_age_weight(self):
         # weight a on (0, 2): integral of a over age is 2 (trapezoid exact)
         grid = sa.Grid(T=1.0, a_max=2.0, n_t=8, n_a=16, extent=(1.0,), n_x=(4,))
-        f = sa.Field(np.ones(grid.field_shape), grid)
-        val = sa.weighted_population(f, grid.age_mesh)
+        f = np.ones(grid.field_shape)
+        val = sa.weighted_population(f, grid.age_mesh, None, grid)
         assert val == pytest.approx(2.0, rel=1e-14)
 
     def test_linearity(self, grid1d):
         rng = np.random.default_rng(1)
-        f = sa.Field(rng.normal(size=grid1d.field_shape), grid1d)
-        g = sa.Field(rng.normal(size=grid1d.field_shape), grid1d)
+        f = rng.normal(size=grid1d.field_shape)
+        g = rng.normal(size=grid1d.field_shape)
         w = 1 + 0.5 * grid1d.age_mesh
-        lhs = sa.weighted_population(2.5 * f.values + (-1.5) * g.values, w, grid=grid1d)
-        rhs = 2.5 * sa.weighted_population(f, w) - 1.5 * sa.weighted_population(g, w)
+        lhs = sa.weighted_population(2.5 * f + (-1.5) * g, w, None, grid1d)
+        rhs = (2.5 * sa.weighted_population(f, w, None, grid1d)
+               - 1.5 * sa.weighted_population(g, w, None, grid1d))
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
     def test_cauchy_schwarz_bound(self, grid1d):
@@ -138,14 +144,14 @@ class TestWeightedPopulation:
             assert val <= bound * (1 + 1e-12)
 
     def test_subdomain_restriction(self, grid1d):
-        f = sa.Field(np.ones(grid1d.field_shape), grid1d)
+        f = np.ones(grid1d.field_shape)
         region = sa.SubDomain((0.0,), (0.5,))
-        assert sa.weighted_population(f, 1.0, region) == pytest.approx(0.5, rel=1e-14)
+        assert sa.weighted_population(f, 1.0, region, grid1d) == pytest.approx(0.5, rel=1e-14)
 
     def test_misaligned_region_rejected(self, grid1d):
         region = sa.SubDomain((0.0,), (0.4321,))
         with pytest.raises(ConfigurationError):
-            sa.weighted_population(sa.Field(np.zeros(grid1d.field_shape), grid1d), 1.0, region)
+            sa.weighted_population(np.zeros(grid1d.field_shape), 1.0, region, grid1d)
 
 
 class TestFaces:

@@ -71,7 +71,7 @@ class TestParseModel:
         assert coarse.grid.n_t == fine.grid.n_t // 2
         assert coarse.grid.n_a == fine.grid.n_a // 2
         # analytic resampling: coarse initial data is the subsampled fine one
-        assert np.allclose(coarse.p0.values, fine.p0.values[::2], rtol=1e-15)
+        assert np.allclose(coarse.p0, fine.p0[::2], rtol=1e-15)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigurationError):

@@ -275,21 +275,21 @@ class TestEvaluateNoise:
 class TestItoCorrection:
     def test_constant_two(self, grid1d):
         f = sa.ito_correction(sa.NoiseSpec((sa.constant_amplitude(2.0, 1),)), grid1d)
-        assert np.all(f.values == 2.0)  # half of 4
+        assert np.all(f == 2.0)  # half of 4
 
     def test_two_unit_modes(self, grid1d):
         spec = sa.NoiseSpec((sa.constant_amplitude(1.0, 1),
                              sa.constant_amplitude(1.0, 1)))
-        assert np.all(sa.ito_correction(spec, grid1d).values == 1.0)
+        assert np.all(sa.ito_correction(spec, grid1d) == 1.0)
 
     def test_age_mode(self, grid1d):
         spec = sa.NoiseSpec((sa.age_polynomial_amplitude((0.0, 1.0), 1),))
         f = sa.ito_correction(spec, grid1d)
-        assert np.allclose(f.values, grid1d.age_mesh ** 2 / 2, rtol=1e-15)
+        assert np.allclose(f, grid1d.age_mesh ** 2 / 2, rtol=1e-15)
 
     def test_nonnegative_and_zero_iff(self, grid1d):
         spec = sa.NoiseSpec((sa.cosine_amplitude(0.5, (1,), grid1d.extent),))
         f = sa.ito_correction(spec, grid1d)
-        assert np.all(f.values >= 0.0)
+        assert np.all(f >= 0.0)
         # cos(pi x) vanishes only at x = 1/2, not at any cell center here
-        assert np.all(f.values > 0.0)
+        assert np.all(f > 0.0)

@@ -12,14 +12,14 @@ from stochage.noise import coarsen
 from stochage.oracle import _DirectContext, em_step
 from stochage.rates import CustomRate
 
-from conftest import build_model, linear_rates, logistic_rates, smooth_p0
+from conftest import build_model, linear_rates, logistic_rates, sample, smooth_p0
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
 def gbm_model(n_t, p0_value=2.0):
     grid = sa.Grid(T=0.5, a_max=1.0, n_t=n_t, n_a=2 * n_t, extent=(1.0,), n_x=(1,))
-    p0 = sa.Field.from_function(grid, lambda a, x: np.full(
+    p0 = sample(grid, lambda a, x: np.full(
         np.broadcast_shapes(np.shape(a), np.shape(x)), p0_value))
     return build_model(grid, rates=sa.VitalRates(),
                        amplitudes=(sa.constant_amplitude(1.0, 1),), p0=p0)
@@ -35,7 +35,7 @@ class TestEmStep:
     def test_zero_increment_is_deterministic_step(self, linear_model):
         grid = linear_model.grid
         ctx = _DirectContext.build(linear_model)
-        p = linear_model.p0.values.copy()
+        p = linear_model.p0.copy()
         faces = robin(ctx, grid.dt)
         stepped, _, over = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, grid.dt,
                                    faces)
@@ -47,7 +47,7 @@ class TestEmStep:
     def test_scalar_multiplicative_update(self):
         model = gbm_model(8)
         ctx = _DirectContext.build(model)
-        p = model.p0.values.copy()
+        p = model.p0.copy()
         dbeta = 0.125
         out, _, _ = em_step(p.copy(), np.array([dbeta]), ctx,
                             model.grid.dt, 0.0, model.grid.dt,
@@ -60,7 +60,7 @@ class TestEmStep:
         model = gbm_model(8)
         ctx = _DirectContext.build(model)
         dt = model.grid.dt
-        p = model.p0.values.copy()
+        p = model.p0.copy()
         out, _, over = em_step(p, np.array([d]), ctx, dt, 0.0, dt, robin(ctx, dt))
         # the default factor: 1 + d + d^2/2 - mu dt with mu = 1/2
         assert out[-1, 0] == pytest.approx(2.0 * (1 + d + d**2 / 2 - dt / 2),
@@ -74,7 +74,7 @@ class TestEmStep:
     def test_overshoot_flag(self):
         model = gbm_model(8)
         ctx = _DirectContext.build(model)
-        p = model.p0.values.copy()
+        p = model.p0.copy()
         _, _, over = em_step(p, np.array([1.5]), ctx, model.grid.dt, 0.0,
                              model.grid.dt, robin(ctx, model.grid.dt))
         assert over

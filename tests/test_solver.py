@@ -21,7 +21,7 @@ from stochage.solver import (DiffusionFactors, StepResult, TruncationGuard, _adv
                              truncate_argument)
 
 from conftest import (PINNED_NUMPY, build_model, fails_alone, linear_rates, logistic_rates,
-                      nan_fertility_model, same, smooth_p0)
+                      nan_fertility_model, same, sample, smooth_p0)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -547,7 +547,7 @@ class TestPicard:
         rep = sa.solve_rescaled(linear_model, bundle, cfg)
         coeffs = RescaledCoefficients(linear_model, [bundle])
         gamma_vals = evaluate_gamma(linear_model.rates, grid)
-        step = sa.picard_step_solve(linear_model.p0.values[None].copy(), 1, coeffs,
+        step = sa.picard_step_solve(linear_model.p0[None].copy(), 1, coeffs,
                                     gamma_vals, linear_model.region, None, cfg)
         assert np.array_equal(step.state[0], rep.snapshots[1])
         assert step.iterations == rep.picard_iterations[0]
@@ -561,7 +561,7 @@ class TestSolveRescaled:
                        extent=(1.0,), n_x=(1,))
         mu = 0.4
         rates = sa.VitalRates(mu_s=sa.ConstantRate(mu))
-        p0 = sa.Field.from_function(grid, lambda a, x: np.broadcast_to(
+        p0 = sample(grid, lambda a, x: np.broadcast_to(
             np.exp(-((a - 0.4) / 0.15) ** 2),
             np.broadcast_shapes(np.shape(a), np.shape(x))))
         model = build_model(grid, rates=rates,
@@ -569,7 +569,7 @@ class TestSolveRescaled:
         bundle = sa.sample_bundle(0, 1, n_t, grid.T)
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=0))
         oracle = np.zeros(grid.field_shape)
-        oracle[n_t:] = p0.values[:-n_t] * np.exp(-mu * grid.dt) ** n_t
+        oracle[n_t:] = p0[:-n_t] * np.exp(-mu * grid.dt) ** n_t
         assert np.max(np.abs(rep.final - oracle)) <= 1e-12 * np.max(oracle)
 
     def test_renewal_equation_oracle(self):
@@ -580,7 +580,7 @@ class TestSolveRescaled:
                        extent=(1.0,), n_x=(1,))
         m0 = 1.8
         rates = sa.VitalRates(m0=sa.ConstantRate(m0))
-        p0 = sa.Field.from_function(grid, lambda a, x: np.broadcast_to(
+        p0 = sample(grid, lambda a, x: np.broadcast_to(
             np.exp(-a), np.broadcast_shapes(np.shape(a), np.shape(x))))
         model = build_model(grid, rates=rates,
                             amplitudes=(sa.constant_amplitude(0.0, 1),), p0=p0)
@@ -635,7 +635,7 @@ class TestSolveRescaled:
         assert len(rep.l2_series) == grid.n_t + 1
         assert rep.snapshot_indices[0] == 0
         assert rep.snapshot_indices[-1] == grid.n_t
-        assert np.array_equal(rep.snapshots[0], linear_model.p0.values)
+        assert np.array_equal(rep.snapshots[0], linear_model.p0)
         assert len(rep.snapshots) == len(rep.snapshot_indices) < grid.n_t + 1
         assert 1 not in rep.snapshot_indices
 
@@ -663,7 +663,7 @@ def march_without_path_axis(model, bundle, cfg):
     else:
         guard = TruncationGuard(np.array([cfg.truncation_radius]),
                                 activations=np.zeros(1, dtype=int))
-    y, steps = model.p0.values[None].copy(), []
+    y, steps = model.p0[None].copy(), []
     for n in range(1, model.grid.n_t + 1):
         steps.append(sa.picard_step_solve(y, n, coeffs, gamma, model.region,
                                           guard, cfg))
@@ -794,10 +794,10 @@ class TestSolveRescaledBatch:
         model, cfg = parse_model(MODELS / f"{name}.ini")
         cfg = dataclasses.replace(cfg, snapshot_stride=1)
         bundle = bundles_for(model, 1)[0]
-        p0 = np.stack([model.p0.values] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
+        p0 = np.stack([model.p0] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
         batch = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
         for rep, row in zip(batch, p0, strict=True):
-            own = dataclasses.replace(model, p0=sa.Field(row, model.grid))
+            own = dataclasses.replace(model, p0=row)
             assert same(rep, sa.solve_rescaled(own, bundle, cfg))
             assert rep.snapshots[0].tobytes() == row.tobytes()
         assert len({rep.guard.constants.y0_norm_sq for rep in batch}) == 3
@@ -816,7 +816,7 @@ class TestSolveRescaledBatch:
         elif change is not None:
             cfg = dataclasses.replace(cfg, truncation_radius=change)
         bundle = bundles_for(model, 1)[0]
-        p0 = np.stack([model.p0.values] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
+        p0 = np.stack([model.p0] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
         acc = sa.EstimateAccumulator(model)
         observed = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0, observer=acc)
         plain = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
@@ -877,19 +877,19 @@ class TestSolveRescaledBatch:
         # that starts from the largest density, as its one-path solve does
         model, cfg = parse_model(MODELS / "sample1d.ini", coarsen=4)
         bundle = bundles_for(model, 1, base=3)[0]
-        p0 = np.stack([scale * model.p0.values for scale in (1.0, 1.5, 3.0)])
+        p0 = np.stack([scale * model.p0 for scale in (1.0, 1.5, 3.0)])
         peaks = [r.l2_series.max() for r in sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)]
         assert peaks == sorted(peaks)
         cfg = dataclasses.replace(cfg, truncation_radius=0.5 * (peaks[1] + peaks[2]))
         batch = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
         assert [rep.guard.activations > 0 for rep in batch] == [False, False, True]
         for rep, row in zip(batch, p0):
-            own = dataclasses.replace(model, p0=sa.Field(row, model.grid))
+            own = dataclasses.replace(model, p0=row)
             assert same(rep, sa.solve_rescaled(own, bundle, cfg))
 
     def test_initial_stack_of_the_wrong_shape_is_a_configuration_error(self, linear_model):
         bundles = bundles_for(linear_model, 2)
-        field = linear_model.p0.values
+        field = linear_model.p0
         for p0 in (field, np.stack([field]), np.stack([field] * 3), np.stack([field[1:]] * 2)):
             with pytest.raises(ConfigurationError, match="initial densities"):
                 sa.solve_rescaled_batch(linear_model, bundles, sa.SolverConfig(), p0)
