@@ -127,15 +127,13 @@ def _cmd_check(args) -> int:
     fine = estimates.EstimateAccumulator(model)
     report, *perturbed = solve_rescaled_batch(model, [bundle] * 3, cfg, p0, observer=fine)
     report = _only([report])
-    consts = report.guard.constants
-    if consts is None:  # a fixed radius keeps no energy-bound constants
-        consts = estimates.constants_for_run(model, bundle, c0=cfg.c0, c1=cfg.c1)
+    consts = estimates.constants_for_run(model, report.sups, c0=cfg.c0, c1=cfg.c1)
     rows = [
         estimates.CheckRow("rate_validation_violations",
                            len(validate_rates(model.rates, model.grid)), 0),
         estimates.CheckRow("apriori_margin_max",
                            np.max(estimates.apriori_check(fine, consts)), 1.0),
-        estimates.CheckRow("truncation_activations", report.guard.activations, 0)]
+        estimates.CheckRow("truncation_activations", report.truncations, 0)]
 
     # continuous dependence: quadratic scaling in an initial-data bump
     for rep2 in perturbed:   # raises a bumped run's error

@@ -160,7 +160,7 @@ def _run_chunk(config: RunConfig, indices: range,
                 final_l2=l2_norm(p_final, model.grid),
                 mass=np.array([weighted_population(p, 1.0, None, model.grid) for p in dens]),
                 picard_max=int(report.picard_iterations.max()),
-                truncations=report.guard.activations if report.guard else 0))
+                truncations=report.truncations))
             if out_dir is not None and config.snapshot_stride > 0:
                 save_field(Path(out_dir) / f"path_{index:05d}_{name}.bin", p_final)
                 write_series_csv(

@@ -25,9 +25,9 @@ from .errors import ConfigurationError, StochageError
 from .grid import (Grid, boundary_faces, face_measure, face_shape, gradient_energy, l2_norm,
                    weighted_population)
 from .model import PopulationModel
-from .noise import BrownianBundle, amplitude_grids, ito_correction
+from .noise import amplitude_grids, ito_correction
 from .rates import VitalRates, evaluate_gamma, evaluate_on_faces, evaluate_on_grid
-from .rescale import CoefficientSups, RescaledCoefficients
+from .rescale import CoefficientSups
 
 
 # ---------------------------------------------------------------------------
@@ -101,21 +101,12 @@ def compute_constants(rates: VitalRates, sups: CoefficientSups, *,
         l1=l1, l2=l2)
 
 
-def constants_for_run(model: PopulationModel,
-                      bundle: BrownianBundle | None = None,
+def constants_for_run(model: PopulationModel, sups: CoefficientSups,
                       c0: float = 1.0, c1: float = 1.0,
-                      sups: CoefficientSups | None = None,
                       y0_norm_sq: float | None = None) -> EstimateConstants:
-    """Constants of one path from its coefficient ``sups``, else from a sweep
-    of ``bundle`` as a batch of one, which raises the path's exp-guard error
-    (a march at an automatic radius gathers them instead), and the data
-    energy ``y0_norm_sq``, by default that of ``model.p0``."""
-    if sups is None:
-        if bundle is None:
-            raise ConfigurationError("a bundle or its coefficient sups are required")
-        (sups,) = RescaledCoefficients(model, [bundle]).coefficient_sups()
-        if isinstance(sups, StochageError):
-            raise sups
+    """Constants of one path from its coefficient ``sups`` (a rescaled
+    report's ``sups``, or a sweep's) and the data energy ``y0_norm_sq``, by
+    default that of ``model.p0``."""
     return compute_constants(
         model.rates, sups, c0=c0, c1=c1, region_volume=model.region_volume,
         a_max=model.grid.a_max, horizon=model.grid.T,
@@ -343,18 +334,21 @@ class EstimateAccumulator:
         if paths[0] != 0:
             return
         y = states[0]
-        for row, j in enumerate(paths):
-            d = y - states[row] if row else y
-            self.terms[j, :, i] = (l2_norm(d, grid) ** 2, np.sum(d[grid.rows(-1)] ** 2)
-                                   * grid.cell_volume, gradient_energy(d, grid))
-        g1, g2, exp_dw0, k = coefficients or (   # node 0: W = 0
-            ito_correction(self.model.noise, grid)[None], [[0.0]] * grid.dim, [1.0],
-            {f: a[None] for f, a in evaluate_on_faces(self.model.rates.k0, grid, 0.0).items()})
-        _weak_node(self._residual, y, u[0], self.model, self.psis, i, (
-            g1[0], [g[0] for g in g2], exp_dw0[0], {f: a[0] for f, a in k.items()}), timed=True)
-        if i == 0:
-            self._initial = np.array([np.sum(y * psi.A * grid.age_weight_field) * grid.cell_volume
-                                      * psi.phi(0.0) for psi in self.psis])
+        # a term past a float is inf or NaN, named by the march, the bound or its check row
+        with np.errstate(over="ignore", invalid="ignore"):
+            for row, j in enumerate(paths):
+                d = y - states[row] if row else y
+                self.terms[j, :, i] = (np.float64(l2_norm(d, grid)) ** 2,   # a float's pow, or inf
+                                       np.sum(np.square(d[grid.rows(-1)])) * grid.cell_volume,
+                                       gradient_energy(d, grid))
+            g1, g2, exp_dw0, k = coefficients or (   # node 0: W = 0
+                ito_correction(self.model.noise, grid)[None], [[0.0]] * grid.dim, [1.0],
+                {f: a[None] for f, a in evaluate_on_faces(self.model.rates.k0, grid, 0.0).items()})
+            _weak_node(self._residual, y, u[0], self.model, self.psis, i, (
+                g1[0], [g[0] for g in g2], exp_dw0[0], {f: a[0] for f, a in k.items()}), timed=True)
+            if i == 0:
+                self._initial = np.array([np.sum(y * psi.A * grid.age_weight_field)
+                                          * grid.cell_volume * psi.phi(0.0) for psi in self.psis])
 
     def energy(self, path: int) -> tuple[np.ndarray, np.ndarray]:
         """Per node, the squared norm and the energy estimate's left side of

@@ -203,9 +203,21 @@ def _as_values(f, grid: Grid) -> np.ndarray:
     return arr
 
 
-def _field_sum(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Sum over the age and space axes, one entry per leading (path) index."""
-    return values.sum(axis=tuple(range(-grid.dim - 1, 0)))
+def _scaled_sum(values: np.ndarray, axes: tuple, scale: float) -> np.ndarray:
+    """The sum of ``values`` over ``axes`` times ``scale``; where that is not
+    finite, the sum of the values times ``scale``, so a sum past a float whose
+    scaled sum is not stays finite (a finite result keeps its bits).  Call it
+    under ``np.errstate(over="ignore")``: a sum past a float is expected here."""
+    total = values.sum(axis=axes) * scale
+    if not np.isfinite(total).all():
+        total = np.where(np.isfinite(total), total, (values * scale).sum(axis=axes))
+    return total
+
+
+def _integral(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Sum over the age and space axes, one entry per leading (path) index,
+    times the cell volume, by :func:`_scaled_sum`."""
+    return _scaled_sum(values, tuple(range(-grid.dim - 1, 0)), grid.cell_volume)
 
 
 def _scalar_or_stack(x):
@@ -225,7 +237,7 @@ def l2_norm(f, grid: Grid, strict: bool = True) -> float:
     vals = _as_values(f, grid)
     with np.errstate(over="ignore"):
         sq = vals * vals
-        total = _field_sum(np.multiply(sq, grid.age_weight_field, out=sq), grid) * grid.cell_volume
+        total = _integral(np.multiply(sq, grid.age_weight_field, out=sq), grid)
     # the weights are positive, so a non-finite entry makes its sum
     # non-finite; only then is the field scanned
     if not np.all(np.isfinite(total)):
@@ -251,7 +263,8 @@ def weighted_population(f, weight, region: SubDomain | None, grid: Grid) -> floa
     integrand *= grid.age_weight_field
     if region is not None:
         integrand = integrand[(Ellipsis, slice(None)) + region.cell_slices(grid)]
-    return _scalar_or_stack(_field_sum(integrand, grid) * grid.cell_volume)
+    with np.errstate(over="ignore"):
+        return _scalar_or_stack(_integral(integrand, grid))
 
 
 @dataclass(frozen=True)
@@ -303,13 +316,15 @@ def face_measure(grid: Grid, face: Face) -> float:
 
 def boundary_norm_sq(face_data: dict, grid: Grid) -> float:
     """Squared L2 norm over age and the whole boundary of per-face data
-    (one per field when the face data carry leading path axes)."""
+    (one per field when the face data carry leading path axes); a norm past
+    a float is ``inf``."""
     total = 0.0
     face_axes = tuple(range(-grid.dim, 0))
     w = grid.age_weights.reshape((-1,) + (1,) * (grid.dim - 1))
-    for face in boundary_faces(grid):
-        vals = np.asarray(face_data[face], dtype=float)
-        total = total + np.sum(vals * vals * w, axis=face_axes) * face_measure(grid, face)
+    with np.errstate(over="ignore"):
+        for face in boundary_faces(grid):
+            vals = np.asarray(face_data[face], dtype=float)
+            total = total + _scaled_sum(vals * vals * w, face_axes, face_measure(grid, face))
     return _scalar_or_stack(total)
 
 
@@ -327,7 +342,8 @@ def gradient_energy(f, grid: Grid) -> float:
     vals = _as_values(f, grid)
     age_w = grid.age_weights.reshape((-1,) + (1,) * grid.dim)
     total = 0.0
-    for diff in forward_differences(vals, grid):
-        diff *= diff
-        total += _field_sum(np.multiply(diff, age_w, out=diff), grid) * grid.cell_volume
+    with np.errstate(over="ignore"):
+        for diff in forward_differences(vals, grid):
+            diff *= diff
+            total += _integral(np.multiply(diff, age_w, out=diff), grid)
     return _scalar_or_stack(total)

@@ -78,7 +78,7 @@ class AgeProfileRate:
 
     def __post_init__(self):
         if len(self.age_points) != len(self.values) or len(self.values) < 2:
-            raise ConfigurationError("age table needs matching points and values")
+            raise ConfigurationError("age table needs two or more points, with one value each")
         ages = np.asarray(self.age_points, dtype=float)
         if not (np.all(np.isfinite(ages)) and np.all(np.diff(ages) > 0)):
             raise ConfigurationError(

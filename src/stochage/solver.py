@@ -34,7 +34,7 @@ from .grid import Face, Grid, l2_norm, weighted_population
 from .model import PopulationModel
 from .noise import BrownianBundle
 from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
-from .rescale import RescaledCoefficients
+from .rescale import CoefficientSups, RescaledCoefficients
 
 logger = logging.getLogger(__name__)
 
@@ -281,32 +281,27 @@ def _inner_faces(data: dict, grid: Grid) -> dict:
 
 @dataclass
 class TruncationGuard:
-    """Radial clipping of the rate argument at a norm radius.
+    """Radial clipping of the rate argument at a norm radius per path of a batch.
 
     Keeps the population functional's argument inside the ball where the
     locally Lipschitz rates are under control.  A radius from the a priori
-    energy bound keeps the bound's ``constants`` (``None`` for a fixed
-    radius); activations of it indicate the bound or the grid is off.  A
-    marching guard holds one radius, activation count and set of constants
-    per path (a report keeps its path's, :meth:`path`); while it marches, a
-    path whose constants are ``None`` has the lower bound of
-    :func:`_bound_guard` and its ``settle``.
+    energy bound keeps each path's bound ``constants`` (``None`` for a fixed
+    radius); activations of it, counted per path, indicate the bound or the
+    grid is off.  While the march runs, a path whose constants are ``None``
+    has the lower bound of :func:`_bound_guard` and its ``settle``.
     """
 
-    radius: float | np.ndarray
-    constants: estimates.EstimateConstants | list | None = None
-    activations: int | np.ndarray = 0
+    radius: np.ndarray
+    constants: list | None = None
     settle: Callable[..., dict] | None = field(default=None, compare=False, repr=False)
+    activations: np.ndarray = field(init=False)
 
-    def path(self, j) -> "TruncationGuard":
-        """The guard of path ``j`` of a batch."""
-        return TruncationGuard(
-            radius=float(self.radius[j]), activations=int(self.activations[j]),
-            constants=None if self.constants is None else self.constants[j])
+    def __post_init__(self):
+        self.activations = np.zeros(len(self.radius), dtype=int)
 
 
-def truncate_argument(values: np.ndarray, grid: Grid, guard: TruncationGuard | None,
-                      index: np.ndarray, norm=None) -> np.ndarray:
+def truncate_argument(values: np.ndarray, grid: Grid, guard: TruncationGuard,
+                      index: np.ndarray, norm: np.ndarray) -> np.ndarray:
     """Return ``values`` itself or its radial rescaling onto the guard ball.
 
     ``values`` is a stack of fields, one per path ``index`` of the guard's
@@ -314,9 +309,6 @@ def truncate_argument(values: np.ndarray, grid: Grid, guard: TruncationGuard | N
     within its path's radius (continuous there), else scaled to norm
     ``radius``, which counts an activation of that path.
     """
-    if guard is None:
-        return values
-    norm = l2_norm(values, grid) if norm is None else norm
     radius = guard.radius[index]
     clip = norm > radius
     if not np.any(clip):
@@ -363,8 +355,11 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """Snapshots, per-node norm, births and ``U``, step diagnostics and bundle of one solve: a
-    rescaled state is a density only with its own noise path (:func:`densities`).  A check
-    gathers what it reads at every node through :func:`_march`'s observer, not from here."""
+    rescaled state is a density only with its own noise path (:func:`densities`).  A rescaled
+    report also carries its path's truncation activations and its coefficient sups over every
+    node, all the energy-bound constants need (:func:`estimates.constants_for_run`); the direct
+    route has neither.  A check gathers what else it reads at every node through
+    :func:`_march`'s observer, not from here."""
 
     solver: str                    # "rescaled" (state y) or "direct" (density p)
     grid: Grid
@@ -377,9 +372,10 @@ class SolveReport:
     u_series: np.ndarray
     picard_iterations: np.ndarray
     contraction_ratios: np.ndarray
-    guard: TruncationGuard | None
     cfl_max: float
     noise_factor_warnings: int = 0
+    truncations: int = 0
+    sups: CoefficientSups | None = None
 
 
 def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
@@ -392,10 +388,10 @@ def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
     """The guard of the threshold ``n0`` of each path's energy bound and the
     bound's constants, from its row of ``p0`` and the sups the march folds into ``coeffs``.
 
-    Every path starts at the ``n0`` of node 0's sups (``W = 0``: the same in
-    every path; ``-inf`` if that bound overflows).  The bound is
-    nondecreasing in the sups, so a norm within it is within the path's own
-    ``n0``.  ``settle(paths)`` serves a path whose norm passes it or that
+    Every path starts at the ``n0`` of node 0's sups, which ``coeffs`` has
+    built (``W = 0``: the same in every path; ``-inf`` if that bound
+    overflows).  The bound is nondecreasing in the sups, so a norm within it
+    is within the path's own ``n0``.  ``settle(paths)`` serves a path whose norm passes it or that
     leaves the march: it folds the path's other nodes (``sweep=False``: the
     march saw them all) and sets its radius and constants, or NaN and its
     error: the exp guard's, else the bound's.
@@ -416,13 +412,11 @@ def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
         return {j: c for j in paths if isinstance(c := guard.constants[j], StochageError)}
 
     y0_sq = [l2_norm(row, model.grid) ** 2 for row in p0]   # row by row, as one path takes it
-    coeffs.k_faces(0)
-    coeffs.node_fields(0)
-    sups = coeffs.sups_so_far([0])[0]
+    sups = coeffs.sups_so_far([0])[0]   # node 0 only, so far
     start = {y: constants(sups, y) for y in set(y0_sq)}
     guard = TruncationGuard(
         np.array([-np.inf if isinstance(c := start[y], StochageError) else float(c.n0)
-                  for y in y0_sq]), [None] * len(p0), np.zeros(len(p0), dtype=int), settle)
+                  for y in y0_sq]), [None] * len(p0), settle)
     return guard
 
 
@@ -448,8 +442,7 @@ class StepResult:
 def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndarray,
            step, config: SolverConfig, solver: str,
            p0: np.ndarray | None = None, observer=None) -> list[SolveReport | StochageError]:
-    """The time loop of both routes; per bundle its report (without a guard)
-    or its error.
+    """The time loop of both routes; per bundle its report or its error.
 
     The noise vanishes at time zero, so both routes start each path from its
     initial density, its row of ``p0`` (one per bundle, else ``model.p0`` in
@@ -514,7 +507,7 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
         solver=solver, grid=grid, bundle=bundles[j], snapshot_indices=indices,
         snapshots=snapshots[j], final=state[np.searchsorted(live, j)],
         l2_series=series["l2"][j], births_series=series["births"][j], u_series=series["u"][j],
-        picard_iterations=iterations[j], contraction_ratios=ratios[j], guard=None,
+        picard_iterations=iterations[j], contraction_ratios=ratios[j],
         cfl_max=float(cfl_max[j]), noise_factor_warnings=int(warnings[j]))
         for j in range(n_paths)]
 
@@ -534,10 +527,9 @@ def _rows(data, keep):
 
 def picard_step_solve(y: np.ndarray, t_index: int,
                       coeffs: RescaledCoefficients, gamma_vals: np.ndarray,
-                      region, guard: TruncationGuard | None,
-                      config: SolverConfig,
-                      factors: DiffusionFactors | None = None,
-                      live: np.ndarray | None = None, observer=None) -> StepResult:
+                      region, guard: TruncationGuard, config: SolverConfig,
+                      factors: DiffusionFactors, live: np.ndarray,
+                      observer=None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
     What no iterate changes is built once per node: the Robin data on the
@@ -553,7 +545,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
 
     ``y`` holds one state per path behind a leading path axis (a stack of
     one for one path), ``guard`` one radius per bundle of ``coeffs`` and
-    ``live`` the bundles of the rows of ``y``, all by default.  A path
+    ``live`` the bundles of the rows of ``y``.  A path
     leaves the iteration where its own test passes, as in its one-path
     solve.  A path whose noise passes the exp guard at this node, that
     still iterates after ``picard_max_iter`` iterates or whose
@@ -564,7 +556,6 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     """
     grid = coeffs.grid
     rates, t = coeffs.model.rates, grid.times[t_index]
-    factors = factors or DiffusionFactors()
     n = len(y)
     over = np.zeros(n)   # per path: its sup |W| past the exp guard
     k = coeffs.k_faces(t_index, live, over)
@@ -576,8 +567,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     inputs = [y, node["g1"], _advection(node["g2"], grid, grid.dt), k_in,
               node["exp_w"], node["exp_dw0"]]
     del node
-    active = np.arange(n)                      # rows of y still iterating
-    index = active if live is None else live   # their bundles, for the guard
+    active, index = np.arange(n), live   # rows of y still iterating, their bundles
     failed = {int(r): NoiseMagnitudeError(over[r]) for r in np.flatnonzero(over)}
     stopped = []     # (rows of y, their new states) of the paths out of the iteration
     result = StepResult(y, np.empty(n), np.zeros(n, dtype=int), np.full(n, np.nan),
@@ -594,7 +584,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     for it in range(config.picard_max_iter + 1):
         y_in, g1, adv, k_in, exp_w, exp_dw0 = inputs
         zeta_norm = l2_norm(zeta, grid, strict=False)
-        late = {} if guard is None or guard.settle is None else guard.settle(
+        late = {} if guard.settle is None else guard.settle(
             index[zeta_norm > guard.radius[index]])   # the radius may be a lower bound
         z_used = truncate_argument(zeta, grid, guard, index, zeta_norm)
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
@@ -653,7 +643,8 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     radius takes each path's coefficient sups from the march
     (:func:`_bound_guard`), and a path fails with, in this order, its noise
     past the exp guard at any node, its energy bound past a float, or the
-    march's own error.
+    march's own error.  At either radius a report carries its path's
+    truncation activations and the sups of every node its march built.
 
     ``p0`` (shape ``(len(bundles),) + grid.field_shape``) gives each path its
     own initial density; ``check`` so marches its stored run and both
@@ -671,9 +662,9 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     factors = DiffusionFactors()
     coeffs = RescaledCoefficients(model, bundles, factors.faces)
     gamma_vals = evaluate_gamma(model.rates, model.grid)
-    n_p = len(bundles)
-    guard = (TruncationGuard(radius=np.full(n_p, float(config.truncation_radius)),
-                             activations=np.zeros(n_p, dtype=int))
+    coeffs.k_faces(0)   # W = 0: the steps build every later node
+    coeffs.node_fields(0)
+    guard = (TruncationGuard(np.full(len(bundles), float(config.truncation_radius)))
              if config.truncation_radius is not None else _bound_guard(model, coeffs, config, p0))
     reports = _march(
         model, bundles, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
@@ -681,11 +672,11 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
         config, "rescaled", p0, observer)
     if guard.settle is not None:   # a path that left the march has nodes it did not see
         guard.settle([j for j, rep in enumerate(reports) if isinstance(rep, StochageError)])
-        errors = guard.settle(range(n_p), sweep=False)
+        errors = guard.settle(range(len(bundles)), sweep=False)
         reports = [errors.get(j, rep) for j, rep in enumerate(reports)]
-    for j, rep in enumerate(reports):
-        if isinstance(rep, SolveReport):
-            rep.guard = guard.path(j)
+    solved = [j for j, rep in enumerate(reports) if isinstance(rep, SolveReport)]
+    for j, sups in zip(solved, coeffs.sups_so_far(solved)):   # their marches built every node
+        reports[j].truncations, reports[j].sups = int(guard.activations[j]), sups
     return reports
 
 

@@ -5,6 +5,7 @@ import pytest
 
 import stochage as sa
 from stochage.rates import CustomRate
+from stochage.rescale import RescaledCoefficients
 
 # the numpy build that the golden digests and the working-set ceilings were
 # recorded with; floating-point bits and temporaries depend on it
@@ -62,6 +63,16 @@ def build_model(grid, rates=None, amplitudes=None, p0=None):
 @pytest.fixture
 def linear_model(grid1d):
     return build_model(grid1d)
+
+
+def swept_constants(model, bundle, **kwargs):
+    """Energy-bound constants of ``bundle``'s path from a sweep of its
+    coefficients over every node, without a march; raises the path's
+    exp-guard error."""
+    (sups,) = RescaledCoefficients(model, [bundle]).coefficient_sups()
+    if isinstance(sups, sa.StochageError):
+        raise sups
+    return sa.constants_for_run(model, sups, **kwargs)
 
 
 def same(a, b) -> bool:

@@ -14,7 +14,8 @@ from stochage.ensemble import fit_order, path_chunks, path_seed
 from stochage.noise import coarsen, evaluate_noise
 from stochage.rescale import densities
 
-from conftest import build_model, linear_rates, logistic_rates, sample, smooth_p0
+from conftest import (build_model, linear_rates, logistic_rates, sample, smooth_p0,
+                      swept_constants)
 
 
 def report(criterion, ok, detail):
@@ -240,7 +241,7 @@ def regression_runs():
 def test_criterion_05_apriori_bound():
     worst = -np.inf
     for label, model, bundle, rep, acc in regression_runs():
-        consts = sa.constants_for_run(model, bundle)  # c0 = c1 = 1 frozen
+        consts = sa.constants_for_run(model, rep.sups)  # c0 = c1 = 1 frozen
         margins = sa.apriori_check(acc, consts)
         worst = max(worst, float(np.max(margins)))
     ok = worst <= 1.0
@@ -252,7 +253,7 @@ def test_criterion_05_apriori_bound():
 def test_criterion_07_truncation_threshold():
     activations_at_n0 = 0
     for label, model, bundle, rep, acc in regression_runs():
-        activations_at_n0 += rep.guard.activations
+        activations_at_n0 += rep.truncations
     # force a radius far below the solution norm: the guard must fire
     grid = aligned_grid(32, 6, T=0.25, a_max=0.5)
     rates = sa.VitalRates(mu_s=sa.ConstantRate(0.2), m0=sa.ConstantRate(0.5),
@@ -262,14 +263,14 @@ def test_criterion_07_truncation_threshold():
                         amplitudes=(sa.constant_amplitude(0.2, 1),),
                         p0=const_age_p0(grid, 6.0))
     bundle = sa.sample_bundle(9, 1, grid.n_t, grid.T)
-    consts = sa.constants_for_run(model, bundle)
+    consts = swept_constants(model, bundle)
     rep_small = sa.solve_rescaled(
         model, bundle, sa.SolverConfig(snapshot_stride=0,
                                        truncation_radius=consts.n0 / 100))
-    ok = activations_at_n0 == 0 and rep_small.guard.activations > 0
+    ok = activations_at_n0 == 0 and rep_small.truncations > 0
     assert report(7, ok,
                   f"0 activations at the derived radius across the suite; "
-                  f"{rep_small.guard.activations} activations at radius/100 "
+                  f"{rep_small.truncations} activations at radius/100 "
                   f"(threshold {consts.n0})")
 
 
@@ -282,13 +283,13 @@ def test_criterion_06_continuous_dependence():
     base = smooth_p0(grid)
     model = build_model(grid, p0=base)
     bundle = sa.sample_bundle(5, 1, grid.n_t, grid.T)
-    consts = sa.constants_for_run(model, bundle)
     bump = sample(
         grid, lambda a, x: np.exp(-((a - 0.3) / 0.2) ** 2) + 0 * x)
     # the stored run and the three bumped runs share the noise path: one batch
     deltas = (1e-2, 5e-3, 2.5e-3)
-    _, acc = observed_solve(model, bundle, np.stack(
+    (rep, *_), acc = observed_solve(model, bundle, np.stack(
         [base] + [base + delta * bump for delta in deltas]))
+    consts = sa.constants_for_run(model, rep.sups)
     ratios = [sa.dependence_check(acc, j, consts).ratio for j in range(1, len(deltas) + 1)]
     spread = (max(ratios) - min(ratios)) / max(ratios)
     ok = spread <= 0.10

@@ -518,12 +518,16 @@ class TestModelBoundary:
         ({"gamma = constant:1.0": "gamma = constant:1e307",
           "m0 = logistic:0.8,-0.5,1.5,0.5": "m0 = constant:5"}, 1, ("rescaled", "direct"),
          "failed: the L2 norm or the population functional U of the state overflows a float"),
-    ], ids=["logistic-argument-overflows", "density-norm-overflows", "u-overflows-in-a-step"])
+        ({"gamma = constant:1.0": "gamma = constant:1.5e307"}, 0, ("rescaled", "direct"),
+         "converged"),
+    ], ids=["logistic-argument-overflows", "density-norm-overflows", "u-overflows-in-a-step",
+            "u-sum-overflows-before-the-cell-volume"])
     def test_overflow_the_program_handles_does_not_warn(self, edits, code, routes, status,
                                                         tmp_path):
-        # a logistic argument past a float saturates, and a path whose norm or
-        # U overflows, in a step or after it, fails alone and named: no numpy
-        # warning on the way
+        # a logistic argument past a float saturates, a path whose norm or U
+        # overflows, in a step or after it, fails alone and named, and a U
+        # whose sum over the cells passes a float before the cell volume
+        # scales it is solved: no numpy warning on the way
         text = (MODELS / "sample1d.ini").read_text()
         for old, new in edits.items():
             assert text.count(old) == 1
@@ -539,6 +543,49 @@ class TestModelBoundary:
             rows = list(csv.DictReader(fh))
         assert [row["status"] for row in rows if row["solver"] in routes] == [status] * (
             2 * len(routes))
+
+    @pytest.mark.parametrize("old, new, message", [
+        ("k0 = constant:0.0", "k0 = table:0:-1e154;1:1e154",
+         "energy bound exponent 4.573 overflows a float"),
+        ("mu1 = cosine:0.2:1", "mu1 = constant:1e154", "noise field magnitude"),
+    ], ids=["robin-terms-overflow", "ito-correction-terms-overflow"])
+    def test_check_overflow_the_program_handles_does_not_warn(self, old, new, message,
+                                                              tmp_path, capsys):
+        # the estimates' energy terms of a Robin datum near 1e154, or the weak
+        # residual's terms of an Ito correction near 5e307 at node 0, pass a
+        # float; the bound or the exp guard names the failure, and no numpy
+        # warning escapes
+        text = (MODELS / "sample1d.ini").read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "m.ini"
+        path.write_text(text.replace(old, new))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["check", "--model", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert caught == []
+        assert capsys.readouterr().err.startswith(f"solver error: {message}")
+
+    @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
+    def test_robin_norm_past_a_float_does_not_warn(self, name, tmp_path):
+        # a Robin datum near 1e154 has a boundary norm past a float (in 2-d
+        # only its sum over the cells of a face): the rescaled paths fail
+        # with the energy bound's error, the direct ones converge, and no
+        # numpy warning escapes
+        text = (MODELS / f"{name}.ini").read_text()
+        assert text.count("k0 = constant:0.0") == 1
+        path = tmp_path / "m.ini"
+        path.write_text(text.replace("k0 = constant:0.0", "k0 = constant:1e154"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["ensemble", "--model", str(path), "--solver", "both", "--paths", "2",
+                         "--out", str(tmp_path / "o")]) == 1
+        assert caught == []
+        with open(tmp_path / "o" / "paths.csv", newline="") as fh:
+            status = {(row["path"], row["solver"]): row["status"] for row in csv.DictReader(fh)}
+        for (_, solver), text in status.items():
+            assert (text == "converged" if solver == "direct" else
+                    text.startswith("failed: energy bound exponent")
+                    and text.endswith("overflows a float times the data energy"))
 
     @pytest.mark.parametrize("scale, gamma", [(1e160, 0.0), (2.0, 1e308)],
                              ids=["p0-norm-overflows", "u-overflows"])
@@ -673,11 +720,10 @@ class TestCli:
 
     def test_check_sweeps_once_per_rescaled_solve(self, monkeypatch, tmp_path):
         # check solves the stored run, two perturbations of it and a coarse
-        # run; with a radius from the energy bound every solve gathers its
-        # sups in the march, and the stored run's constants come from its
-        # guard.  A fixed radius above the bound's n0 = 98 never clips, so
-        # it writes the same checks, with the constants from one sweep of
-        # the stored run.
+        # run; at either radius every solve gathers its sups in the march,
+        # and the stored run's constants come from its report's sups.  A
+        # fixed radius above the bound's n0 = 98 never clips, so it writes
+        # the same checks, and neither mode sweeps a path again.
         from stochage.rescale import RescaledCoefficients
 
         sweep = RescaledCoefficients.coefficient_sups
@@ -699,17 +745,19 @@ class TestCli:
             assert main(["check", "--model", str(path),
                          "--out", str(tmp_path / name)]) == 0
             counts[name] = len(sweeps)
-        assert counts == {"auto": 0, "fixed": 1}
+        assert counts == {"auto": 0, "fixed": 0}
         assert ((tmp_path / "auto" / "checks.csv").read_bytes()
                 == (tmp_path / "fixed" / "checks.csv").read_bytes())
 
+    @pytest.mark.parametrize("radius", [None, 1000.0])
     @pytest.mark.parametrize("name, nodes", [("sample1d", 98), ("sample2d", 26)])
-    def test_check_builds_no_robin_datum_after_its_marches(self, name, nodes, monkeypatch,
-                                                           tmp_path):
+    def test_check_builds_no_robin_datum_after_its_marches(self, name, nodes, radius,
+                                                           monkeypatch, tmp_path):
         # the marches of the 3-path batch and of the coarse run build each
-        # node once; the estimates gather their terms from the coefficients
-        # the marches built, and the energy check reads the Robin norms its
-        # constants were built from, so no node is built a second time
+        # node once, at the automatic radius or a fixed one; the estimates
+        # gather their terms from the coefficients the marches built, and the
+        # energy check reads the Robin norms and sups of the stored run's
+        # report, so no node is built a second time
         from stochage.rescale import RescaledCoefficients
 
         calls = {"k_faces": 0, "node_fields": 0}
@@ -719,8 +767,15 @@ class TestCli:
                 return _meth(self, *args)
 
             monkeypatch.setattr(RescaledCoefficients, meth, counting)
-        assert main(["check", "--model", str(MODELS / f"{name}.ini"),
-                     "--out", str(tmp_path / "chk")]) == 0
+        path = MODELS / f"{name}.ini"
+        if radius is not None:
+            text = path.read_text()
+            text = (text.replace("truncation_radius = auto", f"truncation_radius = {radius}")
+                    if "[solver]" in text else f"{text}\n[solver]\ntruncation_radius = {radius}\n")
+            path = tmp_path / f"{name}.ini"
+            path.write_text(text)
+            assert _cached_model(str(path), 1)[1].truncation_radius == radius
+        assert main(["check", "--model", str(path), "--out", str(tmp_path / "chk")]) == 0
         assert calls == {"k_faces": nodes, "node_fields": nodes}
 
     def test_check_batches_its_same_grid_runs(self, monkeypatch, tmp_path):

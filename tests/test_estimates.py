@@ -16,7 +16,8 @@ from stochage.noise import coarsen
 from stochage.rates import evaluate_gamma, evaluate_on_faces
 from stochage.rescale import RescaledCoefficients
 
-from conftest import build_model, linear_rates, logistic_rates, sample, smooth_p0
+from conftest import (build_model, linear_rates, logistic_rates, sample, smooth_p0,
+                      swept_constants)
 
 
 def solved_pair(grid, seed=5, rates=None, stride=0, p0=None):
@@ -41,7 +42,7 @@ def observed(model, bundle, *bumped, stride=0):
 class TestConstants:
     def test_recompute_exactly(self, linear_model):
         bundle = sa.sample_bundle(1, 1, linear_model.grid.n_t, linear_model.grid.T)
-        consts = sa.constants_for_run(linear_model, bundle)
+        consts = swept_constants(linear_model, bundle)
         again = sa.compute_constants(
             linear_model.rates, consts.sups, c0=consts.c0, c1=consts.c1,
             region_volume=consts.region_volume, a_max=consts.a_max,
@@ -73,14 +74,14 @@ class TestConstants:
 
     def test_threshold_is_ceil_plus_one(self, linear_model):
         bundle = sa.sample_bundle(2, 1, linear_model.grid.n_t, linear_model.grid.T)
-        consts = sa.constants_for_run(linear_model, bundle)
+        consts = swept_constants(linear_model, bundle)
         assert consts.n0 == int(np.ceil(consts.r0)) + 1
 
 
 class TestAprioriCheck:
     def test_margins_below_one(self, grid1d):
         model, bundle, rep, acc = solved_pair(grid1d)
-        consts = sa.constants_for_run(model, bundle)
+        consts = sa.constants_for_run(model, rep.sups)
         before = {f.name: copy.deepcopy(getattr(rep, f.name))
                   for f in dataclasses.fields(rep)}
         terms = acc.terms.copy()
@@ -107,23 +108,23 @@ class TestAprioriCheck:
 
     def test_zero_data_zero_margin(self, grid1d):
         p0 = np.zeros(grid1d.field_shape)
-        model, bundle, _, acc = solved_pair(grid1d, p0=p0)
-        consts = sa.constants_for_run(model, bundle)
+        model, _, rep, acc = solved_pair(grid1d, p0=p0)
+        consts = sa.constants_for_run(model, rep.sups)
         margins = sa.apriori_check(acc, consts)
         assert np.all(margins == 0.0)
 
     def test_scaling_invariance(self, grid1d):
         # linear model: scaling the initial data scales both sides by the
         # same square, leaving the margins unchanged
-        model, bundle, _, acc = solved_pair(grid1d)
+        model, bundle, rep, acc = solved_pair(grid1d)
         lam = 3.7
         scaled = build_model(grid1d, p0=lam * model.p0)
-        _, acc2 = observed(scaled, bundle)
-        m1 = sa.apriori_check(acc, sa.constants_for_run(model, bundle))
-        c2 = sa.constants_for_run(scaled, bundle)
+        (rep2,), acc2 = observed(scaled, bundle)
+        m1 = sa.apriori_check(acc, sa.constants_for_run(model, rep.sups))
+        c2 = sa.constants_for_run(scaled, rep2.sups)
         m2 = sa.apriori_check(acc2, c2)
         # growth factors differ only through the data term, which scales out
-        ratio = m2[1:] / m1[1:] * (c2.c_est / sa.constants_for_run(model, bundle).c_est)
+        ratio = m2[1:] / m1[1:] * (c2.c_est / sa.constants_for_run(model, rep.sups).c_est)
         assert np.allclose(ratio, 1.0, rtol=1e-12)
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -136,7 +137,7 @@ class TestAprioriCheck:
         model = build_model(grid, rates=rates)
         bundle = sa.sample_bundle(5, model.noise.n_modes, grid.n_t, grid.T)
         (rep,), acc = observed(model, bundle, stride=1)
-        consts = sa.constants_for_run(model, bundle)
+        consts = sa.constants_for_run(model, rep.sups)
         traj, vol, dt = rep.snapshots, grid.cell_volume, grid.dt
         coeffs = RescaledCoefficients(model, [bundle])   # the noise vanishes at time zero
         k_sq = np.array([boundary_norm_sq(evaluate_on_faces(rates.k0, grid, 0.0), grid)] + [
@@ -151,20 +152,22 @@ class TestAprioriCheck:
         assert margins.tobytes() == np.array([_ratio(l, r) for l, r in zip(left, right)]).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_march_keeps_the_sweeps_robin_norms(self, grid1d, grid2d, dim):
-        # a 5-path batch at the automatic radius gathers each path's per-node
-        # norms of k0 exp(-W) in its march; they, and the margins read from
-        # them with the path's own estimates, are bitwise those of a one-path
-        # sweep of the path's bundle
+    @pytest.mark.parametrize("radius", [None, 1e3])
+    def test_march_keeps_the_sweeps_robin_norms(self, grid1d, grid2d, dim, radius):
+        # a 5-path batch at the automatic radius or a fixed one gathers each
+        # path's per-node norms of k0 exp(-W) and its coefficient sups in its
+        # march; they, and the margins read from them with the path's own
+        # estimates, are bitwise those of a one-path sweep of the path's bundle
         grid = grid1d if dim == 1 else grid2d
         rates = dataclasses.replace(logistic_rates(), k0=sa.ConstantRate(0.05))
         model = build_model(grid, rates=rates)
         bundles = [sa.sample_bundle(s, model.noise.n_modes, grid.n_t, grid.T) for s in range(5)]
-        reports = sa.solve_rescaled_batch(model, bundles, sa.SolverConfig(snapshot_stride=0))
+        reports = sa.solve_rescaled_batch(
+            model, bundles, sa.SolverConfig(snapshot_stride=0, truncation_radius=radius))
         for bundle, rep in zip(bundles, reports):
             _, acc = observed(model, bundle)
-            marched, swept = rep.guard.constants, sa.constants_for_run(model, bundle)
-            assert rep.bundle is bundle
+            marched, swept = sa.constants_for_run(model, rep.sups), swept_constants(model, bundle)
+            assert rep.bundle is bundle and rep.truncations == 0
             assert len(marched.sups.k_sq) == grid.n_t + 1 and min(marched.sups.k_sq) > 0
             assert (np.array(marched.sups.k_sq).tobytes()
                     == np.array(swept.sups.k_sq).tobytes())
@@ -179,7 +182,7 @@ class TestAprioriCheck:
         bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
         acc = sa.EstimateAccumulator(model)
         sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=1))
-        consts = sa.constants_for_run(model, bundle)
+        consts = swept_constants(model, bundle)
         for check in (lambda: sa.apriori_check(acc, consts),
                       lambda: sa.dependence_check(acc, 1, consts), acc.weak_residual):
             with pytest.raises(ConfigurationError, match="observed no rescaled march"):
@@ -190,8 +193,8 @@ class TestDependence:
     def test_identical_runs_zero(self, grid1d):
         model = build_model(grid1d)
         bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
-        _, acc = observed(model, bundle, model.p0)
-        consts = sa.constants_for_run(model, bundle)
+        (rep, _), acc = observed(model, bundle, model.p0)
+        consts = sa.constants_for_run(model, rep.sups)
         res = sa.dependence_check(acc, 1, consts)
         assert res.difference_energy == 0.0
         assert res.ratio == 0.0
@@ -201,11 +204,11 @@ class TestDependence:
         base = smooth_p0(grid1d)
         model = build_model(grid1d, p0=base)
         bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
-        consts = sa.constants_for_run(model, bundle)
         bump = sample(
             grid1d, lambda a, x: np.exp(-((a - 0.3) / 0.2) ** 2) + 0 * x)
         deltas = (1e-2, 5e-3, 2.5e-3)
-        _, acc = observed(model, bundle, *(base + d * bump for d in deltas))
+        (rep, *_), acc = observed(model, bundle, *(base + d * bump for d in deltas))
+        consts = sa.constants_for_run(model, rep.sups)
         ratios = [sa.dependence_check(acc, j, consts).ratio for j in range(1, len(deltas) + 1)]
         spread = (max(ratios) - min(ratios)) / max(ratios)
         assert spread <= 0.10
@@ -215,10 +218,10 @@ class TestDependence:
         model = build_model(grid1d, p0=base)
         bundle = sa.sample_bundle(5, 1, grid1d.n_t, grid1d.T)
         pert = build_model(grid1d, p0=base + 0.01)
-        _, acc12 = observed(model, bundle, pert.p0)
-        _, acc21 = observed(pert, bundle, model.p0)
-        c1 = sa.constants_for_run(model, bundle)
-        c2 = sa.constants_for_run(pert, bundle)
+        (rep12, _), acc12 = observed(model, bundle, pert.p0)
+        (rep21, _), acc21 = observed(pert, bundle, model.p0)
+        c1 = sa.constants_for_run(model, rep12.sups)
+        c2 = sa.constants_for_run(pert, rep21.sups)
         r12 = sa.dependence_check(acc12, 1, c1, c2)
         r21 = sa.dependence_check(acc21, 1, c2, c1)
         assert r12.ratio == pytest.approx(r21.ratio, rel=1e-12)

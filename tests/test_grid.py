@@ -92,6 +92,17 @@ class TestL2Norm:
         with pytest.raises(InvalidFieldError):
             sa.l2_norm(vals, grid1d)
 
+    def test_sum_past_a_float_with_a_finite_integral(self, grid1d):
+        # sum f^2 w_age is 8e308 on the 8 cells of width 1/8; the integral,
+        # 1e308, is a float, and a finite field of a stack keeps its bits
+        big = np.full(grid1d.field_shape, 1e154)
+        small = np.random.default_rng(3).normal(size=grid1d.field_shape)
+        assert sa.l2_norm(big, grid1d) == pytest.approx(
+            1e154 * sa.l2_norm(big / 1e154, grid1d), rel=1e-14)
+        norms = sa.l2_norm(np.stack([small, big]), grid1d)
+        assert norms[0] == sa.l2_norm(small, grid1d) and np.isfinite(norms[1])
+        assert sa.l2_norm(np.full(grid1d.field_shape, 1e155), grid1d) == np.inf
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000),
            scale=st.floats(-3.0, 3.0).filter(lambda s: s == 0 or abs(s) > 1e-6))
@@ -147,6 +158,18 @@ class TestWeightedPopulation:
         f = np.ones(grid1d.field_shape)
         region = sa.SubDomain((0.0,), (0.5,))
         assert sa.weighted_population(f, 1.0, region, grid1d) == pytest.approx(0.5, rel=1e-14)
+
+    def test_sum_past_a_float_with_a_finite_integral(self, grid1d):
+        # the weighted sum is 8e308 on the 8 cells of width 1/8; U, 1e308, is
+        # a float, and a finite field of a stack keeps its bits
+        big = np.full(grid1d.field_shape, 1e308)
+        small = np.random.default_rng(4).normal(size=grid1d.field_shape)
+        assert sa.weighted_population(big, 1.0, None, grid1d) == pytest.approx(1e308, rel=1e-14)
+        both = sa.weighted_population(np.stack([small, big]), 1.0, None, grid1d)
+        assert both[0] == sa.weighted_population(small, 1.0, None, grid1d)
+        assert both[1] == pytest.approx(1e308, rel=1e-14)
+        with np.errstate(over="ignore"):   # its entries overflow: the caller's warning
+            assert sa.weighted_population(big, 2.0, None, grid1d) == np.inf
 
     def test_misaligned_region_rejected(self, grid1d):
         region = sa.SubDomain((0.0,), (0.4321,))

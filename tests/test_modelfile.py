@@ -189,6 +189,10 @@ class TestRateSyntax:
         r = parse_rate("table:0:0;0.5:1;1:0")
         assert r.sup == 1.0
 
+    def test_table_of_one_point_is_named_so(self):
+        with pytest.raises(ConfigurationError, match="two or more points, with one value each"):
+            parse_rate("table:0.5:1")
+
     def test_unknown_family(self):
         with pytest.raises(ConfigurationError):
             parse_rate("mystery:1,2")

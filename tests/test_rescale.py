@@ -216,7 +216,7 @@ class TestOneEvaluationPerSolve:
                    for s in range(5)]
         assert cfg.truncation_radius is None
         reports = sa.solve_rescaled_batch(model, bundles, cfg)
-        assert all(r.guard.activations == 0 for r in reports)
+        assert all(r.truncations == 0 for r in reports)
         assert sorted(calls) == list(range(model.grid.n_t + 1))
 
     def test_sweep_without_the_march_reads_k0_once_per_face_and_node(self, monkeypatch):
@@ -257,9 +257,6 @@ class TestGuardModes:
         (one,) = RescaledCoefficients(model, bundles[:1]).coefficient_sups()   # its sweep alone
         assert isinstance(one, NoiseMagnitudeError)
         assert str(one) == statuses[0][0]
-        with pytest.raises(NoiseMagnitudeError) as raised:   # a fixed-radius check's constants
-            sa.constants_for_run(model, bundles[0])
-        assert str(raised.value) == statuses[0][0]
 
     def test_bound_past_a_float_fails_the_path_not_the_batch(self, grid1d):
         # sup |W - W(t,0,x)| near 400 keeps the exponentials finite, but the
@@ -309,13 +306,14 @@ class TestBoundRadius:
                     break
                 try:
                     (sups,) = coeffs.sups_so_far()
-                    radii.append(float(sa.constants_for_run(model, sups=sups).n0))
+                    radii.append(float(sa.constants_for_run(model, sups).n0))
                 except sa.StochageError:   # the bound overflows a float
                     radii.append(np.inf)
             starts.add(radii[0])
             assert radii == sorted(radii)
             if isinstance(report, sa.SolveReport):
-                assert len(radii) == grid.n_t + 1 and radii[-1] == report.guard.radius
+                assert len(radii) == grid.n_t + 1
+                assert radii[-1] == float(sa.constants_for_run(model, report.sups).n0)
         (start,) = starts
         assert np.all(guard_starts[0] == (start if np.isfinite(start) else -np.inf))
 

@@ -15,13 +15,14 @@ from stochage.errors import (ConfigurationError, InvalidFieldError, NoiseMagnitu
 from stochage.grid import Face, boundary_faces, l2_norm, weighted_population
 from stochage.modelfile import parse_model
 from stochage.rates import CustomRate, evaluate_gamma
+from stochage.rescale import RescaledCoefficients
 from stochage.solver import (DiffusionFactors, StepResult, TruncationGuard, _advection,
                              _march, _thomas_factor, _thomas_solve, diffusion_substep,
                              renewal_row, transport_reaction_substep,
                              truncate_argument)
 
 from conftest import (PINNED_NUMPY, build_model, fails_alone, linear_rates, logistic_rates,
-                      nan_fertility_model, same, sample, smooth_p0)
+                      nan_fertility_model, same, sample, smooth_p0, swept_constants)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -448,19 +449,23 @@ class TestRenewal:
 class TestTruncation:
     @staticmethod
     def guard_of_one(radius, constants=None):
-        return TruncationGuard(np.array([radius]), constants, np.zeros(1, dtype=int))
+        return TruncationGuard(np.array([radius]), constants)
+
+    @staticmethod
+    def truncate(values, grid, guard, index):
+        return truncate_argument(values, grid, guard, index, l2_norm(values, grid))
 
     def test_identity_branch(self, grid1d):
         guard = self.guard_of_one(4.0)
         vals = np.ones((1,) + grid1d.field_shape)  # norm 1 < 4
-        out = truncate_argument(vals, grid1d, guard, [0])
+        out = self.truncate(vals, grid1d, guard, [0])
         assert out is vals
         assert guard.activations[0] == 0
 
     def test_scaling_branch(self, grid1d):
         guard = self.guard_of_one(1.0)
         vals = np.full((1,) + grid1d.field_shape, 2.0)  # norm 2 > 1
-        out = truncate_argument(vals, grid1d, guard, [0])
+        out = self.truncate(vals, grid1d, guard, [0])
         assert guard.activations[0] == 1
         assert sa.l2_norm(out[0], grid1d) == pytest.approx(1.0, rel=1e-14)
         assert np.allclose(out, vals / 2.0, rtol=1e-14)
@@ -469,7 +474,7 @@ class TestTruncation:
         vals = np.full((1,) + grid1d.field_shape, 2.0)
         norm = sa.l2_norm(vals[0], grid1d)
         guard = self.guard_of_one(norm)
-        out = truncate_argument(vals, grid1d, guard, [0])
+        out = self.truncate(vals, grid1d, guard, [0])
         assert out is vals  # boundary case takes the identity branch
         scaled = vals * (norm / norm)
         assert np.allclose(out, scaled, rtol=1e-15)
@@ -477,26 +482,25 @@ class TestTruncation:
     def test_warns_per_clipped_path_of_a_radius_from_the_bound(
             self, grid1d, linear_model, caplog):
         bundle = sa.sample_bundle(0, 1, linear_model.grid.n_t, linear_model.grid.T)
-        consts = sa.constants_for_run(linear_model, bundle)
+        consts = swept_constants(linear_model, bundle)
         # constant fields of norm 0.5, 2 and 3
         vals = np.stack([np.full(grid1d.field_shape, c) for c in (0.5, 2.0, 3.0)])
 
         def warnings(guard, values, index):
             caplog.clear()
             with caplog.at_level("WARNING", logger="stochage.solver"):
-                truncate_argument(values, grid1d, guard, index)
+                self.truncate(values, grid1d, guard, index)
             return [r for r in caplog.records if r.name == "stochage.solver"]
 
         assert len(warnings(self.guard_of_one(1.0, [consts]), vals[1:2], [0])) == 1
-        batch = TruncationGuard(np.ones(3), [consts] * 3, np.zeros(3, dtype=int))
+        batch = TruncationGuard(np.ones(3), [consts] * 3)
         assert len(warnings(batch, vals, np.arange(3))) == 2
         # the values hold paths 0, 2 and 3 of a batch of four
-        batch = TruncationGuard(np.array([1.0, 1.0, 5.0, 1.0]), [consts] * 4,
-                                np.zeros(4, dtype=int))
+        batch = TruncationGuard(np.array([1.0, 1.0, 5.0, 1.0]), [consts] * 4)
         assert len(warnings(batch, vals, np.array([0, 2, 3]))) == 1
         assert batch.activations.tolist() == [0, 0, 0, 1]
         # a fixed radius keeps no constants and clips silently
-        fixed = TruncationGuard(np.ones(3), activations=np.zeros(3, dtype=int))
+        fixed = TruncationGuard(np.ones(3))
         assert warnings(fixed, vals, np.arange(3)) == []
         assert fixed.activations.tolist() == [0, 1, 1]
 
@@ -539,16 +543,15 @@ class TestPicard:
     def test_single_step_matches_march(self, linear_model):
         # one call of the step operation reproduces the first level of the
         # full time loop
-        from stochage.rescale import RescaledCoefficients
-
         grid = linear_model.grid
         bundle = sa.sample_bundle(3, 1, grid.n_t, grid.T)
         cfg = sa.SolverConfig(snapshot_stride=1)
         rep = sa.solve_rescaled(linear_model, bundle, cfg)
         coeffs = RescaledCoefficients(linear_model, [bundle])
         gamma_vals = evaluate_gamma(linear_model.rates, grid)
-        step = sa.picard_step_solve(linear_model.p0[None].copy(), 1, coeffs,
-                                    gamma_vals, linear_model.region, None, cfg)
+        step = sa.picard_step_solve(linear_model.p0[None].copy(), 1, coeffs, gamma_vals,
+                                    linear_model.region, TruncationGuard(np.full(1, np.inf)),
+                                    cfg, DiffusionFactors(), np.arange(1))
         assert np.array_equal(step.state[0], rep.snapshots[1])
         assert step.iterations == rep.picard_iterations[0]
 
@@ -625,7 +628,7 @@ class TestSolveRescaled:
         bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
         rep = sa.solve_rescaled(model, bundle,
                                 sa.SolverConfig(truncation_radius=1e-3))
-        assert rep.guard.activations > 0
+        assert rep.truncations > 0
 
     def test_report_layout(self, linear_model):
         grid = linear_model.grid
@@ -649,26 +652,23 @@ class TestSolveRescaled:
 
 
 def march_without_path_axis(model, bundle, cfg):
-    """Final state, steps and guard of a reference march of one path, as a
-    batch of one stepped outside the shared march: the coefficient sups are
-    swept before it and the radius is fixed from them (or by ``cfg``)."""
-    from stochage.rescale import RescaledCoefficients
-
+    """Final state, steps, guard and coefficient sups of a reference march of
+    one path, as a batch of one stepped outside the shared march: the sups
+    are swept before it and the radius is fixed from them (or by ``cfg``)."""
     coeffs = RescaledCoefficients(model, [bundle])
     gamma = evaluate_gamma(model.rates, model.grid)
+    (sups,) = coeffs.coefficient_sups()
     if cfg.truncation_radius is None:
-        (sups,) = coeffs.coefficient_sups()
-        consts = sa.constants_for_run(model, sups=sups, c0=cfg.c0, c1=cfg.c1)
-        guard = TruncationGuard(np.array([float(consts.n0)]), [consts], np.zeros(1, dtype=int))
+        consts = sa.constants_for_run(model, sups, c0=cfg.c0, c1=cfg.c1)
+        guard = TruncationGuard(np.array([float(consts.n0)]), [consts])
     else:
-        guard = TruncationGuard(np.array([cfg.truncation_radius]),
-                                activations=np.zeros(1, dtype=int))
-    y, steps = model.p0[None].copy(), []
+        guard = TruncationGuard(np.array([cfg.truncation_radius]))
+    y, steps, factors = model.p0[None].copy(), [], DiffusionFactors()
     for n in range(1, model.grid.n_t + 1):
         steps.append(sa.picard_step_solve(y, n, coeffs, gamma, model.region,
-                                          guard, cfg))
+                                          guard, cfg, factors, np.arange(1)))
         y = steps[-1].state
-    return y[0], steps, guard.path(0)
+    return y[0], steps, guard, sups
 
 
 def bundles_for(model, n, base=0):
@@ -690,7 +690,7 @@ class TestSolveRescaledBatch:
         bundles = bundles_for(model, 10)
         singles = [sa.solve_rescaled(model, b, cfg) for b in bundles]
         for rep, bundle in zip(singles, bundles):
-            final, steps, guard = march_without_path_axis(model, bundle, cfg)
+            final, steps, guard, sups = march_without_path_axis(model, bundle, cfg)
             assert rep.final.tobytes() == final.tobytes()
             assert rep.u_series[1:].tobytes() == np.array(
                 [s.u_value for s in steps]).tobytes()
@@ -698,14 +698,17 @@ class TestSolveRescaledBatch:
             assert rep.contraction_ratios.tobytes() == np.array(
                 [s.contraction_ratio for s in steps], dtype=float).tobytes()
             assert rep.cfl_max == max(s.cfl for s in steps)
-            assert rep.guard == guard
+            assert rep.truncations == guard.activations[0] and rep.sups == sups
+            if guard.constants is not None:   # the reference's radius, from the report's sups
+                assert float(sa.constants_for_run(model, rep.sups, c0=cfg.c0,
+                                                  c1=cfg.c1).n0) == guard.radius[0]
         if name == "sample1d":
             # paths leave the fixed point at different iterates
             iters = np.array([r.picard_iterations for r in singles])
             assert np.any(iters.min(axis=0) < iters.max(axis=0))
         if name == "clipping":
             # the march completes their sups before it clips
-            assert 0 < sum(r.guard.activations > 0 for r in singles) < len(singles)
+            assert 0 < sum(r.truncations > 0 for r in singles) < len(singles)
         for size in (3, 10):
             for lo in range(0, len(bundles), size):
                 batch = sa.solve_rescaled_batch(model, bundles[lo:lo + size], cfg)
@@ -729,14 +732,12 @@ class TestSolveRescaledBatch:
         causes = set()
         for entry, bundle in zip(sa.solve_rescaled_batch(model, bundles, cfg), bundles):
             try:
-                consts = sa.constants_for_run(model, bundle, c0=cfg.c0, c1=cfg.c1)
+                consts = swept_constants(model, bundle, c0=cfg.c0, c1=cfg.c1)
             except sa.StochageError as exc:
                 expected = exc
-            else:
+            else:   # a report at its own fixed radius carries the same sups
                 own = dataclasses.replace(cfg, truncation_radius=float(consts.n0))
                 expected = sa.solve_rescaled_batch(model, [bundle], own)[0]
-                if isinstance(expected, sa.SolveReport):
-                    expected.guard.constants = consts
             if isinstance(expected, sa.StochageError):
                 assert type(entry) is type(expected) and str(entry) == str(expected)
             else:
@@ -779,15 +780,14 @@ class TestSolveRescaledBatch:
                  sa.solve_rescaled_batch(model, bundles, sa.SolverConfig())]
         cfg = sa.SolverConfig(truncation_radius=float(np.median(peaks)))
         batch = sa.solve_rescaled_batch(model, bundles, cfg)
-        clipped = [rep.guard.activations > 0 for rep in batch]
+        clipped = [rep.truncations > 0 for rep in batch]
         assert 0 < sum(clipped) < len(batch)
         for rep, bundle in zip(batch, bundles):
             assert same(rep, sa.solve_rescaled(model, bundle, cfg))
-            assert rep.guard.radius == cfg.truncation_radius
-            assert rep.guard.constants is None
+            assert rep.sups == RescaledCoefficients(model, [bundle]).coefficient_sups()[0]
 
     @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
-    def test_initial_stack_matches_one_path_solves_of_its_densities(self, name):
+    def test_initial_stack_matches_one_path_solves_of_its_densities(self, name, monkeypatch):
         # check's batch: the stored density and two bumped copies on one
         # path; each is bitwise the one-path solve of a model carrying its
         # density, its guard's radius and constants from its own data energy
@@ -795,12 +795,15 @@ class TestSolveRescaledBatch:
         cfg = dataclasses.replace(cfg, snapshot_stride=1)
         bundle = bundles_for(model, 1)[0]
         p0 = np.stack([model.p0] + [_perturbed_model(model, d) for d in (1e-2, 5e-3)])
+        guards, bound_guard = [], solver._bound_guard
+        monkeypatch.setattr(solver, "_bound_guard",
+                            lambda *args: guards.append(bound_guard(*args)) or guards[-1])
         batch = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
         for rep, row in zip(batch, p0, strict=True):
             own = dataclasses.replace(model, p0=row)
             assert same(rep, sa.solve_rescaled(own, bundle, cfg))
             assert rep.snapshots[0].tobytes() == row.tobytes()
-        assert len({rep.guard.constants.y0_norm_sq for rep in batch}) == 3
+        assert len({c.y0_norm_sq for c in guards[0].constants}) == 3
 
     @pytest.mark.parametrize("name, change", [
         ("sample1d", None), ("sample2d", None), ("sample1d", "k0"), ("sample2d", "k0"),
@@ -825,7 +828,7 @@ class TestSolveRescaledBatch:
             assert same(rep, alone)
         assert not np.isnan(acc.terms).any() and acc.weak_residual().max_abs > 0
         if change in (0.5, 0.05):
-            assert all(rep.guard.activations > 0 for rep in plain)
+            assert all(rep.truncations > 0 for rep in plain)
 
     @pytest.mark.parametrize("name", ["sample1d", "loud"])
     def test_observer_sees_each_rows_own_coefficients(self, name, tmp_path):
@@ -834,8 +837,6 @@ class TestSolveRescaledBatch:
         # some leave the march when their energy bound overflows; the observer
         # still gets each live row's own coefficients, bitwise as a fresh
         # build gives them, and the reports are those of the unobserved batch
-        from stochage.rescale import RescaledCoefficients
-
         path = MODELS / "sample1d.ini"
         if name == "loud":
             path = tmp_path / "loud.ini"
@@ -882,7 +883,7 @@ class TestSolveRescaledBatch:
         assert peaks == sorted(peaks)
         cfg = dataclasses.replace(cfg, truncation_radius=0.5 * (peaks[1] + peaks[2]))
         batch = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
-        assert [rep.guard.activations > 0 for rep in batch] == [False, False, True]
+        assert [rep.truncations > 0 for rep in batch] == [False, False, True]
         for rep, row in zip(batch, p0):
             own = dataclasses.replace(model, p0=row)
             assert same(rep, sa.solve_rescaled(own, bundle, cfg))
