@@ -203,14 +203,15 @@ def _as_values(f, grid: Grid) -> np.ndarray:
     return arr
 
 
-def _scaled_sum(values: np.ndarray, axes: tuple, scale: float) -> np.ndarray:
+def _scaled_sum(values: np.ndarray, axes: tuple, scale: float, refine=None) -> np.ndarray:
     """The sum of ``values`` over ``axes`` times ``scale``; where that is not
-    finite, the sum of the values times ``scale``, so a sum past a float whose
-    scaled sum is not stays finite (a finite result keeps its bits).  Call it
-    under ``np.errstate(over="ignore")``: a sum past a float is expected here."""
+    finite, the sum of the values times ``scale`` (a finite result keeps its
+    bits), then ``refine`` of it if given.  Call it with overflow ignored: a
+    sum past a float, whose scaled sum may not be, is expected here."""
     total = values.sum(axis=axes) * scale
-    if not np.isfinite(total).all():
-        total = np.where(np.isfinite(total), total, (values * scale).sum(axis=axes))
+    if not (finite := np.isfinite(total)).all():
+        total = np.where(finite, total, (values * scale).sum(axis=axes))
+        total = total if refine is None else refine(total)
     return total
 
 
@@ -234,17 +235,17 @@ def l2_norm(f, grid: Grid, strict: bool = True) -> float:
     entry raises :class:`InvalidFieldError`, or makes the norm NaN if not ``strict``;
     a norm past a float is ``inf``.
     """
-    vals = _as_values(f, grid)
-    with np.errstate(over="ignore"):
-        sq = vals * vals
-        total = _integral(np.multiply(sq, grid.age_weight_field, out=sq), grid)
-    # the weights are positive, so a non-finite entry makes its sum
-    # non-finite; only then is the field scanned
-    if not np.all(np.isfinite(total)):
-        bad = ~np.all(np.isfinite(vals), axis=tuple(range(-grid.dim - 1, 0)))
+    vals, axes = _as_values(f, grid), tuple(range(-grid.dim - 1, 0))
+
+    def nonfinite(total):   # a non-finite entry gives a non-finite sum (weights > 0)
+        bad = ~np.all(np.isfinite(vals), axis=axes)
         if strict and np.any(bad):
             raise InvalidFieldError("field contains non-finite entries")
-        total = np.where(bad, np.nan, total)
+        return np.where(bad, np.nan, total)
+    with np.errstate(over="ignore"):
+        sq = vals * vals
+        sq *= grid.age_weight_field
+        total = _scaled_sum(sq, axes, grid.cell_volume, nonfinite)
     return _scalar_or_stack(np.sqrt(total))
 
 

@@ -9,9 +9,9 @@ the population argument ``r``, so the declared metadata in
 A rate is called as ``rate(t, a, x, r)`` where ``a`` and the entries of
 ``x`` are broadcastable arrays (age nodes against cell centers, or the
 coordinates of boundary faces) and ``r`` is a scalar or a 1-d array of
-per-path population values.  With an array ``r`` a rate that depends on
-``r`` returns one field per path (a leading path axis); the families that
-ignore ``r`` return a single field, which broadcasts across paths.  Only a
+per-path population values.  It returns an array that broadcasts to
+``np.shape(r)`` plus the field shape: one number per path for a
+:class:`LogisticRate`, one field for the families that ignore ``r``.  Only a
 :class:`CustomRate`, or a :class:`ProductRate` holding one, uses ``t``
 (``ignores_t``); a march evaluates the Robin data of the others once.
 """
@@ -64,9 +64,8 @@ class LogisticRate:
             z = self.slope * (r - self.center)
         # clip keeps exp() in range; the logistic saturates well before 500
         val = self.base + self.amp / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-        shape = np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x))
-        return np.broadcast_to(val.reshape(r.shape + (1,) * len(shape)),
-                               r.shape + shape)
+        ndim = len(np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x)))
+        return val.reshape(r.shape + (1,) * ndim)   # broadcasts over the (a, x) points
 
 
 @dataclass(frozen=True)
@@ -262,15 +261,11 @@ def validate_rates(rates: VitalRates, grid: Grid) -> list[RateViolation]:
 
 
 def evaluate_on_grid(rate, grid: Grid, t: float, r) -> np.ndarray:
-    """Rate values on the full age-space grid at one ``t``.
-
-    ``r`` is a scalar or a 1-d array of per-path values; in the second case
-    a rate that depends on ``r`` gives a leading path axis and one that
-    does not gives a single field.
-    """
-    out = np.asarray(rate(t, grid.age_mesh, grid.space_meshes, r), dtype=float)
-    shape = out.shape[:max(out.ndim - grid.dim - 1, 0)] + grid.field_shape
-    return out if out.shape == shape else np.broadcast_to(out, shape)
+    """Rate values on the age-space grid at one ``t`` and the scalar or 1-d
+    per-path ``r``, at the rate's own shape, which broadcasts to ``np.shape(r)
+    + grid.field_shape``: ``np.shape(r) + (1,) * (dim + 1)`` for a rate of
+    ``r`` alone, so work on its one number per path stays at that size."""
+    return np.asarray(rate(t, grid.age_mesh, grid.space_meshes, r), dtype=float)
 
 
 def evaluate_on_faces(rate, grid: Grid, t: float) -> dict:

@@ -107,12 +107,16 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
     alignment a first-order age upwind is used (``dt <= da``).  The age-zero
     row is left zero for the renewal.  ``g1`` may be ``None`` (no rescaling
     terms), ``advection`` (:func:`_advection` weights) ``None`` to skip it;
-    leading path axes carry through.  Returns the new values and the CFL
-    number per path (0 without advection; nonnegativity needs CFL <= 1).
+    leading path axes carry through.  ``mu_s`` broadcasts to ``values``; one
+    of a single age row (one number per path) is exponentiated at that size
+    without ``g1``.  Returns the new values and the CFL number per path (0
+    without advection; nonnegativity needs CFL <= 1).
     """
     older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
     src = younger if grid.aligned else older   # the rows the decay multiplies
-    decay = mu_s[src] if g1 is None else g1[src] + mu_s[src]
+    if np.shape(mu_s)[-grid.dim - 1] > 1:   # else one row serves every age
+        mu_s = mu_s[src]
+    decay = mu_s if g1 is None else g1[src] + mu_s
     # in one buffer: x (-dt) has the bits of -(x) dt, for negation is exact
     decay = np.multiply(decay, -dt, out=None if g1 is None else decay)
     np.exp(decay, out=decay)

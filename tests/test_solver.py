@@ -14,7 +14,7 @@ from stochage.errors import (ConfigurationError, InvalidFieldError, NoiseMagnitu
                              NonconvergenceError)
 from stochage.grid import Face, boundary_faces, l2_norm, weighted_population
 from stochage.modelfile import parse_model
-from stochage.rates import CustomRate, evaluate_gamma
+from stochage.rates import CustomRate, evaluate_gamma, evaluate_on_grid
 from stochage.rescale import RescaledCoefficients
 from stochage.solver import (DiffusionFactors, StepResult, TruncationGuard, _advection,
                              _march, _thomas_factor, _thomas_solve, diffusion_substep,
@@ -241,6 +241,73 @@ class TestAdvectionWeights:
         for solve in (sa.solve_direct, sa.solve_rescaled):
             with pytest.raises(ConfigurationError, match="dt <= da"):
                 solve(model, bundle, sa.SolverConfig())
+
+
+class ExpSpy:
+    """numpy as :mod:`stochage.solver` sees it, keeping the size of every
+    array that ``exp`` is called on."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x, *args, **kwargs):
+        self.sizes.append(np.size(x))
+        return np.exp(x, *args, **kwargs)
+
+
+class TestCompactDecay:
+    """A mortality of ``r`` alone reaches the transport as one number per path."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("aligned", [True, False])
+    @pytest.mark.parametrize("rescaled", [True, False])
+    @pytest.mark.parametrize("advected", [True, False])
+    def test_compact_mu_matches_the_broadcast_field_bitwise(self, dim, aligned, rescaled,
+                                                            advected, monkeypatch):
+        # the same values in every cell, once at their own shape and once
+        # as a contiguous field: every bit of the state and the CFL agree,
+        # for the batch and for each path alone (no path axis)
+        grid = sa.Grid(T=0.5, a_max=1.0, n_t=32, n_a=64 if aligned else 32,
+                       extent=(1.0,) * dim, n_x=(9,) if dim == 1 else (6, 5))
+        assert grid.aligned == aligned
+        rng = np.random.default_rng(29)
+        shape = (3,) + grid.field_shape
+        rate = sa.LogisticRate(0.1, 0.5, 2.0, 0.5)
+        u, vals = rng.normal(0.0, 2.0, 3), rng.random(shape)
+        g1 = rng.normal(0.0, 3.0, shape) if rescaled else None
+        g2 = tuple(0.45 * grid.dx[ax] / grid.dt * rng.uniform(-1.0, 1.0, shape)
+                   for ax in range(dim)) if advected else None
+        cells = grid.n_a * int(np.prod(grid.n_x))   # the rows the decay multiplies
+        spy = ExpSpy()
+        monkeypatch.setattr(solver, "np", spy)
+        for j in (None, 0, 1, 2):
+            pick = (lambda a: a) if j is None else (lambda a: a[j])
+            mu = evaluate_on_grid(rate, grid, 0.1, u if j is None else float(u[j]))
+            assert mu.shape == (3,) * (j is None) + (1,) * (dim + 1)
+            adv = None if g2 is None else _advection(tuple(map(pick, g2)), grid, grid.dt)
+            args = (pick(vals), None if g1 is None else pick(g1))
+            full = np.ascontiguousarray(np.broadcast_to(mu, args[0].shape))
+            spy.sizes.clear()
+            ours, cfl = transport_reaction_substep(*args, mu, adv, grid, grid.dt)
+            assert spy.sizes == [mu.size * (1 if g1 is None else cells)]
+            ref, ref_cfl = transport_reaction_substep(*args, full, adv, grid, grid.dt)
+            assert ours.tobytes() == ref.tobytes(), j
+            assert np.array_equal(cfl, ref_cfl), j
+
+    def test_direct_route_exponentiates_one_number_per_path(self, monkeypatch):
+        # a batched direct march of a logistic mortality takes the transport's
+        # exp of one number per path, never of a field
+        grid = sa.Grid(T=0.25, a_max=1.0, n_t=8, n_a=32, extent=(1.0,), n_x=(6,))
+        model = build_model(grid, logistic_rates())
+        bundles = [sa.sample_bundle(seed, 1, grid.n_t, grid.T) for seed in range(4)]
+        spy = ExpSpy()
+        monkeypatch.setattr(solver, "np", spy)
+        reports = sa.solve_direct_batch(model, bundles)
+        assert all(isinstance(r, sa.SolveReport) for r in reports)
+        assert spy.sizes == [len(bundles)] * grid.n_t
 
 
 class TestDiffusion:
