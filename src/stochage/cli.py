@@ -22,10 +22,7 @@ from . import estimates
 from .errors import ConfigurationError, StochageError
 from .fileio import (ensure_dir, save_bundle, save_field, write_check_report,
                      write_series_csv)
-from .grid import l2_norm
-from .oracle import solve_direct
-from .rescale import densities
-from .solver import _only, solve_rescaled, solve_rescaled_batch
+from .solver import _only, solve_rescaled_batch
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -89,23 +86,14 @@ def _cmd_ensemble(args) -> int:
 def _cmd_compare(args) -> int:
     model, cfg = ens._cached_model(args.model, 2 ** args.level)
     bundle = ens.path_bundle(args.model, args.level, args.seed, [0])[0]
-    cfg = dataclasses.replace(cfg, snapshot_stride=0)
-    rep_r = solve_rescaled(model, bundle, cfg)
-    rep_d = solve_direct(model, bundle, cfg)
-    p_r = densities(rep_r, model)[-1]
-    p_d = rep_d.final
+    reports, finals, diff, rel = ens._route_pair(model, bundle, cfg)
     out = ensure_dir(args.out)
-    save_field(out / "final_rescaled.bin", p_r)
-    save_field(out / "final_direct.bin", p_d)
-    diff = l2_norm(p_d - p_r, model.grid)
-    rel = estimates._ratio(diff, l2_norm(p_r, model.grid))
     write_series_csv(out / "compare.csv", {
         "quantity": np.array(["l2_diff_final", "l2_diff_final_rel"]),
         "value": np.array([diff, rel])})
-    for name, rep in (("rescaled", rep_r), ("direct", rep_d)):
-        write_series_csv(out / f"series_{name}.csv", {
-            "t": rep.grid.times, "l2_norm": rep.l2_series, "u_value": rep.u_series,
-            "births": rep.births_series})
+    for name, rep, p_final in zip(("rescaled", "direct"), reports, finals):
+        save_field(out / f"final_{name}.bin", p_final)
+        ens._save_series(out / f"series_{name}.csv", rep)
     return EXIT_OK
 
 

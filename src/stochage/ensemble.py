@@ -163,11 +163,24 @@ def _run_chunk(config: RunConfig, indices: range,
                 truncations=report.truncations))
             if out_dir is not None and config.snapshot_stride > 0:
                 save_field(Path(out_dir) / f"path_{index:05d}_{name}.bin", p_final)
-                write_series_csv(
-                    Path(out_dir) / f"path_{index:05d}_{name}.csv",
-                    {"t": report.grid.times, "l2_norm": report.l2_series,
-                     "u_value": report.u_series, "births": report.births_series})
+                _save_series(Path(out_dir) / f"path_{index:05d}_{name}.csv", report)
     return sorted(records, key=lambda rec: rec.path)
+
+
+def _save_series(path, report: SolveReport) -> None:
+    """The per-node series of ``report`` as one CSV: time, norm, ``U`` and births."""
+    write_series_csv(path, {"t": report.grid.times, "l2_norm": report.l2_series,
+                            "u_value": report.u_series, "births": report.births_series})
+
+
+def _route_pair(model: PopulationModel, bundle: BrownianBundle, config) -> tuple:
+    """Both routes on one bundle at stride 0: the reports ``(rescaled, direct)``, their final
+    densities, and the L2 gap of the direct density from the rescaled one, then over its norm."""
+    config = dataclasses.replace(config, snapshot_stride=0)
+    reports = solve_rescaled(model, bundle, config), solve_direct(model, bundle, config)
+    p_r, p_d = finals = tuple(densities(rep, model)[-1] for rep in reports)
+    gap = l2_norm(p_d - p_r, model.grid)
+    return reports, finals, gap, _ratio(gap, l2_norm(p_r, model.grid))
 
 
 @dataclass
@@ -297,21 +310,16 @@ def convergence_study(model_path: str, levels: int, seed: int = 0,
     master = sample_bundle(seed, model_fine.noise.n_modes,
                            model_fine.grid.n_t, model_fine.grid.T)
 
-    cfg = dataclasses.replace(base_cfg, snapshot_stride=0)
     rows = []
     for lev in range(levels):
         factor = 2 ** lev
         model, _ = _cached_model(model_path, factor)
-        bundle = coarsen(master, factor)
-        p_r = densities(solve_rescaled(model, bundle, cfg), model)[-1]
-        p_d = solve_direct(model, bundle, cfg).final
+        _, (p_r, p_d), diff, rel = _route_pair(model, coarsen(master, factor), base_cfg)
         if lev == 0:
             ref_p = p_r
         sub = ref_p[::factor] if model_fine.grid.aligned else ref_p
-        scale = l2_norm(p_r, model.grid)
-        diff = l2_norm(p_d - p_r, model.grid)
         rows.append(StudyRow(level=lev, n_t=model.grid.n_t, dt=model.grid.dt,
-                             pair_diff=diff, pair_diff_rel=_ratio(diff, scale),
+                             pair_diff=diff, pair_diff_rel=rel,
                              err_rescaled=l2_norm(p_r - sub, model.grid),
                              err_direct=l2_norm(p_d - sub, model.grid)))
 

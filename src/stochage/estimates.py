@@ -25,7 +25,7 @@ from .errors import ConfigurationError, StochageError
 from .grid import (Grid, boundary_faces, face_measure, face_shape, gradient_energy, l2_norm,
                    weighted_population)
 from .model import PopulationModel
-from .noise import amplitude_grids, ito_correction
+from .noise import amplitude_grids
 from .rates import VitalRates, evaluate_gamma, evaluate_on_faces, evaluate_on_grid
 from .rescale import CoefficientSups
 
@@ -341,9 +341,7 @@ class EstimateAccumulator:
                 self.terms[j, :, i] = (np.float64(l2_norm(d, grid)) ** 2,   # a float's pow, or inf
                                        np.sum(np.square(d[grid.rows(-1)])) * grid.cell_volume,
                                        gradient_energy(d, grid))
-            g1, g2, exp_dw0, k = coefficients or (   # node 0: W = 0
-                ito_correction(self.model.noise, grid)[None], [[0.0]] * grid.dim, [1.0],
-                {f: a[None] for f, a in evaluate_on_faces(self.model.rates.k0, grid, 0.0).items()})
+            g1, g2, exp_dw0, k = coefficients
             _weak_node(self._residual, y, u[0], self.model, self.psis, i, (
                 g1[0], [g[0] for g in g2], exp_dw0[0], {f: a[0] for f, a in k.items()}), timed=True)
             if i == 0:

@@ -9,6 +9,8 @@ this package.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import struct
 from pathlib import Path
 
@@ -31,11 +33,12 @@ def save_field(path, values: np.ndarray) -> None:
 
 
 def _unpack(fh, fmt: str, path, kind: str) -> tuple:
-    """The next bytes of ``fh`` unpacked by ``fmt``; a file that ends first is truncated."""
-    try:
-        return struct.unpack(fmt, fh.read(struct.calcsize(fmt)))
-    except struct.error:
-        raise ConfigurationError(f"{path}: truncated {kind} file") from None
+    """The next bytes of ``fh`` unpacked by ``fmt``; a file that ends first
+    is truncated, and is found so before a byte is read."""
+    size = struct.calcsize(fmt)
+    if size > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ConfigurationError(f"{path}: truncated {kind} file")
+    return struct.unpack(fmt, fh.read(size))
 
 
 def load_field(path) -> np.ndarray:
@@ -45,10 +48,10 @@ def load_field(path) -> np.ndarray:
             raise ConfigurationError(f"{path}: not a field file (magic {magic!r})")
         (rank,) = _unpack(fh, "<I", path, "field")
         shape = _unpack(fh, f"<{rank}Q", path, "field")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != int(np.prod(shape)):
+        data = fh.read()
+    if len(data) != 8 * math.prod(shape):   # exact: no int64 to wrap
         raise ConfigurationError(f"{path}: truncated field file")
-    return data.reshape(shape).copy()
+    return np.frombuffer(data, dtype="<f8").reshape(shape).copy()
 
 
 def save_bundle(path, bundle: BrownianBundle) -> None:
@@ -68,10 +71,10 @@ def load_bundle(path) -> BrownianBundle:
         if magic != BUNDLE_MAGIC:
             raise ConfigurationError(f"{path}: not a bundle file (magic {magic!r})")
         n, n_t, seed, dt, level = _unpack(fh, "<IQQdI", path, "bundle")
-        data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n_t:
+        data = fh.read()
+    if len(data) != 8 * n * n_t:
         raise ConfigurationError(f"{path}: truncated bundle file")
-    inc = data.reshape(n, n_t).copy()
+    inc = np.frombuffer(data, dtype="<f8").reshape(n, n_t).copy()
     betas = np.zeros((n, n_t + 1))
     np.cumsum(inc, axis=1, out=betas[:, 1:])
     return BrownianBundle(inc, betas, int(seed), float(dt), int(level))

@@ -358,19 +358,19 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
-    """Snapshots, per-node norm, births and ``U``, step diagnostics and bundle of one solve: a
-    rescaled state is a density only with its own noise path (:func:`densities`).  A rescaled
-    report also carries its path's truncation activations and its coefficient sups over every
-    node, all the energy-bound constants need (:func:`estimates.constants_for_run`); the direct
-    route has neither.  A check gathers what else it reads at every node through
-    :func:`_march`'s observer, not from here."""
+    """Snapshots (the last at the final node), per-node norm, births and ``U``, step diagnostics
+    and bundle of one solve.  Its states are ``y`` on the rescaled route, so a reader takes
+    densities, the final one too, from :func:`densities` on either route.  A rescaled report
+    also carries its path's truncation activations and its coefficient sups over every node,
+    all the energy-bound constants need (:func:`estimates.constants_for_run`); the direct route
+    has neither.  A check gathers what else it reads at every node through :func:`_march`'s
+    observer, not from here."""
 
     solver: str                    # "rescaled" (state y) or "direct" (density p)
     grid: Grid
     bundle: BrownianBundle
     snapshot_indices: np.ndarray
     snapshots: np.ndarray
-    final: np.ndarray
     l2_series: np.ndarray
     births_series: np.ndarray
     u_series: np.ndarray
@@ -444,8 +444,8 @@ class StepResult:
 
 
 def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndarray,
-           step, config: SolverConfig, solver: str,
-           p0: np.ndarray | None = None, observer=None) -> list[SolveReport | StochageError]:
+           step, config: SolverConfig, solver: str, p0: np.ndarray | None = None,
+           observer=None, coefficients: tuple | None = None) -> list[SolveReport | StochageError]:
     """The time loop of both routes; per bundle its report or its error.
 
     The noise vanishes at time zero, so both routes start each path from its
@@ -456,10 +456,10 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
     leaves when the step fails it or it, its norm or its ``U`` is not finite
     (the step's overflow warnings are left to that check).  The march records
     only what every run reads (the series of :class:`SolveReport`, the step
-    diagnostics and the snapshots) and gives each report its bundle.  At
-    each node ``observer(t_index, state, live, u_value, coefficients)``, if
-    given, sees the live rows and the coefficients their step built (``None``
-    at node 0, where ``W = 0``), as :class:`estimates.EstimateAccumulator` does.
+    diagnostics and the snapshots, the last at the final node) and gives each
+    report its bundle.  At each node ``observer(t_index, state, live, u_value,
+    coefficients)``, if given, sees the live rows and the coefficients their step
+    built (at node 0 the caller's ``coefficients``), as :class:`estimates.EstimateAccumulator` does.
     """
     grid, n_t, n_paths = model.grid, model.grid.n_t, len(bundles)
     failed, live, at = {}, np.arange(n_paths), np.s_[:]   # at: the rows of the live paths
@@ -475,7 +475,8 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
     space = tuple(range(-grid.dim, 0))
     slots = {int(i): pos for pos, i in enumerate(indices)}
 
-    result = StepResult(state, weighted_population(state, gamma, model.region, grid))
+    result = StepResult(state, weighted_population(state, gamma, model.region, grid),
+                        coefficients=coefficients)
     for i in range(n_t + 1):
         if i:
             with np.errstate(over="ignore", invalid="ignore"):   # such a path fails below
@@ -506,12 +507,12 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
             break
         if observer is not None:
             observer(i, state, live, u_value, built)
+            result = built = None   # the coefficients die before the next step builds its own
 
     return [failed[j] if j in failed else SolveReport(
         solver=solver, grid=grid, bundle=bundles[j], snapshot_indices=indices,
-        snapshots=snapshots[j], final=state[np.searchsorted(live, j)],
-        l2_series=series["l2"][j], births_series=series["births"][j], u_series=series["u"][j],
-        picard_iterations=iterations[j], contraction_ratios=ratios[j],
+        snapshots=snapshots[j], l2_series=series["l2"][j], births_series=series["births"][j],
+        u_series=series["u"][j], picard_iterations=iterations[j], contraction_ratios=ratios[j],
         cfl_max=float(cfl_max[j]), noise_factor_warnings=int(warnings[j]))
         for j in range(n_paths)]
 
@@ -666,14 +667,15 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     factors = DiffusionFactors()
     coeffs = RescaledCoefficients(model, bundles, factors.faces)
     gamma_vals = evaluate_gamma(model.rates, model.grid)
-    coeffs.k_faces(0)   # W = 0: the steps build every later node
-    coeffs.node_fields(0)
+    k, node = coeffs.k_faces(0), coeffs.node_fields(0)   # the steps build every later node
+    built = (node["g1"], node["g2"], node["exp_dw0"], k) if observer else None
+    del k, node   # an unobserved march keeps no coefficient past its node
     guard = (TruncationGuard(np.full(len(bundles), float(config.truncation_radius)))
              if config.truncation_radius is not None else _bound_guard(model, coeffs, config, p0))
     reports = _march(
         model, bundles, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
             y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live, observer),
-        config, "rescaled", p0, observer)
+        config, "rescaled", p0, observer, built)
     if guard.settle is not None:   # a path that left the march has nodes it did not see
         guard.settle([j for j, rep in enumerate(reports) if isinstance(rep, StochageError)])
         errors = guard.settle(range(len(bundles)), sweep=False)

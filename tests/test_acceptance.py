@@ -66,7 +66,7 @@ def test_criterion_01_rescaling_equivalence():
         reps_d = sa.solve_direct_batch(model, bundles, cfg)
         for m, (bundle, rep_r, rep_d) in enumerate(zip(bundles, reps_r, reps_d)):
             p_r = densities(rep_r, model)[-1]
-            pair[m, i] = sa.l2_norm(rep_d.final - p_r, model.grid)
+            pair[m, i] = sa.l2_norm(rep_d.snapshots[-1] - p_r, model.grid)
             if i == len(levels) - 1:
                 rel_finest[m] = pair[m, i] / sa.l2_norm(p_r, model.grid)
     mean_pair = pair.mean(axis=0)
@@ -97,7 +97,7 @@ def test_criterion_02a_scalar_oracle_rescaled_exact():
     nf = evaluate_noise(model.noise, [bundle], n_t, model.grid)
     # age rows beyond the reach of the birth boundary carry the scalar
     # solution; the closed form is the oracle
-    probe = np.exp(nf.value[0, -1, 0]) * rep.final[-1, 0]
+    probe = np.exp(nf.value[0, -1, 0]) * rep.snapshots[-1][-1, 0]
     exact = 2.0 * np.exp(bundle.betas[0, -1] - 0.5 / 2)
     err = abs(probe - exact) / abs(exact)
     assert report("2a", err <= 1e-12,
@@ -121,7 +121,7 @@ def test_criterion_02b_scalar_oracle_em_order():
         reps = sa.solve_direct_batch(
             gbm_model(n_t), [coarsen(b, n_fine // n_t) for b in masters],
             sa.SolverConfig(snapshot_stride=0))
-        errs[:, i] = np.abs([rep.final[-1, 0] for rep in reps] - exact)
+        errs[:, i] = np.abs([rep.snapshots[-1][-1, 0] for rep in reps] - exact)
     order = fit_order([0.5 / n for n in levels], errs.mean(axis=0))
     ok = 0.8 <= order <= 1.2
     assert report("2b", ok,
@@ -148,7 +148,7 @@ def test_criterion_03a_characteristics_exact():
                                             include_diffusion=False))
     oracle = np.zeros(grid.field_shape)
     oracle[n_t:] = p0[:-n_t] * np.exp(-mu * grid.dt) ** n_t
-    err = np.max(np.abs(rep.final - oracle)) / np.max(oracle)
+    err = np.max(np.abs(rep.snapshots[-1] - oracle)) / np.max(oracle)
     assert report("3a", err <= 1e-12,
                   f"aligned shift against characteristics, relative error "
                   f"{err:.2e} (<= 1e-12)")
@@ -170,7 +170,7 @@ def test_criterion_03b_diffusive_self_convergence():
         model = diffusive_model(n_t)
         bundle = sa.sample_bundle(0, 1, n_t, model.grid.T)
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=0))
-        finals[n_t] = (rep.final, model)
+        finals[n_t] = (rep.snapshots[-1], model)
     diffs, dts = [], []
     for a, b in zip(seq[:-1], seq[1:]):
         coarse, model = finals[a]
@@ -352,7 +352,7 @@ def test_criterion_10_mean_consistency():
     quiet = build_model(grid, rates=rates, p0=p0,
                         amplitudes=(sa.constant_amplitude(0.0, 1),))
     det = sa.solve_direct(quiet, sa.sample_bundle(0, 1, n_t, grid.T),
-                          sa.SolverConfig(snapshot_stride=0)).final
+                          sa.SolverConfig(snapshot_stride=0)).snapshots[-1]
 
     M = 10_000
     cfg = sa.SolverConfig(snapshot_stride=0)
@@ -367,10 +367,10 @@ def test_criterion_10_mean_consistency():
         reports = sa.solve_direct_batch(noisy, bundles, cfg)
         if chunk.start == 0:
             for bundle, rep in list(zip(bundles, reports))[:50]:
-                one = sa.solve_direct(noisy, bundle, cfg).final
-                assert rep.final.tobytes() == one.tobytes()
+                one = sa.solve_direct(noisy, bundle, cfg).snapshots[-1]
+                assert rep.snapshots[-1].tobytes() == one.tobytes()
         for rep in reports:
-            x = rep.final
+            x = rep.snapshots[-1]
             count += 1
             delta = x - mean
             mean += delta / count

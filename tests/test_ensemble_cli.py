@@ -791,6 +791,7 @@ class TestCli:
 
         for module in (cli, solver):
             monkeypatch.setattr(module, "solve_rescaled_batch", counting)
+        for module in (ensemble, solver):   # where the package binds the one-path solve
             monkeypatch.setattr(module, "solve_rescaled", lambda *args: singles.append(args))
         assert main(["check", "--model", str(MODELS / "sample1d.ini"),
                      "--out", str(tmp_path / "chk")]) == 0

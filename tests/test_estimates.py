@@ -250,8 +250,8 @@ class TestWeakResidualRandom:
         for i in range(grid1d.n_t + 1):
             node = coeffs.node_fields(i)
             u = weighted_population(node["exp_w"] * const, gamma, model.region, grid1d)
-            acc(i, const, np.arange(1), u, None if i == 0 else (
-                node["g1"], node["g2"], node["exp_dw0"], coeffs.k_faces(i)))
+            acc(i, const, np.arange(1), u,
+                (node["g1"], node["g2"], node["exp_dw0"], coeffs.k_faces(i)))
         res = acc.weak_residual()
         assert len(res.residuals) == 4
         assert res.max_abs <= 1e-12

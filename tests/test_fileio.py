@@ -1,12 +1,21 @@
+import os
+import resource
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import stochage as sa
 from stochage.errors import ConfigurationError
-from stochage.fileio import (load_bundle, load_field, read_series_csv,
+from stochage.fileio import (FIELD_MAGIC, load_bundle, load_field, read_series_csv,
                              save_bundle, save_field, write_check_report,
                              write_series_csv)
 from stochage.estimates import CheckRow
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestFieldFormat:
@@ -36,6 +45,33 @@ class TestFieldFormat:
             path.write_bytes(data[:end])
             with pytest.raises(ConfigurationError, match="truncated field file"):
                 load_field(path)
+
+    def test_rank_past_the_file(self, tmp_path):
+        # a rank of 2**31 claims a 16 GiB shape: the loader must find the file
+        # short before it reads, so it passes in an address space of 2 GiB
+        path = tmp_path / "f.bin"
+        path.write_bytes(FIELD_MAGIC + struct.pack("<I", 2 ** 31))
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+        code = ("import resource, sys\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {hard}))\n"
+                "from stochage.errors import ConfigurationError\n"
+                "from stochage.fileio import load_field\n"
+                "try:\n    load_field(sys.argv[1])\n"
+                "except ConfigurationError as exc:\n    print(exc)\n")
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            [str(SRC)] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        child = subprocess.run([sys.executable, "-c", code, str(path)],
+                               capture_output=True, text=True, env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == f"{path}: truncated field file\n"
+
+    def test_shape_product_past_int64(self, tmp_path):
+        # 2**80 entries: a product in int64 wraps to 0 and matches an empty payload
+        path = tmp_path / "f.bin"
+        path.write_bytes(FIELD_MAGIC + struct.pack("<I2Q", 2, 2 ** 40, 2 ** 40))
+        with pytest.raises(ConfigurationError, match="truncated field file"):
+            load_field(path)
 
 
 class TestBundleFormat:

@@ -173,7 +173,7 @@ class TestParseModel:
                                   model.grid.T)
         rep = sa.solve_rescaled(model, bundle, config)
         assert rep.picard_iterations.shape == (model.grid.n_t,)
-        assert np.all(np.isfinite(rep.final))
+        assert np.all(np.isfinite(rep.snapshots[-1]))
 
 
 class TestRateSyntax:

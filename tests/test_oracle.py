@@ -110,7 +110,7 @@ class TestSolveDirect:
         rep = sa.solve_direct(model, bundle,
                               sa.SolverConfig(snapshot_stride=0, scheme="em"))
         expected = 2.0 * np.prod(1.0 + bundle.increments[0])
-        assert rep.final[-1, 0] == pytest.approx(expected, rel=1e-13)
+        assert rep.snapshots[-1][-1, 0] == pytest.approx(expected, rel=1e-13)
 
     def test_gbm_strong_error_half_order(self):
         """Strong error of the Euler scheme against the exact geometric
@@ -134,7 +134,7 @@ class TestSolveDirect:
                 rep = sa.solve_direct(models[n_t], b,
                                       sa.SolverConfig(snapshot_stride=0,
                                                       scheme="em"))
-                errs[m, i] = abs(rep.final[-1, 0] - exact)
+                errs[m, i] = abs(rep.snapshots[-1][-1, 0] - exact)
         order = fit_order([0.5 / n for n in levels], errs.mean(axis=0))
         assert 0.3 <= order <= 0.7
 
@@ -150,14 +150,14 @@ class TestSolveDirect:
                                 amplitudes=(sa.constant_amplitude(0.0, 1),),
                                 p0=smooth_p0(grid, decay=2.0, ripple=0.3))
         det = sa.solve_direct(det_model, sa.sample_bundle(0, 1, n_t, grid.T),
-                              sa.SolverConfig(snapshot_stride=0)).final
+                              sa.SolverConfig(snapshot_stride=0)).snapshots[-1]
         cfg = sa.SolverConfig(snapshot_stride=0)
         for M, z in ((100, 3.3), (1000, 3.3)):
             bundles = [sa.sample_bundle(7000 + m, 1, n_t, grid.T) for m in range(M)]
-            finals = np.stack([rep.final for rep in
+            finals = np.stack([rep.snapshots[-1] for rep in
                                sa.solve_direct_batch(model, bundles, cfg)])
             for m in range(50):
-                one = sa.solve_direct(model, bundles[m], cfg).final
+                one = sa.solve_direct(model, bundles[m], cfg).snapshots[-1]
                 assert finals[m].tobytes() == one.tobytes()
             mean = finals.mean(axis=0)
             half = z * finals.std(axis=0, ddof=1) / np.sqrt(M)
@@ -300,5 +300,5 @@ class TestFacesOncePerMarch:
         frozen = dataclasses.replace(model, rates=dataclasses.replace(
             model.rates, alpha0=CustomRate(fn=lambda t, a, x, r: 0.1 + t0 + 0 * a, sup=1.0)))
         bundle = bundles_for(model, [3])[0]
-        assert not np.array_equal(sa.solve_direct(model, bundle).final,
-                                  sa.solve_direct(frozen, bundle).final)
+        assert not np.array_equal(sa.solve_direct(model, bundle).snapshots[-1],
+                                  sa.solve_direct(frozen, bundle).snapshots[-1])

@@ -336,7 +336,7 @@ class TestItoConsistency:
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=0))
         # probe an age row the zero inflow from the birth boundary has not
         # reached: a > T there, so the value is the scalar solution
-        y_probe = rep.final[-1, 0]
+        y_probe = rep.snapshots[-1][-1, 0]
         assert y_probe == pytest.approx(2.0 * np.exp(-0.5 / 2), rel=1e-12)
         nf = evaluate_noise(model.noise, [bundle], n_t, grid)
         p_probe = np.exp(nf.value[0, -1, 0]) * y_probe

@@ -586,7 +586,7 @@ class TestPicard:
         # for a model whose rates ignore the population functional the
         # first iterate is already the fixed point
         ref = sa.solve_rescaled(linear_model, bundle, sa.SolverConfig())
-        assert np.array_equal(rep.final, ref.final)
+        assert np.array_equal(rep.snapshots[-1], ref.snapshots[-1])
 
     def test_nonlinear_contraction(self, grid1d):
         model = build_model(grid1d, rates=logistic_rates(),
@@ -640,7 +640,7 @@ class TestSolveRescaled:
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=0))
         oracle = np.zeros(grid.field_shape)
         oracle[n_t:] = p0[:-n_t] * np.exp(-mu * grid.dt) ** n_t
-        assert np.max(np.abs(rep.final - oracle)) <= 1e-12 * np.max(oracle)
+        assert np.max(np.abs(rep.snapshots[-1] - oracle)) <= 1e-12 * np.max(oracle)
 
     def test_renewal_equation_oracle(self):
         # uniform-in-space birth-death system against an independent
@@ -715,7 +715,7 @@ class TestSolveRescaled:
         rep = sa.solve_rescaled(model, bundle, sa.SolverConfig(snapshot_stride=1))
         assert np.all(rep.picard_iterations == 1)
         assert rep.snapshots.min() >= 0.0
-        assert np.all(np.isfinite(rep.final))
+        assert np.all(np.isfinite(rep.snapshots[-1]))
 
 
 def march_without_path_axis(model, bundle, cfg):
@@ -758,7 +758,7 @@ class TestSolveRescaledBatch:
         singles = [sa.solve_rescaled(model, b, cfg) for b in bundles]
         for rep, bundle in zip(singles, bundles):
             final, steps, guard, sups = march_without_path_axis(model, bundle, cfg)
-            assert rep.final.tobytes() == final.tobytes()
+            assert rep.snapshots[-1].tobytes() == final.tobytes()
             assert rep.u_series[1:].tobytes() == np.array(
                 [s.u_value for s in steps]).tobytes()
             assert rep.picard_iterations.tolist() == [s.iterations for s in steps]
@@ -902,8 +902,8 @@ class TestSolveRescaledBatch:
         # paths of ten bundles leave the fixed point at different iterates,
         # which compacts the step's arrays in place, and on the loud model
         # some leave the march when their energy bound overflows; the observer
-        # still gets each live row's own coefficients, bitwise as a fresh
-        # build gives them, and the reports are those of the unobserved batch
+        # still gets each live row's own coefficients, node 0's included,
+        # bitwise as a fresh build gives them, and the reports are those of the unobserved batch
         path = MODELS / "sample1d.ini"
         if name == "loud":
             path = tmp_path / "loud.ini"
@@ -916,9 +916,6 @@ class TestSolveRescaledBatch:
         def observer(i, states, paths, u, coefficients):
             nodes.append((i, len(paths)))
             assert len(states) == len(paths) == len(u) and paths.tolist() == sorted(paths)
-            if i == 0:
-                assert coefficients is None
-                return
             g1, g2, exp_dw0, k = coefficients
             node, k_new = fresh.node_fields(i, paths), fresh.k_faces(i, paths)
             assert g1.tobytes() == node["g1"].tobytes()
