@@ -27,7 +27,7 @@ from .grid import (Grid, boundary_faces, face_measure, face_shape, gradient_ener
 from .model import PopulationModel
 from .noise import amplitude_grids
 from .rates import VitalRates, evaluate_gamma, evaluate_on_faces, evaluate_on_grid
-from .rescale import CoefficientSups
+from .rescale import CoefficientSups, densities
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +190,8 @@ class TestFunction:
 
     The time factor is ``(1 - s) s^q`` in ``s = t / T``; the age-space
     part is a monomial in ``a / a_max`` and the normalized coordinates.
-    Derivatives are analytic.
+    Derivatives are analytic.  ``A``, ``A_a`` and ``A_grad`` keep the shape
+    of their factors, for consumers to broadcast; ``face_values`` the faces'.
     """
 
     def __init__(self, grid: Grid, q_t: int, deg_a: int, deg_x: tuple[int, ...]):
@@ -199,15 +200,14 @@ class TestFunction:
         self.deg_a = deg_a
         self.deg_x = deg_x
         self.label = f"t^{q_t}(1-t/T) a^{deg_a} x^{deg_x}"
-        full = lambda values: np.broadcast_to(values, grid.field_shape).copy()
         am = grid.age_mesh / grid.a_max
         xs = [mesh / ext for mesh, ext in zip(grid.space_meshes, grid.extent)]
         age = am ** deg_a if deg_a else 1.0
         age_a = (deg_a / grid.a_max) * am ** (deg_a - 1) if deg_a else 0.0
-        self.A = full(_monomials(age, xs, deg_x))
-        self.A_a = full(_monomials(age_a, xs, deg_x))
-        self.A_grad = [full(_monomials(age, xs, deg_x, skip=axis)
-                            * ((d / ext) * x ** (d - 1) if d else 0.0))
+        self.A = _monomials(age, xs, deg_x)
+        self.A_a = _monomials(age_a, xs, deg_x)
+        self.A_grad = [_monomials(age, xs, deg_x, skip=axis)
+                       * ((d / ext) * x ** (d - 1) if d else 0.0 * x)
                        for axis, (x, d, ext) in enumerate(zip(xs, deg_x, grid.extent))]
         self.face_values = {
             face: np.broadcast_to(_monomials(
@@ -368,21 +368,20 @@ class EstimateAccumulator:
 
 def weak_residual_stochastic(report, model: PopulationModel,
                              n_psi: int = 6) -> ResidualReport:
-    """Residual of the noisy weak identity for a density report stored at stride 1.
+    """Residual of the noisy weak identity of the :func:`~stochage.rescale.densities`
+    of a report of either route stored at stride 1 (rescaled: ``p = exp(W) y``).
 
     Test functions depend on age and space only.  The stochastic integral
-    is assembled with the state at the left endpoint of each step times the
+    is assembled with the density at the left endpoint of each step times the
     Brownian increment of the report's own bundle, which is the discrete
     counterpart of the Ito integral and has zero mean.
     """
-    if report.solver != "direct":
-        raise ConfigurationError("the stochastic residual expects a density report")
     grid = report.grid
     if len(report.snapshot_indices) != grid.n_t + 1:
         raise ConfigurationError(
             f"the stochastic residual needs every time node, got {len(report.snapshot_indices)} "
             f"of {grid.n_t + 1}; solve with snapshot_stride=1")
-    traj, vol = report.snapshots, grid.cell_volume
+    traj, vol = densities(report, model), grid.cell_volume
     amp = amplitude_grids(model.noise, grid)
     gamma_vals = evaluate_gamma(model.rates, grid)
     psis = [p for p in build_test_functions(grid, 64) if p.q_t == 0][:n_psi]

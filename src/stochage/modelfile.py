@@ -169,16 +169,12 @@ def _parse_initial(grid: Grid, spec: str, space_mode: str | None) -> np.ndarray:
     if space_mode:
         eps, k = _numbers(space_mode, f"space_mode = {space_mode}", 2)
         k = _whole(k, space_mode)
-        L = grid.extent[0]
-
-        def fn(a, *x):
-            return base(a) * (1.0 + eps * np.cos(k * np.pi * x[0] / L))
-    else:
-        def fn(a, *x):
-            shape = np.broadcast_shapes(np.shape(a), *map(np.shape, x))
-            return np.broadcast_to(base(a), shape)
     with np.errstate(over="ignore", invalid="ignore"):   # named below instead
-        values = np.broadcast_to(fn(grid.age_mesh, *grid.space_meshes), grid.field_shape)
+        values = base(grid.age_mesh)   # one value per age
+        if space_mode:
+            values = values * (1.0 + eps * np.cos(k * np.pi * grid.space_meshes[0]
+                                                  / grid.extent[0]))
+        values = np.broadcast_to(values, grid.field_shape)
     if not (np.all(np.isfinite(values)) and np.min(values) >= 0.0):
         raise ConfigurationError(
             f"p0 = {spec.strip()}{f' with space_mode = {space_mode}' if space_mode else ''} "
@@ -230,10 +226,12 @@ def parse_model(path, coarsen: int = 1, data=None) -> tuple[PopulationModel, Sol
             extent = extent * 2
         if len(n_x) == 1 and dim == 2:
             n_x = n_x * 2
-        grid = Grid(T=g.getfloat("t_final"), a_max=g.getfloat("a_max"),
-                    n_t=g.getint("n_t"), n_a=g.getint("n_a"),
+        grid = Grid(T=float(g["t_final"]), a_max=float(g["a_max"]),
+                    n_t=int(g["n_t"]), n_a=int(g["n_a"]),
                     extent=tuple(extent), n_x=tuple(n_x))
-    except (TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ConfigurationError(f"missing key {exc} in [grid]") from None
+    except ValueError as exc:
         raise ConfigurationError(f"bad [grid] section: {exc}") from exc
     if grid.dim != dim:
         raise ConfigurationError("dim does not match extent/n_x")

@@ -51,7 +51,8 @@ def _separable(c: float, age_coeffs, kind=None, modes=(), extent=(),
     1) and ``f`` is ``cos`` or ``sin``; with ``kind=None`` the mode has no
     trig factor and is constant in the ``dim`` space directions.  ``cos``
     modes have vanishing normal derivative on the box boundary; ``sin``
-    modes do not and are only meant for derivative tests.
+    modes do not and are only meant for derivative tests.  Each callable returns
+    the shape of the arguments it reads (an age mode's that of ``a``).
     """
     if not all(float(k).is_integer() for k in np.atleast_1d(modes)):
         raise ConfigurationError(f"mode numbers must be whole numbers, got {modes}")
@@ -64,9 +65,6 @@ def _separable(c: float, age_coeffs, kind=None, modes=(), extent=(),
     age_deriv = tuple(k * v for k, v in enumerate(age))[1:] or (0.0,)
     f, df = _TRIG.get(kind, (None, None))
 
-    def shape(a, x):
-        return np.broadcast_shapes(np.shape(a), *map(np.shape, x))
-
     def term(cs, a, x, axis=None):
         """``c P_cs(a)``, times ``f'`` along ``axis``, times the other factors."""
         scaled = c * np.polynomial.polynomial.polyval(np.asarray(a, dtype=float), cs)
@@ -76,13 +74,13 @@ def _separable(c: float, age_coeffs, kind=None, modes=(), extent=(),
                 scaled = scaled * df(w, w * np.asarray(xi, dtype=float))
             else:
                 trig = trig * f(w * np.asarray(xi, dtype=float))
-        return np.broadcast_to(scaled * trig, shape(a, x))
+        return scaled * trig
 
     def fn(a, *x):
         return term(age, a, x)
 
     def zero(a, *x):
-        return np.zeros(shape(a, x))
+        return np.zeros(np.shape(a))
 
     if kind is None:
         grad, lap = (zero,) * dim, zero
@@ -163,19 +161,17 @@ class AmplitudeGrids:
         self.laplacians = np.zeros(shape)
         self.gradients = [np.zeros(shape) for _ in range(grid.dim)]
         am, xm = grid.age_mesh, grid.space_meshes
-        for j, amp in enumerate(spec.amplitudes):
-            self.values[j] = np.broadcast_to(amp.fn(am, *xm), grid.field_shape)
-            self.d_age[j] = np.broadcast_to(amp.d_age(am, *xm), grid.field_shape)
-            self.laplacians[j] = np.broadcast_to(amp.lap(am, *xm), grid.field_shape)
+        for j, amp in enumerate(spec.amplitudes):   # each assignment broadcasts
+            self.values[j] = amp.fn(am, *xm)
+            self.d_age[j] = amp.d_age(am, *xm)
+            self.laplacians[j] = amp.lap(am, *xm)
             for axis in range(grid.dim):
-                self.gradients[axis][j] = np.broadcast_to(
-                    amp.grad[axis](am, *xm), grid.field_shape)
+                self.gradients[axis][j] = amp.grad[axis](am, *xm)
         self.face_values = {}
         for face, (ages, coords) in grid.boundary_meshes.items():
-            fshape = face_shape(grid, face)
-            vals = np.zeros((n,) + fshape)
+            vals = np.zeros((n,) + face_shape(grid, face))
             for j, amp in enumerate(spec.amplitudes):
-                vals[j] = np.broadcast_to(amp.fn(ages, *coords), fshape)
+                vals[j] = amp.fn(ages, *coords)
             self.face_values[face] = vals
 
 

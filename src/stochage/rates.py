@@ -9,11 +9,13 @@ the population argument ``r``, so the declared metadata in
 A rate is called as ``rate(t, a, x, r)`` where ``a`` and the entries of
 ``x`` are broadcastable arrays (age nodes against cell centers, or the
 coordinates of boundary faces) and ``r`` is a scalar or a 1-d array of
-per-path population values.  It returns an array that broadcasts to
-``np.shape(r)`` plus the field shape: one number per path for a
-:class:`LogisticRate`, one field for the families that ignore ``r``.  Only a
-:class:`CustomRate`, or a :class:`ProductRate` holding one, uses ``t``
-(``ignores_t``); a march evaluates the Robin data of the others once.
+per-path population values.  ``a`` carries every point axis (the grid's
+age mesh, the face ages, :func:`validate_rates`' samples), and a family
+returns the shape of what it reads: ``np.shape(r)`` if it reads ``r``, then
+the point axes, of length 1 on each it does not read.  Only a
+:class:`CustomRate` is a whole field; consumers broadcast.  Only it, or a
+:class:`ProductRate` holding one, uses ``t`` (``ignores_t``); a march
+evaluates the Robin data of the others once.
 """
 
 from __future__ import annotations
@@ -38,8 +40,7 @@ class ConstantRate:
         return 0.0
 
     def __call__(self, t, a, x, r):
-        shape = np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x))
-        return np.full(shape, float(self.value))
+        return np.full((1,) * np.ndim(a), float(self.value))
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,7 @@ class LogisticRate:
             z = self.slope * (r - self.center)
         # clip keeps exp() in range; the logistic saturates well before 500
         val = self.base + self.amp / (1.0 + np.exp(-np.clip(z, -500.0, 500.0)))
-        ndim = len(np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x)))
-        return val.reshape(r.shape + (1,) * ndim)   # broadcasts over the (a, x) points
+        return val.reshape(r.shape + (1,) * np.ndim(a))
 
 
 @dataclass(frozen=True)
@@ -96,9 +96,7 @@ class AgeProfileRate:
         return 0.0
 
     def __call__(self, t, a, x, r):
-        vals = np.interp(np.asarray(a, dtype=float), self.age_points, self.values)
-        shape = np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x))
-        return np.broadcast_to(vals, shape).copy()
+        return np.interp(np.asarray(a, dtype=float), self.age_points, self.values)
 
 
 @dataclass(frozen=True)
@@ -118,9 +116,7 @@ class AgeWindowRate:
 
     def __call__(self, t, a, x, r):
         a = np.asarray(a, dtype=float)
-        vals = np.where((a >= self.lo) & (a <= self.hi), float(self.value), 0.0)
-        shape = np.broadcast_shapes(np.shape(a), *(np.shape(c) for c in x))
-        return np.broadcast_to(vals, shape).copy()
+        return np.where((a >= self.lo) & (a <= self.hi), float(self.value), 0.0)
 
 
 @dataclass(frozen=True)
@@ -262,9 +258,9 @@ def validate_rates(rates: VitalRates, grid: Grid) -> list[RateViolation]:
 
 def evaluate_on_grid(rate, grid: Grid, t: float, r) -> np.ndarray:
     """Rate values on the age-space grid at one ``t`` and the scalar or 1-d
-    per-path ``r``, at the rate's own shape, which broadcasts to ``np.shape(r)
-    + grid.field_shape``: ``np.shape(r) + (1,) * (dim + 1)`` for a rate of
-    ``r`` alone, so work on its one number per path stays at that size."""
+    per-path ``r``, at the shape of what the rate reads: one number for a
+    constant, ``n_a + 1`` ages for a table or window, one number per path for
+    a rate of ``r`` alone, each with length 1 on the other field axes."""
     return np.asarray(rate(t, grid.age_mesh, grid.space_meshes, r), dtype=float)
 
 

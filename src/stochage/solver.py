@@ -445,7 +445,7 @@ class StepResult:
 
 def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndarray,
            step, config: SolverConfig, solver: str, p0: np.ndarray | None = None,
-           observer=None, coefficients: tuple | None = None) -> list[SolveReport | StochageError]:
+           observer=None, coefficients: list | None = None) -> list[SolveReport | StochageError]:
     """The time loop of both routes; per bundle its report or its error.
 
     The noise vanishes at time zero, so both routes start each path from its
@@ -459,7 +459,8 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
     diagnostics and the snapshots, the last at the final node) and gives each
     report its bundle.  At each node ``observer(t_index, state, live, u_value,
     coefficients)``, if given, sees the live rows and the coefficients their step
-    built (at node 0 the caller's ``coefficients``), as :class:`estimates.EstimateAccumulator` does.
+    built, as :class:`estimates.EstimateAccumulator` does; at node 0 the one item
+    of the list ``coefficients``, which the march pops so that no frame keeps it.
     """
     grid, n_t, n_paths = model.grid, model.grid.n_t, len(bundles)
     failed, live, at = {}, np.arange(n_paths), np.s_[:]   # at: the rows of the live paths
@@ -476,7 +477,7 @@ def _march(model: PopulationModel, bundles: list[BrownianBundle], gamma: np.ndar
     slots = {int(i): pos for pos, i in enumerate(indices)}
 
     result = StepResult(state, weighted_population(state, gamma, model.region, grid),
-                        coefficients=coefficients)
+                        coefficients=coefficients.pop() if coefficients else None)
     for i in range(n_t + 1):
         if i:
             with np.errstate(over="ignore", invalid="ignore"):   # such a path fails below
@@ -668,8 +669,8 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     coeffs = RescaledCoefficients(model, bundles, factors.faces)
     gamma_vals = evaluate_gamma(model.rates, model.grid)
     k, node = coeffs.k_faces(0), coeffs.node_fields(0)   # the steps build every later node
-    built = (node["g1"], node["g2"], node["exp_dw0"], k) if observer else None
-    del k, node   # an unobserved march keeps no coefficient past its node
+    built = [(node["g1"], node["g2"], node["exp_dw0"], k)] if observer else None
+    del k, node   # the march takes node 0's from built; no frame keeps them past the observer
     guard = (TruncationGuard(np.full(len(bundles), float(config.truncation_radius)))
              if config.truncation_radius is not None else _bound_guard(model, coeffs, config, p0))
     reports = _march(

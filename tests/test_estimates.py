@@ -16,8 +16,8 @@ from stochage.noise import coarsen
 from stochage.rates import evaluate_gamma, evaluate_on_faces
 from stochage.rescale import RescaledCoefficients
 
-from conftest import (build_model, linear_rates, logistic_rates, sample, smooth_p0,
-                      swept_constants)
+from conftest import (build_model, linear_rates, logistic_rates, nan_fertility_model, same,
+                      sample, smooth_p0, swept_constants)
 
 
 def solved_pair(grid, seed=5, rates=None, stride=0, p0=None):
@@ -188,6 +188,33 @@ class TestAprioriCheck:
             with pytest.raises(ConfigurationError, match="observed no rescaled march"):
                 check()
 
+    def test_nothing_gathered_once_path_0_left(self, grid1d):
+        # path 0 turns NaN mid-march while other paths finish: the observed
+        # reports and errors are the unobserved ones, and no term is written
+        # after path 0's last node, though the march goes on
+        cfg = sa.SolverConfig(snapshot_stride=0)
+        bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in range(6)]
+        model = nan_fertility_model(grid1d, bundles, sa.solve_rescaled_batch, cfg)
+        first = [isinstance(r, sa.StochageError)
+                 for r in sa.solve_rescaled_batch(model, bundles, cfg)].index(True)
+        bundles.insert(0, bundles.pop(first))
+        plain = sa.solve_rescaled_batch(model, bundles, cfg)
+        acc, seen = sa.EstimateAccumulator(model), []
+
+        def observer(i, states, paths, u, coefficients):
+            seen.append((i, int(paths[0])))
+            acc(i, states, paths, u, coefficients)
+
+        reports = sa.solve_rescaled_batch(model, bundles, cfg, observer=observer)
+        assert isinstance(reports[0], sa.StochageError)
+        assert any(isinstance(r, sa.SolveReport) for r in reports)
+        for rep, alone in zip(reports, plain, strict=True):
+            assert same(rep, alone) if isinstance(rep, sa.SolveReport) else str(rep) == str(alone)
+        last = max(i for i, path in seen if path == 0)
+        assert last < seen[-1][0] == grid1d.n_t
+        assert not np.isnan(acc.terms[0, :, :last + 1]).any()
+        assert np.isnan(acc.terms[:, :, last + 1:]).all()
+
 
 class TestDependence:
     def test_identical_runs_zero(self, grid1d):
@@ -308,7 +335,10 @@ class TestWeakResidualStochastic:
         res = sa.weak_residual_stochastic(rep, model, n_psi=6)
         assert res.max_abs <= 1e-12
 
-    def test_decreases_under_refinement(self):
+    @pytest.mark.parametrize("solve", [sa.solve_direct, sa.solve_rescaled],
+                             ids=["direct", "rescaled"])
+    def test_decreases_under_refinement(self, solve):
+        # a rescaled report is read as its densities p = exp(W) y
         master = sa.sample_bundle(8, 1, 128, 0.5)
         vals = []
         for n_t in (32, 128):
@@ -316,17 +346,19 @@ class TestWeakResidualStochastic:
                            extent=(1.0,), n_x=(8,))
             model = build_model(grid, rates=linear_rates())
             b = coarsen(master, 128 // n_t)
-            rep = sa.solve_direct(model, b, sa.SolverConfig(snapshot_stride=1))
+            rep = solve(model, b, sa.SolverConfig(snapshot_stride=1))
             vals.append(sa.weak_residual_stochastic(rep, model).max_abs)
         assert vals[1] < vals[0]
 
+    @pytest.mark.parametrize("solve", [sa.solve_direct, sa.solve_rescaled],
+                             ids=["direct", "rescaled"])
     @pytest.mark.parametrize("stride", [0, 2])
-    def test_strided_report_rejected(self, grid1d, stride):
+    def test_strided_report_rejected(self, grid1d, stride, solve):
         # the residual reads every node of the stored snapshots; a report
         # that skipped some would give a wrong number, so it is refused
         model = build_model(grid1d)
         bundle = sa.sample_bundle(3, 1, grid1d.n_t, grid1d.T)
-        rep = sa.solve_direct(model, bundle, sa.SolverConfig(snapshot_stride=stride))
+        rep = solve(model, bundle, sa.SolverConfig(snapshot_stride=stride))
         with pytest.raises(ConfigurationError, match="needs every time node"):
             sa.weak_residual_stochastic(rep, model)
 
@@ -361,9 +393,12 @@ class TestBasisAndRows:
             cases = [(psi.A, A), (psi.A_a, sympy.diff(A, a))]
             cases += [(g, sympy.diff(A, x)) for g, x in zip(psi.A_grad, xs)]
             assert len(cases) == 2 + grid.dim
-            for values, expr in cases:
+            for values, expr in cases:   # compact: the field's axes, broadcast here
+                assert np.ndim(values) == 1 + grid.dim
                 want = sampled(expr, grid.age_mesh, grid.space_meshes, grid.field_shape)
-                np.testing.assert_allclose(values, want, rtol=1e-13, atol=1e-15)
+                np.testing.assert_allclose(np.broadcast_to(values, grid.field_shape), want,
+                                           rtol=1e-13, atol=1e-15)
+            assert np.shape(psi.A)[0] == (grid.n_a + 1 if psi.deg_a else 1)
             assert len(psi.face_values) == 2 * grid.dim
             for face, (ages, coords) in grid.boundary_meshes.items():
                 assert float(coords[face.axis]) == face.side * grid.extent[face.axis]

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +165,31 @@ class TestParseModel:
         assert line in text
         path = write_model(tmp_path, text.replace(line, bad))
         with pytest.raises(ConfigurationError, match=match):
+            parse_model(path)
+        assert main(["check", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
+
+    @pytest.mark.parametrize("pattern, repl, named", [
+        pytest.param(r"^extent = .*", "extent = 1.0", None, id="one-extent"),
+        pytest.param(r"^n_x = .*", "n_x = 8", None, id="one-n_x"),
+        pytest.param(r"^extent = .*\nn_x = .*", "extent = 1.0\nn_x = 8", None, id="one-each"),
+        pytest.param(r"^dim = 2", "dim = 1", "dim does not match", id="dim-1"),
+        pytest.param(r"^dim = 2", "dim = 3", "dim does not match", id="dim-3"),
+        *[pytest.param(rf"^{key} = .*\n", "", f"missing key '{key}' in \\[grid\\]",
+                       id=f"no-{key}") for key in ("t_final", "a_max", "n_t", "n_a")],
+        *[pytest.param(rf"^\[{section}\][^\[]*", "", f"missing section \\[{section}\\]",
+                       id=f"no-[{section}]") for section in ("grid", "initial")],
+    ])
+    def test_grid_section_of_a_2d_file(self, tmp_path, pattern, repl, named):
+        # one extent or n_x value serves both axes of a 2-d grid; a dim that
+        # matches neither, a missing grid key or a missing section is named
+        text = (MODELS / "sample2d.ini").read_text()
+        edited = re.sub(pattern, repl, text, count=1, flags=re.M)
+        assert edited != text
+        path = write_model(tmp_path, edited)
+        if named is None:
+            assert parse_model(path)[0].grid == parse_model(MODELS / "sample2d.ini")[0].grid
+            return
+        with pytest.raises(ConfigurationError, match=named):
             parse_model(path)
         assert main(["check", "--model", str(path), "--out", str(tmp_path / "o")]) == 3
 

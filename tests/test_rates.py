@@ -60,13 +60,15 @@ class TestPathVector:
     @pytest.mark.parametrize("dim", [1, 2])
     def test_vector_u_matches_scalar_calls(self, rate, dim, grid1d, grid2d):
         # one evaluation per path, stacked, is the batched evaluation bit for
-        # bit once both are broadcast to the field; a rate of r alone keeps
-        # one number per path, the others one field (per path if they read r)
+        # bit once both are broadcast to the field; each family keeps the
+        # shape of what it reads (per path if it reads r), only a custom
+        # rate the whole field
         grid = grid1d if dim == 1 else grid2d
         u = np.array([-3.7, 0.0, 0.5, 1e-3, 2.25, 40.0])
         batched = evaluate_on_grid(rate, grid, 0.3, u)
         serial = [evaluate_on_grid(rate, grid, 0.3, float(v)) for v in u]
-        own = (1,) * (dim + 1) if isinstance(rate, sa.LogisticRate) else grid.field_shape
+        own = {sa.ConstantRate: (1,) * (dim + 1), sa.LogisticRate: (1,) * (dim + 1),
+               CustomRate: grid.field_shape}.get(type(rate), (grid.n_a + 1,) + (1,) * dim)
         r_free = (sa.ConstantRate, sa.AgeProfileRate, sa.AgeWindowRate)
         assert batched.shape == (() if isinstance(rate, r_free) else u.shape) + own
         assert all(s != 0 for s, n in zip(batched.strides, batched.shape) if n > 1)
@@ -76,11 +78,15 @@ class TestPathVector:
             assert full[j].tobytes() == np.broadcast_to(one, grid.field_shape).tobytes()
 
     def test_u_free_families_broadcast(self, grid1d):
-        # the families that ignore r give one field for every path; a rate
-        # of r alone gives one number per path, none repeated over the grid
+        # the families that ignore r give one array for every path, at the
+        # shape of what they read; a rate of r alone gives one number per
+        # path, none repeated over the grid
         u = np.linspace(0.0, 1.0, 5)
-        for rate in (sa.ConstantRate(1.0), sa.AgeWindowRate(0.2, 0.4, 1.0)):
-            assert evaluate_on_grid(rate, grid1d, 0.0, u).shape == grid1d.field_shape
+        for rate, shape in ((sa.ConstantRate(1.0), (1, 1)),
+                            (sa.AgeWindowRate(0.2, 0.4, 1.0), (grid1d.n_a + 1, 1))):
+            vals = evaluate_on_grid(rate, grid1d, 0.0, u)
+            assert vals.shape == shape
+            assert np.broadcast_shapes(shape, grid1d.field_shape) == grid1d.field_shape
         logistic = evaluate_on_grid(sa.LogisticRate(0.1, 0.5, 2.0), grid1d, 0.0, u)
         assert logistic.shape == (5, 1, 1)
         assert logistic.strides == (8, 8, 8)

@@ -1,5 +1,6 @@
 import dataclasses
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -259,40 +260,50 @@ class ExpSpy:
 
 
 class TestCompactDecay:
-    """A mortality of ``r`` alone reaches the transport as one number per path."""
+    """A mortality reaches the transport at the shape of what it reads: one
+    number per path for a rate of ``r`` alone, one number for a constant,
+    one value per age for an age table or window."""
 
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("aligned", [True, False])
     @pytest.mark.parametrize("rescaled", [True, False])
     @pytest.mark.parametrize("advected", [True, False])
+    @pytest.mark.parametrize("rate", [
+        sa.LogisticRate(0.1, 0.5, 2.0, 0.5), sa.ConstantRate(0.4),
+        sa.AgeWindowRate(0.25, 0.75, 0.8), sa.AgeProfileRate((0.0, 0.5, 1.0), (0.2, 1.0, 0.1)),
+    ], ids=lambda r: type(r).__name__)
     def test_compact_mu_matches_the_broadcast_field_bitwise(self, dim, aligned, rescaled,
-                                                            advected, monkeypatch):
-        # the same values in every cell, once at their own shape and once
-        # as a contiguous field: every bit of the state and the CFL agree,
-        # for the batch and for each path alone (no path axis)
+                                                            advected, rate, monkeypatch):
+        # the same values, once at their own shape and once as a contiguous
+        # field: every bit of the state and the CFL agree, for the batch and
+        # for each path alone (no path axis); without g1 the exp runs on the
+        # decay's own size, its age rows cut to those the decay multiplies
         grid = sa.Grid(T=0.5, a_max=1.0, n_t=32, n_a=64 if aligned else 32,
                        extent=(1.0,) * dim, n_x=(9,) if dim == 1 else (6, 5))
         assert grid.aligned == aligned
         rng = np.random.default_rng(29)
         shape = (3,) + grid.field_shape
-        rate = sa.LogisticRate(0.1, 0.5, 2.0, 0.5)
         u, vals = rng.normal(0.0, 2.0, 3), rng.random(shape)
         g1 = rng.normal(0.0, 3.0, shape) if rescaled else None
         g2 = tuple(0.45 * grid.dx[ax] / grid.dt * rng.uniform(-1.0, 1.0, shape)
                    for ax in range(dim)) if advected else None
-        cells = grid.n_a * int(np.prod(grid.n_x))   # the rows the decay multiplies
+        reads_age = isinstance(rate, (sa.AgeWindowRate, sa.AgeProfileRate))
+        own = (grid.n_a + 1 if reads_age else 1,) + (1,) * dim
         spy = ExpSpy()
         monkeypatch.setattr(solver, "np", spy)
         for j in (None, 0, 1, 2):
             pick = (lambda a: a) if j is None else (lambda a: a[j])
             mu = evaluate_on_grid(rate, grid, 0.1, u if j is None else float(u[j]))
-            assert mu.shape == (3,) * (j is None) + (1,) * (dim + 1)
+            per_path = j is None and isinstance(rate, sa.LogisticRate)
+            assert mu.shape == (3,) * per_path + own
             adv = None if g2 is None else _advection(tuple(map(pick, g2)), grid, grid.dt)
             args = (pick(vals), None if g1 is None else pick(g1))
             full = np.ascontiguousarray(np.broadcast_to(mu, args[0].shape))
             spy.sizes.clear()
             ours, cfl = transport_reaction_substep(*args, mu, adv, grid, grid.dt)
-            assert spy.sizes == [mu.size * (1 if g1 is None else cells)]
+            older = grid.rows(np.s_[1:])   # as many rows as the decay multiplies
+            decay = mu[older] if reads_age else mu
+            assert spy.sizes == [decay.size if g1 is None else args[0][older].size]
             ref, ref_cfl = transport_reaction_substep(*args, full, adv, grid, grid.dt)
             assert ours.tobytes() == ref.tobytes(), j
             assert np.array_equal(cfl, ref_cfl), j
@@ -936,6 +947,22 @@ class TestSolveRescaledBatch:
             iters = np.array([r.picard_iterations for r in solved])
             assert len(solved) == len(bundles)
             assert np.any(iters.min(axis=0) < iters.max(axis=0))
+
+    def test_node_zero_coefficients_die_after_the_observer_saw_them(self):
+        # no frame of the march keeps node 0's (g1, g2, exp_dw0, k) past the
+        # observer's node-0 call; each later node's die at the node after it
+        model, cfg = parse_model(MODELS / "sample1d.ini", coarsen=4)
+        refs, alive = [], []
+
+        def observer(i, states, paths, u, coefficients):
+            g1, g2, exp_dw0, k = coefficients
+            alive.append([ref() is not None for ref in refs])
+            refs[:] = [weakref.ref(a) for a in (g1, *g2, exp_dw0, *k.values())]
+
+        reports = sa.solve_rescaled_batch(model, bundles_for(model, 3), cfg, observer=observer)
+        assert all(isinstance(rep, sa.SolveReport) for rep in reports)
+        assert len(alive) == model.grid.n_t + 1
+        assert not any(any(seen) for seen in alive)
 
     def test_fixed_radius_clips_only_the_largest_initial_density(self):
         # a radius between the two largest peak norms clips only the path
