@@ -25,7 +25,7 @@ from .solver import (SolveReport, SolverConfig, StepResult, TruncationGuard,
                      truncate_argument)
 from .oracle import solve_direct, solve_direct_batch
 from .estimates import (CheckRow, EstimateAccumulator, EstimateConstants,
-                        apriori_check, compute_constants, constants_for_run,
+                        apriori_check, constants_for_run,
                         dependence_check, weak_residual_stochastic)
 from .ensemble import RunConfig, convergence_study, run
 

@@ -107,6 +107,7 @@ def _cmd_check(args) -> int:
     from .rates import validate_rates
 
     model, cfg = ens._cached_model(args.model, 1)
+    coarse_model, coarse_cfg = ens._cached_model(args.model, 2)   # parsed before any solve
     bundle = ens.path_bundle(args.model, 0, args.seed, [0])[0]
     cfg = dataclasses.replace(cfg, snapshot_stride=0)
     # one batch of the stored run and its bumped runs, which share grid, rates
@@ -131,7 +132,6 @@ def _cmd_check(args) -> int:
     rows.append(estimates.CheckRow("dependence_ratio_drift", drift, 0.10))
 
     # weak residual decreases under one refinement of the stored run
-    coarse_model, coarse_cfg = ens._cached_model(args.model, 2)
     coarse_cfg = dataclasses.replace(coarse_cfg, snapshot_stride=0)
     coarse = estimates.EstimateAccumulator(coarse_model)
     _only(solve_rescaled_batch(coarse_model, ens.path_bundle(args.model, 1, args.seed, [0]),

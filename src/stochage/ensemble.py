@@ -307,13 +307,13 @@ def convergence_study(model_path: str, levels: int, seed: int = 0,
     if model_fine.grid.n_t % 2 ** (levels - 1):
         raise ConfigurationError(
             f"master n_t={model_fine.grid.n_t} does not allow {levels} halvings")
+    models = [_cached_model(model_path, 2 ** k)[0] for k in range(levels)]   # before any solve
     master = sample_bundle(seed, model_fine.noise.n_modes,
                            model_fine.grid.n_t, model_fine.grid.T)
 
     rows = []
-    for lev in range(levels):
+    for lev, model in enumerate(models):
         factor = 2 ** lev
-        model, _ = _cached_model(model_path, factor)
         _, (p_r, p_d), diff, rel = _route_pair(model, coarsen(master, factor), base_cfg)
         if lev == 0:
             ref_p = p_r

@@ -26,7 +26,7 @@ from .grid import (Grid, boundary_faces, face_measure, face_shape, gradient_ener
                    weighted_population)
 from .model import PopulationModel
 from .noise import amplitude_grids
-from .rates import VitalRates, evaluate_gamma, evaluate_on_faces, evaluate_on_grid
+from .rates import evaluate_gamma, evaluate_on_faces, evaluate_on_grid
 from .rescale import CoefficientSups, densities
 
 
@@ -71,18 +71,21 @@ def growth_factor(c0: float, c1: float, g1_sup: float, g2_sup: float,
     raise StochageError(f"energy bound exponent {expo:.4g} overflows a float")
 
 
-def compute_constants(rates: VitalRates, sups: CoefficientSups, *,
-                      c0: float = 1.0, c1: float = 1.0, region_volume: float,
-                      a_max: float, horizon: float,
-                      y0_norm_sq: float) -> EstimateConstants:
-    """Assemble the energy-bound constants from the rate sups, the path's
-    coefficient ``sups`` and the data energy.
+def constants_for_run(model: PopulationModel, sups: CoefficientSups,
+                      c0: float = 1.0, c1: float = 1.0,
+                      y0_norm_sq: float | None = None) -> EstimateConstants:
+    """The energy-bound constants of one path from the rate sups of ``model``,
+    its coefficient ``sups`` (a rescaled report's ``sups``, or a sweep's) and
+    the data energy ``y0_norm_sq``, by default that of ``model.p0``.
 
     ``r0`` bounds the squared solution norm by the growth factor times the
     data energy; the truncation threshold is ``ceil(r0) + 1``.  The
     Lipschitz aggregates ``l1`` (fertility side) and ``l2`` (mortality
     side) feed the continuous-dependence prefactor.
     """
+    rates, volume, a_max, horizon = model.rates, model.region_volume, model.grid.a_max, model.grid.T
+    if y0_norm_sq is None:
+        y0_norm_sq = l2_norm(model.p0, model.grid) ** 2
     mu_inf, m0_inf, gamma_inf = rates.mu_s.sup, rates.m0.sup, rates.gamma.sup
     c_w0, c_w = sups.c_w0, sups.c_w
     c_est = growth_factor(c0, c1, sups.g1_sup, sups.g2_sup, a_max, m0_inf, c_w0,
@@ -92,25 +95,13 @@ def compute_constants(rates: VitalRates, sups: CoefficientSups, *,
         raise StochageError(f"energy bound exponent {math.log(c_est / c0):.4g} "
                             f"overflows a float times the data energy")
     n0 = int(math.ceil(r0)) + 1
-    geom = gamma_inf * math.sqrt(a_max * region_volume)
+    geom = gamma_inf * math.sqrt(a_max * volume)
     l1 = c_w0 * c_w * rates.m0.lipschitz(r0) * geom * r0 + c_w0 * m0_inf
     l2 = c_w * rates.mu_s.lipschitz(r0) * geom * r0 + mu_inf
     return EstimateConstants(
-        c0=c0, c1=c1, sups=sups, region_volume=region_volume, a_max=a_max,
+        c0=c0, c1=c1, sups=sups, region_volume=volume, a_max=a_max,
         horizon=horizon, y0_norm_sq=y0_norm_sq, c_est=c_est, r0=r0, n0=n0,
         l1=l1, l2=l2)
-
-
-def constants_for_run(model: PopulationModel, sups: CoefficientSups,
-                      c0: float = 1.0, c1: float = 1.0,
-                      y0_norm_sq: float | None = None) -> EstimateConstants:
-    """Constants of one path from its coefficient ``sups`` (a rescaled
-    report's ``sups``, or a sweep's) and the data energy ``y0_norm_sq``, by
-    default that of ``model.p0``."""
-    return compute_constants(
-        model.rates, sups, c0=c0, c1=c1, region_volume=model.region_volume,
-        a_max=model.grid.a_max, horizon=model.grid.T,
-        y0_norm_sq=l2_norm(model.p0, model.grid) ** 2 if y0_norm_sq is None else y0_norm_sq)
 
 
 # ---------------------------------------------------------------------------

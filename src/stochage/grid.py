@@ -29,7 +29,8 @@ class Grid:
     a_max : float
         Maximum age; the age interval is ``(0, a_max)``.
     n_t, n_a : int
-        Number of time and age steps (both at least 2).
+        Number of time and age steps (both at least 2); off alignment ``dt <= da``,
+        which keeps the age upwind positive.
     extent : tuple of float
         Side length of the spatial box per dimension (1 or 2 entries).
     n_x : tuple of int
@@ -56,6 +57,10 @@ class Grid:
             raise ConfigurationError("n_t and n_a must be at least 2")
         if any(e <= 0 for e in self.extent) or any(n < 1 for n in self.n_x):
             raise ConfigurationError("extent must be positive and n_x at least 1")
+        if self.dt - self.da > _ALIGN_RTOL * self.dt:   # unaligned with dt > da
+            raise ConfigurationError(
+                f"unaligned transport needs dt <= da, got dt/da = {self.dt / self.da:.3g} "
+                f"(T = {self.T:g}, n_t = {self.n_t}, a_max = {self.a_max:g}, n_a = {self.n_a})")
 
     @property
     def dim(self) -> int:
@@ -146,19 +151,23 @@ class Grid:
         return {face: face_meshes(self, face) for face in boundary_faces(self)}
 
     def coarsen_time(self, factor: int) -> "Grid":
-        """Grid with n_t (and n_a in aligned mode) divided by ``factor``."""
+        """Grid with n_t (and n_a if aligned) divided by ``factor``; unaligned, ``dt <= da``."""
         if factor < 1:
             raise ConfigurationError(f"coarsening factor must be at least 1, got {factor}")
         if factor == 1:
             return self
         if self.n_t % factor:
             raise ConfigurationError(f"factor {factor} does not divide n_t={self.n_t}")
-        n_a = self.n_a
+        n_t, n_a = self.n_t // factor, self.n_a
         if self.aligned:
             if self.n_a % factor:
                 raise ConfigurationError(f"factor {factor} does not divide n_a={self.n_a}")
             n_a = self.n_a // factor
-        return Grid(self.T, self.a_max, self.n_t // factor, n_a, self.extent, self.n_x)
+        elif (dt := self.T / n_t) - self.da > _ALIGN_RTOL * dt:
+            raise ConfigurationError(
+                f"coarsening n_t = {self.n_t} by {factor} gives dt/da = {dt / self.da:.3g} "
+                "on an unaligned grid; transport needs dt <= da")
+        return Grid(self.T, self.a_max, n_t, n_a, self.extent, self.n_x)
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from .grid import Grid, weighted_population
 from .model import PopulationModel
 from .noise import AmplitudeGrids, BrownianBundle, ito_correction
 from .rates import evaluate_gamma, evaluate_on_grid
-from .solver import (DiffusionFactors, SolveReport, SolverConfig, StepResult,
-                     _advection, _march, _only, _split_step)
+from .solver import (DiffusionFactors, SolveReport, SolverConfig, StepResult, _march, _only,
+                     _split_step)
 
 logger = logging.getLogger(__name__)
 
@@ -66,9 +66,8 @@ class _DirectContext:
         return self.factors.faces(rate, self.grid, t)
 
 
-def _shock(increments: np.ndarray, ctx: _DirectContext, dt: float,
-           scheme: str) -> np.ndarray:
-    """``factor - 1`` of the noise factor for increments of shape ``(..., N)``.
+def _shock(increments: np.ndarray, ctx: _DirectContext, scheme: str) -> np.ndarray:
+    """``factor - 1`` of one step's noise factor for increments of shape ``(..., N)``.
 
     The contraction over the modes is a stacked matmul, which numpy
     evaluates path by path.  Fed a strided column of the bundles'
@@ -82,16 +81,16 @@ def _shock(increments: np.ndarray, ctx: _DirectContext, dt: float,
     if scheme == "milstein":   # shock += 0.5 * shock * shock - mu * dt, in place
         correction = np.multiply(shock, 0.5)
         correction *= shock
-        shock += np.subtract(correction, ctx.mu * dt, out=correction)
+        shock += np.subtract(correction, ctx.mu * ctx.grid.dt, out=correction)
     elif scheme != "em":
         raise ConfigurationError(f"unknown direct-route scheme {scheme!r}")
     return shock
 
 
 def em_step(p: np.ndarray, increments: np.ndarray, ctx: _DirectContext,
-            t_new: float, u_prev, dt: float, faces: tuple | None,
+            t_new: float, u_prev, faces: tuple | None,
             scheme: str = "milstein") -> tuple[np.ndarray, float, bool]:
-    """One explicit step: deterministic substeps, then the noise factor.
+    """One explicit step of ``ctx.grid.dt``: deterministic substeps, then the noise factor.
 
     ``p`` is one field, or a stack of paths with a leading path axis; then
     ``increments`` is ``(P, N)`` and ``u_prev`` holds the population
@@ -110,8 +109,8 @@ def em_step(p: np.ndarray, increments: np.ndarray, ctx: _DirectContext,
     mu_s = evaluate_on_grid(model.rates.mu_s, grid, t_new, u_prev)
     m0 = evaluate_on_grid(model.rates.m0, grid, t_new, u_prev)
     faces = None if faces is None else tuple(ctx.factors.inner(d, grid) for d in faces)
-    v, cfl = _split_step(p, None, mu_s, None, m0, faces, grid, dt, ctx.factors)
-    shock = _shock(increments, ctx, dt, scheme)
+    v, cfl = _split_step(p, None, mu_s, None, m0, faces, grid, ctx.factors)
+    shock = _shock(increments, ctx, scheme)
     overshoot = bool(shock.size) and bool(shock.max() > 1.0 or shock.min() < -1.0)
     v *= np.add(shock, 1.0, out=shock)
     return v, cfl, overshoot
@@ -147,7 +146,6 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         return []
     ctx = _DirectContext.build(model)
     grid, rates = model.grid, model.rates
-    _advection(None, grid, grid.dt)   # rejects dt > da off alignment; no advection here
     # (P, N, n_t): a step reads a strided column per path, like a one-path
     # march does, which keeps the noise contraction batch-independent
     increments = np.stack([b.increments for b in bundles])
@@ -158,10 +156,9 @@ def solve_direct_batch(model: PopulationModel, bundles: list[BrownianBundle],
         dbeta = rows[:, :, t_index - 1]
         faces = ((ctx.boundary(rates.alpha0, t_new), ctx.boundary(rates.k0, t_new))
                  if config.include_diffusion else None)
-        p, cfl, overshoot = em_step(p, dbeta, ctx, t_new, u_prev, grid.dt,
-                                    faces, config.scheme)
+        p, cfl, overshoot = em_step(p, dbeta, ctx, t_new, u_prev, faces, config.scheme)
         if overshoot:
-            shock = _shock(dbeta, ctx, grid.dt, config.scheme)
+            shock = _shock(dbeta, ctx, config.scheme)
             overshoot = np.max(np.abs(shock).reshape(len(p), -1), axis=1) > 1.0
         return StepResult(p, weighted_population(p, ctx.gamma, model.region, grid),
                           cfl=cfl, overshoot=overshoot)

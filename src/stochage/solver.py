@@ -78,20 +78,18 @@ def _thomas_solve(factor: tuple, rhs: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _advection(g2, grid: Grid, dt: float):
+def _advection(g2, grid: Grid):
     """Upwind weights of one node for :func:`transport_reaction_substep`:
     ``None`` if ``g2`` is ``None`` or all-zero, else the CFL number per path,
     the mask of the paths with all-zero ``g2`` (``None`` if none) and per
-    axis ``(cp, cm, 1 - cp - cm)``.  Rejects ``dt > da`` off alignment."""
-    if not grid.aligned and (ratio := dt / grid.da) > 1.0 + 1e-12:
-        raise ConfigurationError(f"unaligned transport needs dt <= da, got dt/da = {ratio:.3g}")
+    axis ``(cp, cm, 1 - cp - cm)``."""
     field_axes = tuple(range(-grid.dim - 1, 0))
     if g2 is None or not any(np.any(comp) for comp in g2):
         return None
     still = ~np.any([np.any(comp, axis=field_axes, keepdims=True) for comp in g2], axis=0)
     cfl, weights = 0.0, []
     for axis, comp in enumerate(g2):
-        c = comp * (dt / grid.dx[axis])
+        c = comp * (grid.dt / grid.dx[axis])
         cp, cm = np.maximum(c, 0.0), np.maximum(-c, 0.0)
         cfl = np.maximum(cfl, np.max(cp + cm, axis=field_axes))
         weights.append((cp, cm, 1.0 - cp - cm))
@@ -99,18 +97,18 @@ def _advection(g2, grid: Grid, dt: float):
 
 
 def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
-                               advection, grid: Grid, dt: float) -> tuple[np.ndarray, float]:
-    """Age the population one step and apply the zeroth-order decay.
+                               advection, grid: Grid) -> tuple[np.ndarray, float]:
+    """Age the population one step of ``grid.dt`` and apply the zeroth-order decay.
 
     On an aligned grid (``dt == da``) the shift is exact: row ``k`` receives
     row ``k - 1`` times ``exp(-(g1 + mu_s) dt)`` at the departure row; off
-    alignment a first-order age upwind is used (``dt <= da``).  The age-zero
-    row is left zero for the renewal.  ``g1`` may be ``None`` (no rescaling
-    terms), ``advection`` (:func:`_advection` weights) ``None`` to skip it;
-    leading path axes carry through.  ``mu_s`` broadcasts to ``values``; one
-    of a single age row (one number per path) is exponentiated at that size
-    without ``g1``.  Returns the new values and the CFL number per path (0
-    without advection; nonnegativity needs CFL <= 1).
+    alignment it is a first-order age upwind, kept positive by the grid's ``dt <= da``.
+    The age-zero row is left zero for the renewal.  ``g1`` may be ``None``
+    (no rescaling terms), ``advection`` (:func:`_advection` weights) ``None``
+    to skip it; leading path axes carry through.  ``mu_s`` broadcasts to
+    ``values``; one of a single age row (one number per path) is
+    exponentiated at that size without ``g1``.  Returns the new values and
+    the CFL number per path (0 without advection; nonnegativity needs CFL <= 1).
     """
     older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
     src = younger if grid.aligned else older   # the rows the decay multiplies
@@ -118,13 +116,13 @@ def transport_reaction_substep(values: np.ndarray, g1, mu_s: np.ndarray,
         mu_s = mu_s[src]
     decay = mu_s if g1 is None else g1[src] + mu_s
     # in one buffer: x (-dt) has the bits of -(x) dt, for negation is exact
-    decay = np.multiply(decay, -dt, out=None if g1 is None else decay)
+    decay = np.multiply(decay, -grid.dt, out=None if g1 is None else decay)
     np.exp(decay, out=decay)
     out = np.zeros(values.shape)
     if grid.aligned:
         np.multiply(values[younger], decay, out=out[older])
     else:
-        c = dt / grid.da
+        c = grid.dt / grid.da
         out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay
     del decay   # before the advection buffers
     if advection is None:
@@ -206,21 +204,21 @@ class DiffusionFactors:
         """:func:`_inner_faces` of ``data``, cut once for a dict of :meth:`faces`."""
         return self._cuts.get(id(data)) or _inner_faces(data, grid)
 
-    def get(self, alpha: dict, grid: Grid, dt: float, shape: tuple = ()) -> list:
-        """One factor per spatial axis for the face coefficients ``alpha``:
-        one system per path when they carry a path axis, else systems every
-        path shares (same bits), whose ``cp`` and pivot rows get a path axis
-        for ``shape`` with one, as wide as the batch with ``expand``, else of
-        length one.  Face arrays must not be mutated once passed: one that is
-        the object of the previous call is taken as unchanged, unread."""
-        key = (dt, grid.n_x, grid.dx)
+    def get(self, alpha: dict, grid: Grid, shape: tuple = ()) -> list:
+        """Per spatial axis the factor at the grid's step and spacing for the face
+        coefficients ``alpha``: one system per path when they carry a path axis,
+        else systems every path shares (same bits), whose ``cp`` and pivot rows
+        get a path axis for ``shape`` with one, as wide as the batch with
+        ``expand``, else of length one.  Face arrays must not be mutated once
+        passed: one that is the object of the previous call is taken as unchanged, unread."""
+        key = (grid.dt, grid.n_x, grid.dx)
         old, self._alpha = self._alpha, dict(alpha)
         if key != self._key or any(a is not old.get(f) and not np.array_equal(a, old[f])
                                    for f, a in alpha.items()):
             self._key, self._wide = key, None
             self._factors = [
                 _robin_factor(alpha[Face(axis, 0)], alpha[Face(axis, 1)],
-                              grid.n_x[axis], grid.dx[axis], dt)
+                              grid.n_x[axis], grid.dx[axis], grid.dt)
                 for axis in range(grid.dim)]
         if len(shape) != grid.dim + 2 or np.ndim(self._factors[0][2][0]) > grid.dim:
             return self._factors
@@ -242,8 +240,8 @@ def _sweep(vals: np.ndarray, axis: int, factor: tuple, k_lo, k_hi,
 
 
 def diffusion_substep(values: np.ndarray, alpha: dict, k: dict, grid: Grid,
-                      dt: float, factors: DiffusionFactors | None = None) -> np.ndarray:
-    """Backward-Euler diffusion with Robin flux on every boundary face.
+                      factors: DiffusionFactors | None = None) -> np.ndarray:
+    """Backward-Euler diffusion over ``grid.dt`` with Robin flux on every boundary face.
 
     ``values`` holds age levels times space, optionally behind leading path
     axes; ``alpha`` and ``k`` map each :class:`Face` to data over the same
@@ -253,14 +251,14 @@ def diffusion_substep(values: np.ndarray, alpha: dict, k: dict, grid: Grid,
     """
     factors = factors or DiffusionFactors()
     out = values
-    for axis, factor in enumerate(factors.get(alpha, grid, dt, values.shape)):
+    for axis, factor in enumerate(factors.get(alpha, grid, values.shape)):
         out = _sweep(out, values.ndim - grid.dim + axis, factor,
-                     k[Face(axis, 0)], k[Face(axis, 1)], grid.dx[axis], dt)
+                     k[Face(axis, 0)], k[Face(axis, 1)], grid.dx[axis], grid.dt)
     return out
 
 
 def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, advection, m: np.ndarray,
-                faces: tuple | None, grid: Grid, dt: float,
+                faces: tuple | None, grid: Grid,
                 factors: DiffusionFactors | None) -> tuple[np.ndarray, float]:
     """The linear substeps of one time step, shared by both routes:
     transport with decay and ``advection``, the renewal row from the
@@ -269,11 +267,11 @@ def _split_step(state: np.ndarray, g1, mu_s: np.ndarray, advection, m: np.ndarra
     by :func:`_inner_faces` once per node, so :class:`DiffusionFactors`
     sees the same arrays on every iterate).  Returns the new state and the
     CFL number per path."""
-    v, cfl = transport_reaction_substep(state, g1, mu_s, advection, grid, dt)
+    v, cfl = transport_reaction_substep(state, g1, mu_s, advection, grid)
     v[grid.rows(0)] = renewal_row(v, m, grid)
     if faces is not None:
         inner = grid.rows(np.s_[1:])
-        v[inner] = diffusion_substep(v[inner], *faces, grid, dt, factors)
+        v[inner] = diffusion_substep(v[inner], *faces, grid, factors)
     return v, cfl
 
 
@@ -387,8 +385,8 @@ def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
     return np.array(idx if idx[-1] == n_t else idx + [n_t])
 
 
-def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
-                 config: SolverConfig, p0: np.ndarray) -> TruncationGuard:
+def _bound_guard(coeffs: RescaledCoefficients, config: SolverConfig,
+                 p0: np.ndarray) -> TruncationGuard:
     """The guard of the threshold ``n0`` of each path's energy bound and the
     bound's constants, from its row of ``p0`` and the sups the march folds into ``coeffs``.
 
@@ -403,7 +401,7 @@ def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
     def constants(sups, y0_norm_sq):
         try:
             return sups if isinstance(sups, StochageError) else estimates.constants_for_run(
-                model, sups=sups, c0=config.c0, c1=config.c1, y0_norm_sq=y0_norm_sq)
+                coeffs.model, sups=sups, c0=config.c0, c1=config.c1, y0_norm_sq=y0_norm_sq)
         except StochageError as exc:   # the bound overflows a float
             return exc
 
@@ -415,7 +413,7 @@ def _bound_guard(model: PopulationModel, coeffs: RescaledCoefficients,
             guard.radius[j] = np.nan if isinstance(c, StochageError) else c.n0
         return {j: c for j in paths if isinstance(c := guard.constants[j], StochageError)}
 
-    y0_sq = [l2_norm(row, model.grid) ** 2 for row in p0]   # row by row, as one path takes it
+    y0_sq = [l2_norm(row, coeffs.grid) ** 2 for row in p0]   # row by row, as one path takes it
     sups = coeffs.sups_so_far([0])[0]   # node 0 only, so far
     start = {y: constants(sups, y) for y in set(y0_sq)}
     guard = TruncationGuard(
@@ -531,11 +529,9 @@ def _rows(data, keep):
         return data[:n]
 
 
-def picard_step_solve(y: np.ndarray, t_index: int,
-                      coeffs: RescaledCoefficients, gamma_vals: np.ndarray,
-                      region, guard: TruncationGuard, config: SolverConfig,
-                      factors: DiffusionFactors, live: np.ndarray,
-                      observer=None) -> StepResult:
+def picard_step_solve(y: np.ndarray, t_index: int, coeffs: RescaledCoefficients,
+                      gamma_vals: np.ndarray, guard: TruncationGuard, config: SolverConfig,
+                      factors: DiffusionFactors, live: np.ndarray, observer=None) -> StepResult:
     """Advance one time step by fixed-point iteration on the frozen rates.
 
     What no iterate changes is built once per node: the Robin data on the
@@ -560,8 +556,8 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     With the march's ``observer`` it carries the node's ``(g1, g2, exp_dw0, k)``,
     copying the two the fixed point compacts.
     """
-    grid = coeffs.grid
-    rates, t = coeffs.model.rates, grid.times[t_index]
+    grid, rates, region = coeffs.grid, coeffs.model.rates, coeffs.model.region
+    t = grid.times[t_index]
     n = len(y)
     over = np.zeros(n)   # per path: its sup |W| past the exp guard
     k = coeffs.k_faces(t_index, live, over)
@@ -570,7 +566,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
     node = coeffs.node_fields(t_index, live, over)
     built = (node["g1"].copy(), node["g2"], node["exp_dw0"].copy(), k) if observer else None
     # per-path inputs; the rows of failed and converged paths are dropped in place
-    inputs = [y, node["g1"], _advection(node["g2"], grid, grid.dt), k_in,
+    inputs = [y, node["g1"], _advection(node["g2"], grid), k_in,
               node["exp_w"], node["exp_dw0"]]
     del node
     active, index = np.arange(n), live   # rows of y still iterating, their bundles
@@ -597,7 +593,7 @@ def picard_step_solve(y: np.ndarray, t_index: int,
         faces = None if alpha is None else (alpha, k_in)
         v, step_cfl = _split_step(   # the frozen rates die with the call
             y_in, g1, evaluate_on_grid(rates.mu_s, grid, t, u_val), adv,
-            evaluate_on_grid(rates.m0, grid, t, u_val) * exp_dw0, faces, grid, grid.dt, factors)
+            evaluate_on_grid(rates.m0, grid, t, u_val) * exp_dw0, faces, grid, factors)
         cfl = np.maximum(cfl, step_cfl)
         diff = l2_norm(v - zeta, grid, strict=False)
         if prev_diff is not None:
@@ -672,10 +668,10 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     built = [(node["g1"], node["g2"], node["exp_dw0"], k)] if observer else None
     del k, node   # the march takes node 0's from built; no frame keeps them past the observer
     guard = (TruncationGuard(np.full(len(bundles), float(config.truncation_radius)))
-             if config.truncation_radius is not None else _bound_guard(model, coeffs, config, p0))
+             if config.truncation_radius is not None else _bound_guard(coeffs, config, p0))
     reports = _march(
         model, bundles, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
-            y, t_index, coeffs, gamma_vals, model.region, guard, config, factors, live, observer),
+            y, t_index, coeffs, gamma_vals, guard, config, factors, live, observer),
         config, "rescaled", p0, observer, built)
     if guard.settle is not None:   # a path that left the march has nodes it did not see
         guard.settle([j for j, rep in enumerate(reports) if isinstance(rep, StochageError)])

@@ -482,20 +482,23 @@ class TestModelBoundary:
         ("p0 = ageexp:1.5,1.0", "p0 = agegauss:1.0,5.0,0.01"),
         ("alpha0 = constant:0.2", "alpha0 = table:0:-1;0.001:1;1:1"),
         ("alpha0 = constant:0.2", "alpha0 = table:0:0;0.5:1e308;1:1e308"),
+        ("n_a = 128", "n_a = 200"),
     ], ids=["p0-negative", "mu_s-negative", "m0-negative", "gamma-negative",
             "mu_s-logistic-dips-below-0", "m0-window-negative", "m0-table-negative",
             "ito-correction-overflows", "u-overflows", "p0-norm-overflows",
             "agegauss-zero-width-off-node", "agegauss-zero-width-on-node",
             "m0-sup-squared-overflows", "k0-sup-squared-overflows",
             "mu_s-sup-squared-overflows", "agegauss-between-nodes", "agegauss-beyond-nodes",
-            "alpha0-negative-at-age-0", "alpha0-slope-overflows"])
+            "alpha0-negative-at-age-0", "alpha0-slope-overflows", "unaligned-dt-above-da"])
     def test_input_the_theory_excludes_is_config_error(self, old, new, tmp_path, capsys):
         # a negative density or rate (alpha0 too, even negative only at age 0,
         # which the diffusion never reads), a Gaussian density of width 0 or 0
         # on every node, or data whose Ito correction, squared norm, squared
         # rate sup, table slope or population functional overflows a float,
-        # fails where the file is parsed: exit 3, named by its key and value,
-        # and no numpy warning on the way (every warning is recorded here)
+        # or an unaligned grid whose dt passes da (dt/da = 1.56, where the age
+        # upwind loses positivity), fails where the file is parsed: exit 3,
+        # named by its key and value, no --out directory, and no numpy
+        # warning on the way (every warning is recorded here)
         text = (MODELS / "sample1d.ini").read_text()
         assert text.count(old) == 1
         path = tmp_path / "m.ini"
@@ -508,7 +511,31 @@ class TestModelBoundary:
         assert code == 3 and caught == []
         err = capsys.readouterr().err
         assert err.startswith("configuration error: ") and new in err
-        assert not out.exists() or not any(out.iterdir())
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["check"], ["convergence", "--levels", "3"]])
+    def test_coarse_grid_past_the_age_step_fails_before_a_solve(self, command, tmp_path,
+                                                                 capsys, monkeypatch):
+        # n_a = 100 in sample1d keeps dt/da = 0.78, but the coarse grid that
+        # check and convergence read halves n_t: both name that coarsening and
+        # stop before any solve, with no --out
+        from stochage import cli, oracle, solver
+
+        solves = []
+        for module, name in ((cli, "solve_rescaled_batch"), (solver, "solve_rescaled_batch"),
+                             (ensemble, "solve_rescaled_batch"), (oracle, "solve_direct_batch"),
+                             (ensemble, "solve_direct_batch")):
+            monkeypatch.setattr(module, name, lambda *args, **kwargs: solves.append(args))
+        text = (MODELS / "sample1d.ini").read_text()
+        assert text.count("n_a = 128\n") == 1
+        path = tmp_path / "m.ini"
+        path.write_text(text.replace("n_a = 128\n", "n_a = 100\n"))
+        out = tmp_path / "o"
+        assert main(command + ["--model", str(path), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "configuration error: coarsening n_t = 64 by 2 gives dt/da = 1.56 on an "
+            "unaligned grid; transport needs dt <= da\n")
+        assert solves == [] and not out.exists()
 
     @pytest.mark.parametrize("edits, code, routes, status", [
         ({"gamma = constant:1.0": "gamma = logistic:0.3,2,-1e308,1e300"}, 0,

@@ -43,10 +43,8 @@ class TestConstants:
     def test_recompute_exactly(self, linear_model):
         bundle = sa.sample_bundle(1, 1, linear_model.grid.n_t, linear_model.grid.T)
         consts = swept_constants(linear_model, bundle)
-        again = sa.compute_constants(
-            linear_model.rates, consts.sups, c0=consts.c0, c1=consts.c1,
-            region_volume=consts.region_volume, a_max=consts.a_max,
-            horizon=consts.horizon, y0_norm_sq=consts.y0_norm_sq)
+        again = sa.constants_for_run(linear_model, consts.sups, c0=consts.c0, c1=consts.c1,
+                                     y0_norm_sq=consts.y0_norm_sq)
         assert again.c_est == consts.c_est
         assert again.r0 == consts.r0
         assert again.n0 == consts.n0

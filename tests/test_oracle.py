@@ -37,10 +37,8 @@ class TestEmStep:
         ctx = _DirectContext.build(linear_model)
         p = linear_model.p0.copy()
         faces = robin(ctx, grid.dt)
-        stepped, _, over = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, grid.dt,
-                                   faces)
-        noise_free, _, _ = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, grid.dt,
-                                   faces)
+        stepped, _, over = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, faces)
+        noise_free, _, _ = em_step(p.copy(), np.zeros(1), ctx, grid.dt, 0.0, faces)
         assert not over
         assert np.array_equal(stepped, noise_free)
 
@@ -49,8 +47,7 @@ class TestEmStep:
         ctx = _DirectContext.build(model)
         p = model.p0.copy()
         dbeta = 0.125
-        out, _, _ = em_step(p.copy(), np.array([dbeta]), ctx,
-                            model.grid.dt, 0.0, model.grid.dt,
+        out, _, _ = em_step(p.copy(), np.array([dbeta]), ctx, model.grid.dt, 0.0,
                             robin(ctx, model.grid.dt), scheme="em")
         # away from the birth row the update is p (1 + dbeta)
         assert out[-1, 0] == pytest.approx(2.0 * (1 + dbeta), rel=1e-15)
@@ -61,7 +58,7 @@ class TestEmStep:
         ctx = _DirectContext.build(model)
         dt = model.grid.dt
         p = model.p0.copy()
-        out, _, over = em_step(p, np.array([d]), ctx, dt, 0.0, dt, robin(ctx, dt))
+        out, _, over = em_step(p, np.array([d]), ctx, dt, 0.0, robin(ctx, dt))
         # the default factor: 1 + d + d^2/2 - mu dt with mu = 1/2
         assert out[-1, 0] == pytest.approx(2.0 * (1 + d + d**2 / 2 - dt / 2),
                                            rel=1e-15)
@@ -76,7 +73,7 @@ class TestEmStep:
         ctx = _DirectContext.build(model)
         p = model.p0.copy()
         _, _, over = em_step(p, np.array([1.5]), ctx, model.grid.dt, 0.0,
-                             model.grid.dt, robin(ctx, model.grid.dt))
+                             robin(ctx, model.grid.dt))
         assert over
 
 

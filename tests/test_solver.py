@@ -28,17 +28,17 @@ from conftest import (PINNED_NUMPY, build_model, fails_alone, linear_rates, logi
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
 
-def slice_transport(values, g1, mu_s, advection, grid, dt):
+def slice_transport(values, g1, mu_s, advection, grid):
     """The textbook slice form of :func:`transport_reaction_substep`: one
     update per upwind neighbour over the strided rows of the space axis."""
     older, younger = grid.rows(np.s_[1:]), grid.rows(np.s_[:-1])
     src = younger if grid.aligned else older
-    decay = np.exp(-(mu_s[src] if g1 is None else g1[src] + mu_s[src]) * dt)
+    decay = np.exp(-(mu_s[src] if g1 is None else g1[src] + mu_s[src]) * grid.dt)
     out = np.zeros_like(values)
     if grid.aligned:
         out[older] = values[younger] * decay
     else:
-        c = dt / grid.da
+        c = grid.dt / grid.da
         out[older] = ((1.0 - c) * values[older] + c * values[younger]) * decay
     if advection is None:
         return out, 0.0
@@ -107,8 +107,7 @@ class TestTransport:
         vals = np.zeros(grid1d.field_shape)
         vals[5] = 1.0
         zeros = np.zeros(grid1d.field_shape)
-        out, cfl = transport_reaction_substep(vals, zeros, zeros, None,
-                                              grid1d, grid1d.dt)
+        out, cfl = transport_reaction_substep(vals, zeros, zeros, None, grid1d)
         assert cfl == 0.0
         expected = np.zeros_like(vals)
         expected[6] = 1.0
@@ -116,8 +115,7 @@ class TestTransport:
 
     def test_zero_field(self, grid1d):
         zeros = np.zeros(grid1d.field_shape)
-        out, _ = transport_reaction_substep(zeros, zeros, zeros, None,
-                                            grid1d, grid1d.dt)
+        out, _ = transport_reaction_substep(zeros, zeros, zeros, None, grid1d)
         assert np.all(out == 0.0)
 
     def test_constant_decay_matches_characteristics(self, grid1d):
@@ -129,8 +127,7 @@ class TestTransport:
         state = vals
         n = 10
         for _ in range(n):
-            state, _ = transport_reaction_substep(state, g1, mu, None,
-                                                  grid1d, grid1d.dt)
+            state, _ = transport_reaction_substep(state, g1, mu, None, grid1d)
         t = n * grid1d.dt
         expected = np.zeros_like(vals)
         expected[n:] = vals[:-n] * np.exp(-c * grid1d.dt) ** n
@@ -141,8 +138,7 @@ class TestTransport:
         rate = np.broadcast_to(grid1d.age_mesh, grid1d.field_shape).copy()
         vals = np.ones(grid1d.field_shape)
         zeros = np.zeros(grid1d.field_shape)
-        out, _ = transport_reaction_substep(vals, rate, zeros, None,
-                                            grid1d, grid1d.dt)
+        out, _ = transport_reaction_substep(vals, rate, zeros, None, grid1d)
         expected = np.exp(-grid1d.ages[3] * grid1d.dt)
         assert out[4, 0] == pytest.approx(expected, rel=1e-15)
 
@@ -152,7 +148,7 @@ class TestTransport:
         vals[:, 3] = 1.0
         g2 = (np.full(grid1d.field_shape, grid1d.dx[0] / grid1d.dt * 0.5),)
         out, cfl = transport_reaction_substep(
-            vals, zeros, zeros, _advection(g2, grid1d, grid1d.dt), grid1d, grid1d.dt)
+            vals, zeros, zeros, _advection(g2, grid1d), grid1d)
         assert cfl == pytest.approx(0.5)
         # positive velocity moves mass to the right
         assert out[5, 4] == pytest.approx(0.5)
@@ -163,18 +159,18 @@ class TestTransport:
         assert not grid.aligned  # dt = 1/64, da = 1/32
         vals = np.ones(grid.field_shape)
         zeros = np.zeros(grid.field_shape)
-        out, _ = transport_reaction_substep(vals, zeros, zeros, None,
-                                            grid, grid.dt)
+        out, _ = transport_reaction_substep(vals, zeros, zeros, None, grid)
         # interior of a constant profile is unchanged by the age upwind
         assert np.allclose(out[1:], 1.0, rtol=1e-15)
         assert np.all(out[0] == 0.0)
 
     def test_unaligned_cfl_violation(self):
+        # dt = 1/128 < da = 1/16 is accepted; dt = 1/128 > da = 1/256 (same
+        # T, n_t and a_max) is rejected where the grid is built
         grid = sa.Grid(T=0.5, a_max=2.0, n_t=64, n_a=32, extent=(1.0,), n_x=(4,))
-        # dt = 1/128 < da = 1/16 is fine; force violation with a larger step
-        _advection(None, grid, grid.dt)
-        with pytest.raises(ConfigurationError):
-            _advection(None, grid, 10 * grid.da)
+        assert not grid.aligned and grid.dt < grid.da
+        with pytest.raises(ConfigurationError, match="dt <= da"):
+            sa.Grid(T=0.5, a_max=2.0, n_t=64, n_a=512, extent=(1.0,), n_x=(4,))
 
 
 class TestAdvectionWeights:
@@ -194,13 +190,12 @@ class TestAdvectionWeights:
         for comp in g2:
             comp[1] = 0.0
         batch, cfl = transport_reaction_substep(
-            vals, g1, mu, _advection(g2, grid, grid.dt), grid, grid.dt)
+            vals, g1, mu, _advection(g2, grid), grid)
         assert cfl[1] == 0.0 and cfl[0] > 0.0 and cfl[2] > 0.0
         for j in range(3):
-            weights = _advection(tuple(c[j] for c in g2), grid, grid.dt)
+            weights = _advection(tuple(c[j] for c in g2), grid)
             assert (weights is None) == (j == 1)
-            one, one_cfl = transport_reaction_substep(vals[j], g1[j], mu[j], weights,
-                                                      grid, grid.dt)
+            one, one_cfl = transport_reaction_substep(vals[j], g1[j], mu[j], weights, grid)
             assert batch[j].tobytes() == one.tobytes(), j
             assert cfl[j] == one_cfl, j
 
@@ -222,26 +217,24 @@ class TestAdvectionWeights:
                    for ax in range(dim))
         for comp in g2:
             comp[1] = 0.0
-        for adv in (_advection(g2, grid, grid.dt), None):
-            ours, cfl = transport_reaction_substep(vals, g1, mu, adv, grid, grid.dt)
-            ref, ref_cfl = slice_transport(vals, g1, mu, adv, grid, grid.dt)
+        for adv in (_advection(g2, grid), None):
+            ours, cfl = transport_reaction_substep(vals, g1, mu, adv, grid)
+            ref, ref_cfl = slice_transport(vals, g1, mu, adv, grid)
             assert ours.tobytes() == ref.tobytes()
             assert np.array_equal(cfl, ref_cfl)
         for j in range(3):   # one path alone, no path axis
             one = tuple(c[j] for c in g2)
-            adv = _advection(one, grid, grid.dt)
-            args = (vals[j], None if g1 is None else g1[j], mu[j], adv, grid, grid.dt)
+            adv = _advection(one, grid)
+            args = (vals[j], None if g1 is None else g1[j], mu[j], adv, grid)
             ours, _ = transport_reaction_substep(*args)
             assert ours.tobytes() == slice_transport(*args)[0].tobytes(), j
 
     def test_both_routes_reject_unaligned_step_above_age_step(self):
-        # dt = 1/16 > da = 1/32: the age upwind would lose positivity
-        grid = sa.Grid(T=0.5, a_max=1.0, n_t=8, n_a=32, extent=(1.0,), n_x=(4,))
-        model = build_model(grid)
-        bundle = sa.sample_bundle(0, 1, grid.n_t, grid.T)
-        for solve in (sa.solve_direct, sa.solve_rescaled):
-            with pytest.raises(ConfigurationError, match="dt <= da"):
-                solve(model, bundle, sa.SolverConfig())
+        # dt = 1/16 > da = 1/32: the age upwind would lose positivity, so no
+        # route can be handed the grid; it fails where it is built
+        with pytest.raises(ConfigurationError, match=r"dt <= da, got dt/da = 2 \(T = 0.5, n_t "
+                                                     r"= 8, a_max = 1, n_a = 32\)"):
+            sa.Grid(T=0.5, a_max=1.0, n_t=8, n_a=32, extent=(1.0,), n_x=(4,))
 
 
 class ExpSpy:
@@ -296,15 +289,15 @@ class TestCompactDecay:
             mu = evaluate_on_grid(rate, grid, 0.1, u if j is None else float(u[j]))
             per_path = j is None and isinstance(rate, sa.LogisticRate)
             assert mu.shape == (3,) * per_path + own
-            adv = None if g2 is None else _advection(tuple(map(pick, g2)), grid, grid.dt)
+            adv = None if g2 is None else _advection(tuple(map(pick, g2)), grid)
             args = (pick(vals), None if g1 is None else pick(g1))
             full = np.ascontiguousarray(np.broadcast_to(mu, args[0].shape))
             spy.sizes.clear()
-            ours, cfl = transport_reaction_substep(*args, mu, adv, grid, grid.dt)
+            ours, cfl = transport_reaction_substep(*args, mu, adv, grid)
             older = grid.rows(np.s_[1:])   # as many rows as the decay multiplies
             decay = mu[older] if reads_age else mu
             assert spy.sizes == [decay.size if g1 is None else args[0][older].size]
-            ref, ref_cfl = transport_reaction_substep(*args, full, adv, grid, grid.dt)
+            ref, ref_cfl = transport_reaction_substep(*args, full, adv, grid)
             assert ours.tobytes() == ref.tobytes(), j
             assert np.array_equal(cfl, ref_cfl), j
 
@@ -324,8 +317,7 @@ class TestCompactDecay:
 class TestDiffusion:
     def test_neumann_preserves_constants(self, grid1d):
         vals = np.full(grid1d.field_shape, 3.0)
-        out = diffusion_substep(vals, zero_faces(grid1d), zero_faces(grid1d),
-                                grid1d, grid1d.dt)
+        out = diffusion_substep(vals, zero_faces(grid1d), zero_faces(grid1d), grid1d)
         assert np.allclose(out, 3.0, rtol=1e-14)
 
     def test_cosine_eigenmode_decay(self):
@@ -341,37 +333,32 @@ class TestDiffusion:
         factor = 1.0 / (1.0 + dt * (2.0 / dx ** 2) * (1 - np.cos(np.pi * dx / L)))
         state = vals
         for _ in range(5):
-            state = diffusion_substep(state, zero_faces(grid), zero_faces(grid),
-                                      grid, dt)
+            state = diffusion_substep(state, zero_faces(grid), zero_faces(grid), grid)
         assert np.allclose(state, factor ** 5 * vals, rtol=1e-12)
 
     def test_robin_monotone_in_alpha(self, grid1d):
         vals = np.ones(grid1d.field_shape)
-        weak = diffusion_substep(vals, zero_faces(grid1d), zero_faces(grid1d),
-                                 grid1d, grid1d.dt)
+        weak = diffusion_substep(vals, zero_faces(grid1d), zero_faces(grid1d), grid1d)
         alpha = {f: np.full_like(z, 5.0) for f, z in zero_faces(grid1d).items()}
-        strong = diffusion_substep(vals, alpha, zero_faces(grid1d),
-                                   grid1d, grid1d.dt)
+        strong = diffusion_substep(vals, alpha, zero_faces(grid1d), grid1d)
         assert strong[0, 0] < weak[0, 0]
         assert strong[0, -1] < weak[0, -1]
 
     def test_negative_k_is_source(self, grid1d):
         vals = np.zeros(grid1d.field_shape)
         k = {f: np.full_like(z, -1.0) for f, z in zero_faces(grid1d).items()}
-        out = diffusion_substep(vals, zero_faces(grid1d), k, grid1d, grid1d.dt)
+        out = diffusion_substep(vals, zero_faces(grid1d), k, grid1d)
         assert out[0, 0] > 0.0
 
     def test_2d_constant_preserved(self, grid2d):
         vals = np.full(grid2d.field_shape, 2.0)
-        out = diffusion_substep(vals, zero_faces(grid2d), zero_faces(grid2d),
-                                grid2d, grid2d.dt)
+        out = diffusion_substep(vals, zero_faces(grid2d), zero_faces(grid2d), grid2d)
         assert np.allclose(out, 2.0, rtol=1e-13)
 
     def test_single_cell_identity(self):
         grid = sa.Grid(T=0.5, a_max=1.0, n_t=8, n_a=16, extent=(1.0,), n_x=(1,))
         vals = np.random.default_rng(0).random(grid.field_shape)
-        out = diffusion_substep(vals, zero_faces(grid), zero_faces(grid),
-                                grid, grid.dt)
+        out = diffusion_substep(vals, zero_faces(grid), zero_faces(grid), grid)
         assert np.array_equal(out, vals)
 
 
@@ -388,11 +375,11 @@ class TestDiffusionFactors:
         for step, a in enumerate((0.2, 0.2, 0.7, 0.2)):
             alpha = {f: np.full_like(z, a) for f, z in zero_faces(grid).items()}
             vals = rng.random((3,) + grid.field_shape)
-            kept = diffusion_substep(vals, alpha, k, grid, grid.dt, factors)
-            fresh = diffusion_substep(vals, alpha, k, grid, grid.dt)
+            kept = diffusion_substep(vals, alpha, k, grid, factors)
+            fresh = diffusion_substep(vals, alpha, k, grid)
             assert kept.tobytes() == np.ascontiguousarray(fresh).tobytes(), step
             for j in range(3):
-                one = diffusion_substep(vals[j], alpha, k, grid, grid.dt)
+                one = diffusion_substep(vals[j], alpha, k, grid)
                 assert kept[j].tobytes() == np.ascontiguousarray(one).tobytes()
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -406,10 +393,10 @@ class TestDiffusionFactors:
         alpha = {f: rng.random((3,) + z.shape) for f, z in faces.items()}
         k = {f: 0.1 * rng.random((3,) + z.shape) for f, z in faces.items()}
         vals = rng.random((3,) + grid.field_shape)
-        batch = diffusion_substep(vals, alpha, k, grid, grid.dt, DiffusionFactors())
+        batch = diffusion_substep(vals, alpha, k, grid, DiffusionFactors())
         for j in range(3):
             one = diffusion_substep(vals[j], {f: a[j] for f, a in alpha.items()},
-                                    {f: q[j] for f, q in k.items()}, grid, grid.dt)
+                                    {f: q[j] for f, q in k.items()}, grid)
             assert batch[j].tobytes() == np.ascontiguousarray(one).tobytes(), j
 
     @pytest.mark.parametrize("dim", [1, 2])
@@ -424,10 +411,10 @@ class TestDiffusionFactors:
         rng = np.random.default_rng(5)
         alpha = {f: 0.1 + rng.random(z.shape) for f, z in zero_faces(grid).items()}
         factors = DiffusionFactors(expand)
-        shared = factors.get(alpha, grid, grid.dt)
-        last, last_n = factors.get(alpha, grid, grid.dt, (4,) + grid.field_shape), 4
+        shared = factors.get(alpha, grid)
+        last, last_n = factors.get(alpha, grid, (4,) + grid.field_shape), 4
         for n in (4, 2, 2, 1, 3):
-            wide = factors.get(alpha, grid, grid.dt, (n,) + grid.field_shape)
+            wide = factors.get(alpha, grid, (n,) + grid.field_shape)
             assert (wide is last) == (not expand or n == last_n)
             last, last_n = wide, n
             for axis in range(dim):
@@ -454,29 +441,33 @@ class TestDiffusionFactors:
         monkeypatch.setattr(np, "array_equal", counting)
         factors = DiffusionFactors()
         alpha = {f: np.full_like(z, 0.2) for f, z in zero_faces(grid1d).items()}
-        first = factors.get(alpha, grid1d, grid1d.dt)
+        first = factors.get(alpha, grid1d)
         compares.clear()
-        assert factors.get(alpha, grid1d, grid1d.dt) is first
-        assert factors.get(dict(alpha), grid1d, grid1d.dt) is first
+        assert factors.get(alpha, grid1d) is first
+        assert factors.get(dict(alpha), grid1d) is first
         assert not compares
         equal = {f: a.copy() for f, a in alpha.items()}
-        assert factors.get(equal, grid1d, grid1d.dt) is first
+        assert factors.get(equal, grid1d) is first
         assert len(compares) == len(equal)
         compares.clear()
-        assert factors.get(equal, grid1d, grid1d.dt) is first
+        assert factors.get(equal, grid1d) is first
         assert not compares
         changed = {**equal, Face(0, 1): equal[Face(0, 1)] + 0.1}
-        assert factors.get(changed, grid1d, grid1d.dt) is not first
+        assert factors.get(changed, grid1d) is not first
         assert compares
 
     def test_refactors_only_on_change(self, grid1d):
         factors = DiffusionFactors()
         alpha = {f: np.full_like(z, 0.2) for f, z in zero_faces(grid1d).items()}
-        first = factors.get(alpha, grid1d, grid1d.dt)
-        assert factors.get(dict(alpha), grid1d, grid1d.dt) is first
+        first = factors.get(alpha, grid1d)
+        assert factors.get(dict(alpha), grid1d) is first
         alpha[Face(0, 1)] = alpha[Face(0, 1)] + 0.1
-        assert factors.get(alpha, grid1d, grid1d.dt) is not first
-        assert factors.get(alpha, grid1d, grid1d.dt / 2) is not first
+        changed = factors.get(alpha, grid1d)
+        assert changed is not first
+        # half the step (unaligned, dt < da), the same faces: a new factor
+        finer = sa.Grid(grid1d.T, grid1d.a_max, 2 * grid1d.n_t, grid1d.n_a,
+                        grid1d.extent, grid1d.n_x)
+        assert factors.get(alpha, finer) is not changed
 
     @pytest.mark.parametrize("route", ["direct", "rescaled"])
     def test_negative_robin_coefficient_is_a_configuration_error(self, grid1d, route):
@@ -628,8 +619,8 @@ class TestPicard:
         coeffs = RescaledCoefficients(linear_model, [bundle])
         gamma_vals = evaluate_gamma(linear_model.rates, grid)
         step = sa.picard_step_solve(linear_model.p0[None].copy(), 1, coeffs, gamma_vals,
-                                    linear_model.region, TruncationGuard(np.full(1, np.inf)),
-                                    cfg, DiffusionFactors(), np.arange(1))
+                                    TruncationGuard(np.full(1, np.inf)), cfg,
+                                    DiffusionFactors(), np.arange(1))
         assert np.array_equal(step.state[0], rep.snapshots[1])
         assert step.iterations == rep.picard_iterations[0]
 
@@ -743,8 +734,8 @@ def march_without_path_axis(model, bundle, cfg):
         guard = TruncationGuard(np.array([cfg.truncation_radius]))
     y, steps, factors = model.p0[None].copy(), [], DiffusionFactors()
     for n in range(1, model.grid.n_t + 1):
-        steps.append(sa.picard_step_solve(y, n, coeffs, gamma, model.region,
-                                          guard, cfg, factors, np.arange(1)))
+        steps.append(sa.picard_step_solve(y, n, coeffs, gamma, guard, cfg, factors,
+                                          np.arange(1)))
         y = steps[-1].state
     return y[0], steps, guard, sups
 
@@ -832,10 +823,9 @@ class TestSolveRescaledBatch:
         model, cfg = parse_model(path)
         left, step = {}, solver.picard_step_solve
 
-        def recording(y, t_index, coeffs, gamma, region, guard, config, factors, live, observer):
+        def recording(y, t_index, coeffs, gamma, guard, config, factors, live, observer):
             assert not set(live.tolist()) & set(left)
-            result = step(y, t_index, coeffs, gamma, region, guard, config, factors, live,
-                          observer)
+            result = step(y, t_index, coeffs, gamma, guard, config, factors, live, observer)
             left.update((j, t_index) for j in live.tolist()
                         if isinstance(guard.constants[j], sa.StochageError))
             return result
