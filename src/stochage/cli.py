@@ -22,6 +22,7 @@ from . import estimates
 from .errors import ConfigurationError, StochageError
 from .fileio import (ensure_dir, save_bundle, save_field, write_check_report,
                      write_series_csv)
+from .grid import l2_norm
 from .solver import _only, solve_rescaled_batch
 
 EXIT_OK = 0
@@ -124,10 +125,13 @@ def _cmd_check(args) -> int:
                            np.max(estimates.apriori_check(fine, consts)), 1.0),
         estimates.CheckRow("truncation_activations", report.truncations, 0)]
 
-    # continuous dependence: quadratic scaling in an initial-data bump
+    # continuous dependence: quadratic scaling in an initial-data bump, with
+    # the prefactor of the worse of the stored run and the larger bump
     for rep2 in perturbed:   # raises a bumped run's error
         _only([rep2])
-    ratios = [estimates.dependence_check(fine, j, consts).ratio for j in (1, 2)]
+    bumped = estimates.constants_for_run(model, perturbed[0].sups, c0=cfg.c0, c1=cfg.c1,
+                                         y0_norm_sq=l2_norm(p0[1], model.grid) ** 2)
+    ratios = [estimates.dependence_check(fine, j, consts, bumped).ratio for j in (1, 2)]
     drift = abs(ratios[0] - ratios[1]) / max(abs(ratios[0]), 1e-300)
     rows.append(estimates.CheckRow("dependence_ratio_drift", drift, 0.10))
 

@@ -75,7 +75,7 @@ def constants_for_run(model: PopulationModel, sups: CoefficientSups,
                       c0: float = 1.0, c1: float = 1.0,
                       y0_norm_sq: float | None = None) -> EstimateConstants:
     """The energy-bound constants of one path from the rate sups of ``model``,
-    its coefficient ``sups`` (a rescaled report's ``sups``, or a sweep's) and
+    its coefficient ``sups`` (a rescaled report's, or those of ``sups_so_far``) and
     the data energy ``y0_norm_sq``, by default that of ``model.p0``.
 
     ``r0`` bounds the squared solution norm by the growth factor times the

@@ -54,7 +54,8 @@ class Grid:
         if not (0 < self.T < np.inf and 0 < self.a_max < np.inf):
             raise ConfigurationError("T and a_max must be positive and finite")
         if self.n_t < 2 or self.n_a < 2:
-            raise ConfigurationError("n_t and n_a must be at least 2")
+            raise ConfigurationError(f"a grid needs at least 2 time and age steps, "
+                                     f"got n_t = {self.n_t}, n_a = {self.n_a}")
         if any(e <= 0 for e in self.extent) or any(n < 1 for n in self.n_x):
             raise ConfigurationError("extent must be positive and n_x at least 1")
         if self.dt - self.da > _ALIGN_RTOL * self.dt:   # unaligned with dt > da
@@ -151,7 +152,8 @@ class Grid:
         return {face: face_meshes(self, face) for face in boundary_faces(self)}
 
     def coarsen_time(self, factor: int) -> "Grid":
-        """Grid with n_t (and n_a if aligned) divided by ``factor``; unaligned, ``dt <= da``."""
+        """Grid with n_t (and n_a if aligned) divided by ``factor``; an error of the
+        coarse grid names the coarsening."""
         if factor < 1:
             raise ConfigurationError(f"coarsening factor must be at least 1, got {factor}")
         if factor == 1:
@@ -163,11 +165,10 @@ class Grid:
             if self.n_a % factor:
                 raise ConfigurationError(f"factor {factor} does not divide n_a={self.n_a}")
             n_a = self.n_a // factor
-        elif (dt := self.T / n_t) - self.da > _ALIGN_RTOL * dt:
-            raise ConfigurationError(
-                f"coarsening n_t = {self.n_t} by {factor} gives dt/da = {dt / self.da:.3g} "
-                "on an unaligned grid; transport needs dt <= da")
-        return Grid(self.T, self.a_max, n_t, n_a, self.extent, self.n_x)
+        try:
+            return Grid(self.T, self.a_max, n_t, n_a, self.extent, self.n_x)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"coarsening n_t = {self.n_t} by {factor}: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -150,30 +150,20 @@ class RescaledCoefficients:
         self._k_sq[Ellipsis if rows is None else rows, t_index] = boundary_norm_sq(k, self.grid)
         return k
 
-    # -- whole-path bounds ----------------------------------------------------
+    # -- bounds over the nodes built so far ------------------------------------
 
-    def sups_so_far(self, rows=None, over=None) -> list:
+    def sups_so_far(self, rows=None) -> list:
         """Sups of g1, |g2|, div g2 and the exponential factors over the nodes
         built so far, and per node the squared boundary norm of the rescaled
         Robin datum with its trapezoid time integral (a node not built counts
-        0; each only grows).  Per bundle of ``rows`` (all by default) in a
-        list, with a path's :class:`NoiseMagnitudeError` where ``over`` is set."""
+        0; each only grows, so the sups of a march's last node are those of
+        its whole path).  One :class:`CoefficientSups` per bundle of ``rows``
+        (all by default), in a list."""
         k_sq_integral = np.sum(self._k_sq * self.grid.time_weights, axis=-1)
-        m, keys = self._max, range(len(self.bundles)) if rows is None else list(rows)
-        over = np.zeros(len(keys)) if over is None else over
-        return [NoiseMagnitudeError(over[pos]) if over[pos] else CoefficientSups(
+        m = self._max
+        return [CoefficientSups(
             g1_sup=float(m["g1"][j]), g2_sup=float(m["g2"][j]),
             div_g2_sup=float(m["div"][j]), c_w0=float(np.exp(m["dw0"][j])),
             c_w=float(np.exp(m["w"][j])), k_sq_integral=float(k_sq_integral[j]),
             k_sq=tuple(self._k_sq[j].tolist()))
-            for pos, j in enumerate(keys)]
-
-    def coefficient_sups(self, rows=None) -> list:
-        """:meth:`sups_so_far` once every node is built for the bundles
-        ``rows`` (all by default), under the march's exp guard and in its
-        order: per bundle the sups over the whole path, or its first guard error."""
-        over = np.zeros(len(self.bundles) if rows is None else len(rows))
-        for i in range(self.grid.n_t + 1):
-            self.k_faces(i, rows, over)
-            self.node_fields(i, rows, over)
-        return self.sups_so_far(rows, over)
+            for j in (range(len(self.bundles)) if rows is None else rows)]

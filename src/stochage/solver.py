@@ -287,14 +287,12 @@ class TruncationGuard:
 
     Keeps the population functional's argument inside the ball where the
     locally Lipschitz rates are under control.  A radius from the a priori
-    energy bound keeps each path's bound ``constants`` (``None`` for a fixed
-    radius); activations of it, counted per path, indicate the bound or the
-    grid is off.  While the march runs, a path whose constants are ``None``
-    has the lower bound of :func:`_bound_guard` and its ``settle``.
+    energy bound comes with the ``settle`` of :func:`_bound_guard`, which
+    refreshes it (``None`` for a fixed radius); activations of it, counted
+    per path, indicate the bound or the grid is off.
     """
 
     radius: np.ndarray
-    constants: list | None = None
     settle: Callable[..., dict] | None = field(default=None, compare=False, repr=False)
     activations: np.ndarray = field(init=False)
 
@@ -316,7 +314,7 @@ def truncate_argument(values: np.ndarray, grid: Grid, guard: TruncationGuard,
     if not np.any(clip):
         return values
     guard.activations[index] += clip
-    if guard.constants is not None:
+    if guard.settle is not None:
         for j in np.flatnonzero(clip):
             logger.warning(
                 "truncation activated at norm %.3g beyond the energy-bound "
@@ -387,38 +385,29 @@ def _snapshot_indices(n_t: int, stride: int) -> np.ndarray:
 
 def _bound_guard(coeffs: RescaledCoefficients, config: SolverConfig,
                  p0: np.ndarray) -> TruncationGuard:
-    """The guard of the threshold ``n0`` of each path's energy bound and the
-    bound's constants, from its row of ``p0`` and the sups the march folds into ``coeffs``.
+    """The guard at the threshold ``n0`` of each path's energy bound, from its
+    row of ``p0`` and the sups of the nodes its march has built into ``coeffs``.
 
-    Every path starts at the ``n0`` of node 0's sups, which ``coeffs`` has
-    built (``W = 0``: the same in every path; ``-inf`` if that bound
-    overflows).  The bound is nondecreasing in the sups, so a norm within it
-    is within the path's own ``n0``.  ``settle(paths)`` serves a path whose norm passes it or that
-    leaves the march: it folds the path's other nodes (``sweep=False``: the
-    march saw them all) and sets its radius and constants, or NaN and its
-    error: the exp guard's, else the bound's.
+    The bound from the sups over ``[0, t_i]`` bounds every state up to node
+    ``i``, so the radius reads no noise the march has not reached.  Every
+    path starts at ``-inf``; ``settle(paths)`` sets each path's radius from
+    its sups so far, or NaN and returns its error where the bound overflows
+    a float.  The march calls it whenever a candidate's norm passes the
+    radius, which so only grows, and once more for the paths that finish.
     """
-    def constants(sups, y0_norm_sq):
-        try:
-            return sups if isinstance(sups, StochageError) else estimates.constants_for_run(
-                coeffs.model, sups=sups, c0=config.c0, c1=config.c1, y0_norm_sq=y0_norm_sq)
-        except StochageError as exc:   # the bound overflows a float
-            return exc
-
-    def settle(paths, sweep: bool = True) -> dict:
-        todo = [j for j in paths if guard.constants[j] is None]
-        for j, sups in zip(todo, (coeffs.coefficient_sups if sweep else coeffs.sups_so_far)(todo)
-                           if todo else ()):
-            c = guard.constants[j] = constants(sups, y0_sq[j])
-            guard.radius[j] = np.nan if isinstance(c, StochageError) else c.n0
-        return {j: c for j in paths if isinstance(c := guard.constants[j], StochageError)}
+    def settle(paths) -> dict:
+        errors = {}
+        for j, sups in zip(paths, coeffs.sups_so_far(paths)):
+            try:
+                guard.radius[j] = estimates.constants_for_run(
+                    coeffs.model, sups=sups, c0=config.c0, c1=config.c1,
+                    y0_norm_sq=y0_sq[j]).n0
+            except StochageError as exc:   # the bound overflows a float
+                guard.radius[j], errors[j] = np.nan, exc
+        return errors
 
     y0_sq = [l2_norm(row, coeffs.grid) ** 2 for row in p0]   # row by row, as one path takes it
-    sups = coeffs.sups_so_far([0])[0]   # node 0 only, so far
-    start = {y: constants(sups, y) for y in set(y0_sq)}
-    guard = TruncationGuard(
-        np.array([-np.inf if isinstance(c := start[y], StochageError) else float(c.n0)
-                  for y in y0_sq]), [None] * len(p0), settle)
+    guard = TruncationGuard(np.full(len(p0), -np.inf), settle)
     return guard
 
 
@@ -537,9 +526,10 @@ def picard_step_solve(y: np.ndarray, t_index: int, coeffs: RescaledCoefficients,
     What no iterate changes is built once per node: the Robin data on the
     ages > 0, ``g1``, ``exp(W)``, ``exp(W - W(t,0,x))`` and the
     :func:`_advection` weights.  Each iterate clips the candidate new-time
-    state onto the guard ball, freezes the population functional and with
-    it the mortality and fertility fields, solves the linear substeps from
-    the old state and takes the norm of the change.  Iteration stops when
+    state onto the guard ball (a ``guard.settle`` first refreshes the radius
+    of a path whose candidate passes it), freezes the population functional
+    and with it the mortality and fertility fields, solves the linear
+    substeps from the old state and takes the norm of the change.  Iteration stops when
     successive candidates differ by less than ``picard_tol`` relative to
     the current one, or by NaN (an infinite tolerance returns the first
     iterate).  ``factors`` keeps an ``alpha`` that ignores ``t`` and the
@@ -586,8 +576,8 @@ def picard_step_solve(y: np.ndarray, t_index: int, coeffs: RescaledCoefficients,
     for it in range(config.picard_max_iter + 1):
         y_in, g1, adv, k_in, exp_w, exp_dw0 = inputs
         zeta_norm = l2_norm(zeta, grid, strict=False)
-        late = {} if guard.settle is None else guard.settle(
-            index[zeta_norm > guard.radius[index]])   # the radius may be a lower bound
+        passed = index[zeta_norm > guard.radius[index]]
+        late = guard.settle(passed) if guard.settle is not None and len(passed) else {}
         z_used = truncate_argument(zeta, grid, guard, index, zeta_norm)
         u_val = weighted_population(exp_w * z_used, gamma_vals, region, grid)
         faces = None if alpha is None else (alpha, k_in)
@@ -641,12 +631,13 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
     with the arithmetic of a one-path march and each path leaves the fixed
     point at its own iterate, so a path's report is bitwise the same in any
     batch.  A failing path fails alone, with the error its one-path solve
-    raises; a :class:`ConfigurationError` ends the call.  An automatic
-    radius takes each path's coefficient sups from the march
-    (:func:`_bound_guard`), and a path fails with, in this order, its noise
-    past the exp guard at any node, its energy bound past a float, or the
-    march's own error.  At either radius a report carries its path's
-    truncation activations and the sups of every node its march built.
+    raises; a :class:`ConfigurationError` ends the call.  A path fails with
+    the first cause its march meets: its noise past the exp guard at a node,
+    the energy bound of its nodes so far past a float (an automatic radius,
+    :func:`_bound_guard`) or the march's own error; one that finishes the
+    march fails where its whole-path bound overflows.  At either radius a
+    report carries its path's truncation activations and the sups of every
+    node its march built.
 
     ``p0`` (shape ``(len(bundles),) + grid.field_shape``) gives each path its
     own initial density; ``check`` so marches its stored run and both
@@ -673,9 +664,8 @@ def solve_rescaled_batch(model: PopulationModel, bundles: list[BrownianBundle],
         model, bundles, gamma_vals, lambda t_index, y, _, live: picard_step_solve(
             y, t_index, coeffs, gamma_vals, guard, config, factors, live, observer),
         config, "rescaled", p0, observer, built)
-    if guard.settle is not None:   # a path that left the march has nodes it did not see
-        guard.settle([j for j, rep in enumerate(reports) if isinstance(rep, StochageError)])
-        errors = guard.settle(range(len(bundles)), sweep=False)
+    if guard.settle is not None:   # the whole-path bound of the paths that finish
+        errors = guard.settle([j for j, rep in enumerate(reports) if isinstance(rep, SolveReport)])
         reports = [errors.get(j, rep) for j, rep in enumerate(reports)]
     solved = [j for j, rep in enumerate(reports) if isinstance(rep, SolveReport)]
     for j, sups in zip(solved, coeffs.sups_so_far(solved)):   # their marches built every node

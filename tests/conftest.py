@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import stochage as sa
+from stochage.errors import NoiseMagnitudeError
 from stochage.rates import CustomRate
 from stochage.rescale import RescaledCoefficients
 
@@ -65,11 +66,22 @@ def linear_model(grid1d):
     return build_model(grid1d)
 
 
+def swept_sups(model, bundle, last=None):
+    """The coefficient sups of ``bundle``'s path over the nodes up to ``last``
+    (every node by default), built in node order without a march under the
+    march's exp guard, or the guard's first error: the oracle of the sups a
+    march gathers."""
+    coeffs, over = RescaledCoefficients(model, [bundle]), np.zeros(1)
+    for i in range(model.grid.n_t + 1 if last is None else last + 1):
+        coeffs.k_faces(i, over=over)
+        coeffs.node_fields(i, over=over)
+    return NoiseMagnitudeError(over[0]) if over[0] else coeffs.sups_so_far()[0]
+
+
 def swept_constants(model, bundle, **kwargs):
-    """Energy-bound constants of ``bundle``'s path from a sweep of its
-    coefficients over every node, without a march; raises the path's
-    exp-guard error."""
-    (sups,) = RescaledCoefficients(model, [bundle]).coefficient_sups()
+    """Energy-bound constants of ``bundle``'s path from :func:`swept_sups`;
+    raises the path's exp-guard error."""
+    sups = swept_sups(model, bundle)
     if isinstance(sups, sa.StochageError):
         raise sups
     return sa.constants_for_run(model, sups, **kwargs)

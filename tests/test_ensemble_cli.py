@@ -94,6 +94,29 @@ def chunk_paths(monkeypatch, grid, n):
     monkeypatch.setattr(ensemble, "CHUNK_BYTES", n * 8 * int(np.prod(grid.field_shape)))
 
 
+def record_node_builds(monkeypatch) -> list:
+    """Patch the coefficient builders to record, per node they build, the
+    coefficients, the position of each bundle built, the node and the
+    builder.  Kept alive in the list, no two coefficient sets share an id."""
+    from stochage.rescale import RescaledCoefficients
+
+    builds = []
+    for name in ("k_faces", "node_fields"):
+        def recording(self, t_index, rows=None, over=None,
+                      build=getattr(RescaledCoefficients, name), name=name):
+            builds.extend((self, j, t_index, name) for j in (
+                range(len(self.bundles)) if rows is None else np.asarray(rows).tolist()))
+            return build(self, t_index, rows, over)
+        monkeypatch.setattr(RescaledCoefficients, name, recording)
+    return builds
+
+
+def built_once(builds) -> bool:
+    """Whether no bundle of :func:`record_node_builds` had a node built twice."""
+    keys = [(id(coeffs), j, t, name) for coeffs, j, t, name in builds]
+    return len(set(keys)) == len(keys)
+
+
 def tree_bytes(root):
     return {p.relative_to(root): p.read_bytes()
             for p in sorted(Path(root).rglob("*")) if p.is_file()}
@@ -221,9 +244,10 @@ class TestRun:
         failed = [r["status"] for r in rows if r["status"] != "converged"]
         assert 0 < len(failed) < 8
         assert all(s.startswith("failed: energy bound exponent") for s in failed)
-        # each named by its finite exponent, as a float's exp overflows past 709.78
+        # each named by the finite exponent of the nodes its march reached, as
+        # a float's exp overflows past 709.78
         assert failed == [f"failed: energy bound exponent {e} overflows a float"
-                          for e in ("2834", "1865", "975.3", "3426", "858.9", "1248")]
+                          for e in ("1190", "1865", "975.2", "1193", "858.9", "1131")]
         assert (out / "stats_mean_rescaled.bin").exists()
 
 
@@ -375,16 +399,10 @@ class TestChunks:
     def test_failing_chunk_is_solved_once(self, monkeypatch, tmp_path):
         # paths whose energy bound overflows leave their chunk's batch; the
         # others march on in it, so 8 paths in 2 chunks of 7 take 2 batch
-        # solves.  The march gathers the coefficient sups; only a failed
-        # path has them completed by a sweep, once
-        from stochage.rescale import RescaledCoefficients
-
-        sweep, batch = RescaledCoefficients.coefficient_sups, ensemble.solve_rescaled_batch
-        calls, swept, failed = [], [], []
-
-        def counting_sweep(self, rows=None):
-            swept.extend(self.bundles if rows is None else [self.bundles[j] for j in rows])
-            return sweep(self, rows)
+        # solves.  The march gathers the coefficient sups, and no bundle has
+        # a node built twice
+        batch = ensemble.solve_rescaled_batch
+        calls, failed = [], []
 
         def counting_batch(model, bundles, config=None):
             calls.append(len(bundles))
@@ -392,7 +410,7 @@ class TestChunks:
             failed.extend(b for b, r in zip(bundles, results) if isinstance(r, sa.StochageError))
             return results
 
-        monkeypatch.setattr(RescaledCoefficients, "coefficient_sups", counting_sweep)
+        builds = record_node_builds(monkeypatch)
         monkeypatch.setattr(ensemble, "solve_rescaled_batch", counting_batch)
         path = tmp_path / "loud.ini"
         path.write_text((MODELS / "sample1d.ini").read_text().replace(
@@ -402,11 +420,7 @@ class TestChunks:
         assert 0 < stats.failures < 8
         assert calls == [7, 1]
         assert len(failed) == stats.failures
-        # a failed path is completed at most once; one that marched to the
-        # end fails from the sups its march gathered, with no sweep
-        assert len(set(map(id, swept))) == len(swept)
-        assert set(map(id, swept)) <= set(map(id, failed))
-        assert 0 < len(swept) < len(failed)
+        assert builds and built_once(builds)
 
 
 SINE_MODEL = NOISY_MODEL.replace("mu1 = cosine:0.2:1", "mu1 = sine:0.2:1")
@@ -513,12 +527,10 @@ class TestModelBoundary:
         assert err.startswith("configuration error: ") and new in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", [["check"], ["convergence", "--levels", "3"]])
-    def test_coarse_grid_past_the_age_step_fails_before_a_solve(self, command, tmp_path,
-                                                                 capsys, monkeypatch):
-        # n_a = 100 in sample1d keeps dt/da = 0.78, but the coarse grid that
-        # check and convergence read halves n_t: both name that coarsening and
-        # stop before any solve, with no --out
+    @staticmethod
+    def recorded_solves(monkeypatch) -> list:
+        """Replace every batch solver the commands reach by one that only
+        records its call."""
         from stochage import cli, oracle, solver
 
         solves = []
@@ -526,6 +538,15 @@ class TestModelBoundary:
                              (ensemble, "solve_rescaled_batch"), (oracle, "solve_direct_batch"),
                              (ensemble, "solve_direct_batch")):
             monkeypatch.setattr(module, name, lambda *args, **kwargs: solves.append(args))
+        return solves
+
+    @pytest.mark.parametrize("command", [["check"], ["convergence", "--levels", "3"]])
+    def test_coarse_grid_past_the_age_step_fails_before_a_solve(self, command, tmp_path,
+                                                                 capsys, monkeypatch):
+        # n_a = 100 in sample1d keeps dt/da = 0.78, but the coarse grid that
+        # check and convergence read halves n_t: both name that coarsening and
+        # stop before any solve, with no --out
+        solves = self.recorded_solves(monkeypatch)
         text = (MODELS / "sample1d.ini").read_text()
         assert text.count("n_a = 128\n") == 1
         path = tmp_path / "m.ini"
@@ -533,8 +554,25 @@ class TestModelBoundary:
         out = tmp_path / "o"
         assert main(command + ["--model", str(path), "--out", str(out)]) == 3
         assert capsys.readouterr().err == (
-            "configuration error: coarsening n_t = 64 by 2 gives dt/da = 1.56 on an "
-            "unaligned grid; transport needs dt <= da\n")
+            "configuration error: coarsening n_t = 64 by 2: unaligned transport needs "
+            "dt <= da, got dt/da = 1.56 (T = 0.5, n_t = 32, a_max = 1, n_a = 100)\n")
+        assert solves == [] and not out.exists()
+
+    def test_coarsening_below_two_steps_fails_before_a_solve(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # convergence's third level quarters n_t = 4 of an aligned copy of
+        # sample1d: it names that coarsening and stops before any solve
+        solves = self.recorded_solves(monkeypatch)
+        text = (MODELS / "sample1d.ini").read_text()
+        path = tmp_path / "m.ini"
+        path.write_text(text.replace("n_t = 64\n", "n_t = 4\n").replace("n_a = 128\n", "n_a = 8\n"))
+        assert path.read_text().count("n_t = 4\n") == path.read_text().count("n_a = 8\n") == 1
+        out = tmp_path / "o"
+        assert main(["convergence", "--levels", "3", "--model", str(path),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "configuration error: coarsening n_t = 4 by 4: a grid needs at least 2 "
+            "time and age steps, got n_t = 1, n_a = 2\n")
         assert solves == [] and not out.exists()
 
     @pytest.mark.parametrize("edits, code, routes, status", [
@@ -694,6 +732,35 @@ class TestConvergenceStudy:
         assert np.isfinite(result.order_rescaled)
 
 
+SMALL_LOGISTIC_MODEL = """
+[grid]
+dim = 1
+t_final = 0.25
+a_max = 1.0
+n_t = 16
+n_a = 32
+extent = 1.0
+n_x = 8
+
+[rates]
+mu_s = constant:0.3
+m0 = logistic:0.8,-0.5,1.5,0.5
+gamma = constant:1.0
+alpha0 = constant:0.2
+k0 = constant:0.0
+
+[noise]
+mu1 = cosine:0.2:1
+
+[initial]
+p0 = ageexp:1.5,1.0
+space_mode = 0.2,1
+
+[population_functional]
+region = full
+"""
+
+
 class TestCli:
     def test_ensemble_both_solvers_saves_bundle(self, noisy_model_path, tmp_path):
         code = main(["ensemble", "--model", noisy_model_path,
@@ -745,34 +812,48 @@ class TestCli:
         assert "apriori_margin_max" in text
         assert "fail" not in text
 
+    def test_check_bounds_dependence_by_the_worse_run(self, monkeypatch, tmp_path):
+        # a logistic fertility's Lipschitz aggregate grows with the data
+        # energy, so the larger bump's run has the larger prefactor; with an
+        # exponent far below the cap of 700, both ratios take that prefactor
+        from stochage import cli, estimates
+
+        path = tmp_path / "small.ini"
+        path.write_text(SMALL_LOGISTIC_MODEL)
+        model, cfg = _cached_model(str(path), 1)
+        calls, check = [], estimates.dependence_check
+        monkeypatch.setattr(estimates, "dependence_check", lambda acc, j, c1, c2=None: (
+            calls.append((acc, j, c1, c2)), check(acc, j, c1, c2))[1])
+        assert main(["check", "--model", str(path), "--out", str(tmp_path / "chk")]) == 0
+        assert [j for _, j, _, _ in calls] == [1, 2]
+        bumped = cli._perturbed_model(model, 1e-2)
+        for acc, j, stored, worse in calls:
+            assert worse == estimates.constants_for_run(
+                model, stored.sups, c0=cfg.c0, c1=cfg.c1,
+                y0_norm_sq=sa.l2_norm(bumped, model.grid) ** 2)
+            assert worse.y0_norm_sq > stored.y0_norm_sq and worse.l1 > stored.l1
+            exponents = [c.c1 * c.horizon * (1.0 + c.sups.g1_sup + c.sups.div_g2_sup + c.l1 ** 2
+                                             + c.a_max * c.l2 ** 2) for c in (stored, worse)]
+            assert exponents[0] < exponents[1] < 700.0
+            assert check(acc, j, stored, worse).data_energy > check(acc, j, stored).data_energy
+
     def test_check_sweeps_once_per_rescaled_solve(self, monkeypatch, tmp_path):
         # check solves the stored run, two perturbations of it and a coarse
         # run; at either radius every solve gathers its sups in the march,
         # and the stored run's constants come from its report's sups.  A
         # fixed radius above the bound's n0 = 98 never clips, so it writes
-        # the same checks, and neither mode sweeps a path again.
-        from stochage.rescale import RescaledCoefficients
-
-        sweep = RescaledCoefficients.coefficient_sups
-        sweeps = []
-
-        def counting(self, rows=None):
-            sweeps.append(self)
-            return sweep(self, rows)
-
-        monkeypatch.setattr(RescaledCoefficients, "coefficient_sups", counting)
+        # the same checks, and in neither mode has a bundle a node built twice
+        builds = record_node_builds(monkeypatch)
         text = (MODELS / "sample1d.ini").read_text()
         assert "truncation_radius = auto" in text
         fixed = tmp_path / "fixed.ini"
         fixed.write_text(text.replace("truncation_radius = auto",
                                       "truncation_radius = 1000"))
-        counts = {}
         for name, path in (("auto", MODELS / "sample1d.ini"), ("fixed", fixed)):
-            sweeps.clear()
+            builds.clear()
             assert main(["check", "--model", str(path),
                          "--out", str(tmp_path / name)]) == 0
-            counts[name] = len(sweeps)
-        assert counts == {"auto": 0, "fixed": 0}
+            assert builds and built_once(builds)
         assert ((tmp_path / "auto" / "checks.csv").read_bytes()
                 == (tmp_path / "fixed" / "checks.csv").read_bytes())
 

@@ -45,6 +45,18 @@ class TestGrid:
         with pytest.raises(ConfigurationError):
             grid1d.coarsen_time(0)
 
+    @pytest.mark.parametrize("n_t, n_a, message", [
+        (4, 8, "coarsening n_t = 4 by 4: a grid needs at least 2 time and age steps, "
+               "got n_t = 1, n_a = 2"),
+        (8, 4, "coarsening n_t = 8 by 4: a grid needs at least 2 time and age steps, "
+               "got n_t = 2, n_a = 1")], ids=["n_t", "n_a"])
+    def test_coarsening_below_two_steps_names_it(self, n_t, n_a, message):
+        grid = sa.Grid(T=n_t / n_a, a_max=1.0, n_t=n_t, n_a=n_a, extent=(1.0,), n_x=(4,))
+        assert grid.aligned
+        with pytest.raises(ConfigurationError) as exc:
+            grid.coarsen_time(4)
+        assert str(exc.value) == message
+
 
 class TestModelInitialDensity:
     def test_rejects_nonfinite(self, grid1d):

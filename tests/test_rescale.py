@@ -14,7 +14,7 @@ from stochage.noise import evaluate_noise
 from stochage.rates import ConstantRate, evaluate_on_faces, evaluate_on_grid
 from stochage.rescale import RescaledCoefficients
 
-from conftest import build_model, linear_rates, sample
+from conftest import build_model, linear_rates, same, sample, swept_sups
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -164,7 +164,7 @@ class TestConstants:
     def test_zero_noise(self, grid1d):
         model = build_model(grid1d, amplitudes=(sa.constant_amplitude(0.0, 1),))
         bundle = sa.sample_bundle(0, 1, grid1d.n_t, grid1d.T)
-        (sups,) = RescaledCoefficients(model, [bundle]).coefficient_sups()
+        sups = swept_sups(model, bundle)
         assert sups.c_w0 == 1.0
         assert sups.c_w == 1.0
         assert sups.c_w0 * model.rates.m0.sup == pytest.approx(model.rates.m0.sup)
@@ -174,7 +174,7 @@ class TestConstants:
         model = build_model(grid1d,
                             amplitudes=(sa.age_polynomial_amplitude((0.0, 1.0), 1),))
         bundle = sa.sample_bundle(12, 1, grid1d.n_t, grid1d.T)
-        (sups,) = RescaledCoefficients(model, [bundle]).coefficient_sups()
+        sups = swept_sups(model, bundle)
         beta_max = bundle.betas[0].max()
         expected = np.exp(grid1d.a_max * max(beta_max, 0.0))
         assert sups.c_w0 == pytest.approx(expected, rel=1e-12)
@@ -220,14 +220,15 @@ class TestOneEvaluationPerSolve:
         assert sorted(calls) == list(range(model.grid.n_t + 1))
 
     def test_sweep_without_the_march_reads_k0_once_per_face_and_node(self, monkeypatch):
-        # the sweep behind check evaluates k0 afresh at every node, once on each face
+        # built node by node without a march, the Robin datum evaluates k0
+        # afresh at every node, once on each face
         model, _ = parse_model(Path(__file__).resolve().parent.parent / "models" / "sample2d.ini")
         calls = []
         call = ConstantRate.__call__
         monkeypatch.setattr(ConstantRate, "__call__", lambda self, *args: (
             calls.append(args[0]) if self is model.rates.k0 else None, call(self, *args))[1])
         bundle = sa.sample_bundle(0, model.noise.n_modes, model.grid.n_t, model.grid.T)
-        RescaledCoefficients(model, [bundle]).coefficient_sups()
+        swept_sups(model, bundle)
         assert len(calls) == len(boundary_faces(model.grid)) * (model.grid.n_t + 1)
 
 
@@ -239,24 +240,27 @@ class TestGuardModes:
 
     def test_auto_and_fixed_radius_fail_a_path_alike(self, grid1d):
         # seed 3 passes the exp guard on W - W(t,0,x) only (sup |W| about 400,
-        # its age increment about 800): the sups behind the automatic radius
-        # are guarded by the march itself, so both modes give the same error
+        # its age increment about 800) at a later node, which a fixed radius
+        # meets first; the automatic radius meets the bound of nodes 0 and 1
+        # past a float at step 1 before.  Both modes fail the same paths
         model = self.agepoly_model(grid1d, 800.0)
         bundles = [sa.sample_bundle(s, 1, grid1d.n_t, grid1d.T) for s in (3, 0)]
         assert 350 < 800.0 * 0.5 * np.abs(bundles[0].betas).max() < 700
-        statuses = []
+        failed, causes = [], []
         for radius in (None, 1000.0):
             cfg = sa.SolverConfig(truncation_radius=radius, snapshot_stride=0)
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 reports = sa.solve_rescaled_batch(model, bundles, cfg)
-            statuses.append([str(r) if isinstance(r, Exception) else "converged"
-                             for r in reports])
-            assert isinstance(reports[0], NoiseMagnitudeError)
-        assert statuses[0] == statuses[1]
-        (one,) = RescaledCoefficients(model, bundles[:1]).coefficient_sups()   # its sweep alone
-        assert isinstance(one, NoiseMagnitudeError)
-        assert str(one) == statuses[0][0]
+            failed.append([isinstance(r, sa.StochageError) for r in reports])
+            causes.append(reports[0])
+        assert failed[0] == failed[1] and failed[0][0]
+        swept = swept_sups(model, bundles[0])   # its sweep alone
+        assert isinstance(swept, NoiseMagnitudeError)
+        assert type(causes[1]) is NoiseMagnitudeError and str(causes[1]) == str(swept)
+        with pytest.raises(sa.StochageError) as early:
+            sa.constants_for_run(model, swept_sups(model, bundles[0], last=1))
+        assert type(causes[0]) is sa.StochageError and str(causes[0]) == str(early.value)
 
     def test_bound_past_a_float_fails_the_path_not_the_batch(self, grid1d):
         # sup |W - W(t,0,x)| near 400 keeps the exponentials finite, but the
@@ -282,40 +286,54 @@ class TestBoundRadius:
 
     @pytest.mark.parametrize("name", ["sample1d", "sample2d", "loud", "agepoly400", "agepoly800"])
     def test_node_zero_radius_is_a_lower_bound(self, name, grid1d, tmp_path, monkeypatch):
-        # the automatic radius starts every path at the bound of node 0's
-        # sups (-inf if it overflows); the bound of the nodes seen so far
-        # only grows node by node, to the radius of each path that
-        # converges (no path of the age-polynomial models does: each passes
-        # the exp guard or its bound overflows, at node 0 already)
+        # the automatic radius starts every path at -inf; the first iterate
+        # of step 1 sets it to the bound of nodes 0 and 1, and from there it
+        # only grows, to at most the bound of the path's whole sups.  No path
+        # of the age-polynomial models converges: each passes the exp guard
+        # or its bound overflows
         model = self.model(name, grid1d, tmp_path)
         grid = model.grid
         bundles = [sa.sample_bundle(s, model.noise.n_modes, grid.n_t, grid.T) for s in range(6)]
-        guard_starts, bound_guard = [], solver._bound_guard
+        starts, history = [], {j: [] for j in range(len(bundles))}
+        bound_guard, truncate = solver._bound_guard, solver.truncate_argument
         monkeypatch.setattr(solver, "_bound_guard", lambda *args: (
-            guard := bound_guard(*args), guard_starts.append(guard.radius.copy()))[0])
+            guard := bound_guard(*args), starts.append(guard.radius.copy()))[0])
+
+        def recording(values, grid, guard, index, norm):   # each iterate, after its settle
+            for j in index.tolist():
+                history[j].append(float(guard.radius[j]))
+            return truncate(values, grid, guard, index, norm)
+
+        monkeypatch.setattr(solver, "truncate_argument", recording)
         reports = sa.solve_rescaled_batch(model, bundles, sa.SolverConfig(snapshot_stride=0))
         converged = [isinstance(r, sa.SolveReport) for r in reports]
         assert any(converged) != name.startswith("agepoly")
-        starts = set()
-        for bundle, report in zip(bundles, reports):
-            coeffs, radii, over = RescaledCoefficients(model, [bundle]), [], np.zeros(1)
-            for i in range(grid.n_t + 1):
-                coeffs.k_faces(i, over=over)
-                coeffs.node_fields(i, over=over)
-                if over[0]:   # the exp guard fails the path from here on
-                    break
-                try:
-                    (sups,) = coeffs.sups_so_far()
-                    radii.append(float(sa.constants_for_run(model, sups).n0))
-                except sa.StochageError:   # the bound overflows a float
-                    radii.append(np.inf)
-            starts.add(radii[0])
-            assert radii == sorted(radii)
-            if isinstance(report, sa.SolveReport):
-                assert len(radii) == grid.n_t + 1
-                assert radii[-1] == float(sa.constants_for_run(model, report.sups).n0)
         (start,) = starts
-        assert np.all(guard_starts[0] == (start if np.isfinite(start) else -np.inf))
+        assert np.all(start == -np.inf)
+
+        def radius(sups):   # NaN where the bound overflows a float
+            try:
+                return float(sa.constants_for_run(model, sups).n0)
+            except sa.StochageError:
+                return np.nan
+
+        for j, (bundle, report) in enumerate(zip(bundles, reports)):
+            first = swept_sups(model, bundle, last=1)
+            if isinstance(first, NoiseMagnitudeError):   # the path never iterates
+                assert history[j] == [] and str(report) == str(first)
+                continue
+            radii = history[j]
+            assert same(radii[0], radius(first))
+            if np.isnan(radii[-1]):   # the path leaves with the bound's error
+                assert str(report).startswith("energy bound exponent")
+                radii = radii[:-1]
+            assert radii == sorted(radii)
+            whole = swept_sups(model, bundle)
+            bound = np.nan if isinstance(whole, sa.StochageError) else radius(whole)
+            if radii and np.isfinite(bound):
+                assert radii[-1] <= bound
+            if isinstance(report, sa.SolveReport):
+                assert report.sups == whole and radii[-1] <= radius(report.sups)
 
 
 class TestItoConsistency:

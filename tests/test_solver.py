@@ -23,7 +23,8 @@ from stochage.solver import (DiffusionFactors, StepResult, TruncationGuard, _adv
                              truncate_argument)
 
 from conftest import (PINNED_NUMPY, build_model, fails_alone, linear_rates, logistic_rates,
-                      nan_fertility_model, same, sample, smooth_p0, swept_constants)
+                      nan_fertility_model, same, sample, smooth_p0, swept_constants,
+                      swept_sups)
 
 MODELS = Path(__file__).resolve().parent.parent / "models"
 
@@ -517,8 +518,8 @@ class TestRenewal:
 
 class TestTruncation:
     @staticmethod
-    def guard_of_one(radius, constants=None):
-        return TruncationGuard(np.array([radius]), constants)
+    def guard_of_one(radius, settle=None):
+        return TruncationGuard(np.array([radius]), settle)
 
     @staticmethod
     def truncate(values, grid, guard, index):
@@ -550,8 +551,8 @@ class TestTruncation:
 
     def test_warns_per_clipped_path_of_a_radius_from_the_bound(
             self, grid1d, linear_model, caplog):
-        bundle = sa.sample_bundle(0, 1, linear_model.grid.n_t, linear_model.grid.T)
-        consts = swept_constants(linear_model, bundle)
+        settle = solver._bound_guard(RescaledCoefficients(linear_model, bundles_for(
+            linear_model, 1)), sa.SolverConfig(), linear_model.p0[None]).settle
         # constant fields of norm 0.5, 2 and 3
         vals = np.stack([np.full(grid1d.field_shape, c) for c in (0.5, 2.0, 3.0)])
 
@@ -561,14 +562,14 @@ class TestTruncation:
                 self.truncate(values, grid1d, guard, index)
             return [r for r in caplog.records if r.name == "stochage.solver"]
 
-        assert len(warnings(self.guard_of_one(1.0, [consts]), vals[1:2], [0])) == 1
-        batch = TruncationGuard(np.ones(3), [consts] * 3)
+        assert len(warnings(self.guard_of_one(1.0, settle), vals[1:2], [0])) == 1
+        batch = TruncationGuard(np.ones(3), settle)
         assert len(warnings(batch, vals, np.arange(3))) == 2
         # the values hold paths 0, 2 and 3 of a batch of four
-        batch = TruncationGuard(np.array([1.0, 1.0, 5.0, 1.0]), [consts] * 4)
+        batch = TruncationGuard(np.array([1.0, 1.0, 5.0, 1.0]), settle)
         assert len(warnings(batch, vals, np.array([0, 2, 3]))) == 1
         assert batch.activations.tolist() == [0, 0, 0, 1]
-        # a fixed radius keeps no constants and clips silently
+        # a fixed radius has no settle and clips silently
         fixed = TruncationGuard(np.ones(3))
         assert warnings(fixed, vals, np.arange(3)) == []
         assert fixed.activations.tolist() == [0, 1, 1]
@@ -720,24 +721,49 @@ class TestSolveRescaled:
         assert np.all(np.isfinite(rep.snapshots[-1]))
 
 
+def reference_guard(model, coeffs, cfg):
+    """The guard of a one-path reference march: ``cfg``'s fixed radius, or
+    the energy bound of the sups ``coeffs`` has built so far, from ``-inf``
+    and refreshed whenever a candidate passes it."""
+    if cfg.truncation_radius is not None:
+        return TruncationGuard(np.array([cfg.truncation_radius]))
+
+    def settle(paths):
+        assert list(paths) == [0]
+        (sups,) = coeffs.sups_so_far()
+        try:
+            guard.radius[0] = sa.constants_for_run(model, sups, c0=cfg.c0, c1=cfg.c1).n0
+        except sa.StochageError as exc:
+            guard.radius[0] = np.nan
+            return {0: exc}
+        return {}
+
+    guard = TruncationGuard(np.array([-np.inf]), settle)
+    return guard
+
+
 def march_without_path_axis(model, bundle, cfg):
-    """Final state, steps, guard and coefficient sups of a reference march of
-    one path, as a batch of one stepped outside the shared march: the sups
-    are swept before it and the radius is fixed from them (or by ``cfg``)."""
+    """Final state, steps, guard, coefficient sups and error of a reference
+    march of one path, as a batch of one stepped outside the shared march
+    with :func:`reference_guard`.  The error is the first a step gives, when
+    the march stops, else that of the whole-path bound (``None`` if neither)."""
     coeffs = RescaledCoefficients(model, [bundle])
+    coeffs.k_faces(0), coeffs.node_fields(0)   # node 0, which the steps do not build
     gamma = evaluate_gamma(model.rates, model.grid)
-    (sups,) = coeffs.coefficient_sups()
-    if cfg.truncation_radius is None:
-        consts = sa.constants_for_run(model, sups, c0=cfg.c0, c1=cfg.c1)
-        guard = TruncationGuard(np.array([float(consts.n0)]), [consts])
-    else:
-        guard = TruncationGuard(np.array([cfg.truncation_radius]))
-    y, steps, factors = model.p0[None].copy(), [], DiffusionFactors()
+    guard = reference_guard(model, coeffs, cfg)
+    y, steps, factors, error = model.p0[None].copy(), [], DiffusionFactors(), None
     for n in range(1, model.grid.n_t + 1):
         steps.append(sa.picard_step_solve(y, n, coeffs, gamma, guard, cfg, factors,
                                           np.arange(1)))
         y = steps[-1].state
-    return y[0], steps, guard, sups
+        if steps[-1].failed:
+            (error,) = steps[-1].failed.values()
+            break
+        assert np.isfinite(l2_norm(y[0], model.grid))
+    else:
+        if guard.settle is not None:
+            error = guard.settle([0]).get(0)
+    return y[0], steps, guard, coeffs.sups_so_far()[0], error
 
 
 def bundles_for(model, n, base=0):
@@ -745,21 +771,27 @@ def bundles_for(model, n, base=0):
                              model.grid.T) for m in range(n)]
 
 
+def clipping_model(tmp_path):
+    """``sample1d`` with norms near 10 that pass the automatic radius of the
+    early nodes in some paths, and a whole-path radius of 16 to 197."""
+    path = tmp_path / "clipping.ini"
+    path.write_text((MODELS / "sample1d.ini").read_text().replace(
+        "p0 = ageexp:1.5,1.0", "p0 = ageexp:15,1.0").replace(
+        "k0 = constant:0.0", "k0 = constant:0.05") + "c0 = 1.6e-2\n")
+    return parse_model(path)
+
+
 class TestSolveRescaledBatch:
     @pytest.mark.parametrize("name", ["sample1d", "sample2d", "clipping"])
     def test_batch_matches_one_path_march(self, name, tmp_path):
-        path = MODELS / f"{name}.ini"
-        if name == "clipping":   # norms near 10 pass the bound's radius of 2 to 14
-            path = tmp_path / "clipping.ini"
-            path.write_text((MODELS / "sample1d.ini").read_text().replace(
-                "p0 = ageexp:1.5,1.0", "p0 = ageexp:15,1.0").replace(
-                "k0 = constant:0.0", "k0 = constant:0.05") + "c0 = 1e-3\n")
-        model, cfg = parse_model(path)
+        model, cfg = (clipping_model(tmp_path) if name == "clipping"
+                      else parse_model(MODELS / f"{name}.ini"))
         cfg = dataclasses.replace(cfg, snapshot_stride=1)
         bundles = bundles_for(model, 10)
         singles = [sa.solve_rescaled(model, b, cfg) for b in bundles]
         for rep, bundle in zip(singles, bundles):
-            final, steps, guard, sups = march_without_path_axis(model, bundle, cfg)
+            final, steps, guard, sups, error = march_without_path_axis(model, bundle, cfg)
+            assert error is None
             assert rep.snapshots[-1].tobytes() == final.tobytes()
             assert rep.u_series[1:].tobytes() == np.array(
                 [s.u_value for s in steps]).tobytes()
@@ -767,8 +799,9 @@ class TestSolveRescaledBatch:
             assert rep.contraction_ratios.tobytes() == np.array(
                 [s.contraction_ratio for s in steps], dtype=float).tobytes()
             assert rep.cfl_max == max(s.cfl for s in steps)
-            assert rep.truncations == guard.activations[0] and rep.sups == sups
-            if guard.constants is not None:   # the reference's radius, from the report's sups
+            assert rep.truncations == guard.activations[0]
+            assert rep.sups == sups == swept_sups(model, bundle)
+            if guard.settle is not None:   # the reference's last radius, from the report's sups
                 assert float(sa.constants_for_run(model, rep.sups, c0=cfg.c0,
                                                   c1=cfg.c1).n0) == guard.radius[0]
         if name == "sample1d":
@@ -776,7 +809,7 @@ class TestSolveRescaledBatch:
             iters = np.array([r.picard_iterations for r in singles])
             assert np.any(iters.min(axis=0) < iters.max(axis=0))
         if name == "clipping":
-            # the march completes their sups before it clips
+            # a path clips at the bound of the nodes its march has built
             assert 0 < sum(r.truncations > 0 for r in singles) < len(singles)
         for size in (3, 10):
             for lo in range(0, len(bundles), size):
@@ -785,12 +818,59 @@ class TestSolveRescaledBatch:
                 for rep, single in zip(batch, singles[lo:lo + size]):
                     assert same(rep, single)
 
+    def test_radius_clips_at_the_bound_of_the_nodes_built_so_far(self, tmp_path, monkeypatch):
+        # a candidate norm within the bound of its path's whole sups but past
+        # that of the nodes its march has built so far is clipped at exactly
+        # the latter, as in a one-path march stepped here, and in any batch
+        model, cfg = clipping_model(tmp_path)
+        cfg = dataclasses.replace(cfg, snapshot_stride=1)
+        bundles = bundles_for(model, 10)
+        references = [march_without_path_axis(model, b, cfg) for b in bundles]
+        clips, step, truncate = [], solver.picard_step_solve, solver.truncate_argument
+
+        def stepping(y, t_index, *args):
+            at[1] = t_index
+            return step(y, t_index, *args)
+
+        def recording(values, grid, guard, index, norm):   # each iterate, after its settle
+            ((radius,), (n,)) = guard.radius[index], norm
+            if n > radius:
+                clips.append((*at, radius, n))
+            return truncate(values, grid, guard, index, norm)
+
+        monkeypatch.setattr(solver, "picard_step_solve", stepping)
+        monkeypatch.setattr(solver, "truncate_argument", recording)
+        singles = []
+        for j, bundle in enumerate(bundles):   # at: the path and node of the solve
+            at = [j, 0]
+            singles.append(sa.solve_rescaled(model, bundle, cfg))
+        monkeypatch.undo()
+        clipped = {j for j, *_ in clips}
+        assert 0 < len(clipped) < len(bundles)
+        for j, t_index, radius, norm in clips:
+            whole = sa.constants_for_run(model, singles[j].sups, c0=cfg.c0, c1=cfg.c1).n0
+            so_far = sa.constants_for_run(model, swept_sups(model, bundles[j], last=t_index),
+                                          c0=cfg.c0, c1=cfg.c1).n0
+            assert radius == so_far < norm <= whole
+        for j, (rep, (final, steps, guard, sups, error)) in enumerate(zip(singles, references)):
+            assert error is None and sups == rep.sups
+            assert rep.truncations == guard.activations[0] == sum(c[0] == j for c in clips)
+            assert rep.snapshots[-1].tobytes() == final.tobytes()
+            assert rep.u_series[1:].tobytes() == np.array([s.u_value for s in steps]).tobytes()
+            assert rep.picard_iterations.tolist() == [s.iterations for s in steps]
+        for size in (3, 10):
+            for lo in range(0, len(bundles), size):
+                batch = sa.solve_rescaled_batch(model, bundles[lo:lo + size], cfg)
+                for rep, single in zip(batch, singles[lo:lo + size], strict=True):
+                    assert same(rep, single)
+
     @pytest.mark.parametrize("max_iter", [2, 50])
     def test_a_path_ends_as_if_its_sups_were_swept_first(self, max_iter, tmp_path):
-        # the march gathers the sups and completes them for a path that
-        # leaves it, so each path ends as when they were swept first: with
-        # the exp guard's error, else the bound's, else as a march at its
-        # own radius.  With 2 fixed-point iterates every march fails early
+        # the same paths fail as when their sups are swept first, and each
+        # with the first cause its march meets: the exp guard's, the bound's
+        # of its nodes so far or the march's own, else its whole-path
+        # bound's.  With 2 fixed-point iterates every march fails to converge
+        # at an early step, before its bound overflows
         path = tmp_path / "loud.ini"
         path.write_text((MODELS / "sample1d.ini").read_text().replace(
             "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4").replace(
@@ -802,21 +882,35 @@ class TestSolveRescaledBatch:
         for entry, bundle in zip(sa.solve_rescaled_batch(model, bundles, cfg), bundles):
             try:
                 consts = swept_constants(model, bundle, c0=cfg.c0, c1=cfg.c1)
-            except sa.StochageError as exc:
-                expected = exc
-            else:   # a report at its own fixed radius carries the same sups
+            except sa.StochageError:
+                swept = None
+            else:   # a march at its own fixed radius
                 own = dataclasses.replace(cfg, truncation_radius=float(consts.n0))
-                expected = sa.solve_rescaled_batch(model, [bundle], own)[0]
-            if isinstance(expected, sa.StochageError):
-                assert type(entry) is type(expected) and str(entry) == str(expected)
+                swept = sa.solve_rescaled_batch(model, [bundle], own)[0]
+            assert (swept is None or isinstance(swept, sa.StochageError)) == isinstance(
+                entry, sa.StochageError)
+            final, steps, guard, sups, error = march_without_path_axis(model, bundle, cfg)
+            if error is None:   # every field of the report, as its reference march gives it
+                assert entry.snapshots[-1].tobytes() == final.tobytes() and entry.sups == sups
+                assert entry.l2_series[1:].tobytes() == np.array(
+                    [l2_norm(s.state[0], model.grid) for s in steps]).tobytes()
+                assert entry.u_series[1:].tobytes() == np.array(
+                    [s.u_value for s in steps]).tobytes()
+                assert entry.picard_iterations.tolist() == [s.iterations for s in steps]
+                assert entry.contraction_ratios.tobytes() == np.array(
+                    [s.contraction_ratio for s in steps], dtype=float).tobytes()
+                assert entry.cfl_max == max(s.cfl for s in steps)
+                assert entry.truncations == guard.activations[0]
             else:
-                assert same(entry, expected)
+                assert type(entry) is type(error) and str(entry) == str(error)
             causes.add(type(entry))
-        assert causes == {sa.StochageError, NonconvergenceError if max_iter == 2 else sa.SolveReport}
+        assert causes == ({NonconvergenceError} if max_iter == 2
+                          else {sa.StochageError, sa.SolveReport})
 
     def test_a_path_leaves_at_the_step_its_completed_sups_fail(self, tmp_path, monkeypatch):
-        # a norm past node 0's radius completes the path's sups; when its
-        # bound overflows, the path marches no further step
+        # a norm past the radius refreshes it from the path's sups so far;
+        # when their bound overflows, the radius is NaN and the path marches
+        # no further step
         path = tmp_path / "loud.ini"
         path.write_text((MODELS / "sample1d.ini").read_text().replace(
             "mu1 = cosine:0.2:1", "mu1 = cosine:2.0:4"))
@@ -826,15 +920,14 @@ class TestSolveRescaledBatch:
         def recording(y, t_index, coeffs, gamma, guard, config, factors, live, observer):
             assert not set(live.tolist()) & set(left)
             result = step(y, t_index, coeffs, gamma, guard, config, factors, live, observer)
-            left.update((j, t_index) for j in live.tolist()
-                        if isinstance(guard.constants[j], sa.StochageError))
+            left.update((j, t_index) for j in live.tolist() if np.isnan(guard.radius[j]))
             return result
 
         monkeypatch.setattr(solver, "picard_step_solve", recording)
         cfg = dataclasses.replace(cfg, snapshot_stride=0)
         reports = sa.solve_rescaled_batch(model, bundles_for(model, 8), cfg)
         assert left and max(left.values()) < model.grid.n_t
-        assert all(isinstance(reports[j], sa.StochageError) for j in left)
+        assert all(str(reports[j]).startswith("energy bound exponent") for j in left)
 
     def test_small_radius_clips_some_paths_only(self, grid1d):
         # a growing population whose paths spread: a radius inside the
@@ -852,13 +945,13 @@ class TestSolveRescaledBatch:
         assert 0 < sum(clipped) < len(batch)
         for rep, bundle in zip(batch, bundles):
             assert same(rep, sa.solve_rescaled(model, bundle, cfg))
-            assert rep.sups == RescaledCoefficients(model, [bundle]).coefficient_sups()[0]
+            assert rep.sups == swept_sups(model, bundle)
 
     @pytest.mark.parametrize("name", ["sample1d", "sample2d"])
     def test_initial_stack_matches_one_path_solves_of_its_densities(self, name, monkeypatch):
         # check's batch: the stored density and two bumped copies on one
         # path; each is bitwise the one-path solve of a model carrying its
-        # density, its guard's radius and constants from its own data energy
+        # density, and its guard's radius is that of its own data energy
         model, cfg = parse_model(MODELS / f"{name}.ini")
         cfg = dataclasses.replace(cfg, snapshot_stride=1)
         bundle = bundles_for(model, 1)[0]
@@ -866,12 +959,18 @@ class TestSolveRescaledBatch:
         guards, bound_guard = [], solver._bound_guard
         monkeypatch.setattr(solver, "_bound_guard",
                             lambda *args: guards.append(bound_guard(*args)) or guards[-1])
+        energies, constants = [], solver.estimates.constants_for_run
+        monkeypatch.setattr(solver.estimates, "constants_for_run", lambda *args, **kwargs: (
+            energies.append(kwargs["y0_norm_sq"]), constants(*args, **kwargs))[1])
         batch = sa.solve_rescaled_batch(model, [bundle] * 3, cfg, p0)
-        for rep, row in zip(batch, p0, strict=True):
+        assert len(set(energies[:3])) == 3
+        for j, (rep, row) in enumerate(zip(batch, p0, strict=True)):
+            assert energies[j] == l2_norm(row, model.grid) ** 2
             own = dataclasses.replace(model, p0=row)
             assert same(rep, sa.solve_rescaled(own, bundle, cfg))
             assert rep.snapshots[0].tobytes() == row.tobytes()
-        assert len({c.y0_norm_sq for c in guards[0].constants}) == 3
+            assert guards[0].radius[j] == guards[-1].radius[0] == sa.constants_for_run(
+                own, rep.sups, c0=cfg.c0, c1=cfg.c1).n0
 
     @pytest.mark.parametrize("name, change", [
         ("sample1d", None), ("sample2d", None), ("sample1d", "k0"), ("sample2d", "k0"),
